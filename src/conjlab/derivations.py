@@ -11,6 +11,7 @@ discards in q-norm.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -320,7 +321,7 @@ def g_boundedness_probe(
     For potential-induced derivations, conjugators with the same action on
     the support share one norm computation.
     """
-    if p < 1:
+    if not p >= 1:
         raise UsageError(f"g_boundedness_probe needs p >= 1, got {p}")
     ball = model.cayley_ball(radius, node_budget)
     supp = d.potential_obj.support() if d.potential_obj is not None else None
@@ -348,18 +349,16 @@ def _potential_image_norm(phi, supp, images, p) -> float:
     # multiset {phi(g t g^-1) - phi(t)}.
     fwd = dict(zip(supp, images))
     image_set = set(images)
+    coeffs = [phi.value(fwd[t]) - phi.value(t) for t in supp]
+    # t = g^-1 s g lies outside supp iff s is not a forward image;
+    # such t contributes phi(g t g^-1) - phi(t) = phi(s) - 0
+    coeffs += [phi.value(s) for s in supp if s not in image_set]
+    if p == math.inf:
+        return float(max(map(abs, coeffs), default=0))
     total = 0.0
-    for t in supp:
-        c = phi.value(fwd[t]) - phi.value(t)
+    for c in coeffs:
         if c:
             total += float(abs(c)) ** p
-    for s in supp:
-        # t = g^-1 s g lies outside supp iff s is not a forward image;
-        # such t contributes phi(g t g^-1) - phi(t) = phi(s) - 0
-        if s not in image_set:
-            c = phi.value(s)
-            if c:
-                total += float(abs(c)) ** p
     return total ** (1.0 / p)
 
 

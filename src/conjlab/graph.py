@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import UsageError
 from .groups import AtLeast, DEFAULT_NODE_BUDGET, Generator, GroupElement, GroupModel
@@ -37,10 +38,21 @@ class ConjGraphBall:
     base: GroupElement
     radius: int
     vertices: set = field(default_factory=set)
-    edges: list = field(default_factory=list)
     dist: dict = field(default_factory=dict)
     complete: bool = True
     closed: bool = False
+
+    @cached_property
+    def edges(self) -> list:
+        """Every edge between ball vertices, sorted by encoding; built on
+        first read."""
+        edges = []
+        for v in self.vertices:
+            for gen, w in conj_neighbors(self.base.model, v):
+                if w in self.vertices:
+                    edges.append(ConjEdge(v, gen, w))
+        edges.sort(key=lambda e: (e.src.encode(), e.label.label(), e.dst.encode()))
+        return edges
 
     def to_json(self) -> dict:
         return {
@@ -59,11 +71,9 @@ class ConjGraphBall:
 def conj_neighbors(model: GroupModel, h: GroupElement):
     """All conjugation neighbors of h: one entry per generator and inverse,
     self-loops included."""
-    out = []
-    for gen in model.all_gens():
-        x = model.generator_element(gen)
-        out.append((gen, model.conjugate(x, h)))
-    return out
+    model._check(h)
+    return [(gen, model.element(model.conj_step(h.payload, x, xi)))
+            for gen, x, xi in model.gen_triples]
 
 
 def explore_component(
@@ -73,37 +83,9 @@ def explore_component(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ConjGraphBall:
     model._check(u0)
-    dist = {u0: 0}
-    frontier = [u0]
-    complete = True
-    closed = False
-    for depth in range(1, radius + 1):
-        nxt = []
-        for v in frontier:
-            for _, w in conj_neighbors(model, v):
-                if w in dist:
-                    continue
-                dist[w] = depth
-                nxt.append(w)
-                if len(dist) > node_budget:
-                    complete = False
-                    break
-            if not complete:
-                break
-        if not complete:
-            break
-        frontier = nxt
-        if not frontier:
-            closed = True
-            break
-    vertices = set(dist)
-    edges = []
-    for v in vertices:
-        for gen, w in conj_neighbors(model, v):
-            if w in vertices:
-                edges.append(ConjEdge(v, gen, w))
-    edges.sort(key=lambda e: (e.src.encode(), e.label.label(), e.dst.encode()))
-    return ConjGraphBall(u0, radius, vertices, edges, dist, complete, closed)
+    search = model.bfs(u0.payload, model.conj_step, radius, node_budget)
+    dist = {model.element(p): d for p, d in search.dist.items()}
+    return ConjGraphBall(u0, radius, set(dist), dist, search.cut is None, search.exhausted)
 
 
 def conj_distance(
@@ -114,28 +96,11 @@ def conj_distance(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ):
     """Shortest-path distance in the conjugation graph; AtLeast(budget)
-    when no path of length <= budget exists (far apart or disconnected)."""
+    when no path of length <= budget exists (far apart or disconnected),
+    AtLeast(depth) when the node budget runs out at that depth."""
     model._check(h1, h2)
-    if h1 == h2:
-        return 0
-    seen = {h1}
-    frontier = [h1]
-    for depth in range(1, budget + 1):
-        nxt = []
-        for v in frontier:
-            for _, w in conj_neighbors(model, v):
-                if w in seen:
-                    continue
-                if w == h2:
-                    return depth
-                seen.add(w)
-                nxt.append(w)
-                if len(seen) > node_budget:
-                    return AtLeast(depth)
-        frontier = nxt
-        if not frontier:
-            break
-    return AtLeast(budget)
+    search = model.bfs(h1.payload, model.conj_step, budget, node_budget, [h2.payload])
+    return search.distance(h2.payload)
 
 
 @dataclass
@@ -159,19 +124,24 @@ class BCReport:
         return json.dumps(self.to_json(), sort_keys=True, ensure_ascii=False)
 
 
+def _max_distance(dists):
+    """Max of distances; AtLeast when any of them is one."""
+    best = max(d.bound if isinstance(d, AtLeast) else d for d in dists)
+    return AtLeast(best) if any(isinstance(d, AtLeast) for d in dists) else best
+
+
 def _set_diameter(model, elems, budget, node_budget):
-    """Max pairwise conjugation distance; AtLeast propagates."""
-    best = 0
-    lower_bound = False
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            d = conj_distance(model, elems[i], elems[j], budget, node_budget)
-            if isinstance(d, AtLeast):
-                best = max(best, d.bound)
-                lower_bound = True
-            else:
-                best = max(best, d)
-    return AtLeast(best) if lower_bound else best
+    """Max pairwise conjugation distance; AtLeast propagates.
+
+    One search from each element finds all later ones: a pair's distance
+    is what `conj_distance` returns, since the visiting order is the same.
+    """
+    dists = [0]
+    for i in range(len(elems) - 1):
+        targets = [h.payload for h in elems[i + 1:]]
+        search = model.bfs(elems[i].payload, model.conj_step, budget, node_budget, targets)
+        dists += [search.distance(t) for t in targets]
+    return _max_distance(dists)
 
 
 def bc_probe(
@@ -200,19 +170,15 @@ def bc_probe(
     memo = {}
     shells = []
     running = 0
-    running_lb = False
     for r in range(max_cayley_radius + 1):
+        dists = [running]
         for g in by_radius.get(r, ()):
             images = tuple(model.conjugate(g, k) for k in K)
             if images not in memo:
                 memo[images] = _set_diameter(model, images, diam_budget, node_budget)
-            d = memo[images]
-            if isinstance(d, AtLeast):
-                running = max(running, d.bound)
-                running_lb = True
-            else:
-                running = max(running, d)
-        shells.append((r, AtLeast(running) if running_lb else running))
+            dists.append(memo[images])
+        running = _max_distance(dists)
+        shells.append((r, running))
     verdict = _bc_verdict(shells, max_cayley_radius)
     return BCReport([k.encode() for k in K], shells, verdict)
 
@@ -237,14 +203,9 @@ def export_dot(ball: ConjGraphBall, suppress_loops: bool = False) -> str:
     lines = ["digraph conj {"]
     for enc in sorted(v.encode() for v in ball.vertices):
         lines.append(f'  "{enc}";')
-    seen = set()
     for e in ball.edges:
         if suppress_loops and e.is_loop():
             continue
-        key = (e.src.encode(), e.label.label(), e.dst.encode())
-        if key in seen:
-            continue
-        seen.add(key)
-        lines.append(f'  "{key[0]}" -> "{key[2]}" [label="{key[1]}"];')
+        lines.append(f'  "{e.src.encode()}" -> "{e.dst.encode()}" [label="{e.label.label()}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

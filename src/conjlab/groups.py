@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import re
 from abc import ABC, abstractmethod
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ModelMismatchError, ResourceBudgetError, UsageError
 
@@ -46,6 +46,25 @@ class AtLeast:
 
     def __str__(self):
         return f"≥{self.bound}"
+
+
+@dataclass(frozen=True)
+class Search:
+    """Outcome of `GroupModel.bfs`: `dist` maps each visited payload to its
+    depth, in visiting order; `cut` is the depth at which the node budget
+    ran out, if it did; `exhausted` is True when the frontier emptied.
+    """
+
+    dist: dict
+    radius: int
+    cut: int | None = None
+    exhausted: bool = False
+
+    def distance(self, target):
+        """The depth of `target`, or AtLeast(depth searched) if unvisited."""
+        if target in self.dist:
+            return self.dist[target]
+        return AtLeast(self.radius if self.cut is None else self.cut)
 
 
 class GroupElement:
@@ -133,10 +152,16 @@ class GroupModel(ABC):
 
     def all_gens(self) -> list[Generator]:
         """The symmetric generating set: every generator and its inverse."""
+        return [gen for gen, _, _ in self.gen_triples]
+
+    @cached_property
+    def gen_triples(self) -> list:
+        """(generator, x, x^-1) payload triples over the symmetric
+        generating set, each generator followed by its inverse."""
         out = []
-        for gid in self.generator_payloads():
-            out.append(Generator(gid))
-            out.append(Generator(gid, True))
+        for gid, x in self.generator_payloads().items():
+            xi = self.inv_payload(x)
+            out += [(Generator(gid), x, xi), (Generator(gid, True), xi, x)]
         return out
 
     def generator_element(self, gen: Generator) -> GroupElement:
@@ -154,6 +179,10 @@ class GroupModel(ABC):
                 raise ModelMismatchError(
                     f"element of model {e.model.name} used with model {self.name}"
                 )
+
+    def conj_step(self, p, x, xi):
+        """Conjugation-graph step along generator x: x p x^-1."""
+        return self.mul_payload(x, self.mul_payload(p, xi))
 
     def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
         self._check(a, b)
@@ -183,10 +212,54 @@ class GroupModel(ABC):
     def decode(self, text: str) -> GroupElement:
         return self.element(self.decode_payload(text))
 
-    # -- generic Cayley-graph searches -------------------------------------
+    # -- budgeted search ---------------------------------------------------
 
-    def _gen_elements(self) -> list[GroupElement]:
-        return [self.generator_element(g) for g in self.all_gens()]
+    def bfs(self, start, step, radius: int, node_budget: int, targets=()) -> Search:
+        """Breadth-first search over payloads from `start`.
+
+        The neighbours of p are step(p, x, x^-1) over `gen_triples`, in
+        order.  The search stops after depth `radius`, when the frontier
+        empties, once every target is visited, or as soon as more than
+        `node_budget` nodes are visited (that last node is kept, and is
+        checked as a target first).
+        """
+        dist = {start: 0}
+        left = set(targets) - {start}
+        if targets and not left:
+            return Search(dist, radius)
+        frontier = [start]
+        for depth in range(1, radius + 1):
+            nxt = []
+            for v in frontier:
+                for _, x, xi in self.gen_triples:
+                    w = step(v, x, xi)
+                    if w in dist:
+                        continue
+                    dist[w] = depth
+                    nxt.append(w)
+                    if w in left:
+                        left.remove(w)
+                        if not left:
+                            return Search(dist, radius)
+                    if len(dist) > node_budget:
+                        return Search(dist, radius, cut=depth)
+            if not nxt:
+                return Search(dist, radius, exhausted=True)
+            frontier = nxt
+        return Search(dist, radius)
+
+    def _cayley_bfs(self, caller, radius, node_budget, targets=()) -> Search:
+        """`bfs` from the identity along p -> p x; raises
+        ResourceBudgetError when the node budget runs out."""
+        mul = self.mul_payload
+        search = self.bfs(self.identity_payload(), lambda p, x, xi: mul(p, x),
+                          radius, node_budget, targets)
+        if search.cut is not None:
+            raise ResourceBudgetError(
+                f"{caller} node budget {node_budget} exceeded",
+                partial_count=len(search.dist),
+            )
+        return search
 
     def word_length(self, g: GroupElement, budget: int, node_budget: int = DEFAULT_NODE_BUDGET):
         """Geodesic length of g w.r.t. the symmetric generating set.
@@ -194,55 +267,13 @@ class GroupModel(ABC):
         Returns the exact length when it is <= budget, else AtLeast(budget).
         """
         self._check(g)
-        if g.is_identity():
-            return 0
-        gen_elems = self._gen_elements()
-        seen = {self.identity()}
-        frontier = [self.identity()]
-        for depth in range(1, budget + 1):
-            nxt = []
-            for v in frontier:
-                for s in gen_elems:
-                    w = self.multiply(v, s)
-                    if w in seen:
-                        continue
-                    if w == g:
-                        return depth
-                    seen.add(w)
-                    nxt.append(w)
-                    if len(seen) > node_budget:
-                        raise ResourceBudgetError(
-                            f"word_length node budget {node_budget} exceeded",
-                            partial_count=len(seen),
-                        )
-            frontier = nxt
-            if not frontier:
-                break
-        return AtLeast(budget)
+        search = self._cayley_bfs("word_length", budget, node_budget, [g.payload])
+        return search.distance(g.payload)
 
     def cayley_ball(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
         """Map element -> word length, for every element of length <= radius."""
-        gen_elems = self._gen_elements()
-        dist = {self.identity(): 0}
-        frontier = [self.identity()]
-        for depth in range(1, radius + 1):
-            nxt = []
-            for v in frontier:
-                for s in gen_elems:
-                    w = self.multiply(v, s)
-                    if w in dist:
-                        continue
-                    dist[w] = depth
-                    nxt.append(w)
-                    if len(dist) > node_budget:
-                        raise ResourceBudgetError(
-                            f"cayley_ball node budget {node_budget} exceeded",
-                            partial_count=len(dist),
-                        )
-            frontier = nxt
-            if not frontier:
-                break
-        return dist
+        ball = self._cayley_bfs("cayley_ball", radius, node_budget)
+        return {self.element(p): d for p, d in ball.dist.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -170,11 +170,12 @@ class GroupRingVector:
     # -- norms --------------------------------------------------------------
 
     def lp_norm(self, p: float) -> float:
-        if p < 1:
+        if not p >= 1:
             raise UsageError(f"lp_norm needs p >= 1, got {p}")
-        total = 0.0
-        for c in self.terms.values():
-            total += float(c.abs_sq()) ** (p / 2.0)
+        if p == math.inf:
+            return self.sup_norm()
+        # exactly rounded, so independent of the (hash-dependent) term order
+        total = math.fsum(float(c.abs_sq()) ** (p / 2.0) for c in self.terms.values())
         return total ** (1.0 / p)
 
     def lq_pow_exact(self, q: int) -> Fraction:

@@ -11,7 +11,7 @@ from .groups import GroupModel
 
 
 def random_element(model: GroupModel, rng: Random, max_len: int = 6):
-    gens = model._gen_elements()
+    gens = [model.element(x) for _, x, _ in model.gen_triples]
     g = model.identity()
     for _ in range(rng.randint(0, max_len)):
         g = g * rng.choice(gens)

@@ -37,6 +37,23 @@ def harmonic_potential(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def sup_three_potential(tmp_path):
+    # d(Ax) has coefficients -3, 5/2 and 1/2
+    path = tmp_path / "phi3.json"
+    path.write_text(
+        json.dumps(
+            {
+                "model": "h3",
+                "table": [["H3(1,0,0)", "3"], ["H3(1,0,1)", "1/2"]],
+                "closed_form": None,
+                "truncation": 100,
+            }
+        )
+    )
+    return str(path)
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
@@ -216,6 +233,36 @@ class TestBoundProbe:
         assert code == 0
         data = json.loads(out)
         assert data["max_norm"] == "1.58113883008"
+
+
+class TestNormExponent:
+    def test_derive_p_inf_is_sup(self, capsys, sup_three_potential):
+        code, out, _ = run(
+            capsys,
+            ["derive", "--potential", sup_three_potential,
+             "--element", "H3(0,1,0)", "-p", "inf"],
+        )
+        assert code == 0
+        assert json.loads(out)["norm_p"] == "3"
+
+    def test_bound_probe_p_inf_is_sup(self, capsys, sup_three_potential):
+        code, out, _ = run(
+            capsys,
+            ["bound-probe", "--potential", sup_three_potential,
+             "--radius", "1", "-p", "inf"],
+        )
+        assert code == 0
+        assert json.loads(out)["max_norm"] == "3"
+
+    @pytest.mark.parametrize("argv", [
+        ["derive", "--element", "H3(0,1,0)"],
+        ["bound-probe", "--radius", "1"],
+    ])
+    def test_p_nan_exits_2(self, capsys, sup_three_potential, argv):
+        code, out, err = run(
+            capsys, argv + ["--potential", sup_three_potential, "-p", "nan"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
 
 
 class TestAppendix:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from random import Random
 
@@ -310,6 +311,18 @@ class TestBoundednessProbe:
         )
         assert max_norm == pytest.approx(direct, rel=1e-12)
         assert d.apply(argmax).lp_norm(2) == pytest.approx(max_norm, rel=1e-12)
+
+    def test_p_inf_is_max_sup_norm(self, h3):
+        phi = Potential(h3, {h3.element((1, 0, 0)): 3, h3.element((1, 0, 1)): Fraction(1, 2)})
+        d = Derivation.from_potential(phi)
+        max_norm, argmax = g_boundedness_probe(d, h3, radius=2, p=math.inf)
+        assert max_norm == max(d.apply(g).sup_norm() for g in h3.cayley_ball(2)) == 3.0
+        assert d.apply(argmax).sup_norm() == max_norm
+
+    def test_p_nan_rejected(self, h3):
+        d = Derivation.from_potential(Potential(h3, {h3.element((1, 0, 0)): 1}))
+        with pytest.raises(UsageError):
+            g_boundedness_probe(d, h3, radius=1, p=math.nan)
 
 
 class TestStabilisation:

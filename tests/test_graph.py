@@ -84,7 +84,24 @@ class TestExplore:
 
     def test_budget_flagged(self, h3):
         ball = explore_component(h3, h3.element((1, 0, 0)), radius=50, node_budget=5)
-        assert not ball.complete
+        assert not ball.complete and not ball.closed
+        # the node that crossed the budget is kept
+        assert len(ball.dist) == 6
+
+    def test_radius_zero(self, model):
+        ball = explore_component(model, model.identity(), radius=0)
+        assert ball.dist == {model.identity(): 0}
+        assert ball.complete and not ball.closed
+        assert [e.is_loop() for e in ball.edges] == [True] * len(model.all_gens())
+
+    def test_closed_only_when_frontier_empties_within_radius(self):
+        # the class {ababab, bababa}: the frontier empties at depth 2
+        d = DihedralInf()
+        one = explore_component(d, d.decode("ababab"), radius=1)
+        two = explore_component(d, d.decode("ababab"), radius=2)
+        assert one.vertices == two.vertices
+        assert one.complete and not one.closed
+        assert two.complete and two.closed
 
     def test_h3_component_preserves_ab(self, h3):
         rng = Random(13)
@@ -117,6 +134,37 @@ class TestDistance:
         # distinct (a, b) coordinates are in different components
         d = conj_distance(h3, h3.element((1, 0, 0)), h3.element((0, 1, 0)), budget=5)
         assert d == AtLeast(5)
+
+    def test_node_budget_gives_depth_reached(self, h3):
+        # the central path from (1, 0, 0): 5 nodes fill depths 0-2, and the
+        # first depth-3 node, (1, 0, -3), crosses a node budget of 5
+        base = h3.element((1, 0, 0))
+        far = conj_distance(h3, base, h3.element((1, 0, 10)), budget=20, node_budget=5)
+        assert far == AtLeast(3)
+        assert conj_distance(h3, base, h3.element((1, 0, 3)), 20, 5) == AtLeast(3)
+        # a target that is itself the node crossing the budget is still found
+        assert conj_distance(h3, base, h3.element((1, 0, -3)), 20, 5) == 3
+
+    @pytest.mark.parametrize("a", range(-2, 3))
+    @pytest.mark.parametrize("b", range(-2, 3))
+    def test_h3_closed_form(self, h3, a, b):
+        # conjugating (a, b, c) by Ap adds b to c and by Ax subtracts a, so
+        # rho((a, b, c), (a, b, c + delta)) = min |i| + |j| over
+        # i b - j a = delta
+        budget = 5
+
+        def oracle(delta):
+            for s in range(budget + 1):
+                for i in range(-s, s + 1):
+                    for j in (s - abs(i), abs(i) - s):
+                        if i * b - j * a == delta:
+                            return s
+            return AtLeast(budget)
+
+        base = h3.element((a, b, 1))
+        for delta in range(-6, 7):
+            other = h3.element((a, b, 1 + delta))
+            assert conj_distance(h3, base, other, budget) == oracle(delta), delta
 
     def test_symmetry_and_triangle(self):
         d = DihedralInf()
@@ -171,6 +219,44 @@ class TestBCProbe:
         data = report.to_json()
         assert set(data) == {"K", "shells", "verdict"}
         assert data["shells"] == [[0, 0], [1, 0], [2, 0]]
+
+
+def _pairwise_shells(model, K, radius, diam_budget, node_budget):
+    """bc_probe's shells recomputed from pairwise conj_distance calls."""
+    K = sorted(set(K))
+    ball = model.cayley_ball(radius, node_budget)
+    dists = []
+    shells = []
+    for r in range(radius + 1):
+        for g, rg in ball.items():
+            if rg == r:
+                images = [model.conjugate(g, k) for k in K]
+                dists += [conj_distance(model, u, v, diam_budget, node_budget)
+                          for u, v in combinations(images, 2)]
+        bounds = [d.bound if isinstance(d, AtLeast) else d for d in dists]
+        lower = any(isinstance(d, AtLeast) for d in dists)
+        shells.append((r, AtLeast(max(bounds)) if lower else max(bounds)))
+    return shells
+
+
+class TestBCBudget:
+    @pytest.mark.parametrize("node_budget", [5, 10, 40, 1000])
+    def test_free2_matches_pairwise(self, node_budget):
+        f2 = FreeGroup(2)
+        K = [f2.decode(w) for w in ("x1", "x2.x1.x2^-1", "x1.x2.x1.x2^-1.x1^-1")]
+        report = bc_probe(f2, K, 1, 6, node_budget)
+        assert report.shells == _pairwise_shells(f2, K, 1, 6, node_budget)
+        if node_budget == 5:
+            assert report.shells[-1][1] == AtLeast(2)
+
+    @pytest.mark.parametrize("node_budget", [8, 12, 16, 1000])
+    def test_dsemi_matches_pairwise(self, node_budget):
+        m = get_model("dsemi")
+        K = [m.decode(w) for w in ("a", "b", "babab", "abababa")]
+        report = bc_probe(m, K, 2, 8, node_budget)
+        assert report.shells == _pairwise_shells(m, K, 2, 8, node_budget)
+        if node_budget == 8:
+            assert report.shells[-1][1] == AtLeast(4)
 
 
 class TestDot:

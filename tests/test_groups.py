@@ -11,6 +11,7 @@ from conjlab import (
     Generator,
     Heisenberg,
     ModelMismatchError,
+    ResourceBudgetError,
     UsageError,
     get_model,
     parse_word,
@@ -70,6 +71,19 @@ class TestHeisenberg:
     def test_word_length_budget_sentinel(self, h3):
         far = h3.element((0, 9, 0))
         assert h3.word_length(far, budget=3) == AtLeast(3)
+
+    def test_node_budget_raises(self, h3):
+        # 7 nodes fill radius 1; the 11th node crosses a budget of 10
+        with pytest.raises(ResourceBudgetError, match="^cayley_ball node budget 10 exceeded$") as exc:
+            h3.cayley_ball(3, node_budget=10)
+        assert exc.value.partial_count == 11
+        far = h3.element((0, 9, 0))
+        with pytest.raises(ResourceBudgetError, match="^word_length node budget 10 exceeded$") as exc:
+            h3.word_length(far, budget=5, node_budget=10)
+        assert exc.value.partial_count == 11
+        # the node crossing the budget is still found as a target
+        eleventh = list(h3.cayley_ball(2))[10]
+        assert h3.word_length(eleventh, budget=5, node_budget=10) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,24 @@ class TestNorms:
         with pytest.raises(UsageError):
             GroupRingVector.zero(h3).lp_norm(0.5)
 
+    def test_p_nan_rejected(self, h3):
+        with pytest.raises(UsageError):
+            GroupRingVector.zero(h3).lp_norm(math.nan)
+
+    def test_p_inf_is_sup_norm(self, h3):
+        v = GroupRingVector(h3, {h3.identity(): -3, h3.element((1, 0, 0)): frac(1, 2)})
+        assert v.lp_norm(math.inf) == v.sup_norm() == 3.0
+        assert GroupRingVector.zero(h3).lp_norm(math.inf) == 0.0
+
+    def test_sum_independent_of_term_order(self, h3):
+        # 1 + 1e-16 + 1e-16 rounds to 1.0 when summed left to right, but not
+        # when the two small terms are added first
+        terms = list(zip([h3.element((k, 0, 0)) for k in range(3)],
+                         [frac(1), Fraction(1e-16), Fraction(1e-16)]))
+        fwd = GroupRingVector(h3, dict(terms))
+        bwd = GroupRingVector(h3, dict(reversed(terms)))
+        assert fwd.lp_norm(1) == bwd.lp_norm(1)
+
     def test_odd_q_complex_rejected(self, h3):
         v = GroupRingVector(h3, {h3.identity(): Coeff(frac(0), frac(1))})
         with pytest.raises(UsageError):
