@@ -14,29 +14,40 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from random import Random
 
 from . import derivations as dv
 from . import experiments as ex
 from . import graph as cg
 from .errors import InternalConsistencyError, ResourceBudgetError, UsageError
-from .groups import AtLeast, get_model, parse_word
-from .ring import GroupRingVector
+from .groups import get_model, parse_word
+
+
+def _count(text: str) -> int:
+    """argparse type of radii and node budgets: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _default_node_budget() -> int:
     raw = os.environ.get("CONJLAB_DEFAULT_BUDGET")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise UsageError(f"bad CONJLAB_DEFAULT_BUDGET: {raw!r}") from exc
-    return 10**6
+    try:
+        return _count(raw) if raw else 10**6
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise UsageError(f"bad CONJLAB_DEFAULT_BUDGET: {raw!r}") from exc
 
 
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2))
+
+
+def _print_report(report, fmt) -> None:
+    if fmt == "table":
+        sys.stdout.write(report.to_table())
+    else:
+        _emit(report.to_json())
 
 
 def _load_potential(path) -> dv.Potential:
@@ -44,10 +55,6 @@ def _load_potential(path) -> dv.Potential:
         return dv.Potential.load(path)
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         raise UsageError(f"cannot load potential file {path}: {exc}") from exc
-
-
-def _dist_cell(d):
-    return d if isinstance(d, int) else str(d)
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +115,8 @@ def cmd_leibniz(args) -> int:
         g = random_element(phi.model, rng)
         h = random_element(phi.model, rng)
         res = dv.leibniz_residual(d, g, h)
-        worst = max(worst, res)
-        if res != 0.0:
+        worst = max(worst, res.lp_norm(1))
+        if not res.is_zero():
             violations += 1
     print(f"{violations} violations in {args.samples} samples "
           f"(max residual {ex.fmt_float(worst)})")
@@ -155,10 +162,9 @@ def cmd_stabilise(args) -> int:
     model = phi.model
     base = model.decode(args.base)
     ball = cg.explore_component(model, base, args.radius, args.budget_nodes)
-    radii = [int(tok) for tok in args.radii.split(",")]
-    if radii != sorted(radii):
+    if args.radii != sorted(args.radii):
         raise UsageError("--radii must be increasing")
-    probe = dv.stabilisation_probe(phi, ball, radii)
+    probe = dv.stabilisation_probe(phi, ball, args.radii)
     _emit(
         {
             "base": base.encode(),
@@ -189,10 +195,7 @@ def cmd_bound_probe(args) -> int:
 
 def cmd_appendix(args) -> int:
     report = ex.run_appendix(args.m_max, args.n_max)
-    if args.format == "table":
-        sys.stdout.write(report.to_table())
-    else:
-        _emit(report.to_json())
+    _print_report(report, args.format)
     return 0
 
 
@@ -200,10 +203,7 @@ def cmd_limit(args) -> int:
     phi = _load_potential(args.potential)
     word = parse_word(phi.model, args.conjugator)
     report = ex.run_limit_experiment(phi, word, args.q, args.k_max)
-    if args.format == "table":
-        sys.stdout.write(report.to_table())
-    else:
-        _emit(report.to_json())
+    _print_report(report, args.format)
     return 0
 
 
@@ -215,10 +215,7 @@ def cmd_inverse_seq(args) -> int:
     report = ex.run_inverse_sequence_check(
         model, u, word, args.k_max, args.budget, tail_word=tail
     )
-    if args.format == "table":
-        sys.stdout.write(report.to_table())
-    else:
-        _emit(report.to_json())
+    _print_report(report, args.format)
     return 0
 
 
@@ -226,14 +223,12 @@ def cmd_inverse_seq(args) -> int:
 # Argument parsing
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(2, f"{self.prog}: error: {message}\n")
+def _radii(text: str) -> list:
+    return [int(tok) for tok in text.split(",")]
 
 
 def build_parser(node_budget: int) -> argparse.ArgumentParser:
-    parser = _Parser(prog="conjlab", description=__doc__)
+    parser = argparse.ArgumentParser(prog="conjlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
@@ -244,10 +239,10 @@ def build_parser(node_budget: int) -> argparse.ArgumentParser:
     p = add("graph", cmd_graph, help="explore a conjugation-graph ball")
     p.add_argument("--model", required=True)
     p.add_argument("--base", required=True)
-    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--radius", type=_count, required=True)
     p.add_argument("--suppress-loops", action="store_true")
     p.add_argument("--format", choices=["dot", "json"], default="dot")
-    p.add_argument("--budget-nodes", type=int, default=node_budget)
+    p.add_argument("--budget-nodes", type=_count, default=node_budget)
 
     p = add("bc", cmd_bc, help="probe the bounded-conjugation condition")
     p.add_argument("--model", required=True)
@@ -255,7 +250,7 @@ def build_parser(node_budget: int) -> argparse.ArgumentParser:
                    help="element of K (repeatable)")
     p.add_argument("--cayley-radius", type=int, default=6)
     p.add_argument("--diam-budget", type=int, default=32)
-    p.add_argument("--budget-nodes", type=int, default=node_budget)
+    p.add_argument("--budget-nodes", type=_count, default=node_budget)
 
     p = add("derive", cmd_derive, help="apply the potential's derivation")
     p.add_argument("--potential", required=True)
@@ -282,16 +277,17 @@ def build_parser(node_budget: int) -> argparse.ArgumentParser:
             help="sup |phi| outside growing radii of a component ball")
     p.add_argument("--potential", required=True)
     p.add_argument("--base", required=True)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--radii", required=True, help="comma-separated radii")
-    p.add_argument("--budget-nodes", type=int, default=node_budget)
+    p.add_argument("--radius", type=_count, required=True)
+    p.add_argument("--radii", type=_radii, required=True,
+                   help="comma-separated radii")
+    p.add_argument("--budget-nodes", type=_count, default=node_budget)
 
     p = add("bound-probe", cmd_bound_probe,
             help="max ||d(g)||_p over a Cayley ball")
     p.add_argument("--potential", required=True)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("-p", type=float, default=2.0)
-    p.add_argument("--budget-nodes", type=int, default=node_budget)
+    p.add_argument("--budget-nodes", type=_count, default=node_budget)
 
     p = add("appendix", cmd_appendix,
             help="unbounded inner derivation certificate table")

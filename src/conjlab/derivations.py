@@ -17,24 +17,25 @@ from fractions import Fraction
 
 from .errors import UsageError
 from .groups import DEFAULT_NODE_BUDGET, GroupElement, GroupModel, get_model
-from .ring import Coeff, GroupRingVector
+from .ring import _ZERO, Coeff, GroupRingVector
 
 DEFAULT_TRUNCATION = 10**4
 
 
 # ---------------------------------------------------------------------------
-# Closed-form potential rules
+# Closed-form potential rules: value(payload, cutoff K) and the payloads of
+# the support, both truncated at K
 
-def _harmonic_value(payload) -> Fraction:
+def _harmonic_value(payload, trunc_k) -> Fraction:
     # supported on Ap*Ax^-k = Ax^-k Ap A1^-k, triple (1, -k, -k), value 1/k
     a, b, c = payload
-    if a == 1 and b == c and b <= -1:
+    if a == 1 and b == c and -trunc_k <= b <= -1:
         return Fraction(1, -b)
-    return Fraction(0)
+    return _ZERO
 
 
-def _harmonic_support(model, trunc_k):
-    return [model.element((1, -k, -k)) for k in range(1, trunc_k + 1)]
+def _harmonic_support(trunc_k):
+    return [(1, -k, -k) for k in range(1, trunc_k + 1)]
 
 
 def _harmonic_tail_pow(trunc_k: int, q: int) -> Fraction:
@@ -55,7 +56,12 @@ CLOSED_FORMS = {
 
 
 class Potential:
-    """phi: G -> Q as a finite table plus optional closed-form rule."""
+    """phi: G -> Q as a finite table plus optional closed-form rule.
+
+    Values are read from one payload-keyed exact table: the explicit
+    entries, plus each closed-form value (truncated at `trunc_k`) from its
+    first lookup on, so loading never enumerates the closed-form support.
+    """
 
     def __init__(self, model: GroupModel, table=None, closed_form=None,
                  trunc_k: int = DEFAULT_TRUNCATION):
@@ -66,6 +72,7 @@ class Potential:
             v = Fraction(v)
             if v != 0:
                 self.table[g] = v
+        self._rule = lambda p, trunc_k: _ZERO
         if closed_form is not None:
             rule = CLOSED_FORMS.get(closed_form)
             if rule is None:
@@ -75,16 +82,18 @@ class Potential:
                     f"closed form {closed_form!r} is defined on model "
                     f"{rule['model']}, not {model.name}"
                 )
+            self._rule = rule["value"]
             for g in self.table:
-                if rule["value"](g.payload) != 0:
+                if self._rule(g.payload, math.inf) != 0:
                     raise UsageError(
                         "table and closed-form supports must be disjoint"
                     )
-        if trunc_k < 1:
-            raise UsageError("truncation cutoff must be >= 1")
+        if not isinstance(trunc_k, int) or trunc_k < 1:
+            raise UsageError("truncation cutoff must be an integer >= 1")
         self.closed_form = closed_form
         self.trunc_k = trunc_k
-        self._support_cache = None
+        self._values = {g.payload: v for g, v in self.table.items()}
+        self._support = None
 
     def is_exact(self) -> bool:
         return self.closed_form is None
@@ -92,39 +101,28 @@ class Potential:
     def value(self, g: GroupElement) -> Fraction:
         """phi(g) under the truncation policy (0 beyond the cutoff)."""
         self.model._check(g)
-        if g in self.table:
-            return self.table[g]
-        if self.closed_form is not None:
-            rule = CLOSED_FORMS[self.closed_form]
-            v = rule["value"](g.payload)
-            if v != 0 and g in self._closed_support_set():
-                return v
-        return Fraction(0)
+        return self._value(g.payload)
 
-    def _closed_support_set(self):
-        if self._support_cache is None:
-            if self.closed_form is None:
-                self._support_cache = frozenset()
-            else:
+    def _value(self, p) -> Fraction:
+        v = self._values.get(p)
+        if v is None:
+            v = self._rule(p, self.trunc_k)
+            if v:
+                self._values[p] = v
+        return v
+
+    def support(self) -> tuple:
+        """The (truncated) support sorted by encoding, built once and shared."""
+        if self._support is None:
+            supp = list(self.table)
+            if self.closed_form is not None:
                 rule = CLOSED_FORMS[self.closed_form]
-                self._support_cache = frozenset(
-                    rule["support"](self.model, self.trunc_k)
-                )
-        return self._support_cache
-
-    def support(self) -> list:
-        """Sorted effective (truncated) support."""
-        supp = set(self.table) | set(self._closed_support_set())
-        return sorted(supp)
+                supp += map(self.model.element, rule["support"](self.trunc_k))
+            self._support = tuple(sorted(supp, key=GroupElement.encode))
+        return self._support
 
     def lq_pow(self, q: int) -> Fraction:
-        total = Fraction(0)
-        for g in self.support():
-            total += abs(self.value(g)) ** q
-        return total
-
-    def lq_norm(self, q: int) -> float:
-        return float(self.lq_pow(q)) ** (1.0 / q)
+        return sum((abs(self.value(g)) ** q for g in self.support()), _ZERO)
 
     def tail_bound_pow(self, q: int) -> Fraction:
         """Upper bound on the q-th-power mass the truncation discards."""
@@ -231,9 +229,6 @@ class Derivation:
     def from_potential(cls, phi: Potential) -> "Derivation":
         return cls(phi.model, potential=phi)
 
-    def is_exact(self) -> bool:
-        return self.potential_obj is None or self.potential_obj.is_exact()
-
     def apply(self, g: GroupElement) -> GroupRingVector:
         """d(g); exact over the (truncated) support."""
         self.model._check(g)
@@ -241,25 +236,31 @@ class Derivation:
             xg = self.inner_vector.mul_elem_right(g)
             gx = self.inner_vector.mul_elem_left(g)
             return xg - gx
-        phi = self.potential_obj
-        ginv = g.inverse()
-        supp = phi.support()
+        # d(g) = sum of (phi(g t g^-1) - phi(t)) g t over t in S u g^-1 S g, S = supp(phi)
+        mul = self.model.mul_payload
+        value = self.potential_obj._value
+        gp = g.payload
+        gi = self.model.inv_payload(gp)
+        supp = [s.payload for s in self.potential_obj.support()]
         span = set(supp)
-        span.update(self.model.conjugate(ginv, s) for s in supp)
+        span.update([mul(gi, mul(s, gp)) for s in supp])
         terms = {}
         for t in span:
-            c = phi.value(self.model.conjugate(g, t)) - phi.value(t)
-            if c != 0:
-                terms[g * t] = Coeff(c)
-        v = GroupRingVector(self.model)
-        v.terms = terms
-        return v
+            c = _difference(value(mul(gp, mul(t, gi))), value(t))
+            if c:
+                terms[self.model.element(mul(gp, t))] = Coeff(c)
+        return GroupRingVector.from_terms(self.model, terms)
 
     def apply_linear(self, a: GroupRingVector) -> GroupRingVector:
         out = GroupRingVector.zero(self.model)
         for g, c in a.terms.items():
-            out = out + self.apply(g).scale(c)
+            out += self.apply(g).scale(c)
         return out
+
+
+def _difference(a: Fraction, b: Fraction) -> Fraction:
+    """a - b, without Fraction arithmetic when either side is 0."""
+    return a - b if a and b else a or -b
 
 
 def inner_derivation_apply(x: GroupRingVector, a: GroupRingVector) -> GroupRingVector:
@@ -274,10 +275,9 @@ def character_from_derivation(d: Derivation, mor: Morphism) -> Coeff:
 
 
 def leibniz_residual(d: Derivation, g: GroupElement, h: GroupElement):
-    """l1 norm of d(gh) - d(g) h - g d(h); 0 for exact evaluations."""
-    lhs = d.apply(g * h)
-    rhs = d.apply(g).mul_elem_right(h) + d.apply(h).mul_elem_left(g)
-    return (lhs - rhs).l1_norm()
+    """The vector d(gh) - d(g) h - g d(h), exactly; zero for every
+    derivation."""
+    return d.apply(g * h) - d.apply(g).mul_elem_right(h) - d.apply(h).mul_elem_left(g)
 
 
 def quasi_inner_check(source, loops):
@@ -323,16 +323,21 @@ def g_boundedness_probe(
     """
     if not p >= 1:
         raise UsageError(f"g_boundedness_probe needs p >= 1, got {p}")
+    model._check(d.model.identity())
     ball = model.cayley_ball(radius, node_budget)
-    supp = d.potential_obj.support() if d.potential_obj is not None else None
+    phi = d.potential_obj
+    supp = [s.payload for s in phi.support()] if phi is not None else None
+    mul, inv = model.mul_payload, model.inv_payload
     memo = {}
     best = -1.0
     argmax = None
     for g in sorted(ball, key=lambda e: (ball[e], e.encode())):
         if supp is not None:
-            key = tuple(model.conjugate(g, s) for s in supp)
+            gp = g.payload
+            gi = inv(gp)
+            key = tuple([mul(gp, mul(s, gi)) for s in supp])
             if key not in memo:
-                memo[key] = _potential_image_norm(d.potential_obj, supp, key, p)
+                memo[key] = _potential_image_norm(phi, supp, key, p)
             norm = memo[key]
         else:
             norm = d.apply(g).lp_norm(p)
@@ -346,19 +351,19 @@ def _potential_image_norm(phi, supp, images, p) -> float:
     # ||d(g)||_p depends only on the conjugated images of the support:
     # the terms of d(g) sit at the distinct elements g*t, t in supp(phi)
     # union its preimage, so the norm is the lp norm of the coefficient
-    # multiset {phi(g t g^-1) - phi(t)}.
-    fwd = dict(zip(supp, images))
+    # multiset {phi(g t g^-1) - phi(t)}.  Payloads in, support order kept.
+    value = phi._value
     image_set = set(images)
-    coeffs = [phi.value(fwd[t]) - phi.value(t) for t in supp]
+    coeffs = [_difference(value(s), value(t)) for t, s in zip(supp, images)]
     # t = g^-1 s g lies outside supp iff s is not a forward image;
     # such t contributes phi(g t g^-1) - phi(t) = phi(s) - 0
-    coeffs += [phi.value(s) for s in supp if s not in image_set]
+    coeffs += [value(s) for s in supp if s not in image_set]
     if p == math.inf:
         return float(max(map(abs, coeffs), default=0))
     total = 0.0
     for c in coeffs:
         if c:
-            total += float(abs(c)) ** p
+            total += abs(float(c)) ** p
     return total ** (1.0 / p)
 
 

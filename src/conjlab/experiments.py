@@ -15,7 +15,7 @@ from fractions import Fraction
 from .derivations import Derivation, Potential
 from .errors import InternalConsistencyError, UsageError
 from .graph import conj_distance, explore_component
-from .groups import AtLeast, GroupElement, GroupModel, Heisenberg, parse_word
+from .groups import GroupElement, GroupModel, Heisenberg
 from .ring import GroupRingVector
 
 
@@ -109,7 +109,8 @@ def run_appendix(m_max: int, n_max: int) -> AppendixReport:
     acc = GroupRingVector.zero(h3)  # running d(a_m); a_0 = e, d(e) = 0
     rows = []
     for m in range(1, m_max + 1):
-        acc = acc + d.apply(h3.element((0, m, 0))) + d.apply(h3.element((0, -m, 0)))
+        acc += d.apply(h3.element((0, m, 0)))
+        acc += d.apply(h3.element((0, -m, 0)))
         coeff_table = []
         for n in range(1, n_max + 1):
             engine = acc.coefficient(h3.element((1, -n, -n)))
@@ -209,7 +210,9 @@ def run_limit_experiment(
         if not disjoint[k - 1]:
             break
         separation_index = k
-    if q_int is not None:
+    if q == math.inf:
+        potential_norm = float(max(abs(phi.value(g)) for g in supp))
+    elif q_int is not None:
         potential_norm = float(phi.lq_pow(q_int)) ** (1.0 / q_int)
     else:
         potential_norm = sum(

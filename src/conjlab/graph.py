@@ -8,7 +8,6 @@ an explicit AtLeast / incompleteness flag.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -119,9 +118,6 @@ class BCReport:
             ],
             "verdict": self.verdict,
         }
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, ensure_ascii=False)
 
 
 def _max_distance(dists):

@@ -147,9 +147,6 @@ class GroupModel(ABC):
     def identity(self) -> GroupElement:
         return self.element(self.identity_payload())
 
-    def gens(self) -> list[Generator]:
-        return [Generator(gid) for gid in self.generator_payloads()]
-
     def all_gens(self) -> list[Generator]:
         """The symmetric generating set: every generator and its inverse."""
         return [gen for gen, _, _ in self.gen_triples]
@@ -204,10 +201,6 @@ class GroupModel(ABC):
             q = self.generator_element(gen).payload
             p = self.mul_payload(p, q)
         return self.element(p)
-
-    def encode(self, g: GroupElement) -> str:
-        self._check(g)
-        return self.encode_payload(g.payload)
 
     def decode(self, text: str) -> GroupElement:
         return self.element(self.decode_payload(text))

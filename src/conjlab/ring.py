@@ -32,10 +32,14 @@ class Coeff:
         return cls(Fraction(value))
 
     def __add__(self, other):
-        return Coeff(self.re + other.re, self.im + other.im)
+        if self.im or other.im:
+            return Coeff(self.re + other.re, self.im + other.im)
+        return Coeff(self.re + other.re)
 
     def __sub__(self, other):
-        return Coeff(self.re - other.re, self.im - other.im)
+        if self.im or other.im:
+            return Coeff(self.re - other.re, self.im - other.im)
+        return Coeff(self.re - other.re)
 
     def __neg__(self):
         return Coeff(-self.re, -self.im)
@@ -48,7 +52,9 @@ class Coeff:
         )
 
     def abs_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        if self.im:
+            return self.re * self.re + self.im * self.im
+        return self.re * self.re
 
     def modulus(self) -> float:
         return math.sqrt(float(self.abs_sq()))
@@ -87,6 +93,13 @@ class GroupRingVector:
         return cls(model)
 
     @classmethod
+    def from_terms(cls, model, terms: dict) -> "GroupRingVector":
+        """The vector over `terms` (no zero coefficients), without a copy."""
+        v = cls(model)
+        v.terms = terms
+        return v
+
+    @classmethod
     def delta(cls, g: GroupElement, coeff=COEFF_ONE) -> "GroupRingVector":
         return cls(g.model, {g: Coeff.of(coeff)})
 
@@ -112,44 +125,43 @@ class GroupRingVector:
             and self.terms == other.terms
         )
 
-    def __add__(self, other):
+    def __iadd__(self, other):
+        """Add `other` in place, dropping terms that cancel."""
         self._check_model(other)
-        out = dict(self.terms)
+        terms = self.terms
         for g, c in other.terms.items():
-            s = out.get(g, COEFF_ZERO) + c
+            old = terms.get(g)
+            s = c if old is None else old + c
             if s.is_zero():
-                out.pop(g, None)
+                terms.pop(g, None)
             else:
-                out[g] = s
-        v = GroupRingVector(self.model)
-        v.terms = out
+                terms[g] = s
+        return self
+
+    def __add__(self, other):
+        v = self.from_terms(self.model, dict(self.terms))
+        v += other
         return v
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        v = GroupRingVector(self.model)
-        v.terms = {g: -c for g, c in self.terms.items()}
-        return v
+        return self.from_terms(self.model, {g: -c for g, c in self.terms.items()})
 
     def scale(self, coeff) -> "GroupRingVector":
         coeff = Coeff.of(coeff)
         if coeff.is_zero():
             return GroupRingVector.zero(self.model)
-        v = GroupRingVector(self.model)
-        v.terms = {g: c * coeff for g, c in self.terms.items()}
-        return v
+        return self.from_terms(self.model, {g: c * coeff for g, c in self.terms.items()})
 
     def mul_elem_right(self, g: GroupElement) -> "GroupRingVector":
-        v = GroupRingVector(self.model)
-        v.terms = {self.model.multiply(h, g): c for h, c in self.terms.items()}
-        return v
+        terms = {self.model.multiply(h, g): c for h, c in self.terms.items()}
+        return self.from_terms(self.model, terms)
 
     def mul_elem_left(self, g: GroupElement) -> "GroupRingVector":
-        v = GroupRingVector(self.model)
-        v.terms = {self.model.multiply(g, h): c for h, c in self.terms.items()}
-        return v
+        terms = {self.model.multiply(g, h): c for h, c in self.terms.items()}
+        return self.from_terms(self.model, terms)
 
     def __mul__(self, other) -> "GroupRingVector":
         """Convolution product."""
@@ -163,9 +175,7 @@ class GroupRingVector:
                     acc.pop(k, None)
                 else:
                     acc[k] = s
-        v = GroupRingVector(self.model)
-        v.terms = acc
-        return v
+        return self.from_terms(self.model, acc)
 
     # -- norms --------------------------------------------------------------
 
@@ -192,9 +202,6 @@ class GroupRingVector:
                     raise UsageError("odd-q exact norm needs real coefficients")
                 total += abs(c.re) ** q
         return total
-
-    def l1_norm(self) -> float:
-        return self.lp_norm(1)
 
     def sup_norm(self) -> float:
         if not self.terms:

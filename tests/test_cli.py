@@ -1,7 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from conjlab import Coeff, GroupRingVector
+from conjlab import derivations as dv
 from conjlab.cli import main
 
 
@@ -60,6 +63,13 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
+def usage_exit(capsys, argv):
+    """Exit code and stderr of an argv that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code, capsys.readouterr().err
+
+
 class TestGraph:
     def test_dot_output(self, capsys):
         code, out, _ = run(
@@ -95,6 +105,11 @@ class TestGraph:
         )
         assert code == 2
         assert "error" in err
+
+    def test_negative_radius_exits_2(self, capsys):
+        code, err = usage_exit(
+            capsys, ["graph", "--model", "h3", "--base", "e", "--radius", "-1"])
+        assert code == 2 and "--radius" in err
 
     def test_unknown_model_exits_2(self, capsys):
         code, _, _ = run(
@@ -168,6 +183,19 @@ class TestLeibniz:
         assert code == 0
         assert out.strip() == "0 violations in 50 samples (max residual 0)"
 
+    def test_violations_counted_exactly(self, capsys, monkeypatch, two_point_potential):
+        # a residual too small for a float l1 norm is still a violation
+        def tiny_residual(d, g, h):
+            return GroupRingVector.delta(g, Coeff(Fraction(1, 10**400)))
+
+        monkeypatch.setattr(dv, "leibniz_residual", tiny_residual)
+        code, out, _ = run(
+            capsys,
+            ["leibniz", "--potential", two_point_potential, "--samples", "5"],
+        )
+        assert code == 0
+        assert out.strip() == "5 violations in 5 samples (max residual 0)"
+
 
 class TestCharacter:
     def test_value(self, capsys, two_point_potential):
@@ -221,6 +249,15 @@ class TestStabilise:
              "--base", "H3(1,0,0)", "--radius", "4", "--radii", "2,1"],
         )
         assert code == 2
+
+
+    @pytest.mark.parametrize("option, value", [("--radii", "1,x"), ("--radius", "-1")])
+    def test_bad_radius_exits_2(self, capsys, two_point_potential, option, value):
+        argv = {"--potential": two_point_potential, "--base": "H3(1,0,0)",
+                "--radius": "4", "--radii": "0,1", option: value}
+        code, err = usage_exit(
+            capsys, ["stabilise"] + [tok for kv in argv.items() for tok in kv])
+        assert code == 2 and option in err
 
 
 class TestBoundProbe:
@@ -293,6 +330,17 @@ class TestLimit:
         assert data["separation_index"] == 2
         assert data["samples"][3] == [4, "1.58113883008", "5/2"]
 
+    def test_q_inf_reports_the_sup_norm(self, capsys, sup_three_potential):
+        code, out, _ = run(
+            capsys,
+            ["limit", "--potential", sup_three_potential, "--conjugator", "Ax",
+             "--q", "inf", "--k-max", "3", "--format", "json"],
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["potential_norm"] == "3"
+        assert [s[1] for s in data["samples"]] == ["3", "3", "3"]
+
     def test_finite_component_exits_2(self, capsys, tmp_path):
         path = tmp_path / "ident.json"
         path.write_text(json.dumps({"model": "h3", "table": [["H3(0,0,0)", "1"]]}))
@@ -339,6 +387,35 @@ class TestPlumbing:
         )
         assert code == 2
         assert "CONJLAB_DEFAULT_BUDGET" in err
+
+    def test_negative_budget_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("CONJLAB_DEFAULT_BUDGET", "-5")
+        code, _, err = run(
+            capsys, ["graph", "--model", "h3", "--base", "e", "--radius", "1"]
+        )
+        assert code == 2
+        assert "CONJLAB_DEFAULT_BUDGET" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["graph", "--model", "h3", "--base", "e", "--radius", "1"],
+        ["bc", "--model", "h3", "--k", "e"],
+        ["stabilise", "--potential", "p.json", "--base", "e", "--radius", "1",
+         "--radii", "0"],
+        ["bound-probe", "--potential", "p.json", "--radius", "1"],
+    ])
+    def test_negative_budget_nodes_exits_2(self, capsys, argv):
+        code, err = usage_exit(capsys, argv + ["--budget-nodes", "-1"])
+        assert code == 2 and "--budget-nodes" in err
+
+    def test_non_integer_truncation_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "frac.json"
+        path.write_text(json.dumps({"model": "h3", "table": [],
+                                    "closed_form": "appendix_harmonic",
+                                    "truncation": 10.5}))
+        code, out, err = run(
+            capsys, ["character", "--potential", str(path),
+                     "--u", "H3(1,-2,-2)", "--v", "e"])
+        assert code == 2 and out == "" and "truncation" in err
 
     def test_budget_env_respected(self, capsys, monkeypatch):
         monkeypatch.setenv("CONJLAB_DEFAULT_BUDGET", "3")

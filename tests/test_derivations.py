@@ -24,6 +24,7 @@ from conjlab import (
     quasi_inner_check,
     stabilisation_probe,
 )
+from conjlab.derivations import CLOSED_FORMS
 from conjlab.sampling import (
     random_composable_pair,
     random_element,
@@ -119,6 +120,20 @@ class TestDerivationApply:
         for _ in range(30):
             g = random_element(model, rng)
             assert d_inner.apply(g) == d_pot.apply(g)
+
+    def test_closed_form_equals_its_table(self, h3):
+        # values filled on lookup give the same derivation as the explicit
+        # table of the truncated closed form, and as the inner derivation
+        phi = Potential(h3, {}, closed_form="appendix_harmonic", trunc_k=12)
+        table = {g: phi.value(g) for g in phi.support()}
+        x = GroupRingVector(h3, {g: Coeff(v) for g, v in table.items()})
+        derivations = [Derivation.from_potential(phi), Derivation.inner(x),
+                       Derivation.from_potential(Potential(h3, table))]
+        rng = Random(49)
+        for _ in range(30):
+            g = random_element(h3, rng)
+            first, *rest = [d.apply(g) for d in derivations]
+            assert all(img == first for img in rest)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +243,7 @@ class TestLeibniz:
         for _ in range(30):
             g = random_element(model, rng)
             h = random_element(model, rng)
-            assert leibniz_residual(d, g, h) == 0.0
+            assert leibniz_residual(d, g, h).is_zero()
 
     def test_finite_potential_exact(self, model):
         rng = Random(43)
@@ -236,7 +251,7 @@ class TestLeibniz:
         for _ in range(30):
             g = random_element(model, rng)
             h = random_element(model, rng)
-            assert leibniz_residual(d, g, h) == 0.0
+            assert leibniz_residual(d, g, h).is_zero()
 
     def test_truncated_harmonic_still_exact(self, h3):
         # truncation replaces phi by a finite table, so the Leibniz identity
@@ -247,7 +262,7 @@ class TestLeibniz:
         for _ in range(10):
             g = random_element(h3, rng, max_len=4)
             h = random_element(h3, rng, max_len=4)
-            assert leibniz_residual(d, g, h) == 0.0
+            assert leibniz_residual(d, g, h).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +408,51 @@ class TestPotential:
                 {h3.element((1, -2, -2)): Fraction(1, 7)},
                 closed_form="appendix_harmonic",
             )
+
+    def test_harmonic_value_at_the_cutoff(self, h3):
+        K = 7
+        phi = Potential(h3, {}, closed_form="appendix_harmonic", trunc_k=K)
+        assert phi.value(h3.element((1, -K, -K))) == Fraction(1, K)
+        assert phi.value(h3.element((1, -K - 1, -K - 1))) == 0
+        for off in [(1, -2, -3), (0, -2, -2), (2, -2, -2), (1, 2, 2), (0, 0, 0)]:
+            assert phi.value(h3.element(off)) == 0
+
+    def test_value_never_enumerates_the_support(self, h3, monkeypatch):
+        def refuse(trunc_k):
+            raise AssertionError("closed-form support enumerated")
+
+        monkeypatch.setitem(CLOSED_FORMS["appendix_harmonic"], "support", refuse)
+        phi = Potential(h3, {h3.element((1, 0, 0)): 2},
+                        closed_form="appendix_harmonic")
+        K = phi.trunc_k
+        assert K == 10**4
+        assert phi.value(h3.element((1, -K, -K))) == Fraction(1, K)
+        assert phi.value(h3.element((1, -K - 1, -K - 1))) == 0
+        assert phi.value(h3.element((1, 0, 0))) == 2
+        rng = Random(50)
+        loops = [random_loop(h3, rng) for _ in range(20)]
+        assert quasi_inner_check(phi, loops) == (True, None)
+        with pytest.raises(AssertionError):
+            phi.support()
+
+    def test_support_cached_in_encoding_order(self, h3):
+        K = 30
+        table = {h3.element((1, 0, 0)): 1, h3.element((2, 5, -1)): Fraction(1, 3)}
+        phi = Potential(h3, table, closed_form="appendix_harmonic", trunc_k=K)
+        harmonic = {h3.element((1, -k, -k)) for k in range(1, K + 1)}
+        assert list(phi.support()) == sorted(set(table) | harmonic)
+        assert phi.support() is phi.support()
+
+    def test_disjointness_ignores_the_cutoff(self, h3):
+        # a table entry on the closed-form support beyond the cutoff
+        with pytest.raises(UsageError):
+            Potential(h3, {h3.element((1, -50, -50)): 1},
+                      closed_form="appendix_harmonic", trunc_k=10)
+
+    @pytest.mark.parametrize("trunc", ["100", 10.5, 0])
+    def test_truncation_must_be_a_positive_integer(self, h3, trunc):
+        with pytest.raises(UsageError):
+            Potential(h3, {}, closed_form="appendix_harmonic", trunc_k=trunc)
 
     def test_unknown_closed_form(self, h3):
         with pytest.raises(UsageError):

@@ -22,6 +22,14 @@ class TestCoeff:
         assert (z * w).re == frac(1, 2) * 2 - frac(1, 3) * -1
         assert (-z).im == frac(-1, 3)
 
+    def test_imaginary_part_kept_when_one_side_is_real(self):
+        z = Coeff(frac(1, 2), frac(1, 3))
+        r = Coeff(frac(2))
+        assert z + r == r + z == Coeff(frac(5, 2), frac(1, 3))
+        assert r - z == Coeff(frac(3, 2), frac(-1, 3))
+        assert (r + r).im == 0 and (r - r).is_zero()
+        assert z.abs_sq() == frac(13, 36) and r.abs_sq() == 4
+
     def test_abs_sq_exact(self):
         z = Coeff(frac(3, 5), frac(4, 5))
         assert z.abs_sq() == 1
@@ -153,6 +161,22 @@ class TestVectorAlgebra:
         g = random_element(h3, rng)
         assert v.mul_elem_left(g) == GroupRingVector.delta(g) * v
         assert v.mul_elem_right(g) == v * GroupRingVector.delta(g)
+
+    def test_iadd_in_place_drops_cancelled_terms(self, h3):
+        e, ax = h3.identity(), h3.element((0, 1, 0))
+        v = GroupRingVector.delta(e) + GroupRingVector.delta(ax, 2)
+        terms = v.terms
+        v += GroupRingVector.delta(e, -1) + GroupRingVector.delta(ax, 1)
+        assert v.terms is terms
+        assert v.terms == {ax: Coeff(frac(3))}
+
+    def test_add_leaves_operands_unchanged(self, h3):
+        rng = Random(25)
+        a, b = _random_vector(h3, rng), _random_vector(h3, rng)
+        a_terms, b_terms = dict(a.terms), dict(b.terms)
+        total = a + b
+        assert a.terms == a_terms and b.terms == b_terms
+        assert total - b == a and total is not a
 
     def test_json_roundtrip(self, h3):
         v = _random_vector(h3, Random(24))
