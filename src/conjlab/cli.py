@@ -24,7 +24,7 @@ from .groups import get_model, parse_word
 
 
 def _count(text: str) -> int:
-    """argparse type of radii and node budgets: an integer >= 0."""
+    """argparse type of counts (radii, budgets, samples): an integer >= 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
@@ -53,7 +53,7 @@ def _print_report(report, fmt) -> None:
 def _load_potential(path) -> dv.Potential:
     try:
         return dv.Potential.load(path)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, ValueError) as exc:  # UsageError and JSON errors too
         raise UsageError(f"cannot load potential file {path}: {exc}") from exc
 
 
@@ -248,8 +248,8 @@ def build_parser(node_budget: int) -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--k", action="append", required=True,
                    help="element of K (repeatable)")
-    p.add_argument("--cayley-radius", type=int, default=6)
-    p.add_argument("--diam-budget", type=int, default=32)
+    p.add_argument("--cayley-radius", type=_count, default=6)
+    p.add_argument("--diam-budget", type=_count, default=32)
     p.add_argument("--budget-nodes", type=_count, default=node_budget)
 
     p = add("derive", cmd_derive, help="apply the potential's derivation")
@@ -259,7 +259,7 @@ def build_parser(node_budget: int) -> argparse.ArgumentParser:
 
     p = add("leibniz", cmd_leibniz, help="sampled Leibniz-rule residuals")
     p.add_argument("--potential", required=True)
-    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--samples", type=_count, default=500)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("character", cmd_character, help="evaluate the character chi(u,v)")
@@ -270,7 +270,7 @@ def build_parser(node_budget: int) -> argparse.ArgumentParser:
     p = add("quasi-inner", cmd_quasi_inner,
             help="check the character vanishes on sampled loops")
     p.add_argument("--potential", required=True)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("stabilise", cmd_stabilise,
@@ -285,7 +285,7 @@ def build_parser(node_budget: int) -> argparse.ArgumentParser:
     p = add("bound-probe", cmd_bound_probe,
             help="max ||d(g)||_p over a Cayley ball")
     p.add_argument("--potential", required=True)
-    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--radius", type=_count, required=True)
     p.add_argument("-p", type=float, default=2.0)
     p.add_argument("--budget-nodes", type=_count, default=node_budget)
 
@@ -309,8 +309,8 @@ def build_parser(node_budget: int) -> argparse.ArgumentParser:
     p.add_argument("--conjugator", required=True)
     p.add_argument("--tail", default="e",
                    help="fixed word appended to each conjugator power")
-    p.add_argument("--k-max", type=int, default=8)
-    p.add_argument("--budget", type=int, default=32)
+    p.add_argument("--k-max", type=_count, default=8)
+    p.add_argument("--budget", type=_count, default=32)
     p.add_argument("--format", choices=["json", "table"], default="table")
 
     return parser

@@ -74,7 +74,7 @@ class Potential:
                 self.table[g] = v
         self._rule = lambda p, trunc_k: _ZERO
         if closed_form is not None:
-            rule = CLOSED_FORMS.get(closed_form)
+            rule = CLOSED_FORMS.get(closed_form) if isinstance(closed_form, str) else None
             if rule is None:
                 raise UsageError(f"unknown closed form {closed_form!r}")
             if rule["model"] != model.name:
@@ -88,7 +88,7 @@ class Potential:
                     raise UsageError(
                         "table and closed-form supports must be disjoint"
                     )
-        if not isinstance(trunc_k, int) or trunc_k < 1:
+        if isinstance(trunc_k, bool) or not isinstance(trunc_k, int) or trunc_k < 1:
             raise UsageError("truncation cutoff must be an integer >= 1")
         self.closed_form = closed_form
         self.trunc_k = trunc_k
@@ -119,7 +119,24 @@ class Potential:
                 rule = CLOSED_FORMS[self.closed_form]
                 supp += map(self.model.element, rule["support"](self.trunc_k))
             self._support = tuple(sorted(supp, key=GroupElement.encode))
+            values = [(g.payload, self._value(g.payload)) for g in self._support]
+            self._terms = tuple([(p, v, -v) for p, v in values if v])
         return self._support
+
+    def add_derivation(self, gp, acc: dict) -> None:
+        """Add d(g) = sum of phi(s)(s g - g s) over the support, g of payload
+        `gp`, into `acc` ({payload: Fraction}), dropping terms that cancel."""
+        self.support()
+        mul = self.model.mul_payload
+        get = acc.get
+        for s, v, nv in self._terms:
+            for u, c in ((mul(s, gp), v), (mul(gp, s), nv)):
+                old = get(u)
+                new = c if old is None else old + c
+                if new:
+                    acc[u] = new
+                else:
+                    del acc[u]
 
     def lq_pow(self, q: int) -> Fraction:
         return sum((abs(self.value(g)) ** q for g in self.support()), _ZERO)
@@ -145,14 +162,17 @@ class Potential:
 
     @classmethod
     def from_json(cls, data) -> "Potential":
+        rows = data.get("table", []) if isinstance(data, dict) else None
+        if not (isinstance(rows, list) and isinstance(data.get("model"), str) and all(
+                isinstance(r, list) and list(map(type, r)) == [str, str] for r in rows)):
+            raise UsageError('expected {"model": "...", "table": [["element", "rational"], ...]}')
         model = get_model(data["model"])
-        table = {model.decode(enc): Fraction(v) for enc, v in data.get("table", [])}
-        return cls(
-            model,
-            table,
-            closed_form=data.get("closed_form"),
-            trunc_k=data.get("truncation", DEFAULT_TRUNCATION),
-        )
+        try:
+            table = {model.decode(enc): Fraction(v) for enc, v in rows}
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"bad table entry: {exc}") from exc
+        return cls(model, table, closed_form=data.get("closed_form"),
+                   trunc_k=data.get("truncation", DEFAULT_TRUNCATION))
 
     @classmethod
     def load(cls, path) -> "Potential":
@@ -236,19 +256,9 @@ class Derivation:
             xg = self.inner_vector.mul_elem_right(g)
             gx = self.inner_vector.mul_elem_left(g)
             return xg - gx
-        # d(g) = sum of (phi(g t g^-1) - phi(t)) g t over t in S u g^-1 S g, S = supp(phi)
-        mul = self.model.mul_payload
-        value = self.potential_obj._value
-        gp = g.payload
-        gi = self.model.inv_payload(gp)
-        supp = [s.payload for s in self.potential_obj.support()]
-        span = set(supp)
-        span.update([mul(gi, mul(s, gp)) for s in supp])
-        terms = {}
-        for t in span:
-            c = _difference(value(mul(gp, mul(t, gi))), value(t))
-            if c:
-                terms[self.model.element(mul(gp, t))] = Coeff(c)
+        acc = {}
+        self.potential_obj.add_derivation(g.payload, acc)
+        terms = {self.model.element(p): Coeff(c) for p, c in acc.items()}
         return GroupRingVector.from_terms(self.model, terms)
 
     def apply_linear(self, a: GroupRingVector) -> GroupRingVector:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .errors import ModelMismatchError, ResourceBudgetError, UsageError
 
@@ -577,10 +577,15 @@ class DirectProduct(GroupModel):
 
 def get_model(name: str) -> GroupModel:
     """Resolve a model name like 'h3', 'free2', 'dinf', 'dsemi', 'h3semi',
-    or a product 'h3*dinf'."""
-    if "*" in name:
-        left, _, right = name.partition("*")
-        return DirectProduct(get_model(left), get_model(right))
+    or a product of at most 64 of them, 'h3*dinf*free2' = h3*(dinf*free2)."""
+    parts = name.split("*")
+    if len(parts) > 64:  # payload arithmetic recurses once per factor
+        raise UsageError(f"a product model has at most 64 factors, not {len(parts)}")
+    factors = [_factor_model(part) for part in parts]
+    return reduce(lambda right, left: DirectProduct(left, right), reversed(factors))
+
+
+def _factor_model(name: str) -> GroupModel:
     if name == "h3":
         return Heisenberg()
     if name == "dinf":

@@ -417,6 +417,54 @@ class TestPlumbing:
                      "--u", "H3(1,-2,-2)", "--v", "e"])
         assert code == 2 and out == "" and "truncation" in err
 
+    @pytest.mark.parametrize("argv, option", [
+        (["bound-probe", "--potential", "p.json", "--radius", "-1"], "--radius"),
+        (["bc", "--model", "h3", "--k", "e", "--cayley-radius", "-2"], "--cayley-radius"),
+        (["bc", "--model", "h3", "--k", "e", "--diam-budget", "-1"], "--diam-budget"),
+        (["inverse-seq", "--model", "free2", "--u", "x1", "--conjugator", "x2",
+          "--budget", "-3"], "--budget"),
+        (["inverse-seq", "--model", "free2", "--u", "x1", "--conjugator", "x2",
+          "--k-max", "-1"], "--k-max"),
+        (["leibniz", "--potential", "p.json", "--samples", "-5"], "--samples"),
+        (["quasi-inner", "--potential", "p.json", "--samples", "-2"], "--samples"),
+    ])
+    def test_negative_count_exits_2(self, capsys, argv, option):
+        code, err = usage_exit(capsys, argv)
+        assert code == 2 and option in err
+
+    @pytest.mark.parametrize("data", [
+        {"model": "h3", "table": [["H3(1,0,0)", "1/x"]]},
+        {"model": "h3", "table": [["H3(1,0,0)", "1/0"]]},
+        {"model": "h3", "table": [["H3(1,0,0)"]]},
+        {"model": "h3", "table": [["H3(1,0,0)", "1", "2"]]},
+        {"model": "h3", "table": [["H3(1,0,0)", 0.1]]},
+        {"model": "h3", "table": [[1, "1"]]},
+        {"model": "h3", "table": {"H3(1,0,0)": "1"}},
+        {"model": 3, "table": []},
+        {"table": []},
+        {"model": "h3", "table": [], "closed_form": ["appendix_harmonic"]},
+        {"model": "*".join(["h3"] * 3001), "table": []},
+        [["H3(1,0,0)", "1"]],
+        "h3",
+    ], ids=["bad-rational", "zero-denominator", "short-row", "long-row",
+            "number-value", "number-element", "table-object", "model-number",
+            "no-model", "closed-form-list", "3001-factors", "top-level-list",
+            "top-level-string"])
+    def test_malformed_potential_exits_2(self, capsys, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["derive", "--potential", str(path),
+                                      "--element", "e"])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot load potential file {path}:")
+
+    def test_non_utf8_potential_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, ["derive", "--potential", str(path),
+                                      "--element", "e"])
+        assert code == 2 and out == "" and str(path) in err
+
     def test_budget_env_respected(self, capsys, monkeypatch):
         monkeypatch.setenv("CONJLAB_DEFAULT_BUDGET", "3")
         code, out, _ = run(

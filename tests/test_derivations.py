@@ -135,6 +135,44 @@ class TestDerivationApply:
             first, *rest = [d.apply(g) for d in derivations]
             assert all(img == first for img in rest)
 
+    def test_terms_are_the_character(self, model):
+        # d(g) = sum phi(s)(s g - g s): its coefficient at u is
+        # chi(u, g) = phi(u g^-1) - phi(g^-1 u), and it has no other terms
+        rng = Random(50)
+        for _ in range(5):
+            phi = random_potential(model, rng)
+            d = Derivation.from_potential(phi)
+            supp = phi.support()
+            for g in [random_element(model, rng) for _ in range(10)] + list(supp):
+                img = d.apply(g)
+                want = {}
+                for u in {s * g for s in supp} | {g * s for s in supp}:
+                    chi = character_from_potential(phi, Morphism(u, g))
+                    if chi:
+                        want[u] = Coeff(chi)
+                assert img.terms == want
+
+    def test_central_element_gives_zero(self, h3):
+        phi = Potential(h3, {h3.element((1, 2, 0)): 3},
+                        closed_form="appendix_harmonic", trunc_k=30)
+        d = Derivation.from_potential(phi)
+        for c in range(-3, 4):
+            assert d.apply(h3.element((0, 0, c))).is_zero()
+        assert not d.apply(h3.element((0, 1, 0))).is_zero()
+
+    def test_add_derivation_accumulates_in_place(self, model):
+        # d_phi(g) + d_{-phi}(g) added into one dict cancels to nothing
+        rng = Random(51)
+        phi = random_potential(model, rng)
+        neg = Potential(model, {g: -v for g, v in phi.table.items()})
+        for _ in range(10):
+            gp = random_element(model, rng).payload
+            acc = {}
+            phi.add_derivation(gp, acc)
+            assert all(acc.values())
+            neg.add_derivation(gp, acc)
+            assert acc == {}
+
 
 # ---------------------------------------------------------------------------
 # Morphisms and characters
@@ -449,7 +487,7 @@ class TestPotential:
             Potential(h3, {h3.element((1, -50, -50)): 1},
                       closed_form="appendix_harmonic", trunc_k=10)
 
-    @pytest.mark.parametrize("trunc", ["100", 10.5, 0])
+    @pytest.mark.parametrize("trunc", ["100", 10.5, 0, True])
     def test_truncation_must_be_a_positive_integer(self, h3, trunc):
         with pytest.raises(UsageError):
             Potential(h3, {}, closed_form="appendix_harmonic", trunc_k=trunc)

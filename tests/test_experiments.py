@@ -7,6 +7,7 @@ import pytest
 from conjlab import (
     AtLeast,
     FreeGroup,
+    InternalConsistencyError,
     Potential,
     UsageError,
     closed_form_coefficient,
@@ -16,6 +17,7 @@ from conjlab import (
     run_inverse_sequence_check,
     run_limit_experiment,
 )
+from conjlab.derivations import CLOSED_FORMS
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +66,24 @@ class TestAppendix:
         report = run_appendix(16, 2)
         ratios = [r.ratio_lower_bound for r in report.rows]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
+
+    def test_prefix_sums_match_the_closed_form(self):
+        # every coefficient is checked against H[m+n] - H[max(1,n-m)-1] - 1/n
+        # and reported; it equals the O(m) window sum
+        report = run_appendix(40, 40)
+        for row in report.rows:
+            assert row.coeff_table == [
+                (n, closed_form_coefficient(row.m, n)) for n in range(1, 41)
+            ]
+
+    def test_engine_mismatch_raises(self, monkeypatch):
+        # a harmonic rule truncated one term early changes the coefficient
+        # at m = m_max, n = n_max, and only there
+        rule = CLOSED_FORMS["appendix_harmonic"]
+        value = rule["value"]
+        monkeypatch.setitem(rule, "value", lambda p, k: value(p, k - 1))
+        with pytest.raises(InternalConsistencyError, match="m=5, n=3"):
+            run_appendix(5, 3)
 
     def test_bad_arguments(self):
         with pytest.raises(UsageError):

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 from random import Random
 
 import pytest
@@ -148,23 +148,55 @@ class TestDistance:
     @pytest.mark.parametrize("a", range(-2, 3))
     @pytest.mark.parametrize("b", range(-2, 3))
     def test_h3_closed_form(self, h3, a, b):
-        # conjugating (a, b, c) by Ap adds b to c and by Ax subtracts a, so
-        # rho((a, b, c), (a, b, c + delta)) = min |i| + |j| over
-        # i b - j a = delta
         budget = 5
-
-        def oracle(delta):
-            for s in range(budget + 1):
-                for i in range(-s, s + 1):
-                    for j in (s - abs(i), abs(i) - s):
-                        if i * b - j * a == delta:
-                            return s
-            return AtLeast(budget)
-
         base = h3.element((a, b, 1))
         for delta in range(-6, 7):
-            other = h3.element((a, b, 1 + delta))
-            assert conj_distance(h3, base, other, budget) == oracle(delta), delta
+            other = (a, b, 1 + delta)
+            want = h3_oracle_distance(base.payload, other, budget)
+            assert conj_distance(h3, base, h3.element(other), budget) == want, delta
+
+    @pytest.mark.parametrize("words", [
+        ["a", "bab", "ababa", "bababab", "ab" * 6 + "a", "ba" * 7 + "b"],
+        ["b", "aba", "babababab"],
+        ["ab", "ba", "abab", "a"],
+        ["e", "ab"],
+    ])
+    def test_dinf_classes_brute_force(self, words):
+        # an independent BFS over reduced strings: the edges are w -> a w a
+        # and w -> b w b.  The class of a reflection (odd length) is the path
+        # of words with its middle letter, each step changing the length by
+        # 2; a rotation is adjacent to its inverse (the reversed word) only.
+        d = DihedralInf()
+        budget = 6
+
+        def reduce(w):
+            out = []
+            for ch in w:
+                if out and out[-1] == ch:
+                    out.pop()
+                else:
+                    out.append(ch)
+            return "".join(out)
+
+        def brute(u, v):
+            dist, frontier = {u: 0}, [u]
+            for depth in range(1, budget + 1):
+                frontier = [w for w in {reduce(x + y + x) for y in frontier for x in "ab"}
+                            if w not in dist]
+                dist.update((w, depth) for w in frontier)
+            return dist.get(v, AtLeast(budget))
+
+        def closed(u, v):
+            if len(u) % 2 and len(v) % 2 and u[len(u) // 2] == v[len(v) // 2]:
+                steps = abs(len(u) - len(v)) // 2
+                return steps if steps <= budget else AtLeast(budget)
+            if not len(u) % 2 and v in (u, u[::-1]):
+                return int(u != v)
+            return AtLeast(budget)
+
+        for u, v in product([w.replace("e", "") for w in words], repeat=2):
+            got = conj_distance(d, d.decode(u or "e"), d.decode(v or "e"), budget)
+            assert got == brute(u, v) == closed(u, v), (u, v)
 
     def test_symmetry_and_triangle(self):
         d = DihedralInf()
@@ -221,6 +253,21 @@ class TestBCProbe:
         assert data["shells"] == [[0, 0], [1, 0], [2, 0]]
 
 
+def h3_oracle_distance(p, q, budget):
+    """rho(p, q) on h3 in closed form.  Conjugating (a, b, c) by
+    (x, y, z) gives (a, b, c + x b - y a), and Ap, Ax step x, y by one, so
+    rho((a, b, c), (a, b, c + delta)) = min |i| + |j| over i b - j a = delta;
+    elements with another (a, b) are in another class."""
+    (a, b, c), delta = p, q[2] - p[2]
+    if q[:2] == (a, b):
+        for s in range(budget + 1):
+            for i in range(-s, s + 1):
+                for j in (s - abs(i), abs(i) - s):
+                    if i * b - j * a == delta:
+                        return s
+    return AtLeast(budget)
+
+
 def _pairwise_shells(model, K, radius, diam_budget, node_budget):
     """bc_probe's shells recomputed from pairwise conj_distance calls."""
     K = sorted(set(K))
@@ -237,6 +284,37 @@ def _pairwise_shells(model, K, radius, diam_budget, node_budget):
         lower = any(isinstance(d, AtLeast) for d in dists)
         shells.append((r, AtLeast(max(bounds)) if lower else max(bounds)))
     return shells
+
+
+class TestBCOracle:
+    @pytest.mark.parametrize("K", [
+        [(1, 0, 0), (1, 0, 1)],
+        [(1, 2, 0), (1, 2, 3), (1, 2, -5)],
+        [(2, 4, 0), (2, 4, 2), (2, 4, 6)],
+        [(2, 4, 0), (2, 4, 1)],
+        [(1, 1, 0), (0, 1, 0)],
+        [(0, 0, 1), (0, 0, 1)],
+    ])
+    def test_h3_shells_match_closed_form(self, h3, K):
+        # the shells recomputed from the closed-form conjugation action and
+        # the closed-form distance, without any search
+        radius, budget = 3, 6
+        elems = [h3.element(k) for k in K]
+        report = bc_probe(h3, elems, radius, budget)
+        K = sorted(set(K), key=lambda k: h3.element(k).encode())
+        dists = [0]
+        want = []
+        for r in range(radius + 1):
+            for g, rg in h3.cayley_ball(radius).items():
+                x, y, _ = g.payload
+                images = [(a, b, c + x * b - y * a) for a, b, c in K]
+                if rg == r:
+                    dists += [h3_oracle_distance(p, q, budget)
+                              for p, q in combinations(images, 2)]
+            bounds = [d.bound if isinstance(d, AtLeast) else d for d in dists]
+            lower = any(isinstance(d, AtLeast) for d in dists)
+            want.append((r, AtLeast(max(bounds)) if lower else max(bounds)))
+        assert report.shells == want
 
 
 class TestBCBudget:

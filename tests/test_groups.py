@@ -269,3 +269,22 @@ def test_get_model_names():
     assert get_model("h3*dinf").name == "h3*dinf"
     with pytest.raises(UsageError):
         get_model("nope")
+
+
+def test_get_model_products_nest_to_the_right():
+    m = get_model("h3*dinf*free2")
+    assert m.name == "h3*dinf*free2"
+    assert m.left.name == "h3" and m.right.name == "dinf*free2"
+    assert m.right.right.name == "free2"
+    with pytest.raises(UsageError, match="'nope'"):
+        get_model("h3*nope*dinf")
+
+
+def test_get_model_caps_product_factors():
+    # 64 factors still multiply (payload arithmetic recurses once per factor)
+    m = get_model("*".join(["h3"] * 64))
+    g = random_element(m, Random(7))
+    assert m.decode((g * g.inverse()).encode()) == m.identity()
+    # a name of 3001 factors is refused before anything recurses
+    with pytest.raises(UsageError, match="at most 64 factors"):
+        get_model("*".join(["h3"] * 3001))
