@@ -227,100 +227,131 @@ def _radii(text: str) -> list:
     return [int(tok) for tok in text.split(",")]
 
 
-def build_parser(node_budget: int) -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs):
+    """One `add_argument` call: its option strings and keywords."""
+    return flags, kwargs
+
+
+def _commands(node_budget: int) -> dict:
+    """Every subcommand, in help order: name -> (handler, help, arguments).
+
+    Built per call, so the handlers are read from the module when the
+    parser is built and the node-budget default is the current one.
+    """
+    model = _arg("--model", required=True)
+    potential = _arg("--potential", required=True)
+    base = _arg("--base", required=True)
+    radius = _arg("--radius", type=_count, required=True)
+    budget = _arg("--budget-nodes", type=_count, default=node_budget)
+    p_exp = _arg("-p", type=float, default=2.0)
+    seed = _arg("--seed", type=int, default=0)
+    report = _arg("--format", choices=["json", "table"], default="table")
+    return {
+        "graph": (cmd_graph, "explore a conjugation-graph ball", [
+            model, base, radius,
+            _arg("--suppress-loops", action="store_true"),
+            _arg("--format", choices=["dot", "json"], default="dot"),
+            budget,
+        ]),
+        "bc": (cmd_bc, "probe the bounded-conjugation condition", [
+            model,
+            _arg("--k", action="append", required=True,
+                 help="element of K (repeatable)"),
+            _arg("--cayley-radius", type=_count, default=6),
+            _arg("--diam-budget", type=_count, default=32),
+            budget,
+        ]),
+        "derive": (cmd_derive, "apply the potential's derivation", [
+            potential, _arg("--element", required=True), p_exp,
+        ]),
+        "leibniz": (cmd_leibniz, "sampled Leibniz-rule residuals", [
+            potential, _arg("--samples", type=_count, default=500), seed,
+        ]),
+        "character": (cmd_character, "evaluate the character chi(u,v)", [
+            potential, _arg("--u", required=True), _arg("--v", required=True),
+        ]),
+        "quasi-inner": (cmd_quasi_inner,
+                        "check the character vanishes on sampled loops", [
+            potential, _arg("--samples", type=_count, default=100), seed,
+        ]),
+        "stabilise": (cmd_stabilise,
+                      "sup |phi| outside growing radii of a component ball", [
+            potential, base, radius,
+            _arg("--radii", type=_radii, required=True,
+                 help="comma-separated radii"),
+            budget,
+        ]),
+        "bound-probe": (cmd_bound_probe, "max ||d(g)||_p over a Cayley ball", [
+            potential, radius, p_exp, budget,
+        ]),
+        "appendix": (cmd_appendix,
+                     "unbounded inner derivation certificate table", [
+            _arg("--m-max", type=int, default=64),
+            _arg("--n-max", type=int, default=1),
+            report,
+        ]),
+        "limit": (cmd_limit, "norm limit under conjugator powers", [
+            potential,
+            _arg("--conjugator", required=True),
+            _arg("--q", type=float, default=2.0),
+            _arg("--k-max", type=int, default=8),
+            report,
+        ]),
+        "inverse-seq": (cmd_inverse_seq,
+                        "forward vs backward conjugation distances", [
+            model,
+            _arg("--u", required=True),
+            _arg("--conjugator", required=True),
+            _arg("--tail", default="e",
+                 help="fixed word appended to each conjugator power"),
+            _arg("--k-max", type=_count, default=8),
+            _arg("--budget", type=_count, default=32),
+            report,
+        ]),
+    }
+
+
+def build_parser(node_budget: int, command=None) -> argparse.ArgumentParser:
+    """The conjlab parser.
+
+    When `command` names a subcommand, only that subparser is built:
+    argparse formats help inside every `add_argument`, so the whole tree
+    costs a short command more than its own work.  Otherwise (no
+    command, an option, `--` or a misspelt name) every subcommand is
+    built, so top-level help and errors list them all.
+    """
+    commands = _commands(node_budget)
+    metavar = None
+    if command in commands:
+        # arguments left over after the command are reported with the
+        # top-level usage line, which must still name every command; the
+        # full tree keeps metavar None, or a misspelt command would read
+        # "argument {graph,...}:" instead of "argument command:"
+        metavar = "{" + ",".join(commands) + "}"
+        commands = {command: commands[command]}
     parser = argparse.ArgumentParser(prog="conjlab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (fn, help_text, arguments) in commands.items():
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        return p
-
-    p = add("graph", cmd_graph, help="explore a conjugation-graph ball")
-    p.add_argument("--model", required=True)
-    p.add_argument("--base", required=True)
-    p.add_argument("--radius", type=_count, required=True)
-    p.add_argument("--suppress-loops", action="store_true")
-    p.add_argument("--format", choices=["dot", "json"], default="dot")
-    p.add_argument("--budget-nodes", type=_count, default=node_budget)
-
-    p = add("bc", cmd_bc, help="probe the bounded-conjugation condition")
-    p.add_argument("--model", required=True)
-    p.add_argument("--k", action="append", required=True,
-                   help="element of K (repeatable)")
-    p.add_argument("--cayley-radius", type=_count, default=6)
-    p.add_argument("--diam-budget", type=_count, default=32)
-    p.add_argument("--budget-nodes", type=_count, default=node_budget)
-
-    p = add("derive", cmd_derive, help="apply the potential's derivation")
-    p.add_argument("--potential", required=True)
-    p.add_argument("--element", required=True)
-    p.add_argument("-p", type=float, default=2.0)
-
-    p = add("leibniz", cmd_leibniz, help="sampled Leibniz-rule residuals")
-    p.add_argument("--potential", required=True)
-    p.add_argument("--samples", type=_count, default=500)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("character", cmd_character, help="evaluate the character chi(u,v)")
-    p.add_argument("--potential", required=True)
-    p.add_argument("--u", required=True)
-    p.add_argument("--v", required=True)
-
-    p = add("quasi-inner", cmd_quasi_inner,
-            help="check the character vanishes on sampled loops")
-    p.add_argument("--potential", required=True)
-    p.add_argument("--samples", type=_count, default=100)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("stabilise", cmd_stabilise,
-            help="sup |phi| outside growing radii of a component ball")
-    p.add_argument("--potential", required=True)
-    p.add_argument("--base", required=True)
-    p.add_argument("--radius", type=_count, required=True)
-    p.add_argument("--radii", type=_radii, required=True,
-                   help="comma-separated radii")
-    p.add_argument("--budget-nodes", type=_count, default=node_budget)
-
-    p = add("bound-probe", cmd_bound_probe,
-            help="max ||d(g)||_p over a Cayley ball")
-    p.add_argument("--potential", required=True)
-    p.add_argument("--radius", type=_count, required=True)
-    p.add_argument("-p", type=float, default=2.0)
-    p.add_argument("--budget-nodes", type=_count, default=node_budget)
-
-    p = add("appendix", cmd_appendix,
-            help="unbounded inner derivation certificate table")
-    p.add_argument("--m-max", type=int, default=64)
-    p.add_argument("--n-max", type=int, default=1)
-    p.add_argument("--format", choices=["json", "table"], default="table")
-
-    p = add("limit", cmd_limit, help="norm limit under conjugator powers")
-    p.add_argument("--potential", required=True)
-    p.add_argument("--conjugator", required=True)
-    p.add_argument("--q", type=float, default=2.0)
-    p.add_argument("--k-max", type=int, default=8)
-    p.add_argument("--format", choices=["json", "table"], default="table")
-
-    p = add("inverse-seq", cmd_inverse_seq,
-            help="forward vs backward conjugation distances")
-    p.add_argument("--model", required=True)
-    p.add_argument("--u", required=True)
-    p.add_argument("--conjugator", required=True)
-    p.add_argument("--tail", default="e",
-                   help="fixed word appended to each conjugator power")
-    p.add_argument("--k-max", type=_count, default=8)
-    p.add_argument("--budget", type=_count, default=32)
-    p.add_argument("--format", choices=["json", "table"], default="table")
-
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        parser = build_parser(_default_node_budget())
+        parser = build_parser(_default_node_budget(), argv[0] if argv else None)
         args = parser.parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading (`| head`); point stdout at devnull so
+        # the flush at exit cannot fail again (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,7 @@ itself rational.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,6 +17,21 @@ from .errors import ModelMismatchError, UsageError
 from .groups import GroupElement, GroupModel
 
 _ZERO = Fraction(0)
+_TINY = sys.float_info.min  # the smallest normal float
+
+
+def _sqrt(square: Fraction, factor: float = 1.0) -> float:
+    """factor * sqrt(square) for an exact square >= 0 of any size and a
+    factor >= 1 of float size.  A root below float range rounds to 0.0,
+    one above it is a `UsageError`.  With factor 1 and float(square)
+    normal, this is math.sqrt(float(square)) bit for bit: scaling by a
+    power of 4 commutes with rounding and with the square root."""
+    k = (square.numerator.bit_length() - square.denominator.bit_length()) // 2
+    mantissa = float(square * Fraction(4) ** -k)  # in [1/2, 4)
+    try:
+        return math.ldexp(math.sqrt(mantissa) * factor, k)
+    except OverflowError:
+        raise UsageError("norm exceeds the float range") from None
 
 
 @dataclass(frozen=True)
@@ -184,9 +200,22 @@ class GroupRingVector:
             raise UsageError(f"lp_norm needs p >= 1, got {p}")
         if p == math.inf:
             return self.sup_norm()
-        # exactly rounded, so independent of the (hash-dependent) term order
-        total = math.fsum(float(c.abs_sq()) ** (p / 2.0) for c in self.terms.values())
-        return total ** (1.0 / p)
+        squares = [c.abs_sq() for c in self.terms.values()]
+        half = p / 2.0
+        try:
+            floats = [float(s) for s in squares]
+            low = min(floats, default=1.0)
+            if low >= _TINY and low ** half >= _TINY:
+                # exactly rounded, so independent of the (hash-dependent)
+                # term order
+                return math.fsum(f ** half for f in floats) ** (1.0 / p)
+        except OverflowError:
+            pass
+        # a square or its power left float range: scale by the largest
+        # square, so every power lies in [0, 1] and the largest is 1
+        top = max(squares)
+        total = math.fsum(float(s / top) ** half for s in squares)
+        return _sqrt(top, total ** (1.0 / p))
 
     def lq_pow_exact(self, q: int) -> Fraction:
         """Exact sum of |coefficient|^q; needs integral q, and real
@@ -206,7 +235,7 @@ class GroupRingVector:
     def sup_norm(self) -> float:
         if not self.terms:
             return 0.0
-        return math.sqrt(float(max(c.abs_sq() for c in self.terms.values())))
+        return _sqrt(max(c.abs_sq() for c in self.terms.values()))
 
     # -- wire format --------------------------------------------------------
 

@@ -1,9 +1,18 @@
+import argparse
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conjlab import Coeff, GroupRingVector
+import conjlab
+from conjlab import Coeff, GroupRingVector, cli
 from conjlab import derivations as dv
 from conjlab.cli import main
 
@@ -302,6 +311,37 @@ class TestNormExponent:
         assert err.startswith("error:")
 
 
+class TestNormRange:
+    @pytest.fixture
+    def potential(self, tmp_path):
+        def write(value):
+            path = tmp_path / "phi.json"
+            path.write_text(json.dumps(
+                {"model": "h3", "table": [["H3(1,0,0)", value]]}))
+            return str(path)
+        return write
+
+    @pytest.mark.parametrize("value, norm", [
+        ("1", "1.41421356237"),
+        ("1e200", "1.41421356237e+200"),
+        ("1e-200", "1.41421356237e-200"),
+        ("1e-170", "1.41421356237e-170"),
+    ])
+    def test_derive_norm_fits_a_float(self, capsys, potential, value, norm):
+        # d(Ay) = phi(Ax) (Ax.Ay - Ay.Ax): two terms +-value
+        code, out, _ = run(capsys, ["derive", "--potential", potential(value),
+                                    "--element", "H3(0,1,0)"])
+        assert code == 0
+        assert json.loads(out)["norm_p"] == norm
+
+    @pytest.mark.parametrize("p", ["2", "inf"])
+    def test_derive_norm_beyond_float_range_exits_2(self, capsys, potential, p):
+        code, out, err = run(capsys, ["derive", "--potential", potential("1e400"),
+                                      "--element", "H3(0,1,0)", "-p", p])
+        assert code == 2 and out == ""
+        assert err == "error: norm exceeds the float range\n"
+
+
 class TestAppendix:
     def test_json(self, capsys):
         code, out, _ = run(
@@ -474,3 +514,131 @@ class TestPlumbing:
         )
         assert code == 0
         assert json.loads(out)["complete"] is False
+
+
+
+BUDGET = 10**6
+COMMANDS = cli._commands(BUDGET)
+
+
+def parse_outcome(parse, argv):
+    """(outcome, stdout, stderr) of parse(argv): the exit code of a
+    SystemExit, or the parsed namespace, with each value as its repr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            outcome = {k: repr(v) for k, v in vars(parse(list(argv))).items()}
+        except SystemExit as exc:
+            outcome = exc.code
+    return outcome, out.getvalue(), err.getvalue()
+
+
+def full_parse(argv):
+    return cli.build_parser(BUDGET).parse_args(argv)
+
+
+def parser_cases():
+    """Help and error argv for every subcommand, from its argument table."""
+    for name, (_, _, arguments) in COMMANDS.items():
+        required = [flags[0] for flags, kw in arguments if kw.get("required")]
+        valid = [name] + [tok for flag in required for tok in (flag, "1")]
+        yield name + "-help", [name, "-h"]
+        if required:
+            yield name + "-missing", [name]
+        if any("choices" in kw for _, kw in arguments):
+            yield name + "-choice", valid + ["--format", "nope"]
+        counts = [flags[0] for flags, kw in arguments if kw.get("type") is cli._count]
+        if counts:
+            yield name + "-negative", valid + [counts[0], "-1"]
+        yield name + "-unrecognized", valid + ["--bogus", "extra"]
+    for argv in ([], ["-h"], ["nope"], ["deriv"], ["--", "appendix"]):
+        yield "top" + "".join(argv), argv
+
+
+class TestParser:
+    @pytest.mark.parametrize("columns", ["40", "120"])
+    @pytest.mark.parametrize("argv", [c[1] for c in parser_cases()],
+                             ids=[c[0] for c in parser_cases()])
+    def test_main_prints_what_the_full_parser_prints(self, monkeypatch, columns, argv):
+        # main builds only the named command's subparser; help and errors
+        # must read as if it had built them all
+        monkeypatch.setenv("COLUMNS", columns)
+        ours = parse_outcome(main, argv)
+        assert ours == parse_outcome(full_parse, argv)
+        assert ours[0] in (0, 2)
+
+    def test_misspelt_command_is_an_invalid_choice(self, capsys):
+        code, err = usage_exit(capsys, ["deriv"])
+        assert code == 2
+        assert "error: argument command: invalid choice: 'deriv'" in err
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        return names
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_a_command_builds_one_subparser(self, capsys, built, name):
+        with pytest.raises(SystemExit):
+            main([name, "-h"])
+        assert built == [name]
+
+    def test_a_run_builds_one_subparser(self, capsys, built):
+        assert main(["appendix", "--m-max", "2"]) == 0
+        assert built == ["appendix"]
+
+    def test_top_level_help_builds_every_subparser(self, capsys, built):
+        with pytest.raises(SystemExit):
+            main(["-h"])
+        assert built == list(COMMANDS) and len(built) == 11
+
+
+@st.composite
+def command_argv(draw):
+    name = draw(st.sampled_from(list(COMMANDS)))
+    options = [flag for flags, _ in COMMANDS[name][2] for flag in flags]
+    token = st.one_of(
+        st.sampled_from(options + ["-h", "--"]),
+        st.integers(min_value=-10**6, max_value=10**6).map(str),
+        st.sampled_from(["x", "1,x", "-", "--bogus", "nan", "inf", "1.5", "e", ""]),
+        st.text(max_size=4),
+    )
+    return [name] + draw(st.lists(token, max_size=6))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(command_argv())
+def test_fuzzed_argv_parses_as_with_the_full_parser(argv):
+    single = parse_outcome(cli.build_parser(BUDGET, argv[0]).parse_args, argv)
+    assert single == parse_outcome(full_parse, argv)
+    assert isinstance(single[0], dict) or single[0] in (0, 2)
+
+
+def test_closed_pipe_exits_0_quietly():
+    # the JSON ball is about 290 kB, far more than a pipe buffers, so the
+    # CLI is still writing when the reader goes away
+    src = os.path.dirname(os.path.dirname(conjlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "conjlab.cli", "graph", "--model", "free2",
+         "--base", "x1", "--radius", "6", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        head = os.read(proc.stdout.fileno(), 100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert head.startswith(b"{")
+    assert (code, err) == (0, b"")

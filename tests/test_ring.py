@@ -82,6 +82,29 @@ class TestNorms:
         bwd = GroupRingVector(h3, dict(reversed(terms)))
         assert fwd.lp_norm(1) == bwd.lp_norm(1)
 
+    @pytest.mark.parametrize("scale", [Fraction(10**200), Fraction(1, 10**200),
+                                       Fraction(1, 10**170), Fraction(10**100),
+                                       Fraction(1, 10**100)])
+    @pytest.mark.parametrize("p", [1, 2, 3.5, 4, math.inf])
+    def test_squares_outside_float_range(self, h3, scale, p):
+        # |c|^2 or its p/2-th power leaves float range, the norm does not
+        terms = {h3.identity(): Coeff(frac(3), frac(4)),
+                 h3.element((1, 0, 0)): Coeff(frac(-1, 2))}
+        v = GroupRingVector(h3, terms)
+        norm = v.scale(Coeff(scale)).lp_norm(p)
+        assert norm > 0
+        assert norm == pytest.approx(float(scale) * v.lp_norm(p), rel=1e-14)
+
+    def test_norm_beyond_float_range_rejected(self, h3):
+        v = GroupRingVector.delta(h3.identity(), Coeff(Fraction(10**400)))
+        for norm in (lambda: v.lp_norm(2), lambda: v.lp_norm(1), v.sup_norm):
+            with pytest.raises(UsageError, match="float range"):
+                norm()
+
+    def test_norm_below_float_range_rounds_to_zero(self, h3):
+        v = GroupRingVector.delta(h3.identity(), Coeff(Fraction(1, 10**400)))
+        assert v.lp_norm(2) == v.lp_norm(1) == v.sup_norm() == 0.0
+
     def test_odd_q_complex_rejected(self, h3):
         v = GroupRingVector(h3, {h3.identity(): Coeff(frac(0), frac(1))})
         with pytest.raises(UsageError):
@@ -181,3 +204,11 @@ class TestVectorAlgebra:
     def test_json_roundtrip(self, h3):
         v = _random_vector(h3, Random(24))
         assert GroupRingVector.from_json(h3, v.to_json()) == v
+
+
+@settings(max_examples=60, deadline=None)
+@given(vectors(), st.floats(min_value=1, max_value=6))
+def test_norm_in_float_range_keeps_the_plain_formula(v, p):
+    floats = [float(c.abs_sq()) for c in v.terms.values()]
+    assert v.lp_norm(p) == math.fsum(f ** (p / 2.0) for f in floats) ** (1.0 / p)
+    assert v.sup_norm() == math.sqrt(max(floats, default=0.0))
