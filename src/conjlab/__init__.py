@@ -31,7 +31,7 @@ from .graph import (
     explore_component,
     export_dot,
 )
-from .ring import Coeff, GroupRingVector
+from .ring import GroupRingVector
 from .derivations import (
     Derivation,
     Morphism,

@@ -129,7 +129,7 @@ def cmd_character(args) -> int:
     mor = dv.Morphism(model.decode(args.u), model.decode(args.v))
     val = dv.character_from_potential(phi, mor)
     cross = dv.character_from_derivation(dv.Derivation.from_potential(phi), mor)
-    if cross.im != 0 or cross.re != val:
+    if cross != val:
         raise InternalConsistencyError(
             f"character mismatch at ({args.u},{args.v}): "
             f"potential {val} vs derivation {cross}"

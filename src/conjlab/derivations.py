@@ -14,10 +14,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import UsageError
 from .groups import DEFAULT_NODE_BUDGET, GroupElement, GroupModel, get_model
-from .ring import _ZERO, Coeff, GroupRingVector
+from .ring import _ZERO, GroupRingVector, float_norm
 
 DEFAULT_TRUNCATION = 10**4
 
@@ -111,22 +112,26 @@ class Potential:
                 self._values[p] = v
         return v
 
+    @cached_property
+    def _terms(self) -> tuple:
+        """The (truncated) support as (payload, phi, -phi) triples, sorted by
+        encoding; built once, from payloads only."""
+        supp = [g.payload for g in self.table]
+        if self.closed_form is not None:
+            supp += CLOSED_FORMS[self.closed_form]["support"](self.trunc_k)
+        supp.sort(key=self.model.encode_payload)
+        values = [(p, self._value(p)) for p in supp]
+        return tuple([(p, v, -v) for p, v in values if v])
+
     def support(self) -> tuple:
         """The (truncated) support sorted by encoding, built once and shared."""
         if self._support is None:
-            supp = list(self.table)
-            if self.closed_form is not None:
-                rule = CLOSED_FORMS[self.closed_form]
-                supp += map(self.model.element, rule["support"](self.trunc_k))
-            self._support = tuple(sorted(supp, key=GroupElement.encode))
-            values = [(g.payload, self._value(g.payload)) for g in self._support]
-            self._terms = tuple([(p, v, -v) for p, v in values if v])
+            self._support = tuple([self.model.element(p) for p, _, _ in self._terms])
         return self._support
 
     def add_derivation(self, gp, acc: dict) -> None:
         """Add d(g) = sum of phi(s)(s g - g s) over the support, g of payload
         `gp`, into `acc` ({payload: Fraction}), dropping terms that cancel."""
-        self.support()
         mul = self.model.mul_payload
         get = acc.get
         for s, v, nv in self._terms:
@@ -139,7 +144,7 @@ class Potential:
                     del acc[u]
 
     def lq_pow(self, q: int) -> Fraction:
-        return sum((abs(self.value(g)) ** q for g in self.support()), _ZERO)
+        return sum((abs(v) ** q for _, v, _ in self._terms), _ZERO)
 
     def tail_bound_pow(self, q: int) -> Fraction:
         """Upper bound on the q-th-power mass the truncation discards."""
@@ -258,13 +263,12 @@ class Derivation:
             return xg - gx
         acc = {}
         self.potential_obj.add_derivation(g.payload, acc)
-        terms = {self.model.element(p): Coeff(c) for p, c in acc.items()}
-        return GroupRingVector.from_terms(self.model, terms)
+        return GroupRingVector.from_terms(self.model, acc)
 
     def apply_linear(self, a: GroupRingVector) -> GroupRingVector:
-        out = GroupRingVector.zero(self.model)
-        for g, c in a.terms.items():
-            out += self.apply(g).scale(c)
+        out = GroupRingVector(self.model)
+        for p, c in a.terms.items():
+            out += self.apply(self.model.element(p)).scale(c)
         return out
 
 
@@ -275,11 +279,10 @@ def _difference(a: Fraction, b: Fraction) -> Fraction:
 
 def inner_derivation_apply(x: GroupRingVector, a: GroupRingVector) -> GroupRingVector:
     """D_x(a) = x a - a x, exactly."""
-    x._check_model(a)
     return x * a - a * x
 
 
-def character_from_derivation(d: Derivation, mor: Morphism) -> Coeff:
+def character_from_derivation(d: Derivation, mor: Morphism) -> Fraction:
     """chi(h, g) = delta_h(d(g))."""
     return d.apply(mor.v).coefficient(mor.u)
 
@@ -303,14 +306,11 @@ def quasi_inner_check(source, loops):
     for mor in loops:
         if isinstance(source, Potential):
             val = character_from_potential(source, mor)
-            bad = val != 0
         elif isinstance(source, Derivation):
             val = character_from_derivation(source, mor)
-            bad = not val.is_zero()
         else:
             val = source(mor)
-            bad = val != 0
-        if bad:
+        if val != 0:
             return False, (mor, val)
     return True, None
 
@@ -336,7 +336,7 @@ def g_boundedness_probe(
     model._check(d.model.identity())
     ball = model.cayley_ball(radius, node_budget)
     phi = d.potential_obj
-    supp = [s.payload for s in phi.support()] if phi is not None else None
+    supp = [s for s, _, _ in phi._terms] if phi is not None else None
     mul, inv = model.mul_payload, model.inv_payload
     memo = {}
     best = -1.0
@@ -368,13 +368,7 @@ def _potential_image_norm(phi, supp, images, p) -> float:
     # t = g^-1 s g lies outside supp iff s is not a forward image;
     # such t contributes phi(g t g^-1) - phi(t) = phi(s) - 0
     coeffs += [value(s) for s in supp if s not in image_set]
-    if p == math.inf:
-        return float(max(map(abs, coeffs), default=0))
-    total = 0.0
-    for c in coeffs:
-        if c:
-            total += abs(float(c)) ** p
-    return total ** (1.0 / p)
+    return float_norm(coeffs, p)
 
 
 def stabilisation_probe(phi: Potential, ball, radii):

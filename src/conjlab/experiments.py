@@ -17,6 +17,7 @@ from .derivations import Derivation, Potential
 from .errors import InternalConsistencyError, UsageError
 from .graph import conj_distance, explore_component
 from .groups import GroupElement, GroupModel, Heisenberg
+from .ring import exact_pow_fits, float_norm
 
 
 def fmt_float(x: float) -> str:
@@ -203,14 +204,12 @@ def run_limit_experiment(
         if not disjoint[k - 1]:
             break
         separation_index = k
-    if q == math.inf:
-        potential_norm = float(max(abs(phi.value(g)) for g in supp))
-    elif q_int is not None:
-        potential_norm = float(phi.lq_pow(q_int)) ** (1.0 / q_int)
-    else:
-        potential_norm = sum(
-            float(abs(phi.value(g))) ** float(q) for g in supp
-        ) ** (1.0 / float(q))
+    values = [phi.value(g) for g in supp]
+    power_sum = None
+    if q_int is not None and exact_pow_fits(values, q_int):
+        def power_sum():
+            return float(phi.lq_pow(q_int))
+    potential_norm = float_norm(values, float(q), power_sum)
     return LimitReport(float(q), potential_norm, samples, separation_index)
 
 

@@ -1,16 +1,16 @@
-"""Finitely supported group-ring vectors with exact Gaussian-rational
-coefficients, and the norms on them.
+"""Finitely supported group-ring vectors with exact rational coefficients,
+stored as {payload: Fraction}, and the norms on them.
 
-Arithmetic stays exact; only the final p-norm values leave exact land
-(float), with `lq_pow_exact` available when the q-th power of the norm is
-itself rational.
+Arithmetic stays exact and runs on payloads; group elements appear only at
+the API boundary.  Only the final p-norm values leave exact land (float),
+with `lq_pow_exact` when the q-th power of the norm is itself rational.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ModelMismatchError, UsageError
@@ -34,90 +34,64 @@ def _sqrt(square: Fraction, factor: float = 1.0) -> float:
         raise UsageError("norm exceeds the float range") from None
 
 
-@dataclass(frozen=True)
-class Coeff:
-    """An exact complex rational re + im*i."""
-
-    re: Fraction
-    im: Fraction = _ZERO
-
-    @classmethod
-    def of(cls, value) -> "Coeff":
-        if isinstance(value, Coeff):
-            return value
-        return cls(Fraction(value))
-
-    def __add__(self, other):
-        if self.im or other.im:
-            return Coeff(self.re + other.re, self.im + other.im)
-        return Coeff(self.re + other.re)
-
-    def __sub__(self, other):
-        if self.im or other.im:
-            return Coeff(self.re - other.re, self.im - other.im)
-        return Coeff(self.re - other.re)
-
-    def __neg__(self):
-        return Coeff(-self.re, -self.im)
-
-    def __mul__(self, other):
-        other = Coeff.of(other)
-        return Coeff(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def abs_sq(self) -> Fraction:
-        if self.im:
-            return self.re * self.re + self.im * self.im
-        return self.re * self.re
-
-    def modulus(self) -> float:
-        return math.sqrt(float(self.abs_sq()))
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        return f"{self.re}+{self.im}i"
+def float_norm(values, p: float, power_sum=None) -> float:
+    """The p-norm (p >= 1) of the exact rationals `values` as a float: the p-th
+    root of `power_sum()` (default: sum(float(|c|) ** p)) while that sum is a
+    normal float, float(max |c|) for p = inf.  Out of float range, each square
+    is divided by the largest, so every power lies in [0, 1]; `_sqrt` scales back."""
+    try:
+        if p == math.inf:
+            return float(max(map(abs, values), default=0))
+        total = power_sum() if power_sum else sum(float(abs(c)) ** p for c in values)
+        if _TINY <= total < math.inf:
+            return total ** (1.0 / p)
+    except OverflowError:
+        pass
+    squares = [c * c for c in values if c]
+    top = max(squares, default=_ZERO)
+    total = math.fsum(float(s / top) ** (p / 2.0) for s in squares)
+    return _sqrt(top, total ** (1.0 / p))
 
 
-COEFF_ZERO = Coeff(_ZERO)
-COEFF_ONE = Coeff(Fraction(1))
+def exact_pow_fits(values, q: int) -> bool:
+    """Whether sum |c|^q (q >= 1 an integer) over the exact rationals `values`
+    surely has at most twice as many digits as Python prints, judged before
+    any power is taken: its denominator divides L^q, L the lcm of the
+    denominators, and its numerator is at most n * (max |c| * L)^q."""
+    values = [abs(c) for c in values if c]
+    lcm = math.lcm(*{c.denominator for c in values})
+    top = int(max(values, default=0) * lcm)  # an integer: L is a common multiple
+    digits = q * math.log10(max(top, lcm)) + math.log10(len(values) + 1)
+    return digits < 2 * (sys.get_int_max_str_digits() or math.inf)  # 0: no limit
 
 
 class GroupRingVector:
-    """A formal sum of group elements with Coeff coefficients; zero
-    coefficients are never stored."""
+    """A formal sum of group elements with rational coefficients, built from
+    {GroupElement: rational} and stored by payload; zero coefficients are
+    never stored."""
 
     __slots__ = ("model", "terms")
 
     def __init__(self, model: GroupModel, terms=None):
         self.model = model
         self.terms = {}
-        if terms:
-            for g, c in terms.items():
-                c = Coeff.of(c)
-                if not c.is_zero():
-                    model._check(g)
-                    self.terms[g] = c
-
-    @classmethod
-    def zero(cls, model) -> "GroupRingVector":
-        return cls(model)
+        for g, c in (terms or {}).items():
+            c = Fraction(c)
+            if c:
+                model._check(g)
+                self.terms[g.payload] = c
 
     @classmethod
     def from_terms(cls, model, terms: dict) -> "GroupRingVector":
-        """The vector over `terms` (no zero coefficients), without a copy."""
+        """The vector over `terms` ({payload: Fraction}, no zero
+        coefficients), without a copy."""
         v = cls(model)
         v.terms = terms
         return v
 
     @classmethod
-    def delta(cls, g: GroupElement, coeff=COEFF_ONE) -> "GroupRingVector":
-        return cls(g.model, {g: Coeff.of(coeff)})
+    def delta(cls, g: GroupElement, coeff=1) -> "GroupRingVector":
+        return cls(g.model, {g: coeff})
 
     def _check_model(self, other):
         if self.model.name != other.model.name:
@@ -125,11 +99,14 @@ class GroupRingVector:
                 f"vectors over {self.model.name} and {other.model.name}"
             )
 
-    def coefficient(self, g: GroupElement) -> Coeff:
-        return self.terms.get(g, COEFF_ZERO)
+    def coefficient(self, g: GroupElement) -> Fraction:
+        self.model._check(g)
+        return self.terms.get(g.payload, _ZERO)
 
-    def support(self):
-        return sorted(self.terms)
+    def support(self) -> list:
+        """The elements with a non-zero coefficient, sorted by encoding."""
+        payloads = sorted(self.terms, key=self.model.encode_payload)
+        return [self.model.element(p) for p in payloads]
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -145,13 +122,13 @@ class GroupRingVector:
         """Add `other` in place, dropping terms that cancel."""
         self._check_model(other)
         terms = self.terms
-        for g, c in other.terms.items():
-            old = terms.get(g)
+        for p, c in other.terms.items():
+            old = terms.get(p)
             s = c if old is None else old + c
-            if s.is_zero():
-                terms.pop(g, None)
+            if not s:
+                terms.pop(p, None)
             else:
-                terms[g] = s
+                terms[p] = s
         return self
 
     def __add__(self, other):
@@ -163,31 +140,34 @@ class GroupRingVector:
         return self + (-other)
 
     def __neg__(self):
-        return self.from_terms(self.model, {g: -c for g, c in self.terms.items()})
+        return self.from_terms(self.model, {p: -c for p, c in self.terms.items()})
 
     def scale(self, coeff) -> "GroupRingVector":
-        coeff = Coeff.of(coeff)
-        if coeff.is_zero():
-            return GroupRingVector.zero(self.model)
-        return self.from_terms(self.model, {g: c * coeff for g, c in self.terms.items()})
+        coeff = Fraction(coeff)
+        if not coeff:
+            return GroupRingVector(self.model)
+        return self.from_terms(self.model, {p: c * coeff for p, c in self.terms.items()})
 
     def mul_elem_right(self, g: GroupElement) -> "GroupRingVector":
-        terms = {self.model.multiply(h, g): c for h, c in self.terms.items()}
-        return self.from_terms(self.model, terms)
+        self.model._check(g)
+        mul, gp = self.model.mul_payload, g.payload
+        return self.from_terms(self.model, {mul(p, gp): c for p, c in self.terms.items()})
 
     def mul_elem_left(self, g: GroupElement) -> "GroupRingVector":
-        terms = {self.model.multiply(g, h): c for h, c in self.terms.items()}
-        return self.from_terms(self.model, terms)
+        self.model._check(g)
+        mul, gp = self.model.mul_payload, g.payload
+        return self.from_terms(self.model, {mul(gp, p): c for p, c in self.terms.items()})
 
     def __mul__(self, other) -> "GroupRingVector":
         """Convolution product."""
         self._check_model(other)
+        mul = self.model.mul_payload
         acc = {}
         for g, cg in self.terms.items():
             for h, ch in other.terms.items():
-                k = self.model.multiply(g, h)
-                s = acc.get(k, COEFF_ZERO) + cg * ch
-                if s.is_zero():
+                k = mul(g, h)
+                s = acc.get(k, _ZERO) + cg * ch
+                if not s:
                     acc.pop(k, None)
                 else:
                     acc[k] = s
@@ -200,59 +180,40 @@ class GroupRingVector:
             raise UsageError(f"lp_norm needs p >= 1, got {p}")
         if p == math.inf:
             return self.sup_norm()
-        squares = [c.abs_sq() for c in self.terms.values()]
         half = p / 2.0
-        try:
-            floats = [float(s) for s in squares]
-            low = min(floats, default=1.0)
+
+        def power_sum():
+            floats = [float(c * c) for c in self.terms.values()]
+            low = min(floats, default=0.0)
+            # a square or power below the normal range has lost digits
             if low >= _TINY and low ** half >= _TINY:
                 # exactly rounded, so independent of the (hash-dependent)
                 # term order
-                return math.fsum(f ** half for f in floats) ** (1.0 / p)
-        except OverflowError:
-            pass
-        # a square or its power left float range: scale by the largest
-        # square, so every power lies in [0, 1] and the largest is 1
-        top = max(squares)
-        total = math.fsum(float(s / top) ** half for s in squares)
-        return _sqrt(top, total ** (1.0 / p))
+                return math.fsum(f ** half for f in floats)
+            return 0.0
+
+        return float_norm(self.terms.values(), p, power_sum)
 
     def lq_pow_exact(self, q: int) -> Fraction:
-        """Exact sum of |coefficient|^q; needs integral q, and real
-        coefficients when q is odd."""
+        """Exact sum of |coefficient|^q for integral q >= 1, if it can be printed."""
         if q < 1:
             raise UsageError(f"lq_pow_exact needs q >= 1, got {q}")
-        total = _ZERO
-        for c in self.terms.values():
-            if q % 2 == 0:
-                total += c.abs_sq() ** (q // 2)
-            else:
-                if c.im != 0:
-                    raise UsageError("odd-q exact norm needs real coefficients")
-                total += abs(c.re) ** q
-        return total
+        if exact_pow_fits(self.terms.values(), q):
+            total = sum((abs(c) ** q for c in self.terms.values()), _ZERO)
+            with contextlib.suppress(ValueError):
+                str(total)  # a ValueError beyond sys.get_int_max_str_digits()
+                return total
+        raise UsageError(f"q = {q} is too large to print the exact q-th powers")
 
     def sup_norm(self) -> float:
-        if not self.terms:
-            return 0.0
-        return _sqrt(max(c.abs_sq() for c in self.terms.values()))
+        return _sqrt(max((c * c for c in self.terms.values()), default=_ZERO))
 
     # -- wire format --------------------------------------------------------
 
     def to_json(self) -> list:
-        return [
-            [g.encode(), str(c.re), str(c.im)]
-            for g, c in sorted(self.terms.items(), key=lambda kv: kv[0].encode())
-        ]
-
-    @classmethod
-    def from_json(cls, model: GroupModel, data) -> "GroupRingVector":
-        terms = {}
-        for enc, re_s, im_s in data:
-            terms[model.decode(enc)] = Coeff(Fraction(re_s), Fraction(im_s))
-        return cls(model, terms)
+        """[encoding, re, im] rows sorted by encoding; im is always "0"."""
+        encode = self.model.encode_payload
+        return sorted([encode(p), str(c), "0"] for p, c in self.terms.items())
 
     def __repr__(self):
-        inner = " + ".join(f"({c})*{g.encode()}" for g, c in sorted(
-            self.terms.items(), key=lambda kv: kv[0].encode()))
-        return inner or "0"
+        return " + ".join(f"({c})*{enc}" for enc, c, _ in self.to_json()) or "0"

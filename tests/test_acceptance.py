@@ -28,7 +28,7 @@ from conjlab import (
     run_appendix,
     run_limit_experiment,
 )
-from conjlab.ring import Coeff, GroupRingVector
+from conjlab.ring import GroupRingVector
 from conjlab.derivations import g_boundedness_probe
 from conjlab.sampling import (
     random_composable_pair,
@@ -165,7 +165,7 @@ def test_acceptance_07_leibniz_and_inner_identification():
             )
             for _ in range(4)
         }
-        x = GroupRingVector(model, {g: Coeff(v) for g, v in table.items()})
+        x = GroupRingVector(model, table)
         d_inner = Derivation.inner(x)
         d_pot = Derivation.from_potential(Potential(model, table))
         for _ in range(100):

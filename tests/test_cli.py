@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conjlab
-from conjlab import Coeff, GroupRingVector, cli
+from conjlab import GroupRingVector, cli
 from conjlab import derivations as dv
 from conjlab.cli import main
 
@@ -195,7 +195,7 @@ class TestLeibniz:
     def test_violations_counted_exactly(self, capsys, monkeypatch, two_point_potential):
         # a residual too small for a float l1 norm is still a violation
         def tiny_residual(d, g, h):
-            return GroupRingVector.delta(g, Coeff(Fraction(1, 10**400)))
+            return GroupRingVector.delta(g, Fraction(1, 10**400))
 
         monkeypatch.setattr(dv, "leibniz_residual", tiny_residual)
         code, out, _ = run(
@@ -341,6 +341,40 @@ class TestNormRange:
         assert code == 2 and out == ""
         assert err == "error: norm exceeds the float range\n"
 
+    @pytest.mark.parametrize("value, p, norm", [
+        ("1e200", "2", "1.41421356237e+200"),
+        ("1e-200", "2", "1.41421356237e-200"),
+        ("1e-200", "4", "1.189207115e-200"),
+    ])
+    def test_bound_probe_norm_fits_a_float(self, capsys, potential, value, p, norm):
+        # every conjugator off the centraliser of Ap has two terms +-value
+        code, out, _ = run(capsys, ["bound-probe", "--potential", potential(value),
+                                    "--radius", "1", "-p", p])
+        assert code == 0
+        assert json.loads(out) == {"argmax": "H3(0,-1,0)", "max_norm": norm,
+                                   "p": p, "radius": 1}
+
+    def test_bound_probe_norm_beyond_float_range_exits_2(self, capsys, potential):
+        code, out, err = run(capsys, ["bound-probe", "--potential", potential("1e400"),
+                                      "--radius", "1"])
+        assert code == 2 and out == ""
+        assert err == "error: norm exceeds the float range\n"
+
+    @pytest.mark.parametrize("value, q, potential_norm, sample", [
+        ("1e200", "2.5", "1e+200", [1, "1.31950791077e+200", None]),
+        ("1e200", "2", "1e+200", [1, "1.41421356237e+200", str(2 * 10**400)]),
+        ("1e-200", "2", "1e-200", [1, "1.41421356237e-200", f"1/{5 * 10**399}"]),
+    ])
+    def test_limit_norms_fit_a_float(self, capsys, potential, value, q,
+                                     potential_norm, sample):
+        code, out, _ = run(capsys, ["limit", "--potential", potential(value),
+                                    "--conjugator", "Ax", "--q", q, "--k-max", "1",
+                                    "--format", "json"])
+        assert code == 0
+        data = json.loads(out)
+        assert data["potential_norm"] == potential_norm
+        assert data["samples"] == [sample]
+
 
 class TestAppendix:
     def test_json(self, capsys):
@@ -380,6 +414,58 @@ class TestLimit:
         data = json.loads(out)
         assert data["potential_norm"] == "3"
         assert [s[1] for s in data["samples"]] == ["3", "3", "3"]
+
+    def test_q_14000_prints_the_exact_column(self, capsys, two_point_potential):
+        # 2 + 2/2^14000: 4215 digits on each side of the slash
+        code, out, _ = run(
+            capsys,
+            ["limit", "--potential", two_point_potential, "--conjugator", "Ax",
+             "--q", "14000", "--k-max", "3", "--format", "json"],
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["potential_norm"] == "1"
+        exact = str(2 + Fraction(2, 2**14000))
+        assert data["samples"][1:] == [[2, "1.00004951174", exact],
+                                       [3, "1.00004951174", exact]]
+
+    def test_q_at_the_print_limit(self, capsys, two_point_potential):
+        # 2 + 2/2^q = (2^q + 1)/2^(q-1): 4300 digits, Python's default limit
+        code, out, _ = run(
+            capsys,
+            ["limit", "--potential", two_point_potential, "--conjugator", "Ax",
+             "--q", "14284", "--k-max", "2", "--format", "json"],
+        )
+        assert code == 0
+        exact = json.loads(out)["samples"][1][2]
+        assert exact == str(2 + Fraction(2, 2**14284))
+        assert len(exact.split("/")[0]) == 4300
+
+    @pytest.mark.parametrize("q", ["14290", "20000", "1e12"])
+    def test_q_too_large_to_print_exits_2(self, capsys, two_point_potential, q):
+        # 14290 is computed and found too long; 20000 and 1e12 are rejected
+        # before any power is taken, so 1e12 returns at once
+        code, out, err = run(
+            capsys,
+            ["limit", "--potential", two_point_potential, "--conjugator", "Ax",
+             "--q", q, "--k-max", "1"],
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: q = {int(float(q))} is too large to print the exact q-th powers\n"
+
+    @pytest.mark.parametrize("q", ["20000", "1e12"])
+    def test_central_conjugator_any_q(self, capsys, two_point_potential, q):
+        # d(A1^k) = 0 prints an exact 0 for every q; the potential's norm is
+        # then taken in float, as its exact q-th power sum would not print
+        code, out, _ = run(
+            capsys,
+            ["limit", "--potential", two_point_potential, "--conjugator", "A1",
+             "--q", q, "--k-max", "1", "--format", "json"],
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["potential_norm"] == "1"
+        assert data["samples"] == [[1, "0", "0"]]
 
     def test_finite_component_exits_2(self, capsys, tmp_path):
         path = tmp_path / "ident.json"

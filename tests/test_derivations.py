@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from conjlab import (
-    Coeff,
+    GroupElement,
     Derivation,
     DihedralInf,
     GroupRingVector,
@@ -34,7 +34,7 @@ from conjlab.sampling import (
 
 
 def delta(g, c=1):
-    return GroupRingVector.delta(g, Coeff.of(c))
+    return GroupRingVector.delta(g, c)
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +80,8 @@ class TestDerivationApply:
         d = Derivation.from_potential(phi)
         for k in range(1, 6):
             img = d.apply(h3.element((0, k, 0)))
-            assert img.coefficient(h3.element((1, k, k))) == Coeff.of(1)
-            assert img.coefficient(h3.element((1, k, 0))) == Coeff.of(-1)
+            assert img.coefficient(h3.element((1, k, k))) == 1
+            assert img.coefficient(h3.element((1, k, 0))) == -1
             assert len(img.terms) == 2
 
     def test_harmonic_d_ax_matches_display(self, h3):
@@ -92,8 +92,8 @@ class TestDerivationApply:
         for k in range(1, K + 1):
             plus = h3.element((1, 1 - k, 1 - k))
             minus = h3.element((1, 1 - k, -k))
-            assert img.coefficient(plus) == Coeff.of(Fraction(1, k))
-            assert img.coefficient(minus) == Coeff.of(Fraction(-1, k))
+            assert img.coefficient(plus) == Fraction(1, k)
+            assert img.coefficient(minus) == Fraction(-1, k)
         assert len(img.terms) == 2 * K
 
     def test_linearity(self, h3):
@@ -114,7 +114,7 @@ class TestDerivationApply:
             table[random_element(model, rng, max_len=4)] = Fraction(
                 rng.randint(-3, 3), rng.randint(1, 3)
             )
-        x = GroupRingVector(model, {g: Coeff(v) for g, v in table.items()})
+        x = GroupRingVector(model, table)
         d_inner = Derivation.inner(x)
         d_pot = Derivation.from_potential(Potential(model, table))
         for _ in range(30):
@@ -126,7 +126,7 @@ class TestDerivationApply:
         # table of the truncated closed form, and as the inner derivation
         phi = Potential(h3, {}, closed_form="appendix_harmonic", trunc_k=12)
         table = {g: phi.value(g) for g in phi.support()}
-        x = GroupRingVector(h3, {g: Coeff(v) for g, v in table.items()})
+        x = GroupRingVector(h3, table)
         derivations = [Derivation.from_potential(phi), Derivation.inner(x),
                        Derivation.from_potential(Potential(h3, table))]
         rng = Random(49)
@@ -149,7 +149,7 @@ class TestDerivationApply:
                 for u in {s * g for s in supp} | {g * s for s in supp}:
                     chi = character_from_potential(phi, Morphism(u, g))
                     if chi:
-                        want[u] = Coeff(chi)
+                        want[u.payload] = chi
                 assert img.terms == want
 
     def test_central_element_gives_zero(self, h3):
@@ -172,6 +172,44 @@ class TestDerivationApply:
             assert all(acc.values())
             neg.add_derivation(gp, acc)
             assert acc == {}
+
+
+class TestPayloadVectors:
+    def test_apply_and_character_build_no_element(self, h3, monkeypatch):
+        # the kernel's {payload: Fraction} dict is the vector; elements are
+        # built only at the API boundary
+        phi = Potential(h3, {}, closed_form="appendix_harmonic")
+        d = Derivation.from_potential(phi)
+        g = h3.element((0, 2, 0))
+        mor = Morphism(h3.element((1, -2, -2)), h3.element((0, 1, 0)))  # u v^-1 = (1,-3,-3)
+        built = []
+        init = GroupElement.__init__
+
+        def counting_init(self, model, payload):
+            built.append(payload)
+            init(self, model, payload)
+
+        monkeypatch.setattr(GroupElement, "__init__", counting_init)
+        image = d.apply(g)
+        chi = character_from_derivation(d, mor)
+        assert built == []
+        assert len(image.terms) == 2 * phi.trunc_k
+        assert chi == character_from_potential(phi, mor) == Fraction(1, 3)
+
+    def test_to_json_encodes_each_payload_once(self, h3, monkeypatch):
+        phi = Potential(h3, {}, closed_form="appendix_harmonic", trunc_k=50)
+        image = Derivation.from_potential(phi).apply(h3.element((0, 1, 0)))
+        encoded = []
+        encode = type(h3).encode_payload
+
+        def counting_encode(self, p):
+            encoded.append(p)
+            return encode(self, p)
+
+        monkeypatch.setattr(type(h3), "encode_payload", counting_encode)
+        rows = image.to_json()
+        assert sorted(encoded) == sorted(image.terms)
+        assert [r[0] for r in rows] == sorted(encode(h3, p) for p in image.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +282,12 @@ class TestCharacters:
             g = random_element(model, rng)
             img = d.apply(g)
             for h in img.support():
-                assert img.coefficient(h).re == character_from_potential(
+                assert img.coefficient(h) == character_from_potential(
                     pot, Morphism(h, g)
                 )
             # and a few off-support probes
             h = random_element(model, rng)
-            assert character_from_derivation(d, Morphism(h, g)).re == (
+            assert character_from_derivation(d, Morphism(h, g)) == (
                 character_from_potential(pot, Morphism(h, g))
             )
 
@@ -259,11 +297,11 @@ class TestCharacters:
         d = Derivation.from_potential(phi)
         a2 = sum(
             (delta(h3.element((0, k, 0))) for k in range(-2, 3)),
-            GroupRingVector.zero(h3),
+            GroupRingVector(h3),
         )
         img = d.apply_linear(a2)
         got = img.coefficient(h3.element((1, -1, -1)))
-        assert got == Coeff.of(Fraction(5, 6))
+        assert got == Fraction(5, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +313,7 @@ class TestLeibniz:
         rng = Random(42)
         x = GroupRingVector(
             model,
-            {random_element(model, rng): Coeff(Fraction(rng.randint(1, 3))) for _ in range(3)},
+            {random_element(model, rng): Fraction(rng.randint(1, 3)) for _ in range(3)},
         )
         d = Derivation.inner(x)
         for _ in range(30):
