@@ -443,8 +443,8 @@ class TestLimit:
 
     @pytest.mark.parametrize("q", ["14290", "20000", "1e12"])
     def test_q_too_large_to_print_exits_2(self, capsys, two_point_potential, q):
-        # 14290 is computed and found too long; 20000 and 1e12 are rejected
-        # before any power is taken, so 1e12 returns at once
+        # 14290 and 20000 are computed and found too long to print; 1e12 is
+        # refused before any power is taken, so it returns at once
         code, out, err = run(
             capsys,
             ["limit", "--potential", two_point_potential, "--conjugator", "Ax",

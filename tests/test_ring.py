@@ -91,7 +91,8 @@ class TestNorms:
 
     @pytest.mark.parametrize("q", [20000, 10**12])
     def test_lq_pow_exact_too_long_to_print_rejected(self, h3, q):
-        # 2/2^q has more than 4300 digits; the power is never taken
+        # 1 + 2^-q has more than 4300 digits; 10^12 is refused before the
+        # power is taken
         v = GroupRingVector(h3, {h3.identity(): 1, h3.element((1, 0, 0)): frac(1, 2)})
         with pytest.raises(UsageError, match="too large"):
             v.lq_pow_exact(q)
