@@ -21,6 +21,7 @@ from . import experiments as ex
 from . import graph as cg
 from .errors import InternalConsistencyError, ResourceBudgetError, UsageError
 from .groups import get_model, parse_word
+from .ring import exact_str
 
 
 def _count(text: str) -> int:
@@ -134,7 +135,7 @@ def cmd_character(args) -> int:
             f"character mismatch at ({args.u},{args.v}): "
             f"potential {val} vs derivation {cross}"
         )
-    _emit({"u": args.u, "v": args.v, "value": str(val)})
+    _emit({"u": args.u, "v": args.v, "value": exact_str(val)})
     return 0
 
 
@@ -151,7 +152,7 @@ def cmd_quasi_inner(args) -> int:
         out["witness"] = {
             "u": mor.u.encode(),
             "v": mor.v.encode(),
-            "value": str(val),
+            "value": exact_str(val),
         }
     _emit(out)
     return 0
@@ -170,7 +171,7 @@ def cmd_stabilise(args) -> int:
             "base": base.encode(),
             "radius": args.radius,
             "complete": ball.complete,
-            "rows": [[r, str(s)] for r, s in probe],
+            "rows": [[r, exact_str(s)] for r, s in probe],
         }
     )
     return 0

@@ -18,7 +18,7 @@ from functools import cached_property
 
 from .errors import UsageError
 from .groups import DEFAULT_NODE_BUDGET, GroupElement, GroupModel, get_model
-from .ring import _ZERO, GroupRingVector, float_norm
+from .ring import _ZERO, GroupRingVector, exact_str, float_norm, left_sum
 
 DEFAULT_TRUNCATION = 10**4
 
@@ -123,18 +123,29 @@ class Potential:
         values = [(p, self._value(p)) for p in supp]
         return tuple([(p, v, -v) for p, v in values if v])
 
+    @cached_property
+    def _scaled_terms(self) -> tuple:
+        """(D, triples): D the lcm of the support's denominators, and `_terms`
+        with each value multiplied by D, as (payload, D phi, -D phi) ints."""
+        den = math.lcm(*[v.denominator for _, v, _ in self._terms])
+        scaled = [(s, v.numerator * (den // v.denominator)) for s, v, _ in self._terms]
+        return den, tuple([(s, n, -n) for s, n in scaled])
+
     def support(self) -> tuple:
         """The (truncated) support sorted by encoding, built once and shared."""
         if self._support is None:
             self._support = tuple([self.model.element(p) for p, _, _ in self._terms])
         return self._support
 
-    def add_derivation(self, gp, acc: dict) -> None:
+    def add_derivation(self, gp, acc: dict, scaled: bool = False) -> None:
         """Add d(g) = sum of phi(s)(s g - g s) over the support, g of payload
-        `gp`, into `acc` ({payload: Fraction}), dropping terms that cancel."""
+        `gp`, into `acc` ({payload: Fraction}), dropping terms that cancel.
+        With `scaled`, add D d(g) in ints instead, D = `_scaled_terms[0]`:
+        integer adds need no gcd, so callers that read few coefficients
+        divide by D only there."""
         mul = self.model.mul_payload
         get = acc.get
-        for s, v, nv in self._terms:
+        for s, v, nv in self._scaled_terms[1] if scaled else self._terms:
             for u, c in ((mul(s, gp), v), (mul(gp, s), nv)):
                 old = get(u)
                 new = c if old is None else old + c
@@ -158,7 +169,7 @@ class Potential:
         return {
             "model": self.model.name,
             "table": [
-                [g.encode(), str(v)]
+                [g.encode(), exact_str(v)]
                 for g, v in sorted(self.table.items(), key=lambda kv: kv[0].encode())
             ],
             "closed_form": self.closed_form,
@@ -272,11 +283,6 @@ class Derivation:
         return out
 
 
-def _difference(a: Fraction, b: Fraction) -> Fraction:
-    """a - b, without Fraction arithmetic when either side is 0."""
-    return a - b if a and b else a or -b
-
-
 def inner_derivation_apply(x: GroupRingVector, a: GroupRingVector) -> GroupRingVector:
     """D_x(a) = x a - a x, exactly."""
     return x * a - a * x
@@ -328,27 +334,47 @@ def g_boundedness_probe(
 ):
     """Max of ||d(g)||_p over the Cayley ball, with argmax.
 
-    For potential-induced derivations, conjugators with the same action on
-    the support share one norm computation.
+    For potential-induced derivations, ||d(g)||_p depends only on the inner
+    automorphism x -> g x g^-1, which the images of the generators fix: those
+    key the memo, and the support is conjugated once per key.
     """
     if not p >= 1:
         raise UsageError(f"g_boundedness_probe needs p >= 1, got {p}")
     model._check(d.model.identity())
     ball = model.cayley_ball(radius, node_budget)
     phi = d.potential_obj
-    supp = [s for s, _, _ in phi._terms] if phi is not None else None
+    if phi is not None:
+        terms = phi._terms
+        values = {s: v for s, v, _ in terms}
+        powers = [_float_pow(v, p) for _, v, _ in terms]
+        gens = [x for _, x, _ in model.gen_triples]
     mul, inv = model.mul_payload, model.inv_payload
     memo = {}
     best = -1.0
     argmax = None
     for g in sorted(ball, key=lambda e: (ball[e], e.encode())):
-        if supp is not None:
+        if phi is not None:
             gp = g.payload
             gi = inv(gp)
-            key = tuple([mul(gp, mul(s, gi)) for s in supp])
-            if key not in memo:
-                memo[key] = _potential_image_norm(phi, supp, key, p)
-            norm = memo[key]
+            key = tuple([mul(gp, mul(x, gi)) for x in gens])
+            norm = memo.get(key)
+            if norm is None:
+                # d(g) has phi(g t g^-1) - phi(t) at g t for each t in the
+                # support, and phi(s) at s g for each support element s that
+                # is no image g t g^-1; powers are added in this order
+                coeffs, pows, images = [], [], set()
+                for (t, v, nv), pw in zip(terms, powers):
+                    s = mul(gp, mul(t, gi))
+                    images.add(s)
+                    w = values.get(s)
+                    c = nv if w is None else w - v
+                    coeffs.append(c)
+                    pows.append(pw if w is None else _float_pow(c, p))
+                for (s, v, _), pw in zip(terms, powers):
+                    if s not in images:
+                        coeffs.append(v)
+                        pows.append(pw)
+                norm = memo[key] = float_norm(coeffs, p, lambda: left_sum(pows))
         else:
             norm = d.apply(g).lp_norm(p)
         if norm > best:
@@ -357,18 +383,13 @@ def g_boundedness_probe(
     return best, argmax
 
 
-def _potential_image_norm(phi, supp, images, p) -> float:
-    # ||d(g)||_p depends only on the conjugated images of the support:
-    # the terms of d(g) sit at the distinct elements g*t, t in supp(phi)
-    # union its preimage, so the norm is the lp norm of the coefficient
-    # multiset {phi(g t g^-1) - phi(t)}.  Payloads in, support order kept.
-    value = phi._value
-    image_set = set(images)
-    coeffs = [_difference(value(s), value(t)) for t, s in zip(supp, images)]
-    # t = g^-1 s g lies outside supp iff s is not a forward image;
-    # such t contributes phi(g t g^-1) - phi(t) = phi(s) - 0
-    coeffs += [value(s) for s in supp if s not in image_set]
-    return float_norm(coeffs, p)
+def _float_pow(c: Fraction, p: float) -> float:
+    """float(|c|) ** p, or inf beyond the float range (so a sum of such
+    powers sends `float_norm` to its fallback)."""
+    try:
+        return float(abs(c)) ** p
+    except OverflowError:
+        return math.inf
 
 
 def stabilisation_probe(phi: Potential, ball, radii):

@@ -17,7 +17,7 @@ from .derivations import Derivation, Potential
 from .errors import InternalConsistencyError, UsageError
 from .graph import conj_distance, explore_component
 from .groups import GroupElement, GroupModel, Heisenberg
-from .ring import exact_pow_fits, float_norm
+from .ring import exact_pow_fits, exact_str, float_norm
 
 
 def fmt_float(x: float) -> str:
@@ -60,7 +60,7 @@ class AppendixReport:
             "rows": [
                 {
                     "m": row.m,
-                    "coeffs": [[n, str(v)] for n, v in row.coeff_table],
+                    "coeffs": [[n, exact_str(v)] for n, v in row.coeff_table],
                     "norm_lower_bound": fmt_float(row.norm_lower_bound),
                     "ratio_lower_bound": fmt_float(row.ratio_lower_bound),
                 }
@@ -72,7 +72,7 @@ class AppendixReport:
         rows = [
             (
                 row.m,
-                str(row.coeff_table[0][1]) if row.coeff_table else "-",
+                exact_str(row.coeff_table[0][1]) if row.coeff_table else "-",
                 fmt_float(row.norm_lower_bound),
                 fmt_float(row.ratio_lower_bound),
             )
@@ -101,14 +101,15 @@ def run_appendix(m_max: int, n_max: int) -> AppendixReport:
     harm = list(accumulate((Fraction(1, j) for j in range(1, m_max + n_max + 1)),
                            initial=Fraction(0)))  # harmonic prefix sums
 
-    acc = {}  # running d(a_m) by payload; a_0 = e, d(e) = 0
+    den = phi._scaled_terms[0]
+    acc = {}  # running den * d(a_m) by payload, in ints; a_0 = e, d(e) = 0
     rows = []
     for m in range(1, m_max + 1):
-        phi.add_derivation((0, m, 0), acc)
-        phi.add_derivation((0, -m, 0), acc)
+        phi.add_derivation((0, m, 0), acc, scaled=True)
+        phi.add_derivation((0, -m, 0), acc, scaled=True)
         coeff_table = []
         for n in range(1, n_max + 1):
-            engine = acc.get((1, -n, -n), 0)
+            engine = Fraction(acc.get((1, -n, -n), 0), den)
             # closed_form_coefficient(m, n) through the prefix sums
             direct = harm[m + n] - harm[max(1, n - m) - 1] - Fraction(1, n)
             if engine != direct:
@@ -140,7 +141,7 @@ class LimitReport:
             "q": fmt_float(float(self.q)),
             "potential_norm": fmt_float(self.potential_norm),
             "samples": [
-                [k, fmt_float(norm), None if pw is None else str(pw)]
+                [k, fmt_float(norm), None if pw is None else exact_str(pw)]
                 for k, norm, pw in self.samples
             ],
             "separation_index": self.separation_index,
@@ -148,7 +149,7 @@ class LimitReport:
 
     def to_table(self) -> str:
         rows = [
-            (k, fmt_float(norm), "-" if pw is None else str(pw))
+            (k, fmt_float(norm), "-" if pw is None else exact_str(pw))
             for k, norm, pw in self.samples
         ]
         return format_table(["k", "norm", "norm^q (exact)"], rows)
@@ -175,8 +176,10 @@ def run_limit_experiment(
         raise UsageError("run_limit_experiment needs k_max >= 1")
     model = phi.model
     supp = phi.support()
+    q_int = int(q) if float(q).is_integer() else None
     if not supp:
-        return LimitReport(q, 0.0, [(k, 0.0, Fraction(0)) for k in range(1, k_max + 1)], 1)
+        exact = None if q_int is None else Fraction(0)
+        return LimitReport(q, 0.0, [(k, 0.0, exact) for k in range(1, k_max + 1)], 1)
     for g in supp:
         if _component_is_finite(model, g):
             raise UsageError(
@@ -185,7 +188,6 @@ def run_limit_experiment(
             )
     a = model.normal_form(conjugator_word)
     d = Derivation.from_potential(phi)
-    q_int = int(q) if float(q).is_integer() else None
     samples = []
     disjoint = []
     a_k = model.identity()

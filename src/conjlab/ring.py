@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 import sys
 from fractions import Fraction
+from functools import reduce
 
 from .errors import ModelMismatchError, UsageError
 from .groups import GroupElement, GroupModel
@@ -34,15 +36,22 @@ def _sqrt(square: Fraction, factor: float = 1.0) -> float:
         raise UsageError("norm exceeds the float range") from None
 
 
+def left_sum(floats) -> float:
+    """The floats added one by one, left to right.  `sum` compensates its
+    rounding from Python 3.12 on; this gives the same bits on every version."""
+    return reduce(operator.add, floats, 0.0)
+
+
 def float_norm(values, p: float, power_sum=None) -> float:
     """The p-norm (p >= 1) of the exact rationals `values` as a float: the p-th
-    root of `power_sum()` (default: sum(float(|c|) ** p)) while that sum is a
-    normal float, float(max |c|) for p = inf.  Out of float range, each square
-    is divided by the largest, so every power lies in [0, 1]; `_sqrt` scales back."""
+    root of `power_sum()` (default: the `left_sum` of float(|c|) ** p) while
+    that sum is a normal float, float(max |c|) for p = inf.  Out of float range,
+    each square is divided by the largest, so every power lies in [0, 1]; `_sqrt`
+    scales back."""
     try:
         if p == math.inf:
             return float(max(map(abs, values), default=0))
-        total = power_sum() if power_sum else sum(float(abs(c)) ** p for c in values)
+        total = power_sum() if power_sum else left_sum(float(abs(c)) ** p for c in values)
         if _TINY <= total < math.inf:
             return total ** (1.0 / p)
     except OverflowError:
@@ -51,6 +60,15 @@ def float_norm(values, p: float, power_sum=None) -> float:
     top = max(squares, default=_ZERO)
     total = math.fsum(float(s / top) ** (p / 2.0) for s in squares)
     return _sqrt(top, total ** (1.0 / p))
+
+
+def exact_str(c: Fraction) -> str:
+    """str(c) of an exact rational about to be printed, or a `UsageError`
+    where it has more digits than Python prints."""
+    try:
+        return str(c)
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        raise UsageError("a rational value is too large to print") from None
 
 
 def exact_pow_fits(values, q: int) -> bool:
@@ -213,7 +231,7 @@ class GroupRingVector:
     def to_json(self) -> list:
         """[encoding, re, im] rows sorted by encoding; im is always "0"."""
         encode = self.model.encode_payload
-        return sorted([encode(p), str(c), "0"] for p, c in self.terms.items())
+        return sorted([encode(p), exact_str(c), "0"] for p, c in self.terms.items())
 
     def __repr__(self):
         return " + ".join(f"({c})*{enc}" for enc, c, _ in self.to_json()) or "0"

@@ -360,6 +360,28 @@ class TestNormRange:
         assert code == 2 and out == ""
         assert err == "error: norm exceeds the float range\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["derive", "--element", "H3(0,1,0)"],
+        ["character", "--u", "H3(1,1,0)", "--v", "H3(0,1,0)"],
+    ])
+    def test_rational_too_large_to_print_exits_2(self, capsys, potential, argv):
+        # 1e5000 is read exactly, and has more digits than Python prints
+        code, out, err = run(capsys, argv + ["--potential", potential("1e5000")])
+        assert code == 2 and out == ""
+        assert err == "error: a rational value is too large to print\n"
+
+    def test_bound_probe_adds_powers_left_to_right(self, capsys, tmp_path):
+        # two norms tie up to rounding; `sum` from Python 3.12 on rounds
+        # them otherwise and would print argmax "a"
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps({"model": "dinf", "table": [
+            ["ab", "1/2"], ["b", "1"], ["a", "-1"], ["e", "2/3"]]}))
+        code, out, _ = run(capsys, ["bound-probe", "--potential", str(path),
+                                    "--radius", "1", "-p", "1.5"])
+        assert code == 0
+        assert json.loads(out) == {"argmax": "b", "max_norm": "1.9423921959",
+                                   "p": "1.5", "radius": 1}
+
     @pytest.mark.parametrize("value, q, potential_norm, sample", [
         ("1e200", "2.5", "1e+200", [1, "1.31950791077e+200", None]),
         ("1e200", "2", "1e+200", [1, "1.41421356237e+200", str(2 * 10**400)]),
@@ -393,6 +415,15 @@ class TestAppendix:
 
 
 class TestLimit:
+    @pytest.mark.parametrize("q, exact", [("2.5", None), ("2", "0")])
+    def test_empty_potential(self, capsys, tmp_path, q, exact):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"model": "h3", "table": []}))
+        code, out, _ = run(capsys, ["limit", "--potential", str(path), "--conjugator",
+                                    "Ax", "--q", q, "--k-max", "2", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["samples"] == [[1, "0", exact], [2, "0", exact]]
+
     def test_json(self, capsys, two_point_potential):
         code, out, _ = run(
             capsys,
@@ -707,12 +738,25 @@ def test_fuzzed_argv_parses_as_with_the_full_parser(argv):
     assert isinstance(single[0], dict) or single[0] in (0, 2)
 
 
+def source_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(conjlab.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_python_m_conjlab_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "conjlab", "appendix", "--m-max", "2"],
+                          capture_output=True, text=True, env=source_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[3].split() == ["2", "5/6", "0.707106781187",
+                                                   "0.316227766017"]
+
+
 def test_closed_pipe_exits_0_quietly():
     # the JSON ball is about 290 kB, far more than a pipe buffers, so the
     # CLI is still writing when the reader goes away
-    src = os.path.dirname(os.path.dirname(conjlab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = source_env()
     proc = subprocess.Popen(
         [sys.executable, "-m", "conjlab.cli", "graph", "--model", "free2",
          "--base", "x1", "--radius", "6", "--format", "json"],

@@ -3,6 +3,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conjlab import (
     GroupElement,
@@ -25,6 +27,9 @@ from conjlab import (
     stabilisation_probe,
 )
 from conjlab.derivations import CLOSED_FORMS
+from conjlab.ring import float_norm
+
+from conftest import all_models
 from conjlab.sampling import (
     random_composable_pair,
     random_element,
@@ -414,6 +419,53 @@ class TestBoundednessProbe:
         d = Derivation.from_potential(Potential(h3, {h3.element((1, 0, 0)): 1}))
         with pytest.raises(UsageError):
             g_boundedness_probe(d, h3, radius=1, p=math.nan)
+
+
+def support_keyed_probe(phi, model, radius, p):
+    """The probe memoised on the images of the whole support, each norm the
+    `float_norm` of the coefficients phi(g t g^-1) - phi(t) in support order,
+    then phi(s) for each s that is no image: the oracle for the memo keyed
+    by the generators' images and for the cached powers."""
+    ball = model.cayley_ball(radius)
+    supp = [s for s, _, _ in phi._terms]
+    mul, inv, value = model.mul_payload, model.inv_payload, phi._value
+    memo = {}
+    best, argmax = -1.0, None
+    for g in sorted(ball, key=lambda e: (ball[e], e.encode())):
+        gp = g.payload
+        images = tuple(mul(gp, mul(s, inv(gp))) for s in supp)
+        if images not in memo:
+            coeffs = [value(s) - value(t) for t, s in zip(supp, images)]
+            image_set = set(images)
+            coeffs += [value(s) for s in supp if s not in image_set]
+            memo[images] = float_norm(coeffs, p)
+        if memo[images] > best:
+            best, argmax = memo[images], g
+    return best, argmax
+
+
+MODELS = all_models()
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.sampled_from(range(len(MODELS))), st.integers(0, 2**32),
+       st.sampled_from([1, 1.5, 2, 3.5, math.inf]),
+       st.sampled_from([Fraction(1), Fraction(10**200), Fraction(1, 10**200)]))
+def test_probe_matches_the_support_keyed_probe(index, seed, p, scale):
+    # some entries are conjugates of others, so images land back in the
+    # support, and values repeat, so some of those differences cancel
+    model, rng = MODELS[index], Random(seed)
+    table = {}
+    for _ in range(rng.randint(0, 4)):
+        s = random_element(model, rng, max_len=3)
+        table[s] = scale * Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+        if rng.random() < 0.6:
+            g = random_element(model, rng, max_len=2)
+            table[model.conjugate(g, s)] = rng.choice([table[s], scale])
+    phi = Potential(model, table)
+    got = g_boundedness_probe(Derivation.from_potential(phi), model, 2, p)
+    want = support_keyed_probe(phi, model, 2, p)
+    assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
 
 
 class TestStabilisation:

@@ -85,6 +85,32 @@ class TestAppendix:
         with pytest.raises(InternalConsistencyError, match="m=5, n=3"):
             run_appendix(5, 3)
 
+    @pytest.mark.parametrize("table", [{}, {(2, 0, 0): "-7/12", (1, 3, 3): "5/9"}])
+    def test_scaled_terms_are_integer_numerators(self, h3, table):
+        # D phi is an integer for D the lcm of the support's denominators,
+        # term for term in the order of the Fraction triples
+        phi = Potential(h3, {h3.element(p): Fraction(v) for p, v in table.items()},
+                        closed_form="appendix_harmonic", trunc_k=30)
+        den, scaled = phi._scaled_terms
+        assert den == math.lcm(*range(1, 31), 12, 9)
+        assert len(scaled) == len(phi._terms) == 30 + len(table)
+        for (s, n, neg), (t, v, _) in zip(scaled, phi._terms):
+            assert s == t and type(n) is int and n == den * v and neg == -n
+
+    def test_scaled_term_mismatch_raises(self, monkeypatch):
+        # one numerator off by one moves every coefficient it reaches, and
+        # the prefix-sum cross-check catches it
+        scaled_terms = Potential._scaled_terms.func
+
+        def one_wrong(phi):
+            den, terms = scaled_terms(phi)
+            (s, n, _), *rest = terms
+            return den, ((s, n + 1, -n - 1), *rest)
+
+        monkeypatch.setattr(Potential, "_scaled_terms", property(one_wrong))
+        with pytest.raises(InternalConsistencyError, match="m=1, n=2"):
+            run_appendix(3, 3)
+
     def test_bad_arguments(self):
         with pytest.raises(UsageError):
             run_appendix(0, 1)
@@ -160,7 +186,13 @@ class TestLimit:
     def test_empty_potential(self, h3):
         report = run_limit_experiment(Potential(h3, {}), parse_word(h3, "Ax"), 2, 3)
         assert report.potential_norm == 0.0
-        assert all(norm == 0.0 for _, norm, _ in report.samples)
+        assert report.samples == [(k, 0.0, 0) for k in (1, 2, 3)]
+
+    def test_empty_potential_non_integer_q(self, h3):
+        # as for any other potential, the exact column is printed for
+        # integral q only
+        report = run_limit_experiment(Potential(h3, {}), parse_word(h3, "Ax"), 2.5, 2)
+        assert report.samples == [(1, 0.0, None), (2, 0.0, None)]
 
     def test_non_integer_q(self, h3):
         phi = two_point_potential(h3)

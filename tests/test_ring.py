@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conjlab import GroupRingVector, Heisenberg, UsageError
+from conjlab.ring import exact_str, float_norm
 from conjlab.sampling import random_element
 
 
@@ -88,6 +89,16 @@ class TestNorms:
         assert v.lq_pow_exact(2) == frac(5, 4)
         with pytest.raises(UsageError):
             v.lq_pow_exact(0)
+
+    def test_float_norm_adds_left_to_right(self):
+        # 1 + 2^-53 rounds to 1, twice; a compensated sum (`sum` from
+        # Python 3.12 on) gives 1 + 2^-52
+        assert float_norm([1, 2**-53, 2**-53], 1) == 1.0
+
+    def test_exact_str_refuses_what_python_cannot_print(self):
+        assert exact_str(frac(-10**4299, 3)) == f"-{10**4299}/3"
+        with pytest.raises(UsageError, match="too large to print"):
+            exact_str(frac(10**4300, 3))
 
     @pytest.mark.parametrize("q", [20000, 10**12])
     def test_lq_pow_exact_too_long_to_print_rejected(self, h3, q):
