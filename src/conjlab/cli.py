@@ -214,7 +214,8 @@ def cmd_inverse_seq(args) -> int:
     word = parse_word(model, args.conjugator)
     tail = parse_word(model, args.tail)
     report = ex.run_inverse_sequence_check(
-        model, u, word, args.k_max, args.budget, tail_word=tail
+        model, u, word, args.k_max, args.budget, tail_word=tail,
+        node_budget=args.budget_nodes,
     )
     _print_report(report, args.format)
     return 0
@@ -308,6 +309,7 @@ def _commands(node_budget: int) -> dict:
             _arg("--k-max", type=_count, default=8),
             _arg("--budget", type=_count, default=32),
             report,
+            budget,
         ]),
     }
 

@@ -16,7 +16,7 @@ from itertools import accumulate
 from .derivations import Derivation, Potential
 from .errors import InternalConsistencyError, UsageError
 from .graph import conj_distance, explore_component
-from .groups import GroupElement, GroupModel, Heisenberg
+from .groups import DEFAULT_NODE_BUDGET, GroupElement, GroupModel, Heisenberg
 from .ring import exact_pow_fits, exact_str, float_norm
 
 
@@ -174,6 +174,8 @@ def run_limit_experiment(
         raise UsageError("run_limit_experiment needs a finite-support potential")
     if k_max < 1:
         raise UsageError("run_limit_experiment needs k_max >= 1")
+    if not q >= 1:  # NaN too; checked here, as an empty support takes no norm
+        raise UsageError(f"lp_norm needs p >= 1, got {float(q)}")
     model = phi.model
     supp = phi.support()
     q_int = int(q) if float(q).is_integer() else None
@@ -242,10 +244,11 @@ def run_inverse_sequence_check(
     k_max: int,
     budget: int,
     tail_word=(),
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> InverseSequenceReport:
     """Budgeted rho(u, a_k u a_k^-1) and rho(u, a_k^-1 u a_k) for
     a_k = conjugator^k * tail; the tail lets sequences like x^k y be
-    probed."""
+    probed.  Each distance gets its own `node_budget`."""
     a = model.normal_form(conjugator_word)
     tail = model.normal_form(tail_word)
     rows = []
@@ -253,7 +256,7 @@ def run_inverse_sequence_check(
     for k in range(1, k_max + 1):
         power = power * a
         a_k = power * tail
-        fwd = conj_distance(model, u, model.conjugate(a_k, u), budget)
-        bwd = conj_distance(model, u, model.conjugate(a_k.inverse(), u), budget)
+        fwd = conj_distance(model, u, model.conjugate(a_k, u), budget, node_budget)
+        bwd = conj_distance(model, u, model.conjugate(a_k.inverse(), u), budget, node_budget)
         rows.append((k, fwd, bwd))
     return InverseSequenceReport(rows)

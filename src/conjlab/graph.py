@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 
 from .errors import UsageError
 from .groups import AtLeast, DEFAULT_NODE_BUDGET, Generator, GroupElement, GroupModel
@@ -95,11 +96,10 @@ def conj_distance(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ):
     """Shortest-path distance in the conjugation graph; AtLeast(budget)
-    when no path of length <= budget exists (far apart or disconnected),
-    AtLeast(depth) when the node budget runs out at that depth."""
+    when none is <= budget, AtLeast(shortest length not ruled out) when
+    the node budget runs out (`GroupModel.distance`)."""
     model._check(h1, h2)
-    search = model.bfs(h1.payload, model.conj_step, budget, node_budget, [h2.payload])
-    return search.distance(h2.payload)
+    return model.distance(h1.payload, h2.payload, model.conj_step, budget, node_budget)[0]
 
 
 @dataclass
@@ -127,17 +127,9 @@ def _max_distance(dists):
 
 
 def _set_diameter(model, elems, budget, node_budget):
-    """Max pairwise conjugation distance; AtLeast propagates.
-
-    One search from each element finds all later ones: a pair's distance
-    is what `conj_distance` returns, since the visiting order is the same.
-    """
-    dists = [0]
-    for i in range(len(elems) - 1):
-        targets = [h.payload for h in elems[i + 1:]]
-        search = model.bfs(elems[i].payload, model.conj_step, budget, node_budget, targets)
-        dists += [search.distance(t) for t in targets]
-    return _max_distance(dists)
+    """Max pairwise conjugation distance; AtLeast propagates."""
+    return _max_distance([0] + [conj_distance(model, u, v, budget, node_budget)
+                                for u, v in combinations(elems, 2)])
 
 
 def bc_probe(
@@ -157,8 +149,7 @@ def bc_probe(
     K = sorted(set(K))
     if not K:
         raise UsageError("bc_probe needs a nonempty finite set K")
-    for k in K:
-        model._check(k)
+    model._check(*K)
     ball = model.cayley_ball(max_cayley_radius, node_budget)
     by_radius = {}
     for g, r in ball.items():

@@ -26,9 +26,6 @@ class Generator:
     gid: str
     inverse_flag: bool = False
 
-    def inverse(self) -> "Generator":
-        return Generator(self.gid, not self.inverse_flag)
-
     def label(self) -> str:
         return self.gid + ("^-1" if self.inverse_flag else "")
 
@@ -50,21 +47,13 @@ class AtLeast:
 
 @dataclass(frozen=True)
 class Search:
-    """Outcome of `GroupModel.bfs`: `dist` maps each visited payload to its
-    depth, in visiting order; `cut` is the depth at which the node budget
-    ran out, if it did; `exhausted` is True when the frontier emptied.
-    """
+    """A ball from `GroupModel.bfs`: each visited payload's depth, in
+    visiting order; the depth at which the node budget ran out, if it did;
+    whether the frontier emptied."""
 
     dist: dict
-    radius: int
     cut: int | None = None
     exhausted: bool = False
-
-    def distance(self, target):
-        """The depth of `target`, or AtLeast(depth searched) if unvisited."""
-        if target in self.dist:
-            return self.dist[target]
-        return AtLeast(self.radius if self.cut is None else self.cut)
 
 
 class GroupElement:
@@ -181,6 +170,10 @@ class GroupModel(ABC):
         """Conjugation-graph step along generator x: x p x^-1."""
         return self.mul_payload(x, self.mul_payload(p, xi))
 
+    def right_step(self, p, x, xi):
+        """Cayley-graph step along generator x: p x."""
+        return self.mul_payload(p, x)
+
     def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
         self._check(a, b)
         return self.element(self.mul_payload(a.payload, b.payload))
@@ -192,14 +185,12 @@ class GroupModel(ABC):
     def conjugate(self, g: GroupElement, h: GroupElement) -> GroupElement:
         """g * h * g^-1 in canonical form."""
         self._check(g, h)
-        p = self.mul_payload(g.payload, self.mul_payload(h.payload, self.inv_payload(g.payload)))
-        return self.element(p)
+        return self.element(self.conj_step(h.payload, g.payload, self.inv_payload(g.payload)))
 
     def normal_form(self, word) -> GroupElement:
         p = self.identity_payload()
         for gen in word:
-            q = self.generator_element(gen).payload
-            p = self.mul_payload(p, q)
+            p = self.mul_payload(p, self.generator_element(gen).payload)
         return self.element(p)
 
     def decode(self, text: str) -> GroupElement:
@@ -207,65 +198,83 @@ class GroupModel(ABC):
 
     # -- budgeted search ---------------------------------------------------
 
-    def bfs(self, start, step, radius: int, node_budget: int, targets=()) -> Search:
-        """Breadth-first search over payloads from `start`.
-
-        The neighbours of p are step(p, x, x^-1) over `gen_triples`, in
-        order.  The search stops after depth `radius`, when the frontier
-        empties, once every target is visited, or as soon as more than
-        `node_budget` nodes are visited (that last node is kept, and is
-        checked as a target first).
-        """
+    def bfs(self, start, step, radius: int, node_budget: int) -> Search:
+        """Breadth-first ball around `start`, to depth `radius`, along
+        step(p, x, x^-1) over `gen_triples`; stops early when the frontier
+        empties or once more than `node_budget` nodes are visited."""
         dist = {start: 0}
-        left = set(targets) - {start}
-        if targets and not left:
-            return Search(dist, radius)
         frontier = [start]
         for depth in range(1, radius + 1):
             nxt = []
             for v in frontier:
                 for _, x, xi in self.gen_triples:
                     w = step(v, x, xi)
-                    if w in dist:
-                        continue
-                    dist[w] = depth
-                    nxt.append(w)
-                    if w in left:
-                        left.remove(w)
-                        if not left:
-                            return Search(dist, radius)
-                    if len(dist) > node_budget:
-                        return Search(dist, radius, cut=depth)
+                    if w not in dist:
+                        dist[w] = depth
+                        nxt.append(w)
+                        if len(dist) > node_budget:
+                            return Search(dist, cut=depth)
             if not nxt:
-                return Search(dist, radius, exhausted=True)
+                return Search(dist, exhausted=True)
             frontier = nxt
-        return Search(dist, radius)
+        return Search(dist)
 
-    def _cayley_bfs(self, caller, radius, node_budget, targets=()) -> Search:
-        """`bfs` from the identity along p -> p x; raises
-        ResourceBudgetError when the node budget runs out."""
-        mul = self.mul_payload
-        search = self.bfs(self.identity_payload(), lambda p, x, xi: mul(p, x),
-                          radius, node_budget, targets)
-        if search.cut is not None:
-            raise ResourceBudgetError(
-                f"{caller} node budget {node_budget} exceeded",
-                partial_count=len(search.dist),
-            )
-        return search
+    def distance(self, start, goal, step, radius: int, node_budget: int):
+        """Shortest step-path length from `start` to `goal`, grown from both
+        ends (Pohl, 1971): `step` must be undone by the inverse generator,
+        as `conj_step` and `right_step` are.  The side with the smaller
+        frontier grows by whole levels; while complete levels d0 and d1
+        share no node, no path of length <= d0 + d1 exists, so the first
+        meet closes one of length d0 + d1 + 1.  Returns (d, cut): d is that
+        length if <= radius, else AtLeast(radius), or AtLeast(d0 + d1 + 1)
+        once the start and the nodes either side adds exceed `node_budget`,
+        and cut is then their count (a meet is checked first), else None."""
+        if start == goal:
+            return 0, None
+        seen = ({start: 0}, {goal: 0})
+        fronts = [[start], [goal]]
+        depth = [0, 0]
+        visited = 1  # the goal is given, not found, as in a one-way search
+        while depth[0] + depth[1] < radius:
+            i = int(len(fronts[1]) < len(fronts[0]))
+            here, there = seen[i], seen[1 - i]
+            depth[i] += 1
+            nxt = []
+            for v in fronts[i]:
+                for _, x, xi in self.gen_triples:
+                    w = step(v, x, xi)
+                    if w in there:  # a meet; no earlier node is on both sides
+                        return depth[i] + there[w], None
+                    if w not in here:
+                        here[w] = depth[i]
+                        nxt.append(w)
+                        visited += 1
+                        if visited > node_budget:
+                            return AtLeast(depth[0] + depth[1]), visited
+            if not nxt:  # a finite component without the other end
+                return AtLeast(radius), None
+            fronts[i] = nxt
+        return AtLeast(radius), None
 
     def word_length(self, g: GroupElement, budget: int, node_budget: int = DEFAULT_NODE_BUDGET):
-        """Geodesic length of g w.r.t. the symmetric generating set.
-
-        Returns the exact length when it is <= budget, else AtLeast(budget).
-        """
+        """Geodesic length of g w.r.t. the symmetric generating set when it
+        is <= budget, else AtLeast(budget); raises ResourceBudgetError when
+        the node budget runs out."""
         self._check(g)
-        search = self._cayley_bfs("word_length", budget, node_budget, [g.payload])
-        return search.distance(g.payload)
+        d, cut = self.distance(self.identity_payload(), g.payload, self.right_step,
+                               budget, node_budget)
+        if cut is not None:
+            raise ResourceBudgetError(f"word_length node budget {node_budget} exceeded",
+                                      partial_count=cut)
+        return d
 
     def cayley_ball(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
-        """Map element -> word length, for every element of length <= radius."""
-        ball = self._cayley_bfs("cayley_ball", radius, node_budget)
+        """Map element -> word length, for every element of length <= radius;
+        raises ResourceBudgetError when the node budget runs out."""
+        ball = self.bfs(self.identity_payload(), self.right_step, radius, node_budget)
+        if ball.cut is not None:
+            raise ResourceBudgetError(f"cayley_ball node budget {node_budget} exceeded",
+                                      partial_count=len(ball.dist))
         return {self.element(p): d for p, d in ball.dist.items()}
 
 

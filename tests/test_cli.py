@@ -424,6 +424,16 @@ class TestLimit:
         assert code == 0
         assert json.loads(out)["samples"] == [[1, "0", exact], [2, "0", exact]]
 
+    @pytest.mark.parametrize("q", ["0.5", "nan", "-1"])
+    def test_empty_potential_checks_q(self, capsys, tmp_path, q):
+        # the same refusal as a one-entry table gives
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"model": "h3", "table": []}))
+        code, out, err = run(capsys, ["limit", "--potential", str(path), "--conjugator",
+                                      "Ax", "--q", q, "--format", "json"])
+        assert (code, out) == (2, "")
+        assert err == f"error: lp_norm needs p >= 1, got {float(q)}\n"
+
     def test_json(self, capsys, two_point_potential):
         code, out, _ = run(
             capsys,
@@ -528,6 +538,25 @@ class TestInverseSeq:
         )
         assert code == 0
         assert json.loads(out)["rows"] == [[1, 2, 1], [2, 3, 1], [3, 4, 1]]
+
+    ARGV = ["inverse-seq", "--model", "free2", "--u", "x1", "--conjugator", "x2",
+            "--k-max", "3", "--budget", "8", "--format", "json"]
+
+    def test_budget_env_gives_lower_bounds(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, self.ARGV)
+        assert json.loads(out)["rows"] == [[1, 1, 1], [2, 2, 2], [3, 3, 3]]
+        monkeypatch.setenv("CONJLAB_DEFAULT_BUDGET", "5")
+        code, out, _ = run(capsys, self.ARGV)
+        assert code == 0
+        assert json.loads(out)["rows"] == [[1, 1, 1], [2, "≥2", 2], [3, "≥2", "≥2"]]
+
+    def test_budget_nodes_option(self, capsys, monkeypatch):
+        monkeypatch.setenv("CONJLAB_DEFAULT_BUDGET", "5")
+        code, out, _ = run(capsys, self.ARGV + ["--budget-nodes", "100"])
+        assert code == 0
+        assert json.loads(out)["rows"] == [[1, 1, 1], [2, 2, 2], [3, 3, 3]]
+        code, err = usage_exit(capsys, self.ARGV + ["--budget-nodes", "-1"])
+        assert code == 2 and "--budget-nodes" in err
 
 
 class TestPlumbing:
@@ -772,3 +801,80 @@ def test_closed_pipe_exits_0_quietly():
         proc.stderr.close()
     assert head.startswith(b"{")
     assert (code, err) == (0, b"")
+
+
+# ---------------------------------------------------------------------------
+# Argv fuzz through the search commands themselves
+
+
+FUZZ_MODELS = ["h3", "free2", "dinf", "dsemi", "h3semi", "h3*dinf"]
+
+
+@st.composite
+def element_text(draw, model):
+    """An element encoding of `model`: a random word's normal form, or now
+    and then a malformed string."""
+    m = conjlab.get_model(model)
+    letters = draw(st.lists(st.sampled_from(m.gen_triples), max_size=4))
+    text = m.normal_form([gen for gen, _, _ in letters]).encode()
+    return draw(st.sampled_from([text] * 5 + ["", "e", "x9", "H3(1,0)", "ab;"]))
+
+
+@st.composite
+def search_argv(draw):
+    """(argv, env budget or None) for bc, graph or inverse-seq with radii and
+    budgets <= 4 and node budgets <= 50."""
+    model = draw(st.sampled_from(FUZZ_MODELS))
+    small = st.integers(0, 4).map(str)
+    command = draw(st.sampled_from(["bc", "graph", "inverse-seq"]))
+    argv = [command, "--model", model]
+    if command == "bc":
+        for _ in range(draw(st.integers(1, 3))):
+            argv += ["--k", draw(element_text(model))]
+        argv += ["--cayley-radius", draw(small), "--diam-budget", draw(small)]
+    elif command == "graph":
+        argv += ["--base", draw(element_text(model)), "--radius", draw(small),
+                 "--format", draw(st.sampled_from(["dot", "json"]))]
+    else:
+        word = draw(st.lists(st.sampled_from(sorted(conjlab.get_model(model)
+                                                    .generator_payloads())),
+                             min_size=1, max_size=2))
+        argv += ["--u", draw(element_text(model)), "--conjugator", ".".join(word),
+                 "--k-max", draw(small), "--budget", draw(small), "--format", "json"]
+    if draw(st.booleans()):
+        argv += ["--budget-nodes", str(draw(st.integers(0, 50)))]
+    env = draw(st.one_of(st.none(), st.integers(0, 50).map(str)))
+    return argv, env
+
+
+def run_fuzzed(argv, env):
+    """(exit code, stdout, stderr) of one in-process run, `env` in
+    CONJLAB_DEFAULT_BUDGET; an uncaught exception fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = os.environ.get("CONJLAB_DEFAULT_BUDGET")
+    if env is None:
+        os.environ.pop("CONJLAB_DEFAULT_BUDGET", None)
+    else:
+        os.environ["CONJLAB_DEFAULT_BUDGET"] = env
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        if saved is None:
+            os.environ.pop("CONJLAB_DEFAULT_BUDGET", None)
+        else:
+            os.environ["CONJLAB_DEFAULT_BUDGET"] = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(search_argv())
+def test_fuzzed_search_commands_keep_the_exit_contract(case):
+    argv, env = case
+    code, out, err = run_fuzzed(argv, env)
+    assert code in (0, 2, 3, 4), (argv, env, err)
+    assert "Traceback" not in err
+    assert run_fuzzed(argv, env) == (code, out, err)

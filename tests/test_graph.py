@@ -136,13 +136,18 @@ class TestDistance:
         assert d == AtLeast(5)
 
     def test_node_budget_gives_depth_reached(self, h3):
-        # the central path from (1, 0, 0): 5 nodes fill depths 0-2, and the
-        # first depth-3 node, (1, 0, -3), crosses a node budget of 5
+        # the central path from (1, 0, 0), searched from both ends: the
+        # start's side grows to depth 1, then the target's, which has the
+        # smaller frontier; the start and these 4 nodes (the target itself
+        # is not counted) rule out every length <= 2, and the start's first
+        # depth-2 node, (1, 0, -2), is the 6th and crosses a node budget of
+        # 5, so the shortest length not ruled out is 3
         base = h3.element((1, 0, 0))
         far = conj_distance(h3, base, h3.element((1, 0, 10)), budget=20, node_budget=5)
         assert far == AtLeast(3)
         assert conj_distance(h3, base, h3.element((1, 0, 3)), 20, 5) == AtLeast(3)
-        # a target that is itself the node crossing the budget is still found
+        # a meet is checked before the budget: from (1, 0, -3) the target's
+        # side holds (1, 0, -2), the start's first depth-2 node, so 2 + 1
         assert conj_distance(h3, base, h3.element((1, 0, -3)), 20, 5) == 3
 
     @pytest.mark.parametrize("a", range(-2, 3))

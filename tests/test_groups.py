@@ -73,7 +73,10 @@ class TestHeisenberg:
         assert h3.word_length(far, budget=3) == AtLeast(3)
 
     def test_node_budget_raises(self, h3):
-        # 7 nodes fill radius 1; the 11th node crosses a budget of 10
+        # 7 nodes fill radius 1; the 11th node crosses a budget of 10.
+        # word_length searches from both ends: the identity and its 6
+        # neighbours, then the target's side (the smaller frontier), whose
+        # 4th node, (-1, 9, 0), is the 11th and crosses the budget
         with pytest.raises(ResourceBudgetError, match="^cayley_ball node budget 10 exceeded$") as exc:
             h3.cayley_ball(3, node_budget=10)
         assert exc.value.partial_count == 11
@@ -81,7 +84,8 @@ class TestHeisenberg:
         with pytest.raises(ResourceBudgetError, match="^word_length node budget 10 exceeded$") as exc:
             h3.word_length(far, budget=5, node_budget=10)
         assert exc.value.partial_count == 11
-        # the node crossing the budget is still found as a target
+        # a meet is checked before the budget: the target (0, 1, 1) reaches
+        # A1, on the identity's side, with its 2nd neighbour (0, 0, 1)
         eleventh = list(h3.cayley_ball(2))[10]
         assert h3.word_length(eleventh, budget=5, node_budget=10) == 2
 
