@@ -18,7 +18,7 @@ from functools import cached_property
 
 from .errors import UsageError
 from .groups import DEFAULT_NODE_BUDGET, GroupElement, GroupModel, get_model
-from .ring import _ZERO, GroupRingVector, exact_str, float_norm, left_sum
+from .ring import _ZERO, GroupRingVector, add_terms, exact_str, float_norm, left_sum
 
 DEFAULT_TRUNCATION = 10**4
 
@@ -113,49 +113,51 @@ class Potential:
         return v
 
     @cached_property
-    def _terms(self) -> tuple:
-        """The (truncated) support as (payload, phi, -phi) triples, sorted by
-        encoding; built once, from payloads only."""
+    def _columns(self) -> tuple:
+        """The (truncated) support as parallel columns (payloads, phi, -phi),
+        sorted by encoding and without zero values; built once, from
+        payloads only."""
         supp = [g.payload for g in self.table]
         if self.closed_form is not None:
             supp += CLOSED_FORMS[self.closed_form]["support"](self.trunc_k)
         supp.sort(key=self.model.encode_payload)
-        values = [(p, self._value(p)) for p in supp]
-        return tuple([(p, v, -v) for p, v in values if v])
+        values = [(p, v) for p, v in zip(supp, map(self._value, supp)) if v]
+        payloads = tuple([p for p, _ in values])
+        return payloads, tuple([v for _, v in values]), tuple([-v for _, v in values])
 
     @cached_property
-    def _scaled_terms(self) -> tuple:
-        """(D, triples): D the lcm of the support's denominators, and `_terms`
-        with each value multiplied by D, as (payload, D phi, -D phi) ints."""
-        den = math.lcm(*[v.denominator for _, v, _ in self._terms])
-        scaled = [(s, v.numerator * (den // v.denominator)) for s, v, _ in self._terms]
-        return den, tuple([(s, n, -n) for s, n in scaled])
+    def _scaled_columns(self) -> tuple:
+        """(D, (payloads, D phi, -D phi)): D the lcm of the support's
+        denominators, and `_columns` with each value multiplied by D, as ints."""
+        payloads, values, _ = self._columns
+        den = math.lcm(*[v.denominator for v in values])
+        scaled = [v.numerator * (den // v.denominator) for v in values]
+        return den, (payloads, tuple(scaled), tuple([-n for n in scaled]))
 
     def support(self) -> tuple:
         """The (truncated) support sorted by encoding, built once and shared."""
         if self._support is None:
-            self._support = tuple([self.model.element(p) for p, _, _ in self._terms])
+            self._support = tuple(map(self.model.element, self._columns[0]))
         return self._support
 
-    def add_derivation(self, gp, acc: dict, scaled: bool = False) -> None:
+    def add_derivation(self, gp, acc: dict, scaled: bool = False, keep=None) -> None:
         """Add d(g) = sum of phi(s)(s g - g s) over the support, g of payload
         `gp`, into `acc` ({payload: Fraction}), dropping terms that cancel.
-        With `scaled`, add D d(g) in ints instead, D = `_scaled_terms[0]`:
+        With `scaled`, add D d(g) in ints instead, D = `_scaled_columns[0]`:
         integer adds need no gcd, so callers that read few coefficients
-        divide by D only there."""
-        mul = self.model.mul_payload
-        get = acc.get
-        for s, v, nv in self._scaled_terms[1] if scaled else self._terms:
-            for u, c in ((mul(s, gp), v), (mul(gp, s), nv)):
-                old = get(u)
-                new = c if old is None else old + c
-                if new:
-                    acc[u] = new
-                else:
-                    del acc[u]
+        divide by D only there.  With `keep`, a set of payloads, add only the
+        terms at those payloads."""
+        payloads, pos, neg = self._scaled_columns[1] if scaled else self._columns
+        mul_all = self.model.mul_all
+        for keys, coeffs in ((mul_all(payloads, gp), pos),
+                             (mul_all(payloads, gp, left=True), neg)):
+            terms = zip(keys, coeffs)
+            if keep is not None:
+                terms = [(u, c) for u, c in terms if u in keep]
+            add_terms(acc, terms)
 
     def lq_pow(self, q: int) -> Fraction:
-        return sum((abs(v) ** q for _, v, _ in self._terms), _ZERO)
+        return sum((abs(v) ** q for v in self._columns[1]), _ZERO)
 
     def tail_bound_pow(self, q: int) -> Fraction:
         """Upper bound on the q-th-power mass the truncation discards."""
@@ -296,7 +298,24 @@ def character_from_derivation(d: Derivation, mor: Morphism) -> Fraction:
 def leibniz_residual(d: Derivation, g: GroupElement, h: GroupElement):
     """The vector d(gh) - d(g) h - g d(h), exactly; zero for every
     derivation."""
-    return d.apply(g * h) - d.apply(g).mul_elem_right(h) - d.apply(h).mul_elem_left(g)
+    phi = d.potential_obj
+    if phi is None:
+        return d.apply(g * h) - d.apply(g).mul_elem_right(h) - d.apply(h).mul_elem_left(g)
+    # termwise into one dict of D phi ints: D d(gh), then -D phi(s) at
+    # (s g) h and g (s h), +D phi(s) at (g s) h and g (h s)
+    model = d.model
+    model._check(g, h)
+    gp, hp = g.payload, h.payload
+    den, (payloads, pos, neg) = phi._scaled_columns
+    mul_all = model.mul_all
+    acc = {}
+    phi.add_derivation(model.mul_payload(gp, hp), acc, scaled=True)
+    for keys, coeffs in ((mul_all(mul_all(payloads, gp), hp), neg),
+                         (mul_all(mul_all(payloads, gp, left=True), hp), pos),
+                         (mul_all(mul_all(payloads, hp), gp, left=True), neg),
+                         (mul_all(mul_all(payloads, hp, left=True), gp, left=True), pos)):
+        add_terms(acc, zip(keys, coeffs))
+    return GroupRingVector.from_terms(model, {u: Fraction(n, den) for u, n in acc.items()})
 
 
 def quasi_inner_check(source, loops):
@@ -344,11 +363,18 @@ def g_boundedness_probe(
     ball = model.cayley_ball(radius, node_budget)
     phi = d.potential_obj
     if phi is not None:
-        terms = phi._terms
-        values = {s: v for s, v, _ in terms}
-        powers = [_float_pow(v, p) for _, v, _ in terms]
+        # d(g) has phi(g t g^-1) - phi(t) at g t for each t in the support,
+        # then phi(s) at s g for each s that is no image g t g^-1, powers
+        # added in this order.  Off the support an image leaves -phi(t);
+        # where it lands on s, that difference replaces -phi(t) and a 0
+        # replaces phi(s), which adds nothing to a norm.
+        payloads, values, negs = phi._columns
+        n = len(payloads)
+        index = {s: i for i, s in enumerate(payloads)}
+        powers = [_float_pow(v, p) for v in values]
+        base_coeffs, base_pows = list(negs + values), powers + powers
         gens = [x for _, x, _ in model.gen_triples]
-    mul, inv = model.mul_payload, model.inv_payload
+    mul_all, inv = model.mul_all, model.inv_payload
     memo = {}
     best = -1.0
     argmax = None
@@ -356,24 +382,20 @@ def g_boundedness_probe(
         if phi is not None:
             gp = g.payload
             gi = inv(gp)
-            key = tuple([mul(gp, mul(x, gi)) for x in gens])
+            key = tuple(mul_all(mul_all(gens, gi), gp, left=True))
             norm = memo.get(key)
             if norm is None:
-                # d(g) has phi(g t g^-1) - phi(t) at g t for each t in the
-                # support, and phi(s) at s g for each support element s that
-                # is no image g t g^-1; powers are added in this order
-                coeffs, pows, images = [], [], set()
-                for (t, v, nv), pw in zip(terms, powers):
-                    s = mul(gp, mul(t, gi))
-                    images.add(s)
-                    w = values.get(s)
-                    c = nv if w is None else w - v
-                    coeffs.append(c)
-                    pows.append(pw if w is None else _float_pow(c, p))
-                for (s, v, _), pw in zip(terms, powers):
-                    if s not in images:
-                        coeffs.append(v)
-                        pows.append(pw)
+                images = mul_all(mul_all(payloads, gi), gp, left=True)
+                coeffs, pows = base_coeffs.copy(), base_pows.copy()
+                for i, j in enumerate(map(index.get, images)):
+                    if j is None:
+                        continue
+                    if i == j:  # t commutes with g
+                        coeffs[i], pows[i] = _ZERO, 0.0
+                    else:
+                        c = coeffs[i] = values[j] - values[i]
+                        pows[i] = _float_pow(c, p)
+                    coeffs[n + j], pows[n + j] = _ZERO, 0.0
                 norm = memo[key] = float_norm(coeffs, p, lambda: left_sum(pows))
         else:
             norm = d.apply(g).lp_norm(p)
@@ -384,10 +406,10 @@ def g_boundedness_probe(
 
 
 def _float_pow(c: Fraction, p: float) -> float:
-    """float(|c|) ** p, or inf beyond the float range (so a sum of such
+    """|float(c)| ** p, or inf beyond the float range (so a sum of such
     powers sends `float_norm` to its fallback)."""
     try:
-        return float(abs(c)) ** p
+        return abs(float(c)) ** p
     except OverflowError:
         return math.inf
 

@@ -101,12 +101,13 @@ def run_appendix(m_max: int, n_max: int) -> AppendixReport:
     harm = list(accumulate((Fraction(1, j) for j in range(1, m_max + n_max + 1)),
                            initial=Fraction(0)))  # harmonic prefix sums
 
-    den = phi._scaled_terms[0]
-    acc = {}  # running den * d(a_m) by payload, in ints; a_0 = e, d(e) = 0
+    den = phi._scaled_columns[0]
+    targets = {(1, -n, -n) for n in range(1, n_max + 1)}
+    acc = {}  # running den * d(a_m) at the targets, in ints; a_0 = e, d(e) = 0
     rows = []
     for m in range(1, m_max + 1):
-        phi.add_derivation((0, m, 0), acc, scaled=True)
-        phi.add_derivation((0, -m, 0), acc, scaled=True)
+        phi.add_derivation((0, m, 0), acc, scaled=True, keep=targets)
+        phi.add_derivation((0, -m, 0), acc, scaled=True, keep=targets)
         coeff_table = []
         for n in range(1, n_max + 1):
             engine = Fraction(acc.get((1, -n, -n), 0), den)

@@ -174,6 +174,14 @@ class GroupModel(ABC):
         """Cayley-graph step along generator x: p x."""
         return self.mul_payload(p, x)
 
+    def mul_all(self, payloads, gp, left=False) -> list:
+        """[s g for s in payloads], or [g s] with `left`, g of payload `gp`:
+        the batch form of `mul_payload` that the derivation kernels run on."""
+        mul = self.mul_payload
+        if left:
+            return [mul(gp, s) for s in payloads]
+        return [mul(s, gp) for s in payloads]
+
     def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
         self._check(a, b)
         return self.element(self.mul_payload(a.payload, b.payload))
@@ -303,6 +311,13 @@ class Heisenberg(GroupModel):
     def inv_payload(self, p):
         a, b, c = p
         return (-a, -b, a * b - c)
+
+    def mul_all(self, payloads, gp, left=False) -> list:
+        # mul_payload written inline: no call per term
+        a, b, c = gp
+        if left:
+            return [(a + a2, b + b2, c + c2 + a * b2) for a2, b2, c2 in payloads]
+        return [(a1 + a, b1 + b, c1 + c + a1 * b) for a1, b1, c1 in payloads]
 
     def encode_payload(self, p) -> str:
         return f"H3({p[0]},{p[1]},{p[2]})"

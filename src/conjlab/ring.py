@@ -19,6 +19,7 @@ from .errors import ModelMismatchError, UsageError
 from .groups import GroupElement, GroupModel
 
 _ZERO = Fraction(0)
+_ratio = operator.attrgetter("numerator", "denominator")
 _TINY = sys.float_info.min  # the smallest normal float
 
 
@@ -28,12 +29,28 @@ def _sqrt(square: Fraction, factor: float = 1.0) -> float:
     one above it is a `UsageError`.  With factor 1 and float(square)
     normal, this is math.sqrt(float(square)) bit for bit: scaling by a
     power of 4 commutes with rounding and with the square root."""
-    k = (square.numerator.bit_length() - square.denominator.bit_length()) // 2
-    mantissa = float(square * Fraction(4) ** -k)  # in [1/2, 4)
+    n, d = square.numerator, square.denominator
+    k = (n.bit_length() - d.bit_length()) // 2
+    # square / 4^k in [1/2, 4), by shifts and one correctly rounded division:
+    # no gcd on the (possibly huge) operands
+    mantissa = n / (d << 2 * k) if k >= 0 else (n << -2 * k) / d
     try:
         return math.ldexp(math.sqrt(mantissa) * factor, k)
     except OverflowError:
         raise UsageError("norm exceeds the float range") from None
+
+
+def add_terms(acc: dict, terms) -> None:
+    """Add each (payload, coefficient) of `terms` into `acc` in place,
+    dropping keys that cancel to 0; no coefficient is 0."""
+    get = acc.get
+    for u, c in terms:
+        old = get(u)
+        new = c if old is None else old + c
+        if new:
+            acc[u] = new
+        else:
+            del acc[u]
 
 
 def left_sum(floats) -> float:
@@ -139,14 +156,7 @@ class GroupRingVector:
     def __iadd__(self, other):
         """Add `other` in place, dropping terms that cancel."""
         self._check_model(other)
-        terms = self.terms
-        for p, c in other.terms.items():
-            old = terms.get(p)
-            s = c if old is None else old + c
-            if not s:
-                terms.pop(p, None)
-            else:
-                terms[p] = s
+        add_terms(self.terms, other.terms.items())
         return self
 
     def __add__(self, other):
@@ -168,27 +178,21 @@ class GroupRingVector:
 
     def mul_elem_right(self, g: GroupElement) -> "GroupRingVector":
         self.model._check(g)
-        mul, gp = self.model.mul_payload, g.payload
-        return self.from_terms(self.model, {mul(p, gp): c for p, c in self.terms.items()})
+        keys = self.model.mul_all(self.terms, g.payload)
+        return self.from_terms(self.model, dict(zip(keys, self.terms.values())))
 
     def mul_elem_left(self, g: GroupElement) -> "GroupRingVector":
         self.model._check(g)
-        mul, gp = self.model.mul_payload, g.payload
-        return self.from_terms(self.model, {mul(gp, p): c for p, c in self.terms.items()})
+        keys = self.model.mul_all(self.terms, g.payload, left=True)
+        return self.from_terms(self.model, dict(zip(keys, self.terms.values())))
 
     def __mul__(self, other) -> "GroupRingVector":
         """Convolution product."""
         self._check_model(other)
-        mul = self.model.mul_payload
         acc = {}
         for g, cg in self.terms.items():
-            for h, ch in other.terms.items():
-                k = mul(g, h)
-                s = acc.get(k, _ZERO) + cg * ch
-                if not s:
-                    acc.pop(k, None)
-                else:
-                    acc[k] = s
+            add_terms(acc, zip(self.model.mul_all(other.terms, g, left=True),
+                               [cg * ch for ch in other.terms.values()]))
         return self.from_terms(self.model, acc)
 
     # -- norms --------------------------------------------------------------
@@ -201,7 +205,8 @@ class GroupRingVector:
         half = p / 2.0
 
         def power_sum():
-            floats = [float(c * c) for c in self.terms.values()]
+            # n^2 / d^2 is float(c * c) without the product's gcds
+            floats = [n * n / (d * d) for n, d in map(_ratio, self.terms.values())]
             low = min(floats, default=0.0)
             # a square or power below the normal range has lost digits
             if low >= _TINY and low ** half >= _TINY:

@@ -11,11 +11,11 @@ from .groups import GroupModel
 
 
 def random_element(model: GroupModel, rng: Random, max_len: int = 6):
-    gens = [model.element(x) for _, x, _ in model.gen_triples]
-    g = model.identity()
+    gens = [x for _, x, _ in model.gen_triples]
+    p = model.identity_payload()
     for _ in range(rng.randint(0, max_len)):
-        g = g * rng.choice(gens)
-    return g
+        p = model.mul_payload(p, rng.choice(gens))
+    return model.element(p)
 
 
 def random_composable_pair(model: GroupModel, rng: Random, max_len: int = 5):

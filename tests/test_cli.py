@@ -878,3 +878,78 @@ def test_fuzzed_search_commands_keep_the_exit_contract(case):
     assert code in (0, 2, 3, 4), (argv, env, err)
     assert "Traceback" not in err
     assert run_fuzzed(argv, env) == (code, out, err)
+
+
+# ---------------------------------------------------------------------------
+# Potential-file fuzz through the potential commands
+
+
+@st.composite
+def potential_json(draw):
+    """(model name, JSON text) of a small potential file over a model's own
+    elements and small rationals, with at most one fault: a malformed value,
+    row, model name, closed form, truncation or file.  The harmonic closed
+    form gets a truncation <= 20, so no example takes more than
+    milliseconds."""
+    model = draw(st.sampled_from(FUZZ_MODELS))
+    fault = draw(st.sampled_from([None] * 4 + ["value", "row", "model", "closed_form",
+                                               "truncation", "file"]))
+    m = conjlab.get_model(model)
+    element = st.lists(st.sampled_from(m.all_gens()), max_size=4).map(
+        lambda w: m.normal_form(w).encode())
+    value = st.sampled_from(["1", "-1/2", "3/7", "2.5", "-4", "1e40", "1e-40", "0"])
+    rows = draw(st.lists(st.tuples(element, value).map(list), max_size=3))
+    data = {"model": model, "table": rows}
+    if model == "h3" and draw(st.booleans()):
+        data["closed_form"] = "appendix_harmonic"
+        data["truncation"] = draw(st.sampled_from([1, 7, 20]))
+    if fault == "value":
+        rows.append([draw(element), draw(st.sampled_from(["1/0", "x", "", "1/2/3"]))])
+    elif fault == "row":
+        data["table"] = draw(st.sampled_from([[["e"]], [[1, "1"]], [["x9", "1"]], "rows"]))
+    elif fault == "model":
+        data["model"] = draw(st.sampled_from(["h4", "free0", "", "h3*"]))
+    elif fault == "closed_form":
+        data["closed_form"] = draw(st.sampled_from(["appendix_harmonic", "nope", 3]))
+        data["truncation"] = 20
+    elif fault == "truncation":
+        data["truncation"] = draw(st.sampled_from([0, -3, "7", True, 2.5]))
+    text = json.dumps(data)
+    if fault == "file":
+        text = draw(st.sampled_from(["[]", "{", '"h3"', ""]))
+    return model, text
+
+
+@st.composite
+def potential_argv(draw):
+    """(potential JSON text, argv without its --potential option) for derive,
+    character, leibniz, quasi-inner or bound-probe --radius 1."""
+    model, text = draw(potential_json())
+    command = draw(st.sampled_from(["derive", "character", "leibniz",
+                                    "quasi-inner", "bound-probe"]))
+    argv = [command]
+    if command == "derive":
+        argv += ["--element", draw(element_text(model))]
+    elif command == "character":
+        argv += ["--u", draw(element_text(model)), "--v", draw(element_text(model))]
+    elif command == "bound-probe":
+        argv += ["--radius", "1"]
+    else:
+        argv += ["--samples", str(draw(st.integers(0, 5))),
+                 "--seed", str(draw(st.integers(0, 9)))]
+    if command in ("derive", "bound-probe") and draw(st.booleans()):
+        argv += ["-p", draw(st.sampled_from(["1", "2.5", "inf", "0.5", "nan"]))]
+    return text, argv
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=potential_argv())
+def test_fuzzed_potential_commands_keep_the_exit_contract(tmp_path_factory, case):
+    text, argv = case
+    path = tmp_path_factory.getbasetemp() / "fuzzed_potential.json"
+    path.write_text(text)
+    argv = [argv[0], "--potential", str(path), *argv[1:]]
+    code, out, err = run_fuzzed(argv, None)
+    assert code in (0, 2, 3, 4), (text, argv, err)
+    assert "Traceback" not in err
+    assert run_fuzzed(argv, None) == (code, out, err)

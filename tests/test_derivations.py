@@ -427,7 +427,7 @@ def support_keyed_probe(phi, model, radius, p):
     then phi(s) for each s that is no image: the oracle for the memo keyed
     by the generators' images and for the cached powers."""
     ball = model.cayley_ball(radius)
-    supp = [s for s, _, _ in phi._terms]
+    supp = [s.payload for s in phi.support()]
     mul, inv, value = model.mul_payload, model.inv_payload, phi._value
     memo = {}
     best, argmax = -1.0, None
@@ -466,6 +466,40 @@ def test_probe_matches_the_support_keyed_probe(index, seed, p, scale):
     got = g_boundedness_probe(Derivation.from_potential(phi), model, 2, p)
     want = support_keyed_probe(phi, model, 2, p)
     assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
+
+
+def vector_residual(d, g, h):
+    """d(gh) - d(g) h - g d(h) through vector arithmetic: the reference for
+    the payload kernel of `leibniz_residual`."""
+    return d.apply(g * h) - d.apply(g).mul_elem_right(h) - d.apply(h).mul_elem_left(g)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.sampled_from(range(len(MODELS))), st.integers(0, 2**32))
+def test_payload_leibniz_matches_the_vector_formula(index, seed):
+    model, rng = MODELS[index], Random(seed)
+    d = Derivation.from_potential(random_potential(model, rng, size=rng.randint(0, 4),
+                                                   max_len=3))
+    for _ in range(4):
+        g, h = random_element(model, rng, 4), random_element(model, rng, 4)
+        got = leibniz_residual(d, g, h)
+        assert got.model is model and got == vector_residual(d, g, h)
+
+
+def test_probe_builds_no_fraction_off_the_support_or_on_a_fixed_point(h3, monkeypatch):
+    # H3(0,0,1) is central, so every g fixes it; g H3(1,0,0) g^-1 is
+    # H3(1,0,-b) for g = (a, b, c): off the support, or fixed when b = 0
+    phi = Potential(h3, {h3.element((0, 0, 1)): 3, h3.element((1, 0, 0)): Fraction(1, 2)})
+    d = Derivation.from_potential(phi)
+    want = g_boundedness_probe(d, h3, 2, 2)  # this also caches phi's columns
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the probe built a Fraction")
+
+    for name in ("__new__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__neg__", "__abs__", "__pow__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    assert g_boundedness_probe(d, h3, 2, 2) == want
 
 
 class TestStabilisation:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -88,28 +89,39 @@ class TestAppendix:
     @pytest.mark.parametrize("table", [{}, {(2, 0, 0): "-7/12", (1, 3, 3): "5/9"}])
     def test_scaled_terms_are_integer_numerators(self, h3, table):
         # D phi is an integer for D the lcm of the support's denominators,
-        # term for term in the order of the Fraction triples
+        # term for term in the order of the Fraction columns
         phi = Potential(h3, {h3.element(p): Fraction(v) for p, v in table.items()},
                         closed_form="appendix_harmonic", trunc_k=30)
-        den, scaled = phi._scaled_terms
+        den, (payloads, scaled, negs) = phi._scaled_columns
         assert den == math.lcm(*range(1, 31), 12, 9)
-        assert len(scaled) == len(phi._terms) == 30 + len(table)
-        for (s, n, neg), (t, v, _) in zip(scaled, phi._terms):
-            assert s == t and type(n) is int and n == den * v and neg == -n
+        assert payloads == phi._columns[0] and len(payloads) == 30 + len(table)
+        for n, neg, v in zip(scaled, negs, phi._columns[1], strict=True):
+            assert type(n) is int and n == den * v and neg == -n
 
     def test_scaled_term_mismatch_raises(self, monkeypatch):
         # one numerator off by one moves every coefficient it reaches, and
         # the prefix-sum cross-check catches it
-        scaled_terms = Potential._scaled_terms.func
+        scaled_columns = Potential._scaled_columns.func
 
         def one_wrong(phi):
-            den, terms = scaled_terms(phi)
-            (s, n, _), *rest = terms
-            return den, ((s, n + 1, -n - 1), *rest)
+            den, (payloads, scaled, _) = scaled_columns(phi)
+            scaled = (scaled[0] + 1, *scaled[1:])
+            return den, (payloads, scaled, tuple(-n for n in scaled))
 
-        monkeypatch.setattr(Potential, "_scaled_terms", property(one_wrong))
+        monkeypatch.setattr(Potential, "_scaled_columns", property(one_wrong))
         with pytest.raises(InternalConsistencyError, match="m=1, n=2"):
             run_appendix(3, 3)
+
+    def test_accumulator_holds_only_the_targets(self):
+        # the terms g s = (1, m - k, -k) never cancel: kept, they grow the
+        # accumulator to ~2 m_max (m_max + n_max) ints, over 20 MB at m_max = 256
+        tracemalloc.start()
+        try:
+            run_appendix(256, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 10**6
 
     def test_bad_arguments(self):
         with pytest.raises(UsageError):

@@ -2,6 +2,8 @@ import itertools
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conjlab import (
     AtLeast,
@@ -18,7 +20,7 @@ from conjlab import (
 )
 from conjlab.sampling import random_element
 
-from conftest import mat_inv, mat_mul, mat_of, triple_of
+from conftest import all_models, mat_inv, mat_mul, mat_of, triple_of
 
 
 def G(gid, inv=False):
@@ -252,6 +254,61 @@ def test_encoding_injective(model):
     assert len(set(encs)) == len(encs)
     for g in ball:
         assert model.decode(g.encode()) == g
+
+
+MODELS = all_models()
+
+
+@st.composite
+def translates(draw):
+    """A model, a few of its payloads and one more, each a random word's
+    normal form."""
+    model = draw(st.sampled_from(MODELS))
+    word = st.lists(st.sampled_from(model.all_gens()), max_size=8)
+    payloads = [model.normal_form(w).payload for w in draw(st.lists(word, max_size=6))]
+    return model, payloads, model.normal_form(draw(word)).payload
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(translates())
+def test_mul_all_is_mul_payload_term_for_term(case):
+    model, payloads, gp = case
+    mul = model.mul_payload
+    assert model.mul_all(payloads, gp) == [mul(s, gp) for s in payloads]
+    assert model.mul_all(payloads, gp, left=True) == [mul(gp, s) for s in payloads]
+
+
+triples = st.tuples(*[st.integers(-10**20, 10**20)] * 3)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(triples, max_size=6), triples)
+def test_h3_mul_all_matches_the_matrix_oracle(payloads, gp):
+    h3 = Heisenberg()
+    g = mat_of(gp)
+    assert h3.mul_all(payloads, gp) == [triple_of(mat_mul(mat_of(s), g)) for s in payloads]
+    assert h3.mul_all(payloads, gp, left=True) == [
+        triple_of(mat_mul(g, mat_of(s))) for s in payloads]
+
+
+# three draws from Random(7) per model, then the generator's next draw
+PINNED_DRAWS = {
+    "h3": (["H3(-1,-1,0)", "H3(1,3,1)", "H3(0,1,1)"], 90122),
+    "free2": (["x1^-1.x2^-1", "x1.x1.x1.x2.x1", "x1.x2^-1"], 438485),
+    "dinf": (["ab", "aba", "ab"], 438485),
+    "dsemi": (["ab", "ba;c", "a;c"], 90122),
+    "h3semi": (["H3(1,0,0);c", "H3(0,0,-1)", "H3(-1,0,0);c"], 438485),
+    "h3*dinf": (["(H3(1,0,0)|a)", "(H3(0,-1,-1)|b)", "(H3(-1,2,-1)|b)"], 90122),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_DRAWS)
+def test_random_element_draws_are_pinned(name):
+    # the seeded commands (leibniz, quasi-inner) print what these draws give
+    model, rng = get_model(name), Random(7)
+    encodings, next_draw = PINNED_DRAWS[name]
+    assert [random_element(model, rng).encode() for _ in range(3)] == encodings
+    assert rng.randrange(10**6) == next_draw
 
 
 def test_model_mismatch_rejected(h3):

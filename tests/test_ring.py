@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conjlab import GroupRingVector, Heisenberg, UsageError
-from conjlab.ring import exact_str, float_norm
+from conjlab.ring import _TINY, _sqrt, exact_str, float_norm
 from conjlab.sampling import random_element
 
 
@@ -108,6 +109,32 @@ class TestNorms:
         with pytest.raises(UsageError, match="too large"):
             v.lq_pow_exact(q)
         assert v.lq_pow_exact(14000) == 1 + frac(1, 2**14000)
+
+
+class TestSqrt:
+    def test_huge_squares_take_no_gcd(self, monkeypatch):
+        # a gcd of million-bit operands takes seconds; _sqrt needs none
+        gcd = math.gcd
+
+        def small_gcd(*ints):
+            if max(abs(i).bit_length() for i in ints) > 10**5:
+                raise AssertionError("gcd on a huge int")
+            return gcd(*ints)
+
+        above = Fraction(10) ** 400000
+        inside = [Fraction(3**300000, 2**475000), Fraction(2**475000, 3**300000)]
+        want = [math.sqrt(float(s)).hex() for s in inside]
+        monkeypatch.setattr(math, "gcd", small_gcd)
+        with pytest.raises(UsageError, match="float range"):
+            _sqrt(above)
+        assert [_sqrt(s).hex() for s in inside] == want
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.one_of(
+        st.builds(Fraction, st.integers(1, 2**300), st.integers(1, 2**300)),
+        st.floats(min_value=_TINY, max_value=sys.float_info.max).map(Fraction)))
+    def test_matches_math_sqrt_bit_for_bit(self, square):
+        assert _sqrt(square).hex() == math.sqrt(float(square)).hex()
 
 
 def _random_vector(h3, rng, size=4):
