@@ -226,7 +226,8 @@ def cmd_inverse_seq(args) -> int:
 
 
 def _radii(text: str) -> list:
-    return [int(tok) for tok in text.split(",")]
+    """argparse type of --radii: comma-separated counts."""
+    return [_count(tok) for tok in text.split(",")]
 
 
 def _arg(*flags, **kwargs):

@@ -15,7 +15,7 @@ from itertools import accumulate
 
 from .derivations import Derivation, Potential
 from .errors import InternalConsistencyError, UsageError
-from .graph import conj_distance, explore_component
+from .graph import conj_distance
 from .groups import DEFAULT_NODE_BUDGET, GroupElement, GroupModel, Heisenberg
 from .ring import exact_pow_fits, exact_str, float_norm
 
@@ -156,11 +156,6 @@ class LimitReport:
         return format_table(["k", "norm", "norm^q (exact)"], rows)
 
 
-def _component_is_finite(model, g, node_budget=4096) -> bool:
-    ball = explore_component(model, g, radius=node_budget, node_budget=node_budget)
-    return ball.complete and ball.closed
-
-
 def run_limit_experiment(
     phi: Potential, conjugator_word, q, k_max: int
 ) -> LimitReport:
@@ -184,7 +179,7 @@ def run_limit_experiment(
         exact = None if q_int is None else Fraction(0)
         return LimitReport(q, 0.0, [(k, 0.0, exact) for k in range(1, k_max + 1)], 1)
     for g in supp:
-        if _component_is_finite(model, g):
+        if model.class_is_finite(g.payload):
             raise UsageError(
                 f"potential support element {g.encode()} lies in a finite "
                 "conjugation component"

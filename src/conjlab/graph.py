@@ -97,9 +97,30 @@ def conj_distance(
 ):
     """Shortest-path distance in the conjugation graph; AtLeast(budget)
     when none is <= budget, AtLeast(shortest length not ruled out) when
-    the node budget runs out (`GroupModel.distance`)."""
+    the node budget runs out (`GroupModel.distance`).
+
+    Elements with different abelian images are not conjugate.  When a
+    search to depth `budget` cannot run out of nodes either, it could only
+    return AtLeast(budget), so that is returned without one."""
     model._check(h1, h2)
+    if (model.abelian_image(h1.payload) != model.abelian_image(h2.payload)
+            and _levels_fit(len(model.gen_triples), budget, node_budget)):
+        return AtLeast(budget)
     return model.distance(h1.payload, h2.payload, model.conj_step, budget, node_budget)[0]
+
+
+def _levels_fit(n: int, depth: int, node_budget: int) -> bool:
+    """Whether 1 + n + n^2 + ... + n^depth <= node_budget: with n steps per
+    node, a two-way search whose depths sum to at most `depth` visits no
+    more nodes (n^(d0 + j) >= n^j), so its node budget cannot run out.
+    The sum stops once it passes the budget, so n^depth is never formed."""
+    total = level = 1
+    for _ in range(depth):
+        if total > node_budget:
+            break
+        level *= n
+        total += level
+    return total <= node_budget
 
 
 @dataclass

@@ -128,6 +128,18 @@ class GroupModel(ABC):
     def generator_payloads(self) -> dict:
         """Map generator id -> payload of that generator."""
 
+    # -- conjugacy-class invariants ------------------------------------------
+
+    @abstractmethod
+    def abelian_image(self, p):
+        """The image of p in an abelian quotient: equal on conjugate
+        elements, so elements with different images are not conjugate."""
+
+    @abstractmethod
+    def class_is_finite(self, p) -> bool:
+        """Whether the conjugacy class of p, its conjugation-graph
+        component, is finite."""
+
     # -- element-level interface -------------------------------------------
 
     def element(self, payload) -> GroupElement:
@@ -333,6 +345,13 @@ class Heisenberg(GroupModel):
     def generator_payloads(self) -> dict:
         return {"Ax": (0, 1, 0), "Ap": (1, 0, 0), "A1": (0, 0, 1)}
 
+    def abelian_image(self, p):
+        return p[:2]
+
+    def class_is_finite(self, p) -> bool:
+        # (a, b, c) with (a, b) != 0 is conjugate to (a, b, c + k gcd(a, b))
+        return p[0] == p[1] == 0
+
 
 # ---------------------------------------------------------------------------
 # Free groups
@@ -385,19 +404,29 @@ class FreeGroup(GroupModel):
     def generator_payloads(self) -> dict:
         return {f"x{i + 1}": ((i, 1),) for i in range(self.rank)}
 
+    def abelian_image(self, p):
+        sums = [0] * self.rank
+        for i, s in p:
+            sums[i] += s
+        return tuple(sums)
+
+    def class_is_finite(self, p) -> bool:
+        # free1 is abelian; in a free group of rank >= 2 only e is central
+        return not p or self.rank == 1
+
 
 # ---------------------------------------------------------------------------
 # Infinite dihedral group D_inf = <a, b | a^2, b^2>
 
 
-def _reduce_involutions(letters: str) -> str:
-    out = []
-    for ch in letters:
-        if out and out[-1] == ch:
-            out.pop()
-        else:
-            out.append(ch)
-    return "".join(out)
+def _mul_alternating(w1: str, w2: str) -> str:
+    """The reduced product of two reduced (alternating) words in a and b:
+    letters cancel only at the junction, and once its two letters agree,
+    the shorter word cancels whole against the other."""
+    if w1 and w2 and w1[-1] == w2[0]:
+        k = min(len(w1), len(w2))
+        return w1[: len(w1) - k] + w2[k:]
+    return w1 + w2
 
 
 class DihedralInf(GroupModel):
@@ -407,7 +436,7 @@ class DihedralInf(GroupModel):
         return ""
 
     def mul_payload(self, p1, p2):
-        return _reduce_involutions(p1 + p2)
+        return _mul_alternating(p1, p2)
 
     def inv_payload(self, p):
         return p[::-1]
@@ -420,12 +449,21 @@ class DihedralInf(GroupModel):
             return ""
         if not re.match(r"^[ab]+$", text):
             raise UsageError(f"bad dinf element encoding: {text!r}")
-        if _reduce_involutions(text) != text:
+        if "aa" in text or "bb" in text:
             raise UsageError(f"encoding {text!r} is not an alternating word")
         return text
 
     def generator_payloads(self) -> dict:
         return {"a": "a", "b": "b"}
+
+    def abelian_image(self, p):
+        return (p.count("a") % 2, p.count("b") % 2)
+
+    def class_is_finite(self, p) -> bool:
+        # an even word is a translation (ab)^k, conjugate only to (ba)^k;
+        # an odd one is a reflection w, and (ab)^k w (ba)^k runs through
+        # infinitely many
+        return len(p) % 2 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +489,7 @@ class DihedralSemidirect(GroupModel):
         w2, e2 = p2
         if e1:
             w2 = w2.translate(_SWAP_AB)
-        return (_reduce_involutions(w1 + w2), (e1 + e2) % 2)
+        return (_mul_alternating(w1, w2), (e1 + e2) % 2)
 
     def inv_payload(self, p):
         w, e = p
@@ -478,6 +516,14 @@ class DihedralSemidirect(GroupModel):
 
     def generator_payloads(self) -> dict:
         return {"a": ("a", 0), "b": ("b", 0), "c": ("", 1)}
+
+    def abelian_image(self, p):
+        return (len(p[0]) % 2, p[1])
+
+    def class_is_finite(self, p) -> bool:
+        # the group is <a, c | a^2, c^2> (b = cac), where w c^eps has a word
+        # of length |w| + eps mod 2; finite classes are the even ones, as in dinf
+        return (len(p[0]) + p[1]) % 2 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +584,17 @@ class HeisenbergSemidirect(GroupModel):
             "c": ((0, 0, 0), 1),
         }
 
+    def abelian_image(self, p):
+        (a, b, _), e = p
+        return (a + b, e)
+
+    def class_is_finite(self, p) -> bool:
+        # (0, 0, c) is conjugate only to (0, 0, -c); (a, b) != 0 already
+        # has an infinite class in h3, and Ax^k (t, 1) Ax^-k moves the
+        # a-coordinate of (t, 1) by -k
+        (a, b, _), e = p
+        return e == 0 and a == b == 0
+
 
 # ---------------------------------------------------------------------------
 # Direct products
@@ -593,6 +650,12 @@ class DirectProduct(GroupModel):
         for gid, p in self.right.generator_payloads().items():
             out[f"r.{gid}"] = (el, p)
         return out
+
+    def abelian_image(self, p):
+        return (self.left.abelian_image(p[0]), self.right.abelian_image(p[1]))
+
+    def class_is_finite(self, p) -> bool:
+        return self.left.class_is_finite(p[0]) and self.right.class_is_finite(p[1])
 
 
 # ---------------------------------------------------------------------------

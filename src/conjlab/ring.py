@@ -64,7 +64,8 @@ def float_norm(values, p: float, power_sum=None) -> float:
     root of `power_sum()` (default: the `left_sum` of float(|c|) ** p) while
     that sum is a normal float, float(max |c|) for p = inf.  Out of float range,
     each square is divided by the largest, so every power lies in [0, 1]; `_sqrt`
-    scales back."""
+    scales back.  A value whose bit lengths show |c| > 2^1025 is refused first,
+    without a square: the norm is at least |c|, which no float holds."""
     try:
         if p == math.inf:
             return float(max(map(abs, values), default=0))
@@ -73,6 +74,9 @@ def float_norm(values, p: float, power_sum=None) -> float:
             return total ** (1.0 / p)
     except OverflowError:
         pass
+    # |n / d| > 2^(n.bit_length() - 1 - d.bit_length())
+    if any(n.bit_length() - d.bit_length() > 1025 for n, d in map(_ratio, values)):
+        raise UsageError("norm exceeds the float range")
     squares = [c * c for c in values if c]
     top = max(squares, default=_ZERO)
     total = math.fsum(float(s / top) ** (p / 2.0) for s in squares)

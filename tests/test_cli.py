@@ -268,6 +268,13 @@ class TestStabilise:
             capsys, ["stabilise"] + [tok for kv in argv.items() for tok in kv])
         assert code == 2 and option in err
 
+    def test_negative_radii_exit_2(self, capsys, two_point_potential):
+        code, err = usage_exit(capsys, ["stabilise", "--potential", two_point_potential,
+                                        "--base", "H3(1,0,0)", "--radius", "4",
+                                        "--radii=-1,0"])
+        assert code == 2
+        assert err.endswith("error: argument --radii: must be >= 0, got -1\n")
+
 
 class TestBoundProbe:
     def test_two_point(self, capsys, two_point_potential):
@@ -357,6 +364,25 @@ class TestNormRange:
     def test_bound_probe_norm_beyond_float_range_exits_2(self, capsys, potential):
         code, out, err = run(capsys, ["bound-probe", "--potential", potential("1e400"),
                                       "--radius", "1"])
+        assert code == 2 and out == ""
+        assert err == "error: norm exceeds the float range\n"
+
+    def test_bound_probe_refuses_a_huge_value_before_squaring_it(self, capsys, potential,
+                                                               monkeypatch):
+        # squaring 1e2000000 exactly takes seconds; its bit lengths show at
+        # once that no float holds the norm
+        mul = Fraction.__mul__
+
+        def small_mul(a, b):
+            for x in (a, b):
+                if isinstance(x, Fraction) and max(x.numerator.bit_length(),
+                                                   x.denominator.bit_length()) > 10**5:
+                    raise AssertionError("a Fraction product of over 10^5 bits")
+            return mul(a, b)
+
+        path = potential("1e2000000")
+        monkeypatch.setattr(Fraction, "__mul__", small_mul)
+        code, out, err = run(capsys, ["bound-probe", "--potential", path, "--radius", "1"])
         assert code == 2 and out == ""
         assert err == "error: norm exceeds the float range\n"
 
@@ -923,10 +949,11 @@ def potential_json(draw):
 @st.composite
 def potential_argv(draw):
     """(potential JSON text, argv without its --potential option) for derive,
-    character, leibniz, quasi-inner or bound-probe --radius 1."""
+    character, leibniz, quasi-inner, bound-probe --radius 1, limit with
+    --k-max <= 3, or stabilise with radii <= 2."""
     model, text = draw(potential_json())
-    command = draw(st.sampled_from(["derive", "character", "leibniz",
-                                    "quasi-inner", "bound-probe"]))
+    command = draw(st.sampled_from(["derive", "character", "leibniz", "quasi-inner",
+                                    "bound-probe", "limit", "stabilise"]))
     argv = [command]
     if command == "derive":
         argv += ["--element", draw(element_text(model))]
@@ -934,6 +961,18 @@ def potential_argv(draw):
         argv += ["--u", draw(element_text(model)), "--v", draw(element_text(model))]
     elif command == "bound-probe":
         argv += ["--radius", "1"]
+    elif command == "limit":
+        gids = sorted(conjlab.get_model(model).generator_payloads())
+        word = draw(st.lists(st.sampled_from(gids), min_size=1, max_size=2))
+        argv += ["--conjugator", ".".join(word),
+                 "--k-max", draw(st.sampled_from(["1", "2", "3", "0"])),
+                 "--q", draw(st.sampled_from(["1", "2", "2.5", "inf"])),
+                 "--format", draw(st.sampled_from(["json", "table"]))]
+    elif command == "stabilise":
+        argv += ["--base", draw(element_text(model)),
+                 "--radius", str(draw(st.integers(0, 2))),
+                 "--radii=" + draw(st.sampled_from(["0", "0,1", "1,2", "0,1,2", "2,1",
+                                                    "-1,0"]))]
     else:
         argv += ["--samples", str(draw(st.integers(0, 5))),
                  "--seed", str(draw(st.integers(0, 9)))]

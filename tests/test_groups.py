@@ -167,6 +167,32 @@ class TestDihedral:
         assert ds.decode("e;c") == c
         assert ds.decode("bac").encode() == "ba;c"
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.text("ab", max_size=12), st.text("ab", max_size=12),
+           st.integers(0, 1), st.integers(0, 1))
+    def test_products_match_a_full_reduction(self, raw1, raw2, e1, e2):
+        # the models cancel at the junction only; this reducer rescans the
+        # whole concatenation, one letter at a time
+        def reduce(w):
+            out = []
+            for ch in w:
+                if out and out[-1] == ch:
+                    out.pop()
+                else:
+                    out.append(ch)
+            return "".join(out)
+
+        w1, w2 = reduce(raw1), reduce(raw2)
+        assert DihedralInf().mul_payload(w1, w2) == reduce(w1 + w2)
+        swapped = w2.translate(str.maketrans("ab", "ba")) if e1 else w2
+        assert (get_model("dsemi").mul_payload((w1, e1), (w2, e2))
+                == (reduce(w1 + swapped), (e1 + e2) % 2))
+        if raw1 != w1:
+            with pytest.raises(UsageError, match="not an alternating word"):
+                DihedralInf().decode(raw1)
+            with pytest.raises(UsageError, match="not an alternating word"):
+                get_model("dsemi").decode(raw1 + ";c")
+
 
 class TestHeisenbergSemidirect:
     def test_relations(self):

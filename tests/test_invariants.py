@@ -1,0 +1,119 @@
+"""The conjugacy-class invariants of the models against the conjugation graph.
+
+`abelian_image` must be constant along every conjugation edge, and
+`class_is_finite` must agree with a budgeted BFS oracle, on Cayley balls of
+all six models and of a 3-factor product.  `conj_distance` answers pairs
+with different images without a search only where the search could answer
+nothing else.
+"""
+
+import json
+
+import pytest
+
+from conjlab import (
+    AtLeast,
+    conj_distance,
+    conj_neighbors,
+    explore_component,
+    get_model,
+)
+from conjlab.cli import main
+from conjlab.graph import _levels_fit
+
+from conftest import all_models
+
+MODELS = all_models() + [get_model("free1"), get_model("dsemi*h3semi*free2")]
+IDS = [m.name for m in MODELS]
+
+
+def component_is_finite(model, g, node_budget=4096) -> bool:
+    """The BFS oracle: whether the conjugation component of g is complete
+    and closed within `node_budget` nodes."""
+    ball = explore_component(model, g, radius=node_budget, node_budget=node_budget)
+    return ball.complete and ball.closed
+
+
+def ball(model):
+    return sorted(model.cayley_ball(2))
+
+
+@pytest.mark.parametrize("model", MODELS, ids=IDS)
+def test_abelian_image_is_constant_along_conjugation_edges(model):
+    for g in ball(model):
+        image = model.abelian_image(g.payload)
+        for _, h in conj_neighbors(model, g):
+            assert model.abelian_image(h.payload) == image, (g, h)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=IDS)
+def test_class_is_finite_matches_the_bfs_oracle(model):
+    # the finite classes met here have at most 4 elements, far inside
+    # the oracle's budget; a smaller budget keeps the infinite ones cheap
+    for g in ball(model):
+        assert model.class_is_finite(g.payload) == component_is_finite(model, g, 256), g
+
+
+@pytest.mark.parametrize("model", MODELS, ids=IDS)
+def test_non_conjugate_distance_is_the_search_answer(model):
+    # with node budget 10^6 the shortcut fires for every budget here; with
+    # 1, 5 or 40 nodes the search runs and may be cut below the budget
+    elems = ball(model)[:12]
+    cut = False
+    for u in elems:
+        for v in elems:
+            if model.abelian_image(u.payload) == model.abelian_image(v.payload):
+                continue
+            for budget in (0, 1, 2, 3):
+                for node_budget in (1, 5, 40, 10**6):
+                    want = model.distance(u.payload, v.payload, model.conj_step,
+                                          budget, node_budget)[0]
+                    assert conj_distance(model, u, v, budget, node_budget) == want
+                    cut |= want != AtLeast(budget)
+    # in the abelian free1 every class is a point: a search ends at once
+    assert cut or model.name == "free1"
+
+
+def test_shortcut_runs_no_search(h3, monkeypatch):
+    u, v = h3.element((1, 0, 0)), h3.element((0, 1, 0))
+    # each class is a line, and each side of a search adds 2 nodes a level:
+    # depths 1 + 1 read 5 nodes, and the next level is cut at depths 2 + 1
+    assert conj_distance(h3, u, v, budget=2, node_budget=5) == AtLeast(2)
+    assert conj_distance(h3, u, v, budget=4, node_budget=5) == AtLeast(3)
+
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(h3, "distance", no_search)
+    # 1 + 6 + 36 + 216 <= 10^6 nodes
+    assert conj_distance(h3, u, v, budget=3) == AtLeast(3)
+    with pytest.raises(AssertionError):
+        conj_distance(h3, u, v, budget=3, node_budget=258)
+    with pytest.raises(AssertionError):  # conjugate pairs are searched
+        conj_distance(h3, u, h3.element((1, 0, 1)), budget=3)
+
+
+@pytest.mark.parametrize("n, depth, node_budget, fits", [
+    (2, 3, 15, True),  # 1 + 2 + 4 + 8
+    (2, 3, 14, False),
+    (6, 0, 1, True),
+    (6, 0, 0, False),
+    (6, 10**9, 10**6, False),  # stops after 8 levels, never forms 6^(10^9)
+])
+def test_levels_fit(n, depth, node_budget, fits):
+    assert _levels_fit(n, depth, node_budget) is fits
+
+
+def test_limit_refuses_a_finite_class_of_8192_elements(tmp_path, capsys):
+    # (ab) in each of 13 dinf factors: a class of 2^13 elements, which a
+    # 4096-node search took for infinite
+    model = get_model("*".join(["dinf"] * 13))
+    g = model.decode("(ab|" * 12 + "ab" + ")" * 12)
+    assert model.class_is_finite(g.payload)
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({"model": model.name, "table": [[g.encode(), "1"]]}))
+    code = main(["limit", "--potential", str(path), "--conjugator", "e"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == (f"error: potential support element {g.encode()} lies in a finite "
+                   "conjugation component\n")
