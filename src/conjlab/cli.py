@@ -162,9 +162,9 @@ def cmd_stabilise(args) -> int:
     phi = _load_potential(args.potential)
     model = phi.model
     base = model.decode(args.base)
-    ball = cg.explore_component(model, base, args.radius, args.budget_nodes)
     if args.radii != sorted(args.radii):
         raise UsageError("--radii must be increasing")
+    ball = cg.explore_component(model, base, args.radius, args.budget_nodes)
     probe = dv.stabilisation_probe(phi, ball, args.radii)
     _emit(
         {

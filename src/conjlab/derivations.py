@@ -140,21 +140,15 @@ class Potential:
             self._support = tuple(map(self.model.element, self._columns[0]))
         return self._support
 
-    def add_derivation(self, gp, acc: dict, scaled: bool = False, keep=None) -> None:
+    def add_derivation(self, gp, acc: dict, scaled: bool = False) -> None:
         """Add d(g) = sum of phi(s)(s g - g s) over the support, g of payload
         `gp`, into `acc` ({payload: Fraction}), dropping terms that cancel.
         With `scaled`, add D d(g) in ints instead, D = `_scaled_columns[0]`:
-        integer adds need no gcd, so callers that read few coefficients
-        divide by D only there.  With `keep`, a set of payloads, add only the
-        terms at those payloads."""
+        integer adds need no gcd, so callers divide by D once at the end."""
         payloads, pos, neg = self._scaled_columns[1] if scaled else self._columns
         mul_all = self.model.mul_all
-        for keys, coeffs in ((mul_all(payloads, gp), pos),
-                             (mul_all(payloads, gp, left=True), neg)):
-            terms = zip(keys, coeffs)
-            if keep is not None:
-                terms = [(u, c) for u, c in terms if u in keep]
-            add_terms(acc, terms)
+        add_terms(acc, zip(mul_all(payloads, gp), pos))
+        add_terms(acc, zip(mul_all(payloads, gp, left=True), neg))
 
     def lq_pow(self, q: int) -> Fraction:
         return sum((abs(v) ** q for v in self._columns[1]), _ZERO)
@@ -248,41 +242,24 @@ def character_from_potential(phi: Potential, mor: Morphism) -> Fraction:
 
 
 class Derivation:
-    """Either an inner derivation [x, -] or the derivation induced by a
-    potential; the two agree whenever the potential is the coefficient
-    table of x."""
+    """The derivation d_phi induced by a potential phi:
+    d(g) = sum of phi(s)(s g - g s) over the support of phi.  The inner
+    derivation [x, -] is d_phi for phi the coefficient table of x."""
 
-    def __init__(self, model, potential=None, inner_vector=None):
-        if (potential is None) == (inner_vector is None):
-            raise UsageError("exactly one of potential / inner_vector required")
-        self.model = model
+    def __init__(self, potential: Potential):
+        self.model = potential.model
         self.potential_obj = potential
-        self.inner_vector = inner_vector
-
-    @classmethod
-    def inner(cls, x: GroupRingVector) -> "Derivation":
-        return cls(x.model, inner_vector=x)
 
     @classmethod
     def from_potential(cls, phi: Potential) -> "Derivation":
-        return cls(phi.model, potential=phi)
+        return cls(phi)
 
     def apply(self, g: GroupElement) -> GroupRingVector:
         """d(g); exact over the (truncated) support."""
         self.model._check(g)
-        if self.inner_vector is not None:
-            xg = self.inner_vector.mul_elem_right(g)
-            gx = self.inner_vector.mul_elem_left(g)
-            return xg - gx
         acc = {}
         self.potential_obj.add_derivation(g.payload, acc)
         return GroupRingVector.from_terms(self.model, acc)
-
-    def apply_linear(self, a: GroupRingVector) -> GroupRingVector:
-        out = GroupRingVector(self.model)
-        for p, c in a.terms.items():
-            out += self.apply(self.model.element(p)).scale(c)
-        return out
 
 
 def inner_derivation_apply(x: GroupRingVector, a: GroupRingVector) -> GroupRingVector:
@@ -299,8 +276,6 @@ def leibniz_residual(d: Derivation, g: GroupElement, h: GroupElement):
     """The vector d(gh) - d(g) h - g d(h), exactly; zero for every
     derivation."""
     phi = d.potential_obj
-    if phi is None:
-        return d.apply(g * h) - d.apply(g).mul_elem_right(h) - d.apply(h).mul_elem_left(g)
     # termwise into one dict of D phi ints: D d(gh), then -D phi(s) at
     # (s g) h and g (s h), +D phi(s) at (g s) h and g (h s)
     model = d.model
@@ -353,52 +328,47 @@ def g_boundedness_probe(
 ):
     """Max of ||d(g)||_p over the Cayley ball, with argmax.
 
-    For potential-induced derivations, ||d(g)||_p depends only on the inner
-    automorphism x -> g x g^-1, which the images of the generators fix: those
-    key the memo, and the support is conjugated once per key.
+    ||d(g)||_p depends only on the inner automorphism x -> g x g^-1, which
+    the images of the generators fix: those key the memo, and the support
+    is conjugated once per key.
     """
     if not p >= 1:
         raise UsageError(f"g_boundedness_probe needs p >= 1, got {p}")
     model._check(d.model.identity())
     ball = model.cayley_ball(radius, node_budget)
-    phi = d.potential_obj
-    if phi is not None:
-        # d(g) has phi(g t g^-1) - phi(t) at g t for each t in the support,
-        # then phi(s) at s g for each s that is no image g t g^-1, powers
-        # added in this order.  Off the support an image leaves -phi(t);
-        # where it lands on s, that difference replaces -phi(t) and a 0
-        # replaces phi(s), which adds nothing to a norm.
-        payloads, values, negs = phi._columns
-        n = len(payloads)
-        index = {s: i for i, s in enumerate(payloads)}
-        powers = [_float_pow(v, p) for v in values]
-        base_coeffs, base_pows = list(negs + values), powers + powers
-        gens = [x for _, x, _ in model.gen_triples]
+    # d(g) has phi(g t g^-1) - phi(t) at g t for each t in the support,
+    # then phi(s) at s g for each s that is no image g t g^-1, powers
+    # added in this order.  Off the support an image leaves -phi(t);
+    # where it lands on s, that difference replaces -phi(t) and a 0
+    # replaces phi(s), which adds nothing to a norm.
+    payloads, values, negs = d.potential_obj._columns
+    n = len(payloads)
+    index = {s: i for i, s in enumerate(payloads)}
+    powers = [_float_pow(v, p) for v in values]
+    base_coeffs, base_pows = list(negs + values), powers + powers
+    gens = [x for _, x, _ in model.gen_triples]
     mul_all, inv = model.mul_all, model.inv_payload
     memo = {}
     best = -1.0
     argmax = None
     for g in sorted(ball, key=lambda e: (ball[e], e.encode())):
-        if phi is not None:
-            gp = g.payload
-            gi = inv(gp)
-            key = tuple(mul_all(mul_all(gens, gi), gp, left=True))
-            norm = memo.get(key)
-            if norm is None:
-                images = mul_all(mul_all(payloads, gi), gp, left=True)
-                coeffs, pows = base_coeffs.copy(), base_pows.copy()
-                for i, j in enumerate(map(index.get, images)):
-                    if j is None:
-                        continue
-                    if i == j:  # t commutes with g
-                        coeffs[i], pows[i] = _ZERO, 0.0
-                    else:
-                        c = coeffs[i] = values[j] - values[i]
-                        pows[i] = _float_pow(c, p)
-                    coeffs[n + j], pows[n + j] = _ZERO, 0.0
-                norm = memo[key] = float_norm(coeffs, p, lambda: left_sum(pows))
-        else:
-            norm = d.apply(g).lp_norm(p)
+        gp = g.payload
+        gi = inv(gp)
+        key = tuple(mul_all(mul_all(gens, gi), gp, left=True))
+        norm = memo.get(key)
+        if norm is None:
+            images = mul_all(mul_all(payloads, gi), gp, left=True)
+            coeffs, pows = base_coeffs.copy(), base_pows.copy()
+            for i, j in enumerate(map(index.get, images)):
+                if j is None:
+                    continue
+                if i == j:  # t commutes with g
+                    coeffs[i], pows[i] = _ZERO, 0.0
+                else:
+                    c = coeffs[i] = values[j] - values[i]
+                    pows[i] = _float_pow(c, p)
+                coeffs[n + j], pows[n + j] = _ZERO, 0.0
+            norm = memo[key] = float_norm(coeffs, p, lambda: left_sum(pows))
         if norm > best:
             best = norm
             argmax = g

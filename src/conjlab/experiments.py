@@ -91,9 +91,10 @@ def closed_form_coefficient(m: int, n: int) -> Fraction:
 
 
 def run_appendix(m_max: int, n_max: int) -> AppendixReport:
-    """Coefficients of d(a_m), a_m = sum of Ax^k for |k| <= m, computed
-    through the derivation engine and re-derived from the closed harmonic
-    formula; the two routes must agree exactly."""
+    """Coefficients of d(a_m), a_m = sum of Ax^k for |k| <= m, at the
+    targets Ax^-n Ap A1^-n, read from the potential's table through the
+    character identity d(g)[u] = phi(u g^-1) - phi(g^-1 u) and re-derived
+    from the closed harmonic formula; the two routes must agree exactly."""
     if m_max < 1 or n_max < 1:
         raise UsageError("run_appendix needs m_max, n_max >= 1")
     h3 = Heisenberg()
@@ -101,16 +102,20 @@ def run_appendix(m_max: int, n_max: int) -> AppendixReport:
     harm = list(accumulate((Fraction(1, j) for j in range(1, m_max + n_max + 1)),
                            initial=Fraction(0)))  # harmonic prefix sums
 
-    den = phi._scaled_columns[0]
-    targets = {(1, -n, -n) for n in range(1, n_max + 1)}
-    acc = {}  # running den * d(a_m) at the targets, in ints; a_0 = e, d(e) = 0
+    den, (payloads, scaled, _) = phi._scaled_columns
+    table = dict(zip(payloads, scaled))  # D phi, in ints
+    targets = [(1, -n, -n) for n in range(1, n_max + 1)]
+    acc = [0] * n_max  # running D d(a_m) at the targets; a_0 = e, d(e) = 0
     rows = []
     for m in range(1, m_max + 1):
-        phi.add_derivation((0, m, 0), acc, scaled=True, keep=targets)
-        phi.add_derivation((0, -m, 0), acc, scaled=True, keep=targets)
+        for gi in ((0, -m, 0), (0, m, 0)):  # g^-1 for g = Ax^m, Ax^-m
+            right = h3.mul_all(targets, gi)
+            left = h3.mul_all(targets, gi, left=True)
+            for i, (u_gi, gi_u) in enumerate(zip(right, left)):
+                acc[i] += table.get(u_gi, 0) - table.get(gi_u, 0)
         coeff_table = []
         for n in range(1, n_max + 1):
-            engine = Fraction(acc.get((1, -n, -n), 0), den)
+            engine = Fraction(acc[n - 1], den)
             # closed_form_coefficient(m, n) through the prefix sums
             direct = harm[m + n] - harm[max(1, n - m) - 1] - Fraction(1, n)
             if engine != direct:

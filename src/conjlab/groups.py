@@ -688,15 +688,27 @@ def _factor_model(name: str) -> GroupModel:
 
 
 def parse_word(model: GroupModel, text: str) -> Word:
-    """Parse a dotted word like 'Ax.Ap^-1' into a Word for the model."""
+    """Parse a dotted word like 'Ax.Ap^-1' into a Word for the model.
+
+    A product's generator ids contain dots ('l.Ax', 'r.l.a'); no factor id
+    is 'l' or 'r', so a token that opens one of the model's ids with a dot
+    after it is joined to the tokens that follow."""
     if text in ("", "e"):
         return ()
     known = model.generator_payloads()
+    prefixes = {gid[: i + 1] for gid in known for i, ch in enumerate(gid) if ch == "."}
     letters = []
+    prefix = ""
     for tok in text.split("."):
+        if prefix + tok + "." in prefixes:
+            prefix += tok + "."
+            continue
         inv = tok.endswith("^-1")
-        gid = tok[:-3] if inv else tok
+        gid = prefix + (tok[:-3] if inv else tok)
+        prefix = ""
         if gid not in known:
             raise UsageError(f"unknown generator {gid!r} for model {model.name}")
         letters.append(Generator(gid, inv))
+    if prefix:
+        raise UsageError(f"unknown generator {prefix[:-1]!r} for model {model.name}")
     return tuple(letters)

@@ -24,6 +24,7 @@ from conjlab import (
     explore_component,
     export_dot,
     get_model,
+    inner_derivation_apply,
     leibniz_residual,
     run_appendix,
     run_limit_experiment,
@@ -166,11 +167,10 @@ def test_acceptance_07_leibniz_and_inner_identification():
             for _ in range(4)
         }
         x = GroupRingVector(model, table)
-        d_inner = Derivation.inner(x)
         d_pot = Derivation.from_potential(Potential(model, table))
         for _ in range(100):
             g = random_element(model, rng)
-            assert d_inner.apply(g) == d_pot.apply(g)
+            assert inner_derivation_apply(x, GroupRingVector.delta(g)) == d_pot.apply(g)
     print("ACCEPTANCE 7: PASS — Leibniz residual exactly 0 on 500 pairs/model "
           "for 10 random potentials, and inner = potential-induced on 100 g/model")
 

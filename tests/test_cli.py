@@ -251,7 +251,12 @@ class TestStabilise:
         # the 1/2 mass sits one conjugation step from the base
         assert data["rows"] == [[0, "1/2"], [1, "0"], [2, "0"]]
 
-    def test_decreasing_radii_exit_2(self, capsys, two_point_potential):
+    def test_decreasing_radii_exit_2(self, capsys, two_point_potential, monkeypatch):
+        # refused before the component is explored
+        def refuse(*args, **kwargs):
+            raise AssertionError("explored the component")
+
+        monkeypatch.setattr(cli.cg, "explore_component", refuse)
         code, _, _ = run(
             capsys,
             ["stabilise", "--potential", two_point_potential,
@@ -565,6 +570,19 @@ class TestInverseSeq:
         assert code == 0
         assert json.loads(out)["rows"] == [[1, 2, 1], [2, 3, 1], [3, 4, 1]]
 
+    @pytest.mark.parametrize("model, u, words, rows", [
+        ("h3*dinf", "(H3(1,0,0)|a)", ["--conjugator", "l.Ax"], [[1, 1, 1], [2, 2, 2]]),
+        ("h3*dinf", "(H3(1,0,0)|a)", ["--conjugator", "l.Ax", "--tail", "r.b"],
+         [[1, 2, 2], [2, 3, 3]]),
+        ("h3*dinf*free2", "(H3(1,0,0)|(a|x1))", ["--conjugator", "r.r.x2^-1.l.Ax"],
+         [[1, 2, 2], [2, 4, 4]]),
+    ])
+    def test_product_generator_ids(self, capsys, model, u, words, rows):
+        code, out, _ = run(capsys, ["inverse-seq", "--model", model, "--u", u, *words,
+                                    "--k-max", "2", "--budget", "6", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["rows"] == rows
+
     ARGV = ["inverse-seq", "--model", "free2", "--u", "x1", "--conjugator", "x2",
             "--k-max", "3", "--budget", "8", "--format", "json"]
 
@@ -862,10 +880,11 @@ def search_argv(draw):
         argv += ["--base", draw(element_text(model)), "--radius", draw(small),
                  "--format", draw(st.sampled_from(["dot", "json"]))]
     else:
-        word = draw(st.lists(st.sampled_from(sorted(conjlab.get_model(model)
-                                                    .generator_payloads())),
-                             min_size=1, max_size=2))
-        argv += ["--u", draw(element_text(model)), "--conjugator", ".".join(word),
+        gids = sorted(conjlab.get_model(model).generator_payloads())
+        letter = st.sampled_from(gids).flatmap(lambda g: st.sampled_from([g, g + "^-1"]))
+        word = st.lists(letter, min_size=1, max_size=2).map(".".join)
+        argv += ["--u", draw(element_text(model)), "--conjugator", draw(word),
+                 "--tail", draw(st.one_of(st.just("e"), word)),
                  "--k-max", draw(small), "--budget", draw(small), "--format", "json"]
     if draw(st.booleans()):
         argv += ["--budget-nodes", str(draw(st.integers(0, 50)))]
@@ -903,6 +922,7 @@ def test_fuzzed_search_commands_keep_the_exit_contract(case):
     code, out, err = run_fuzzed(argv, env)
     assert code in (0, 2, 3, 4), (argv, env, err)
     assert "Traceback" not in err
+    assert "unknown generator" not in err  # words are drawn from the model's ids
     assert run_fuzzed(argv, env) == (code, out, err)
 
 
@@ -991,4 +1011,5 @@ def test_fuzzed_potential_commands_keep_the_exit_contract(tmp_path_factory, case
     code, out, err = run_fuzzed(argv, None)
     assert code in (0, 2, 3, 4), (text, argv, err)
     assert "Traceback" not in err
+    assert "unknown generator" not in err  # conjugators are drawn from the model's ids
     assert run_fuzzed(argv, None) == (code, out, err)

@@ -101,18 +101,8 @@ class TestDerivationApply:
             assert img.coefficient(minus) == Fraction(-1, k)
         assert len(img.terms) == 2 * K
 
-    def test_linearity(self, h3):
-        rng = Random(33)
-        phi = random_potential(h3, rng)
-        d = Derivation.from_potential(phi)
-        for _ in range(20):
-            g = random_element(h3, rng)
-            h = random_element(h3, rng)
-            lhs = d.apply_linear(delta(g, 2) + delta(h, 3))
-            assert lhs == d.apply(g).scale(2) + d.apply(h).scale(3)
-
     def test_inner_equals_from_potential(self, model):
-        # [x, -] agrees with the derivation of x's coefficient table
+        # [x, -] by convolution agrees with the derivation of x's table
         rng = Random(34)
         table = {}
         for _ in range(4):
@@ -120,11 +110,10 @@ class TestDerivationApply:
                 rng.randint(-3, 3), rng.randint(1, 3)
             )
         x = GroupRingVector(model, table)
-        d_inner = Derivation.inner(x)
         d_pot = Derivation.from_potential(Potential(model, table))
         for _ in range(30):
             g = random_element(model, rng)
-            assert d_inner.apply(g) == d_pot.apply(g)
+            assert inner_derivation_apply(x, delta(g)) == d_pot.apply(g)
 
     def test_closed_form_equals_its_table(self, h3):
         # values filled on lookup give the same derivation as the explicit
@@ -132,12 +121,13 @@ class TestDerivationApply:
         phi = Potential(h3, {}, closed_form="appendix_harmonic", trunc_k=12)
         table = {g: phi.value(g) for g in phi.support()}
         x = GroupRingVector(h3, table)
-        derivations = [Derivation.from_potential(phi), Derivation.inner(x),
+        derivations = [Derivation.from_potential(phi),
                        Derivation.from_potential(Potential(h3, table))]
         rng = Random(49)
         for _ in range(30):
             g = random_element(h3, rng)
             first, *rest = [d.apply(g) for d in derivations]
+            assert first == inner_derivation_apply(x, delta(g))
             assert all(img == first for img in rest)
 
     def test_terms_are_the_character(self, model):
@@ -300,11 +290,8 @@ class TestCharacters:
         # coefficient of Ax^-1 Ap A1^-1 in d(a_2) is 1/2 + 1/3 = 5/6
         phi = Potential(h3, {}, closed_form="appendix_harmonic", trunc_k=16)
         d = Derivation.from_potential(phi)
-        a2 = sum(
-            (delta(h3.element((0, k, 0))) for k in range(-2, 3)),
-            GroupRingVector(h3),
-        )
-        img = d.apply_linear(a2)
+        img = sum((d.apply(h3.element((0, k, 0))) for k in range(-2, 3)),
+                  GroupRingVector(h3))
         got = img.coefficient(h3.element((1, -1, -1)))
         assert got == Fraction(5, 6)
 
@@ -315,12 +302,10 @@ class TestCharacters:
 
 class TestLeibniz:
     def test_inner_exact(self, model):
+        # [x, -] is the derivation of x's coefficient table
         rng = Random(42)
-        x = GroupRingVector(
-            model,
-            {random_element(model, rng): Fraction(rng.randint(1, 3)) for _ in range(3)},
-        )
-        d = Derivation.inner(x)
+        table = {random_element(model, rng): Fraction(rng.randint(1, 3)) for _ in range(3)}
+        d = Derivation.from_potential(Potential(model, table))
         for _ in range(30):
             g = random_element(model, rng)
             h = random_element(model, rng)
@@ -360,8 +345,8 @@ class TestQuasiInner:
 
     def test_inner_on_h3_loops(self, h3):
         rng = Random(46)
-        x = delta(h3.element((1, 0, 0))) + delta(h3.element((0, 1, 2)), Fraction(1, 2))
-        d = Derivation.inner(x)
+        x = {h3.element((1, 0, 0)): 1, h3.element((0, 1, 2)): Fraction(1, 2)}
+        d = Derivation.from_potential(Potential(h3, x))
         loops = [random_loop(h3, rng) for _ in range(100)]
         ok, _ = quasi_inner_check(d, loops)
         assert ok
@@ -392,7 +377,7 @@ class TestBoundednessProbe:
         assert max_norm == 0.0
 
     def test_inner_delta_ap_stabilises(self, h3):
-        d = Derivation.inner(delta(h3.element((1, 0, 0))))
+        d = Derivation.from_potential(Potential(h3, {h3.element((1, 0, 0)): 1}))
         for p in (1, 2, 3):
             max_norm, _ = g_boundedness_probe(d, h3, radius=3, p=p)
             assert max_norm == pytest.approx(2 ** (1 / p), rel=1e-12)

@@ -1,4 +1,5 @@
 import itertools
+import re
 from random import Random
 
 import pytest
@@ -224,6 +225,17 @@ class TestDirectProduct:
         gr = m.generator_element(G("r.a"))
         assert gl * gr == gr * gl
 
+    def test_parse_word_reads_product_ids(self):
+        assert parse_word(get_model("h3*dinf"), "l.Ax") == (G("l.Ax"),)
+        m = get_model("h3*dinf*free2")
+        w = parse_word(m, "r.r.x1^-1.l.Ap")
+        assert w == (G("r.r.x1", True), G("l.Ap"))
+        assert m.normal_form(w).encode() == "(H3(1,0,0)|(e|x1^-1))"
+        for text, gid in [("l", "l"), ("r.r", "r.r"), ("l.x1", "l.x1"),
+                          ("r.l.c", "r.l.c"), ("l.Ax.r", "r")]:
+            with pytest.raises(UsageError, match=re.escape(f"generator {gid!r} ")):
+                parse_word(m, text)
+
 
 # ---------------------------------------------------------------------------
 # Cross-model algebraic laws
@@ -348,6 +360,9 @@ def test_unknown_generator_rejected(h3):
         h3.normal_form((G("z"),))
     with pytest.raises(UsageError):
         parse_word(h3, "Ax.z")
+    # outside a product, 'l' is a token like any other
+    with pytest.raises(UsageError, match="generator 'l' "):
+        parse_word(h3, "l.Ax")
 
 
 def test_get_model_names():
