@@ -179,8 +179,13 @@ class Potential:
                 isinstance(r, list) and list(map(type, r)) == [str, str] for r in rows)):
             raise UsageError('expected {"model": "...", "table": [["element", "rational"], ...]}')
         model = get_model(data["model"])
+        table = {}
         try:
-            table = {model.decode(enc): Fraction(v) for enc, v in rows}
+            for enc, v in rows:
+                g = model.decode(enc)
+                if g in table:  # two spellings of one element count as one
+                    raise UsageError(f"{enc!r} names {g.encode()} a second time")
+                table[g] = Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad table entry: {exc}") from exc
         return cls(model, table, closed_form=data.get("closed_form"),

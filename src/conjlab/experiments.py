@@ -115,13 +115,12 @@ def run_appendix(m_max: int, n_max: int) -> AppendixReport:
                 acc[i] += table.get(u_gi, 0) - table.get(gi_u, 0)
         coeff_table = []
         for n in range(1, n_max + 1):
-            engine = Fraction(acc[n - 1], den)
             # closed_form_coefficient(m, n) through the prefix sums
             direct = harm[m + n] - harm[max(1, n - m) - 1] - Fraction(1, n)
-            if engine != direct:
+            if acc[n - 1] * direct.denominator != direct.numerator * den:
                 raise InternalConsistencyError(
                     f"appendix coefficient mismatch at m={m}, n={n}: "
-                    f"engine {engine} vs formula {direct}"
+                    f"engine {Fraction(acc[n - 1], den)} vs formula {direct}"
                 )
             coeff_table.append((n, direct))
         lower = math.sqrt(m) * float(harm[m] - 1)

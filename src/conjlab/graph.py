@@ -37,19 +37,23 @@ class ConjGraphBall:
 
     base: GroupElement
     radius: int
-    vertices: set = field(default_factory=set)
     dist: dict = field(default_factory=dict)
     complete: bool = True
     closed: bool = False
+
+    @property
+    def vertices(self):
+        """The ball's elements, a set-like view of `dist`."""
+        return self.dist.keys()
 
     @cached_property
     def edges(self) -> list:
         """Every edge between ball vertices, sorted by encoding; built on
         first read."""
         edges = []
-        for v in self.vertices:
+        for v in self.dist:
             for gen, w in conj_neighbors(self.base.model, v):
-                if w in self.vertices:
+                if w in self.dist:
                     edges.append(ConjEdge(v, gen, w))
         edges.sort(key=lambda e: (e.src.encode(), e.label.label(), e.dst.encode()))
         return edges
@@ -61,9 +65,7 @@ class ConjGraphBall:
             "complete": self.complete,
             "closed": self.closed,
             "vertices": sorted(v.encode() for v in self.vertices),
-            "edges": sorted(
-                [e.src.encode(), e.label.label(), e.dst.encode()] for e in self.edges
-            ),
+            "edges": [[e.src.encode(), e.label.label(), e.dst.encode()] for e in self.edges],
             "dist": {v.encode(): d for v, d in self.dist.items()},
         }
 
@@ -85,7 +87,7 @@ def explore_component(
     model._check(u0)
     search = model.bfs(u0.payload, model.conj_step, radius, node_budget)
     dist = {model.element(p): d for p, d in search.dist.items()}
-    return ConjGraphBall(u0, radius, set(dist), dist, search.cut is None, search.exhausted)
+    return ConjGraphBall(u0, radius, dist, search.cut is None, search.exhausted)
 
 
 def conj_distance(

@@ -17,6 +17,16 @@ from functools import cached_property, reduce
 from .errors import ModelMismatchError, ResourceBudgetError, UsageError
 
 DEFAULT_NODE_BUDGET = 10**6
+MAX_FREE_RANK = 2**16  # past this, listing the generators exhausts time or memory
+
+
+def _read_int(digits: str) -> int:
+    """A decimal literal from an encoding or a model name; past Python's
+    digit limit for int/str conversion, int() raises a bare ValueError."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise UsageError(f"integer literal too long: {len(digits)} characters") from exc
 
 
 @dataclass(frozen=True)
@@ -340,7 +350,7 @@ class Heisenberg(GroupModel):
         m = self._DECODE.match(text)
         if not m:
             raise UsageError(f"bad H3 element encoding: {text!r}")
-        return tuple(int(x) for x in m.groups())
+        return tuple(map(_read_int, m.groups()))
 
     def generator_payloads(self) -> dict:
         return {"Ax": (0, 1, 0), "Ap": (1, 0, 0), "A1": (0, 0, 1)}
@@ -393,9 +403,10 @@ class FreeGroup(GroupModel):
         letters = []
         for tok in text.split("."):
             m = re.match(r"^x(\d+)(\^-1)?$", tok)
-            if not m or not (1 <= int(m.group(1)) <= self.rank):
+            i = _read_int(m.group(1)) if m else 0
+            if not 1 <= i <= self.rank:
                 raise UsageError(f"bad {self.name} letter: {tok!r}")
-            letters.append((int(m.group(1)) - 1, -1 if m.group(2) else 1))
+            letters.append((i - 1, -1 if m.group(2) else 1))
         p = self.mul_payload((), tuple(letters))
         if len(p) != len(letters):
             raise UsageError(f"encoding {text!r} is not a reduced word")
@@ -419,16 +430,6 @@ class FreeGroup(GroupModel):
 # Infinite dihedral group D_inf = <a, b | a^2, b^2>
 
 
-def _mul_alternating(w1: str, w2: str) -> str:
-    """The reduced product of two reduced (alternating) words in a and b:
-    letters cancel only at the junction, and once its two letters agree,
-    the shorter word cancels whole against the other."""
-    if w1 and w2 and w1[-1] == w2[0]:
-        k = min(len(w1), len(w2))
-        return w1[: len(w1) - k] + w2[k:]
-    return w1 + w2
-
-
 class DihedralInf(GroupModel):
     name = "dinf"
 
@@ -436,7 +437,13 @@ class DihedralInf(GroupModel):
         return ""
 
     def mul_payload(self, p1, p2):
-        return _mul_alternating(p1, p2)
+        # both words are reduced (alternating), so letters cancel only at
+        # the junction, and once its two letters agree, the shorter word
+        # cancels whole against the other
+        if p1 and p2 and p1[-1] == p2[0]:
+            k = min(len(p1), len(p2))
+            return p1[: len(p1) - k] + p2[k:]
+        return p1 + p2
 
     def inv_payload(self, p):
         return p[::-1]
@@ -467,55 +474,70 @@ class DihedralInf(GroupModel):
 
 
 # ---------------------------------------------------------------------------
-# D_inf >| Z2 = <a, b, c | a^2, b^2, c^2, cac = b>
+# Swap extensions: base >| Z2 = <base, c | c^2, c t c = sigma(t)>
 #
-# Payload (w, eps) for the element w * c^eps; the defining automorphism
-# swaps a and b.
+# Payload (t, eps) for the element t * c^eps, sigma an involutive
+# automorphism of the base; encoded "t" or "t;c", with "c" read as e;c.
+
+
+class SwapExtension(GroupModel):
+    def __init__(self, base: GroupModel):
+        self.base = base
+
+    @abstractmethod
+    def sigma(self, t):
+        """The automorphism t -> c t c of the base, on base payloads."""
+
+    def identity_payload(self):
+        return (self.base.identity_payload(), 0)
+
+    def mul_payload(self, p1, p2):
+        t1, e1 = p1
+        t2, e2 = p2
+        return (self.base.mul_payload(t1, self.sigma(t2) if e1 else t2), (e1 + e2) % 2)
+
+    def inv_payload(self, p):
+        t, e = p
+        ti = self.base.inv_payload(t)
+        return (self.sigma(ti) if e else ti, e)
+
+    def encode_payload(self, p) -> str:
+        t, e = p
+        base = self.base.encode_payload(t)
+        return base + ";c" if e else base
+
+    def decode_payload(self, text: str):
+        if text == "c":
+            return (self.base.identity_payload(), 1)
+        if text.endswith(";c"):
+            return (self.base.decode_payload(text[:-2]), 1)
+        return (self.base.decode_payload(text), 0)
+
+    def generator_payloads(self) -> dict:
+        gens = {gid: (t, 0) for gid, t in self.base.generator_payloads().items()}
+        gens["c"] = (self.base.identity_payload(), 1)
+        return gens
+
+
+# D_inf >| Z2 = <a, b, c | a^2, b^2, c^2, cac = b>
 
 _SWAP_AB = str.maketrans("ab", "ba")
 
 
-class DihedralSemidirect(GroupModel):
+class DihedralSemidirect(SwapExtension):
     name = "dsemi"
 
     def __init__(self):
-        self._dinf = DihedralInf()
+        super().__init__(DihedralInf())
 
-    def identity_payload(self):
-        return ("", 0)
-
-    def mul_payload(self, p1, p2):
-        w1, e1 = p1
-        w2, e2 = p2
-        if e1:
-            w2 = w2.translate(_SWAP_AB)
-        return (_mul_alternating(w1, w2), (e1 + e2) % 2)
-
-    def inv_payload(self, p):
-        w, e = p
-        wi = w[::-1]
-        if e:
-            wi = wi.translate(_SWAP_AB)
-        return (wi, e)
-
-    def encode_payload(self, p) -> str:
-        w, e = p
-        base = w if w else "e"
-        return base + ";c" if e else base
+    def sigma(self, t):
+        return t.translate(_SWAP_AB)
 
     def decode_payload(self, text: str):
-        eps = 0
-        if text.endswith(";c"):
-            eps = 1
-            text = text[:-2]
-        elif text.endswith("c"):
-            # convenience aliases like "c", "bac" accepted on input
-            eps = 1
-            text = text[:-1] or "e"
-        return (self._dinf.decode_payload(text), eps)
-
-    def generator_payloads(self) -> dict:
-        return {"a": ("a", 0), "b": ("b", 0), "c": ("", 1)}
+        if text.endswith("c") and not text.endswith(";c"):
+            # convenience aliases like "bac" for "ba;c" accepted on input
+            text = (text[:-1] or "e") + ";c"
+        return super().decode_payload(text)
 
     def abelian_image(self, p):
         return (len(p[0]) % 2, p[1])
@@ -526,63 +548,20 @@ class DihedralSemidirect(GroupModel):
         return (len(p[0]) + p[1]) % 2 == 0
 
 
-# ---------------------------------------------------------------------------
 # H3 >| Z2, with c Ap c = Ax, c Ax c = Ap, c A1 c = A1^-1.
-#
-# On triples the defining automorphism is sigma(a, b, c) = (b, a, a*b - c):
-# it swaps the Ap/Ax exponents and the central coordinate picks up the
-# commutator correction from reordering.
 
 
-class HeisenbergSemidirect(GroupModel):
+class HeisenbergSemidirect(SwapExtension):
     name = "h3semi"
 
     def __init__(self):
-        self._h3 = Heisenberg()
+        super().__init__(Heisenberg())
 
-    @staticmethod
-    def _sigma(t):
+    def sigma(self, t):
+        # swaps the Ap/Ax exponents; the central coordinate picks up the
+        # commutator correction from reordering
         a, b, c = t
         return (b, a, a * b - c)
-
-    def identity_payload(self):
-        return ((0, 0, 0), 0)
-
-    def mul_payload(self, p1, p2):
-        t1, e1 = p1
-        t2, e2 = p2
-        if e1:
-            t2 = self._sigma(t2)
-        return (self._h3.mul_payload(t1, t2), (e1 + e2) % 2)
-
-    def inv_payload(self, p):
-        t, e = p
-        ti = self._h3.inv_payload(t)
-        if e:
-            ti = self._sigma(ti)
-        return (ti, e)
-
-    def encode_payload(self, p) -> str:
-        t, e = p
-        base = self._h3.encode_payload(t)
-        return base + ";c" if e else base
-
-    def decode_payload(self, text: str):
-        eps = 0
-        if text.endswith(";c"):
-            eps = 1
-            text = text[:-2]
-        elif text == "c":
-            return ((0, 0, 0), 1)
-        return (self._h3.decode_payload(text), eps)
-
-    def generator_payloads(self) -> dict:
-        return {
-            "Ax": ((0, 1, 0), 0),
-            "Ap": ((1, 0, 0), 0),
-            "A1": ((0, 0, 1), 0),
-            "c": ((0, 0, 0), 1),
-        }
 
     def abelian_image(self, p):
         (a, b, _), e = p
@@ -683,7 +662,10 @@ def _factor_model(name: str) -> GroupModel:
         return HeisenbergSemidirect()
     m = re.match(r"^free(\d+)$", name)
     if m:
-        return FreeGroup(int(m.group(1)))
+        rank = _read_int(m.group(1))
+        if rank > MAX_FREE_RANK:
+            raise UsageError(f"a free group has rank at most {MAX_FREE_RANK}, not {rank}")
+        return FreeGroup(rank)
     raise UsageError(f"unknown model name: {name!r}")
 
 

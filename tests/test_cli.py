@@ -688,6 +688,36 @@ class TestPlumbing:
         assert code == 2 and out == ""
         assert err.startswith(f"error: cannot load potential file {path}:")
 
+    @pytest.mark.parametrize("model, first, second, canonical", [
+        ("h3", "H3(1,0,0)", "H3(1,0,0)", "H3(1,0,0)"),
+        ("h3", "H3(1,0,0)", "H3(01,0,0)", "H3(1,0,0)"),
+        ("dsemi", "bac", "ba;c", "ba;c"),
+        ("dsemi*h3semi", "(c|e)", "(e;c|H3(0,0,0))", "(e;c|H3(0,0,0))"),
+    ])
+    def test_element_named_twice_exits_2(self, capsys, tmp_path, model, first, second,
+                                         canonical):
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({"model": model, "table": [[first, "1"], [second, "-1"]]}))
+        code, out, err = run(capsys, ["derive", "--potential", str(path),
+                                      "--element", "e"])
+        assert code == 2 and out == ""
+        assert err == (f"error: cannot load potential file {path}: bad table entry: "
+                       f"{second!r} names {canonical} a second time\n")
+
+    @pytest.mark.parametrize("model, base, message", [
+        ("free" + "1" * 5000, "e", "integer literal too long: 5000 characters"),
+        ("h3", f"H3({'1' * 5000},0,0)", "integer literal too long: 5000 characters"),
+        ("free2", "x" + "1" * 5000, "integer literal too long: 5000 characters"),
+        ("free65537", "e", "a free group has rank at most 65536, not 65537"),
+        ("free100000000", "e", "a free group has rank at most 65536, not 100000000"),
+    ], ids=["free-rank-digits", "h3-digits", "free-letter-digits", "free-rank-2^16+1",
+            "free-rank-10^8"])
+    def test_oversized_integer_exits_2(self, capsys, model, base, message):
+        code, out, err = run(capsys, ["graph", "--model", model, "--base", base,
+                                      "--radius", "0"])
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_non_utf8_potential_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe")
@@ -934,12 +964,12 @@ def test_fuzzed_search_commands_keep_the_exit_contract(case):
 def potential_json(draw):
     """(model name, JSON text) of a small potential file over a model's own
     elements and small rationals, with at most one fault: a malformed value,
-    row, model name, closed form, truncation or file.  The harmonic closed
-    form gets a truncation <= 20, so no example takes more than
-    milliseconds."""
+    row, model name, closed form, truncation or file, or an element named
+    twice.  The harmonic closed form gets a truncation <= 20, so no example
+    takes more than milliseconds."""
     model = draw(st.sampled_from(FUZZ_MODELS))
     fault = draw(st.sampled_from([None] * 4 + ["value", "row", "model", "closed_form",
-                                               "truncation", "file"]))
+                                               "truncation", "file", "duplicate"]))
     m = conjlab.get_model(model)
     element = st.lists(st.sampled_from(m.all_gens()), max_size=4).map(
         lambda w: m.normal_form(w).encode())
@@ -960,6 +990,9 @@ def potential_json(draw):
         data["truncation"] = 20
     elif fault == "truncation":
         data["truncation"] = draw(st.sampled_from([0, -3, "7", True, 2.5]))
+    elif fault == "duplicate":
+        twice, at = draw(element), draw(st.integers(0, len(rows)))
+        rows[at:at] = [[twice, draw(value)], [twice, draw(value)]]
     text = json.dumps(data)
     if fault == "file":
         text = draw(st.sampled_from(["[]", "{", '"h3"', ""]))

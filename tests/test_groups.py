@@ -212,6 +212,104 @@ class TestHeisenbergSemidirect:
         assert m.conjugate(m.decode("c"), m.decode("H3(0,1,0)")) == m.decode("H3(1,0,0)")
 
 
+# ---------------------------------------------------------------------------
+# The two swap extensions dsemi, h3semi and their product, pinned byte for byte
+
+
+# text -> (payload, encoding) of what decode gives, or the exact UsageError
+SWAP_CODEC = {
+    "dsemi": {
+        "c": (("", 1), "e;c"),
+        "e;c": (("", 1), "e;c"),
+        "bac": (("ba", 1), "ba;c"),
+        "ba;c": (("ba", 1), "ba;c"),
+        "ab": (("ab", 0), "ab"),
+        "H3(0,1,0);c": "bad dinf element encoding: 'H3(0,1,0)'",
+        "(bac|c)": "bad dinf element encoding: '(bac|c)'",
+        ";c": "bad dinf element encoding: ''",
+        "cc": "bad dinf element encoding: 'c'",
+        "aac": "encoding 'aa' is not an alternating word",
+        "H3(1,0,0)c": "bad dinf element encoding: 'H3(1,0,0)'",
+    },
+    "h3semi": {
+        "c": (((0, 0, 0), 1), "H3(0,0,0);c"),
+        "e;c": (((0, 0, 0), 1), "H3(0,0,0);c"),
+        "H3(0,1,0);c": (((0, 1, 0), 1), "H3(0,1,0);c"),
+        "e": (((0, 0, 0), 0), "H3(0,0,0)"),
+        "bac": "bad H3 element encoding: 'bac'",
+        "ba;c": "bad H3 element encoding: 'ba'",
+        "(bac|c)": "bad H3 element encoding: '(bac|c)'",
+        ";c": "bad H3 element encoding: ''",
+        "cc": "bad H3 element encoding: 'cc'",
+        "aac": "bad H3 element encoding: 'aac'",
+        "H3(1,0,0)c": "bad H3 element encoding: 'H3(1,0,0)c'",
+    },
+    "dsemi*h3semi": {
+        "(bac|c)": ((("ba", 1), ((0, 0, 0), 1)), "(ba;c|H3(0,0,0);c)"),
+        "(e;c|H3(0,1,0);c)": ((("", 1), ((0, 1, 0), 1)), "(e;c|H3(0,1,0);c)"),
+        "(ba;c|e)": ((("ba", 1), ((0, 0, 0), 0)), "(ba;c|H3(0,0,0))"),
+        "c": "bad product encoding: 'c'",
+        "bac": "bad product encoding: 'bac'",
+        "(;c|c)": "bad dinf element encoding: ''",
+        "(cc|c)": "bad dinf element encoding: 'c'",
+        "(aac|c)": "encoding 'aa' is not an alternating word",
+        "(a|H3(1,0,0)c)": "bad H3 element encoding: 'H3(1,0,0)c'",
+        "(c|;c)": "bad H3 element encoding: ''",
+    },
+}
+
+SWAP_GENERATORS = {
+    "dsemi": [("a", ("a", 0)), ("b", ("b", 0)), ("c", ("", 1))],
+    "h3semi": [("Ax", ((0, 1, 0), 0)), ("Ap", ((1, 0, 0), 0)),
+               ("A1", ((0, 0, 1), 0)), ("c", ((0, 0, 0), 1))],
+}
+
+
+def _swap_ab(w):
+    return w.translate(str.maketrans("ab", "ba"))
+
+
+def _swap_h3(t):
+    a, b, c = t
+    return (b, a, a * b - c)
+
+
+@pytest.mark.parametrize("name", SWAP_CODEC)
+def test_swap_extension_codec_is_pinned(name):
+    m = get_model(name)
+    for text, want in SWAP_CODEC[name].items():
+        if isinstance(want, str):
+            with pytest.raises(UsageError, match="^" + re.escape(want) + "$"):
+                m.decode(text)
+        else:
+            g = m.decode(text)
+            assert (g.payload, g.encode()) == want, text
+            assert m.decode(g.encode()) == g
+
+
+def test_swap_extension_generator_tables_are_pinned():
+    for name, gens in SWAP_GENERATORS.items():
+        assert list(get_model(name).generator_payloads().items()) == gens
+    product = list(get_model("dsemi*h3semi").generator_payloads().items())
+    assert product == (
+        [("l." + gid, (p, ((0, 0, 0), 0))) for gid, p in SWAP_GENERATORS["dsemi"]]
+        + [("r." + gid, (("", 0), p)) for gid, p in SWAP_GENERATORS["h3semi"]])
+
+
+@pytest.mark.parametrize("name", ["dsemi", "h3semi", "dsemi*h3semi"])
+def test_c_conjugation_is_the_swap(name):
+    # c (t c^e) c = sigma(t) c^e, with sigma written out from the defining
+    # relations: a <-> b on dinf words, (a, b, c) -> (b, a, ab - c) on H3
+    m = get_model(name)
+    sigma = {"dsemi": _swap_ab, "h3semi": _swap_h3}
+    factors = name.split("*")
+    c = m.decode("c" if len(factors) == 1 else "(c|c)")
+    for x in m.cayley_ball(2):
+        parts = [x.payload] if len(factors) == 1 else x.payload
+        want = tuple((sigma[f](t), e) for f, (t, e) in zip(factors, parts))
+        assert (c * x * c).payload == (want[0] if len(factors) == 1 else want)
+
+
 class TestDirectProduct:
     def test_componentwise(self):
         m = DirectProduct(Heisenberg(), DihedralInf())
