@@ -102,6 +102,11 @@ def run_appendix(m_max: int, n_max: int) -> AppendixReport:
     harm = list(accumulate((Fraction(1, j) for j in range(1, m_max + n_max + 1)),
                            initial=Fraction(0)))  # harmonic prefix sums
 
+    def coefficient(m, n):  # closed_form_coefficient(m, n) through the prefix sums
+        return harm[m + n] - harm[max(1, n - m) - 1] - Fraction(1, n)
+
+    exact_str(coefficient(m_max, 1))  # every format prints it: refuse before the loop
+
     den, (payloads, scaled, _) = phi._scaled_columns
     table = dict(zip(payloads, scaled))  # D phi, in ints
     targets = [(1, -n, -n) for n in range(1, n_max + 1)]
@@ -115,8 +120,7 @@ def run_appendix(m_max: int, n_max: int) -> AppendixReport:
                 acc[i] += table.get(u_gi, 0) - table.get(gi_u, 0)
         coeff_table = []
         for n in range(1, n_max + 1):
-            # closed_form_coefficient(m, n) through the prefix sums
-            direct = harm[m + n] - harm[max(1, n - m) - 1] - Fraction(1, n)
+            direct = coefficient(m, n)
             if acc[n - 1] * direct.denominator != direct.numerator * den:
                 raise InternalConsistencyError(
                     f"appendix coefficient mismatch at m={m}, n={n}: "

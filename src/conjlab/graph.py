@@ -31,15 +31,22 @@ class ConjEdge:
 class ConjGraphBall:
     """A BFS ball of the conjugation graph around `base`.
 
+    `depths` maps each vertex payload to its depth, in visiting order.
     `complete` is False when the node budget stopped the exploration early;
     `closed` is True when the whole (finite) component fits in the ball.
     """
 
     base: GroupElement
     radius: int
-    dist: dict = field(default_factory=dict)
+    depths: dict = field(default_factory=dict)
     complete: bool = True
     closed: bool = False
+
+    @cached_property
+    def dist(self) -> dict:
+        """{element: depth}, `depths` wrapped for the API; built on first read."""
+        element = self.base.model.element
+        return {element(p): d for p, d in self.depths.items()}
 
     @property
     def vertices(self):
@@ -47,26 +54,44 @@ class ConjGraphBall:
         return self.dist.keys()
 
     @cached_property
+    def encodings(self) -> dict:
+        """{payload: encoding} of every vertex, each encoded once."""
+        encode = self.base.model.encode_payload
+        return {p: encode(p) for p in self.depths}
+
+    @cached_property
+    def rows(self) -> list:
+        """Every edge between ball vertices as a (src encoding, label, dst
+        encoding) row, sorted; built on first read from payload steps."""
+        enc = self.encodings
+        step = self.base.model.conj_step
+        labelled = [(gen.label(), x, xi) for gen, x, xi in self.base.model.gen_triples]
+        rows = []
+        for p, src in enc.items():
+            for label, x, xi in labelled:
+                dst = enc.get(step(p, x, xi))
+                if dst is not None:
+                    rows.append((src, label, dst))
+        rows.sort()
+        return rows
+
+    @cached_property
     def edges(self) -> list:
-        """Every edge between ball vertices, sorted by encoding; built on
-        first read."""
-        edges = []
-        for v in self.dist:
-            for gen, w in conj_neighbors(self.base.model, v):
-                if w in self.dist:
-                    edges.append(ConjEdge(v, gen, w))
-        edges.sort(key=lambda e: (e.src.encode(), e.label.label(), e.dst.encode()))
-        return edges
+        """The rows as `ConjEdge`s between elements, for API callers."""
+        elem = {self.encodings[v.payload]: v for v in self.dist}
+        gens = {gen.label(): gen for gen in self.base.model.all_gens()}
+        return [ConjEdge(elem[src], gens[label], elem[dst]) for src, label, dst in self.rows]
 
     def to_json(self) -> dict:
+        enc = self.encodings
         return {
-            "base": self.base.encode(),
+            "base": enc[self.base.payload],
             "radius": self.radius,
             "complete": self.complete,
             "closed": self.closed,
-            "vertices": sorted(v.encode() for v in self.vertices),
-            "edges": [[e.src.encode(), e.label.label(), e.dst.encode()] for e in self.edges],
-            "dist": {v.encode(): d for v, d in self.dist.items()},
+            "vertices": sorted(enc.values()),
+            "edges": [list(row) for row in self.rows],
+            "dist": {enc[p]: d for p, d in self.depths.items()},
         }
 
 
@@ -86,8 +111,7 @@ def explore_component(
 ) -> ConjGraphBall:
     model._check(u0)
     search = model.bfs(u0.payload, model.conj_step, radius, node_budget)
-    dist = {model.element(p): d for p, d in search.dist.items()}
-    return ConjGraphBall(u0, radius, dist, search.cut is None, search.exhausted)
+    return ConjGraphBall(u0, radius, search.dist, search.cut is None, search.exhausted)
 
 
 def conj_distance(
@@ -105,10 +129,15 @@ def conj_distance(
     search to depth `budget` cannot run out of nodes either, it could only
     return AtLeast(budget), so that is returned without one."""
     model._check(h1, h2)
-    if (model.abelian_image(h1.payload) != model.abelian_image(h2.payload)
+    return _payload_distance(model, h1.payload, h2.payload, budget, node_budget)
+
+
+def _payload_distance(model: GroupModel, p1, p2, budget: int, node_budget: int):
+    """`conj_distance` on payloads."""
+    if (model.abelian_image(p1) != model.abelian_image(p2)
             and _levels_fit(len(model.gen_triples), budget, node_budget)):
         return AtLeast(budget)
-    return model.distance(h1.payload, h2.payload, model.conj_step, budget, node_budget)[0]
+    return model.distance(p1, p2, model.conj_step, budget, node_budget)[0]
 
 
 def _levels_fit(n: int, depth: int, node_budget: int) -> bool:
@@ -149,10 +178,10 @@ def _max_distance(dists):
     return AtLeast(best) if any(isinstance(d, AtLeast) for d in dists) else best
 
 
-def _set_diameter(model, elems, budget, node_budget):
+def _set_diameter(model, payloads, budget, node_budget):
     """Max pairwise conjugation distance; AtLeast propagates."""
-    return _max_distance([0] + [conj_distance(model, u, v, budget, node_budget)
-                                for u, v in combinations(elems, 2)])
+    return _max_distance([0] + [_payload_distance(model, u, v, budget, node_budget)
+                                for u, v in combinations(payloads, 2)])
 
 
 def bc_probe(
@@ -166,8 +195,8 @@ def bc_probe(
     conjugators g of length <= r.
 
     Conjugators acting identically on K are expanded once (memo on the
-    tuple of images).  The verdict is a fixed-window heuristic over the
-    shell data; the raw shells are always reported.
+    tuple of image payloads).  The verdict is a fixed-window heuristic over
+    the shell data; the raw shells are always reported.
     """
     K = sorted(set(K))
     if not K:
@@ -176,14 +205,17 @@ def bc_probe(
     ball = model.cayley_ball(max_cayley_radius, node_budget)
     by_radius = {}
     for g, r in ball.items():
-        by_radius.setdefault(r, []).append(g)
+        by_radius.setdefault(r, []).append(g.payload)
+    kp = [k.payload for k in K]
+    step, inv = model.conj_step, model.inv_payload
     memo = {}
     shells = []
     running = 0
     for r in range(max_cayley_radius + 1):
         dists = [running]
         for g in by_radius.get(r, ()):
-            images = tuple(model.conjugate(g, k) for k in K)
+            gi = inv(g)
+            images = tuple(step(k, g, gi) for k in kp)
             if images not in memo:
                 memo[images] = _set_diameter(model, images, diam_budget, node_budget)
             dists.append(memo[images])
@@ -211,11 +243,8 @@ def export_dot(ball: ConjGraphBall, suppress_loops: bool = False) -> str:
     """Deterministic DOT rendering; vertex order is the sorted canonical
     encoding; identical balls always render to identical text."""
     lines = ["digraph conj {"]
-    for enc in sorted(v.encode() for v in ball.vertices):
-        lines.append(f'  "{enc}";')
-    for e in ball.edges:
-        if suppress_loops and e.is_loop():
-            continue
-        lines.append(f'  "{e.src.encode()}" -> "{e.dst.encode()}" [label="{e.label.label()}"];')
+    lines += [f'  "{enc}";' for enc in sorted(ball.encodings.values())]
+    lines += [f'  "{src}" -> "{dst}" [label="{label}"];' for src, label, dst in ball.rows
+              if not (suppress_loops and src == dst)]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -381,13 +381,14 @@ class FreeGroup(GroupModel):
         return ()
 
     def mul_payload(self, p1, p2):
-        out = list(p1)
-        for letter in p2:
-            if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-                out.pop()
-            else:
-                out.append(letter)
-        return tuple(out)
+        # both words are reduced, so letters cancel only at the junction:
+        # the last k of p1 against the first k of p2
+        if not (p1 and p2) or p1[-1] != (p2[0][0], -p2[0][1]):
+            return p1 + p2
+        k, m = 1, min(len(p1), len(p2))
+        while k < m and p1[-1 - k] == (p2[k][0], -p2[k][1]):
+            k += 1
+        return p1[: len(p1) - k] + p2[k:]
 
     def inv_payload(self, p):
         return tuple((i, -s) for i, s in reversed(p))
@@ -407,10 +408,9 @@ class FreeGroup(GroupModel):
             if not 1 <= i <= self.rank:
                 raise UsageError(f"bad {self.name} letter: {tok!r}")
             letters.append((i - 1, -1 if m.group(2) else 1))
-        p = self.mul_payload((), tuple(letters))
-        if len(p) != len(letters):
+        if any(a == (b, -t) for a, (b, t) in zip(letters, letters[1:])):
             raise UsageError(f"encoding {text!r} is not a reduced word")
-        return p
+        return tuple(letters)
 
     def generator_payloads(self) -> dict:
         return {f"x{i + 1}": ((i, 1),) for i in range(self.rank)}

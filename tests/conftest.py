@@ -1,13 +1,25 @@
+import json
+from itertools import combinations
+
 import pytest
 
 from conjlab import (
+    AtLeast,
+    BCReport,
+    ConjEdge,
     DihedralInf,
     DihedralSemidirect,
     DirectProduct,
     FreeGroup,
     Heisenberg,
     HeisenbergSemidirect,
+    conj_distance,
+    conj_neighbors,
+    explore_component,
+    get_model,
 )
+from conjlab.cli import build_parser
+from conjlab.graph import _bc_verdict
 
 
 def all_models():
@@ -78,3 +90,79 @@ def mat_inv(m):
             )
             cof[j][i] = (-1) ** (i + j) * minor
     return tuple(tuple(row) for row in cof)
+
+
+# ---------------------------------------------------------------------------
+# Element-level oracles of the `graph` and `bc` commands: every edge from
+# `conj_neighbors` as a `ConjEdge`, sorted by `.encode()`, and the BC shells
+# from `conjugate` and `conj_distance`, rendered as the CLI prints them.
+
+
+def _cli_json(data) -> str:
+    return json.dumps(data, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+
+
+def oracle_edges(model, ball):
+    edges = []
+    for v in ball.dist:
+        for gen, w in conj_neighbors(model, v):
+            if w in ball.dist:
+                edges.append(ConjEdge(v, gen, w))
+    edges.sort(key=lambda e: (e.src.encode(), e.label.label(), e.dst.encode()))
+    return edges
+
+
+def oracle_graph_stdout(model, base, radius, fmt, suppress_loops, node_budget):
+    ball = explore_component(model, base, radius, node_budget)
+    edges = [e for e in oracle_edges(model, ball) if not (suppress_loops and e.is_loop())]
+    vertices = sorted(v.encode() for v in ball.vertices)
+    if fmt == "dot":
+        lines = ["digraph conj {"] + [f'  "{enc}";' for enc in vertices]
+        lines += [f'  "{e.src.encode()}" -> "{e.dst.encode()}" [label="{e.label.label()}"];'
+                  for e in edges]
+        return "\n".join(lines + ["}"]) + "\n"
+    return _cli_json({
+        "base": base.encode(),
+        "radius": radius,
+        "complete": ball.complete,
+        "closed": ball.closed,
+        "vertices": vertices,
+        "edges": [[e.src.encode(), e.label.label(), e.dst.encode()] for e in edges],
+        "dist": {v.encode(): d for v, d in ball.dist.items()},
+    })
+
+
+def _oracle_max(dists):
+    best = max(d.bound if isinstance(d, AtLeast) else d for d in dists)
+    return AtLeast(best) if any(isinstance(d, AtLeast) for d in dists) else best
+
+
+def oracle_bc_stdout(model, K, radius, diam_budget, node_budget):
+    K = sorted(set(K))
+    ball = model.cayley_ball(radius, node_budget)
+    memo, shells, running = {}, [], 0
+    for r in range(radius + 1):
+        dists = [running]
+        for g in (g for g, rg in ball.items() if rg == r):
+            images = tuple(model.conjugate(g, k) for k in K)
+            if images not in memo:
+                memo[images] = _oracle_max(
+                    [0] + [conj_distance(model, u, v, diam_budget, node_budget)
+                           for u, v in combinations(images, 2)])
+            dists.append(memo[images])
+        running = _oracle_max(dists)
+        shells.append((r, running))
+    report = BCReport([k.encode() for k in K], shells, _bc_verdict(shells, radius))
+    return _cli_json(report.to_json())
+
+
+def oracle_stdout(argv, node_budget=10**6):
+    """What `graph` or `bc` prints for `argv`, by the oracles above;
+    `node_budget` is the default of --budget-nodes."""
+    args = build_parser(node_budget, argv[0]).parse_args(argv)
+    model = get_model(args.model)
+    if args.command == "graph":
+        return oracle_graph_stdout(model, model.decode(args.base), args.radius,
+                                   args.format, args.suppress_loops, args.budget_nodes)
+    return oracle_bc_stdout(model, [model.decode(k) for k in args.k],
+                            args.cayley_radius, args.diam_budget, args.budget_nodes)

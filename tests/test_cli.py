@@ -16,6 +16,8 @@ from conjlab import GroupRingVector, cli
 from conjlab import derivations as dv
 from conjlab.cli import main
 
+from conftest import oracle_stdout
+
 
 @pytest.fixture
 def two_point_potential(tmp_path):
@@ -443,6 +445,16 @@ class TestAppendix:
         code, out, _ = run(capsys, ["appendix", "--m-max", "2", "--n-max", "1"])
         assert code == 0
         assert "ratio_lower_bound" in out.splitlines()[0]
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_unprintable_coefficient_exits_2(self, capsys, fmt):
+        digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            result = run(capsys, ["appendix", "--m-max", "1500", "--format", fmt])
+        finally:
+            sys.set_int_max_str_digits(digits)
+        assert result == (2, "", "error: a rational value is too large to print\n")
 
 
 class TestLimit:
@@ -909,6 +921,8 @@ def search_argv(draw):
     elif command == "graph":
         argv += ["--base", draw(element_text(model)), "--radius", draw(small),
                  "--format", draw(st.sampled_from(["dot", "json"]))]
+        if draw(st.booleans()):
+            argv.append("--suppress-loops")
     else:
         gids = sorted(conjlab.get_model(model).generator_payloads())
         letter = st.sampled_from(gids).flatmap(lambda g: st.sampled_from([g, g + "^-1"]))
@@ -954,6 +968,8 @@ def test_fuzzed_search_commands_keep_the_exit_contract(case):
     assert "Traceback" not in err
     assert "unknown generator" not in err  # words are drawn from the model's ids
     assert run_fuzzed(argv, env) == (code, out, err)
+    if code == 0 and argv[0] in ("graph", "bc"):
+        assert out == oracle_stdout(argv, int(env) if env is not None else 10**6)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from conjlab import (
     AtLeast,
     FreeGroup,
+    Heisenberg,
     InternalConsistencyError,
     Potential,
     UsageError,
@@ -140,6 +142,22 @@ class TestAppendix:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 10**6
+
+    @pytest.mark.parametrize("n_max", [1, 4])
+    def test_unprintable_coefficient_refused_before_the_loop(self, monkeypatch, n_max):
+        # with 640 digits, H(1501) - 1, the n = 1 coefficient of row 1500,
+        # cannot be printed; the refusal comes before any row is computed
+        def no_loop(*args, **kwargs):
+            raise AssertionError("the loop ran")
+
+        monkeypatch.setattr(Heisenberg, "mul_all", no_loop)
+        digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(UsageError, match="^a rational value is too large to print$"):
+                run_appendix(1500, n_max)
+        finally:
+            sys.set_int_max_str_digits(digits)
 
     def test_bad_arguments(self):
         with pytest.raises(UsageError):

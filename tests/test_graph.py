@@ -1,3 +1,4 @@
+import json
 from itertools import combinations, product
 from random import Random
 
@@ -16,7 +17,11 @@ from conjlab import (
     get_model,
     parse_word,
 )
+from conjlab.cli import main
+from conjlab.groups import GroupElement, SwapExtension
 from conjlab.sampling import random_element
+
+from conftest import oracle_stdout
 
 
 class TestNeighbors:
@@ -369,3 +374,100 @@ class TestDot:
         dot = export_dot(ball, suppress_loops=True)
         # rungs of the ladder carry the label c
         assert '"a" -> "b" [label="c"];' in dot
+
+
+# ---------------------------------------------------------------------------
+# The CLI against the element-level oracles, byte for byte
+
+
+ORACLE_MODELS = ["h3", "free2", "dinf", "dsemi", "h3semi", "h3*dinf", "h3*dinf*free2"]
+# a base with an infinite class in each model, so a node budget can cut its ball
+INFINITE_BASES = ["H3(1,2,3)", "x1.x2", "aba", "ab;c", "H3(-1,2,-2);c", "(H3(1,0,0)|ab)",
+                  "(H3(0,1,0)|(a|x1))"]
+
+
+def cli_stdout(capsys, argv):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def some_element(name, seed, max_len=3):
+    return random_element(get_model(name), Random(seed), max_len=max_len).encode()
+
+
+class TestRenderingOracle:
+    @pytest.mark.parametrize("name, base", zip(ORACLE_MODELS, INFINITE_BASES))
+    @pytest.mark.parametrize("fmt", ["dot", "json"])
+    @pytest.mark.parametrize("loops", [[], ["--suppress-loops"]])
+    @pytest.mark.parametrize("radius, budget", [(3, []), (6, ["--budget-nodes", "5"])])
+    def test_graph_matches_oracle(self, capsys, name, base, fmt, loops, radius, budget):
+        argv = ["graph", "--model", name, "--base", base, "--radius", str(radius),
+                "--format", fmt, *loops, *budget]
+        out = cli_stdout(capsys, argv)
+        assert out == oracle_stdout(argv)
+        if budget and fmt == "json":  # the ball is cut by the node budget
+            assert json.loads(out)["complete"] is False
+
+    def test_identity_ball_matches_oracle(self, capsys):
+        argv = ["graph", "--model", "h3*dinf*free2", "--base", "(e|(e|e))",
+                "--radius", "2", "--suppress-loops"]
+        assert cli_stdout(capsys, argv) == oracle_stdout(argv)
+
+    @pytest.mark.parametrize("name", ORACLE_MODELS)
+    def test_bc_matches_oracle(self, capsys, name):
+        argv = ["bc", "--model", name, "--cayley-radius", "2", "--diam-budget", "4"]
+        for seed in range(3):
+            argv += ["--k", some_element(name, 30 + seed, max_len=2)]
+        assert cli_stdout(capsys, argv) == oracle_stdout(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["bc", "--model", "free2", "--k", "x1", "--k", "x2.x1.x2^-1",
+         "--k", "x1.x2.x1.x2^-1.x1^-1", "--cayley-radius", "1", "--diam-budget", "6",
+         "--budget-nodes", "5"],
+        ["bc", "--model", "dsemi", "--k", "a", "--k", "b", "--k", "babab",
+         "--k", "abababa", "--cayley-radius", "2", "--diam-budget", "8",
+         "--budget-nodes", "8"],
+        ["bc", "--model", "h3", "--k", "H3(1,0,0)", "--k", "H3(0,1,0)",
+         "--cayley-radius", "2", "--diam-budget", "3"],
+    ])
+    def test_atleast_diameters_match_oracle(self, capsys, argv):
+        out = cli_stdout(capsys, argv)
+        assert out == oracle_stdout(argv)
+        assert json.loads(out)["shells"][-1][1].startswith("≥")
+
+
+# ---------------------------------------------------------------------------
+# Work counts: how often `graph` encodes and `bc` wraps
+
+
+def test_graph_encodes_each_vertex_once(capsys, monkeypatch):
+    encode = SwapExtension.encode_payload
+    calls = []
+
+    def counted(self, p):
+        calls.append(p)
+        return encode(self, p)
+
+    monkeypatch.setattr(SwapExtension, "encode_payload", counted)
+    out = cli_stdout(capsys, ["graph", "--model", "h3semi", "--base", "H3(-1,2,-2);c",
+                              "--radius", "6", "--format", "json"])
+    assert len(calls) == len(json.loads(out)["vertices"])
+
+
+def test_bc_wraps_no_conjugate(capsys, monkeypatch):
+    # the K elements and the Cayley ball are wrapped once each; no
+    # conjugator or pair builds an element
+    f2 = FreeGroup(2)
+    ball = len(f2.bfs(f2.identity_payload(), f2.right_step, 3, 10**6).dist)
+    init = GroupElement.__init__
+    calls = []
+
+    def counted(self, model, payload):
+        calls.append(payload)
+        init(self, model, payload)
+
+    monkeypatch.setattr(GroupElement, "__init__", counted)
+    K = ["x1", "x2.x1.x2^-1", "x1.x2"]
+    cli_stdout(capsys, ["bc", "--model", "free2", *(a for k in K for a in ("--k", k)),
+                        "--cayley-radius", "3", "--diam-budget", "4"])
+    assert len(calls) <= len(K) + ball

@@ -96,6 +96,19 @@ class TestHeisenberg:
 # ---------------------------------------------------------------------------
 # Free groups
 
+free_letters = st.tuples(st.integers(0, 2), st.sampled_from([1, -1]))
+
+
+def reduce_letters(word):
+    """Free reduction, one letter at a time."""
+    out = []
+    for i, s in word:
+        if out and out[-1] == (i, -s):
+            out.pop()
+        else:
+            out.append((i, s))
+    return tuple(out)
+
 
 class TestFree:
     def test_free_reduction(self):
@@ -116,6 +129,31 @@ class TestFree:
         f2 = FreeGroup(2)
         with pytest.raises(UsageError):
             f2.decode("x1.x1^-1")
+
+    @pytest.mark.parametrize("text", ["x1.x1^-1", "x2.x1^-1.x1.x2", "x1^-1.x2.x2^-1"])
+    def test_unreduced_encoding_message(self, text):
+        with pytest.raises(UsageError) as exc:
+            FreeGroup(2).decode(text)
+        assert str(exc.value) == f"encoding {text!r} is not a reduced word"
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(free_letters, max_size=8), st.lists(free_letters, max_size=8))
+    def test_product_cancels_at_the_junction(self, w1, w2):
+        # on reduced words, the product equals the word reduced letter by letter
+        f3 = FreeGroup(3)
+        p1, p2 = reduce_letters(w1), reduce_letters(w2)
+        assert f3.mul_payload(p1, p2) == reduce_letters(p1 + p2)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(free_letters, min_size=1, max_size=6))
+    def test_decode_accepts_exactly_the_reduced_words(self, word):
+        f3 = FreeGroup(3)
+        text = ".".join(f"x{i + 1}" + ("^-1" if s < 0 else "") for i, s in word)
+        if reduce_letters(word) == tuple(word):
+            assert f3.decode(text).payload == tuple(word)
+        else:
+            with pytest.raises(UsageError, match="is not a reduced word"):
+                f3.decode(text)
 
 
 # ---------------------------------------------------------------------------
