@@ -315,39 +315,48 @@ def _commands(node_budget: int) -> dict:
     }
 
 
-def build_parser(node_budget: int, command=None) -> argparse.ArgumentParser:
-    """The conjlab parser.
+def _command_parser(parser, fn, arguments) -> argparse.ArgumentParser:
+    """`parser` with a command's handler and arguments added."""
+    parser.set_defaults(fn=fn)
+    for flags, kwargs in arguments:
+        parser.add_argument(*flags, **kwargs)
+    return parser
 
-    When `command` names a subcommand, only that subparser is built:
-    argparse formats help inside every `add_argument`, so the whole tree
-    costs a short command more than its own work.  Otherwise (no
-    command, an option, `--` or a misspelt name) every subcommand is
-    built, so top-level help and errors list them all.
+
+def build_parser(node_budget: int) -> argparse.ArgumentParser:
+    """The full conjlab parser: every subcommand under one top level."""
+    parser = argparse.ArgumentParser(prog="conjlab", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (fn, help_text, arguments) in _commands(node_budget).items():
+        _command_parser(sub.add_parser(name, help=help_text), fn, arguments)
+    return parser
+
+
+def parse(argv, node_budget: int) -> argparse.Namespace:
+    """The namespace of `argv`, as `build_parser` reads it.
+
+    A named command is parsed by its own parser alone, built as its
+    subparser would be: argparse formats help inside every `add_argument`,
+    so the full tree costs a short command more than its own work.  Any
+    other argv, or an argument the command leaves over, goes to the full
+    tree, so top-level help and errors list every command.
     """
     commands = _commands(node_budget)
-    metavar = None
-    if command in commands:
-        # arguments left over after the command are reported with the
-        # top-level usage line, which must still name every command; the
-        # full tree keeps metavar None, or a misspelt command would read
-        # "argument {graph,...}:" instead of "argument command:"
-        metavar = "{" + ",".join(commands) + "}"
-        commands = {command: commands[command]}
-    parser = argparse.ArgumentParser(prog="conjlab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (fn, help_text, arguments) in commands.items():
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn)
-        for flags, kwargs in arguments:
-            p.add_argument(*flags, **kwargs)
-    return parser
+    if argv and argv[0] in commands:
+        fn, _, arguments = commands[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"conjlab {argv[0]}")
+        # `command` comes first in the namespace, as in the full tree's
+        args, rest = _command_parser(parser, fn, arguments).parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return build_parser(node_budget).parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        parser = build_parser(_default_node_budget(), argv[0] if argv else None)
-        args = parser.parse_args(argv)
+        args = parse(argv, _default_node_budget())
         code = args.fn(args)
         sys.stdout.flush()
         return code

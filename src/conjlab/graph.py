@@ -202,10 +202,9 @@ def bc_probe(
     if not K:
         raise UsageError("bc_probe needs a nonempty finite set K")
     model._check(*K)
-    ball = model.cayley_ball(max_cayley_radius, node_budget)
     by_radius = {}
-    for g, r in ball.items():
-        by_radius.setdefault(r, []).append(g.payload)
+    for g, r in model.cayley_depths(max_cayley_radius, node_budget).items():
+        by_radius.setdefault(r, []).append(g)
     kp = [k.payload for k in K]
     step, inv = model.conj_step, model.inv_payload
     memo = {}

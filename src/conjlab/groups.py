@@ -298,14 +298,18 @@ class GroupModel(ABC):
                                       partial_count=cut)
         return d
 
-    def cayley_ball(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
-        """Map element -> word length, for every element of length <= radius;
+    def cayley_depths(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
+        """Map payload -> word length, for every element of length <= radius;
         raises ResourceBudgetError when the node budget runs out."""
         ball = self.bfs(self.identity_payload(), self.right_step, radius, node_budget)
         if ball.cut is not None:
             raise ResourceBudgetError(f"cayley_ball node budget {node_budget} exceeded",
                                       partial_count=len(ball.dist))
-        return {self.element(p): d for p, d in ball.dist.items()}
+        return ball.dist
+
+    def cayley_ball(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
+        """`cayley_depths` keyed by element."""
+        return {self.element(p): d for p, d in self.cayley_depths(radius, node_budget).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from conjlab import (
     explore_component,
     get_model,
 )
-from conjlab.cli import build_parser
+from conjlab.cli import parse
 from conjlab.graph import _bc_verdict
 
 
@@ -159,7 +159,7 @@ def oracle_bc_stdout(model, K, radius, diam_budget, node_budget):
 def oracle_stdout(argv, node_budget=10**6):
     """What `graph` or `bc` prints for `argv`, by the oracles above;
     `node_budget` is the default of --budget-nodes."""
-    args = build_parser(node_budget, argv[0]).parse_args(argv)
+    args = parse(argv, node_budget)
     model = get_model(args.model)
     if args.command == "graph":
         return oracle_graph_stdout(model, model.decode(args.base), args.radius,

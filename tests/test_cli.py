@@ -755,11 +755,12 @@ COMMANDS = cli._commands(BUDGET)
 
 def parse_outcome(parse, argv):
     """(outcome, stdout, stderr) of parse(argv): the exit code of a
-    SystemExit, or the parsed namespace, with each value as its repr."""
+    SystemExit, or the repr of the parsed namespace, which lists its
+    attributes in the order they were set."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            outcome = {k: repr(v) for k, v in vars(parse(list(argv))).items()}
+            outcome = repr(parse(list(argv)))
         except SystemExit as exc:
             outcome = exc.code
     return outcome, out.getvalue(), err.getvalue()
@@ -783,6 +784,9 @@ def parser_cases():
         if counts:
             yield name + "-negative", valid + [counts[0], "-1"]
         yield name + "-unrecognized", valid + ["--bogus", "extra"]
+        yield name + "-after-dashes", valid + ["--", "x"]
+        # a prefix of the first option, with its value missing
+        yield name + "-abbreviated", [name, arguments[0][0][0][:5]]
     for argv in ([], ["-h"], ["nope"], ["deriv"], ["--", "appendix"]):
         yield "top" + "".join(argv), argv
 
@@ -792,8 +796,8 @@ class TestParser:
     @pytest.mark.parametrize("argv", [c[1] for c in parser_cases()],
                              ids=[c[0] for c in parser_cases()])
     def test_main_prints_what_the_full_parser_prints(self, monkeypatch, columns, argv):
-        # main builds only the named command's subparser; help and errors
-        # must read as if it had built them all
+        # main parses a named command with that command's parser alone;
+        # help and errors must read as the full tree's
         monkeypatch.setenv("COLUMNS", columns)
         ours = parse_outcome(main, argv)
         assert ours == parse_outcome(full_parse, argv)
@@ -806,51 +810,67 @@ class TestParser:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        names = []
-        add_parser = argparse._SubParsersAction.add_parser
+        """The prog of every ArgumentParser built, subparsers included."""
+        progs = []
+        init = argparse.ArgumentParser.__init__
 
-        def counting(self, name, **kwargs):
-            names.append(name)
-            return add_parser(self, name, **kwargs)
+        def counting(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            progs.append(self.prog)
 
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-        return names
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        return progs
 
+    FULL_TREE = ["conjlab"] + [f"conjlab {name}" for name in COMMANDS]
+
+    # a named command builds one parser, its own, standing alone where its
+    # subparser would be; the full tree only when it leaves an argument over
     @pytest.mark.parametrize("name", list(COMMANDS))
     def test_a_command_builds_one_subparser(self, capsys, built, name):
         with pytest.raises(SystemExit):
             main([name, "-h"])
-        assert built == [name]
+        assert built == [f"conjlab {name}"]
 
     def test_a_run_builds_one_subparser(self, capsys, built):
         assert main(["appendix", "--m-max", "2"]) == 0
-        assert built == ["appendix"]
+        assert built == ["conjlab appendix"]
 
     def test_top_level_help_builds_every_subparser(self, capsys, built):
         with pytest.raises(SystemExit):
             main(["-h"])
-        assert built == list(COMMANDS) and len(built) == 11
+        assert built == self.FULL_TREE and len(built) == 12
+
+    def test_a_leftover_argument_builds_the_full_tree(self, capsys, built):
+        with pytest.raises(SystemExit):
+            main(["appendix", "--m-max", "2", "--bogus"])
+        assert built == ["conjlab appendix"] + self.FULL_TREE
 
 
 @st.composite
 def command_argv(draw):
+    """A command, half the time its required options set to "1", then a
+    few tokens: options, their prefixes, numbers and junk."""
     name = draw(st.sampled_from(list(COMMANDS)))
-    options = [flag for flags, _ in COMMANDS[name][2] for flag in flags]
+    arguments = COMMANDS[name][2]
+    options = [flag for flags, _ in arguments for flag in flags]
+    prefixes = [flag[:5] for flag in options if len(flag) > 5]
     token = st.one_of(
-        st.sampled_from(options + ["-h", "--"]),
+        st.sampled_from(options + prefixes + ["-h", "--"]),
         st.integers(min_value=-10**6, max_value=10**6).map(str),
         st.sampled_from(["x", "1,x", "-", "--bogus", "nan", "inf", "1.5", "e", ""]),
         st.text(max_size=4),
     )
-    return [name] + draw(st.lists(token, max_size=6))
+    required = [flags[0] for flags, kw in arguments if kw.get("required")]
+    head = [tok for flag in required for tok in (flag, "1")] if draw(st.booleans()) else []
+    return [name] + head + draw(st.lists(token, max_size=6))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(command_argv())
 def test_fuzzed_argv_parses_as_with_the_full_parser(argv):
-    single = parse_outcome(cli.build_parser(BUDGET, argv[0]).parse_args, argv)
-    assert single == parse_outcome(full_parse, argv)
-    assert isinstance(single[0], dict) or single[0] in (0, 2)
+    ours = parse_outcome(lambda argv: cli.parse(argv, BUDGET), argv)
+    assert ours == parse_outcome(full_parse, argv)
+    assert isinstance(ours[0], str) or ours[0] in (0, 2)
 
 
 def source_env():

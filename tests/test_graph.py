@@ -8,6 +8,7 @@ from conjlab import (
     AtLeast,
     DihedralInf,
     FreeGroup,
+    ResourceBudgetError,
     UsageError,
     bc_probe,
     conj_distance,
@@ -328,6 +329,16 @@ class TestBCOracle:
 
 
 class TestBCBudget:
+    def test_spent_cayley_budget_raises_as_cayley_ball_does(self, h3, capsys):
+        K = [h3.decode("H3(1,0,0)")]
+        with pytest.raises(ResourceBudgetError, match="^cayley_ball node budget 10 exceeded$") as exc:
+            bc_probe(h3, K, 3, 4, node_budget=10)
+        assert exc.value.partial_count == 11
+        assert main(["bc", "--model", "h3", "--k", "H3(1,0,0)", "--cayley-radius", "3",
+                     "--budget-nodes", "10"]) == 3
+        assert capsys.readouterr().err == ("resource budget exceeded: cayley_ball node budget"
+                                           " 10 exceeded (partial count 11)\n")
+
     @pytest.mark.parametrize("node_budget", [5, 10, 40, 1000])
     def test_free2_matches_pairwise(self, node_budget):
         f2 = FreeGroup(2)
@@ -455,10 +466,8 @@ def test_graph_encodes_each_vertex_once(capsys, monkeypatch):
 
 
 def test_bc_wraps_no_conjugate(capsys, monkeypatch):
-    # the K elements and the Cayley ball are wrapped once each; no
-    # conjugator or pair builds an element
-    f2 = FreeGroup(2)
-    ball = len(f2.bfs(f2.identity_payload(), f2.right_step, 3, 10**6).dist)
+    # only the K elements are wrapped; no ball element, conjugate or pair
+    # builds an element
     init = GroupElement.__init__
     calls = []
 
@@ -470,4 +479,4 @@ def test_bc_wraps_no_conjugate(capsys, monkeypatch):
     K = ["x1", "x2.x1.x2^-1", "x1.x2"]
     cli_stdout(capsys, ["bc", "--model", "free2", *(a for k in K for a in ("--k", k)),
                         "--cayley-radius", "3", "--diam-budget", "4"])
-    assert len(calls) <= len(K) + ball
+    assert len(calls) <= len(K)
