@@ -162,7 +162,7 @@ def cmd_stabilise(args) -> int:
     phi = _load_potential(args.potential)
     model = phi.model
     base = model.decode(args.base)
-    if args.radii != sorted(args.radii):
+    if args.radii != sorted(set(args.radii)):
         raise UsageError("--radii must be increasing")
     ball = cg.explore_component(model, base, args.radius, args.budget_nodes)
     probe = dv.stabilisation_probe(phi, ball, args.radii)

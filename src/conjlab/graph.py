@@ -110,7 +110,7 @@ def explore_component(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ConjGraphBall:
     model._check(u0)
-    search = model.bfs(u0.payload, model.conj_step, radius, node_budget)
+    search = model.search(u0.payload, model.conj_step, radius, node_budget)
     return ConjGraphBall(u0, radius, search.dist, search.cut is None, search.exhausted)
 
 
@@ -123,7 +123,7 @@ def conj_distance(
 ):
     """Shortest-path distance in the conjugation graph; AtLeast(budget)
     when none is <= budget, AtLeast(shortest length not ruled out) when
-    the node budget runs out (`GroupModel.distance`).
+    the node budget runs out (`GroupModel.search` with a goal).
 
     Elements with different abelian images are not conjugate.  When a
     search to depth `budget` cannot run out of nodes either, it could only
@@ -137,7 +137,7 @@ def _payload_distance(model: GroupModel, p1, p2, budget: int, node_budget: int):
     if (model.abelian_image(p1) != model.abelian_image(p2)
             and _levels_fit(len(model.gen_triples), budget, node_budget)):
         return AtLeast(budget)
-    return model.distance(p1, p2, model.conj_step, budget, node_budget)[0]
+    return model.search(p1, model.conj_step, budget, node_budget, p2).length
 
 
 def _levels_fit(n: int, depth: int, node_budget: int) -> bool:

@@ -55,13 +55,15 @@ class AtLeast:
         return f"≥{self.bound}"
 
 
-@dataclass(frozen=True)
+@dataclass  # not frozen: a frozen __init__ costs a sixth of a short search
 class Search:
-    """A ball from `GroupModel.bfs`: each visited payload's depth, in
-    visiting order; the depth at which the node budget ran out, if it did;
-    whether the frontier emptied."""
+    """What `GroupModel.search` found: each payload the start side visited,
+    with its depth, in visiting order; the goal's distance, or AtLeast the
+    shortest length not ruled out; the number of nodes visited when the
+    node budget ran out, if it did; whether a frontier emptied."""
 
     dist: dict
+    length: int | AtLeast
     cut: int | None = None
     exhausted: bool = False
 
@@ -228,83 +230,63 @@ class GroupModel(ABC):
 
     # -- budgeted search ---------------------------------------------------
 
-    def bfs(self, start, step, radius: int, node_budget: int) -> Search:
-        """Breadth-first ball around `start`, to depth `radius`, along
-        step(p, x, x^-1) over `gen_triples`; stops early when the frontier
-        empties or once more than `node_budget` nodes are visited."""
-        dist = {start: 0}
-        frontier = [start]
-        for depth in range(1, radius + 1):
-            nxt = []
-            for v in frontier:
-                for _, x, xi in self.gen_triples:
-                    w = step(v, x, xi)
-                    if w not in dist:
-                        dist[w] = depth
-                        nxt.append(w)
-                        if len(dist) > node_budget:
-                            return Search(dist, cut=depth)
-            if not nxt:
-                return Search(dist, exhausted=True)
-            frontier = nxt
-        return Search(dist)
-
-    def distance(self, start, goal, step, radius: int, node_budget: int):
-        """Shortest step-path length from `start` to `goal`, grown from both
-        ends (Pohl, 1971): `step` must be undone by the inverse generator,
-        as `conj_step` and `right_step` are.  The side with the smaller
-        frontier grows by whole levels; while complete levels d0 and d1
-        share no node, no path of length <= d0 + d1 exists, so the first
-        meet closes one of length d0 + d1 + 1.  Returns (d, cut): d is that
-        length if <= radius, else AtLeast(radius), or AtLeast(d0 + d1 + 1)
-        once the start and the nodes either side adds exceed `node_budget`,
-        and cut is then their count (a meet is checked first), else None."""
+    def search(self, start, step, radius: int, node_budget: int, goal=None) -> Search:
+        """Budgeted search from `start` along step(p, x, x^-1) over
+        `gen_triples`.  Without a goal it is a breadth-first ball of depth
+        `radius`.  With one it grows from both ends (Pohl, 1971): `step`
+        must be undone by the inverse generator, as `conj_step` and
+        `right_step` are.  The side with the smaller nonempty frontier
+        grows by whole levels; while complete levels d0 and d1 share no
+        node, no path of length <= d0 + d1 exists, so the first meet closes
+        one of length d0 + d1 + 1.  The search stops at a meet, when a
+        frontier empties, when d0 + d1 reaches `radius`, or once the start
+        and the nodes either side adds exceed `node_budget`."""
         if start == goal:
-            return 0, None
-        seen = ({start: 0}, {goal: 0})
-        fronts = [[start], [goal]]
+            return Search({start: 0}, 0)
+        seen = ({start: 0}, {} if goal is None else {goal: 0})
+        fronts = [[start], [] if goal is None else [goal]]
         depth = [0, 0]
         visited = 1  # the goal is given, not found, as in a one-way search
         while depth[0] + depth[1] < radius:
-            i = int(len(fronts[1]) < len(fronts[0]))
+            i = int(0 < len(fronts[1]) < len(fronts[0]))
             here, there = seen[i], seen[1 - i]
             depth[i] += 1
             nxt = []
             for v in fronts[i]:
                 for _, x, xi in self.gen_triples:
                     w = step(v, x, xi)
-                    if w in there:  # a meet; no earlier node is on both sides
-                        return depth[i] + there[w], None
                     if w not in here:
+                        if there and w in there:  # a meet; the sides share no node
+                            return Search(seen[0], depth[i] + there[w])
                         here[w] = depth[i]
                         nxt.append(w)
                         visited += 1
                         if visited > node_budget:
-                            return AtLeast(depth[0] + depth[1]), visited
+                            return Search(seen[0], AtLeast(depth[0] + depth[1]), visited)
             if not nxt:  # a finite component without the other end
-                return AtLeast(radius), None
+                return Search(seen[0], AtLeast(radius), exhausted=True)
             fronts[i] = nxt
-        return AtLeast(radius), None
+        return Search(seen[0], AtLeast(radius))
 
     def word_length(self, g: GroupElement, budget: int, node_budget: int = DEFAULT_NODE_BUDGET):
         """Geodesic length of g w.r.t. the symmetric generating set when it
         is <= budget, else AtLeast(budget); raises ResourceBudgetError when
         the node budget runs out."""
         self._check(g)
-        d, cut = self.distance(self.identity_payload(), g.payload, self.right_step,
-                               budget, node_budget)
-        if cut is not None:
+        found = self.search(self.identity_payload(), self.right_step, budget, node_budget,
+                            g.payload)
+        if found.cut is not None:
             raise ResourceBudgetError(f"word_length node budget {node_budget} exceeded",
-                                      partial_count=cut)
-        return d
+                                      partial_count=found.cut)
+        return found.length
 
     def cayley_depths(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
         """Map payload -> word length, for every element of length <= radius;
         raises ResourceBudgetError when the node budget runs out."""
-        ball = self.bfs(self.identity_payload(), self.right_step, radius, node_budget)
+        ball = self.search(self.identity_payload(), self.right_step, radius, node_budget)
         if ball.cut is not None:
             raise ResourceBudgetError(f"cayley_ball node budget {node_budget} exceeded",
-                                      partial_count=len(ball.dist))
+                                      partial_count=ball.cut)
         return ball.dist
 
     def cayley_ball(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> dict:

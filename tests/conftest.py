@@ -166,3 +166,58 @@ def oracle_stdout(argv, node_budget=10**6):
                                    args.format, args.suppress_loops, args.budget_nodes)
     return oracle_bc_stdout(model, [model.decode(k) for k in args.k],
                             args.cayley_radius, args.diam_budget, args.budget_nodes)
+
+
+# ---------------------------------------------------------------------------
+# The two search kernels that `GroupModel.search` replaced, kept verbatim as
+# reference oracles: a one-way ball and a two-way distance over payloads.
+
+
+def reference_bfs(model, start, step, radius, node_budget):
+    """(dist, cut depth or None, exhausted) of the old one-way ball."""
+    dist = {start: 0}
+    frontier = [start]
+    for depth in range(1, radius + 1):
+        nxt = []
+        for v in frontier:
+            for _, x, xi in model.gen_triples:
+                w = step(v, x, xi)
+                if w not in dist:
+                    dist[w] = depth
+                    nxt.append(w)
+                    if len(dist) > node_budget:
+                        return dist, depth, False
+        if not nxt:
+            return dist, None, True
+        frontier = nxt
+    return dist, None, False
+
+
+def reference_distance(model, start, goal, step, radius, node_budget):
+    """(length, nodes visited at a cut or None) of the old two-way search."""
+    if start == goal:
+        return 0, None
+    seen = ({start: 0}, {goal: 0})
+    fronts = [[start], [goal]]
+    depth = [0, 0]
+    visited = 1
+    while depth[0] + depth[1] < radius:
+        i = int(len(fronts[1]) < len(fronts[0]))
+        here, there = seen[i], seen[1 - i]
+        depth[i] += 1
+        nxt = []
+        for v in fronts[i]:
+            for _, x, xi in model.gen_triples:
+                w = step(v, x, xi)
+                if w in there:
+                    return depth[i] + there[w], None
+                if w not in here:
+                    here[w] = depth[i]
+                    nxt.append(w)
+                    visited += 1
+                    if visited > node_budget:
+                        return AtLeast(depth[0] + depth[1]), visited
+        if not nxt:
+            return AtLeast(radius), None
+        fronts[i] = nxt
+    return AtLeast(radius), None

@@ -266,6 +266,16 @@ class TestStabilise:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("radii", ["2,2", "0,1,1"])
+    def test_repeated_radii_exit_2(self, capsys, two_point_potential, radii):
+        # a repeated radius would print its row twice
+        code, out, err = run(
+            capsys,
+            ["stabilise", "--potential", two_point_potential,
+             "--base", "H3(1,0,0)", "--radius", "4", "--radii", radii],
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --radii must be increasing\n"
 
     @pytest.mark.parametrize("option, value", [("--radii", "1,x"), ("--radius", "-1")])
     def test_bad_radius_exits_2(self, capsys, two_point_potential, option, value):
@@ -1061,7 +1071,7 @@ def potential_argv(draw):
         argv += ["--base", draw(element_text(model)),
                  "--radius", str(draw(st.integers(0, 2))),
                  "--radii=" + draw(st.sampled_from(["0", "0,1", "1,2", "0,1,2", "2,1",
-                                                    "-1,0"]))]
+                                                    "1,1", "-1,0"]))]
     else:
         argv += ["--samples", str(draw(st.integers(0, 5))),
                  "--seed", str(draw(st.integers(0, 9)))]

@@ -66,8 +66,8 @@ def test_non_conjugate_distance_is_the_search_answer(model):
                 continue
             for budget in (0, 1, 2, 3):
                 for node_budget in (1, 5, 40, 10**6):
-                    want = model.distance(u.payload, v.payload, model.conj_step,
-                                          budget, node_budget)[0]
+                    want = model.search(u.payload, model.conj_step, budget,
+                                        node_budget, v.payload).length
                     assert conj_distance(model, u, v, budget, node_budget) == want
                     cut |= want != AtLeast(budget)
     # in the abelian free1 every class is a point: a search ends at once
@@ -84,7 +84,7 @@ def test_shortcut_runs_no_search(h3, monkeypatch):
     def no_search(*args):
         raise AssertionError("searched")
 
-    monkeypatch.setattr(h3, "distance", no_search)
+    monkeypatch.setattr(h3, "search", no_search)
     # 1 + 6 + 36 + 216 <= 10^6 nodes
     assert conj_distance(h3, u, v, budget=3) == AtLeast(3)
     with pytest.raises(AssertionError):

@@ -3,6 +3,7 @@
 The oracle walks elements with the public element operations (`conjugate`,
 `*`) and knows nothing of payloads, frontiers or budgets, so it checks
 `conj_distance` and `word_length` independently on all six models.
+`GroupModel.search` is also pinned to the two kernels it replaced.
 """
 
 from functools import lru_cache
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjlab import AtLeast, ResourceBudgetError, conj_distance
+from conjlab import AtLeast, ResourceBudgetError, conj_distance, get_model
 
-from conftest import all_models
+from conftest import all_models, reference_bfs, reference_distance
 
 MODELS = all_models()
 RADIUS = 4
@@ -123,3 +124,30 @@ def test_word_length_raises_or_is_exact(case, node_budget):
 def test_oracle_ball_is_cayley_ball(model):
     # the oracle's own sanity: its radius-RADIUS ball is the library's
     assert cayley_lengths(model) == model.cayley_ball(RADIUS)
+
+
+@st.composite
+def searches(draw):
+    """(model, step, start, goal or None, radius, node_budget) over the six
+    models and a 3-factor product."""
+    model = draw(st.sampled_from(MODELS + [get_model("dsemi*h3semi*free2")]))
+    step = draw(st.sampled_from([model.conj_step, model.right_step]))
+    start = word(model, draw(letters)).payload
+    goal = draw(st.none() | letters.map(lambda w: word(model, w).payload))
+    node_budget = draw(st.integers(1, 40) | st.just(10**6))
+    return model, step, start, goal, draw(st.integers(0, RADIUS)), node_budget
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(searches())
+def test_search_matches_the_kernels_it_replaced(case):
+    model, step, start, goal, radius, node_budget = case
+    found = model.search(start, step, radius, node_budget, goal)
+    if goal is None:
+        dist, cut, exhausted = reference_bfs(model, start, step, radius, node_budget)
+        assert list(found.dist.items()) == list(dist.items())
+        assert found.exhausted == exhausted
+        assert found.cut == (None if cut is None else len(dist))
+    else:
+        assert (found.length, found.cut) == reference_distance(
+            model, start, goal, step, radius, node_budget)
