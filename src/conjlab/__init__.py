@@ -39,10 +39,8 @@ from .derivations import (
     character_from_derivation,
     character_from_potential,
     compose_morphisms,
-    edge_jump_probe,
     g_boundedness_probe,
     identity_morphism,
-    inner_derivation_apply,
     leibniz_residual,
     quasi_inner_check,
     stabilisation_probe,

@@ -89,7 +89,7 @@ def cmd_bc(args) -> int:
 def cmd_derive(args) -> int:
     phi = _load_potential(args.potential)
     g = phi.model.decode(args.element)
-    d = dv.Derivation.from_potential(phi)
+    d = dv.Derivation(phi)
     image = d.apply(g)
     _emit(
         {
@@ -106,7 +106,7 @@ def cmd_derive(args) -> int:
 
 def cmd_leibniz(args) -> int:
     phi = _load_potential(args.potential)
-    d = dv.Derivation.from_potential(phi)
+    d = dv.Derivation(phi)
     rng = Random(args.seed)
     from .sampling import random_element
 
@@ -129,7 +129,7 @@ def cmd_character(args) -> int:
     model = phi.model
     mor = dv.Morphism(model.decode(args.u), model.decode(args.v))
     val = dv.character_from_potential(phi, mor)
-    cross = dv.character_from_derivation(dv.Derivation.from_potential(phi), mor)
+    cross = dv.character_from_derivation(dv.Derivation(phi), mor)
     if cross != val:
         raise InternalConsistencyError(
             f"character mismatch at ({args.u},{args.v}): "
@@ -179,7 +179,7 @@ def cmd_stabilise(args) -> int:
 
 def cmd_bound_probe(args) -> int:
     phi = _load_potential(args.potential)
-    d = dv.Derivation.from_potential(phi)
+    d = dv.Derivation(phi)
     max_norm, argmax = dv.g_boundedness_probe(
         d, phi.model, args.radius, args.p, args.budget_nodes
     )
@@ -371,6 +371,10 @@ def main(argv=None) -> int:
     except ResourceBudgetError as exc:
         print(f"resource budget exceeded: {exc} "
               f"(partial count {exc.partial_count})", file=sys.stderr)
+        return 3
+    except MemoryError:
+        # a last resort: the kernel's OOM killer may act before Python can
+        print("resource budget exceeded: out of memory", file=sys.stderr)
         return 3
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

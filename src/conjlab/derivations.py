@@ -255,21 +255,12 @@ class Derivation:
         self.model = potential.model
         self.potential_obj = potential
 
-    @classmethod
-    def from_potential(cls, phi: Potential) -> "Derivation":
-        return cls(phi)
-
     def apply(self, g: GroupElement) -> GroupRingVector:
         """d(g); exact over the (truncated) support."""
         self.model._check(g)
         acc = {}
         self.potential_obj.add_derivation(g.payload, acc)
         return GroupRingVector.from_terms(self.model, acc)
-
-
-def inner_derivation_apply(x: GroupRingVector, a: GroupRingVector) -> GroupRingVector:
-    """D_x(a) = x a - a x, exactly."""
-    return x * a - a * x
 
 
 def character_from_derivation(d: Derivation, mor: Morphism) -> Fraction:
@@ -391,34 +382,14 @@ def _float_pow(c: Fraction, p: float) -> float:
 
 def stabilisation_probe(phi: Potential, ball, radii):
     """For each radius r: sup |phi| over ball vertices at distance > r
-    (the stabilised-at-0 convention)."""
+    (the stabilised-at-0 convention), read off the ball's payloads."""
+    phi.model._check(ball.base)
     out = []
     for r in radii:
         sup = Fraction(0)
-        for v, dv in ball.dist.items():
-            if dv > r:
-                sup = max(sup, abs(phi.value(v)))
+        for p, dp in ball.depths.items():
+            if dp > r:
+                sup = max(sup, abs(phi._value(p)))
         out.append((r, sup))
     return out
 
-
-def edge_jump_probe(phi: Potential, ball, eps: Fraction):
-    """Count adjacent vertex pairs in the ball whose potential gap is
-    >= eps, with witnesses."""
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise UsageError("edge_jump_probe needs eps > 0")
-    seen_pairs = set()
-    witnesses = []
-    for e in ball.edges:
-        if e.is_loop():
-            continue
-        pair = tuple(sorted((e.src, e.dst)))
-        if pair in seen_pairs:
-            continue
-        seen_pairs.add(pair)
-        gap = abs(phi.value(e.src) - phi.value(e.dst))
-        if gap >= eps:
-            witnesses.append((pair[0], pair[1], gap))
-    witnesses.sort(key=lambda w: (w[0].encode(), w[1].encode()))
-    return len(witnesses), witnesses

@@ -193,7 +193,7 @@ def run_limit_experiment(
                 "conjugation component"
             )
     a = model.normal_form(conjugator_word)
-    d = Derivation.from_potential(phi)
+    d = Derivation(phi)
     samples = []
     disjoint = []
     a_k = model.identity()

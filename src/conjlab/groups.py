@@ -268,18 +268,6 @@ class GroupModel(ABC):
             fronts[i] = nxt
         return Search(seen[0], AtLeast(radius))
 
-    def word_length(self, g: GroupElement, budget: int, node_budget: int = DEFAULT_NODE_BUDGET):
-        """Geodesic length of g w.r.t. the symmetric generating set when it
-        is <= budget, else AtLeast(budget); raises ResourceBudgetError when
-        the node budget runs out."""
-        self._check(g)
-        found = self.search(self.identity_payload(), self.right_step, budget, node_budget,
-                            g.payload)
-        if found.cut is not None:
-            raise ResourceBudgetError(f"word_length node budget {node_budget} exceeded",
-                                      partial_count=found.cut)
-        return found.length
-
     def cayley_depths(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
         """Map payload -> word length, for every element of length <= radius;
         raises ResourceBudgetError when the node budget runs out."""

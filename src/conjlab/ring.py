@@ -128,10 +128,6 @@ class GroupRingVector:
         v.terms = terms
         return v
 
-    @classmethod
-    def delta(cls, g: GroupElement, coeff=1) -> "GroupRingVector":
-        return cls(g.model, {g: coeff})
-
     def _check_model(self, other):
         if self.model.name != other.model.name:
             raise ModelMismatchError(
@@ -141,11 +137,6 @@ class GroupRingVector:
     def coefficient(self, g: GroupElement) -> Fraction:
         self.model._check(g)
         return self.terms.get(g.payload, _ZERO)
-
-    def support(self) -> list:
-        """The elements with a non-zero coefficient, sorted by encoding."""
-        payloads = sorted(self.terms, key=self.model.encode_payload)
-        return [self.model.element(p) for p in payloads]
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -167,18 +158,6 @@ class GroupRingVector:
         v = self.from_terms(self.model, dict(self.terms))
         v += other
         return v
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self.from_terms(self.model, {p: -c for p, c in self.terms.items()})
-
-    def scale(self, coeff) -> "GroupRingVector":
-        coeff = Fraction(coeff)
-        if not coeff:
-            return GroupRingVector(self.model)
-        return self.from_terms(self.model, {p: c * coeff for p, c in self.terms.items()})
 
     def mul_elem_right(self, g: GroupElement) -> "GroupRingVector":
         self.model._check(g)

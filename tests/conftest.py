@@ -11,6 +11,7 @@ from conjlab import (
     DihedralSemidirect,
     DirectProduct,
     FreeGroup,
+    GroupRingVector,
     Heisenberg,
     HeisenbergSemidirect,
     conj_distance,
@@ -221,3 +222,30 @@ def reference_distance(model, start, goal, step, radius, node_budget):
             return AtLeast(radius), None
         fronts[i] = nxt
     return AtLeast(radius), None
+
+
+# ---------------------------------------------------------------------------
+# Group-ring vectors from elements, the convolution oracle of
+# `Derivation.apply`, and word length as a goal search.
+
+
+def delta(g, c=1):
+    """The vector c g."""
+    return GroupRingVector(g.model, {g: c})
+
+
+def scaled(v, c):
+    """The vector c v."""
+    return GroupRingVector.from_terms(v.model, {p: c * x for p, x in v.terms.items()} if c else {})
+
+
+def inner_derivation_apply(x, a):
+    """D_x(a) = x a - a x, exactly."""
+    return x * a + scaled(a * x, -1)
+
+
+def word_search(model, g, radius, node_budget=10**6):
+    """The goal search for g from the identity along `right_step`: its
+    `length` is g's word length when that is <= radius."""
+    return model.search(model.identity_payload(), model.right_step, radius, node_budget,
+                        g.payload)

@@ -24,7 +24,6 @@ from conjlab import (
     explore_component,
     export_dot,
     get_model,
-    inner_derivation_apply,
     leibniz_residual,
     run_appendix,
     run_limit_experiment,
@@ -37,7 +36,7 @@ from conjlab.sampling import (
     random_potential,
 )
 
-from conftest import all_models, mat_inv, mat_mul, mat_of, triple_of
+from conftest import all_models, delta, inner_derivation_apply, mat_inv, mat_mul, mat_of, triple_of
 
 DATA = Path(__file__).parent / "data"
 
@@ -155,7 +154,7 @@ def test_acceptance_07_leibniz_and_inner_identification():
     for model in all_models():
         rng = Random(701)
         for _ in range(10):
-            d = Derivation.from_potential(random_potential(model, rng))
+            d = Derivation(random_potential(model, rng))
             for _ in range(50):
                 g = random_element(model, rng, max_len=4)
                 h = random_element(model, rng, max_len=4)
@@ -167,10 +166,10 @@ def test_acceptance_07_leibniz_and_inner_identification():
             for _ in range(4)
         }
         x = GroupRingVector(model, table)
-        d_pot = Derivation.from_potential(Potential(model, table))
+        d_pot = Derivation(Potential(model, table))
         for _ in range(100):
             g = random_element(model, rng)
-            assert inner_derivation_apply(x, GroupRingVector.delta(g)) == d_pot.apply(g)
+            assert inner_derivation_apply(x, delta(g)) == d_pot.apply(g)
     print("ACCEPTANCE 7: PASS — Leibniz residual exactly 0 on 500 pairs/model "
           "for 10 random potentials, and inner = potential-induced on 100 g/model")
 
@@ -254,7 +253,7 @@ def test_acceptance_09_norm_limit(h3):
 def test_acceptance_10_bounded_but_not_norm_bounded(h3):
     trunc = 400
     phi = Potential(h3, {}, closed_form="appendix_harmonic", trunc_k=trunc)
-    d = Derivation.from_potential(phi)
+    d = Derivation(phi)
     max_norm, argmax = g_boundedness_probe(d, h3, radius=6, p=2)
     bound = 2.0 * float(phi.lq_pow(2) + phi.tail_bound_pow(2)) ** 0.5
     assert max_norm <= bound + 1e-9

@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conjlab
-from conjlab import GroupRingVector, cli
+from conjlab import cli
 from conjlab import derivations as dv
 from conjlab.cli import main
 
-from conftest import oracle_stdout
+from conftest import delta, oracle_stdout
 
 
 @pytest.fixture
@@ -184,6 +184,19 @@ class TestDerive:
         )
         assert code == 2
 
+    def test_out_of_memory_exits_3(self, capsys, monkeypatch, harmonic_potential):
+        # a truncated support too large to list, as at truncation 10^9
+        def out_of_memory(trunc_k):
+            raise MemoryError
+
+        monkeypatch.setitem(dv.CLOSED_FORMS["appendix_harmonic"], "support", out_of_memory)
+        code, out, err = run(
+            capsys,
+            ["derive", "--potential", harmonic_potential, "--element", "H3(1,0,0)"],
+        )
+        assert (code, out) == (3, "")
+        assert err == "resource budget exceeded: out of memory\n"
+
 
 class TestLeibniz:
     def test_zero_violations(self, capsys, two_point_potential):
@@ -197,7 +210,7 @@ class TestLeibniz:
     def test_violations_counted_exactly(self, capsys, monkeypatch, two_point_potential):
         # a residual too small for a float l1 norm is still a violation
         def tiny_residual(d, g, h):
-            return GroupRingVector.delta(g, Fraction(1, 10**400))
+            return delta(g, Fraction(1, 10**400))
 
         monkeypatch.setattr(dv, "leibniz_residual", tiny_residual)
         code, out, _ = run(
@@ -265,6 +278,29 @@ class TestStabilise:
              "--base", "H3(1,0,0)", "--radius", "4", "--radii", "2,1"],
         )
         assert code == 2
+
+    def test_builds_no_element_per_vertex(self, capsys, two_point_potential, monkeypatch):
+        # the probe reads the ball's payloads: a ball of 17 vertices builds
+        # no more GroupElements than one of 5
+        built = []
+        init = conjlab.GroupElement.__init__
+
+        def counting_init(self, model, payload):
+            built.append(payload)
+            init(self, model, payload)
+
+        monkeypatch.setattr(conjlab.GroupElement, "__init__", counting_init)
+        counts = []
+        for radius in ("2", "8"):
+            built.clear()
+            code, out, _ = run(
+                capsys,
+                ["stabilise", "--potential", two_point_potential,
+                 "--base", "H3(1,0,0)", "--radius", radius, "--radii", "0,1"],
+            )
+            assert code == 0 and json.loads(out)["rows"] == [[0, "1/2"], [1, "0"]]
+            counts.append(len(built))
+        assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("radii", ["2,2", "0,1,1"])
     def test_repeated_radii_exit_2(self, capsys, two_point_potential, radii):

@@ -21,7 +21,7 @@ from conjlab import (
 )
 from conjlab.sampling import random_element
 
-from conftest import all_models, mat_inv, mat_mul, mat_of, triple_of
+from conftest import all_models, mat_inv, mat_mul, mat_of, triple_of, word_search
 
 
 def G(gid, inv=False):
@@ -67,30 +67,29 @@ class TestHeisenberg:
 
     def test_word_length_of_central_generator(self, h3):
         # A1 is itself a generator here, so its geodesic length is 1
-        n = h3.word_length(h3.element((0, 0, 1)), budget=4)
+        n = word_search(h3, h3.element((0, 0, 1)), 4).length
         assert n == 1
-        assert h3.word_length(h3.identity(), budget=4) == 0
+        assert word_search(h3, h3.identity(), 4).length == 0
 
     def test_word_length_budget_sentinel(self, h3):
         far = h3.element((0, 9, 0))
-        assert h3.word_length(far, budget=3) == AtLeast(3)
+        assert word_search(h3, far, 3).length == AtLeast(3)
 
     def test_node_budget_raises(self, h3):
         # 7 nodes fill radius 1; the 11th node crosses a budget of 10.
-        # word_length searches from both ends: the identity and its 6
+        # The goal search grows from both ends: the identity and its 6
         # neighbours, then the target's side (the smaller frontier), whose
         # 4th node, (-1, 9, 0), is the 11th and crosses the budget
         with pytest.raises(ResourceBudgetError, match="^cayley_ball node budget 10 exceeded$") as exc:
             h3.cayley_ball(3, node_budget=10)
         assert exc.value.partial_count == 11
         far = h3.element((0, 9, 0))
-        with pytest.raises(ResourceBudgetError, match="^word_length node budget 10 exceeded$") as exc:
-            h3.word_length(far, budget=5, node_budget=10)
-        assert exc.value.partial_count == 11
+        assert word_search(h3, far, 5, node_budget=10).cut == 11
         # a meet is checked before the budget: the target (0, 1, 1) reaches
         # A1, on the identity's side, with its 2nd neighbour (0, 0, 1)
         eleventh = list(h3.cayley_ball(2))[10]
-        assert h3.word_length(eleventh, budget=5, node_budget=10) == 2
+        found = word_search(h3, eleventh, 5, node_budget=10)
+        assert (found.length, found.cut) == (2, None)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +118,7 @@ class TestFree:
     def test_word_length_reduced(self):
         f2 = FreeGroup(2)
         g = f2.normal_form(parse_word(f2, "x1.x2.x1^-1"))
-        assert f2.word_length(g, budget=5) == 3
+        assert word_search(f2, g, 5).length == 3
 
     def test_ball_radius_one(self):
         f2 = FreeGroup(2)

@@ -11,6 +11,8 @@ from conjlab import GroupRingVector, Heisenberg, UsageError
 from conjlab.ring import _TINY, _sqrt, exact_str, float_norm
 from conjlab.sampling import random_element
 
+from conftest import delta, scaled
+
 
 def frac(num, den=1):
     return Fraction(num, den)
@@ -20,7 +22,7 @@ def window_sum(h3, m):
     """a_m = sum of Ax^k for |k| <= m."""
     v = GroupRingVector(h3)
     for k in range(-m, m + 1):
-        v = v + GroupRingVector.delta(h3.element((0, k, 0)))
+        v = v + delta(h3.element((0, k, 0)))
     return v
 
 
@@ -35,9 +37,7 @@ class TestNorms:
         assert window_sum(h3, 4).lq_pow_exact(2) == 9
 
     def test_two_deltas_l1(self, h3):
-        v = GroupRingVector.delta(h3.element((1, 0, 0))) + GroupRingVector.delta(
-            h3.element((0, 1, 0))
-        )
+        v = delta(h3.element((1, 0, 0))) + delta(h3.element((0, 1, 0)))
         assert v.lp_norm(1) == 2.0
 
     def test_p_below_one_rejected(self, h3):
@@ -70,18 +70,18 @@ class TestNorms:
         # |c|^2 or its p/2-th power leaves float range, the norm does not
         terms = {h3.identity(): frac(5), h3.element((1, 0, 0)): frac(-1, 2)}
         v = GroupRingVector(h3, terms)
-        norm = v.scale(scale).lp_norm(p)
+        norm = scaled(v, scale).lp_norm(p)
         assert norm > 0
         assert norm == pytest.approx(float(scale) * v.lp_norm(p), rel=1e-14)
 
     def test_norm_beyond_float_range_rejected(self, h3):
-        v = GroupRingVector.delta(h3.identity(), Fraction(10**400))
+        v = delta(h3.identity(), Fraction(10**400))
         for norm in (lambda: v.lp_norm(2), lambda: v.lp_norm(1), v.sup_norm):
             with pytest.raises(UsageError, match="float range"):
                 norm()
 
     def test_norm_below_float_range_rounds_to_zero(self, h3):
-        v = GroupRingVector.delta(h3.identity(), Fraction(1, 10**400))
+        v = delta(h3.identity(), Fraction(1, 10**400))
         assert v.lp_norm(2) == v.lp_norm(1) == v.sup_norm() == 0.0
 
     def test_lq_pow_exact_takes_absolute_values(self, h3):
@@ -162,8 +162,7 @@ def vectors(draw):
 @settings(max_examples=60, deadline=None)
 @given(vectors(), rationals, st.floats(min_value=1, max_value=6))
 def test_norm_homogeneity(v, c, p):
-    scaled = v.scale(c)
-    assert scaled.lp_norm(p) == pytest.approx(abs(float(c)) * v.lp_norm(p), rel=1e-9)
+    assert scaled(v, c).lp_norm(p) == pytest.approx(abs(float(c)) * v.lp_norm(p), rel=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -186,8 +185,7 @@ class TestVectorAlgebra:
         for _ in range(50):
             g = random_element(h3, rng)
             h = random_element(h3, rng)
-            prod = GroupRingVector.delta(g) * GroupRingVector.delta(h)
-            assert prod == GroupRingVector.delta(g * h)
+            assert delta(g) * delta(h) == delta(g * h)
 
     def test_convolution_associative(self, h3):
         rng = Random(22)
@@ -196,24 +194,25 @@ class TestVectorAlgebra:
             assert (u * v) * w == u * (v * w)
 
     def test_zero_coefficients_dropped(self, h3):
-        v = GroupRingVector.delta(h3.identity())
-        assert (v - v).is_zero()
-        assert not (v - v).terms
+        v = delta(h3.identity())
+        zero = v + scaled(v, -1)
+        assert zero.is_zero()
+        assert not zero.terms
 
     def test_elem_multiplication(self, h3):
         rng = Random(23)
         v = _random_vector(h3, rng)
         g = random_element(h3, rng)
-        assert v.mul_elem_left(g) == GroupRingVector.delta(g) * v
-        assert v.mul_elem_right(g) == v * GroupRingVector.delta(g)
+        assert v.mul_elem_left(g) == delta(g) * v
+        assert v.mul_elem_right(g) == v * delta(g)
 
     def test_iadd_in_place_drops_cancelled_terms(self, h3):
         e, ax = h3.identity(), h3.element((0, 1, 0))
-        v = GroupRingVector.delta(e) + GroupRingVector.delta(ax, 2)
+        v = delta(e) + delta(ax, 2)
         terms = v.terms
-        v += GroupRingVector.delta(e, -1) + GroupRingVector.delta(ax, 1)
+        v += delta(e, -1) + delta(ax, 1)
         assert v.terms is terms
-        assert v.support() == [ax] and v.coefficient(ax) == 3
+        assert list(v.terms) == [ax.payload] and v.coefficient(ax) == 3
 
     def test_add_leaves_operands_unchanged(self, h3):
         rng = Random(25)
@@ -221,7 +220,7 @@ class TestVectorAlgebra:
         a_terms, b_terms = dict(a.terms), dict(b.terms)
         total = a + b
         assert a.terms == a_terms and b.terms == b_terms
-        assert total - b == a and total is not a
+        assert total + scaled(b, -1) == a and total is not a
 
     def test_to_json_pinned(self, h3):
         # rows sorted by encoding string, imaginary column always "0"
@@ -230,7 +229,6 @@ class TestVectorAlgebra:
         v = GroupRingVector(h3, dict(zip(elems, [frac(-1, 2), 3, frac(2, 3), 5])))
         assert v.to_json() == [["H3(-1,0,0)", "5", "0"], ["H3(0,0,0)", "3", "0"],
                                ["H3(10,-1,4)", "2/3", "0"], ["H3(2,0,0)", "-1/2", "0"]]
-        assert v.support() == sorted(elems)
         assert repr(v) == "(5)*H3(-1,0,0) + (3)*H3(0,0,0) + (2/3)*H3(10,-1,4) + (-1/2)*H3(2,0,0)"
         assert v.coefficient(h3.element((2, 0, 0))) == frac(-1, 2)
         assert v.coefficient(h3.element((3, 0, 0))) == 0

@@ -2,7 +2,8 @@
 
 The oracle walks elements with the public element operations (`conjugate`,
 `*`) and knows nothing of payloads, frontiers or budgets, so it checks
-`conj_distance` and `word_length` independently on all six models.
+`conj_distance` and word length (the goal search from the identity along
+`right_step`) independently on all six models.
 `GroupModel.search` is also pinned to the two kernels it replaced.
 """
 
@@ -12,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjlab import AtLeast, ResourceBudgetError, conj_distance, get_model
+from conjlab import AtLeast, conj_distance, get_model
 
-from conftest import all_models, reference_bfs, reference_distance
+from conftest import all_models, reference_bfs, reference_distance, word_search
 
 MODELS = all_models()
 RADIUS = 4
@@ -88,7 +89,8 @@ def test_conj_distance_matches_one_way(case):
 @given(pairs())
 def test_word_length_matches_one_way(case):
     model, u, _, radius = case
-    assert model.word_length(u, radius) == expected(cayley_lengths(model).get(u), radius)
+    want = expected(cayley_lengths(model).get(u), radius)
+    assert word_search(model, u, radius).length == want
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -111,13 +113,11 @@ def test_node_budget_gives_a_lower_bound(case, node_budget):
 def test_word_length_raises_or_is_exact(case, node_budget):
     model, u, _, radius = case
     want = expected(cayley_lengths(model).get(u), radius)
-    try:
-        got = model.word_length(u, radius, node_budget)
-    except ResourceBudgetError as exc:
-        assert str(exc) == f"word_length node budget {node_budget} exceeded"
-        assert exc.partial_count == node_budget + 1
+    found = word_search(model, u, radius, node_budget)
+    if found.cut is not None:
+        assert found.cut == node_budget + 1
     else:
-        assert got == want
+        assert found.length == want
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
