@@ -11,9 +11,12 @@ Exit codes: 0 success, 2 usage/parse error, 3 resource budget exceeded,
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import sys
+from collections.abc import Iterator
+from itertools import chain, islice
+from json.encoder import encode_basestring as _quote
 from random import Random
 
 from . import derivations as dv
@@ -40,8 +43,91 @@ def _default_node_budget() -> int:
         raise UsageError(f"bad CONJLAB_DEFAULT_BUDGET: {raw!r}") from exc
 
 
+_CHUNK = 1024  # text pieces per write
+
+
+def _write(pieces) -> None:
+    """Write the text pieces to stdout as they are made, `_CHUNK` per write."""
+    pieces, write = iter(pieces), sys.stdout.write
+    while chunk := list(islice(pieces, _CHUNK)):
+        write("".join(chunk))
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2))
+    """Write json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2)
+    and a newline, without building the document as one string.  A list
+    may also be given as an iterator, which is read once while writing."""
+    _write(chain(_json_pieces(obj, "\n"), ["\n"]))
+
+
+_LEAVES = (str, int, float, type(None))  # bool is an int
+
+
+def _scalar(obj) -> str:
+    """The JSON text of a string, number, bool or None, as json writes it."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj in (math.inf, -math.inf):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _row_template(width: int, nl: str) -> str:
+    """The `%` template of a list row of `width` strings at indent `nl`:
+    its separator, then its quoted cells."""
+    cell = nl + "  "
+    return "%s[" + cell + ("%s," + cell) * (width - 1) + "%s" + nl + "]"
+
+
+def _json_pieces(obj, nl: str):
+    """The pieces of `obj`'s JSON text in `_emit`'s layout; `nl` is a
+    newline and the indent of the line `obj` starts on.  A scalar member is
+    one piece with its key or separator, and so is a list row of strings,
+    formatted by one `%` template per row width."""
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        sep = "{"
+        for key, value in sorted(obj.items()):
+            head = f"{sep}{inner}{_quote(key if isinstance(key, str) else _scalar(key))}: "
+            if isinstance(value, _LEAVES):
+                yield head + _scalar(value)
+            else:
+                yield head
+                yield from _json_pieces(value, inner)
+            sep = ","
+        yield nl + "}" if obj else "{}"
+    elif isinstance(obj, (list, tuple, Iterator)):
+        sep, width, template = "[", None, None
+        for item in obj:
+            piece = None
+            if isinstance(item, _LEAVES):
+                piece = sep + inner + _scalar(item)
+            elif template is not False and isinstance(item, (list, tuple)) and item:
+                if len(item) != width:
+                    width, template = len(item), _row_template(len(item), inner)
+                try:
+                    piece = template % (sep + inner, *map(_quote, item))
+                except TypeError:  # a cell that is not a string: not a row list
+                    template = False
+            if piece is None:
+                yield sep + inner
+                yield from _json_pieces(item, inner)
+            else:
+                yield piece
+            sep = ","
+        yield nl + "]" if sep == "," else "[]"
+    else:
+        yield _scalar(obj)
 
 
 def _print_report(report, fmt) -> None:
@@ -67,12 +153,9 @@ def cmd_graph(args) -> int:
     base = model.decode(args.base)
     ball = cg.explore_component(model, base, args.radius, args.budget_nodes)
     if args.format == "dot":
-        sys.stdout.write(cg.export_dot(ball, suppress_loops=args.suppress_loops))
+        _write(cg.export_dot(ball, suppress_loops=args.suppress_loops))
     else:
-        data = ball.to_json()
-        if args.suppress_loops:
-            data["edges"] = [e for e in data["edges"] if e[0] != e[2]]
-        _emit(data)
+        _emit(ball.to_json(suppress_loops=args.suppress_loops))
     return 0
 
 

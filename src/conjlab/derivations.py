@@ -344,7 +344,7 @@ def g_boundedness_probe(
     base_coeffs, base_pows = list(negs + values), powers + powers
     gens = [x for _, x, _ in model.gen_triples]
     mul_all, inv = model.mul_all, model.inv_payload
-    memo = {}
+    memo = {tuple(gens): 0.0}  # e fixes every generator, and d(e) = 0
     best = -1.0
     argmax = None
     for g in sorted(ball, key=lambda e: (ball[e], e.encode())):

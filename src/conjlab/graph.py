@@ -60,37 +60,44 @@ class ConjGraphBall:
         return {p: encode(p) for p in self.depths}
 
     @cached_property
-    def rows(self) -> list:
+    def by_encoding(self) -> list:
+        """The vertex payloads sorted by encoding."""
+        return sorted(self.encodings, key=self.encodings.__getitem__)
+
+    def edge_rows(self, suppress_loops: bool = False):
         """Every edge between ball vertices as a (src encoding, label, dst
-        encoding) row, sorted; built on first read from payload steps."""
+        encoding) row, in sorted order, made as it is read: each vertex in
+        encoding order is stepped along the generators in label order, and
+        one step per label makes each (src, label) pair unique."""
         enc = self.encodings
         step = self.base.model.conj_step
-        labelled = [(gen.label(), x, xi) for gen, x, xi in self.base.model.gen_triples]
-        rows = []
-        for p, src in enc.items():
+        labelled = sorted((gen.label(), x, xi) for gen, x, xi in self.base.model.gen_triples)
+        for p in self.by_encoding:
+            src = enc[p]
             for label, x, xi in labelled:
                 dst = enc.get(step(p, x, xi))
-                if dst is not None:
-                    rows.append((src, label, dst))
-        rows.sort()
-        return rows
+                if dst is not None and not (suppress_loops and dst == src):
+                    yield src, label, dst
 
     @cached_property
     def edges(self) -> list:
-        """The rows as `ConjEdge`s between elements, for API callers."""
+        """The edge rows as `ConjEdge`s between elements, for API callers."""
         elem = {self.encodings[v.payload]: v for v in self.dist}
         gens = {gen.label(): gen for gen in self.base.model.all_gens()}
-        return [ConjEdge(elem[src], gens[label], elem[dst]) for src, label, dst in self.rows]
+        return [ConjEdge(elem[src], gens[label], elem[dst])
+                for src, label, dst in self.edge_rows()]
 
-    def to_json(self) -> dict:
+    def to_json(self, suppress_loops: bool = False) -> dict:
+        """The ball as the `graph` command prints it; "edges" is the
+        `edge_rows` iterator, read once by the writer."""
         enc = self.encodings
         return {
             "base": enc[self.base.payload],
             "radius": self.radius,
             "complete": self.complete,
             "closed": self.closed,
-            "vertices": sorted(enc.values()),
-            "edges": [list(row) for row in self.rows],
+            "vertices": [enc[p] for p in self.by_encoding],
+            "edges": self.edge_rows(suppress_loops),
             "dist": {enc[p]: d for p, d in self.depths.items()},
         }
 
@@ -238,12 +245,14 @@ def _bc_verdict(shells, max_cayley_radius) -> str:
     return "Inconclusive"
 
 
-def export_dot(ball: ConjGraphBall, suppress_loops: bool = False) -> str:
-    """Deterministic DOT rendering; vertex order is the sorted canonical
-    encoding; identical balls always render to identical text."""
-    lines = ["digraph conj {"]
-    lines += [f'  "{enc}";' for enc in sorted(ball.encodings.values())]
-    lines += [f'  "{src}" -> "{dst}" [label="{label}"];' for src, label, dst in ball.rows
-              if not (suppress_loops and src == dst)]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def export_dot(ball: ConjGraphBall, suppress_loops: bool = False):
+    """Deterministic DOT rendering, one line at a time as it is made:
+    vertices in encoding order, then the edge rows; identical balls always
+    render to identical text."""
+    enc = ball.encodings
+    yield "digraph conj {\n"
+    for p in ball.by_encoding:
+        yield f'  "{enc[p]}";\n'
+    for src, label, dst in ball.edge_rows(suppress_loops):
+        yield f'  "{src}" -> "{dst}" [label="{label}"];\n'
+    yield "}\n"

@@ -217,9 +217,9 @@ class GroupRingVector:
     # -- wire format --------------------------------------------------------
 
     def to_json(self) -> list:
-        """[encoding, re, im] rows sorted by encoding; im is always "0"."""
+        """(encoding, re, im) rows sorted by encoding; im is always "0"."""
         encode = self.model.encode_payload
-        return sorted([encode(p), exact_str(c), "0"] for p, c in self.terms.items())
+        return sorted([(encode(p), exact_str(c), "0") for p, c in self.terms.items()])
 
     def __repr__(self):
         return " + ".join(f"({c})*{enc}" for enc, c, _ in self.to_json()) or "0"

@@ -1,4 +1,7 @@
+import contextlib
 import json
+import os
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -19,7 +22,7 @@ from conjlab import (
     explore_component,
     get_model,
 )
-from conjlab.cli import parse
+from conjlab.cli import main, parse
 from conjlab.graph import _bc_verdict
 
 
@@ -249,3 +252,14 @@ def word_search(model, g, radius, node_budget=10**6):
     `length` is g's word length when that is <= radius."""
     return model.search(model.identity_payload(), model.right_step, radius, node_budget,
                         g.payload)
+
+
+def traced_peak(argv) -> int:
+    """tracemalloc's peak while `main` runs `argv`, its stdout discarded."""
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+            assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

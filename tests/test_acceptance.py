@@ -65,7 +65,7 @@ def test_acceptance_01_heisenberg_exhaustive_matrix_oracle(h3):
 
 def test_acceptance_02_component_ball_matches_golden(h3):
     ball = explore_component(h3, h3.element((1, 0, 0)), radius=5)
-    dot = export_dot(ball)
+    dot = "".join(export_dot(ball))
     golden = (DATA / "heis_path_ball.dot").read_text()
     assert dot == golden
 

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,12 @@ import conjlab
 from conjlab import cli
 from conjlab import derivations as dv
 from conjlab.cli import main
+from conjlab.experiments import fmt_float
+from conjlab.ring import GroupRingVector
+from conjlab.sampling import random_element, random_potential
 
-from conftest import delta, oracle_stdout
+from conftest import (_cli_json, all_models, delta, inner_derivation_apply, oracle_stdout,
+                      traced_peak)
 
 
 @pytest.fixture
@@ -339,6 +345,22 @@ class TestBoundProbe:
         assert code == 0
         data = json.loads(out)
         assert data["max_norm"] == "1.58113883008"
+
+    @pytest.mark.parametrize("p", ["1", "2", "inf"])
+    def test_identity_norm_is_not_computed(self, capsys, monkeypatch, harmonic_potential, p):
+        # e fixes every generator and d(e) = 0, so its norm is known: the
+        # all-zero coefficient list of d(e) never reaches float_norm
+        argv = ["bound-probe", "--potential", harmonic_potential, "--radius", "2", "-p", p]
+        want = run(capsys, argv)
+        float_norm = dv.float_norm
+
+        def no_zero_list(values, p, power_sum=None):
+            assert any(values), "float_norm of an all-zero coefficient list"
+            return float_norm(values, p, power_sum)
+
+        monkeypatch.setattr(dv, "float_norm", no_zero_list)
+        assert run(capsys, argv) == want
+        assert json.loads(want[1])["argmax"] != "H3(0,0,0)"
 
 
 class TestNormExponent:
@@ -1128,3 +1150,112 @@ def test_fuzzed_potential_commands_keep_the_exit_contract(tmp_path_factory, case
     assert "Traceback" not in err
     assert "unknown generator" not in err  # conjugators are drawn from the model's ids
     assert run_fuzzed(argv, None) == (code, out, err)
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer against json.dumps, and `derive` against the convolution
+# oracle, byte for byte
+
+
+def written(obj, chunk=cli._CHUNK) -> str:
+    """What `cli._emit` writes for `obj`, `chunk` text pieces per write."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), mock.patch.object(cli, "_CHUNK", chunk):
+        cli._emit(obj)
+    return out.getvalue()
+
+
+TEXT = st.text() | st.text(alphabet='"\\/\x00\x07\x1f\x7f\u00e9\u2028\u2603\U0001d11e ab')
+SCALARS = (st.none() | st.booleans() | st.integers(-10**40, 10**40)
+           | st.floats() | TEXT)
+ROWS = st.integers(1, 4).flatmap(
+    lambda width: st.lists(st.tuples(*[TEXT] * width) | st.lists(TEXT, min_size=width,
+                                                                 max_size=width),
+                           max_size=6))
+MIXED_ROWS = st.lists(st.lists(SCALARS, max_size=4) | st.tuples(TEXT, SCALARS), max_size=6)
+JSON_VALUES = st.recursive(
+    SCALARS | ROWS | MIXED_ROWS,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(TEXT, kids, max_size=4)
+                  | st.dictionaries(st.integers(-3, 3), kids, max_size=3)),
+    max_leaves=30)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(JSON_VALUES, st.sampled_from([1, 2, 5, cli._CHUNK]))
+def test_writer_matches_json_dumps(obj, chunk):
+    assert written(obj, chunk) == _cli_json(obj)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(ROWS | MIXED_ROWS, st.sampled_from([1, 3, cli._CHUNK]))
+def test_writer_reads_an_iterator_as_its_list(rows, chunk):
+    assert written({"rows": iter(rows), "n": len(rows)}, chunk) == _cli_json(
+        {"rows": rows, "n": len(rows)})
+
+
+def test_writer_writes_in_chunks():
+    rows = [(f"H3(1,{-k},{-k})", f"1/{k}", "0") for k in range(1, 5001)]
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    with contextlib.redirect_stdout(Recorder()):
+        cli._emit({"image": rows})
+    assert "".join(writes) == _cli_json({"image": rows})
+    assert len(writes) > len(rows) // cli._CHUNK
+    assert max(map(len, writes)) < len("".join(writes)) // 4
+
+
+def oracle_derive_stdout(phi, g, p):
+    """`derive`'s stdout for an exact potential: d(g) = a g - g a, a the
+    potential's table as a vector, by convolution."""
+    image = inner_derivation_apply(GroupRingVector(phi.model, phi.table), delta(g))
+    encode = phi.model.encode_payload
+    return _cli_json({
+        "element": g.encode(),
+        "image": sorted([encode(u), str(c), "0"] for u, c in image.terms.items()),
+        "norm_p": fmt_float(image.lp_norm(p)),
+        "p": fmt_float(p),
+        "exact": True,
+        "truncation": None,
+    })
+
+
+DERIVE_MODELS = all_models()
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.sampled_from(range(len(DERIVE_MODELS))), st.integers(0, 2**32),
+       st.sampled_from(["1", "2", "2.5", "inf"]), st.booleans())
+def test_derive_matches_the_convolution_oracle(tmp_path_factory, index, seed, p, central):
+    model, rng = DERIVE_MODELS[index], Random(seed)
+    phi = random_potential(model, rng, size=rng.randint(0, 4), max_len=3)
+    g = model.identity() if central else random_element(model, rng, max_len=3)
+    path = tmp_path_factory.getbasetemp() / "derive_oracle.json"
+    path.write_text(json.dumps(phi.to_json()))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["derive", "--potential", str(path), "--element", g.encode(), "-p", p])
+    assert code == 0
+    assert out.getvalue() == oracle_derive_stdout(phi, g, float(p))
+
+
+def test_derive_of_a_central_element_prints_an_empty_image(capsys, two_point_potential):
+    # A1 is central in h3, so d(A1) = 0
+    code, out, _ = run(capsys, ["derive", "--potential", two_point_potential,
+                                "--element", "H3(0,0,1)"])
+    phi = dv.Potential.load(two_point_potential)
+    assert code == 0 and '"image": []' in out
+    assert out == oracle_derive_stdout(phi, phi.model.decode("H3(0,0,1)"), 2.0)
+
+
+def test_derive_memory_is_bounded_by_its_rows(tmp_path):
+    # the image's 4000 rows are formatted once; building the document as
+    # one string through json's pure-Python indent encoder peaks at 3.9 MB
+    path = tmp_path / "harmonic.json"
+    path.write_text(json.dumps({"model": "h3", "table": [],
+                                "closed_form": "appendix_harmonic", "truncation": 2000}))
+    assert traced_peak(["derive", "--potential", str(path), "--element", "H3(0,2,0)"]) < 3.2e6

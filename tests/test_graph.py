@@ -22,7 +22,7 @@ from conjlab.cli import main
 from conjlab.groups import GroupElement, SwapExtension
 from conjlab.sampling import random_element
 
-from conftest import oracle_stdout
+from conftest import oracle_stdout, traced_peak
 
 
 class TestNeighbors:
@@ -361,13 +361,13 @@ class TestBCBudget:
 class TestDot:
     def test_single_vertex(self, h3):
         ball = explore_component(h3, h3.identity(), radius=2)
-        dot = export_dot(ball, suppress_loops=True)
+        dot = "".join(export_dot(ball, suppress_loops=True))
         assert dot.count("->") == 0
         assert '"H3(0,0,0)";' in dot
 
     def test_central_path_edges(self, h3):
         ball = explore_component(h3, h3.element((1, 0, 0)), radius=2)
-        dot = export_dot(ball, suppress_loops=True)
+        dot = "".join(export_dot(ball, suppress_loops=True))
         # 5 nodes, Ax edges shifting k downward plus their reverses
         assert dot.count(";") == 5 + 8
         assert '"H3(1,0,0)" -> "H3(1,0,-1)" [label="Ax"];' in dot
@@ -377,12 +377,12 @@ class TestDot:
         m = get_model("dsemi")
         b1 = explore_component(m, m.decode("a"), radius=2)
         b2 = explore_component(m, m.decode("a"), radius=2)
-        assert export_dot(b1) == export_dot(b2)
+        assert "".join(export_dot(b1)) == "".join(export_dot(b2))
 
     def test_dsemi_ladder_rungs(self):
         m = get_model("dsemi")
         ball = explore_component(m, m.decode("a"), radius=2)
-        dot = export_dot(ball, suppress_loops=True)
+        dot = "".join(export_dot(ball, suppress_loops=True))
         # rungs of the ladder carry the label c
         assert '"a" -> "b" [label="c"];' in dot
 
@@ -480,3 +480,13 @@ def test_bc_wraps_no_conjugate(capsys, monkeypatch):
     cli_stdout(capsys, ["bc", "--model", "free2", *(a for k in K for a in ("--k", k)),
                         "--cayley-radius", "3", "--diam-budget", "4"])
     assert len(calls) <= len(K)
+
+
+@pytest.mark.parametrize("fmt, bound", [("json", 4e6), ("dot", 3e6)])
+def test_graph_memory_does_not_grow_with_its_output(fmt, bound):
+    # a 5000-node free2 ball prints about 2.5 MB of JSON or 1.9 MB of DOT;
+    # its edges are stepped while they are written, and no document-sized
+    # string is built (which peaked at 11.8 MB in JSON, 8.2 MB in DOT)
+    argv = ["graph", "--model", "free2", "--base", "x1", "--radius", "40",
+            "--budget-nodes", "5000", "--format", fmt]
+    assert traced_peak(argv) < bound

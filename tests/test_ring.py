@@ -227,8 +227,8 @@ class TestVectorAlgebra:
         elems = [h3.element((2, 0, 0)), h3.identity(), h3.element((10, -1, 4)),
                  h3.element((-1, 0, 0))]
         v = GroupRingVector(h3, dict(zip(elems, [frac(-1, 2), 3, frac(2, 3), 5])))
-        assert v.to_json() == [["H3(-1,0,0)", "5", "0"], ["H3(0,0,0)", "3", "0"],
-                               ["H3(10,-1,4)", "2/3", "0"], ["H3(2,0,0)", "-1/2", "0"]]
+        assert v.to_json() == [("H3(-1,0,0)", "5", "0"), ("H3(0,0,0)", "3", "0"),
+                               ("H3(10,-1,4)", "2/3", "0"), ("H3(2,0,0)", "-1/2", "0")]
         assert repr(v) == "(5)*H3(-1,0,0) + (3)*H3(0,0,0) + (2/3)*H3(10,-1,4) + (-1/2)*H3(2,0,0)"
         assert v.coefficient(h3.element((2, 0, 0))) == frac(-1, 2)
         assert v.coefficient(h3.element((3, 0, 0))) == 0
