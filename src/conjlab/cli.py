@@ -82,18 +82,10 @@ def _scalar(obj) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _row_template(width: int, nl: str) -> str:
-    """The `%` template of a list row of `width` strings at indent `nl`:
-    its separator, then its quoted cells."""
-    cell = nl + "  "
-    return "%s[" + cell + ("%s," + cell) * (width - 1) + "%s" + nl + "]"
-
-
 def _json_pieces(obj, nl: str):
     """The pieces of `obj`'s JSON text in `_emit`'s layout; `nl` is a
     newline and the indent of the line `obj` starts on.  A scalar member is
-    one piece with its key or separator, and so is a list row of strings,
-    formatted by one `%` template per row width."""
+    one piece with its key or separator."""
     inner = nl + "  "
     if isinstance(obj, dict):
         sep = "{"
@@ -107,23 +99,13 @@ def _json_pieces(obj, nl: str):
             sep = ","
         yield nl + "}" if obj else "{}"
     elif isinstance(obj, (list, tuple, Iterator)):
-        sep, width, template = "[", None, None
+        sep = "["
         for item in obj:
-            piece = None
             if isinstance(item, _LEAVES):
-                piece = sep + inner + _scalar(item)
-            elif template is not False and isinstance(item, (list, tuple)) and item:
-                if len(item) != width:
-                    width, template = len(item), _row_template(len(item), inner)
-                try:
-                    piece = template % (sep + inner, *map(_quote, item))
-                except TypeError:  # a cell that is not a string: not a row list
-                    template = False
-            if piece is None:
+                yield sep + inner + _scalar(item)
+            else:
                 yield sep + inner
                 yield from _json_pieces(item, inner)
-            else:
-                yield piece
             sep = ","
         yield nl + "]" if sep == "," else "[]"
     else:
@@ -154,8 +136,19 @@ def cmd_graph(args) -> int:
     ball = cg.explore_component(model, base, args.radius, args.budget_nodes)
     if args.format == "dot":
         _write(cg.export_dot(ball, suppress_loops=args.suppress_loops))
-    else:
-        _emit(ball.to_json(suppress_loops=args.suppress_loops))
+        return 0
+    enc = ball.encodings
+    _emit(
+        {
+            "base": enc[base.payload],
+            "radius": ball.radius,
+            "complete": ball.complete,
+            "closed": ball.closed,
+            "vertices": [enc[p] for p in ball.by_encoding],
+            "edges": ball.edge_rows(args.suppress_loops),  # read once, while written
+            "dist": {enc[p]: d for p, d in ball.depths.items()},
+        }
+    )
     return 0
 
 

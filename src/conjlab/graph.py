@@ -87,20 +87,6 @@ class ConjGraphBall:
         return [ConjEdge(elem[src], gens[label], elem[dst])
                 for src, label, dst in self.edge_rows()]
 
-    def to_json(self, suppress_loops: bool = False) -> dict:
-        """The ball as the `graph` command prints it; "edges" is the
-        `edge_rows` iterator, read once by the writer."""
-        enc = self.encodings
-        return {
-            "base": enc[self.base.payload],
-            "radius": self.radius,
-            "complete": self.complete,
-            "closed": self.closed,
-            "vertices": [enc[p] for p in self.by_encoding],
-            "edges": self.edge_rows(suppress_loops),
-            "dist": {enc[p]: d for p, d in self.depths.items()},
-        }
-
 
 def conj_neighbors(model: GroupModel, h: GroupElement):
     """All conjugation neighbors of h: one entry per generator and inverse,
