@@ -23,7 +23,7 @@ from . import derivations as dv
 from . import experiments as ex
 from . import graph as cg
 from .errors import InternalConsistencyError, ResourceBudgetError, UsageError
-from .groups import get_model, parse_word
+from .groups import DEFAULT_NODE_BUDGET, get_model, parse_word
 from .ring import exact_str
 
 
@@ -38,7 +38,7 @@ def _count(text: str) -> int:
 def _default_node_budget() -> int:
     raw = os.environ.get("CONJLAB_DEFAULT_BUDGET")
     try:
-        return _count(raw) if raw else 10**6
+        return _count(raw) if raw else DEFAULT_NODE_BUDGET
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise UsageError(f"bad CONJLAB_DEFAULT_BUDGET: {raw!r}") from exc
 

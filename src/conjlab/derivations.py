@@ -4,7 +4,7 @@ A potential is a rational-valued function on the group given by a finite
 table plus an optional named closed-form rule.  Closed-form supports are
 truncated at a cutoff index K; evaluation is then the exact derivation of
 the truncated potential, so algebraic identities (Leibniz, character
-additivity) hold exactly, while `tail_bound` quantifies what the cutoff
+additivity) hold exactly, while `tail_bound_pow` bounds what the cutoff
 discards in q-norm.
 """
 
@@ -59,9 +59,10 @@ CLOSED_FORMS = {
 class Potential:
     """phi: G -> Q as a finite table plus optional closed-form rule.
 
-    Values are read from one payload-keyed exact table: the explicit
-    entries, plus each closed-form value (truncated at `trunc_k`) from its
-    first lookup on, so loading never enumerates the closed-form support.
+    `table` is the one value table, {payload: Fraction} of the explicit
+    nonzero entries; any other value comes from the closed-form rule,
+    truncated at `trunc_k`, on each lookup, so loading never enumerates
+    the closed-form support.
     """
 
     def __init__(self, model: GroupModel, table=None, closed_form=None,
@@ -72,7 +73,7 @@ class Potential:
             model._check(g)
             v = Fraction(v)
             if v != 0:
-                self.table[g] = v
+                self.table[g.payload] = v
         self._rule = lambda p, trunc_k: _ZERO
         if closed_form is not None:
             rule = CLOSED_FORMS.get(closed_form) if isinstance(closed_form, str) else None
@@ -84,8 +85,8 @@ class Potential:
                     f"{rule['model']}, not {model.name}"
                 )
             self._rule = rule["value"]
-            for g in self.table:
-                if self._rule(g.payload, math.inf) != 0:
+            for p in self.table:
+                if self._rule(p, math.inf) != 0:
                     raise UsageError(
                         "table and closed-form supports must be disjoint"
                     )
@@ -93,7 +94,6 @@ class Potential:
             raise UsageError("truncation cutoff must be an integer >= 1")
         self.closed_form = closed_form
         self.trunc_k = trunc_k
-        self._values = {g.payload: v for g, v in self.table.items()}
         self._support = None
 
     def is_exact(self) -> bool:
@@ -105,19 +105,14 @@ class Potential:
         return self._value(g.payload)
 
     def _value(self, p) -> Fraction:
-        v = self._values.get(p)
-        if v is None:
-            v = self._rule(p, self.trunc_k)
-            if v:
-                self._values[p] = v
-        return v
+        return self.table.get(p) or self._rule(p, self.trunc_k)
 
     @cached_property
     def _columns(self) -> tuple:
         """The (truncated) support as parallel columns (payloads, phi, -phi),
         sorted by encoding and without zero values; built once, from
         payloads only."""
-        supp = [g.payload for g in self.table]
+        supp = list(self.table)
         if self.closed_form is not None:
             supp += CLOSED_FORMS[self.closed_form]["support"](self.trunc_k)
         supp.sort(key=self.model.encode_payload)
@@ -162,12 +157,10 @@ class Potential:
     # -- wire format --------------------------------------------------------
 
     def to_json(self) -> dict:
+        encode = self.model.encode_payload
         return {
             "model": self.model.name,
-            "table": [
-                [g.encode(), exact_str(v)]
-                for g, v in sorted(self.table.items(), key=lambda kv: kv[0].encode())
-            ],
+            "table": sorted([encode(p), exact_str(v)] for p, v in self.table.items()),
             "closed_form": self.closed_form,
             "truncation": self.trunc_k,
         }
@@ -330,8 +323,9 @@ def g_boundedness_probe(
     """
     if not p >= 1:
         raise UsageError(f"g_boundedness_probe needs p >= 1, got {p}")
-    model._check(d.model.identity())
-    ball = model.cayley_ball(radius, node_budget)
+    model._check(d)
+    ball = model.cayley_depths(radius, node_budget)
+    encode = model.encode_payload
     # d(g) has phi(g t g^-1) - phi(t) at g t for each t in the support,
     # then phi(s) at s g for each s that is no image g t g^-1, powers
     # added in this order.  Off the support an image leaves -phi(t);
@@ -347,8 +341,7 @@ def g_boundedness_probe(
     memo = {tuple(gens): 0.0}  # e fixes every generator, and d(e) = 0
     best = -1.0
     argmax = None
-    for g in sorted(ball, key=lambda e: (ball[e], e.encode())):
-        gp = g.payload
+    for gp in sorted(ball, key=lambda p: (ball[p], encode(p))):
         gi = inv(gp)
         key = tuple(mul_all(mul_all(gens, gi), gp, left=True))
         norm = memo.get(key)
@@ -367,8 +360,8 @@ def g_boundedness_probe(
             norm = memo[key] = float_norm(coeffs, p, lambda: left_sum(pows))
         if norm > best:
             best = norm
-            argmax = g
-    return best, argmax
+            argmax = gp
+    return best, model.element(argmax)
 
 
 def _float_pow(c: Fraction, p: float) -> float:

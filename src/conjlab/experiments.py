@@ -181,38 +181,32 @@ def run_limit_experiment(
     if not q >= 1:  # NaN too; checked here, as an empty support takes no norm
         raise UsageError(f"lp_norm needs p >= 1, got {float(q)}")
     model = phi.model
-    supp = phi.support()
+    payloads, values, _ = phi._columns
     q_int = int(q) if float(q).is_integer() else None
-    if not supp:
+    if not payloads:
         exact = None if q_int is None else Fraction(0)
         return LimitReport(q, 0.0, [(k, 0.0, exact) for k in range(1, k_max + 1)], 1)
-    for g in supp:
-        if model.class_is_finite(g.payload):
+    for p in payloads:
+        if model.class_is_finite(p):
             raise UsageError(
-                f"potential support element {g.encode()} lies in a finite "
+                f"potential support element {model.encode_payload(p)} lies in a finite "
                 "conjugation component"
             )
-    a = model.normal_form(conjugator_word)
+    a = model.normal_form(conjugator_word).payload
     d = Derivation(phi)
     samples = []
-    disjoint = []
-    a_k = model.identity()
-    supp_set = set(supp)
+    separation_index = None
+    a_k = model.identity_payload()
+    supp_set = set(payloads)
+    mul_all = model.mul_all
     for k in range(1, k_max + 1):
-        a_k = a_k * a
-        a_k_inv = a_k.inverse()
-        image = d.apply(a_k)
+        a_k = model.mul_payload(a_k, a)
+        image = d.apply(model.element(a_k))
         norm = image.lp_norm(float(q))
         exact = image.lq_pow_exact(q_int) if q_int is not None else None
         samples.append((k, norm, exact))
-        pulled = {model.conjugate(a_k_inv, s) for s in supp}
-        disjoint.append(not (pulled & supp_set))
-    separation_index = None
-    for k in range(k_max, 0, -1):
-        if not disjoint[k - 1]:
-            break
-        separation_index = k
-    values = [phi.value(g) for g in supp]
+        pulled = mul_all(mul_all(payloads, a_k), model.inv_payload(a_k), left=True)
+        separation_index = (separation_index or k) if supp_set.isdisjoint(pulled) else None
     power_sum = None
     if q_int is not None and exact_pow_fits(values, q_int):
         def power_sum():

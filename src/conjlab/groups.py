@@ -174,14 +174,12 @@ class GroupModel(ABC):
             out += [(Generator(gid), x, xi), (Generator(gid, True), xi, x)]
         return out
 
-    def generator_element(self, gen: Generator) -> GroupElement:
+    def generator_payload(self, gen: Generator):
         payloads = self.generator_payloads()
         if gen.gid not in payloads:
             raise UsageError(f"unknown generator {gen.gid!r} for model {self.name}")
         p = payloads[gen.gid]
-        if gen.inverse_flag:
-            p = self.inv_payload(p)
-        return self.element(p)
+        return self.inv_payload(p) if gen.inverse_flag else p
 
     def _check(self, *elems):
         for e in elems:
@@ -222,7 +220,7 @@ class GroupModel(ABC):
     def normal_form(self, word) -> GroupElement:
         p = self.identity_payload()
         for gen in word:
-            p = self.mul_payload(p, self.generator_element(gen).payload)
+            p = self.mul_payload(p, self.generator_payload(gen))
         return self.element(p)
 
     def decode(self, text: str) -> GroupElement:

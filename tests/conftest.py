@@ -24,6 +24,7 @@ from conjlab import (
 )
 from conjlab.cli import main, parse
 from conjlab.graph import _bc_verdict
+from conjlab.groups import DEFAULT_NODE_BUDGET
 
 
 def all_models():
@@ -160,7 +161,7 @@ def oracle_bc_stdout(model, K, radius, diam_budget, node_budget):
     return _cli_json(report.to_json())
 
 
-def oracle_stdout(argv, node_budget=10**6):
+def oracle_stdout(argv, node_budget=DEFAULT_NODE_BUDGET):
     """What `graph` or `bc` prints for `argv`, by the oracles above;
     `node_budget` is the default of --budget-nodes."""
     args = parse(argv, node_budget)
@@ -247,7 +248,7 @@ def inner_derivation_apply(x, a):
     return x * a + scaled(a * x, -1)
 
 
-def word_search(model, g, radius, node_budget=10**6):
+def word_search(model, g, radius, node_budget=DEFAULT_NODE_BUDGET):
     """The goal search for g from the identity along `right_step`: its
     `length` is g's word length when that is <= radius."""
     return model.search(model.identity_payload(), model.right_step, radius, node_budget,

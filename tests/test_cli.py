@@ -80,6 +80,19 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
+def count_elements(monkeypatch) -> list:
+    """The payload of each GroupElement built from now on, in order."""
+    built = []
+    init = conjlab.GroupElement.__init__
+
+    def counting_init(self, model, payload):
+        built.append(payload)
+        init(self, model, payload)
+
+    monkeypatch.setattr(conjlab.GroupElement, "__init__", counting_init)
+    return built
+
+
 def usage_exit(capsys, argv):
     """Exit code and stderr of an argv that argparse rejects."""
     with pytest.raises(SystemExit) as exc:
@@ -288,14 +301,7 @@ class TestStabilise:
     def test_builds_no_element_per_vertex(self, capsys, two_point_potential, monkeypatch):
         # the probe reads the ball's payloads: a ball of 17 vertices builds
         # no more GroupElements than one of 5
-        built = []
-        init = conjlab.GroupElement.__init__
-
-        def counting_init(self, model, payload):
-            built.append(payload)
-            init(self, model, payload)
-
-        monkeypatch.setattr(conjlab.GroupElement, "__init__", counting_init)
+        built = count_elements(monkeypatch)
         counts = []
         for radius in ("2", "8"):
             built.clear()
@@ -361,6 +367,18 @@ class TestBoundProbe:
         monkeypatch.setattr(dv, "float_norm", no_zero_list)
         assert run(capsys, argv) == want
         assert json.loads(want[1])["argmax"] != "H3(0,0,0)"
+
+    def test_builds_only_the_table_and_the_argmax(self, capsys, monkeypatch,
+                                                  sup_three_potential):
+        # the 7-level ball is sorted on payloads: the two decoded table
+        # entries and the argmax are the only elements built
+        built = count_elements(monkeypatch)
+        code, out, _ = run(capsys, ["bound-probe", "--potential", sup_three_potential,
+                                    "--radius", "7"])
+        assert code == 0
+        data = json.loads(out)
+        assert (data["max_norm"], data["argmax"]) == ("4.30116263352", "H3(0,-2,0)")
+        assert len(built) <= 2 + 1
 
 
 class TestNormExponent:
@@ -628,6 +646,18 @@ class TestLimit:
         )
         assert code == 2
         assert "finite" in err
+
+    def test_builds_one_element_per_power(self, capsys, monkeypatch, two_point_potential):
+        # a^k steps and the support is conjugated on payloads: besides the
+        # two decoded table entries and the conjugator, only a^k itself,
+        # the argument of Derivation.apply, is built
+        built = count_elements(monkeypatch)
+        code, out, _ = run(capsys, ["limit", "--potential", two_point_potential,
+                                    "--conjugator", "Ax.Ap", "--k-max", "12",
+                                    "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["separation_index"] == 2
+        assert len(built) <= 2 + 1 + 12
 
 
 class TestInverseSeq:
@@ -1212,7 +1242,8 @@ def test_writer_writes_in_chunks():
 def oracle_derive_stdout(phi, g, p):
     """`derive`'s stdout for an exact potential: d(g) = a g - g a, a the
     potential's table as a vector, by convolution."""
-    image = inner_derivation_apply(GroupRingVector(phi.model, phi.table), delta(g))
+    image = inner_derivation_apply(GroupRingVector.from_terms(phi.model, dict(phi.table)),
+                                   delta(g))
     encode = phi.model.encode_payload
     return _cli_json({
         "element": g.encode(),

@@ -111,8 +111,8 @@ class TestDerivationApply:
             assert inner_derivation_apply(x, delta(g)) == d_pot.apply(g)
 
     def test_closed_form_equals_its_table(self, h3):
-        # values filled on lookup give the same derivation as the explicit
-        # table of the truncated closed form, and as the inner derivation
+        # closed-form values give the same derivation as the explicit table
+        # of the truncated closed form, and as the inner derivation
         phi = Potential(h3, {}, closed_form="appendix_harmonic", trunc_k=12)
         table = {g: phi.value(g) for g in phi.support()}
         x = GroupRingVector(h3, table)
@@ -153,7 +153,7 @@ class TestDerivationApply:
         # d_phi(g) + d_{-phi}(g) added into one dict cancels to nothing
         rng = Random(51)
         phi = random_potential(model, rng)
-        neg = Potential(model, {g: -v for g, v in phi.table.items()})
+        neg = Potential(model, {model.element(p): -v for p, v in phi.table.items()})
         for _ in range(10):
             gp = random_element(model, rng).payload
             acc = {}
@@ -511,6 +511,15 @@ class TestStabilisation:
 
 
 class TestPotential:
+    def test_table_holds_only_the_explicit_entries(self, h3):
+        # the one value table keeps the explicit entries by payload; reading
+        # the support or a closed-form value adds nothing to it
+        phi = Potential(h3, {h3.element((1, 0, 0)): 2},
+                        closed_form="appendix_harmonic", trunc_k=30)
+        assert len(phi._columns[0]) == 31
+        assert phi.value(h3.element((1, -5, -5))) == Fraction(1, 5)
+        assert phi.table == {(1, 0, 0): 2}
+
     def test_table_and_closed_form_disjoint(self, h3):
         with pytest.raises(UsageError):
             Potential(
@@ -587,6 +596,7 @@ class TestPotential:
         )
         again = Potential.from_json(phi.to_json())
         assert again.model.name == "h3"
+        model = again.model
         assert again.table == {
-            again.model.decode(k.encode()): v for k, v in phi.table.items()
+            model.decode_payload(model.encode_payload(p)): v for p, v in phi.table.items()
         }

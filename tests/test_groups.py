@@ -356,8 +356,8 @@ class TestDirectProduct:
 
     def test_generators_embed(self):
         m = DirectProduct(Heisenberg(), DihedralInf())
-        gl = m.generator_element(G("l.Ap"))
-        gr = m.generator_element(G("r.a"))
+        gl = m.element(m.generator_payload(G("l.Ap")))
+        gr = m.element(m.generator_payload(G("r.a")))
         assert gl * gr == gr * gl
 
     def test_parse_word_reads_product_ids(self):

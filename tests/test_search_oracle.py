@@ -34,7 +34,7 @@ def one_way(start, step, gens, radius):
 
 @lru_cache(maxsize=None)
 def generators(model):
-    return [model.generator_element(gen) for gen in model.all_gens()]
+    return [model.element(model.generator_payload(gen)) for gen in model.all_gens()]
 
 
 def conj_oracle(model, u, v, radius):
