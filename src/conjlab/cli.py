@@ -112,11 +112,9 @@ def _json_pieces(obj, nl: str):
         yield _scalar(obj)
 
 
-def _print_report(report, fmt) -> None:
-    if fmt == "table":
-        sys.stdout.write(report.to_table())
-    else:
-        _emit(report.to_json())
+def _report(report, fmt):
+    """A report's output as `--format` asks: its table, or its JSON."""
+    return [report.to_table()] if fmt == "table" else report.to_json()
 
 
 def _load_potential(path) -> dv.Potential:
@@ -127,60 +125,53 @@ def _load_potential(path) -> dv.Potential:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns its output, a JSON document as a dict or text as an
+# iterable of pieces, and writes nothing; `main` writes it.
 
 
-def cmd_graph(args) -> int:
+def cmd_graph(args):
     model = get_model(args.model)
     base = model.decode(args.base)
     ball = cg.explore_component(model, base, args.radius, args.budget_nodes)
     if args.format == "dot":
-        _write(cg.export_dot(ball, suppress_loops=args.suppress_loops))
-        return 0
+        return cg.export_dot(ball, suppress_loops=args.suppress_loops)
     enc = ball.encodings
-    _emit(
-        {
-            "base": enc[base.payload],
-            "radius": ball.radius,
-            "complete": ball.complete,
-            "closed": ball.closed,
-            "vertices": [enc[p] for p in ball.by_encoding],
-            "edges": ball.edge_rows(args.suppress_loops),  # read once, while written
-            "dist": {enc[p]: d for p, d in ball.depths.items()},
-        }
-    )
-    return 0
+    return {
+        "base": enc[base.payload],
+        "radius": ball.radius,
+        "complete": ball.complete,
+        "closed": ball.closed,
+        "vertices": [enc[p] for p in ball.by_encoding],
+        "edges": ball.edge_rows(args.suppress_loops),  # read once, while written
+        "dist": {enc[p]: d for p, d in ball.depths.items()},
+    }
 
 
-def cmd_bc(args) -> int:
+def cmd_bc(args):
     model = get_model(args.model)
     K = [model.decode(enc) for enc in args.k]
     report = cg.bc_probe(
         model, K, args.cayley_radius, args.diam_budget, args.budget_nodes
     )
-    _emit(report.to_json())
-    return 0
+    return report.to_json()
 
 
-def cmd_derive(args) -> int:
+def cmd_derive(args):
     phi = _load_potential(args.potential)
     g = phi.model.decode(args.element)
     d = dv.Derivation(phi)
     image = d.apply(g)
-    _emit(
-        {
-            "element": g.encode(),
-            "image": image.to_json(),
-            "norm_p": ex.fmt_float(image.lp_norm(args.p)),
-            "p": ex.fmt_float(args.p),
-            "exact": phi.is_exact(),
-            "truncation": None if phi.is_exact() else phi.trunc_k,
-        }
-    )
-    return 0
+    return {
+        "element": g.encode(),
+        "image": image.to_json(),
+        "norm_p": ex.fmt_float(image.lp_norm(args.p)),
+        "p": ex.fmt_float(args.p),
+        "exact": phi.is_exact(),
+        "truncation": None if phi.is_exact() else phi.trunc_k,
+    }
 
 
-def cmd_leibniz(args) -> int:
+def cmd_leibniz(args):
     phi = _load_potential(args.potential)
     d = dv.Derivation(phi)
     rng = Random(args.seed)
@@ -195,12 +186,11 @@ def cmd_leibniz(args) -> int:
         worst = max(worst, res.lp_norm(1))
         if not res.is_zero():
             violations += 1
-    print(f"{violations} violations in {args.samples} samples "
-          f"(max residual {ex.fmt_float(worst)})")
-    return 0
+    return [f"{violations} violations in {args.samples} samples "
+            f"(max residual {ex.fmt_float(worst)})\n"]
 
 
-def cmd_character(args) -> int:
+def cmd_character(args):
     phi = _load_potential(args.potential)
     model = phi.model
     mor = dv.Morphism(model.decode(args.u), model.decode(args.v))
@@ -211,11 +201,10 @@ def cmd_character(args) -> int:
             f"character mismatch at ({args.u},{args.v}): "
             f"potential {val} vs derivation {cross}"
         )
-    _emit({"u": args.u, "v": args.v, "value": exact_str(val)})
-    return 0
+    return {"u": args.u, "v": args.v, "value": exact_str(val)}
 
 
-def cmd_quasi_inner(args) -> int:
+def cmd_quasi_inner(args):
     phi = _load_potential(args.potential)
     rng = Random(args.seed)
     from .sampling import random_loop
@@ -230,11 +219,10 @@ def cmd_quasi_inner(args) -> int:
             "v": mor.v.encode(),
             "value": exact_str(val),
         }
-    _emit(out)
-    return 0
+    return out
 
 
-def cmd_stabilise(args) -> int:
+def cmd_stabilise(args):
     phi = _load_potential(args.potential)
     model = phi.model
     base = model.decode(args.base)
@@ -242,49 +230,39 @@ def cmd_stabilise(args) -> int:
         raise UsageError("--radii must be increasing")
     ball = cg.explore_component(model, base, args.radius, args.budget_nodes)
     probe = dv.stabilisation_probe(phi, ball, args.radii)
-    _emit(
-        {
-            "base": base.encode(),
-            "radius": args.radius,
-            "complete": ball.complete,
-            "rows": [[r, exact_str(s)] for r, s in probe],
-        }
-    )
-    return 0
+    return {
+        "base": base.encode(),
+        "radius": args.radius,
+        "complete": ball.complete,
+        "rows": [[r, exact_str(s)] for r, s in probe],
+    }
 
 
-def cmd_bound_probe(args) -> int:
+def cmd_bound_probe(args):
     phi = _load_potential(args.potential)
     d = dv.Derivation(phi)
-    max_norm, argmax = dv.g_boundedness_probe(
-        d, phi.model, args.radius, args.p, args.budget_nodes
-    )
-    _emit(
-        {
-            "radius": args.radius,
-            "p": ex.fmt_float(args.p),
-            "max_norm": ex.fmt_float(max_norm),
-            "argmax": argmax.encode(),
-        }
-    )
-    return 0
+    max_norm, argmax = dv.g_boundedness_probe(d, args.radius, args.p, args.budget_nodes)
+    return {
+        "radius": args.radius,
+        "p": ex.fmt_float(args.p),
+        "max_norm": ex.fmt_float(max_norm),
+        "argmax": argmax.encode(),
+    }
 
 
-def cmd_appendix(args) -> int:
+def cmd_appendix(args):
     report = ex.run_appendix(args.m_max, args.n_max)
-    _print_report(report, args.format)
-    return 0
+    return _report(report, args.format)
 
 
-def cmd_limit(args) -> int:
+def cmd_limit(args):
     phi = _load_potential(args.potential)
     word = parse_word(phi.model, args.conjugator)
     report = ex.run_limit_experiment(phi, word, args.q, args.k_max)
-    _print_report(report, args.format)
-    return 0
+    return _report(report, args.format)
 
 
-def cmd_inverse_seq(args) -> int:
+def cmd_inverse_seq(args):
     model = get_model(args.model)
     u = model.decode(args.u)
     word = parse_word(model, args.conjugator)
@@ -293,8 +271,7 @@ def cmd_inverse_seq(args) -> int:
         model, u, word, args.k_max, args.budget, tail_word=tail,
         node_budget=args.budget_nodes,
     )
-    _print_report(report, args.format)
-    return 0
+    return _report(report, args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +407,15 @@ def parse(argv, node_budget: int) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
+    """Run a command and write what its handler returned; the exit code is
+    0 once that is written, and 2, 3 or 4 only from the exceptions below."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parse(argv, _default_node_budget())
-        code = args.fn(args)
+        out = args.fn(args)
+        (_emit if isinstance(out, dict) else _write)(out)
         sys.stdout.flush()
-        return code
+        return 0
     except BrokenPipeError:
         # the reader stopped reading (`| head`); point stdout at devnull so
         # the flush at exit cannot fail again (Python docs, "Note on SIGPIPE")

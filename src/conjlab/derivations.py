@@ -24,8 +24,9 @@ DEFAULT_TRUNCATION = 10**4
 
 
 # ---------------------------------------------------------------------------
-# Closed-form potential rules: value(payload, cutoff K) and the payloads of
-# the support, both truncated at K
+# The one closed-form rule, "appendix_harmonic" on h3: value(payload, cutoff
+# K), the payloads of the support and the discarded q-th-power mass, all
+# truncated at K
 
 def _harmonic_value(payload, trunc_k) -> Fraction:
     # supported on Ap*Ax^-k = Ax^-k Ap A1^-k, triple (1, -k, -k), value 1/k
@@ -44,16 +45,6 @@ def _harmonic_tail_pow(trunc_k: int, q: int) -> Fraction:
     if q <= 1:
         raise UsageError("harmonic closed form has no finite l1 tail bound")
     return Fraction(1, (q - 1) * trunc_k ** (q - 1))
-
-
-CLOSED_FORMS = {
-    "appendix_harmonic": {
-        "model": "h3",
-        "value": _harmonic_value,
-        "support": _harmonic_support,
-        "tail_pow": _harmonic_tail_pow,
-    },
-}
 
 
 class Potential:
@@ -76,15 +67,13 @@ class Potential:
                 self.table[g.payload] = v
         self._rule = lambda p, trunc_k: _ZERO
         if closed_form is not None:
-            rule = CLOSED_FORMS.get(closed_form) if isinstance(closed_form, str) else None
-            if rule is None:
+            if closed_form != "appendix_harmonic":
                 raise UsageError(f"unknown closed form {closed_form!r}")
-            if rule["model"] != model.name:
+            if model.name != "h3":
                 raise UsageError(
-                    f"closed form {closed_form!r} is defined on model "
-                    f"{rule['model']}, not {model.name}"
+                    f"closed form {closed_form!r} is defined on model h3, not {model.name}"
                 )
-            self._rule = rule["value"]
+            self._rule = _harmonic_value
             for p in self.table:
                 if self._rule(p, math.inf) != 0:
                     raise UsageError(
@@ -114,7 +103,7 @@ class Potential:
         payloads only."""
         supp = list(self.table)
         if self.closed_form is not None:
-            supp += CLOSED_FORMS[self.closed_form]["support"](self.trunc_k)
+            supp += _harmonic_support(self.trunc_k)
         supp.sort(key=self.model.encode_payload)
         values = [(p, v) for p, v in zip(supp, map(self._value, supp)) if v]
         payloads = tuple([p for p, _ in values])
@@ -152,7 +141,7 @@ class Potential:
         """Upper bound on the q-th-power mass the truncation discards."""
         if self.closed_form is None:
             return Fraction(0)
-        return CLOSED_FORMS[self.closed_form]["tail_pow"](self.trunc_k, q)
+        return _harmonic_tail_pow(self.trunc_k, q)
 
     # -- wire format --------------------------------------------------------
 
@@ -310,7 +299,6 @@ def quasi_inner_check(source, loops):
 
 def g_boundedness_probe(
     d: Derivation,
-    model: GroupModel,
     radius: int,
     p: float,
     node_budget: int = DEFAULT_NODE_BUDGET,
@@ -323,7 +311,7 @@ def g_boundedness_probe(
     """
     if not p >= 1:
         raise UsageError(f"g_boundedness_probe needs p >= 1, got {p}")
-    model._check(d)
+    model = d.model
     ball = model.cayley_depths(radius, node_budget)
     encode = model.encode_payload
     # d(g) has phi(g t g^-1) - phi(t) at g t for each t in the support,

@@ -9,6 +9,7 @@ exists, and hard-fails on disagreement.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -97,6 +98,9 @@ def run_appendix(m_max: int, n_max: int) -> AppendixReport:
     from the closed harmonic formula; the two routes must agree exactly."""
     if m_max < 1 or n_max < 1:
         raise UsageError("run_appendix needs m_max, n_max >= 1")
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if limit and _harmonic_denominator_digits(m_max + 1) > limit:
+        raise UsageError("a rational value is too large to print")  # as exact_str
     h3 = Heisenberg()
     phi = Potential(h3, {}, closed_form="appendix_harmonic", trunc_k=m_max + n_max)
     harm = list(accumulate((Fraction(1, j) for j in range(1, m_max + n_max + 1)),
@@ -132,6 +136,17 @@ def run_appendix(m_max: int, n_max: int) -> AppendixReport:
             AppendixRow(m, coeff_table, lower, lower / math.sqrt(2 * m + 1))
         )
     return AppendixReport(list(range(1, m_max + 1)), n_max, rows)
+
+
+def _harmonic_denominator_digits(n: int) -> float:
+    """A lower bound on the decimal digits of the denominator of
+    H(n) - 1 = 1/2 + ... + 1/n, n >= 2, from n alone.  With k = n // 2, each prime
+    in (k, 2k] divides exactly one of 1..n, so it divides that denominator,
+    and by Erdos's proof of Bertrand's postulate their product is at least
+    4^(k/3) / ((2k + 1) (2k)^sqrt(2k))."""
+    k = min(n // 2, 10**300)  # the bound grows with k; this keeps it a float
+    return (k / 3 * math.log10(4) - math.log10(2 * k + 1)
+            - math.sqrt(2 * k) * math.log10(2 * k))
 
 
 # ---------------------------------------------------------------------------

@@ -314,7 +314,10 @@ class Heisenberg(GroupModel):
         return [(a1 + a, b1 + b, c1 + c + a1 * b) for a1, b1, c1 in payloads]
 
     def encode_payload(self, p) -> str:
-        return f"H3({p[0]},{p[1]},{p[2]})"
+        try:
+            return f"H3({p[0]},{p[1]},{p[2]})"
+        except ValueError:  # beyond sys.get_int_max_str_digits()
+            raise UsageError("an element is too large to print") from None
 
     def decode_payload(self, text: str):
         if text == "e":

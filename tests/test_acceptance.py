@@ -254,7 +254,7 @@ def test_acceptance_10_bounded_but_not_norm_bounded(h3):
     trunc = 400
     phi = Potential(h3, {}, closed_form="appendix_harmonic", trunc_k=trunc)
     d = Derivation(phi)
-    max_norm, argmax = g_boundedness_probe(d, h3, radius=6, p=2)
+    max_norm, argmax = g_boundedness_probe(d, radius=6, p=2)
     bound = 2.0 * float(phi.lq_pow(2) + phi.tail_bound_pow(2)) ** 0.5
     assert max_norm <= bound + 1e-9
 

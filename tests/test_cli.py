@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from random import Random
 from unittest import mock
@@ -18,6 +19,7 @@ from conjlab import cli
 from conjlab import derivations as dv
 from conjlab.cli import main
 from conjlab.experiments import fmt_float
+from conjlab.groups import DEFAULT_NODE_BUDGET
 from conjlab.ring import GroupRingVector
 from conjlab.sampling import random_element, random_potential
 
@@ -72,6 +74,10 @@ def sup_three_potential(tmp_path):
         )
     )
     return str(path)
+
+
+# 2200 digits decode under Python's default 4300-digit limit; B^2 does not print
+BIG = "9" * 2200
 
 
 def run(capsys, argv):
@@ -147,6 +153,14 @@ class TestGraph:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["dot", "json"])
+    def test_unprintable_vertex_exits_2(self, capsys, fmt):
+        # sigma makes H3(B,B,0) into H3(B,B,B^2), whose B^2 cannot be printed
+        base = f"H3({BIG},{BIG},0)"
+        result = run(capsys, ["graph", "--model", "h3semi", "--base", base,
+                              "--radius", "1", "--format", fmt])
+        assert result == (2, "", "error: an element is too large to print\n")
+
 
 class TestBC:
     def test_plateau(self, capsys):
@@ -208,13 +222,21 @@ class TestDerive:
         def out_of_memory(trunc_k):
             raise MemoryError
 
-        monkeypatch.setitem(dv.CLOSED_FORMS["appendix_harmonic"], "support", out_of_memory)
+        monkeypatch.setattr(dv, "_harmonic_support", out_of_memory)
         code, out, err = run(
             capsys,
             ["derive", "--potential", harmonic_potential, "--element", "H3(1,0,0)"],
         )
         assert (code, out) == (3, "")
         assert err == "resource budget exceeded: out of memory\n"
+
+    def test_unprintable_image_exits_2(self, capsys, tmp_path):
+        # d(H3(B,0,0)) has a term at H3(2B,B,B^2), which cannot be printed
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"model": "h3", "table": [[f"H3({BIG},{BIG},0)", "1"]]}))
+        result = run(capsys, ["derive", "--potential", str(path),
+                              "--element", f"H3({BIG},0,0)"])
+        assert result == (2, "", "error: an element is too large to print\n")
 
 
 class TestLeibniz:
@@ -541,6 +563,17 @@ class TestAppendix:
         finally:
             sys.set_int_max_str_digits(digits)
         assert result == (2, "", "error: a rational value is too large to print\n")
+
+    def test_unprintable_m_max_refused_before_its_sums(self, capsys):
+        # the prefix sums up to 10^6 would take gigabytes
+        tracemalloc.start()
+        try:
+            result = run(capsys, ["appendix", "--m-max", "1000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (2, "", "error: a rational value is too large to print\n")
+        assert peak < 10**6
 
 
 class TestLimit:
@@ -1237,6 +1270,50 @@ def test_writer_writes_in_chunks():
     assert "".join(writes) == _cli_json({"image": rows})
     assert len(writes) > len(rows) // cli._CHUNK
     assert max(map(len, writes)) < len("".join(writes)) // 4
+
+
+class Unwritable:
+    """A stdout that fails the test on any write."""
+
+    def write(self, text):
+        raise AssertionError(f"wrote {text!r}")
+
+
+# one argv per command, each format of a command that has two; PHI stands
+# for the two-point potential's path
+HANDLER_ARGVS = [
+    ["graph", "--model", "h3", "--base", "H3(1,0,0)", "--radius", "2"],
+    ["graph", "--model", "h3", "--base", "H3(1,0,0)", "--radius", "2", "--format", "json"],
+    ["bc", "--model", "h3", "--k", "H3(1,0,0)", "--k", "H3(1,0,1)",
+     "--cayley-radius", "2", "--diam-budget", "4"],
+    ["derive", "--potential", "PHI", "--element", "H3(0,1,0)"],
+    ["leibniz", "--potential", "PHI", "--samples", "5"],
+    ["character", "--potential", "PHI", "--u", "H3(1,0,0)", "--v", "H3(0,1,0)"],
+    ["quasi-inner", "--potential", "PHI", "--samples", "5"],
+    ["stabilise", "--potential", "PHI", "--base", "H3(1,0,0)", "--radius", "2",
+     "--radii", "0,1"],
+    ["bound-probe", "--potential", "PHI", "--radius", "1"],
+    ["appendix", "--m-max", "4", "--n-max", "2"],
+    ["appendix", "--m-max", "4", "--n-max", "2", "--format", "json"],
+    ["limit", "--potential", "PHI", "--conjugator", "Ax", "--k-max", "3"],
+    ["limit", "--potential", "PHI", "--conjugator", "Ax", "--k-max", "3", "--format", "json"],
+    ["inverse-seq", "--model", "free2", "--u", "x1", "--conjugator", "x2", "--k-max", "2"],
+    ["inverse-seq", "--model", "free2", "--u", "x1", "--conjugator", "x2", "--k-max", "2",
+     "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", HANDLER_ARGVS, ids=" ".join)
+def test_handlers_return_what_main_writes(capsys, two_point_potential, argv):
+    argv = [two_point_potential if a == "PHI" else a for a in argv]
+    with contextlib.redirect_stdout(Unwritable()):
+        args = cli.parse(argv, DEFAULT_NODE_BUDGET)
+        out = args.fn(args)
+        # a JSON document is a dict, whose lists may be iterators; text is
+        # an iterable of pieces; either is read here without a write
+        text = (json.dumps(out, sort_keys=True, ensure_ascii=False, indent=2, default=list)
+                + "\n" if isinstance(out, dict) else "".join(out))
+    assert run(capsys, argv) == (0, text, "")
 
 
 def oracle_derive_stdout(phi, g, p):

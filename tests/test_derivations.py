@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conjlab import derivations as dv
 from conjlab import (
     GroupElement,
     Derivation,
@@ -24,7 +25,6 @@ from conjlab import (
     quasi_inner_check,
     stabilisation_probe,
 )
-from conjlab.derivations import CLOSED_FORMS
 from conjlab.ring import float_norm
 
 from conjlab.sampling import (
@@ -367,20 +367,20 @@ class TestQuasiInner:
 class TestBoundednessProbe:
     def test_zero_derivation(self, h3):
         d = Derivation(Potential(h3, {}))
-        max_norm, argmax = g_boundedness_probe(d, h3, radius=2, p=2)
+        max_norm, argmax = g_boundedness_probe(d, radius=2, p=2)
         assert max_norm == 0.0
 
     def test_inner_delta_ap_stabilises(self, h3):
         d = Derivation(Potential(h3, {h3.element((1, 0, 0)): 1}))
         for p in (1, 2, 3):
-            max_norm, _ = g_boundedness_probe(d, h3, radius=3, p=p)
+            max_norm, _ = g_boundedness_probe(d, radius=3, p=p)
             assert max_norm == pytest.approx(2 ** (1 / p), rel=1e-12)
 
     def test_memoised_probe_matches_direct(self, h3):
         rng = Random(48)
         phi = random_potential(h3, rng, size=3, max_len=3)
         d = Derivation(phi)
-        max_norm, argmax = g_boundedness_probe(d, h3, radius=2, p=2)
+        max_norm, argmax = g_boundedness_probe(d, radius=2, p=2)
         direct = max(
             (d.apply(g).lp_norm(2) for g in h3.cayley_ball(2)),
         )
@@ -390,14 +390,14 @@ class TestBoundednessProbe:
     def test_p_inf_is_max_sup_norm(self, h3):
         phi = Potential(h3, {h3.element((1, 0, 0)): 3, h3.element((1, 0, 1)): Fraction(1, 2)})
         d = Derivation(phi)
-        max_norm, argmax = g_boundedness_probe(d, h3, radius=2, p=math.inf)
+        max_norm, argmax = g_boundedness_probe(d, radius=2, p=math.inf)
         assert max_norm == max(d.apply(g).sup_norm() for g in h3.cayley_ball(2)) == 3.0
         assert d.apply(argmax).sup_norm() == max_norm
 
     def test_p_nan_rejected(self, h3):
         d = Derivation(Potential(h3, {h3.element((1, 0, 0)): 1}))
         with pytest.raises(UsageError):
-            g_boundedness_probe(d, h3, radius=1, p=math.nan)
+            g_boundedness_probe(d, radius=1, p=math.nan)
 
 
 def support_keyed_probe(phi, model, radius, p):
@@ -442,7 +442,7 @@ def test_probe_matches_the_support_keyed_probe(index, seed, p, scale):
             g = random_element(model, rng, max_len=2)
             table[model.conjugate(g, s)] = rng.choice([table[s], scale])
     phi = Potential(model, table)
-    got = g_boundedness_probe(Derivation(phi), model, 2, p)
+    got = g_boundedness_probe(Derivation(phi), 2, p)
     want = support_keyed_probe(phi, model, 2, p)
     assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
 
@@ -470,7 +470,7 @@ def test_probe_builds_no_fraction_off_the_support_or_on_a_fixed_point(h3, monkey
     # H3(1,0,-b) for g = (a, b, c): off the support, or fixed when b = 0
     phi = Potential(h3, {h3.element((0, 0, 1)): 3, h3.element((1, 0, 0)): Fraction(1, 2)})
     d = Derivation(phi)
-    want = g_boundedness_probe(d, h3, 2, 2)  # this also caches phi's columns
+    want = g_boundedness_probe(d, 2, 2)  # this also caches phi's columns
 
     def refuse(*args, **kwargs):
         raise AssertionError("the probe built a Fraction")
@@ -478,7 +478,7 @@ def test_probe_builds_no_fraction_off_the_support_or_on_a_fixed_point(h3, monkey
     for name in ("__new__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
                  "__rmul__", "__truediv__", "__rtruediv__", "__neg__", "__abs__", "__pow__"):
         monkeypatch.setattr(Fraction, name, refuse)
-    assert g_boundedness_probe(d, h3, 2, 2) == want
+    assert g_boundedness_probe(d, 2, 2) == want
 
 
 class TestStabilisation:
@@ -540,7 +540,7 @@ class TestPotential:
         def refuse(trunc_k):
             raise AssertionError("closed-form support enumerated")
 
-        monkeypatch.setitem(CLOSED_FORMS["appendix_harmonic"], "support", refuse)
+        monkeypatch.setattr(dv, "_harmonic_support", refuse)
         phi = Potential(h3, {h3.element((1, 0, 0)): 2},
                         closed_form="appendix_harmonic")
         K = phi.trunc_k

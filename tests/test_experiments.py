@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from conjlab import derivations as dv
+from conjlab import experiments as ex
 from conjlab import (
     AtLeast,
     FreeGroup,
@@ -20,7 +22,6 @@ from conjlab import (
     run_inverse_sequence_check,
     run_limit_experiment,
 )
-from conjlab.derivations import CLOSED_FORMS
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +101,8 @@ class TestAppendix:
     def test_engine_mismatch_raises(self, monkeypatch):
         # a harmonic rule truncated one term early changes the coefficient
         # at m = m_max, n = n_max, and only there
-        rule = CLOSED_FORMS["appendix_harmonic"]
-        value = rule["value"]
-        monkeypatch.setitem(rule, "value", lambda p, k: value(p, k - 1))
+        value = dv._harmonic_value
+        monkeypatch.setattr(dv, "_harmonic_value", lambda p, k: value(p, k - 1))
         with pytest.raises(InternalConsistencyError, match="m=5, n=3"):
             run_appendix(5, 3)
 
@@ -156,6 +156,30 @@ class TestAppendix:
         try:
             with pytest.raises(UsageError, match="^a rational value is too large to print$"):
                 run_appendix(1500, n_max)
+        finally:
+            sys.set_int_max_str_digits(digits)
+
+    @pytest.mark.parametrize("n", [2, 10, 1000, 2049, 3000])
+    def test_denominator_digit_bound_is_below_the_true_count(self, n):
+        harmonic = sum((Fraction(1, j) for j in range(2, n + 1)), Fraction(0))
+        assert ex._harmonic_denominator_digits(n) < len(str(harmonic.denominator))
+
+    def test_denominator_digit_bound_passes_the_default_limit_at_53841(self):
+        bound = ex._harmonic_denominator_digits
+        assert bound(53840 + 1) <= 4300 < bound(53841 + 1)
+
+    @pytest.mark.parametrize("limit, refused", [(4300, True), (0, False)])
+    def test_digit_bound_refuses_before_any_sum(self, monkeypatch, limit, refused):
+        # a bound past every limit refuses at once, unless there is none
+        monkeypatch.setattr(ex, "_harmonic_denominator_digits", lambda n: math.inf)
+        digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            if refused:
+                with pytest.raises(UsageError, match="^a rational value is too large to print$"):
+                    run_appendix(3, 2)
+            else:
+                assert run_appendix(3, 2).rows[1].coeff_table[0] == (1, Fraction(5, 6))
         finally:
             sys.set_int_max_str_digits(digits)
 
