@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage/parse error, 3 resource budget exceeded,
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -120,7 +121,7 @@ def _report(report, fmt):
 def _load_potential(path) -> dv.Potential:
     try:
         return dv.Potential.load(path)
-    except (OSError, ValueError) as exc:  # UsageError and JSON errors too
+    except (OSError, ValueError, RecursionError) as exc:  # UsageError, JSON, deep nesting
         raise UsageError(f"cannot load potential file {path}: {exc}") from exc
 
 
@@ -408,8 +409,13 @@ def parse(argv, node_budget: int) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     """Run a command and write what its handler returned; the exit code is
-    0 once that is written, and 2, 3 or 4 only from the exceptions below."""
+    0 once that is written, and 2, 3 or 4 only from the exceptions below.
+    The cyclic collector is paused meanwhile: a command's data hold no
+    cycles, so reference counts free them, and its allocations would only
+    set the collector walking them again and again."""
     argv = sys.argv[1:] if argv is None else list(argv)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         args = parse(argv, _default_node_budget())
         out = args.fn(args)
@@ -435,6 +441,9 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -325,16 +325,16 @@ def g_boundedness_probe(
     powers = [_float_pow(v, p) for v in values]
     base_coeffs, base_pows = list(negs + values), powers + powers
     gens = [x for _, x, _ in model.gen_triples]
-    mul_all, inv = model.mul_all, model.inv_payload
+    conj_all, inv = model.conj_all, model.inv_payload
     memo = {tuple(gens): 0.0}  # e fixes every generator, and d(e) = 0
     best = -1.0
     argmax = None
     for gp in sorted(ball, key=lambda p: (ball[p], encode(p))):
         gi = inv(gp)
-        key = tuple(mul_all(mul_all(gens, gi), gp, left=True))
+        key = tuple(conj_all(gens, gp, gi))
         norm = memo.get(key)
         if norm is None:
-            images = mul_all(mul_all(payloads, gi), gp, left=True)
+            images = conj_all(payloads, gp, gi)
             coeffs, pows = base_coeffs.copy(), base_pows.copy()
             for i, j in enumerate(map(index.get, images)):
                 if j is None:

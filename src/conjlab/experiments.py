@@ -213,14 +213,13 @@ def run_limit_experiment(
     separation_index = None
     a_k = model.identity_payload()
     supp_set = set(payloads)
-    mul_all = model.mul_all
     for k in range(1, k_max + 1):
         a_k = model.mul_payload(a_k, a)
         image = d.apply(model.element(a_k))
         norm = image.lp_norm(float(q))
         exact = image.lq_pow_exact(q_int) if q_int is not None else None
         samples.append((k, norm, exact))
-        pulled = mul_all(mul_all(payloads, a_k), model.inv_payload(a_k), left=True)
+        pulled = model.conj_all(payloads, model.inv_payload(a_k), a_k)
         separation_index = (separation_index or k) if supp_set.isdisjoint(pulled) else None
     power_sum = None
     if q_int is not None and exact_pow_fits(values, q_int):

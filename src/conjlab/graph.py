@@ -199,7 +199,7 @@ def bc_probe(
     for g, r in model.cayley_depths(max_cayley_radius, node_budget).items():
         by_radius.setdefault(r, []).append(g)
     kp = [k.payload for k in K]
-    step, inv = model.conj_step, model.inv_payload
+    conj_all, inv = model.conj_all, model.inv_payload
     memo = {}
     shells = []
     running = 0
@@ -207,7 +207,7 @@ def bc_probe(
         dists = [running]
         for g in by_radius.get(r, ()):
             gi = inv(g)
-            images = tuple(step(k, g, gi) for k in kp)
+            images = tuple(conj_all(kp, g, gi))
             if images not in memo:
                 memo[images] = _set_diameter(model, images, diam_budget, node_budget)
             dists.append(memo[images])

@@ -204,6 +204,12 @@ class GroupModel(ABC):
             return [mul(gp, s) for s in payloads]
         return [mul(s, gp) for s in payloads]
 
+    def conj_all(self, payloads, gp, gi):
+        """g s g^-1 for each s in payloads, g of payload `gp` and g^-1 of
+        `gi`, as an iterable read once: the batch form of `conj_step`."""
+        mul = self.mul_payload
+        return [mul(gp, mul(s, gi)) for s in payloads]
+
     def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
         self._check(a, b)
         return self.element(self.mul_payload(a.payload, b.payload))
@@ -312,6 +318,11 @@ class Heisenberg(GroupModel):
         if left:
             return [(a + a2, b + b2, c + c2 + a * b2) for a2, b2, c2 in payloads]
         return [(a1 + a, b1 + b, c1 + c + a1 * b) for a1, b1, c1 in payloads]
+
+    def conj_all(self, payloads, gp, gi):
+        # g s g^-1 = (a, b, c + x b - y a) for g = (x, y, .): no list is built
+        x, y, _ = gp
+        return ((a, b, c + x * b - y * a) for a, b, c in payloads)
 
     def encode_payload(self, p) -> str:
         try:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -401,6 +402,19 @@ class TestBoundProbe:
         data = json.loads(out)
         assert (data["max_norm"], data["argmax"]) == ("4.30116263352", "H3(0,-2,0)")
         assert len(built) <= 2 + 1
+
+    def test_harmonic_conjugates_by_the_closed_form(self, capsys, monkeypatch, tmp_path):
+        # h3's conj_all conjugates the support without a translate
+        def no_translate(*args, **kwargs):
+            raise AssertionError("mul_all ran")
+
+        monkeypatch.setattr(conjlab.Heisenberg, "mul_all", no_translate)
+        path = tmp_path / "harmonic.json"
+        path.write_text(json.dumps({"model": "h3", "table": [],
+                                    "closed_form": "appendix_harmonic", "truncation": 200}))
+        assert run(capsys, ["bound-probe", "--potential", str(path), "--radius", "2"]) == (
+            0, _cli_json({"argmax": "H3(-1,0,0)", "max_norm": "1.81104751236",
+                          "p": "2", "radius": 2}), "")
 
 
 class TestNormExponent:
@@ -860,6 +874,24 @@ class TestPlumbing:
                                       "--radius", "0"])
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["derive", "--element", "e"],
+        ["leibniz"],
+        ["character", "--u", "e", "--v", "e"],
+        ["quasi-inner"],
+        ["stabilise", "--base", "e", "--radius", "0", "--radii", "0"],
+        ["bound-probe", "--radius", "0"],
+        ["limit", "--conjugator", "Ax"],
+    ], ids=lambda argv: argv[0])
+    def test_potential_nested_too_deep_exits_2(self, capsys, tmp_path, argv):
+        # json.load raises RecursionError past the recursion limit
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000)
+        code, out, err = run(capsys, argv[:1] + ["--potential", str(path)] + argv[1:])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot load potential file {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_non_utf8_potential_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -1367,3 +1399,49 @@ def test_derive_memory_is_bounded_by_its_rows(tmp_path):
     path.write_text(json.dumps({"model": "h3", "table": [],
                                 "closed_form": "appendix_harmonic", "truncation": 2000}))
     assert traced_peak(["derive", "--potential", str(path), "--element", "H3(0,2,0)"]) < 3.2e6
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("argv, code", [
+    (["graph", "--model", "dinf", "--base", "a", "--radius", "1"], 0),
+    (["graph", "--model", "dinf", "--base", "aa", "--radius", "1"], 2),
+    (["graph", "--model", "dinf", "--base", "a", "--radius", "-1"], ("exit", 2)),
+    (["bc", "--model", "h3", "--k", "H3(1,0,0)", "--cayley-radius", "3",
+      "--budget-nodes", "2"], 3),
+    (["character", "--u", "H3(1,0,0)", "--v", "H3(0,1,0)"], 4),
+], ids=["0", "2", "2-argparse", "3", "4"])
+def test_main_restores_the_collector_state(capsys, monkeypatch, two_point_potential,
+                                           enabled, argv, code):
+    if argv[0] == "character":
+        argv = argv[:1] + ["--potential", two_point_potential] + argv[1:]
+        monkeypatch.setattr(dv, "character_from_derivation", lambda d, mor: Fraction(7))
+    seen = []
+    monkeypatch.setattr(cli, "_default_node_budget",
+                        lambda: seen.append(gc.isenabled()) or DEFAULT_NODE_BUDGET)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = ("exit", exc.code)
+        assert (got, gc.isenabled(), seen) == (code, enabled, [False])
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def test_paused_collector_holds_no_garbage_that_grows_with_the_support(capsys, tmp_path):
+    # a command's data are freed by reference counts while the collector
+    # is paused: what it finds afterwards is the same at either truncation
+    def garbage_after_derive(trunc):
+        path = tmp_path / f"harmonic{trunc}.json"
+        path.write_text(json.dumps({"model": "h3", "table": [],
+                                    "closed_form": "appendix_harmonic", "truncation": trunc}))
+        gc.collect()
+        assert main(["derive", "--potential", str(path), "--element", "H3(1,0,0)"]) == 0
+        return gc.collect()
+
+    garbage_after_derive(50)  # first-call caches
+    assert garbage_after_derive(50) == garbage_after_derive(5000)
+    capsys.readouterr()

@@ -433,10 +433,10 @@ MODELS = all_models()
 
 
 @st.composite
-def translates(draw):
+def translates(draw, models=MODELS):
     """A model, a few of its payloads and one more, each a random word's
     normal form."""
-    model = draw(st.sampled_from(MODELS))
+    model = draw(st.sampled_from(models))
     word = st.lists(st.sampled_from(model.all_gens()), max_size=8)
     payloads = [model.normal_form(w).payload for w in draw(st.lists(word, max_size=6))]
     return model, payloads, model.normal_form(draw(word)).payload
@@ -462,6 +462,26 @@ def test_h3_mul_all_matches_the_matrix_oracle(payloads, gp):
     assert h3.mul_all(payloads, gp) == [triple_of(mat_mul(mat_of(s), g)) for s in payloads]
     assert h3.mul_all(payloads, gp, left=True) == [
         triple_of(mat_mul(g, mat_of(s))) for s in payloads]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(translates(MODELS + [get_model("dsemi*h3semi*free2")]))
+def test_conj_all_is_conj_step_term_for_term(case):
+    model, payloads, gp = case
+    gi = model.inv_payload(gp)
+    assert list(model.conj_all(payloads, gp, gi)) == [
+        model.conj_step(s, gp, gi) for s in payloads]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(triples, max_size=6), triples)
+def test_h3_conj_all_matches_the_matrix_oracle(payloads, gp):
+    h3 = Heisenberg()
+    g = mat_of(gp)
+    images = h3.conj_all(payloads, gp, h3.inv_payload(gp))
+    assert iter(images) is images  # the closed form builds no list
+    assert list(images) == [
+        triple_of(mat_mul(mat_mul(g, mat_of(s)), mat_inv(g))) for s in payloads]
 
 
 # three draws from Random(7) per model, then the generator's next draw
