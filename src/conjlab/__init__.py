@@ -34,13 +34,9 @@ from .graph import (
 from .ring import GroupRingVector
 from .derivations import (
     Derivation,
-    Morphism,
     Potential,
-    character_from_derivation,
-    character_from_potential,
-    compose_morphisms,
+    character,
     g_boundedness_probe,
-    identity_morphism,
     leibniz_residual,
     quasi_inner_check,
     stabilisation_probe,
@@ -50,7 +46,6 @@ from .experiments import (
     AppendixRow,
     InverseSequenceReport,
     LimitReport,
-    closed_form_coefficient,
     fmt_float,
     format_table,
     run_appendix,

@@ -176,14 +176,14 @@ def cmd_leibniz(args):
     phi = _load_potential(args.potential)
     d = dv.Derivation(phi)
     rng = Random(args.seed)
-    from .sampling import random_element
+    from .sampling import random_payload
 
     violations = 0
     worst = 0.0
     for _ in range(args.samples):
-        g = random_element(phi.model, rng)
-        h = random_element(phi.model, rng)
-        res = dv.leibniz_residual(d, g, h)
+        gp = random_payload(phi.model, rng)
+        hp = random_payload(phi.model, rng)
+        res = dv.leibniz_residual(d, gp, hp)
         worst = max(worst, res.lp_norm(1))
         if not res.is_zero():
             violations += 1
@@ -194,9 +194,11 @@ def cmd_leibniz(args):
 def cmd_character(args):
     phi = _load_potential(args.potential)
     model = phi.model
-    mor = dv.Morphism(model.decode(args.u), model.decode(args.v))
-    val = dv.character_from_potential(phi, mor)
-    cross = dv.character_from_derivation(dv.Derivation(phi), mor)
+    up, vp = model.decode_payload(args.u), model.decode_payload(args.v)
+    val = dv.character(phi, up, vp)
+    image = {}
+    phi.add_derivation(vp, image)
+    cross = image.get(up, 0)  # the coefficient of d(v) at u
     if cross != val:
         raise InternalConsistencyError(
             f"character mismatch at ({args.u},{args.v}): "
@@ -214,10 +216,10 @@ def cmd_quasi_inner(args):
     ok, witness = dv.quasi_inner_check(phi, loops)
     out = {"ok": ok, "loops": args.samples}
     if witness is not None:
-        mor, val = witness
+        up, vp, val = witness
         out["witness"] = {
-            "u": mor.u.encode(),
-            "v": mor.v.encode(),
+            "u": phi.model.encode_payload(up),
+            "v": phi.model.encode_payload(vp),
             "value": exact_str(val),
         }
     return out
@@ -265,11 +267,11 @@ def cmd_limit(args):
 
 def cmd_inverse_seq(args):
     model = get_model(args.model)
-    u = model.decode(args.u)
+    up = model.decode_payload(args.u)
     word = parse_word(model, args.conjugator)
     tail = parse_word(model, args.tail)
     report = ex.run_inverse_sequence_check(
-        model, u, word, args.k_max, args.budget, tail_word=tail,
+        model, up, word, args.k_max, args.budget, tail_word=tail,
         node_budget=args.budget_nodes,
     )
     return _report(report, args.format)

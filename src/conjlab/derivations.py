@@ -1,4 +1,4 @@
-"""Potentials, groupoid morphisms/characters, and derivations.
+"""Potentials, their characters, and derivations.
 
 A potential is a rational-valued function on the group given by a finite
 table plus an optional named closed-form rule.  Closed-form supports are
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -180,51 +179,6 @@ class Potential:
 
 
 # ---------------------------------------------------------------------------
-# Groupoid morphisms and characters
-
-
-@dataclass(frozen=True)
-class Morphism:
-    """The pair (u, v): a morphism from v^-1 u to u v^-1.
-
-    Stored exactly as the (h, g) pair the character formula chi(h, g)
-    consumes, with u = h and v = g.
-    """
-
-    u: GroupElement
-    v: GroupElement
-
-    def source(self) -> GroupElement:
-        return self.v.inverse() * self.u
-
-    def target(self) -> GroupElement:
-        return self.u * self.v.inverse()
-
-    def is_loop(self) -> bool:
-        return self.u * self.v == self.v * self.u
-
-
-def identity_morphism(obj: GroupElement) -> Morphism:
-    """The identity loop at an object: (g, e)."""
-    return Morphism(obj, obj.model.identity())
-
-
-def compose_morphisms(psi: Morphism, phi: Morphism) -> Morphism:
-    """(u2, v2) o (u1, v1) = (v2 u1, v2 v1), defined when the target of phi
-    equals the source of psi."""
-    if phi.target() != psi.source():
-        raise UsageError("morphisms are not composable")
-    return Morphism(psi.v * phi.u, psi.v * phi.v)
-
-
-def character_from_potential(phi: Potential, mor: Morphism) -> Fraction:
-    """chi(h, g) = phi(h g^-1) - phi(g^-1 h)."""
-    h, g = mor.u, mor.v
-    ginv = g.inverse()
-    return phi.value(h * ginv) - phi.value(ginv * h)
-
-
-# ---------------------------------------------------------------------------
 # Derivations
 
 
@@ -245,20 +199,21 @@ class Derivation:
         return GroupRingVector.from_terms(self.model, acc)
 
 
-def character_from_derivation(d: Derivation, mor: Morphism) -> Fraction:
-    """chi(h, g) = delta_h(d(g))."""
-    return d.apply(mor.v).coefficient(mor.u)
+def character(phi: Potential, up, vp) -> Fraction:
+    """chi(u, v) = phi(u v^-1) - phi(v^-1 u), u and v of payloads `up` and
+    `vp`: the coefficient of d(v) at u."""
+    model = phi.model
+    vi = model.inv_payload(vp)
+    return phi._value(model.mul_payload(up, vi)) - phi._value(model.mul_payload(vi, up))
 
 
-def leibniz_residual(d: Derivation, g: GroupElement, h: GroupElement):
-    """The vector d(gh) - d(g) h - g d(h), exactly; zero for every
-    derivation."""
+def leibniz_residual(d: Derivation, gp, hp):
+    """The vector d(gh) - d(g) h - g d(h), g and h of payloads `gp` and
+    `hp`, exactly; zero for every derivation."""
     phi = d.potential_obj
     # termwise into one dict of D phi ints: D d(gh), then -D phi(s) at
     # (s g) h and g (s h), +D phi(s) at (g s) h and g (h s)
     model = d.model
-    model._check(g, h)
-    gp, hp = g.payload, h.payload
     den, (payloads, pos, neg) = phi._scaled_columns
     mul_all = model.mul_all
     acc = {}
@@ -271,25 +226,18 @@ def leibniz_residual(d: Derivation, g: GroupElement, h: GroupElement):
     return GroupRingVector.from_terms(model, {u: Fraction(n, den) for u, n in acc.items()})
 
 
-def quasi_inner_check(source, loops):
-    """Check that the character vanishes on the given loop morphisms.
-
-    `source` is a Derivation, a Potential, or a bare character function
-    morphism -> value; returns (ok, witness) where witness is the first
-    violating (morphism, value), if any.
-    """
-    for mor in loops:
-        if not mor.is_loop():
-            raise UsageError(f"morphism {mor} is not a loop")
-    for mor in loops:
-        if isinstance(source, Potential):
-            val = character_from_potential(source, mor)
-        elif isinstance(source, Derivation):
-            val = character_from_derivation(source, mor)
-        else:
-            val = source(mor)
+def quasi_inner_check(phi: Potential, loops):
+    """Check that phi's character vanishes on the loops, (u, v) payload
+    pairs with u v = v u, read once in order; returns (ok, witness), the
+    witness the first (u, v, value) with a nonzero value, if any."""
+    model = phi.model
+    for up, vp in loops:
+        if model.mul_payload(up, vp) != model.mul_payload(vp, up):
+            enc = model.encode_payload
+            raise UsageError(f"({enc(up)}, {enc(vp)}) is not a loop")
+        val = character(phi, up, vp)
         if val != 0:
-            return False, (mor, val)
+            return False, (up, vp, val)
     return True, None
 
 

@@ -16,8 +16,8 @@ from itertools import accumulate
 
 from .derivations import Derivation, Potential
 from .errors import InternalConsistencyError, UsageError
-from .graph import conj_distance
-from .groups import DEFAULT_NODE_BUDGET, GroupElement, GroupModel, Heisenberg
+from .graph import _payload_distance
+from .groups import DEFAULT_NODE_BUDGET, GroupModel, Heisenberg
 from .ring import exact_pow_fits, exact_str, float_norm
 
 
@@ -84,13 +84,6 @@ class AppendixReport:
         )
 
 
-def closed_form_coefficient(m: int, n: int) -> Fraction:
-    """Exact coefficient at Ax^-n Ap A1^-n in the image of the symmetric
-    window sum of Ax powers: sum over window exponents k != 0 from
-    max(-n+1, -m) to m of 1/(k+n)."""
-    return sum((Fraction(1, k + n) for k in range(max(-n + 1, -m), m + 1) if k), Fraction(0))
-
-
 def run_appendix(m_max: int, n_max: int) -> AppendixReport:
     """Coefficients of d(a_m), a_m = sum of Ax^k for |k| <= m, at the
     targets Ax^-n Ap A1^-n, read from the potential's table through the
@@ -106,7 +99,7 @@ def run_appendix(m_max: int, n_max: int) -> AppendixReport:
     harm = list(accumulate((Fraction(1, j) for j in range(1, m_max + n_max + 1)),
                            initial=Fraction(0)))  # harmonic prefix sums
 
-    def coefficient(m, n):  # closed_form_coefficient(m, n) through the prefix sums
+    def coefficient(m, n):  # sum of 1/(k+n), k != 0 from max(-n+1, -m) to m
         return harm[m + n] - harm[max(1, n - m) - 1] - Fraction(1, n)
 
     exact_str(coefficient(m_max, 1))  # every format prints it: refuse before the loop
@@ -207,7 +200,7 @@ def run_limit_experiment(
                 f"potential support element {model.encode_payload(p)} lies in a finite "
                 "conjugation component"
             )
-    a = model.normal_form(conjugator_word).payload
+    a = model.normal_form(conjugator_word)
     d = Derivation(phi)
     samples = []
     separation_index = None
@@ -251,7 +244,7 @@ class InverseSequenceReport:
 
 def run_inverse_sequence_check(
     model: GroupModel,
-    u: GroupElement,
+    up,
     conjugator_word,
     k_max: int,
     budget: int,
@@ -259,16 +252,18 @@ def run_inverse_sequence_check(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> InverseSequenceReport:
     """Budgeted rho(u, a_k u a_k^-1) and rho(u, a_k^-1 u a_k) for
-    a_k = conjugator^k * tail; the tail lets sequences like x^k y be
-    probed.  Each distance gets its own `node_budget`."""
+    a_k = conjugator^k * tail, u of payload `up`; the tail lets sequences
+    like x^k y be probed.  Each distance gets its own `node_budget`."""
     a = model.normal_form(conjugator_word)
     tail = model.normal_form(tail_word)
+    mul, step = model.mul_payload, model.conj_step
     rows = []
-    power = model.identity()
+    power = model.identity_payload()
     for k in range(1, k_max + 1):
-        power = power * a
-        a_k = power * tail
-        fwd = conj_distance(model, u, model.conjugate(a_k, u), budget, node_budget)
-        bwd = conj_distance(model, u, model.conjugate(a_k.inverse(), u), budget, node_budget)
+        power = mul(power, a)
+        a_k = mul(power, tail)
+        a_ki = model.inv_payload(a_k)
+        fwd = _payload_distance(model, up, step(up, a_k, a_ki), budget, node_budget)
+        bwd = _payload_distance(model, up, step(up, a_ki, a_k), budget, node_budget)
         rows.append((k, fwd, bwd))
     return InverseSequenceReport(rows)

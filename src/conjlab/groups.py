@@ -223,11 +223,12 @@ class GroupModel(ABC):
         self._check(g, h)
         return self.element(self.conj_step(h.payload, g.payload, self.inv_payload(g.payload)))
 
-    def normal_form(self, word) -> GroupElement:
+    def normal_form(self, word):
+        """The payload of the word's product."""
         p = self.identity_payload()
         for gen in word:
             p = self.mul_payload(p, self.generator_payload(gen))
-        return self.element(p)
+        return p
 
     def decode(self, text: str) -> GroupElement:
         return self.element(self.decode_payload(text))

@@ -1,47 +1,41 @@
-"""Seeded random generation of elements, morphisms, and potentials, used
-by the property-check commands and the test suite."""
+"""Seeded random generation of payloads, loops, and potentials, used by
+the property-check commands and the test suite."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from random import Random
 
-from .derivations import Morphism, Potential
+from .derivations import Potential
 from .groups import GroupModel
 
 
-def random_element(model: GroupModel, rng: Random, max_len: int = 6):
+def random_payload(model: GroupModel, rng: Random, max_len: int = 6):
+    """The payload of a random word of at most `max_len` generators."""
     gens = [x for _, x, _ in model.gen_triples]
     p = model.identity_payload()
     for _ in range(rng.randint(0, max_len)):
         p = model.mul_payload(p, rng.choice(gens))
-    return model.element(p)
+    return p
 
 
-def random_composable_pair(model: GroupModel, rng: Random, max_len: int = 5):
-    """A composable (psi, phi): pick u1, v1, v2 freely and solve for u2
-    from the composability equation u1 v1^-1 = v2^-1 u2."""
-    u1 = random_element(model, rng, max_len)
-    v1 = random_element(model, rng, max_len)
-    v2 = random_element(model, rng, max_len)
-    u2 = v2 * (u1 * v1.inverse())
-    return Morphism(u2, v2), Morphism(u1, v1)
+def random_element(model: GroupModel, rng: Random, max_len: int = 6):
+    return model.element(random_payload(model, rng, max_len))
 
 
-def random_loop(model: GroupModel, rng: Random, max_len: int = 5) -> Morphism:
-    """A loop morphism (u, v) with uv = vu: both are powers of one word."""
-    w = random_element(model, rng, max_len)
+def random_loop(model: GroupModel, rng: Random, max_len: int = 5) -> tuple:
+    """A loop (u, v) of payloads with uv = vu: both are powers of one word."""
+    w = random_payload(model, rng, max_len)
     i = rng.randint(-3, 3)
     j = rng.randint(-3, 3)
-    return Morphism(_power(w, i), _power(w, j))
+    return _power(model, w, i), _power(model, w, j)
 
 
-def _power(g, n: int):
-    model = g.model
-    base = g if n >= 0 else g.inverse()
-    out = model.identity()
+def _power(model: GroupModel, p, n: int):
+    base = p if n >= 0 else model.inv_payload(p)
+    out = model.identity_payload()
     for _ in range(abs(n)):
-        out = out * base
+        out = model.mul_payload(out, base)
     return out
 
 

@@ -2,6 +2,8 @@ import contextlib
 import json
 import os
 import tracemalloc
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -14,9 +16,11 @@ from conjlab import (
     DihedralSemidirect,
     DirectProduct,
     FreeGroup,
+    GroupElement,
     GroupRingVector,
     Heisenberg,
     HeisenbergSemidirect,
+    UsageError,
     conj_distance,
     conj_neighbors,
     explore_component,
@@ -25,6 +29,7 @@ from conjlab import (
 from conjlab.cli import main, parse
 from conjlab.graph import _bc_verdict
 from conjlab.groups import DEFAULT_NODE_BUDGET
+from conjlab.sampling import random_element
 
 
 def all_models():
@@ -264,3 +269,73 @@ def traced_peak(argv) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# ---------------------------------------------------------------------------
+# The conjugation groupoid on elements, the oracle of the payload
+# `character`: a morphism (u, v) goes from v^-1 u to u v^-1, and
+# chi(u, v) = phi(u v^-1) - phi(v^-1 u) = d(v)[u].
+
+
+@dataclass(frozen=True)
+class Morphism:
+    """The pair (u, v): a morphism from v^-1 u to u v^-1."""
+
+    u: GroupElement
+    v: GroupElement
+
+    def source(self) -> GroupElement:
+        return self.v.inverse() * self.u
+
+    def target(self) -> GroupElement:
+        return self.u * self.v.inverse()
+
+    def is_loop(self) -> bool:
+        return self.u * self.v == self.v * self.u
+
+
+def identity_morphism(obj: GroupElement) -> Morphism:
+    """The identity loop at an object: (g, e)."""
+    return Morphism(obj, obj.model.identity())
+
+
+def compose_morphisms(psi: Morphism, phi: Morphism) -> Morphism:
+    """(u2, v2) o (u1, v1) = (v2 u1, v2 v1), defined when the target of phi
+    equals the source of psi."""
+    if phi.target() != psi.source():
+        raise UsageError("morphisms are not composable")
+    return Morphism(psi.v * phi.u, psi.v * phi.v)
+
+
+def character_from_potential(phi, mor: Morphism) -> Fraction:
+    """chi(h, g) = phi(h g^-1) - phi(g^-1 h), through `Potential.value`."""
+    h, g = mor.u, mor.v
+    ginv = g.inverse()
+    return phi.value(h * ginv) - phi.value(ginv * h)
+
+
+def character_from_derivation(d, mor: Morphism) -> Fraction:
+    """chi(h, g) = delta_h(d(g))."""
+    return d.apply(mor.v).coefficient(mor.u)
+
+
+def loop_morphism(model, loop) -> Morphism:
+    """The morphism of a (u, v) payload pair."""
+    return Morphism(*map(model.element, loop))
+
+
+def random_composable_pair(model, rng, max_len: int = 5):
+    """A composable (psi, phi): pick u1, v1, v2 freely and solve for u2
+    from the composability equation u1 v1^-1 = v2^-1 u2."""
+    u1 = random_element(model, rng, max_len)
+    v1 = random_element(model, rng, max_len)
+    v2 = random_element(model, rng, max_len)
+    u2 = v2 * (u1 * v1.inverse())
+    return Morphism(u2, v2), Morphism(u1, v1)
+
+
+def closed_form_coefficient(m: int, n: int) -> Fraction:
+    """Exact coefficient at Ax^-n Ap A1^-n in the image of the symmetric
+    window sum of Ax powers: sum over window exponents k != 0 from
+    max(-n+1, -m) to m of 1/(k+n)."""
+    return sum((Fraction(1, k + n) for k in range(max(-n + 1, -m), m + 1) if k), Fraction(0))

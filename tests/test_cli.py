@@ -22,7 +22,7 @@ from conjlab.cli import main
 from conjlab.experiments import fmt_float
 from conjlab.groups import DEFAULT_NODE_BUDGET
 from conjlab.ring import GroupRingVector
-from conjlab.sampling import random_element, random_potential
+from conjlab.sampling import random_element, random_loop, random_potential
 
 from conftest import (_cli_json, all_models, delta, inner_derivation_apply, oracle_stdout,
                       traced_peak)
@@ -251,8 +251,8 @@ class TestLeibniz:
 
     def test_violations_counted_exactly(self, capsys, monkeypatch, two_point_potential):
         # a residual too small for a float l1 norm is still a violation
-        def tiny_residual(d, g, h):
-            return delta(g, Fraction(1, 10**400))
+        def tiny_residual(d, gp, hp):
+            return GroupRingVector.from_terms(d.model, {gp: Fraction(1, 10**400)})
 
         monkeypatch.setattr(dv, "leibniz_residual", tiny_residual)
         code, out, _ = run(
@@ -294,6 +294,39 @@ class TestQuasiInner:
         assert code == 0
         data = json.loads(out)
         assert data == {"ok": True, "loops": 40}
+
+    def test_witness_is_the_first_nonzero_loop(self, capsys, monkeypatch,
+                                               two_point_potential):
+        # a potential's character vanishes on every loop, so only a patched
+        # character reaches the witness
+        monkeypatch.setattr(dv, "character", lambda phi, up, vp: Fraction(1, 3))
+        code, out, err = run(capsys, ["quasi-inner", "--potential", two_point_potential,
+                                      "--samples", "5", "--seed", "3"])
+        h3 = conjlab.get_model("h3")
+        up, vp = random_loop(h3, Random(3))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"ok": False, "loops": 5, "witness": {
+            "u": h3.encode_payload(up), "v": h3.encode_payload(vp), "value": "1/3"}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["character", "--u", "H3(1,2,2)", "--v", "H3(0,2,0)"],
+    ["quasi-inner", "--samples", "100"],
+    ["leibniz", "--samples", "100"],
+    ["inverse-seq", "--model", "free2", "--u", "x1", "--conjugator", "x1", "--tail", "x2"],
+], ids=lambda argv: argv[0])
+def test_payload_commands_build_only_the_table_elements(capsys, monkeypatch,
+                                                        two_point_potential, argv):
+    # these commands run on payloads: the only elements built are the
+    # decoded rows of the potential file's table
+    table = []
+    if argv[0] != "inverse-seq":
+        argv = argv[:1] + ["--potential", two_point_potential] + argv[1:]
+        table = [(1, 0, -1), (1, 0, 0)]
+    built = count_elements(monkeypatch)
+    code, _, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert sorted(built) == table
 
 
 class TestStabilise:
@@ -1085,7 +1118,7 @@ def element_text(draw, model):
     and then a malformed string."""
     m = conjlab.get_model(model)
     letters = draw(st.lists(st.sampled_from(m.gen_triples), max_size=4))
-    text = m.normal_form([gen for gen, _, _ in letters]).encode()
+    text = m.encode_payload(m.normal_form([gen for gen, _, _ in letters]))
     return draw(st.sampled_from([text] * 5 + ["", "e", "x9", "H3(1,0)", "ab;"]))
 
 
@@ -1171,7 +1204,7 @@ def potential_json(draw):
                                                "truncation", "file", "duplicate"]))
     m = conjlab.get_model(model)
     element = st.lists(st.sampled_from(m.all_gens()), max_size=4).map(
-        lambda w: m.normal_form(w).encode())
+        lambda w: m.encode_payload(m.normal_form(w)))
     value = st.sampled_from(["1", "-1/2", "3/7", "2.5", "-4", "1e40", "1e-40", "0"])
     rows = draw(st.lists(st.tuples(element, value).map(list), max_size=3))
     data = {"model": model, "table": rows}
@@ -1414,7 +1447,7 @@ def test_main_restores_the_collector_state(capsys, monkeypatch, two_point_potent
                                            enabled, argv, code):
     if argv[0] == "character":
         argv = argv[:1] + ["--potential", two_point_potential] + argv[1:]
-        monkeypatch.setattr(dv, "character_from_derivation", lambda d, mor: Fraction(7))
+        monkeypatch.setattr(dv, "character", lambda phi, up, vp: Fraction(7))
     seen = []
     monkeypatch.setattr(cli, "_default_node_budget",
                         lambda: seen.append(gc.isenabled()) or DEFAULT_NODE_BUDGET)

@@ -12,15 +12,12 @@ from conjlab import (
     Derivation,
     DihedralInf,
     GroupRingVector,
-    Morphism,
     Potential,
     UsageError,
-    character_from_derivation,
-    character_from_potential,
-    compose_morphisms,
+    character,
     explore_component,
     g_boundedness_probe,
-    identity_morphism,
+    get_model,
     leibniz_residual,
     quasi_inner_check,
     stabilisation_probe,
@@ -28,13 +25,27 @@ from conjlab import (
 from conjlab.ring import float_norm
 
 from conjlab.sampling import (
-    random_composable_pair,
     random_element,
     random_loop,
     random_potential,
 )
 
-from conftest import all_models, delta, inner_derivation_apply, scaled
+from conftest import (
+    Morphism,
+    all_models,
+    character_from_derivation,
+    character_from_potential,
+    compose_morphisms,
+    delta,
+    identity_morphism,
+    inner_derivation_apply,
+    loop_morphism,
+    random_composable_pair,
+    scaled,
+)
+
+# the six models and a three-factor product
+CHARACTER_MODELS = all_models() + [get_model("dsemi*h3semi*free2")]
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +192,10 @@ class TestPayloadVectors:
         monkeypatch.setattr(GroupElement, "__init__", counting_init)
         image = d.apply(g)
         chi = character_from_derivation(d, mor)
+        payload_chi = character(phi, mor.u.payload, mor.v.payload)
         assert built == []
         assert len(image.terms) == 2 * phi.trunc_k
-        assert chi == character_from_potential(phi, mor) == Fraction(1, 3)
+        assert chi == payload_chi == character_from_potential(phi, mor) == Fraction(1, 3)
 
     def test_to_json_encodes_each_payload_once(self, h3, monkeypatch):
         phi = Potential(h3, {}, closed_form="appendix_harmonic", trunc_k=50)
@@ -239,8 +251,10 @@ class TestCharacters:
         rng = Random(38)
         phi = random_potential(model, rng)
         for _ in range(50):
-            mor = random_loop(model, rng)
-            assert character_from_potential(phi, mor) == 0
+            loop = random_loop(model, rng)
+            mor = loop_morphism(model, loop)
+            assert mor.is_loop()
+            assert character_from_potential(phi, mor) == character(phi, *loop) == 0
 
     def test_delta_potential_formula(self, h3):
         t0 = h3.element((1, 2, 3))
@@ -251,18 +265,25 @@ class TestCharacters:
             g = random_element(h3, rng)
             expected = int(h * g.inverse() == t0) - int(g.inverse() * h == t0)
             assert character_from_potential(phi, Morphism(h, g)) == expected
+            assert character(phi, h.payload, g.payload) == expected
 
+    @pytest.mark.parametrize("model", CHARACTER_MODELS, ids=lambda m: m.name)
     def test_additive_on_composable_pairs(self, model):
         rng = Random(40)
         phi_pot = random_potential(model, rng)
+
+        def chi(mor):  # the payload character, checked against the element oracle
+            value = character(phi_pot, mor.u.payload, mor.v.payload)
+            assert value == character_from_potential(phi_pot, mor)
+            return value
+
         for _ in range(100):
             psi, phi = random_composable_pair(model, rng)
-            lhs = character_from_potential(phi_pot, compose_morphisms(psi, phi))
-            rhs = character_from_potential(phi_pot, phi) + character_from_potential(
-                phi_pot, psi
-            )
+            lhs = chi(compose_morphisms(psi, phi))
+            rhs = chi(phi) + chi(psi)
             assert lhs == rhs
 
+    @pytest.mark.parametrize("model", CHARACTER_MODELS, ids=lambda m: m.name)
     def test_derivation_and_potential_agree(self, model):
         rng = Random(41)
         pot = random_potential(model, rng)
@@ -273,12 +294,12 @@ class TestCharacters:
             for h in map(model.element, img.terms):
                 assert img.coefficient(h) == character_from_potential(
                     pot, Morphism(h, g)
-                )
+                ) == character(pot, h.payload, g.payload)
             # and a few off-support probes
             h = random_element(model, rng)
             assert character_from_derivation(d, Morphism(h, g)) == (
                 character_from_potential(pot, Morphism(h, g))
-            )
+            ) == character(pot, h.payload, g.payload)
 
     def test_harmonic_window_coefficient(self, h3):
         # coefficient of Ax^-1 Ap A1^-1 in d(a_2) is 1/2 + 1/3 = 5/6
@@ -303,7 +324,7 @@ class TestLeibniz:
         for _ in range(30):
             g = random_element(model, rng)
             h = random_element(model, rng)
-            assert leibniz_residual(d, g, h).is_zero()
+            assert leibniz_residual(d, g.payload, h.payload).is_zero()
 
     def test_finite_potential_exact(self, model):
         rng = Random(43)
@@ -311,7 +332,7 @@ class TestLeibniz:
         for _ in range(30):
             g = random_element(model, rng)
             h = random_element(model, rng)
-            assert leibniz_residual(d, g, h).is_zero()
+            assert leibniz_residual(d, g.payload, h.payload).is_zero()
 
     def test_truncated_harmonic_still_exact(self, h3):
         # truncation replaces phi by a finite table, so the Leibniz identity
@@ -322,7 +343,7 @@ class TestLeibniz:
         for _ in range(10):
             g = random_element(h3, rng, max_len=4)
             h = random_element(h3, rng, max_len=4)
-            assert leibniz_residual(d, g, h).is_zero()
+            assert leibniz_residual(d, g.payload, h.payload).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -340,24 +361,32 @@ class TestQuasiInner:
     def test_inner_on_h3_loops(self, h3):
         rng = Random(46)
         x = {h3.element((1, 0, 0)): 1, h3.element((0, 1, 2)): Fraction(1, 2)}
-        d = Derivation(Potential(h3, x))
         loops = [random_loop(h3, rng) for _ in range(100)]
-        ok, _ = quasi_inner_check(d, loops)
+        ok, _ = quasi_inner_check(Potential(h3, x), loops)
         assert ok
+        # the loops' characters, read off the derivation d(v)
+        d = Derivation(Potential(h3, x))
+        assert all(character_from_derivation(d, loop_morphism(h3, loop)) == 0
+                   for loop in loops)
 
-    def test_broken_character_caught(self, h3):
-        # a constant nonzero "character" is not induced by any potential
+    def test_broken_character_caught(self, h3, monkeypatch):
+        # a constant nonzero "character" is not induced by any potential;
+        # each loop is checked and evaluated in one pass, so a generator of
+        # loops gives the same witness as their list
         rng = Random(47)
         loops = [random_loop(h3, rng) for _ in range(10)]
-        ok, witness = quasi_inner_check(lambda mor: Fraction(1), loops)
+        monkeypatch.setattr(dv, "character", lambda phi, up, vp: Fraction(1))
+        phi = Potential(h3, {})
+        ok, witness = quasi_inner_check(phi, loops)
         assert not ok
-        assert witness is not None and witness[1] == 1
+        assert witness == (*loops[0], 1)
+        assert quasi_inner_check(phi, (loop for loop in loops)) == (ok, witness)
 
     def test_non_loop_rejected(self, h3):
         mor = Morphism(h3.element((1, 0, 0)), h3.element((0, 1, 0)))
         assert not mor.is_loop()
-        with pytest.raises(UsageError):
-            quasi_inner_check(Potential(h3, {}), [mor])
+        with pytest.raises(UsageError, match=r"^\(H3\(1,0,0\), H3\(0,1,0\)\) is not a loop$"):
+            quasi_inner_check(Potential(h3, {}), iter([(mor.u.payload, mor.v.payload)]))
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +490,7 @@ def test_payload_leibniz_matches_the_vector_formula(index, seed):
     d = Derivation(random_potential(model, rng, size=rng.randint(0, 4), max_len=3))
     for _ in range(4):
         g, h = random_element(model, rng, 4), random_element(model, rng, 4)
-        got = leibniz_residual(d, g, h)
+        got = leibniz_residual(d, g.payload, h.payload)
         assert got.model is model and got == vector_residual(d, g, h)
 
 

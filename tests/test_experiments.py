@@ -15,13 +15,14 @@ from conjlab import (
     InternalConsistencyError,
     Potential,
     UsageError,
-    closed_form_coefficient,
     fmt_float,
     parse_word,
     run_appendix,
     run_inverse_sequence_check,
     run_limit_experiment,
 )
+
+from conftest import closed_form_coefficient
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +284,14 @@ class TestInverseSequence:
     def test_h3_symmetric(self, h3):
         # conjugating Ap by Ax^k moves it k steps either way
         report = run_inverse_sequence_check(
-            h3, h3.element((1, 0, 0)), parse_word(h3, "Ax"), k_max=5, budget=12
+            h3, (1, 0, 0), parse_word(h3, "Ax"), k_max=5, budget=12
         )
         for k, fwd, bwd in report.rows:
             assert fwd == k and bwd == k
 
     def test_fixed_point(self, h3):
         report = run_inverse_sequence_check(
-            h3, h3.identity(), parse_word(h3, "Ax"), k_max=3, budget=6
+            h3, h3.identity_payload(), parse_word(h3, "Ax"), k_max=3, budget=6
         )
         assert all(f == 0 and b == 0 for _, f, b in report.rows)
 
@@ -299,7 +300,7 @@ class TestInverseSequence:
         f2 = FreeGroup(2)
         report = run_inverse_sequence_check(
             f2,
-            f2.decode("x1"),
+            f2.decode_payload("x1"),
             parse_word(f2, "x1"),
             k_max=4,
             budget=10,
@@ -311,13 +312,13 @@ class TestInverseSequence:
 
     def test_budget_sentinel(self, h3):
         report = run_inverse_sequence_check(
-            h3, h3.element((1, 0, 0)), parse_word(h3, "Ax"), k_max=5, budget=3
+            h3, (1, 0, 0), parse_word(h3, "Ax"), k_max=5, budget=3
         )
         assert report.rows[4][1] == AtLeast(3)
 
     def test_json_cells(self, h3):
         report = run_inverse_sequence_check(
-            h3, h3.element((1, 0, 0)), parse_word(h3, "Ax"), k_max=4, budget=3
+            h3, (1, 0, 0), parse_word(h3, "Ax"), k_max=4, budget=3
         )
         data = report.to_json()
         json.dumps(data)

@@ -132,7 +132,8 @@ class TestDistance:
         f2 = FreeGroup(2)
         x = f2.decode("x1")
         # x^3 (y x y^-1) x^-3 is 4 conjugation steps from x
-        far = f2.normal_form(parse_word(f2, "x1.x1.x1.x2.x1.x2^-1.x1^-1.x1^-1.x1^-1"))
+        far = f2.element(f2.normal_form(
+            parse_word(f2, "x1.x1.x1.x2.x1.x2^-1.x1^-1.x1^-1.x1^-1")))
         assert conj_distance(f2, f2.decode("x2.x1.x2^-1"), x, budget=8) == 1
         assert conj_distance(f2, x, far, budget=8) == 4
 
