@@ -57,11 +57,20 @@ def _write(pieces) -> None:
 def _emit(obj) -> None:
     """Write json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2)
     and a newline, without building the document as one string.  A list
-    may also be given as an iterator, which is read once while writing."""
+    may also be given as an iterator, and an object as `_Members`; each is
+    read once while writing."""
     _write(chain(_json_pieces(obj, "\n"), ["\n"]))
 
 
 _LEAVES = (str, int, float, type(None))  # bool is an int
+
+
+class _Members:
+    """A JSON object given as its (key, value) pairs, already in sorted key
+    order and without repeated keys, read once while written."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
 
 
 def _scalar(obj) -> str:
@@ -88,9 +97,9 @@ def _json_pieces(obj, nl: str):
     newline and the indent of the line `obj` starts on.  A scalar member is
     one piece with its key or separator."""
     inner = nl + "  "
-    if isinstance(obj, dict):
+    if isinstance(obj, (dict, _Members)):
         sep = "{"
-        for key, value in sorted(obj.items()):
+        for key, value in obj.pairs if isinstance(obj, _Members) else sorted(obj.items()):
             head = f"{sep}{inner}{_quote(key if isinstance(key, str) else _scalar(key))}: "
             if isinstance(value, _LEAVES):
                 yield head + _scalar(value)
@@ -98,7 +107,7 @@ def _json_pieces(obj, nl: str):
                 yield head
                 yield from _json_pieces(value, inner)
             sep = ","
-        yield nl + "}" if obj else "{}"
+        yield nl + "}" if sep == "," else "{}"
     elif isinstance(obj, (list, tuple, Iterator)):
         sep = "["
         for item in obj:
@@ -136,15 +145,16 @@ def cmd_graph(args):
     ball = cg.explore_component(model, base, args.radius, args.budget_nodes)
     if args.format == "dot":
         return cg.export_dot(ball, suppress_loops=args.suppress_loops)
-    enc = ball.encodings
+    enc, depths = ball.encodings, ball.depths
     return {
         "base": enc[base.payload],
         "radius": ball.radius,
         "complete": ball.complete,
         "closed": ball.closed,
         "vertices": [enc[p] for p in ball.by_encoding],
-        "edges": ball.edge_rows(args.suppress_loops),  # read once, while written
-        "dist": {enc[p]: d for p, d in ball.depths.items()},
+        # these two are read once, while written
+        "edges": ball.edge_rows(args.suppress_loops),
+        "dist": _Members((enc[p], depths[p]) for p in ball.by_encoding),
     }
 
 
@@ -196,9 +206,14 @@ def cmd_character(args):
     model = phi.model
     up, vp = model.decode_payload(args.u), model.decode_payload(args.v)
     val = dv.character(phi, up, vp)
-    image = {}
-    phi.add_derivation(vp, image)
-    cross = image.get(up, 0)  # the coefficient of d(v) at u
+    # the coefficient of d(v) at u read termwise, with no d(v) built: the
+    # sum of phi(s)([s v = u] - [v s = u]) over the support
+    payloads, values = phi._columns
+    cross = 0
+    for left, sign in ((False, 1), (True, -1)):
+        images = model.mul_all(payloads, vp, left=left)
+        if up in images:  # for one s at most: a translation is one to one
+            cross += sign * values[images.index(up)]
     if cross != val:
         raise InternalConsistencyError(
             f"character mismatch at ({args.u},{args.v}): "

@@ -24,7 +24,7 @@ DEFAULT_TRUNCATION = 10**4
 
 # ---------------------------------------------------------------------------
 # The one closed-form rule, "appendix_harmonic" on h3: value(payload, cutoff
-# K), the payloads of the support and the discarded q-th-power mass, all
+# K), the support with its values and the discarded q-th-power mass, all
 # truncated at K
 
 def _harmonic_value(payload, trunc_k) -> Fraction:
@@ -35,8 +35,8 @@ def _harmonic_value(payload, trunc_k) -> Fraction:
     return _ZERO
 
 
-def _harmonic_support(trunc_k):
-    return [(1, -k, -k) for k in range(1, trunc_k + 1)]
+def _harmonic_terms(trunc_k) -> dict:
+    return {(1, -k, -k): Fraction(1, k) for k in range(1, trunc_k + 1)}
 
 
 def _harmonic_tail_pow(trunc_k: int, q: int) -> Fraction:
@@ -97,25 +97,33 @@ class Potential:
 
     @cached_property
     def _columns(self) -> tuple:
-        """The (truncated) support as parallel columns (payloads, phi, -phi),
-        sorted by encoding and without zero values; built once, from
-        payloads only."""
-        supp = list(self.table)
+        """The (truncated) support as parallel columns (payloads, phi),
+        sorted by encoding and without zero values; built once, from the
+        table and the rule's terms, with no lookup per element."""
+        terms = dict(self.table)  # no zero, and disjoint from the rule's support
         if self.closed_form is not None:
-            supp += _harmonic_support(self.trunc_k)
-        supp.sort(key=self.model.encode_payload)
-        values = [(p, v) for p, v in zip(supp, map(self._value, supp)) if v]
-        payloads = tuple([p for p, _ in values])
-        return payloads, tuple([v for _, v in values]), tuple([-v for _, v in values])
+            terms.update(_harmonic_terms(self.trunc_k))
+        payloads = sorted(terms, key=self.model.encode_payload)
+        return tuple(payloads), tuple(map(terms.__getitem__, payloads))
 
     @cached_property
     def _scaled_columns(self) -> tuple:
-        """(D, (payloads, D phi, -D phi)): D the lcm of the support's
-        denominators, and `_columns` with each value multiplied by D, as ints."""
-        payloads, values, _ = self._columns
+        """(D, (payloads, D phi)): D the lcm of the support's denominators,
+        and `_columns` with each value multiplied by D, as ints."""
+        payloads, values = self._columns
         den = math.lcm(*[v.denominator for v in values])
-        scaled = [v.numerator * (den // v.denominator) for v in values]
-        return den, (payloads, tuple(scaled), tuple([-n for n in scaled]))
+        return den, (payloads, tuple([v.numerator * (den // v.denominator) for v in values]))
+
+    @cached_property
+    def _negated(self) -> tuple:
+        """-phi, term for term with `_columns`: built on first use, by the
+        kernels that add -phi terms only."""
+        return _negate(self._columns[1])
+
+    @cached_property
+    def _scaled_negated(self) -> tuple:
+        """-D phi, term for term with `_scaled_columns`, as `_negated`."""
+        return _negate(self._scaled_columns[1][1])
 
     def support(self) -> tuple:
         """The (truncated) support sorted by encoding, built once and shared."""
@@ -128,7 +136,10 @@ class Potential:
         `gp`, into `acc` ({payload: Fraction}), dropping terms that cancel.
         With `scaled`, add D d(g) in ints instead, D = `_scaled_columns[0]`:
         integer adds need no gcd, so callers divide by D once at the end."""
-        payloads, pos, neg = self._scaled_columns[1] if scaled else self._columns
+        if scaled:
+            (payloads, pos), neg = self._scaled_columns[1], self._scaled_negated
+        else:
+            (payloads, pos), neg = self._columns, self._negated
         mul_all = self.model.mul_all
         add_terms(acc, zip(mul_all(payloads, gp), pos))
         add_terms(acc, zip(mul_all(payloads, gp, left=True), neg))
@@ -178,6 +189,10 @@ class Potential:
             return cls.from_json(json.load(fh))
 
 
+def _negate(values) -> tuple:
+    return tuple([-v for v in values])
+
+
 # ---------------------------------------------------------------------------
 # Derivations
 
@@ -214,7 +229,8 @@ def leibniz_residual(d: Derivation, gp, hp):
     # termwise into one dict of D phi ints: D d(gh), then -D phi(s) at
     # (s g) h and g (s h), +D phi(s) at (g s) h and g (h s)
     model = d.model
-    den, (payloads, pos, neg) = phi._scaled_columns
+    den, (payloads, pos) = phi._scaled_columns
+    neg = phi._scaled_negated
     mul_all = model.mul_all
     acc = {}
     phi.add_derivation(model.mul_payload(gp, hp), acc, scaled=True)
@@ -264,14 +280,15 @@ def g_boundedness_probe(
     encode = model.encode_payload
     # d(g) has phi(g t g^-1) - phi(t) at g t for each t in the support,
     # then phi(s) at s g for each s that is no image g t g^-1, powers
-    # added in this order.  Off the support an image leaves -phi(t);
-    # where it lands on s, that difference replaces -phi(t) and a 0
-    # replaces phi(s), which adds nothing to a norm.
-    payloads, values, negs = d.potential_obj._columns
+    # added in this order.  The norm reads only |c|, so each coefficient
+    # is kept up to its sign: off the support an image leaves phi(t);
+    # where it lands on s, phi(s) - phi(t) replaces it and a 0 replaces
+    # phi(s), which adds nothing to a norm.
+    payloads, values = d.potential_obj._columns
     n = len(payloads)
     index = {s: i for i, s in enumerate(payloads)}
     powers = [_float_pow(v, p) for v in values]
-    base_coeffs, base_pows = list(negs + values), powers + powers
+    base_coeffs, base_pows = list(values) * 2, powers * 2
     gens = [x for _, x, _ in model.gen_triples]
     conj_all, inv = model.conj_all, model.inv_payload
     memo = {tuple(gens): 0.0}  # e fixes every generator, and d(e) = 0

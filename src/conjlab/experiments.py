@@ -104,7 +104,7 @@ def run_appendix(m_max: int, n_max: int) -> AppendixReport:
 
     exact_str(coefficient(m_max, 1))  # every format prints it: refuse before the loop
 
-    den, (payloads, scaled, _) = phi._scaled_columns
+    den, (payloads, scaled) = phi._scaled_columns
     table = dict(zip(payloads, scaled))  # D phi, in ints
     targets = [(1, -n, -n) for n in range(1, n_max + 1)]
     acc = [0] * n_max  # running D d(a_m) at the targets; a_0 = e, d(e) = 0
@@ -189,7 +189,7 @@ def run_limit_experiment(
     if not q >= 1:  # NaN too; checked here, as an empty support takes no norm
         raise UsageError(f"lp_norm needs p >= 1, got {float(q)}")
     model = phi.model
-    payloads, values, _ = phi._columns
+    payloads, values = phi._columns
     q_int = int(q) if float(q).is_integer() else None
     if not payloads:
         exact = None if q_int is None else Fraction(0)

@@ -223,7 +223,7 @@ class TestDerive:
         def out_of_memory(trunc_k):
             raise MemoryError
 
-        monkeypatch.setattr(dv, "_harmonic_support", out_of_memory)
+        monkeypatch.setattr(dv, "_harmonic_terms", out_of_memory)
         code, out, err = run(
             capsys,
             ["derive", "--potential", harmonic_potential, "--element", "H3(1,0,0)"],
@@ -282,6 +282,16 @@ class TestCharacter:
         )
         assert code == 0
         assert json.loads(out)["value"] == "0"
+
+    def test_mismatch_exits_4(self, capsys, monkeypatch, two_point_potential):
+        # a fault planted in the lookup route alone: the termwise cross-check
+        # over the support columns still reads d(v)[u] = 1
+        character = dv.character
+        monkeypatch.setattr(dv, "character", lambda phi, up, vp: character(phi, up, vp) + 1)
+        assert run(capsys, ["character", "--potential", two_point_potential,
+                            "--u", "H3(1,2,2)", "--v", "H3(0,2,0)"]) == (
+            4, "", "internal consistency failure: character mismatch at "
+                   "(H3(1,2,2),H3(0,2,0)): potential 2 vs derivation 1\n")
 
 
 class TestQuasiInner:
@@ -448,6 +458,47 @@ class TestBoundProbe:
         assert run(capsys, ["bound-probe", "--potential", str(path), "--radius", "2"]) == (
             0, _cli_json({"argmax": "H3(-1,0,0)", "max_norm": "1.81104751236",
                           "p": "2", "radius": 2}), "")
+
+
+NEGATION_FREE_POTENTIALS = {
+    "harmonic": {"model": "h3", "table": [], "closed_form": "appendix_harmonic",
+                 "truncation": 200},
+    "three-row": {"model": "h3", "table": [["H3(1,0,0)", "1"], ["H3(1,0,-1)", "1/2"],
+                                           ["H3(2,1,0)", "-3/4"]]},
+}
+
+
+@pytest.mark.parametrize("name, argv, want", [
+    ("harmonic", ["character", "--u", "H3(1,-1,-1)", "--v", "H3(0,2,0)"],
+     {"u": "H3(1,-1,-1)", "v": "H3(0,2,0)", "value": "1/3"}),
+    ("harmonic", ["character", "--u", "H3(1,-5,-4)", "--v", "H3(0,-2,1)"],
+     {"u": "H3(1,-5,-4)", "v": "H3(0,-2,1)", "value": "1/3"}),
+    ("harmonic", ["bound-probe", "--radius", "2"],
+     {"argmax": "H3(-1,0,0)", "max_norm": "1.81104751236", "p": "2", "radius": 2}),
+    ("harmonic", ["bound-probe", "--radius", "2", "-p", "1"],
+     {"argmax": "H3(-1,0,0)", "max_norm": "11.7560618962", "p": "1", "radius": 2}),
+    ("three-row", ["character", "--u", "H3(2,2,2)", "--v", "H3(0,1,0)"],
+     {"u": "H3(2,2,2)", "v": "H3(0,1,0)", "value": "-3/4"}),
+    ("three-row", ["character", "--u", "H3(1,1,0)", "--v", "H3(0,1,0)"],
+     {"u": "H3(1,1,0)", "v": "H3(0,1,0)", "value": "-1/2"}),
+    ("three-row", ["bound-probe", "--radius", "2"],
+     {"argmax": "H3(0,-2,0)", "max_norm": "1.90394327647", "p": "2", "radius": 2}),
+    ("three-row", ["bound-probe", "--radius", "2", "-p", "inf"],
+     {"argmax": "H3(0,-1,0)", "max_norm": "1", "p": "inf", "radius": 2}),
+], ids=lambda c: c if isinstance(c, str) else None)
+def test_character_and_bound_probe_negate_nothing(capsys, monkeypatch, tmp_path,
+                                                 name, argv, want):
+    # the cross-check reads phi termwise and a norm reads only |c|: neither
+    # command builds a -phi column or runs the derivation kernel
+    def refuse(*args, **kwargs):
+        raise AssertionError("negation work")
+
+    monkeypatch.setattr(dv, "_negate", refuse)
+    monkeypatch.setattr(dv.Potential, "add_derivation", refuse)
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(NEGATION_FREE_POTENTIALS[name]))
+    argv = [argv[0], "--potential", str(path), *argv[1:]]
+    assert run(capsys, argv) == (0, _cli_json(want), "")
 
 
 class TestNormExponent:
@@ -1374,9 +1425,13 @@ def test_handlers_return_what_main_writes(capsys, two_point_potential, argv):
     with contextlib.redirect_stdout(Unwritable()):
         args = cli.parse(argv, DEFAULT_NODE_BUDGET)
         out = args.fn(args)
-        # a JSON document is a dict, whose lists may be iterators; text is
-        # an iterable of pieces; either is read here without a write
-        text = (json.dumps(out, sort_keys=True, ensure_ascii=False, indent=2, default=list)
+        # a JSON document is a dict, whose lists may be iterators and whose
+        # objects may be `_Members` streams; text is an iterable of pieces;
+        # either is read here without a write
+        def stream(obj):
+            return dict(obj.pairs) if isinstance(obj, cli._Members) else list(obj)
+
+        text = (json.dumps(out, sort_keys=True, ensure_ascii=False, indent=2, default=stream)
                 + "\n" if isinstance(out, dict) else "".join(out))
     assert run(capsys, argv) == (0, text, "")
 

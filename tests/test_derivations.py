@@ -549,6 +549,23 @@ class TestPotential:
         assert phi.value(h3.element((1, -5, -5))) == Fraction(1, 5)
         assert phi.table == {(1, 0, 0): 2}
 
+    @pytest.mark.parametrize("trunc", [1, 2, 37, 1000])
+    @pytest.mark.parametrize("rows", [{}, {(2, 0, 0): "-7/12", (1, 3, 3): "5/9",
+                                           (0, 0, -1): "4"}])
+    def test_columns_agree_with_the_rule(self, h3, trunc, rows):
+        # the columns are built from the rule's terms, not its lookups: they
+        # pair the encoding-sorted support with _value, with no zero value,
+        # and the negated columns are -phi and -D phi term for term
+        phi = Potential(h3, {h3.element(p): Fraction(v) for p, v in rows.items()},
+                        closed_form="appendix_harmonic", trunc_k=trunc)
+        support = sorted([*rows, *[(1, -k, -k) for k in range(1, trunc + 1)]],
+                         key=h3.encode_payload)
+        payloads, values = phi._columns
+        assert payloads == tuple(support)
+        assert values == tuple(map(phi._value, support)) and all(values)
+        assert phi._negated == tuple(-v for v in values)
+        assert phi._scaled_negated == tuple(-n for n in phi._scaled_columns[1][1])
+
     def test_table_and_closed_form_disjoint(self, h3):
         with pytest.raises(UsageError):
             Potential(
@@ -569,7 +586,7 @@ class TestPotential:
         def refuse(trunc_k):
             raise AssertionError("closed-form support enumerated")
 
-        monkeypatch.setattr(dv, "_harmonic_support", refuse)
+        monkeypatch.setattr(dv, "_harmonic_terms", refuse)
         phi = Potential(h3, {h3.element((1, 0, 0)): 2},
                         closed_form="appendix_harmonic")
         K = phi.trunc_k

@@ -101,9 +101,11 @@ class TestAppendix:
 
     def test_engine_mismatch_raises(self, monkeypatch):
         # a harmonic rule truncated one term early changes the coefficient
-        # at m = m_max, n = n_max, and only there
-        value = dv._harmonic_value
+        # at m = m_max, n = n_max, and only there; the engine's columns are
+        # built from the rule's terms, so the fault is planted there too
+        value, terms = dv._harmonic_value, dv._harmonic_terms
         monkeypatch.setattr(dv, "_harmonic_value", lambda p, k: value(p, k - 1))
+        monkeypatch.setattr(dv, "_harmonic_terms", lambda k: terms(k - 1))
         with pytest.raises(InternalConsistencyError, match="m=5, n=3"):
             run_appendix(5, 3)
 
@@ -113,7 +115,8 @@ class TestAppendix:
         # term for term in the order of the Fraction columns
         phi = Potential(h3, {h3.element(p): Fraction(v) for p, v in table.items()},
                         closed_form="appendix_harmonic", trunc_k=30)
-        den, (payloads, scaled, negs) = phi._scaled_columns
+        den, (payloads, scaled) = phi._scaled_columns
+        negs = phi._scaled_negated
         assert den == math.lcm(*range(1, 31), 12, 9)
         assert payloads == phi._columns[0] and len(payloads) == 30 + len(table)
         for n, neg, v in zip(scaled, negs, phi._columns[1], strict=True):
@@ -125,9 +128,8 @@ class TestAppendix:
         scaled_columns = Potential._scaled_columns.func
 
         def one_wrong(phi):
-            den, (payloads, scaled, _) = scaled_columns(phi)
-            scaled = (scaled[0] + 1, *scaled[1:])
-            return den, (payloads, scaled, tuple(-n for n in scaled))
+            den, (payloads, scaled) = scaled_columns(phi)
+            return den, (payloads, (scaled[0] + 1, *scaled[1:]))
 
         monkeypatch.setattr(Potential, "_scaled_columns", property(one_wrong))
         with pytest.raises(InternalConsistencyError, match="m=1, n=2"):
