@@ -141,13 +141,13 @@ def _load_potential(path) -> dv.Potential:
 
 def cmd_graph(args):
     model = get_model(args.model)
-    base = model.decode(args.base)
+    base = model.decode_payload(args.base)
     ball = cg.explore_component(model, base, args.radius, args.budget_nodes)
     if args.format == "dot":
         return cg.export_dot(ball, suppress_loops=args.suppress_loops)
     enc, depths = ball.encodings, ball.depths
     return {
-        "base": enc[base.payload],
+        "base": enc[base],
         "radius": ball.radius,
         "complete": ball.complete,
         "closed": ball.closed,
@@ -160,7 +160,7 @@ def cmd_graph(args):
 
 def cmd_bc(args):
     model = get_model(args.model)
-    K = [model.decode(enc) for enc in args.k]
+    K = [model.decode_payload(enc) for enc in args.k]
     report = cg.bc_probe(
         model, K, args.cayley_radius, args.diam_budget, args.budget_nodes
     )
@@ -169,11 +169,10 @@ def cmd_bc(args):
 
 def cmd_derive(args):
     phi = _load_potential(args.potential)
-    g = phi.model.decode(args.element)
-    d = dv.Derivation(phi)
-    image = d.apply(g)
+    gp = phi.model.decode_payload(args.element)
+    image = dv.Derivation(phi).apply(gp)
     return {
-        "element": g.encode(),
+        "element": phi.model.encode_payload(gp),
         "image": image.to_json(),
         "norm_p": ex.fmt_float(image.lp_norm(args.p)),
         "p": ex.fmt_float(args.p),
@@ -184,7 +183,6 @@ def cmd_derive(args):
 
 def cmd_leibniz(args):
     phi = _load_potential(args.potential)
-    d = dv.Derivation(phi)
     rng = Random(args.seed)
     from .sampling import random_payload
 
@@ -193,7 +191,7 @@ def cmd_leibniz(args):
     for _ in range(args.samples):
         gp = random_payload(phi.model, rng)
         hp = random_payload(phi.model, rng)
-        res = dv.leibniz_residual(d, gp, hp)
+        res = dv.leibniz_residual(phi, gp, hp)
         worst = max(worst, res.lp_norm(1))
         if not res.is_zero():
             violations += 1
@@ -243,13 +241,13 @@ def cmd_quasi_inner(args):
 def cmd_stabilise(args):
     phi = _load_potential(args.potential)
     model = phi.model
-    base = model.decode(args.base)
+    base = model.decode_payload(args.base)
     if args.radii != sorted(set(args.radii)):
         raise UsageError("--radii must be increasing")
     ball = cg.explore_component(model, base, args.radius, args.budget_nodes)
     probe = dv.stabilisation_probe(phi, ball, args.radii)
     return {
-        "base": base.encode(),
+        "base": model.encode_payload(base),
         "radius": args.radius,
         "complete": ball.complete,
         "rows": [[r, exact_str(s)] for r, s in probe],
@@ -258,13 +256,12 @@ def cmd_stabilise(args):
 
 def cmd_bound_probe(args):
     phi = _load_potential(args.potential)
-    d = dv.Derivation(phi)
-    max_norm, argmax = dv.g_boundedness_probe(d, args.radius, args.p, args.budget_nodes)
+    max_norm, argmax = dv.g_boundedness_probe(phi, args.radius, args.p, args.budget_nodes)
     return {
         "radius": args.radius,
         "p": ex.fmt_float(args.p),
         "max_norm": ex.fmt_float(max_norm),
-        "argmax": argmax.encode(),
+        "argmax": phi.model.encode_payload(argmax),
     }
 
 

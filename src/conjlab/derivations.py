@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import UsageError
+from .errors import ModelMismatchError, UsageError
 from .groups import DEFAULT_NODE_BUDGET, GroupElement, GroupModel, get_model
 from .ring import _ZERO, GroupRingVector, add_terms, exact_str, float_norm, left_sum
 
@@ -58,12 +60,8 @@ class Potential:
     def __init__(self, model: GroupModel, table=None, closed_form=None,
                  trunc_k: int = DEFAULT_TRUNCATION):
         self.model = model
-        self.table = {}
-        for g, v in (table or {}).items():
-            model._check(g)
-            v = Fraction(v)
-            if v != 0:
-                self.table[g.payload] = v
+        values = {p: Fraction(v) for p, v in (table or {}).items()}
+        self.table = {p: v for p, v in values.items() if v}
         self._rule = lambda p, trunc_k: _ZERO
         if closed_form is not None:
             if closed_form != "appendix_harmonic":
@@ -174,10 +172,10 @@ class Potential:
         table = {}
         try:
             for enc, v in rows:
-                g = model.decode(enc)
-                if g in table:  # two spellings of one element count as one
-                    raise UsageError(f"{enc!r} names {g.encode()} a second time")
-                table[g] = Fraction(v)
+                p = model.decode_payload(enc)
+                if p in table:  # two spellings of one element count as one
+                    raise UsageError(f"{enc!r} names {model.encode_payload(p)} a second time")
+                table[p] = _rational(v)
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad table entry: {exc}") from exc
         return cls(model, table, closed_form=data.get("closed_form"),
@@ -193,6 +191,17 @@ def _negate(values) -> tuple:
     return tuple([-v for v in values])
 
 
+def _rational(text: str) -> Fraction:
+    """Fraction(text), with an exponent whose magnitude passes Python's int/str
+    digit limit refused first: Fraction would build that power of ten."""
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    # Fraction's exponent syntax; the pattern is compiled (0.15 ms) only for an e
+    exp = limit and "e" in text.lower() and re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*$", text)
+    if exp and abs(int(exp[1])) > limit:
+        raise ValueError(f"exponent {exp[1]} exceeds the limit ({limit} digits)")
+    return Fraction(text)
+
+
 # ---------------------------------------------------------------------------
 # Derivations
 
@@ -206,12 +215,11 @@ class Derivation:
         self.model = potential.model
         self.potential_obj = potential
 
-    def apply(self, g: GroupElement) -> GroupRingVector:
-        """d(g); exact over the (truncated) support."""
-        self.model._check(g)
+    def apply(self, gp) -> GroupRingVector:
+        """d(g), g of payload `gp`; exact over the (truncated) support."""
         acc = {}
-        self.potential_obj.add_derivation(g.payload, acc)
-        return GroupRingVector.from_terms(self.model, acc)
+        self.potential_obj.add_derivation(gp, acc)
+        return GroupRingVector(self.model, acc)
 
 
 def character(phi: Potential, up, vp) -> Fraction:
@@ -222,13 +230,12 @@ def character(phi: Potential, up, vp) -> Fraction:
     return phi._value(model.mul_payload(up, vi)) - phi._value(model.mul_payload(vi, up))
 
 
-def leibniz_residual(d: Derivation, gp, hp):
-    """The vector d(gh) - d(g) h - g d(h), g and h of payloads `gp` and
-    `hp`, exactly; zero for every derivation."""
-    phi = d.potential_obj
+def leibniz_residual(phi: Potential, gp, hp):
+    """The vector d(gh) - d(g) h - g d(h) of phi's derivation d, g and h of
+    payloads `gp` and `hp`, exactly; zero for every derivation."""
     # termwise into one dict of D phi ints: D d(gh), then -D phi(s) at
     # (s g) h and g (s h), +D phi(s) at (g s) h and g (h s)
-    model = d.model
+    model = phi.model
     den, (payloads, pos) = phi._scaled_columns
     neg = phi._scaled_negated
     mul_all = model.mul_all
@@ -239,7 +246,7 @@ def leibniz_residual(d: Derivation, gp, hp):
                          (mul_all(mul_all(payloads, hp), gp, left=True), neg),
                          (mul_all(mul_all(payloads, hp, left=True), gp, left=True), pos)):
         add_terms(acc, zip(keys, coeffs))
-    return GroupRingVector.from_terms(model, {u: Fraction(n, den) for u, n in acc.items()})
+    return GroupRingVector(model, {u: Fraction(n, den) for u, n in acc.items()})
 
 
 def quasi_inner_check(phi: Potential, loops):
@@ -262,12 +269,12 @@ def quasi_inner_check(phi: Potential, loops):
 
 
 def g_boundedness_probe(
-    d: Derivation,
+    phi: Potential,
     radius: int,
     p: float,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ):
-    """Max of ||d(g)||_p over the Cayley ball, with argmax.
+    """Max of ||d(g)||_p over the Cayley ball, d phi's derivation, with argmax.
 
     ||d(g)||_p depends only on the inner automorphism x -> g x g^-1, which
     the images of the generators fix: those key the memo, and the support
@@ -275,7 +282,7 @@ def g_boundedness_probe(
     """
     if not p >= 1:
         raise UsageError(f"g_boundedness_probe needs p >= 1, got {p}")
-    model = d.model
+    model = phi.model
     ball = model.cayley_depths(radius, node_budget)
     encode = model.encode_payload
     # d(g) has phi(g t g^-1) - phi(t) at g t for each t in the support,
@@ -284,7 +291,7 @@ def g_boundedness_probe(
     # is kept up to its sign: off the support an image leaves phi(t);
     # where it lands on s, phi(s) - phi(t) replaces it and a 0 replaces
     # phi(s), which adds nothing to a norm.
-    payloads, values = d.potential_obj._columns
+    payloads, values = phi._columns
     n = len(payloads)
     index = {s: i for i, s in enumerate(payloads)}
     powers = [_float_pow(v, p) for v in values]
@@ -314,7 +321,7 @@ def g_boundedness_probe(
         if norm > best:
             best = norm
             argmax = gp
-    return best, model.element(argmax)
+    return best, argmax
 
 
 def _float_pow(c: Fraction, p: float) -> float:
@@ -329,7 +336,8 @@ def _float_pow(c: Fraction, p: float) -> float:
 def stabilisation_probe(phi: Potential, ball, radii):
     """For each radius r: sup |phi| over ball vertices at distance > r
     (the stabilised-at-0 convention), read off the ball's payloads."""
-    phi.model._check(ball.base)
+    if ball.model.name != phi.model.name:
+        raise ModelMismatchError(f"ball of {ball.model.name} used with model {phi.model.name}")
     out = []
     for r in radii:
         sup = Fraction(0)

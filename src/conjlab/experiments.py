@@ -208,7 +208,7 @@ def run_limit_experiment(
     supp_set = set(payloads)
     for k in range(1, k_max + 1):
         a_k = model.mul_payload(a_k, a)
-        image = d.apply(model.element(a_k))
+        image = d.apply(a_k)
         norm = image.lp_norm(float(q))
         exact = image.lq_pow_exact(q_int) if q_int is not None else None
         samples.append((k, norm, exact))

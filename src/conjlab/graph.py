@@ -29,14 +29,15 @@ class ConjEdge:
 
 @dataclass
 class ConjGraphBall:
-    """A BFS ball of the conjugation graph around `base`.
+    """A BFS ball of the conjugation graph of `model` around the payload `base`.
 
     `depths` maps each vertex payload to its depth, in visiting order.
     `complete` is False when the node budget stopped the exploration early;
     `closed` is True when the whole (finite) component fits in the ball.
     """
 
-    base: GroupElement
+    model: GroupModel
+    base: object
     radius: int
     depths: dict = field(default_factory=dict)
     complete: bool = True
@@ -45,7 +46,7 @@ class ConjGraphBall:
     @cached_property
     def dist(self) -> dict:
         """{element: depth}, `depths` wrapped for the API; built on first read."""
-        element = self.base.model.element
+        element = self.model.element
         return {element(p): d for p, d in self.depths.items()}
 
     @property
@@ -56,7 +57,7 @@ class ConjGraphBall:
     @cached_property
     def encodings(self) -> dict:
         """{payload: encoding} of every vertex, each encoded once."""
-        encode = self.base.model.encode_payload
+        encode = self.model.encode_payload
         return {p: encode(p) for p in self.depths}
 
     @cached_property
@@ -70,8 +71,8 @@ class ConjGraphBall:
         encoding order is stepped along the generators in label order, and
         one step per label makes each (src, label) pair unique."""
         enc = self.encodings
-        step = self.base.model.conj_step
-        labelled = sorted((gen.label(), x, xi) for gen, x, xi in self.base.model.gen_triples)
+        step = self.model.conj_step
+        labelled = sorted((gen.label(), x, xi) for gen, x, xi in self.model.gen_triples)
         for p in self.by_encoding:
             src = enc[p]
             for label, x, xi in labelled:
@@ -83,7 +84,7 @@ class ConjGraphBall:
     def edges(self) -> list:
         """The edge rows as `ConjEdge`s between elements, for API callers."""
         elem = {self.encodings[v.payload]: v for v in self.dist}
-        gens = {gen.label(): gen for gen in self.base.model.all_gens()}
+        gens = {gen.label(): gen for gen, _, _ in self.model.gen_triples}
         return [ConjEdge(elem[src], gens[label], elem[dst])
                 for src, label, dst in self.edge_rows()]
 
@@ -98,13 +99,13 @@ def conj_neighbors(model: GroupModel, h: GroupElement):
 
 def explore_component(
     model: GroupModel,
-    u0: GroupElement,
+    u0,
     radius: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ConjGraphBall:
-    model._check(u0)
-    search = model.search(u0.payload, model.conj_step, radius, node_budget)
-    return ConjGraphBall(u0, radius, search.dist, search.cut is None, search.exhausted)
+    """The conjugation-graph ball of the given radius around the payload `u0`."""
+    search = model.search(u0, model.conj_step, radius, node_budget)
+    return ConjGraphBall(model, u0, radius, search.dist, search.cut is None, search.exhausted)
 
 
 def conj_distance(
@@ -185,20 +186,18 @@ def bc_probe(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> BCReport:
     """For each Cayley radius r, the worst diameter of g K g^-1 over all
-    conjugators g of length <= r.
+    conjugators g of length <= r, K a collection of payloads.
 
     Conjugators acting identically on K are expanded once (memo on the
     tuple of image payloads).  The verdict is a fixed-window heuristic over
     the shell data; the raw shells are always reported.
     """
-    K = sorted(set(K))
+    K = sorted(set(K), key=model.encode_payload)
     if not K:
         raise UsageError("bc_probe needs a nonempty finite set K")
-    model._check(*K)
     by_radius = {}
     for g, r in model.cayley_depths(max_cayley_radius, node_budget).items():
         by_radius.setdefault(r, []).append(g)
-    kp = [k.payload for k in K]
     conj_all, inv = model.conj_all, model.inv_payload
     memo = {}
     shells = []
@@ -207,14 +206,14 @@ def bc_probe(
         dists = [running]
         for g in by_radius.get(r, ()):
             gi = inv(g)
-            images = tuple(conj_all(kp, g, gi))
+            images = tuple(conj_all(K, g, gi))
             if images not in memo:
                 memo[images] = _set_diameter(model, images, diam_budget, node_budget)
             dists.append(memo[images])
         running = _max_distance(dists)
         shells.append((r, running))
     verdict = _bc_verdict(shells, max_cayley_radius)
-    return BCReport([k.encode() for k in K], shells, verdict)
+    return BCReport(list(map(model.encode_payload, K)), shells, verdict)
 
 
 def _bc_verdict(shells, max_cayley_radius) -> str:

@@ -1,10 +1,10 @@
 """Exact word arithmetic and canonical forms for the concrete group models.
 
-Every model hands out immutable `GroupElement` values whose payload is a
-unique canonical form, so equality/hashing is structural and the text
-encoding is injective.  All integer payloads are plain Python ints
-(arbitrary precision), so nothing overflows when conjugation stretches the
-central coordinate.
+Every element is a payload: a unique canonical form, so equality and
+hashing are structural and the text encoding is injective.  `GroupElement`
+wraps a payload with its model at the API boundary only.  All integer
+payloads are plain Python ints (arbitrary precision), so nothing overflows
+when conjugation stretches the central coordinate.
 """
 
 from __future__ import annotations
@@ -88,20 +88,6 @@ class GroupElement:
     def __hash__(self):
         return self._hash
 
-    def __lt__(self, other):
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return (self.model.name, self.encode()) < (other.model.name, other.encode())
-
-    def __mul__(self, other):
-        return self.model.multiply(self, other)
-
-    def inverse(self) -> "GroupElement":
-        return self.model.invert(self)
-
-    def is_identity(self) -> bool:
-        return self.payload == self.model.identity_payload()
-
     def encode(self) -> str:
         return self.model.encode_payload(self.payload)
 
@@ -157,13 +143,6 @@ class GroupModel(ABC):
     def element(self, payload) -> GroupElement:
         return GroupElement(self, payload)
 
-    def identity(self) -> GroupElement:
-        return self.element(self.identity_payload())
-
-    def all_gens(self) -> list[Generator]:
-        """The symmetric generating set: every generator and its inverse."""
-        return [gen for gen, _, _ in self.gen_triples]
-
     @cached_property
     def gen_triples(self) -> list:
         """(generator, x, x^-1) payload triples over the symmetric
@@ -213,10 +192,6 @@ class GroupModel(ABC):
     def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
         self._check(a, b)
         return self.element(self.mul_payload(a.payload, b.payload))
-
-    def invert(self, a: GroupElement) -> GroupElement:
-        self._check(a)
-        return self.element(self.inv_payload(a.payload))
 
     def conjugate(self, g: GroupElement, h: GroupElement) -> GroupElement:
         """g * h * g^-1 in canonical form."""

@@ -105,28 +105,14 @@ def exact_pow_fits(values, q: int) -> bool:
 
 
 class GroupRingVector:
-    """A formal sum of group elements with rational coefficients, built from
-    {GroupElement: rational} and stored by payload; zero coefficients are
-    never stored."""
+    """A formal sum of group elements with rational coefficients: the vector
+    over `terms` ({payload: Fraction}, no zero coefficients), without a copy."""
 
     __slots__ = ("model", "terms")
 
-    def __init__(self, model: GroupModel, terms=None):
+    def __init__(self, model: GroupModel, terms: dict):
         self.model = model
-        self.terms = {}
-        for g, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                model._check(g)
-                self.terms[g.payload] = c
-
-    @classmethod
-    def from_terms(cls, model, terms: dict) -> "GroupRingVector":
-        """The vector over `terms` ({payload: Fraction}, no zero
-        coefficients), without a copy."""
-        v = cls(model)
-        v.terms = terms
-        return v
+        self.terms = terms
 
     def _check_model(self, other):
         if self.model.name != other.model.name:
@@ -134,9 +120,8 @@ class GroupRingVector:
                 f"vectors over {self.model.name} and {other.model.name}"
             )
 
-    def coefficient(self, g: GroupElement) -> Fraction:
-        self.model._check(g)
-        return self.terms.get(g.payload, _ZERO)
+    def coefficient(self, p) -> Fraction:
+        return self.terms.get(p, _ZERO)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -155,19 +140,19 @@ class GroupRingVector:
         return self
 
     def __add__(self, other):
-        v = self.from_terms(self.model, dict(self.terms))
+        v = GroupRingVector(self.model, dict(self.terms))
         v += other
         return v
 
     def mul_elem_right(self, g: GroupElement) -> "GroupRingVector":
         self.model._check(g)
         keys = self.model.mul_all(self.terms, g.payload)
-        return self.from_terms(self.model, dict(zip(keys, self.terms.values())))
+        return GroupRingVector(self.model, dict(zip(keys, self.terms.values())))
 
     def mul_elem_left(self, g: GroupElement) -> "GroupRingVector":
         self.model._check(g)
         keys = self.model.mul_all(self.terms, g.payload, left=True)
-        return self.from_terms(self.model, dict(zip(keys, self.terms.values())))
+        return GroupRingVector(self.model, dict(zip(keys, self.terms.values())))
 
     def __mul__(self, other) -> "GroupRingVector":
         """Convolution product."""
@@ -176,7 +161,7 @@ class GroupRingVector:
         for g, cg in self.terms.items():
             add_terms(acc, zip(self.model.mul_all(other.terms, g, left=True),
                                [cg * ch for ch in other.terms.values()]))
-        return self.from_terms(self.model, acc)
+        return GroupRingVector(self.model, acc)
 
     # -- norms --------------------------------------------------------------
 

@@ -19,10 +19,6 @@ def random_payload(model: GroupModel, rng: Random, max_len: int = 6):
     return p
 
 
-def random_element(model: GroupModel, rng: Random, max_len: int = 6):
-    return model.element(random_payload(model, rng, max_len))
-
-
 def random_loop(model: GroupModel, rng: Random, max_len: int = 5) -> tuple:
     """A loop (u, v) of payloads with uv = vu: both are powers of one word."""
     w = random_payload(model, rng, max_len)
@@ -43,7 +39,7 @@ def random_potential(model: GroupModel, rng: Random, size: int = 5,
                      max_len: int = 5) -> Potential:
     table = {}
     for _ in range(size):
-        g = random_element(model, rng, max_len)
+        g = random_payload(model, rng, max_len)
         num = rng.choice([n for n in range(-5, 6) if n != 0])
         den = rng.randint(1, 5)
         table[g] = Fraction(num, den)

@@ -2,7 +2,7 @@ import contextlib
 import json
 import os
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,7 +16,6 @@ from conjlab import (
     DihedralSemidirect,
     DirectProduct,
     FreeGroup,
-    GroupElement,
     GroupRingVector,
     Heisenberg,
     HeisenbergSemidirect,
@@ -29,7 +28,7 @@ from conjlab import (
 from conjlab.cli import main, parse
 from conjlab.graph import _bc_verdict
 from conjlab.groups import DEFAULT_NODE_BUDGET
-from conjlab.sampling import random_element
+from conjlab.sampling import random_payload
 
 
 def all_models():
@@ -123,7 +122,7 @@ def oracle_edges(model, ball):
 
 
 def oracle_graph_stdout(model, base, radius, fmt, suppress_loops, node_budget):
-    ball = explore_component(model, base, radius, node_budget)
+    ball = explore_component(model, base.payload, radius, node_budget)
     edges = [e for e in oracle_edges(model, ball) if not (suppress_loops and e.is_loop())]
     vertices = sorted(v.encode() for v in ball.vertices)
     if fmt == "dot":
@@ -148,7 +147,7 @@ def _oracle_max(dists):
 
 
 def oracle_bc_stdout(model, K, radius, diam_budget, node_budget):
-    K = sorted(set(K))
+    K = sorted(set(K), key=lambda k: k.encode())
     ball = model.cayley_ball(radius, node_budget)
     memo, shells, running = {}, [], 0
     for r in range(radius + 1):
@@ -234,18 +233,18 @@ def reference_distance(model, start, goal, step, radius, node_budget):
 
 
 # ---------------------------------------------------------------------------
-# Group-ring vectors from elements, the convolution oracle of
+# Group-ring vectors from payloads, the convolution oracle of
 # `Derivation.apply`, and word length as a goal search.
 
 
-def delta(g, c=1):
-    """The vector c g."""
-    return GroupRingVector(g.model, {g: c})
+def delta(model, p, c=1):
+    """The vector c g, g of payload `p`."""
+    return GroupRingVector(model, {p: Fraction(c)} if c else {})
 
 
 def scaled(v, c):
     """The vector c v."""
-    return GroupRingVector.from_terms(v.model, {p: c * x for p, x in v.terms.items()} if c else {})
+    return GroupRingVector(v.model, {p: c * x for p, x in v.terms.items()} if c else {})
 
 
 def inner_derivation_apply(x, a):
@@ -253,11 +252,10 @@ def inner_derivation_apply(x, a):
     return x * a + scaled(a * x, -1)
 
 
-def word_search(model, g, radius, node_budget=DEFAULT_NODE_BUDGET):
-    """The goal search for g from the identity along `right_step`: its
-    `length` is g's word length when that is <= radius."""
-    return model.search(model.identity_payload(), model.right_step, radius, node_budget,
-                        g.payload)
+def word_search(model, gp, radius, node_budget=DEFAULT_NODE_BUDGET):
+    """The goal search for the payload `gp` from the identity along
+    `right_step`: its `length` is the word length when that is <= radius."""
+    return model.search(model.identity_payload(), model.right_step, radius, node_budget, gp)
 
 
 def traced_peak(argv) -> int:
@@ -272,31 +270,35 @@ def traced_peak(argv) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The conjugation groupoid on elements, the oracle of the payload
+# The conjugation groupoid on payloads, the oracle of the payload
 # `character`: a morphism (u, v) goes from v^-1 u to u v^-1, and
 # chi(u, v) = phi(u v^-1) - phi(v^-1 u) = d(v)[u].
 
 
 @dataclass(frozen=True)
 class Morphism:
-    """The pair (u, v): a morphism from v^-1 u to u v^-1."""
+    """The payload pair (u, v) of `model`: a morphism from v^-1 u to u v^-1."""
 
-    u: GroupElement
-    v: GroupElement
+    model: object = field(compare=False)
+    u: object
+    v: object
 
-    def source(self) -> GroupElement:
-        return self.v.inverse() * self.u
+    def source(self):
+        m = self.model
+        return m.mul_payload(m.inv_payload(self.v), self.u)
 
-    def target(self) -> GroupElement:
-        return self.u * self.v.inverse()
+    def target(self):
+        m = self.model
+        return m.mul_payload(self.u, m.inv_payload(self.v))
 
     def is_loop(self) -> bool:
-        return self.u * self.v == self.v * self.u
+        m = self.model
+        return m.mul_payload(self.u, self.v) == m.mul_payload(self.v, self.u)
 
 
-def identity_morphism(obj: GroupElement) -> Morphism:
+def identity_morphism(model, obj) -> Morphism:
     """The identity loop at an object: (g, e)."""
-    return Morphism(obj, obj.model.identity())
+    return Morphism(model, obj, model.identity_payload())
 
 
 def compose_morphisms(psi: Morphism, phi: Morphism) -> Morphism:
@@ -304,14 +306,16 @@ def compose_morphisms(psi: Morphism, phi: Morphism) -> Morphism:
     equals the source of psi."""
     if phi.target() != psi.source():
         raise UsageError("morphisms are not composable")
-    return Morphism(psi.v * phi.u, psi.v * phi.v)
+    mul = psi.model.mul_payload
+    return Morphism(psi.model, mul(psi.v, phi.u), mul(psi.v, phi.v))
 
 
 def character_from_potential(phi, mor: Morphism) -> Fraction:
     """chi(h, g) = phi(h g^-1) - phi(g^-1 h), through `Potential.value`."""
-    h, g = mor.u, mor.v
-    ginv = g.inverse()
-    return phi.value(h * ginv) - phi.value(ginv * h)
+    m, h = mor.model, mor.u
+    ginv = m.inv_payload(mor.v)
+    return (phi.value(m.element(m.mul_payload(h, ginv)))
+            - phi.value(m.element(m.mul_payload(ginv, h))))
 
 
 def character_from_derivation(d, mor: Morphism) -> Fraction:
@@ -321,17 +325,18 @@ def character_from_derivation(d, mor: Morphism) -> Fraction:
 
 def loop_morphism(model, loop) -> Morphism:
     """The morphism of a (u, v) payload pair."""
-    return Morphism(*map(model.element, loop))
+    return Morphism(model, *loop)
 
 
 def random_composable_pair(model, rng, max_len: int = 5):
     """A composable (psi, phi): pick u1, v1, v2 freely and solve for u2
     from the composability equation u1 v1^-1 = v2^-1 u2."""
-    u1 = random_element(model, rng, max_len)
-    v1 = random_element(model, rng, max_len)
-    v2 = random_element(model, rng, max_len)
-    u2 = v2 * (u1 * v1.inverse())
-    return Morphism(u2, v2), Morphism(u1, v1)
+    u1 = random_payload(model, rng, max_len)
+    v1 = random_payload(model, rng, max_len)
+    v2 = random_payload(model, rng, max_len)
+    mul = model.mul_payload
+    u2 = mul(v2, mul(u1, model.inv_payload(v1)))
+    return Morphism(model, u2, v2), Morphism(model, u1, v1)
 
 
 def closed_form_coefficient(m: int, n: int) -> Fraction:

@@ -29,7 +29,7 @@ from conjlab import (
 from conjlab.ring import GroupRingVector
 from conjlab.derivations import g_boundedness_probe
 from conjlab.sampling import (
-    random_element,
+    random_payload,
     random_potential,
 )
 
@@ -46,13 +46,13 @@ def test_acceptance_01_heisenberg_exhaustive_matrix_oracle(h3):
     elems = {p: h3.element(p) for p in box}
     mats = {p: mat_of(p) for p in box}
     for p in box:
-        assert elems[p].inverse().payload == triple_of(mat_inv(mats[p]))
+        assert h3.inv_payload(p) == triple_of(mat_inv(mats[p]))
     for p1 in box:
         g = elems[p1]
         m1 = mats[p1]
         m1_inv = mat_inv(m1)
         for p2 in box:
-            prod = (g * elems[p2]).payload
+            prod = h3.multiply(g, elems[p2]).payload
             assert prod == triple_of(mat_mul(m1, mats[p2]))
             conj = h3.conjugate(g, elems[p2]).payload
             assert conj == triple_of(mat_mul(mat_mul(m1, mats[p2]), m1_inv))
@@ -63,7 +63,7 @@ def test_acceptance_01_heisenberg_exhaustive_matrix_oracle(h3):
 
 
 def test_acceptance_02_component_ball_matches_golden(h3):
-    ball = explore_component(h3, h3.element((1, 0, 0)), radius=5)
+    ball = explore_component(h3, (1, 0, 0), radius=5)
     dot = "".join(export_dot(ball))
     golden = (DATA / "heis_path_ball.dot").read_text()
     assert dot == golden
@@ -87,7 +87,7 @@ def test_acceptance_02_component_ball_matches_golden(h3):
 
 def test_acceptance_03_bc_plateau_one(h3):
     start = time.perf_counter()
-    K = [h3.element((1, 0, 0)), h3.element((1, 0, 1))]
+    K = [(1, 0, 0), (1, 0, 1)]
     report = bc_probe(h3, K, max_cayley_radius=6, diam_budget=8)
     assert all(d == 1 for _, d in report.shells)
     assert report.verdict == "Plateau(1)"
@@ -102,12 +102,12 @@ def test_acceptance_04_semidirect_bc_violation():
     Ap = m.decode("H3(1,0,0)")
     Ax = m.decode("H3(0,1,0)")
     for k in range(1, 9):
-        shifter = m.identity()
+        shifter = m.element(m.identity_payload())
         for _ in range(k):
-            shifter = shifter * Ax
+            shifter = m.multiply(shifter, Ax)
         moved = m.conjugate(shifter, Ap)
         assert conj_distance(m, Ap, moved, budget=12) == k
-    report = bc_probe(m, [Ax, Ap], max_cayley_radius=4, diam_budget=16)
+    report = bc_probe(m, [Ax.payload, Ap.payload], max_cayley_radius=4, diam_budget=16)
     assert report.verdict == "Growing"
     print("ACCEPTANCE 4: PASS — conjugation by Ax^k moves Ap exactly k steps "
           "for k=1..8 and the bc probe reports Growing")
@@ -115,11 +115,11 @@ def test_acceptance_04_semidirect_bc_violation():
 
 def test_acceptance_05_infinite_dihedral_structure():
     d = DihedralInf()
-    cls = explore_component(d, d.decode("ababab"), radius=10)
+    cls = explore_component(d, d.decode_payload("ababab"), radius=10)
     assert cls.closed and cls.complete
     assert {v.encode() for v in cls.vertices} == {"ababab", "bababa"}
 
-    ray = explore_component(d, d.decode("a"), radius=6)
+    ray = explore_component(d, d.decode_payload("a"), radius=6)
     assert len(ray.vertices) == 7
     by_dist = {}
     for v, dv in ray.dist.items():
@@ -153,22 +153,22 @@ def test_acceptance_07_leibniz_and_inner_identification():
     for model in all_models():
         rng = Random(701)
         for _ in range(10):
-            d = Derivation(random_potential(model, rng))
+            phi = random_potential(model, rng)
             for _ in range(50):
-                g = random_element(model, rng, max_len=4)
-                h = random_element(model, rng, max_len=4)
-                assert leibniz_residual(d, g.payload, h.payload).is_zero()
+                g = random_payload(model, rng, max_len=4)
+                h = random_payload(model, rng, max_len=4)
+                assert leibniz_residual(phi, g, h).is_zero()
         table = {
-            random_element(model, rng, max_len=3): Fraction(
+            random_payload(model, rng, max_len=3): Fraction(
                 rng.randint(-4, 4), rng.randint(1, 4)
             )
             for _ in range(4)
         }
-        x = GroupRingVector(model, table)
+        x = GroupRingVector(model, {p: c for p, c in table.items() if c})
         d_pot = Derivation(Potential(model, table))
         for _ in range(100):
-            g = random_element(model, rng)
-            assert inner_derivation_apply(x, delta(g)) == d_pot.apply(g)
+            g = random_payload(model, rng)
+            assert inner_derivation_apply(x, delta(model, g)) == d_pot.apply(g)
     print("ACCEPTANCE 7: PASS — Leibniz residual exactly 0 on 500 pairs/model "
           "for 10 random potentials, and inner = potential-induced on 100 g/model")
 
@@ -220,7 +220,7 @@ def _h3_inv(p):
 
 
 def test_acceptance_09_norm_limit(h3):
-    table = {h3.element((1, 0, 0)): 1, h3.element((1, 0, -1)): Fraction(1, 2)}
+    table = {(1, 0, 0): 1, (1, 0, -1): Fraction(1, 2)}
     phi = Potential(h3, table)
     phi_raw = {(1, 0, 0): Fraction(1), (1, 0, -1): Fraction(1, 2)}
     for q in (1, 2, 3):
@@ -252,8 +252,7 @@ def test_acceptance_09_norm_limit(h3):
 def test_acceptance_10_bounded_but_not_norm_bounded(h3):
     trunc = 400
     phi = Potential(h3, {}, closed_form="appendix_harmonic", trunc_k=trunc)
-    d = Derivation(phi)
-    max_norm, argmax = g_boundedness_probe(d, radius=6, p=2)
+    max_norm, argmax = g_boundedness_probe(phi, radius=6, p=2)
     bound = 2.0 * float(phi.lq_pow(2) + phi.tail_bound_pow(2)) ** 0.5
     assert max_norm <= bound + 1e-9
 
@@ -266,7 +265,7 @@ def test_acceptance_10_bounded_but_not_norm_bounded(h3):
         "g_bounded": {
             "radius": 6,
             "max_norm": max_norm,
-            "argmax": argmax.encode(),
+            "argmax": h3.encode_payload(argmax),
             "bound_2phi2_plus_tail": bound,
         },
         "norm_unbounded": {

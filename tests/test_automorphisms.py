@@ -1,4 +1,5 @@
-"""Automorphism invariance of `bound-probe` and `character` on h3.
+"""Automorphism invariance of `bound-probe` and `character` on h3, and of
+`derive` on the other five models.
 
 An automorphism sigma of h3 that permutes the symmetric generating set maps
 the Cayley ball onto itself, and d_psi(sigma g) = sigma(d_phi(g)) for the
@@ -6,11 +7,13 @@ relabelled potential psi = phi o sigma^-1.  So `bound-probe` prints the
 same `max_norm` on psi, at an argmax that maps onto phi's up to ties, and
 chi_psi(sigma u, sigma v) = chi_phi(u, v).  `bound-probe` keeps each
 coefficient only up to its sign; these checks would see a sign that
-reached a norm.
+reached a norm.  `derive` on psi at sigma g prints phi's image at g with
+each element relabelled by sigma, and the same `norm_p`.
 """
 
 import json
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -60,8 +63,7 @@ def stdout(capsys, argv) -> dict:
 def exact_norm(table, gp, p):
     """||d(g)||_p of the potential `table`, as an exact key: the sum of
     |c|^p, or max |c| for p = inf."""
-    phi = dv.Potential(H3, {H3.element(s): v for s, v in table.items()})
-    image = dv.Derivation(phi).apply(H3.element(gp))
+    image = dv.Derivation(dv.Potential(H3, table)).apply(gp)
     if p == "inf":
         return max(map(abs, image.terms.values()), default=0)
     return image.lq_pow_exact(int(p))
@@ -106,3 +108,67 @@ def test_character_is_invariant(capsys, tmp_path, seed, auto):
         got = stdout(capsys, ["character", "--potential", psi,
                               "--u", enc(sigma(up)), "--v", enc(sigma(vp))])
         assert got["value"] == want["value"]
+
+
+# ---------------------------------------------------------------------------
+# `derive` off h3
+
+
+_SWAP_AB = str.maketrans("ab", "ba")
+
+
+def dinf_automorphism(swap):
+    # a <-> b, or the identity
+    return lambda w: w.translate(_SWAP_AB) if swap else w
+
+
+def model_automorphisms(name) -> list:
+    """Every automorphism of this kind of the model `name` that permutes its
+    symmetric generating set, as a map on payloads."""
+    dinf = [dinf_automorphism(swap) for swap in (False, True)]
+    h3 = [h3_automorphism(*auto) for auto in AUTOMORPHISMS]
+    if name == "free2":  # x_i -> x_perm(i)^(+-1)
+        return [lambda p, perm=perm, signs=signs: tuple((perm[i], s * signs[i]) for i, s in p)
+                for perm in ((0, 1), (1, 0)) for signs in product((1, -1), repeat=2)]
+    if name == "dinf":
+        return dinf
+    if name == "dsemi":  # conjugation by c
+        return [lambda p, f=f: (f(p[0]), p[1]) for f in dinf]
+    if name == "h3semi":  # equal signs commute with the swap that c acts by
+        return [lambda p, f=h3_automorphism(sa, sa, swap): (f(p[0]), p[1])
+                for sa in (1, -1) for swap in (False, True)]
+    assert name == "h3*dinf"
+    return [lambda p, f=f, g=g: (f(p[0]), g(p[1])) for f in h3 for g in dinf]
+
+
+DERIVE_CASES = [(name, i) for name in ("free2", "dinf", "dsemi", "h3semi", "h3*dinf")
+                for i in range(len(model_automorphisms(name)))]
+
+
+@pytest.mark.parametrize("name, index", DERIVE_CASES, ids=lambda c: str(c))
+def test_derive_is_invariant(capsys, tmp_path, name, index):
+    model = get_model(name)
+    sigma = model_automorphisms(name)[index]
+    enc, dec = model.encode_payload, model.decode_payload
+    gens = [x for _, x, _ in model.gen_triples]
+    assert sorted(map(sigma, gens), key=enc) == sorted(gens, key=enc)
+    for seed in range(3):
+        rng = Random(1000 * index + seed)
+        table = {random_payload(model, rng, 5): Fraction(rng.choice([-3, -1, 1, 2]),
+                                                         rng.randint(1, 4))
+                 for _ in range(rng.randint(1, 5))}
+        files = []
+        for label, entries in (("phi", table), ("psi", {sigma(p): v for p, v in table.items()})):
+            path = tmp_path / f"{label}.json"
+            path.write_text(json.dumps({"model": name, "table": [
+                [enc(p), str(v)] for p, v in entries.items()]}))
+            files.append(str(path))
+        gp = random_payload(model, rng)
+        for p in ("1", "2", "2.5", "inf"):
+            argv = ["derive", "-p", p, "--potential"]
+            want = stdout(capsys, argv + [files[0], "--element", enc(gp)])
+            got = stdout(capsys, argv + [files[1], "--element", enc(sigma(gp))])
+            assert got["element"] == enc(sigma(gp))
+            relabelled = {enc(sigma(dec(u))): (c, im) for u, c, im in want["image"]}
+            assert {u: (c, im) for u, c, im in got["image"]} == relabelled
+            assert got["norm_p"] == want["norm_p"]

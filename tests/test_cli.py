@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from random import Random
@@ -22,7 +23,7 @@ from conjlab.cli import main
 from conjlab.experiments import fmt_float
 from conjlab.groups import DEFAULT_NODE_BUDGET
 from conjlab.ring import GroupRingVector
-from conjlab.sampling import random_element, random_loop, random_potential
+from conjlab.sampling import random_loop, random_payload, random_potential
 
 from conftest import (_cli_json, all_models, delta, inner_derivation_apply, oracle_stdout,
                       traced_peak)
@@ -251,8 +252,8 @@ class TestLeibniz:
 
     def test_violations_counted_exactly(self, capsys, monkeypatch, two_point_potential):
         # a residual too small for a float l1 norm is still a violation
-        def tiny_residual(d, gp, hp):
-            return GroupRingVector.from_terms(d.model, {gp: Fraction(1, 10**400)})
+        def tiny_residual(phi, gp, hp):
+            return GroupRingVector(phi.model, {gp: Fraction(1, 10**400)})
 
         monkeypatch.setattr(dv, "leibniz_residual", tiny_residual)
         code, out, _ = run(
@@ -327,16 +328,50 @@ class TestQuasiInner:
 ], ids=lambda argv: argv[0])
 def test_payload_commands_build_only_the_table_elements(capsys, monkeypatch,
                                                         two_point_potential, argv):
-    # these commands run on payloads: the only elements built are the
-    # decoded rows of the potential file's table
-    table = []
+    # these commands run on payloads, and the potential file's table rows
+    # are decoded to payloads too: no element is built
     if argv[0] != "inverse-seq":
         argv = argv[:1] + ["--potential", two_point_potential] + argv[1:]
-        table = [(1, 0, -1), (1, 0, 0)]
     built = count_elements(monkeypatch)
     code, _, err = run(capsys, argv)
     assert (code, err) == (0, "")
-    assert sorted(built) == table
+    assert built == []
+
+
+NO_ELEMENT_ARGV = [
+    ["graph", "--model", "h3semi", "--base", "H3(1,0,0);c", "--radius", "2"],
+    ["graph", "--model", "h3semi", "--base", "H3(1,0,0);c", "--radius", "2",
+     "--format", "json"],
+    ["bc", "--model", "free2", "--k", "x1", "--k", "x2.x1.x2^-1", "--cayley-radius", "2",
+     "--diam-budget", "4"],
+    ["derive", "--potential", "HARMONIC", "--element", "H3(0,2,0)"],
+    ["leibniz", "--potential", "TWO_POINT", "--samples", "20"],
+    ["character", "--potential", "HARMONIC", "--u", "H3(1,-2,-2)", "--v", "H3(0,1,0)"],
+    ["quasi-inner", "--potential", "TWO_POINT", "--samples", "20"],
+    ["stabilise", "--potential", "TWO_POINT", "--base", "H3(1,0,0)", "--radius", "3",
+     "--radii", "0,1"],
+    ["bound-probe", "--potential", "HARMONIC", "--radius", "2"],
+    ["appendix", "--m-max", "8", "--n-max", "2"],
+    ["limit", "--potential", "TWO_POINT", "--conjugator", "Ax", "--k-max", "4"],
+    ["inverse-seq", "--model", "free2", "--u", "x1", "--conjugator", "x2", "--k-max", "3"],
+]
+
+
+def test_no_command_builds_an_element(capsys, monkeypatch, two_point_potential,
+                                      harmonic_potential):
+    # every subcommand once, `graph` in both formats and the closed form in
+    # three: with GroupElement unable to exist, each prints the same bytes
+    assert {argv[0] for argv in NO_ELEMENT_ARGV} == set(cli._commands(DEFAULT_NODE_BUDGET))
+    paths = {"TWO_POINT": two_point_potential, "HARMONIC": harmonic_potential}
+    cases = [[paths.get(a, a) for a in argv] for argv in NO_ELEMENT_ARGV]
+    want = [run(capsys, argv) for argv in cases]
+    assert all(code == 0 and out and not err for code, out, err in want)
+
+    def refuse(self, model, payload):
+        raise AssertionError(f"an element was built: {payload!r}")
+
+    monkeypatch.setattr(conjlab.GroupElement, "__init__", refuse)
+    assert [run(capsys, argv) for argv in cases] == want
 
 
 class TestStabilise:
@@ -366,7 +401,7 @@ class TestStabilise:
 
     def test_builds_no_element_per_vertex(self, capsys, two_point_potential, monkeypatch):
         # the probe reads the ball's payloads: a ball of 17 vertices builds
-        # no more GroupElements than one of 5
+        # no more GroupElements than one of 5, which builds none
         built = count_elements(monkeypatch)
         counts = []
         for radius in ("2", "8"):
@@ -378,7 +413,7 @@ class TestStabilise:
             )
             assert code == 0 and json.loads(out)["rows"] == [[0, "1/2"], [1, "0"]]
             counts.append(len(built))
-        assert counts[0] == counts[1]
+        assert counts == [0, 0]
 
     @pytest.mark.parametrize("radii", ["2,2", "0,1,1"])
     def test_repeated_radii_exit_2(self, capsys, two_point_potential, radii):
@@ -436,15 +471,15 @@ class TestBoundProbe:
 
     def test_builds_only_the_table_and_the_argmax(self, capsys, monkeypatch,
                                                   sup_three_potential):
-        # the 7-level ball is sorted on payloads: the two decoded table
-        # entries and the argmax are the only elements built
+        # the 7-level ball is sorted on payloads, and the table entries and
+        # the argmax stay payloads: no element is built
         built = count_elements(monkeypatch)
         code, out, _ = run(capsys, ["bound-probe", "--potential", sup_three_potential,
                                     "--radius", "7"])
         assert code == 0
         data = json.loads(out)
         assert (data["max_norm"], data["argmax"]) == ("4.30116263352", "H3(0,-2,0)")
-        assert len(built) <= 2 + 1
+        assert built == []
 
     def test_harmonic_conjugates_by_the_closed_form(self, capsys, monkeypatch, tmp_path):
         # h3's conj_all conjugates the support without a translate
@@ -583,7 +618,9 @@ class TestNormRange:
     def test_bound_probe_refuses_a_huge_value_before_squaring_it(self, capsys, potential,
                                                                monkeypatch):
         # squaring 1e2000000 exactly takes seconds; its bit lengths show at
-        # once that no float holds the norm
+        # once that no float holds the norm.  A potential file names it only
+        # with Python's int/str digit limit off: the loader refuses an
+        # exponent past that limit
         mul = Fraction.__mul__
 
         def small_mul(a, b):
@@ -593,9 +630,14 @@ class TestNormRange:
                     raise AssertionError("a Fraction product of over 10^5 bits")
             return mul(a, b)
 
-        path = potential("1e2000000")
-        monkeypatch.setattr(Fraction, "__mul__", small_mul)
-        code, out, err = run(capsys, ["bound-probe", "--potential", path, "--radius", "1"])
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            path = potential("1e2000000")
+            monkeypatch.setattr(Fraction, "__mul__", small_mul)
+            code, out, err = run(capsys, ["bound-probe", "--potential", path, "--radius", "1"])
+        finally:
+            sys.set_int_max_str_digits(limit)
         assert code == 2 and out == ""
         assert err == "error: norm exceeds the float range\n"
 
@@ -604,8 +646,8 @@ class TestNormRange:
         ["character", "--u", "H3(1,1,0)", "--v", "H3(0,1,0)"],
     ])
     def test_rational_too_large_to_print_exits_2(self, capsys, potential, argv):
-        # 1e5000 is read exactly, and has more digits than Python prints
-        code, out, err = run(capsys, argv + ["--potential", potential("1e5000")])
+        # 1e4300 is read exactly, and has more digits than Python prints
+        code, out, err = run(capsys, argv + ["--potential", potential("1e4300")])
         assert code == 2 and out == ""
         assert err == "error: a rational value is too large to print\n"
 
@@ -779,16 +821,16 @@ class TestLimit:
         assert "finite" in err
 
     def test_builds_one_element_per_power(self, capsys, monkeypatch, two_point_potential):
-        # a^k steps and the support is conjugated on payloads: besides the
-        # two decoded table entries and the conjugator, only a^k itself,
-        # the argument of Derivation.apply, is built
+        # a^k steps, the support is conjugated and Derivation.apply runs on
+        # payloads, and the table entries are decoded to payloads: no
+        # element is built, for any number of powers
         built = count_elements(monkeypatch)
         code, out, _ = run(capsys, ["limit", "--potential", two_point_potential,
                                     "--conjugator", "Ax.Ap", "--k-max", "12",
                                     "--format", "json"])
         assert code == 0
         assert json.loads(out)["separation_index"] == 2
-        assert len(built) <= 2 + 1 + 12
+        assert built == []
 
 
 class TestInverseSeq:
@@ -944,6 +986,31 @@ class TestPlumbing:
         assert code == 2 and out == ""
         assert err == (f"error: cannot load potential file {path}: bad table entry: "
                        f"{second!r} names {canonical} a second time\n")
+
+    @pytest.mark.parametrize("value, exponent", [
+        ("1e100000000", "100000000"), ("-2.5E+100000000", "+100000000"),
+        ("1e-4301", "-4301"), (" 7e4301 ", "4301"),
+    ])
+    def test_exponent_past_the_digit_limit_exits_2_at_once(self, capsys, tmp_path, value,
+                                                           exponent):
+        # Fraction would build 10^(10^8) first, which takes minutes; the
+        # exponent is refused as an entry with too many digits is
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"model": "h3", "table": [["H3(1,0,0)", value]]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["leibniz", "--potential", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        limit = sys.get_int_max_str_digits()
+        assert err == (f"error: cannot load potential file {path}: bad table entry: "
+                       f"exponent {exponent} exceeds the limit ({limit} digits)\n")
+
+    def test_exponent_at_the_digit_limit_loads(self, capsys, tmp_path):
+        path = tmp_path / "exp.json"
+        value = f"1e{sys.get_int_max_str_digits()}"
+        path.write_text(json.dumps({"model": "h3", "table": [["H3(1,0,0)", value]]}))
+        code, out, _ = run(capsys, ["leibniz", "--potential", str(path), "--samples", "5"])
+        assert (code, out) == (0, "0 violations in 5 samples (max residual 0)\n")
 
     @pytest.mark.parametrize("model, base, message", [
         ("free" + "1" * 5000, "e", "integer literal too long: 5000 characters"),
@@ -1254,7 +1321,7 @@ def potential_json(draw):
     fault = draw(st.sampled_from([None] * 4 + ["value", "row", "model", "closed_form",
                                                "truncation", "file", "duplicate"]))
     m = conjlab.get_model(model)
-    element = st.lists(st.sampled_from(m.all_gens()), max_size=4).map(
+    element = st.lists(st.sampled_from([gen for gen, _, _ in m.gen_triples]), max_size=4).map(
         lambda w: m.encode_payload(m.normal_form(w)))
     value = st.sampled_from(["1", "-1/2", "3/7", "2.5", "-4", "1e40", "1e-40", "0"])
     rows = draw(st.lists(st.tuples(element, value).map(list), max_size=3))
@@ -1437,13 +1504,13 @@ def test_handlers_return_what_main_writes(capsys, two_point_potential, argv):
 
 
 def oracle_derive_stdout(phi, g, p):
-    """`derive`'s stdout for an exact potential: d(g) = a g - g a, a the
-    potential's table as a vector, by convolution."""
-    image = inner_derivation_apply(GroupRingVector.from_terms(phi.model, dict(phi.table)),
-                                   delta(g))
+    """`derive`'s stdout for an exact potential at the payload g:
+    d(g) = a g - g a, a the potential's table as a vector, by convolution."""
+    image = inner_derivation_apply(GroupRingVector(phi.model, dict(phi.table)),
+                                   delta(phi.model, g))
     encode = phi.model.encode_payload
     return _cli_json({
-        "element": g.encode(),
+        "element": encode(g),
         "image": sorted([encode(u), str(c), "0"] for u, c in image.terms.items()),
         "norm_p": fmt_float(image.lp_norm(p)),
         "p": fmt_float(p),
@@ -1461,12 +1528,13 @@ DERIVE_MODELS = all_models()
 def test_derive_matches_the_convolution_oracle(tmp_path_factory, index, seed, p, central):
     model, rng = DERIVE_MODELS[index], Random(seed)
     phi = random_potential(model, rng, size=rng.randint(0, 4), max_len=3)
-    g = model.identity() if central else random_element(model, rng, max_len=3)
+    g = model.identity_payload() if central else random_payload(model, rng, max_len=3)
     path = tmp_path_factory.getbasetemp() / "derive_oracle.json"
     path.write_text(json.dumps(phi.to_json()))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["derive", "--potential", str(path), "--element", g.encode(), "-p", p])
+        code = main(["derive", "--potential", str(path), "--element", model.encode_payload(g),
+                     "-p", p])
     assert code == 0
     assert out.getvalue() == oracle_derive_stdout(phi, g, float(p))
 
@@ -1477,7 +1545,7 @@ def test_derive_of_a_central_element_prints_an_empty_image(capsys, two_point_pot
                                 "--element", "H3(0,0,1)"])
     phi = dv.Potential.load(two_point_potential)
     assert code == 0 and '"image": []' in out
-    assert out == oracle_derive_stdout(phi, phi.model.decode("H3(0,0,1)"), 2.0)
+    assert out == oracle_derive_stdout(phi, phi.model.decode_payload("H3(0,0,1)"), 2.0)
 
 
 def test_derive_memory_is_bounded_by_its_rows(tmp_path):

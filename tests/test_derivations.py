@@ -12,6 +12,7 @@ from conjlab import (
     Derivation,
     DihedralInf,
     GroupRingVector,
+    ModelMismatchError,
     Potential,
     UsageError,
     character,
@@ -25,8 +26,8 @@ from conjlab import (
 from conjlab.ring import float_norm
 
 from conjlab.sampling import (
-    random_element,
     random_loop,
+    random_payload,
     random_potential,
 )
 
@@ -55,23 +56,23 @@ CHARACTER_MODELS = all_models() + [get_model("dsemi*h3semi*free2")]
 class TestInner:
     def test_central_element_kills_everything(self, h3):
         rng = Random(31)
-        x = delta(h3.element((0, 0, 1)))  # A1 is central
+        x = delta(h3, (0, 0, 1))  # A1 is central
         for _ in range(20):
-            a = delta(random_element(h3, rng))
+            a = delta(h3, random_payload(h3, rng))
             assert inner_derivation_apply(x, a).is_zero()
 
     def test_dinf_commutator(self):
         d = DihedralInf()
-        a, b = delta(d.decode("a")), delta(d.decode("b"))
+        a, b = delta(d, d.decode_payload("a")), delta(d, d.decode_payload("b"))
         got = inner_derivation_apply(a, b)
-        assert got == delta(d.decode("ab")) + delta(d.decode("ba"), -1)
+        assert got == delta(d, d.decode_payload("ab")) + delta(d, d.decode_payload("ba"), -1)
 
     def test_h3_commutator_support(self, h3):
-        Ap, Ax = h3.element((1, 0, 0)), h3.element((0, 1, 0))
-        got = inner_derivation_apply(delta(Ap), delta(Ax))
-        s1, s2 = map(h3.element, got.terms)
+        Ap, Ax = (1, 0, 0), (0, 1, 0)
+        got = inner_derivation_apply(delta(h3, Ap), delta(h3, Ax))
+        s1, s2 = got.terms
         # the two support points differ by the central factor A1
-        assert s1.inverse() * s2 in (h3.element((0, 0, 1)), h3.element((0, 0, -1)))
+        assert h3.mul_payload(h3.inv_payload(s1), s2) in ((0, 0, 1), (0, 0, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -83,26 +84,26 @@ class TestDerivationApply:
         d = Derivation(Potential(model, {}))
         rng = Random(32)
         for _ in range(10):
-            assert d.apply(random_element(model, rng)).is_zero()
+            assert d.apply(random_payload(model, rng)).is_zero()
 
     def test_delta_ap_two_terms(self, h3):
         # phi = delta_{Ap}: d(Ax^k) = Ax^k Ap A1^k - Ax^k Ap, coefficients +1/-1
-        phi = Potential(h3, {h3.element((1, 0, 0)): 1})
+        phi = Potential(h3, {(1, 0, 0): 1})
         d = Derivation(phi)
         for k in range(1, 6):
-            img = d.apply(h3.element((0, k, 0)))
-            assert img.coefficient(h3.element((1, k, k))) == 1
-            assert img.coefficient(h3.element((1, k, 0))) == -1
+            img = d.apply((0, k, 0))
+            assert img.coefficient((1, k, k)) == 1
+            assert img.coefficient((1, k, 0)) == -1
             assert len(img.terms) == 2
 
     def test_harmonic_d_ax_matches_display(self, h3):
         # d(Ax) = sum_k (1/k)(Ax^{1-k} Ap A1^{1-k} - Ax^{1-k} Ap A1^{-k})
         K = 12
         phi = Potential(h3, {}, closed_form="appendix_harmonic", trunc_k=K)
-        img = Derivation(phi).apply(h3.element((0, 1, 0)))
+        img = Derivation(phi).apply((0, 1, 0))
         for k in range(1, K + 1):
-            plus = h3.element((1, 1 - k, 1 - k))
-            minus = h3.element((1, 1 - k, -k))
+            plus = (1, 1 - k, 1 - k)
+            minus = (1, 1 - k, -k)
             assert img.coefficient(plus) == Fraction(1, k)
             assert img.coefficient(minus) == Fraction(-1, k)
         assert len(img.terms) == 2 * K
@@ -112,27 +113,27 @@ class TestDerivationApply:
         rng = Random(34)
         table = {}
         for _ in range(4):
-            table[random_element(model, rng, max_len=4)] = Fraction(
+            table[random_payload(model, rng, max_len=4)] = Fraction(
                 rng.randint(-3, 3), rng.randint(1, 3)
             )
-        x = GroupRingVector(model, table)
+        x = GroupRingVector(model, {p: c for p, c in table.items() if c})
         d_pot = Derivation(Potential(model, table))
         for _ in range(30):
-            g = random_element(model, rng)
-            assert inner_derivation_apply(x, delta(g)) == d_pot.apply(g)
+            g = random_payload(model, rng)
+            assert inner_derivation_apply(x, delta(model, g)) == d_pot.apply(g)
 
     def test_closed_form_equals_its_table(self, h3):
         # closed-form values give the same derivation as the explicit table
         # of the truncated closed form, and as the inner derivation
         phi = Potential(h3, {}, closed_form="appendix_harmonic", trunc_k=12)
-        table = {g: phi.value(g) for g in phi.support()}
+        table = {g.payload: phi.value(g) for g in phi.support()}
         x = GroupRingVector(h3, table)
         derivations = [Derivation(phi), Derivation(Potential(h3, table))]
         rng = Random(49)
         for _ in range(30):
-            g = random_element(h3, rng)
+            g = random_payload(h3, rng)
             first, *rest = [d.apply(g) for d in derivations]
-            assert first == inner_derivation_apply(x, delta(g))
+            assert first == inner_derivation_apply(x, delta(h3, g))
             assert all(img == first for img in rest)
 
     def test_terms_are_the_character(self, model):
@@ -142,31 +143,31 @@ class TestDerivationApply:
         for _ in range(5):
             phi = random_potential(model, rng)
             d = Derivation(phi)
-            supp = phi.support()
-            for g in [random_element(model, rng) for _ in range(10)] + list(supp):
+            supp = [s.payload for s in phi.support()]
+            mul = model.mul_payload
+            for g in [random_payload(model, rng) for _ in range(10)] + supp:
                 img = d.apply(g)
                 want = {}
-                for u in {s * g for s in supp} | {g * s for s in supp}:
-                    chi = character_from_potential(phi, Morphism(u, g))
+                for u in {mul(s, g) for s in supp} | {mul(g, s) for s in supp}:
+                    chi = character_from_potential(phi, Morphism(model, u, g))
                     if chi:
-                        want[u.payload] = chi
+                        want[u] = chi
                 assert img.terms == want
 
     def test_central_element_gives_zero(self, h3):
-        phi = Potential(h3, {h3.element((1, 2, 0)): 3},
-                        closed_form="appendix_harmonic", trunc_k=30)
+        phi = Potential(h3, {(1, 2, 0): 3}, closed_form="appendix_harmonic", trunc_k=30)
         d = Derivation(phi)
         for c in range(-3, 4):
-            assert d.apply(h3.element((0, 0, c))).is_zero()
-        assert not d.apply(h3.element((0, 1, 0))).is_zero()
+            assert d.apply((0, 0, c)).is_zero()
+        assert not d.apply((0, 1, 0)).is_zero()
 
     def test_add_derivation_accumulates_in_place(self, model):
         # d_phi(g) + d_{-phi}(g) added into one dict cancels to nothing
         rng = Random(51)
         phi = random_potential(model, rng)
-        neg = Potential(model, {model.element(p): -v for p, v in phi.table.items()})
+        neg = Potential(model, {p: -v for p, v in phi.table.items()})
         for _ in range(10):
-            gp = random_element(model, rng).payload
+            gp = random_payload(model, rng)
             acc = {}
             phi.add_derivation(gp, acc)
             assert all(acc.values())
@@ -180,8 +181,8 @@ class TestPayloadVectors:
         # built only at the API boundary
         phi = Potential(h3, {}, closed_form="appendix_harmonic")
         d = Derivation(phi)
-        g = h3.element((0, 2, 0))
-        mor = Morphism(h3.element((1, -2, -2)), h3.element((0, 1, 0)))  # u v^-1 = (1,-3,-3)
+        g = (0, 2, 0)
+        mor = Morphism(h3, (1, -2, -2), (0, 1, 0))  # u v^-1 = (1,-3,-3)
         built = []
         init = GroupElement.__init__
 
@@ -192,14 +193,14 @@ class TestPayloadVectors:
         monkeypatch.setattr(GroupElement, "__init__", counting_init)
         image = d.apply(g)
         chi = character_from_derivation(d, mor)
-        payload_chi = character(phi, mor.u.payload, mor.v.payload)
+        payload_chi = character(phi, mor.u, mor.v)
         assert built == []
         assert len(image.terms) == 2 * phi.trunc_k
         assert chi == payload_chi == character_from_potential(phi, mor) == Fraction(1, 3)
 
     def test_to_json_encodes_each_payload_once(self, h3, monkeypatch):
         phi = Potential(h3, {}, closed_form="appendix_harmonic", trunc_k=50)
-        image = Derivation(phi).apply(h3.element((0, 1, 0)))
+        image = Derivation(phi).apply((0, 1, 0))
         encoded = []
         encode = type(h3).encode_payload
 
@@ -220,19 +221,20 @@ class TestPayloadVectors:
 class TestMorphisms:
     def test_source_target(self, model):
         rng = Random(35)
-        mor = Morphism(random_element(model, rng), random_element(model, rng))
-        assert mor.source() == mor.v.inverse() * mor.u
-        assert mor.target() == mor.u * mor.v.inverse()
+        mor = Morphism(model, random_payload(model, rng), random_payload(model, rng))
+        mul, inv = model.mul_payload, model.inv_payload
+        assert mor.source() == mul(inv(mor.v), mor.u)
+        assert mor.target() == mul(mor.u, inv(mor.v))
 
     def test_identity_composes(self, model):
         rng = Random(36)
-        phi = Morphism(random_element(model, rng), random_element(model, rng))
-        ident = identity_morphism(phi.target())
+        phi = Morphism(model, random_payload(model, rng), random_payload(model, rng))
+        ident = identity_morphism(model, phi.target())
         assert compose_morphisms(ident, phi) == phi
 
     def test_non_composable_rejected(self, h3):
-        phi = Morphism(h3.element((1, 0, 0)), h3.element((0, 1, 0)))
-        psi = Morphism(h3.element((2, 0, 0)), h3.element((0, 0, 1)))
+        phi = Morphism(h3, (1, 0, 0), (0, 1, 0))
+        psi = Morphism(h3, (2, 0, 0), (0, 0, 1))
         if phi.target() != psi.source():
             with pytest.raises(UsageError):
                 compose_morphisms(psi, phi)
@@ -242,8 +244,8 @@ class TestMorphisms:
         for _ in range(100):
             psi, phi = random_composable_pair(model, rng)
             out = compose_morphisms(psi, phi)
-            assert out.u == psi.v * phi.u
-            assert out.v == psi.v * phi.v
+            assert out.u == model.mul_payload(psi.v, phi.u)
+            assert out.v == model.mul_payload(psi.v, phi.v)
 
 
 class TestCharacters:
@@ -257,15 +259,17 @@ class TestCharacters:
             assert character_from_potential(phi, mor) == character(phi, *loop) == 0
 
     def test_delta_potential_formula(self, h3):
-        t0 = h3.element((1, 2, 3))
+        t0 = (1, 2, 3)
         phi = Potential(h3, {t0: 1})
         rng = Random(39)
+        mul = h3.mul_payload
         for _ in range(50):
-            h = random_element(h3, rng)
-            g = random_element(h3, rng)
-            expected = int(h * g.inverse() == t0) - int(g.inverse() * h == t0)
-            assert character_from_potential(phi, Morphism(h, g)) == expected
-            assert character(phi, h.payload, g.payload) == expected
+            h = random_payload(h3, rng)
+            g = random_payload(h3, rng)
+            gi = h3.inv_payload(g)
+            expected = int(mul(h, gi) == t0) - int(mul(gi, h) == t0)
+            assert character_from_potential(phi, Morphism(h3, h, g)) == expected
+            assert character(phi, h, g) == expected
 
     @pytest.mark.parametrize("model", CHARACTER_MODELS, ids=lambda m: m.name)
     def test_additive_on_composable_pairs(self, model):
@@ -273,7 +277,7 @@ class TestCharacters:
         phi_pot = random_potential(model, rng)
 
         def chi(mor):  # the payload character, checked against the element oracle
-            value = character(phi_pot, mor.u.payload, mor.v.payload)
+            value = character(phi_pot, mor.u, mor.v)
             assert value == character_from_potential(phi_pot, mor)
             return value
 
@@ -289,25 +293,24 @@ class TestCharacters:
         pot = random_potential(model, rng)
         d = Derivation(pot)
         for _ in range(30):
-            g = random_element(model, rng)
+            g = random_payload(model, rng)
             img = d.apply(g)
-            for h in map(model.element, img.terms):
+            for h in img.terms:
                 assert img.coefficient(h) == character_from_potential(
-                    pot, Morphism(h, g)
-                ) == character(pot, h.payload, g.payload)
+                    pot, Morphism(model, h, g)
+                ) == character(pot, h, g)
             # and a few off-support probes
-            h = random_element(model, rng)
-            assert character_from_derivation(d, Morphism(h, g)) == (
-                character_from_potential(pot, Morphism(h, g))
-            ) == character(pot, h.payload, g.payload)
+            h = random_payload(model, rng)
+            assert character_from_derivation(d, Morphism(model, h, g)) == (
+                character_from_potential(pot, Morphism(model, h, g))
+            ) == character(pot, h, g)
 
     def test_harmonic_window_coefficient(self, h3):
         # coefficient of Ax^-1 Ap A1^-1 in d(a_2) is 1/2 + 1/3 = 5/6
         phi = Potential(h3, {}, closed_form="appendix_harmonic", trunc_k=16)
         d = Derivation(phi)
-        img = sum((d.apply(h3.element((0, k, 0))) for k in range(-2, 3)),
-                  GroupRingVector(h3))
-        got = img.coefficient(h3.element((1, -1, -1)))
+        img = sum((d.apply((0, k, 0)) for k in range(-2, 3)), GroupRingVector(h3, {}))
+        got = img.coefficient((1, -1, -1))
         assert got == Fraction(5, 6)
 
 
@@ -319,31 +322,30 @@ class TestLeibniz:
     def test_inner_exact(self, model):
         # [x, -] is the derivation of x's coefficient table
         rng = Random(42)
-        table = {random_element(model, rng): Fraction(rng.randint(1, 3)) for _ in range(3)}
-        d = Derivation(Potential(model, table))
+        table = {random_payload(model, rng): Fraction(rng.randint(1, 3)) for _ in range(3)}
+        phi = Potential(model, table)
         for _ in range(30):
-            g = random_element(model, rng)
-            h = random_element(model, rng)
-            assert leibniz_residual(d, g.payload, h.payload).is_zero()
+            g = random_payload(model, rng)
+            h = random_payload(model, rng)
+            assert leibniz_residual(phi, g, h).is_zero()
 
     def test_finite_potential_exact(self, model):
         rng = Random(43)
-        d = Derivation(random_potential(model, rng))
+        phi = random_potential(model, rng)
         for _ in range(30):
-            g = random_element(model, rng)
-            h = random_element(model, rng)
-            assert leibniz_residual(d, g.payload, h.payload).is_zero()
+            g = random_payload(model, rng)
+            h = random_payload(model, rng)
+            assert leibniz_residual(phi, g, h).is_zero()
 
     def test_truncated_harmonic_still_exact(self, h3):
         # truncation replaces phi by a finite table, so the Leibniz identity
         # holds exactly for the truncated derivation too
         phi = Potential(h3, {}, closed_form="appendix_harmonic", trunc_k=10)
-        d = Derivation(phi)
         rng = Random(44)
         for _ in range(10):
-            g = random_element(h3, rng, max_len=4)
-            h = random_element(h3, rng, max_len=4)
-            assert leibniz_residual(d, g.payload, h.payload).is_zero()
+            g = random_payload(h3, rng, max_len=4)
+            h = random_payload(h3, rng, max_len=4)
+            assert leibniz_residual(phi, g, h).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +362,7 @@ class TestQuasiInner:
 
     def test_inner_on_h3_loops(self, h3):
         rng = Random(46)
-        x = {h3.element((1, 0, 0)): 1, h3.element((0, 1, 2)): Fraction(1, 2)}
+        x = {(1, 0, 0): 1, (0, 1, 2): Fraction(1, 2)}
         loops = [random_loop(h3, rng) for _ in range(100)]
         ok, _ = quasi_inner_check(Potential(h3, x), loops)
         assert ok
@@ -383,10 +385,10 @@ class TestQuasiInner:
         assert quasi_inner_check(phi, (loop for loop in loops)) == (ok, witness)
 
     def test_non_loop_rejected(self, h3):
-        mor = Morphism(h3.element((1, 0, 0)), h3.element((0, 1, 0)))
+        mor = Morphism(h3, (1, 0, 0), (0, 1, 0))
         assert not mor.is_loop()
         with pytest.raises(UsageError, match=r"^\(H3\(1,0,0\), H3\(0,1,0\)\) is not a loop$"):
-            quasi_inner_check(Potential(h3, {}), iter([(mor.u.payload, mor.v.payload)]))
+            quasi_inner_check(Potential(h3, {}), iter([(mor.u, mor.v)]))
 
 
 # ---------------------------------------------------------------------------
@@ -395,38 +397,36 @@ class TestQuasiInner:
 
 class TestBoundednessProbe:
     def test_zero_derivation(self, h3):
-        d = Derivation(Potential(h3, {}))
-        max_norm, argmax = g_boundedness_probe(d, radius=2, p=2)
+        max_norm, argmax = g_boundedness_probe(Potential(h3, {}), radius=2, p=2)
         assert max_norm == 0.0
 
     def test_inner_delta_ap_stabilises(self, h3):
-        d = Derivation(Potential(h3, {h3.element((1, 0, 0)): 1}))
+        phi = Potential(h3, {(1, 0, 0): 1})
         for p in (1, 2, 3):
-            max_norm, _ = g_boundedness_probe(d, radius=3, p=p)
+            max_norm, _ = g_boundedness_probe(phi, radius=3, p=p)
             assert max_norm == pytest.approx(2 ** (1 / p), rel=1e-12)
 
     def test_memoised_probe_matches_direct(self, h3):
         rng = Random(48)
         phi = random_potential(h3, rng, size=3, max_len=3)
         d = Derivation(phi)
-        max_norm, argmax = g_boundedness_probe(d, radius=2, p=2)
+        max_norm, argmax = g_boundedness_probe(phi, radius=2, p=2)
         direct = max(
-            (d.apply(g).lp_norm(2) for g in h3.cayley_ball(2)),
+            (d.apply(g).lp_norm(2) for g in h3.cayley_depths(2)),
         )
         assert max_norm == pytest.approx(direct, rel=1e-12)
         assert d.apply(argmax).lp_norm(2) == pytest.approx(max_norm, rel=1e-12)
 
     def test_p_inf_is_max_sup_norm(self, h3):
-        phi = Potential(h3, {h3.element((1, 0, 0)): 3, h3.element((1, 0, 1)): Fraction(1, 2)})
+        phi = Potential(h3, {(1, 0, 0): 3, (1, 0, 1): Fraction(1, 2)})
         d = Derivation(phi)
-        max_norm, argmax = g_boundedness_probe(d, radius=2, p=math.inf)
-        assert max_norm == max(d.apply(g).sup_norm() for g in h3.cayley_ball(2)) == 3.0
+        max_norm, argmax = g_boundedness_probe(phi, radius=2, p=math.inf)
+        assert max_norm == max(d.apply(g).sup_norm() for g in h3.cayley_depths(2)) == 3.0
         assert d.apply(argmax).sup_norm() == max_norm
 
     def test_p_nan_rejected(self, h3):
-        d = Derivation(Potential(h3, {h3.element((1, 0, 0)): 1}))
         with pytest.raises(UsageError):
-            g_boundedness_probe(d, radius=1, p=math.nan)
+            g_boundedness_probe(Potential(h3, {(1, 0, 0): 1}), radius=1, p=math.nan)
 
 
 def support_keyed_probe(phi, model, radius, p):
@@ -434,13 +434,12 @@ def support_keyed_probe(phi, model, radius, p):
     `float_norm` of the coefficients phi(g t g^-1) - phi(t) in support order,
     then phi(s) for each s that is no image: the oracle for the memo keyed
     by the generators' images and for the cached powers."""
-    ball = model.cayley_ball(radius)
+    ball = model.cayley_depths(radius)
     supp = [s.payload for s in phi.support()]
     mul, inv, value = model.mul_payload, model.inv_payload, phi._value
     memo = {}
     best, argmax = -1.0, None
-    for g in sorted(ball, key=lambda e: (ball[e], e.encode())):
-        gp = g.payload
+    for gp in sorted(ball, key=lambda e: (ball[e], model.encode_payload(e))):
         images = tuple(mul(gp, mul(s, inv(gp))) for s in supp)
         if images not in memo:
             coeffs = [value(s) - value(t) for t, s in zip(supp, images)]
@@ -448,7 +447,7 @@ def support_keyed_probe(phi, model, radius, p):
             coeffs += [value(s) for s in supp if s not in image_set]
             memo[images] = float_norm(coeffs, p)
         if memo[images] > best:
-            best, argmax = memo[images], g
+            best, argmax = memo[images], gp
     return best, argmax
 
 
@@ -465,41 +464,41 @@ def test_probe_matches_the_support_keyed_probe(index, seed, p, scale):
     model, rng = MODELS[index], Random(seed)
     table = {}
     for _ in range(rng.randint(0, 4)):
-        s = random_element(model, rng, max_len=3)
+        s = random_payload(model, rng, max_len=3)
         table[s] = scale * Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
         if rng.random() < 0.6:
-            g = random_element(model, rng, max_len=2)
-            table[model.conjugate(g, s)] = rng.choice([table[s], scale])
+            g = random_payload(model, rng, max_len=2)
+            table[model.conj_step(s, g, model.inv_payload(g))] = rng.choice([table[s], scale])
     phi = Potential(model, table)
-    got = g_boundedness_probe(Derivation(phi), 2, p)
+    got = g_boundedness_probe(phi, 2, p)
     want = support_keyed_probe(phi, model, 2, p)
     assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
 
 
 def vector_residual(d, g, h):
-    """d(gh) - d(g) h - g d(h) through vector arithmetic: the reference for
-    the payload kernel of `leibniz_residual`."""
-    return d.apply(g * h) + scaled(d.apply(g).mul_elem_right(h)
-                                   + d.apply(h).mul_elem_left(g), -1)
+    """d(gh) - d(g) h - g d(h), g and h payloads, through vector arithmetic:
+    the reference for the payload kernel of `leibniz_residual`."""
+    m = d.model
+    return d.apply(m.mul_payload(g, h)) + scaled(d.apply(g).mul_elem_right(m.element(h))
+                                                 + d.apply(h).mul_elem_left(m.element(g)), -1)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(st.sampled_from(range(len(MODELS))), st.integers(0, 2**32))
 def test_payload_leibniz_matches_the_vector_formula(index, seed):
     model, rng = MODELS[index], Random(seed)
-    d = Derivation(random_potential(model, rng, size=rng.randint(0, 4), max_len=3))
+    phi = random_potential(model, rng, size=rng.randint(0, 4), max_len=3)
     for _ in range(4):
-        g, h = random_element(model, rng, 4), random_element(model, rng, 4)
-        got = leibniz_residual(d, g.payload, h.payload)
-        assert got.model is model and got == vector_residual(d, g, h)
+        g, h = random_payload(model, rng, 4), random_payload(model, rng, 4)
+        got = leibniz_residual(phi, g, h)
+        assert got.model is model and got == vector_residual(Derivation(phi), g, h)
 
 
 def test_probe_builds_no_fraction_off_the_support_or_on_a_fixed_point(h3, monkeypatch):
     # H3(0,0,1) is central, so every g fixes it; g H3(1,0,0) g^-1 is
     # H3(1,0,-b) for g = (a, b, c): off the support, or fixed when b = 0
-    phi = Potential(h3, {h3.element((0, 0, 1)): 3, h3.element((1, 0, 0)): Fraction(1, 2)})
-    d = Derivation(phi)
-    want = g_boundedness_probe(d, 2, 2)  # this also caches phi's columns
+    phi = Potential(h3, {(0, 0, 1): 3, (1, 0, 0): Fraction(1, 2)})
+    want = g_boundedness_probe(phi, 2, 2)  # this also caches phi's columns
 
     def refuse(*args, **kwargs):
         raise AssertionError("the probe built a Fraction")
@@ -507,20 +506,20 @@ def test_probe_builds_no_fraction_off_the_support_or_on_a_fixed_point(h3, monkey
     for name in ("__new__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
                  "__rmul__", "__truediv__", "__rtruediv__", "__neg__", "__abs__", "__pow__"):
         monkeypatch.setattr(Fraction, name, refuse)
-    assert g_boundedness_probe(d, 2, 2) == want
+    assert g_boundedness_probe(phi, 2, 2) == want
 
 
 class TestStabilisation:
     def test_finite_table_stabilises(self, h3):
-        base = h3.element((1, 0, 0))
+        base = (1, 0, 0)
         ball = explore_component(h3, base, radius=6)
-        phi = Potential(h3, {base: 1, h3.element((1, 0, 2)): Fraction(1, 2)})
+        phi = Potential(h3, {base: 1, (1, 0, 2): Fraction(1, 2)})
         probe = stabilisation_probe(phi, ball, [0, 1, 2, 3])
         assert probe[0] == (0, Fraction(1, 2))  # (1,0,2) at distance 2
         assert probe[2] == (2, 0) and probe[3] == (3, 0)
 
     def test_harmonic_single_value_per_component(self, h3):
-        base = h3.element((1, -1, -1))
+        base = (1, -1, -1)
         ball = explore_component(h3, base, radius=5)
         phi = Potential(h3, {}, closed_form="appendix_harmonic", trunc_k=50)
         probe = stabilisation_probe(phi, ball, [0, 1, 2])
@@ -528,11 +527,15 @@ class TestStabilisation:
         assert probe == [(0, 0), (1, 0), (2, 0)]
 
     def test_constant_potential_does_not_stabilise(self, h3):
-        base = h3.element((1, 0, 0))
-        ball = explore_component(h3, base, radius=4)
-        phi = Potential(h3, {v: 1 for v in ball.vertices})
+        ball = explore_component(h3, (1, 0, 0), radius=4)
+        phi = Potential(h3, {p: 1 for p in ball.depths})
         probe = stabilisation_probe(phi, ball, [0, 1, 2])
         assert [s for _, s in probe] == [1, 1, 1]
+
+    def test_ball_of_another_model_rejected(self, h3):
+        ball = explore_component(get_model("h3semi"), ((1, 0, 0), 0), radius=1)
+        with pytest.raises(ModelMismatchError, match="^ball of h3semi used with model h3$"):
+            stabilisation_probe(Potential(h3, {}), ball, [0])
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +546,7 @@ class TestPotential:
     def test_table_holds_only_the_explicit_entries(self, h3):
         # the one value table keeps the explicit entries by payload; reading
         # the support or a closed-form value adds nothing to it
-        phi = Potential(h3, {h3.element((1, 0, 0)): 2},
-                        closed_form="appendix_harmonic", trunc_k=30)
+        phi = Potential(h3, {(1, 0, 0): 2}, closed_form="appendix_harmonic", trunc_k=30)
         assert len(phi._columns[0]) == 31
         assert phi.value(h3.element((1, -5, -5))) == Fraction(1, 5)
         assert phi.table == {(1, 0, 0): 2}
@@ -556,7 +558,7 @@ class TestPotential:
         # the columns are built from the rule's terms, not its lookups: they
         # pair the encoding-sorted support with _value, with no zero value,
         # and the negated columns are -phi and -D phi term for term
-        phi = Potential(h3, {h3.element(p): Fraction(v) for p, v in rows.items()},
+        phi = Potential(h3, {p: Fraction(v) for p, v in rows.items()},
                         closed_form="appendix_harmonic", trunc_k=trunc)
         support = sorted([*rows, *[(1, -k, -k) for k in range(1, trunc + 1)]],
                          key=h3.encode_payload)
@@ -570,7 +572,7 @@ class TestPotential:
         with pytest.raises(UsageError):
             Potential(
                 h3,
-                {h3.element((1, -2, -2)): Fraction(1, 7)},
+                {(1, -2, -2): Fraction(1, 7)},
                 closed_form="appendix_harmonic",
             )
 
@@ -587,8 +589,7 @@ class TestPotential:
             raise AssertionError("closed-form support enumerated")
 
         monkeypatch.setattr(dv, "_harmonic_terms", refuse)
-        phi = Potential(h3, {h3.element((1, 0, 0)): 2},
-                        closed_form="appendix_harmonic")
+        phi = Potential(h3, {(1, 0, 0): 2}, closed_form="appendix_harmonic")
         K = phi.trunc_k
         assert K == 10**4
         assert phi.value(h3.element((1, -K, -K))) == Fraction(1, K)
@@ -602,16 +603,17 @@ class TestPotential:
 
     def test_support_cached_in_encoding_order(self, h3):
         K = 30
-        table = {h3.element((1, 0, 0)): 1, h3.element((2, 5, -1)): Fraction(1, 3)}
+        table = {(1, 0, 0): 1, (2, 5, -1): Fraction(1, 3)}
         phi = Potential(h3, table, closed_form="appendix_harmonic", trunc_k=K)
-        harmonic = {h3.element((1, -k, -k)) for k in range(1, K + 1)}
-        assert list(phi.support()) == sorted(set(table) | harmonic)
+        harmonic = {(1, -k, -k) for k in range(1, K + 1)}
+        support = sorted(set(table) | harmonic, key=h3.encode_payload)
+        assert list(phi.support()) == list(map(h3.element, support))
         assert phi.support() is phi.support()
 
     def test_disjointness_ignores_the_cutoff(self, h3):
         # a table entry on the closed-form support beyond the cutoff
         with pytest.raises(UsageError):
-            Potential(h3, {h3.element((1, -50, -50)): 1},
+            Potential(h3, {(1, -50, -50): 1},
                       closed_form="appendix_harmonic", trunc_k=10)
 
     @pytest.mark.parametrize("trunc", ["100", 10.5, 0, True])
@@ -638,7 +640,7 @@ class TestPotential:
     def test_json_roundtrip(self, h3):
         phi = Potential(
             h3,
-            {h3.element((1, 0, 0)): 1, h3.element((1, 0, -1)): Fraction(1, 2)},
+            {(1, 0, 0): 1, (1, 0, -1): Fraction(1, 2)},
         )
         again = Potential.from_json(phi.to_json())
         assert again.model.name == "h3"

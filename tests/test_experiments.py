@@ -113,7 +113,7 @@ class TestAppendix:
     def test_scaled_terms_are_integer_numerators(self, h3, table):
         # D phi is an integer for D the lcm of the support's denominators,
         # term for term in the order of the Fraction columns
-        phi = Potential(h3, {h3.element(p): Fraction(v) for p, v in table.items()},
+        phi = Potential(h3, {p: Fraction(v) for p, v in table.items()},
                         closed_form="appendix_harmonic", trunc_k=30)
         den, (payloads, scaled) = phi._scaled_columns
         negs = phi._scaled_negated
@@ -214,7 +214,7 @@ def two_point_potential(h3):
     # phi = Ap + (1/2) Ap A1^-1
     return Potential(
         h3,
-        {h3.element((1, 0, 0)): 1, h3.element((1, 0, -1)): Fraction(1, 2)},
+        {(1, 0, 0): 1, (1, 0, -1): Fraction(1, 2)},
     )
 
 
@@ -239,7 +239,7 @@ class TestLimit:
         )
 
     def test_delta_potential(self, h3):
-        phi = Potential(h3, {h3.element((1, 0, 0)): 1})
+        phi = Potential(h3, {(1, 0, 0): 1})
         report = run_limit_experiment(phi, parse_word(h3, "Ax"), 2, k_max=4)
         assert report.separation_index == 1
         assert report.potential_norm == 1.0
@@ -249,7 +249,7 @@ class TestLimit:
 
     def test_finite_component_rejected(self, h3):
         # the identity's conjugation component is a single point
-        phi = Potential(h3, {h3.identity(): 1})
+        phi = Potential(h3, {h3.identity_payload(): 1})
         with pytest.raises(UsageError):
             run_limit_experiment(phi, parse_word(h3, "Ax"), 2, k_max=3)
 

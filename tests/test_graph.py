@@ -20,7 +20,7 @@ from conjlab import (
 )
 from conjlab.cli import main
 from conjlab.groups import GroupElement, SwapExtension
-from conjlab.sampling import random_element
+from conjlab.sampling import random_payload
 
 from conftest import oracle_stdout, traced_peak
 
@@ -34,7 +34,7 @@ class TestNeighbors:
         assert nbrs["Ap"] == Ap and nbrs["A1"] == Ap  # loops
 
     def test_identity_all_loops(self, model):
-        e = model.identity()
+        e = model.element(model.identity_payload())
         assert all(w == e for _, w in conj_neighbors(model, e))
 
     def test_dinf_chain(self):
@@ -45,21 +45,21 @@ class TestNeighbors:
 
 class TestExplore:
     def test_central_path_ball(self, h3):
-        ball = explore_component(h3, h3.element((1, 0, 0)), radius=3)
+        ball = explore_component(h3, (1, 0, 0), radius=3)
         assert ball.vertices == {h3.element((1, 0, k)) for k in range(-3, 4)}
         assert ball.complete and not ball.closed
         for k in range(-3, 4):
             assert ball.dist[h3.element((1, 0, k))] == abs(k)
 
     def test_identity_component(self, model):
-        ball = explore_component(model, model.identity(), radius=4)
-        assert ball.vertices == {model.identity()}
+        ball = explore_component(model, model.identity_payload(), radius=4)
+        assert ball.vertices == {model.element(model.identity_payload())}
         assert ball.closed
         assert all(e.is_loop() for e in ball.edges)
 
     def test_dsemi_c_component(self):
         m = get_model("dsemi")
-        ball = explore_component(m, m.decode("c"), radius=2)
+        ball = explore_component(m, m.decode_payload("c"), radius=2)
         d1 = {v.encode() for v, d in ball.dist.items() if d == 1}
         assert d1 == {"ab;c", "ba;c"}
         assert {v.encode() for v, d in ball.dist.items() if d == 2} == {
@@ -69,13 +69,13 @@ class TestExplore:
 
     def test_dinf_finite_class(self):
         d = DihedralInf()
-        ball = explore_component(d, d.decode("ababab"), radius=10)
+        ball = explore_component(d, d.decode_payload("ababab"), radius=10)
         assert ball.closed
         assert {v.encode() for v in ball.vertices} == {"ababab", "bababa"}
 
     def test_edge_symmetry(self, model):
         rng = Random(11)
-        base = random_element(model, rng, max_len=3)
+        base = random_payload(model, rng, max_len=3)
         ball = explore_component(model, base, radius=3)
         keys = {(e.src, e.label.gid, e.label.inverse_flag, e.dst) for e in ball.edges}
         for src, gid, inv, dst in keys:
@@ -83,28 +83,28 @@ class TestExplore:
 
     def test_dist_matches_conj_distance(self, model):
         rng = Random(12)
-        base = random_element(model, rng, max_len=3)
+        base = random_payload(model, rng, max_len=3)
         ball = explore_component(model, base, radius=3)
         for v, dv in ball.dist.items():
-            assert conj_distance(model, base, v, budget=8) == dv
+            assert conj_distance(model, model.element(base), v, budget=8) == dv
 
     def test_budget_flagged(self, h3):
-        ball = explore_component(h3, h3.element((1, 0, 0)), radius=50, node_budget=5)
+        ball = explore_component(h3, (1, 0, 0), radius=50, node_budget=5)
         assert not ball.complete and not ball.closed
         # the node that crossed the budget is kept
         assert len(ball.dist) == 6
 
     def test_radius_zero(self, model):
-        ball = explore_component(model, model.identity(), radius=0)
-        assert ball.dist == {model.identity(): 0}
+        ball = explore_component(model, model.identity_payload(), radius=0)
+        assert ball.dist == {model.element(model.identity_payload()): 0}
         assert ball.complete and not ball.closed
-        assert [e.is_loop() for e in ball.edges] == [True] * len(model.all_gens())
+        assert [e.is_loop() for e in ball.edges] == [True] * len(model.gen_triples)
 
     def test_closed_only_when_frontier_empties_within_radius(self):
         # the class {ababab, bababa}: the frontier empties at depth 2
         d = DihedralInf()
-        one = explore_component(d, d.decode("ababab"), radius=1)
-        two = explore_component(d, d.decode("ababab"), radius=2)
+        one = explore_component(d, d.decode_payload("ababab"), radius=1)
+        two = explore_component(d, d.decode_payload("ababab"), radius=2)
         assert one.vertices == two.vertices
         assert one.complete and not one.closed
         assert two.complete and two.closed
@@ -112,8 +112,8 @@ class TestExplore:
     def test_h3_component_preserves_ab(self, h3):
         rng = Random(13)
         for _ in range(10):
-            base = random_element(h3, rng, max_len=4)
-            a, b, _ = base.payload
+            base = random_payload(h3, rng, max_len=4)
+            a, b, _ = base
             ball = explore_component(h3, base, radius=3)
             for v in ball.vertices:
                 assert v.payload[0] == a and v.payload[1] == b
@@ -121,7 +121,7 @@ class TestExplore:
 
 class TestDistance:
     def test_reflexive(self, model):
-        g = random_element(model, Random(14))
+        g = model.element(random_payload(model, Random(14)))
         assert conj_distance(model, g, g, budget=4) == 0
 
     def test_dinf_adjacent(self):
@@ -212,8 +212,8 @@ class TestDistance:
 
     def test_symmetry_and_triangle(self):
         d = DihedralInf()
-        ball = explore_component(d, d.decode("a"), radius=5)
-        verts = sorted(ball.vertices)
+        ball = explore_component(d, d.decode_payload("a"), radius=5)
+        verts = sorted(ball.vertices, key=GroupElement.encode)
         dist = {
             (u, v): conj_distance(d, u, v, budget=12)
             for u in verts
@@ -229,19 +229,19 @@ class TestDistance:
 
 class TestBCProbe:
     def test_h3_plateau(self, h3):
-        K = [h3.element((1, 0, 0)), h3.element((1, 0, 1))]
+        K = [(1, 0, 0), (1, 0, 1)]
         report = bc_probe(h3, K, max_cayley_radius=4, diam_budget=16)
         assert all(d == 1 for _, d in report.shells)
         assert report.verdict == "Plateau(1)"
 
     def test_singleton_plateau_zero(self, model):
-        g = random_element(model, Random(15), max_len=3)
+        g = random_payload(model, Random(15), max_len=3)
         report = bc_probe(model, [g], max_cayley_radius=3, diam_budget=8)
         assert report.verdict == "Plateau(0)"
 
     def test_h3semi_growing(self):
         m = get_model("h3semi")
-        K = [m.decode("H3(0,1,0)"), m.decode("H3(1,0,0)")]
+        K = [m.decode_payload("H3(0,1,0)"), m.decode_payload("H3(1,0,0)")]
         report = bc_probe(m, K, max_cayley_radius=4, diam_budget=16)
         assert report.verdict == "Growing"
         vals = [d for _, d in report.shells]
@@ -249,7 +249,7 @@ class TestBCProbe:
 
     def test_shells_monotone(self):
         d = DihedralInf()
-        K = [d.decode("a"), d.decode("bab")]
+        K = [d.decode_payload("a"), d.decode_payload("bab")]
         report = bc_probe(d, K, max_cayley_radius=5, diam_budget=16)
         vals = [x for _, x in report.shells]
         assert vals == sorted(vals)
@@ -259,7 +259,7 @@ class TestBCProbe:
             bc_probe(h3, [], 3, 8)
 
     def test_json_schema(self, h3):
-        report = bc_probe(h3, [h3.element((1, 0, 0))], 2, 8)
+        report = bc_probe(h3, [(1, 0, 0)], 2, 8)
         data = report.to_json()
         assert set(data) == {"K", "shells", "verdict"}
         assert data["shells"] == [[0, 0], [1, 0], [2, 0]]
@@ -281,8 +281,9 @@ def h3_oracle_distance(p, q, budget):
 
 
 def _pairwise_shells(model, K, radius, diam_budget, node_budget):
-    """bc_probe's shells recomputed from pairwise conj_distance calls."""
-    K = sorted(set(K))
+    """bc_probe's shells recomputed from pairwise conj_distance calls on the
+    elements of the payloads K."""
+    K = [model.element(k) for k in sorted(set(K), key=model.encode_payload)]
     ball = model.cayley_ball(radius, node_budget)
     dists = []
     shells = []
@@ -311,14 +312,13 @@ class TestBCOracle:
         # the shells recomputed from the closed-form conjugation action and
         # the closed-form distance, without any search
         radius, budget = 3, 6
-        elems = [h3.element(k) for k in K]
-        report = bc_probe(h3, elems, radius, budget)
-        K = sorted(set(K), key=lambda k: h3.element(k).encode())
+        report = bc_probe(h3, K, radius, budget)
+        K = sorted(set(K), key=h3.encode_payload)
         dists = [0]
         want = []
         for r in range(radius + 1):
-            for g, rg in h3.cayley_ball(radius).items():
-                x, y, _ = g.payload
+            for g, rg in h3.cayley_depths(radius).items():
+                x, y, _ = g
                 images = [(a, b, c + x * b - y * a) for a, b, c in K]
                 if rg == r:
                     dists += [h3_oracle_distance(p, q, budget)
@@ -331,7 +331,7 @@ class TestBCOracle:
 
 class TestBCBudget:
     def test_spent_cayley_budget_raises_as_cayley_ball_does(self, h3, capsys):
-        K = [h3.decode("H3(1,0,0)")]
+        K = [h3.decode_payload("H3(1,0,0)")]
         with pytest.raises(ResourceBudgetError, match="^cayley_ball node budget 10 exceeded$") as exc:
             bc_probe(h3, K, 3, 4, node_budget=10)
         assert exc.value.partial_count == 11
@@ -343,7 +343,7 @@ class TestBCBudget:
     @pytest.mark.parametrize("node_budget", [5, 10, 40, 1000])
     def test_free2_matches_pairwise(self, node_budget):
         f2 = FreeGroup(2)
-        K = [f2.decode(w) for w in ("x1", "x2.x1.x2^-1", "x1.x2.x1.x2^-1.x1^-1")]
+        K = [f2.decode_payload(w) for w in ("x1", "x2.x1.x2^-1", "x1.x2.x1.x2^-1.x1^-1")]
         report = bc_probe(f2, K, 1, 6, node_budget)
         assert report.shells == _pairwise_shells(f2, K, 1, 6, node_budget)
         if node_budget == 5:
@@ -352,7 +352,7 @@ class TestBCBudget:
     @pytest.mark.parametrize("node_budget", [8, 12, 16, 1000])
     def test_dsemi_matches_pairwise(self, node_budget):
         m = get_model("dsemi")
-        K = [m.decode(w) for w in ("a", "b", "babab", "abababa")]
+        K = [m.decode_payload(w) for w in ("a", "b", "babab", "abababa")]
         report = bc_probe(m, K, 2, 8, node_budget)
         assert report.shells == _pairwise_shells(m, K, 2, 8, node_budget)
         if node_budget == 8:
@@ -361,13 +361,13 @@ class TestBCBudget:
 
 class TestDot:
     def test_single_vertex(self, h3):
-        ball = explore_component(h3, h3.identity(), radius=2)
+        ball = explore_component(h3, h3.identity_payload(), radius=2)
         dot = "".join(export_dot(ball, suppress_loops=True))
         assert dot.count("->") == 0
         assert '"H3(0,0,0)";' in dot
 
     def test_central_path_edges(self, h3):
-        ball = explore_component(h3, h3.element((1, 0, 0)), radius=2)
+        ball = explore_component(h3, (1, 0, 0), radius=2)
         dot = "".join(export_dot(ball, suppress_loops=True))
         # 5 nodes, Ax edges shifting k downward plus their reverses
         assert dot.count(";") == 5 + 8
@@ -376,13 +376,13 @@ class TestDot:
 
     def test_deterministic(self):
         m = get_model("dsemi")
-        b1 = explore_component(m, m.decode("a"), radius=2)
-        b2 = explore_component(m, m.decode("a"), radius=2)
+        b1 = explore_component(m, m.decode_payload("a"), radius=2)
+        b2 = explore_component(m, m.decode_payload("a"), radius=2)
         assert "".join(export_dot(b1)) == "".join(export_dot(b2))
 
     def test_dsemi_ladder_rungs(self):
         m = get_model("dsemi")
-        ball = explore_component(m, m.decode("a"), radius=2)
+        ball = explore_component(m, m.decode_payload("a"), radius=2)
         dot = "".join(export_dot(ball, suppress_loops=True))
         # rungs of the ladder carry the label c
         assert '"a" -> "b" [label="c"];' in dot
@@ -404,7 +404,8 @@ def cli_stdout(capsys, argv):
 
 
 def some_element(name, seed, max_len=3):
-    return random_element(get_model(name), Random(seed), max_len=max_len).encode()
+    model = get_model(name)
+    return model.encode_payload(random_payload(model, Random(seed), max_len=max_len))
 
 
 class TestRenderingOracle:
@@ -467,8 +468,7 @@ def test_graph_encodes_each_vertex_once(capsys, monkeypatch):
 
 
 def test_bc_wraps_no_conjugate(capsys, monkeypatch):
-    # only the K elements are wrapped; no ball element, conjugate or pair
-    # builds an element
+    # no K element, ball element, conjugate or pair builds an element
     init = GroupElement.__init__
     calls = []
 
@@ -480,7 +480,7 @@ def test_bc_wraps_no_conjugate(capsys, monkeypatch):
     K = ["x1", "x2.x1.x2^-1", "x1.x2"]
     cli_stdout(capsys, ["bc", "--model", "free2", *(a for k in K for a in ("--k", k)),
                         "--cayley-radius", "3", "--diam-budget", "4"])
-    assert len(calls) <= len(K)
+    assert calls == []
 
 
 @pytest.mark.parametrize("fmt, bound", [("json", 4e6), ("dot", 3e6)])

@@ -19,7 +19,7 @@ from conjlab import (
     get_model,
     parse_word,
 )
-from conjlab.sampling import random_element
+from conjlab.sampling import random_payload
 
 from conftest import all_models, mat_inv, mat_mul, mat_of, triple_of, word_search
 
@@ -34,19 +34,21 @@ def G(gid, inv=False):
 
 class TestHeisenberg:
     def test_commutator_relation(self, h3):
-        Ap = h3.decode("H3(1,0,0)")
-        Ax = h3.decode("H3(0,1,0)")
-        A1 = h3.decode("H3(0,0,1)")
-        assert Ap * Ax == (Ax * Ap) * A1
+        mul = h3.mul_payload
+        Ap = h3.decode_payload("H3(1,0,0)")
+        Ax = h3.decode_payload("H3(0,1,0)")
+        A1 = h3.decode_payload("H3(0,0,1)")
+        assert mul(Ap, Ax) == mul(mul(Ax, Ap), A1)
 
     def test_matrix_oracle_random(self, h3):
         rng = Random(1)
         for _ in range(500):
             p1 = tuple(rng.randint(-3, 3) for _ in range(3))
             p2 = tuple(rng.randint(-3, 3) for _ in range(3))
-            a, b = h3.element(p1), h3.element(p2)
-            assert (a * b).payload == triple_of(mat_mul(mat_of(p1), mat_of(p2)))
-            assert a.inverse().payload == triple_of(mat_inv(mat_of(p1)))
+            want = triple_of(mat_mul(mat_of(p1), mat_of(p2)))
+            assert h3.mul_payload(p1, p2) == want
+            assert h3.multiply(h3.element(p1), h3.element(p2)).payload == want
+            assert h3.inv_payload(p1) == triple_of(mat_inv(mat_of(p1)))
 
     def test_conjugate_matches_matrices(self, h3):
         rng = Random(2)
@@ -67,12 +69,12 @@ class TestHeisenberg:
 
     def test_word_length_of_central_generator(self, h3):
         # A1 is itself a generator here, so its geodesic length is 1
-        n = word_search(h3, h3.element((0, 0, 1)), 4).length
+        n = word_search(h3, (0, 0, 1), 4).length
         assert n == 1
-        assert word_search(h3, h3.identity(), 4).length == 0
+        assert word_search(h3, h3.identity_payload(), 4).length == 0
 
     def test_word_length_budget_sentinel(self, h3):
-        far = h3.element((0, 9, 0))
+        far = (0, 9, 0)
         assert word_search(h3, far, 3).length == AtLeast(3)
 
     def test_node_budget_raises(self, h3):
@@ -83,11 +85,11 @@ class TestHeisenberg:
         with pytest.raises(ResourceBudgetError, match="^cayley_ball node budget 10 exceeded$") as exc:
             h3.cayley_ball(3, node_budget=10)
         assert exc.value.partial_count == 11
-        far = h3.element((0, 9, 0))
+        far = (0, 9, 0)
         assert word_search(h3, far, 5, node_budget=10).cut == 11
         # a meet is checked before the budget: the target (0, 1, 1) reaches
         # A1, on the identity's side, with its 2nd neighbour (0, 0, 1)
-        eleventh = list(h3.cayley_ball(2))[10]
+        eleventh = list(h3.cayley_depths(2))[10]
         found = word_search(h3, eleventh, 5, node_budget=10)
         assert (found.length, found.cut) == (2, None)
 
@@ -117,7 +119,7 @@ class TestFree:
 
     def test_word_length_reduced(self):
         f2 = FreeGroup(2)
-        g = f2.element(f2.normal_form(parse_word(f2, "x1.x2.x1^-1")))
+        g = f2.normal_form(parse_word(f2, "x1.x2.x1^-1"))
         assert word_search(f2, g, 5).length == 3
 
     def test_ball_radius_one(self):
@@ -162,8 +164,9 @@ class TestFree:
 class TestDihedral:
     def test_involution_relations(self):
         d = DihedralInf()
-        a, b = d.decode("a"), d.decode("b")
-        assert (a * a).is_identity() and (b * b).is_identity()
+        a, b = d.decode_payload("a"), d.decode_payload("b")
+        e = d.identity_payload()
+        assert d.mul_payload(a, a) == e and d.mul_payload(b, b) == e
 
     def test_normal_form_example(self):
         d = DihedralInf()
@@ -172,20 +175,21 @@ class TestDihedral:
     def test_invert_ab_brute_force(self):
         # oracle: search the word ball for the word w with (ab) * w = e
         d = DihedralInf()
-        ab = d.decode("ab")
+        ab = d.decode_payload("ab")
+        e = d.identity_payload()
         found = None
         for length in range(0, 4):
-            for letters in itertools.product([d.decode("a"), d.decode("b")], repeat=length):
-                w = d.identity()
+            for letters in itertools.product("ab", repeat=length):
+                w = e
                 for x in letters:
-                    w = w * x
-                if (ab * w).is_identity():
+                    w = d.mul_payload(w, d.decode_payload(x))
+                if d.mul_payload(ab, w) == e:
                     found = w
                     break
             if found is not None:
                 break
-        assert found == d.decode("ba")
-        assert ab.inverse() == found
+        assert found == d.decode_payload("ba")
+        assert d.inv_payload(ab) == found
 
     def test_ball_radius_two(self):
         d = DihedralInf()
@@ -194,9 +198,10 @@ class TestDihedral:
 
     def test_semidirect_relations(self):
         ds = get_model("dsemi")
-        a, b, c = (ds.decode(s) for s in "abc")
-        assert (a * a).is_identity() and (b * b).is_identity() and (c * c).is_identity()
-        assert c * a * c == b
+        mul, e = ds.mul_payload, ds.identity_payload()
+        a, b, c = (ds.decode_payload(s) for s in "abc")
+        assert mul(a, a) == e and mul(b, b) == e and mul(c, c) == e
+        assert mul(mul(c, a), c) == b
 
     def test_semidirect_encoding(self):
         ds = get_model("dsemi")
@@ -235,14 +240,15 @@ class TestDihedral:
 class TestHeisenbergSemidirect:
     def test_relations(self):
         m = get_model("h3semi")
-        c = m.decode("c")
-        Ap = m.decode("H3(1,0,0)")
-        Ax = m.decode("H3(0,1,0)")
-        A1 = m.decode("H3(0,0,1)")
-        assert (c * c).is_identity()
-        assert c * Ap * c == Ax
-        assert c * Ax * c == Ap
-        assert c * A1 * c == A1.inverse()
+        mul = m.mul_payload
+        c = m.decode_payload("c")
+        Ap = m.decode_payload("H3(1,0,0)")
+        Ax = m.decode_payload("H3(0,1,0)")
+        A1 = m.decode_payload("H3(0,0,1)")
+        assert mul(c, c) == m.identity_payload()
+        assert mul(mul(c, Ap), c) == Ax
+        assert mul(mul(c, Ax), c) == Ap
+        assert mul(mul(c, A1), c) == m.inv_payload(A1)
 
     def test_conjugate_example(self):
         m = get_model("h3semi")
@@ -340,25 +346,25 @@ def test_c_conjugation_is_the_swap(name):
     m = get_model(name)
     sigma = {"dsemi": _swap_ab, "h3semi": _swap_h3}
     factors = name.split("*")
-    c = m.decode("c" if len(factors) == 1 else "(c|c)")
-    for x in m.cayley_ball(2):
-        parts = [x.payload] if len(factors) == 1 else x.payload
+    c = m.decode_payload("c" if len(factors) == 1 else "(c|c)")
+    for x in m.cayley_depths(2):
+        parts = [x] if len(factors) == 1 else x
         want = tuple((sigma[f](t), e) for f, (t, e) in zip(factors, parts))
-        assert (c * x * c).payload == (want[0] if len(factors) == 1 else want)
+        assert m.mul_payload(m.mul_payload(c, x), c) == (want[0] if len(factors) == 1 else want)
 
 
 class TestDirectProduct:
     def test_componentwise(self):
         m = DirectProduct(Heisenberg(), DihedralInf())
-        g = m.decode("(H3(1,0,0)|ab)")
-        h = m.decode("(H3(0,1,0)|b)")
-        assert (g * h).encode() == "(H3(1,1,1)|a)"
+        g = m.decode_payload("(H3(1,0,0)|ab)")
+        h = m.decode_payload("(H3(0,1,0)|b)")
+        assert m.encode_payload(m.mul_payload(g, h)) == "(H3(1,1,1)|a)"
 
     def test_generators_embed(self):
         m = DirectProduct(Heisenberg(), DihedralInf())
-        gl = m.element(m.generator_payload(G("l.Ap")))
-        gr = m.element(m.generator_payload(G("r.a")))
-        assert gl * gr == gr * gl
+        gl = m.generator_payload(G("l.Ap"))
+        gr = m.generator_payload(G("r.a"))
+        assert m.mul_payload(gl, gr) == m.mul_payload(gr, gl)
 
     def test_parse_word_reads_product_ids(self):
         assert parse_word(get_model("h3*dinf"), "l.Ax") == (G("l.Ax"),)
@@ -378,40 +384,43 @@ class TestDirectProduct:
 
 def test_identity_law(model):
     rng = Random(3)
-    e = model.identity()
+    mul, e = model.mul_payload, model.identity_payload()
     for _ in range(20):
-        g = random_element(model, rng)
-        assert e * g == g and g * e == g
+        g = random_payload(model, rng)
+        assert mul(e, g) == g and mul(g, e) == g
 
 
 def test_associativity_random(model):
     rng = Random(4)
+    mul = model.mul_payload
     for _ in range(1000):
-        a = random_element(model, rng, max_len=4)
-        b = random_element(model, rng, max_len=4)
-        c = random_element(model, rng, max_len=4)
-        assert (a * b) * c == a * (b * c)
+        a = random_payload(model, rng, max_len=4)
+        b = random_payload(model, rng, max_len=4)
+        c = random_payload(model, rng, max_len=4)
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
 
 def test_inverse_laws(model):
     rng = Random(5)
+    inv = model.inv_payload
     for _ in range(200):
-        a = random_element(model, rng)
-        assert (a * a.inverse()).is_identity()
-        assert a.inverse().inverse() == a
+        a = random_payload(model, rng)
+        assert model.mul_payload(a, inv(a)) == model.identity_payload()
+        assert inv(inv(a)) == a
 
 
 def test_conjugation_inverts(model):
     rng = Random(6)
     for _ in range(200):
-        g = random_element(model, rng)
-        h = random_element(model, rng)
-        assert model.conjugate(g, model.conjugate(g.inverse(), h)) == h
+        g = model.element(random_payload(model, rng))
+        h = model.element(random_payload(model, rng))
+        gi = model.element(model.inv_payload(g.payload))
+        assert model.conjugate(g, model.conjugate(gi, h)) == h
 
 
 def test_normal_form_idempotent(model):
     rng = Random(7)
-    gens = model.all_gens()
+    gens = [gen for gen, _, _ in model.gen_triples]
     for _ in range(200):
         word = tuple(rng.choice(gens) for _ in range(rng.randint(0, 20)))
         g = model.normal_form(word)
@@ -437,7 +446,7 @@ def translates(draw, models=MODELS):
     """A model, a few of its payloads and one more, each a random word's
     normal form."""
     model = draw(st.sampled_from(models))
-    word = st.lists(st.sampled_from(model.all_gens()), max_size=8)
+    word = st.lists(st.sampled_from([gen for gen, _, _ in model.gen_triples]), max_size=8)
     payloads = [model.normal_form(w) for w in draw(st.lists(word, max_size=6))]
     return model, payloads, model.normal_form(draw(word))
 
@@ -500,14 +509,14 @@ def test_random_element_draws_are_pinned(name):
     # the seeded commands (leibniz, quasi-inner) print what these draws give
     model, rng = get_model(name), Random(7)
     encodings, next_draw = PINNED_DRAWS[name]
-    assert [random_element(model, rng).encode() for _ in range(3)] == encodings
+    assert [model.encode_payload(random_payload(model, rng)) for _ in range(3)] == encodings
     assert rng.randrange(10**6) == next_draw
 
 
 def test_model_mismatch_rejected(h3):
     f2 = FreeGroup(2)
     with pytest.raises(ModelMismatchError):
-        h3.multiply(h3.identity(), f2.identity())
+        h3.multiply(h3.element(h3.identity_payload()), f2.element(f2.identity_payload()))
 
 
 def test_unknown_generator_rejected(h3):
@@ -540,8 +549,9 @@ def test_get_model_products_nest_to_the_right():
 def test_get_model_caps_product_factors():
     # 64 factors still multiply (payload arithmetic recurses once per factor)
     m = get_model("*".join(["h3"] * 64))
-    g = random_element(m, Random(7))
-    assert m.decode((g * g.inverse()).encode()) == m.identity()
+    g = random_payload(m, Random(7))
+    e = m.mul_payload(g, m.inv_payload(g))
+    assert m.decode_payload(m.encode_payload(e)) == m.identity_payload()
     # a name of 3001 factors is refused before anything recurses
     with pytest.raises(UsageError, match="at most 64 factors"):
         get_model("*".join(["h3"] * 3001))

@@ -19,6 +19,7 @@ from conjlab import (
     get_model,
 )
 from conjlab.cli import main
+from conjlab.groups import GroupElement
 from conjlab.graph import _levels_fit
 
 from conftest import all_models
@@ -30,12 +31,12 @@ IDS = [m.name for m in MODELS]
 def component_is_finite(model, g, node_budget=4096) -> bool:
     """The BFS oracle: whether the conjugation component of g is complete
     and closed within `node_budget` nodes."""
-    ball = explore_component(model, g, radius=node_budget, node_budget=node_budget)
+    ball = explore_component(model, g.payload, radius=node_budget, node_budget=node_budget)
     return ball.complete and ball.closed
 
 
 def ball(model):
-    return sorted(model.cayley_ball(2))
+    return sorted(model.cayley_ball(2), key=GroupElement.encode)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=IDS)

@@ -1,0 +1,98 @@
+"""The same bytes on every Python.
+
+A fixed list of commands runs under each of python3.10 to python3.13 found
+on PATH, importing conjlab from this checkout's `src/`, and must give the
+exit codes and stdout of the interpreter running the tests.  An interpreter
+that cannot start is skipped.  The commands lean on what changed between
+these versions: `sum` over floats (compensated from 3.12 on), float
+formatting, exact rationals and the int/str digit limit.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# runs each argv of a JSON list on stdin through `main`; prints the JSON
+# list of [exit code, stdout]
+RUNNER = """
+import contextlib, io, json, sys
+from conjlab.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+POTENTIALS = {
+    "TWO_POINT": {"model": "h3", "table": [["H3(1,0,0)", "1"], ["H3(1,0,-1)", "1/2"]]},
+    "HARMONIC": {"model": "h3", "table": [["H3(2,1,0)", "-3/7"]],
+                 "closed_form": "appendix_harmonic", "truncation": 60},
+    "DINF": {"model": "dinf", "table": [["ab", "1/2"], ["b", "1"], ["a", "-1"], ["e", "2/3"]]},
+    "HUGE": {"model": "h3", "table": [["H3(1,0,0)", "1e300"], ["H3(0,1,0)", "-1e-300"]]},
+}
+
+ARGV = [
+    ["graph", "--model", "h3semi", "--base", "H3(1,0,0);c", "--radius", "2"],
+    ["graph", "--model", "free2", "--base", "x1.x2", "--radius", "2", "--format", "json",
+     "--suppress-loops"],
+    ["bc", "--model", "dsemi", "--k", "a", "--k", "babab", "--cayley-radius", "3",
+     "--diam-budget", "6"],
+    ["bc", "--model", "h3", "--k", "H3(1,0,0)", "--cayley-radius", "3", "--budget-nodes", "2"],
+    ["derive", "--potential", "HARMONIC", "--element", "H3(0,2,0)", "-p", "2.5"],
+    ["derive", "--potential", "HUGE", "--element", "H3(0,1,0)", "-p", "1.5"],
+    ["leibniz", "--potential", "TWO_POINT", "--samples", "30", "--seed", "3"],
+    ["character", "--potential", "HARMONIC", "--u", "H3(1,-2,-2)", "--v", "H3(0,1,0)"],
+    ["quasi-inner", "--potential", "DINF", "--samples", "30", "--seed", "5"],
+    ["stabilise", "--potential", "TWO_POINT", "--base", "H3(1,0,0)", "--radius", "4",
+     "--radii", "0,1,2"],
+    ["bound-probe", "--potential", "DINF", "--radius", "2", "-p", "1.5"],
+    ["bound-probe", "--potential", "HARMONIC", "--radius", "2", "-p", "3"],
+    ["bound-probe", "--potential", "HUGE", "--radius", "1", "-p", "2"],
+    ["appendix", "--m-max", "12", "--n-max", "3"],
+    ["appendix", "--m-max", "5", "--n-max", "2", "--format", "json"],
+    ["limit", "--potential", "TWO_POINT", "--conjugator", "Ax.Ap", "--q", "2.5",
+     "--k-max", "5", "--format", "json"],
+    ["limit", "--potential", "HUGE", "--conjugator", "Ax", "--k-max", "3"],
+    ["inverse-seq", "--model", "free2", "--u", "x1", "--conjugator", "x2", "--tail", "x1",
+     "--k-max", "4", "--budget", "6"],
+    ["derive", "--potential", "TWO_POINT", "--element", "H3(1,2"],
+]
+
+
+def run_commands(python, cases):
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([python, "-c", RUNNER], input=json.dumps(cases), env=env,
+                          capture_output=True, text=True, encoding="utf-8", timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
+def test_same_bytes_on_every_python(tmp_path, version):
+    python = f"python{version}"
+    try:
+        started = subprocess.run([python, "-c", "pass"], capture_output=True,
+                                 timeout=60).returncode == 0
+    except (OSError, subprocess.TimeoutExpired):
+        started = False
+    if not started:
+        pytest.skip(f"{python} cannot start")
+    paths = {}
+    for name, data in POTENTIALS.items():
+        paths[name] = str(tmp_path / f"{name.lower()}.json")
+        Path(paths[name]).write_text(json.dumps(data))
+    cases = [[paths.get(a, a) for a in argv] for argv in ARGV]
+    want = run_commands(sys.executable, cases)
+    assert [code for code, _ in want] == [0] * 3 + [3] + [0] * 14 + [2]
+    got = run_commands(python, cases)
+    for argv, (code, out), expected in zip(ARGV, got, want):
+        assert [code, out.encode()] == [expected[0], expected[1].encode()], argv
