@@ -13,7 +13,6 @@ from .groups import (
     DihedralInf,
     DihedralSemidirect,
     FreeGroup,
-    Generator,
     GroupElement,
     GroupModel,
     Heisenberg,

@@ -272,18 +272,18 @@ def cmd_appendix(args):
 
 def cmd_limit(args):
     phi = _load_potential(args.potential)
-    word = parse_word(phi.model, args.conjugator)
-    report = ex.run_limit_experiment(phi, word, args.q, args.k_max)
+    a = parse_word(phi.model, args.conjugator)
+    report = ex.run_limit_experiment(phi, a, args.q, args.k_max)
     return _report(report, args.format)
 
 
 def cmd_inverse_seq(args):
     model = get_model(args.model)
     up = model.decode_payload(args.u)
-    word = parse_word(model, args.conjugator)
+    a = parse_word(model, args.conjugator)
     tail = parse_word(model, args.tail)
     report = ex.run_inverse_sequence_check(
-        model, up, word, args.k_max, args.budget, tail_word=tail,
+        model, up, a, args.k_max, args.budget, tail=tail,
         node_budget=args.budget_nodes,
     )
     return _report(report, args.format)

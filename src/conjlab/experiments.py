@@ -172,10 +172,8 @@ class LimitReport:
         return format_table(["k", "norm", "norm^q (exact)"], rows)
 
 
-def run_limit_experiment(
-    phi: Potential, conjugator_word, q, k_max: int
-) -> LimitReport:
-    """Evaluate ||d(a_k)||_q for a_k = conjugator^k.
+def run_limit_experiment(phi: Potential, a, q, k_max: int) -> LimitReport:
+    """Evaluate ||d(a_k)||_q for a_k = a^k, the conjugator `a` a payload.
 
     For finite-support potentials on infinite components, the samples
     become exactly 2^(1/q) ||phi||_q once the support and its conjugate
@@ -200,7 +198,6 @@ def run_limit_experiment(
                 f"potential support element {model.encode_payload(p)} lies in a finite "
                 "conjugation component"
             )
-    a = model.normal_form(conjugator_word)
     d = Derivation(phi)
     samples = []
     separation_index = None
@@ -245,17 +242,18 @@ class InverseSequenceReport:
 def run_inverse_sequence_check(
     model: GroupModel,
     up,
-    conjugator_word,
+    a,
     k_max: int,
     budget: int,
-    tail_word=(),
+    tail=None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> InverseSequenceReport:
     """Budgeted rho(u, a_k u a_k^-1) and rho(u, a_k^-1 u a_k) for
-    a_k = conjugator^k * tail, u of payload `up`; the tail lets sequences
-    like x^k y be probed.  Each distance gets its own `node_budget`."""
-    a = model.normal_form(conjugator_word)
-    tail = model.normal_form(tail_word)
+    a_k = a^k * tail, with u, a and tail (by default e) payloads; the tail
+    lets sequences like x^k y be probed.  Each distance gets its own
+    `node_budget`."""
+    if tail is None:
+        tail = model.identity_payload()
     mul, step = model.mul_payload, model.conj_step
     rows = []
     power = model.identity_payload()

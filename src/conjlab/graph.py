@@ -14,13 +14,13 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import UsageError
-from .groups import AtLeast, DEFAULT_NODE_BUDGET, Generator, GroupElement, GroupModel
+from .groups import AtLeast, DEFAULT_NODE_BUDGET, GroupElement, GroupModel
 
 
 @dataclass(frozen=True)
 class ConjEdge:
     src: GroupElement
-    label: Generator
+    label: str
     dst: GroupElement
 
     def is_loop(self) -> bool:
@@ -72,7 +72,7 @@ class ConjGraphBall:
         one step per label makes each (src, label) pair unique."""
         enc = self.encodings
         step = self.model.conj_step
-        labelled = sorted((gen.label(), x, xi) for gen, x, xi in self.model.gen_triples)
+        labelled = sorted(self.model.gen_triples)  # labels are unique
         for p in self.by_encoding:
             src = enc[p]
             for label, x, xi in labelled:
@@ -84,8 +84,7 @@ class ConjGraphBall:
     def edges(self) -> list:
         """The edge rows as `ConjEdge`s between elements, for API callers."""
         elem = {self.encodings[v.payload]: v for v in self.dist}
-        gens = {gen.label(): gen for gen, _, _ in self.model.gen_triples}
-        return [ConjEdge(elem[src], gens[label], elem[dst])
+        return [ConjEdge(elem[src], label, elem[dst])
                 for src, label, dst in self.edge_rows()]
 
 
@@ -93,8 +92,8 @@ def conj_neighbors(model: GroupModel, h: GroupElement):
     """All conjugation neighbors of h: one entry per generator and inverse,
     self-loops included."""
     model._check(h)
-    return [(gen, model.element(model.conj_step(h.payload, x, xi)))
-            for gen, x, xi in model.gen_triples]
+    return [(label, model.element(model.conj_step(h.payload, x, xi)))
+            for label, x, xi in model.gen_triples]
 
 
 def explore_component(

@@ -9,7 +9,6 @@ when conjugation stretches the central coordinate.
 
 from __future__ import annotations
 
-import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -27,22 +26,6 @@ def _read_int(digits: str) -> int:
         return int(digits)
     except ValueError as exc:
         raise UsageError(f"integer literal too long: {len(digits)} characters") from exc
-
-
-@dataclass(frozen=True)
-class Generator:
-    """A formal generator letter, possibly inverted."""
-
-    gid: str
-    inverse_flag: bool = False
-
-    def label(self) -> str:
-        return self.gid + ("^-1" if self.inverse_flag else "")
-
-
-# A Word is just a sequence of Generator letters; it may be unreduced and
-# the empty sequence denotes the identity.
-Word = tuple
 
 
 @dataclass(frozen=True)
@@ -145,20 +128,13 @@ class GroupModel(ABC):
 
     @cached_property
     def gen_triples(self) -> list:
-        """(generator, x, x^-1) payload triples over the symmetric
-        generating set, each generator followed by its inverse."""
+        """(label, x, x^-1) payload triples over the symmetric generating
+        set, each generator `gid` followed by its inverse `gid^-1`."""
         out = []
         for gid, x in self.generator_payloads().items():
             xi = self.inv_payload(x)
-            out += [(Generator(gid), x, xi), (Generator(gid, True), xi, x)]
+            out += [(gid, x, xi), (gid + "^-1", xi, x)]
         return out
-
-    def generator_payload(self, gen: Generator):
-        payloads = self.generator_payloads()
-        if gen.gid not in payloads:
-            raise UsageError(f"unknown generator {gen.gid!r} for model {self.name}")
-        p = payloads[gen.gid]
-        return self.inv_payload(p) if gen.inverse_flag else p
 
     def _check(self, *elems):
         for e in elems:
@@ -197,13 +173,6 @@ class GroupModel(ABC):
         """g * h * g^-1 in canonical form."""
         self._check(g, h)
         return self.element(self.conj_step(h.payload, g.payload, self.inv_payload(g.payload)))
-
-    def normal_form(self, word):
-        """The payload of the word's product."""
-        p = self.identity_payload()
-        for gen in word:
-            p = self.mul_payload(p, self.generator_payload(gen))
-        return p
 
     def decode(self, text: str) -> GroupElement:
         return self.element(self.decode_payload(text))
@@ -274,8 +243,6 @@ class GroupModel(ABC):
 class Heisenberg(GroupModel):
     name = "h3"
 
-    _DECODE = re.compile(r"^H3\((-?\d+),(-?\d+),(-?\d+)\)$")
-
     def identity_payload(self):
         return (0, 0, 0)
 
@@ -309,10 +276,10 @@ class Heisenberg(GroupModel):
     def decode_payload(self, text: str):
         if text == "e":
             return (0, 0, 0)
-        m = self._DECODE.match(text)
-        if not m:
+        parts = text[3:-1].split(",") if text.startswith("H3(") and text.endswith(")") else []
+        if len(parts) != 3 or not all(s.removeprefix("-").isdecimal() for s in parts):
             raise UsageError(f"bad H3 element encoding: {text!r}")
-        return tuple(map(_read_int, m.groups()))
+        return tuple(map(_read_int, parts))
 
     def generator_payloads(self) -> dict:
         return {"Ax": (0, 1, 0), "Ap": (1, 0, 0), "A1": (0, 0, 1)}
@@ -365,11 +332,11 @@ class FreeGroup(GroupModel):
             return ()
         letters = []
         for tok in text.split("."):
-            m = re.match(r"^x(\d+)(\^-1)?$", tok)
-            i = _read_int(m.group(1)) if m else 0
+            digits = tok.removesuffix("^-1")[1:]
+            i = _read_int(digits) if tok[:1] == "x" and digits.isdecimal() else 0
             if not 1 <= i <= self.rank:
                 raise UsageError(f"bad {self.name} letter: {tok!r}")
-            letters.append((i - 1, -1 if m.group(2) else 1))
+            letters.append((i - 1, -1 if tok.endswith("^-1") else 1))
         if any(a == (b, -t) for a, (b, t) in zip(letters, letters[1:])):
             raise UsageError(f"encoding {text!r} is not a reduced word")
         return tuple(letters)
@@ -416,7 +383,7 @@ class DihedralInf(GroupModel):
     def decode_payload(self, text: str):
         if text == "e":
             return ""
-        if not re.match(r"^[ab]+$", text):
+        if not text or text.strip("ab"):
             raise UsageError(f"bad dinf element encoding: {text!r}")
         if "aa" in text or "bb" in text:
             raise UsageError(f"encoding {text!r} is not an alternating word")
@@ -622,37 +589,35 @@ def _factor_model(name: str) -> GroupModel:
         return DihedralSemidirect()
     if name == "h3semi":
         return HeisenbergSemidirect()
-    m = re.match(r"^free(\d+)$", name)
-    if m:
-        rank = _read_int(m.group(1))
+    if name.startswith("free") and name[4:].isdecimal():
+        rank = _read_int(name[4:])
         if rank > MAX_FREE_RANK:
             raise UsageError(f"a free group has rank at most {MAX_FREE_RANK}, not {rank}")
         return FreeGroup(rank)
     raise UsageError(f"unknown model name: {name!r}")
 
 
-def parse_word(model: GroupModel, text: str) -> Word:
-    """Parse a dotted word like 'Ax.Ap^-1' into a Word for the model.
+def parse_word(model: GroupModel, text: str):
+    """The payload of a dotted word of `gen_triples` labels like 'Ax.Ap^-1'.
 
     A product's generator ids contain dots ('l.Ax', 'r.l.a'); no factor id
     is 'l' or 'r', so a token that opens one of the model's ids with a dot
     after it is joined to the tokens that follow."""
+    p = model.identity_payload()
     if text in ("", "e"):
-        return ()
-    known = model.generator_payloads()
-    prefixes = {gid[: i + 1] for gid in known for i, ch in enumerate(gid) if ch == "."}
-    letters = []
+        return p
+    letters = {label: x for label, x, _ in model.gen_triples}
+    prefixes = {label[: i + 1] for label in letters for i, ch in enumerate(label) if ch == "."}
     prefix = ""
     for tok in text.split("."):
         if prefix + tok + "." in prefixes:
             prefix += tok + "."
             continue
-        inv = tok.endswith("^-1")
-        gid = prefix + (tok[:-3] if inv else tok)
-        prefix = ""
-        if gid not in known:
-            raise UsageError(f"unknown generator {gid!r} for model {model.name}")
-        letters.append(Generator(gid, inv))
+        label, prefix = prefix + tok, ""
+        if label not in letters:
+            raise UsageError(f"unknown generator {label.removesuffix('^-1')!r} "
+                             f"for model {model.name}")
+        p = model.mul_payload(p, letters[label])
     if prefix:
         raise UsageError(f"unknown generator {prefix[:-1]!r} for model {model.name}")
-    return tuple(letters)
+    return p

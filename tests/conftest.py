@@ -114,10 +114,10 @@ def _cli_json(data) -> str:
 def oracle_edges(model, ball):
     edges = []
     for v in ball.dist:
-        for gen, w in conj_neighbors(model, v):
+        for label, w in conj_neighbors(model, v):
             if w in ball.dist:
-                edges.append(ConjEdge(v, gen, w))
-    edges.sort(key=lambda e: (e.src.encode(), e.label.label(), e.dst.encode()))
+                edges.append(ConjEdge(v, label, w))
+    edges.sort(key=lambda e: (e.src.encode(), e.label, e.dst.encode()))
     return edges
 
 
@@ -127,7 +127,7 @@ def oracle_graph_stdout(model, base, radius, fmt, suppress_loops, node_budget):
     vertices = sorted(v.encode() for v in ball.vertices)
     if fmt == "dot":
         lines = ["digraph conj {"] + [f'  "{enc}";' for enc in vertices]
-        lines += [f'  "{e.src.encode()}" -> "{e.dst.encode()}" [label="{e.label.label()}"];'
+        lines += [f'  "{e.src.encode()}" -> "{e.dst.encode()}" [label="{e.label}"];'
                   for e in edges]
         return "\n".join(lines + ["}"]) + "\n"
     return _cli_json({
@@ -136,7 +136,7 @@ def oracle_graph_stdout(model, base, radius, fmt, suppress_loops, node_budget):
         "complete": ball.complete,
         "closed": ball.closed,
         "vertices": vertices,
-        "edges": [[e.src.encode(), e.label.label(), e.dst.encode()] for e in edges],
+        "edges": [[e.src.encode(), e.label, e.dst.encode()] for e in edges],
         "dist": {v.encode(): d for v, d in ball.dist.items()},
     })
 

@@ -78,7 +78,7 @@ def test_acceptance_02_component_ball_matches_golden(h3):
             expected_edges.add((f"H3(1,0,{k})", "Ax", f"H3(1,0,{k - 1})"))
         if k + 1 <= 5:
             expected_edges.add((f"H3(1,0,{k})", "Ax^-1", f"H3(1,0,{k + 1})"))
-    got_edges = {(e.src.encode(), e.label.label(), e.dst.encode())
+    got_edges = {(e.src.encode(), e.label, e.dst.encode())
                  for e in ball.edges}
     assert got_edges == expected_edges
     print("ACCEPTANCE 2: PASS — 11-vertex component ball is graph-identical "

@@ -1,5 +1,6 @@
-"""Automorphism invariance of `bound-probe` and `character` on h3, and of
-`derive` on the other five models.
+"""Automorphism invariance of `bound-probe` and `character` on h3, of
+`derive` and `character` on the other five models, and of `limit` on free2
+and dinf.
 
 An automorphism sigma of h3 that permutes the symmetric generating set maps
 the Cayley ball onto itself, and d_psi(sigma g) = sigma(d_phi(g)) for the
@@ -8,7 +9,8 @@ same `max_norm` on psi, at an argmax that maps onto phi's up to ties, and
 chi_psi(sigma u, sigma v) = chi_phi(u, v).  `bound-probe` keeps each
 coefficient only up to its sign; these checks would see a sign that
 reached a norm.  `derive` on psi at sigma g prints phi's image at g with
-each element relabelled by sigma, and the same `norm_p`.
+each element relabelled by sigma, and the same `norm_p`.  `limit` with
+each letter of the conjugator relabelled prints the same samples.
 """
 
 import json
@@ -20,7 +22,7 @@ import pytest
 
 from conjlab import derivations as dv
 from conjlab.cli import main
-from conjlab.groups import get_model
+from conjlab.groups import get_model, parse_word
 from conjlab.sampling import random_payload
 
 H3 = get_model("h3")
@@ -49,9 +51,9 @@ def fuzzed_table(rng) -> dict:
     return table or {(1, 0, 0): Fraction(1)}
 
 
-def write_potential(path, table) -> str:
-    rows = [[H3.encode_payload(p), str(v)] for p, v in table.items()]
-    path.write_text(json.dumps({"model": "h3", "table": rows}))
+def write_potential(path, table, model=H3) -> str:
+    rows = [[model.encode_payload(p), str(v)] for p, v in table.items()]
+    path.write_text(json.dumps({"model": model.name, "table": rows}))
     return str(path)
 
 
@@ -141,11 +143,21 @@ def model_automorphisms(name) -> list:
     return [lambda p, f=f, g=g: (f(p[0]), g(p[1])) for f in h3 for g in dinf]
 
 
-DERIVE_CASES = [(name, i) for name in ("free2", "dinf", "dsemi", "h3semi", "h3*dinf")
+def model_table(model, rng, keep=lambda p: True) -> dict:
+    """{payload: Fraction} of 1 to 5 random entries that `keep` admits."""
+    table = {}
+    for _ in range(rng.randint(1, 5)):
+        p = random_payload(model, rng, 5)
+        if keep(p):
+            table[p] = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+    return table or {model.gen_triples[0][1]: Fraction(1)}
+
+
+OFF_H3_CASES = [(name, i) for name in ("free2", "dinf", "dsemi", "h3semi", "h3*dinf")
                 for i in range(len(model_automorphisms(name)))]
 
 
-@pytest.mark.parametrize("name, index", DERIVE_CASES, ids=lambda c: str(c))
+@pytest.mark.parametrize("name, index", OFF_H3_CASES, ids=lambda c: str(c))
 def test_derive_is_invariant(capsys, tmp_path, name, index):
     model = get_model(name)
     sigma = model_automorphisms(name)[index]
@@ -154,15 +166,10 @@ def test_derive_is_invariant(capsys, tmp_path, name, index):
     assert sorted(map(sigma, gens), key=enc) == sorted(gens, key=enc)
     for seed in range(3):
         rng = Random(1000 * index + seed)
-        table = {random_payload(model, rng, 5): Fraction(rng.choice([-3, -1, 1, 2]),
-                                                         rng.randint(1, 4))
-                 for _ in range(rng.randint(1, 5))}
-        files = []
-        for label, entries in (("phi", table), ("psi", {sigma(p): v for p, v in table.items()})):
-            path = tmp_path / f"{label}.json"
-            path.write_text(json.dumps({"model": name, "table": [
-                [enc(p), str(v)] for p, v in entries.items()]}))
-            files.append(str(path))
+        table = model_table(model, rng)
+        files = [write_potential(tmp_path / "phi.json", table, model),
+                 write_potential(tmp_path / "psi.json",
+                                 {sigma(p): v for p, v in table.items()}, model)]
         gp = random_payload(model, rng)
         for p in ("1", "2", "2.5", "inf"):
             argv = ["derive", "-p", p, "--potential"]
@@ -172,3 +179,52 @@ def test_derive_is_invariant(capsys, tmp_path, name, index):
             relabelled = {enc(sigma(dec(u))): (c, im) for u, c, im in want["image"]}
             assert {u: (c, im) for u, c, im in got["image"]} == relabelled
             assert got["norm_p"] == want["norm_p"]
+
+
+@pytest.mark.parametrize("name, index", OFF_H3_CASES, ids=lambda c: str(c))
+def test_character_is_invariant_off_h3(capsys, tmp_path, name, index):
+    model = get_model(name)
+    sigma = model_automorphisms(name)[index]
+    enc = model.encode_payload
+    rng = Random(2000 + index)
+    table = model_table(model, rng)
+    phi = write_potential(tmp_path / "phi.json", table, model)
+    psi = write_potential(tmp_path / "psi.json", {sigma(p): v for p, v in table.items()}, model)
+    support = list(table)
+    for _ in range(6):
+        vp = random_payload(model, rng)
+        s = rng.choice(support)  # u = s v or v s: a nonzero term of d(v) at u
+        up = model.mul_payload(s, vp) if rng.random() < 0.5 else model.mul_payload(vp, s)
+        want = stdout(capsys, ["character", "--potential", phi, "--u", enc(up), "--v", enc(vp)])
+        got = stdout(capsys, ["character", "--potential", psi,
+                              "--u", enc(sigma(up)), "--v", enc(sigma(vp))])
+        assert got["value"] == want["value"]
+
+
+LIMIT_CASES = [(name, i) for name in ("free2", "dinf")
+               for i in range(len(model_automorphisms(name)))]
+
+
+@pytest.mark.parametrize("name, index", LIMIT_CASES, ids=lambda c: str(c))
+def test_limit_is_invariant(capsys, tmp_path, name, index):
+    model = get_model(name)
+    sigma = model_automorphisms(name)[index]
+    # sigma permutes the generators, so it maps each letter to a letter
+    letter = {x: label for label, x, _ in model.gen_triples}
+    relabel = {label: letter[sigma(x)] for label, x, _ in model.gen_triples}
+    for seed in range(3):
+        rng = Random(3000 + 10 * index + seed)
+        # limit needs the support in infinite classes
+        table = model_table(model, rng, lambda p: not model.class_is_finite(p))
+        phi = write_potential(tmp_path / "phi.json", table, model)
+        psi = write_potential(tmp_path / "psi.json",
+                              {sigma(p): v for p, v in table.items()}, model)
+        word = [rng.choice(list(relabel)) for _ in range(rng.randint(1, 6))]
+        moved = [relabel[label] for label in word]
+        assert parse_word(model, ".".join(moved)) == sigma(parse_word(model, ".".join(word)))
+        for q in ("1", "2", "2.5"):
+            argv = ["limit", "--q", q, "--k-max", "6", "--format", "json", "--potential"]
+            want = stdout(capsys, argv + [phi, "--conjugator", ".".join(word)])
+            got = stdout(capsys, argv + [psi, "--conjugator", ".".join(moved)])
+            assert got["samples"] == want["samples"]
+            assert got["separation_index"] == want["separation_index"]

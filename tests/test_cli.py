@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from random import Random
 from unittest import mock
 
@@ -1236,7 +1237,8 @@ def element_text(draw, model):
     and then a malformed string."""
     m = conjlab.get_model(model)
     letters = draw(st.lists(st.sampled_from(m.gen_triples), max_size=4))
-    text = m.encode_payload(m.normal_form([gen for gen, _, _ in letters]))
+    text = m.encode_payload(reduce(m.mul_payload, [x for _, x, _ in letters],
+                                   m.identity_payload()))
     return draw(st.sampled_from([text] * 5 + ["", "e", "x9", "H3(1,0)", "ab;"]))
 
 
@@ -1321,8 +1323,8 @@ def potential_json(draw):
     fault = draw(st.sampled_from([None] * 4 + ["value", "row", "model", "closed_form",
                                                "truncation", "file", "duplicate"]))
     m = conjlab.get_model(model)
-    element = st.lists(st.sampled_from([gen for gen, _, _ in m.gen_triples]), max_size=4).map(
-        lambda w: m.encode_payload(m.normal_form(w)))
+    element = st.lists(st.sampled_from([x for _, x, _ in m.gen_triples]), max_size=4).map(
+        lambda w: m.encode_payload(reduce(m.mul_payload, w, m.identity_payload())))
     value = st.sampled_from(["1", "-1/2", "3/7", "2.5", "-4", "1e40", "1e-40", "0"])
     rows = draw(st.lists(st.tuples(element, value).map(list), max_size=3))
     data = {"model": model, "table": rows}

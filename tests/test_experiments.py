@@ -306,7 +306,7 @@ class TestInverseSequence:
             parse_word(f2, "x1"),
             k_max=4,
             budget=10,
-            tail_word=parse_word(f2, "x2"),
+            tail=parse_word(f2, "x2"),
         )
         for k, fwd, bwd in report.rows:
             assert fwd == k + 1

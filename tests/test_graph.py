@@ -28,7 +28,7 @@ from conftest import oracle_stdout, traced_peak
 class TestNeighbors:
     def test_h3_ap_neighbors(self, h3):
         Ap = h3.element((1, 0, 0))
-        nbrs = dict((g.label(), w) for g, w in conj_neighbors(h3, Ap))
+        nbrs = dict(conj_neighbors(h3, Ap))
         assert nbrs["Ax"] == h3.element((1, 0, -1))
         assert nbrs["Ax^-1"] == h3.element((1, 0, 1))
         assert nbrs["Ap"] == Ap and nbrs["A1"] == Ap  # loops
@@ -39,7 +39,7 @@ class TestNeighbors:
 
     def test_dinf_chain(self):
         d = DihedralInf()
-        nbrs = dict((g.label(), w) for g, w in conj_neighbors(d, d.decode("a")))
+        nbrs = dict(conj_neighbors(d, d.decode("a")))
         assert nbrs["b"] == d.decode("bab")
 
 
@@ -77,9 +77,10 @@ class TestExplore:
         rng = Random(11)
         base = random_payload(model, rng, max_len=3)
         ball = explore_component(model, base, radius=3)
-        keys = {(e.src, e.label.gid, e.label.inverse_flag, e.dst) for e in ball.edges}
-        for src, gid, inv, dst in keys:
-            assert (dst, gid, not inv, src) in keys
+        keys = {(e.src, e.label, e.dst) for e in ball.edges}
+        for src, label, dst in keys:
+            inverse = label.removesuffix("^-1") if label.endswith("^-1") else label + "^-1"
+            assert (dst, inverse, src) in keys
 
     def test_dist_matches_conj_distance(self, model):
         rng = Random(12)
@@ -132,8 +133,7 @@ class TestDistance:
         f2 = FreeGroup(2)
         x = f2.decode("x1")
         # x^3 (y x y^-1) x^-3 is 4 conjugation steps from x
-        far = f2.element(f2.normal_form(
-            parse_word(f2, "x1.x1.x1.x2.x1.x2^-1.x1^-1.x1^-1.x1^-1")))
+        far = f2.element(parse_word(f2, "x1.x1.x1.x2.x1.x2^-1.x1^-1.x1^-1.x1^-1"))
         assert conj_distance(f2, f2.decode("x2.x1.x2^-1"), x, budget=8) == 1
         assert conj_distance(f2, x, far, budget=8) == 4
 

@@ -1,5 +1,6 @@
 import itertools
 import re
+from functools import reduce
 from random import Random
 
 import pytest
@@ -11,7 +12,6 @@ from conjlab import (
     DihedralInf,
     DirectProduct,
     FreeGroup,
-    Generator,
     Heisenberg,
     ModelMismatchError,
     ResourceBudgetError,
@@ -24,8 +24,11 @@ from conjlab.sampling import random_payload
 from conftest import all_models, mat_inv, mat_mul, mat_of, triple_of, word_search
 
 
-def G(gid, inv=False):
-    return Generator(gid, inv)
+def fold(model, labels):
+    """The product of the generators with these `gen_triples` labels."""
+    letters = {label: x for label, x, _ in model.gen_triples}
+    return reduce(model.mul_payload, [letters[label] for label in labels],
+                  model.identity_payload())
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +117,11 @@ def reduce_letters(word):
 class TestFree:
     def test_free_reduction(self):
         f2 = FreeGroup(2)
-        w = parse_word(f2, "x1.x1^-1.x2")
-        assert f2.normal_form(w) == f2.decode_payload("x2")
+        assert parse_word(f2, "x1.x1^-1.x2") == f2.decode_payload("x2")
 
     def test_word_length_reduced(self):
         f2 = FreeGroup(2)
-        g = f2.normal_form(parse_word(f2, "x1.x2.x1^-1"))
+        g = parse_word(f2, "x1.x2.x1^-1")
         assert word_search(f2, g, 5).length == 3
 
     def test_ball_radius_one(self):
@@ -170,7 +172,7 @@ class TestDihedral:
 
     def test_normal_form_example(self):
         d = DihedralInf()
-        assert d.normal_form(parse_word(d, "a.a.b")) == d.decode_payload("b")
+        assert parse_word(d, "a.a.b") == d.decode_payload("b")
 
     def test_invert_ab_brute_force(self):
         # oracle: search the word ball for the word w with (ab) * w = e
@@ -362,16 +364,16 @@ class TestDirectProduct:
 
     def test_generators_embed(self):
         m = DirectProduct(Heisenberg(), DihedralInf())
-        gl = m.generator_payload(G("l.Ap"))
-        gr = m.generator_payload(G("r.a"))
+        gl = parse_word(m, "l.Ap")
+        gr = parse_word(m, "r.a")
         assert m.mul_payload(gl, gr) == m.mul_payload(gr, gl)
 
     def test_parse_word_reads_product_ids(self):
-        assert parse_word(get_model("h3*dinf"), "l.Ax") == (G("l.Ax"),)
+        assert parse_word(get_model("h3*dinf"), "l.Ax") == ((0, 1, 0), "")
         m = get_model("h3*dinf*free2")
-        w = parse_word(m, "r.r.x1^-1.l.Ap")
-        assert w == (G("r.r.x1", True), G("l.Ap"))
-        assert m.encode_payload(m.normal_form(w)) == "(H3(1,0,0)|(e|x1^-1))"
+        p = parse_word(m, "r.r.x1^-1.l.Ap")
+        assert p == fold(m, ["r.r.x1^-1", "l.Ap"])
+        assert m.encode_payload(p) == "(H3(1,0,0)|(e|x1^-1))"
         for text, gid in [("l", "l"), ("r.r", "r.r"), ("l.x1", "l.x1"),
                           ("r.l.c", "r.l.c"), ("l.Ax.r", "r")]:
             with pytest.raises(UsageError, match=re.escape(f"generator {gid!r} ")):
@@ -420,14 +422,14 @@ def test_conjugation_inverts(model):
 
 def test_normal_form_idempotent(model):
     rng = Random(7)
-    gens = [gen for gen, _, _ in model.gen_triples]
+    labels = [label for label, _, _ in model.gen_triples]
     for _ in range(200):
-        word = tuple(rng.choice(gens) for _ in range(rng.randint(0, 20)))
-        g = model.normal_form(word)
-        # re-multiplying the canonical element's own encoding round-trips
+        word = [rng.choice(labels) for _ in range(rng.randint(0, 20))]
+        g = parse_word(model, ".".join(word))
+        # the canonical element's own encoding round-trips
         assert model.decode_payload(model.encode_payload(g)) == g
-        # folding the word a second time from the canonical form is stable
-        assert model.normal_form(word) == g
+        # parsing the dotted word folds its letters' payloads
+        assert fold(model, word) == g
 
 
 def test_encoding_injective(model):
@@ -446,9 +448,9 @@ def translates(draw, models=MODELS):
     """A model, a few of its payloads and one more, each a random word's
     normal form."""
     model = draw(st.sampled_from(models))
-    word = st.lists(st.sampled_from([gen for gen, _, _ in model.gen_triples]), max_size=8)
-    payloads = [model.normal_form(w) for w in draw(st.lists(word, max_size=6))]
-    return model, payloads, model.normal_form(draw(word))
+    word = st.lists(st.sampled_from([label for label, _, _ in model.gen_triples]), max_size=8)
+    payloads = [fold(model, w) for w in draw(st.lists(word, max_size=6))]
+    return model, payloads, fold(model, draw(word))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -521,8 +523,6 @@ def test_model_mismatch_rejected(h3):
 
 def test_unknown_generator_rejected(h3):
     with pytest.raises(UsageError):
-        h3.normal_form((G("z"),))
-    with pytest.raises(UsageError):
         parse_word(h3, "Ax.z")
     # outside a product, 'l' is a token like any other
     with pytest.raises(UsageError, match="generator 'l' "):
@@ -555,3 +555,56 @@ def test_get_model_caps_product_factors():
     # a name of 3001 factors is refused before anything recurses
     with pytest.raises(UsageError, match="at most 64 factors"):
         get_model("*".join(["h3"] * 3001))
+
+
+# ---------------------------------------------------------------------------
+# The text grammar of encodings and model names, pinned; a name of None
+# reads the text as a model name
+
+
+# text with a newline in it -> the decoder's message; it was once read as the
+# text without the newline, or with the newline kept in the payload
+NEWLINE_TEXTS = [
+    ("h3", "H3(1,2,3)\n", "bad H3 element encoding: 'H3(1,2,3)\\n'"),
+    ("free2", "x1\n.x2", "bad free2 letter: 'x1\\n'"),
+    ("dinf", "ab\n", "bad dinf element encoding: 'ab\\n'"),
+    ("dsemi", "ab\n", "bad dinf element encoding: 'ab\\n'"),
+    ("h3semi", "H3(1,2,3)\n", "bad H3 element encoding: 'H3(1,2,3)\\n'"),
+    ("h3*dinf", "(H3(1,2,3)|ab\n)", "bad dinf element encoding: 'ab\\n'"),
+    ("h3*dinf*free2", "(H3(1,2,3)\n|(a|x1))", "bad H3 element encoding: 'H3(1,2,3)\\n'"),
+    (None, "free2\n", "unknown model name: 'free2\\n'"),
+]
+
+# text -> the payload it reads as (a model name for name None)
+ACCEPTED_TEXTS = [
+    ("h3", "H3(١,2,3)", (1, 2, 3)),  # an Arabic-Indic digit one
+    ("h3", "H3(-0,0,0)", (0, 0, 0)),
+    ("free2", "x01", ((0, 1),)),
+    (None, "free02", "free2"),
+    ("dsemi", "bac", ("ba", 1)),
+    ("dsemi", "ba;c", ("ba", 1)),
+]
+
+REFUSED_TEXTS = [
+    ("h3", text, f"bad H3 element encoding: {text!r}")
+    for text in ["H3(+1,2,3)", "H3( 1,2,3)", "H3(1_0,2,3)", "H3(--1,2,3)", "H3(1,2)"]
+] + [
+    ("free2", text, f"bad free2 letter: {text!r}") for text in ["x^-1", "x1^-1^-1", "x0"]
+] + [
+    (None, text, f"unknown model name: {text!r}") for text in ["free", "free-1"]
+] + [("dinf", "aab", "encoding 'aab' is not an alternating word")]
+
+
+def _read(name, text):
+    return get_model(text).name if name is None else get_model(name).decode_payload(text)
+
+
+@pytest.mark.parametrize("name, text, message", NEWLINE_TEXTS + REFUSED_TEXTS)
+def test_text_is_refused(name, text, message):
+    with pytest.raises(UsageError, match="^" + re.escape(message) + "$"):
+        _read(name, text)
+
+
+@pytest.mark.parametrize("name, text, want", ACCEPTED_TEXTS)
+def test_text_is_accepted(name, text, want):
+    assert _read(name, text) == want

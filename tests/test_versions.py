@@ -5,7 +5,8 @@ on PATH, importing conjlab from this checkout's `src/`, and must give the
 exit codes and stdout of the interpreter running the tests.  An interpreter
 that cannot start is skipped.  The commands lean on what changed between
 these versions: `sum` over floats (compensated from 3.12 on), float
-formatting, exact rationals and the int/str digit limit.
+formatting, exact rationals, the int/str digit limit and the Unicode digits
+that the hand-written decoders accept.
 """
 
 import json
@@ -65,6 +66,8 @@ ARGV = [
     ["inverse-seq", "--model", "free2", "--u", "x1", "--conjugator", "x2", "--tail", "x1",
      "--k-max", "4", "--budget", "6"],
     ["derive", "--potential", "TWO_POINT", "--element", "H3(1,2"],
+    ["derive", "--potential", "DINF", "--element", "ab\n"],
+    ["derive", "--potential", "TWO_POINT", "--element", "H3(\u0661,0,0)"],
 ]
 
 
@@ -92,7 +95,7 @@ def test_same_bytes_on_every_python(tmp_path, version):
         Path(paths[name]).write_text(json.dumps(data))
     cases = [[paths.get(a, a) for a in argv] for argv in ARGV]
     want = run_commands(sys.executable, cases)
-    assert [code for code, _ in want] == [0] * 3 + [3] + [0] * 14 + [2]
+    assert [code for code, _ in want] == [0] * 3 + [3] + [0] * 14 + [2, 2, 0]
     got = run_commands(python, cases)
     for argv, (code, out), expected in zip(ARGV, got, want):
         assert [code, out.encode()] == [expected[0], expected[1].encode()], argv
