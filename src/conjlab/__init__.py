@@ -13,7 +13,6 @@ from .groups import (
     DihedralInf,
     DihedralSemidirect,
     FreeGroup,
-    GroupElement,
     GroupModel,
     Heisenberg,
     HeisenbergSemidirect,
@@ -22,7 +21,6 @@ from .groups import (
 )
 from .graph import (
     BCReport,
-    ConjEdge,
     ConjGraphBall,
     bc_probe,
     conj_distance,

@@ -266,8 +266,9 @@ def cmd_bound_probe(args):
 
 
 def cmd_appendix(args):
-    report = ex.run_appendix(args.m_max, args.n_max)
-    return _report(report, args.format)
+    # the table prints only the n = 1 coefficient, so it computes no other
+    n_max = min(args.n_max, 1) if args.format == "table" else args.n_max
+    return _report(ex.run_appendix(args.m_max, n_max), args.format)
 
 
 def cmd_limit(args):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ModelMismatchError, UsageError
-from .groups import DEFAULT_NODE_BUDGET, GroupElement, GroupModel, get_model
+from .groups import DEFAULT_NODE_BUDGET, GroupModel, get_model
 from .ring import _ZERO, GroupRingVector, add_terms, exact_str, float_norm, left_sum
 
 DEFAULT_TRUNCATION = 10**4
@@ -80,17 +80,12 @@ class Potential:
             raise UsageError("truncation cutoff must be an integer >= 1")
         self.closed_form = closed_form
         self.trunc_k = trunc_k
-        self._support = None
 
     def is_exact(self) -> bool:
         return self.closed_form is None
 
-    def value(self, g: GroupElement) -> Fraction:
-        """phi(g) under the truncation policy (0 beyond the cutoff)."""
-        self.model._check(g)
-        return self._value(g.payload)
-
-    def _value(self, p) -> Fraction:
+    def value(self, p) -> Fraction:
+        """phi at the payload p under the truncation policy (0 beyond the cutoff)."""
         return self.table.get(p) or self._rule(p, self.trunc_k)
 
     @cached_property
@@ -124,10 +119,8 @@ class Potential:
         return _negate(self._scaled_columns[1][1])
 
     def support(self) -> tuple:
-        """The (truncated) support sorted by encoding, built once and shared."""
-        if self._support is None:
-            self._support = tuple(map(self.model.element, self._columns[0]))
-        return self._support
+        """The (truncated) support's payloads sorted by encoding, built once."""
+        return self._columns[0]
 
     def add_derivation(self, gp, acc: dict, scaled: bool = False) -> None:
         """Add d(g) = sum of phi(s)(s g - g s) over the support, g of payload
@@ -227,7 +220,7 @@ def character(phi: Potential, up, vp) -> Fraction:
     `vp`: the coefficient of d(v) at u."""
     model = phi.model
     vi = model.inv_payload(vp)
-    return phi._value(model.mul_payload(up, vi)) - phi._value(model.mul_payload(vi, up))
+    return phi.value(model.mul_payload(up, vi)) - phi.value(model.mul_payload(vi, up))
 
 
 def leibniz_residual(phi: Potential, gp, hp):
@@ -283,7 +276,7 @@ def g_boundedness_probe(
     if not p >= 1:
         raise UsageError(f"g_boundedness_probe needs p >= 1, got {p}")
     model = phi.model
-    ball = model.cayley_depths(radius, node_budget)
+    ball = model.cayley_ball(radius, node_budget)
     encode = model.encode_payload
     # d(g) has phi(g t g^-1) - phi(t) at g t for each t in the support,
     # then phi(s) at s g for each s that is no image g t g^-1, powers
@@ -343,7 +336,7 @@ def stabilisation_probe(phi: Potential, ball, radii):
         sup = Fraction(0)
         for p, dp in ball.depths.items():
             if dp > r:
-                sup = max(sup, abs(phi._value(p)))
+                sup = max(sup, abs(phi.value(p)))
         out.append((r, sup))
     return out
 

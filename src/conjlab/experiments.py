@@ -16,7 +16,7 @@ from itertools import accumulate
 
 from .derivations import Derivation, Potential
 from .errors import InternalConsistencyError, UsageError
-from .graph import _payload_distance
+from .graph import conj_distance
 from .groups import DEFAULT_NODE_BUDGET, GroupModel, Heisenberg
 from .ring import exact_pow_fits, exact_str, float_norm
 
@@ -261,7 +261,7 @@ def run_inverse_sequence_check(
         power = mul(power, a)
         a_k = mul(power, tail)
         a_ki = model.inv_payload(a_k)
-        fwd = _payload_distance(model, up, step(up, a_k, a_ki), budget, node_budget)
-        bwd = _payload_distance(model, up, step(up, a_ki, a_k), budget, node_budget)
+        fwd = conj_distance(model, up, step(up, a_k, a_ki), budget, node_budget)
+        bwd = conj_distance(model, up, step(up, a_ki, a_k), budget, node_budget)
         rows.append((k, fwd, bwd))
     return InverseSequenceReport(rows)

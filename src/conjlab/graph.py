@@ -1,7 +1,7 @@
 """Conjugation-graph exploration: balls, distances, and the BC probe.
 
-Vertices are group elements; for every generator x (and its inverse) there
-is a directed edge g -> x g x^-1 labeled x.  All searches are budgeted
+Vertices are element payloads; for every generator x (and its inverse)
+there is a directed edge g -> x g x^-1 labeled x.  All searches are budgeted
 because the ambient graph is infinite: results either are exact or carry
 an explicit AtLeast / incompleteness flag.
 """
@@ -14,17 +14,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import UsageError
-from .groups import AtLeast, DEFAULT_NODE_BUDGET, GroupElement, GroupModel
-
-
-@dataclass(frozen=True)
-class ConjEdge:
-    src: GroupElement
-    label: str
-    dst: GroupElement
-
-    def is_loop(self) -> bool:
-        return self.src == self.dst
+from .groups import AtLeast, DEFAULT_NODE_BUDGET, GroupModel
 
 
 @dataclass
@@ -43,16 +33,10 @@ class ConjGraphBall:
     complete: bool = True
     closed: bool = False
 
-    @cached_property
-    def dist(self) -> dict:
-        """{element: depth}, `depths` wrapped for the API; built on first read."""
-        element = self.model.element
-        return {element(p): d for p, d in self.depths.items()}
-
     @property
     def vertices(self):
-        """The ball's elements, a set-like view of `dist`."""
-        return self.dist.keys()
+        """The ball's payloads, a set-like view of `depths`."""
+        return self.depths.keys()
 
     @cached_property
     def encodings(self) -> dict:
@@ -82,18 +66,14 @@ class ConjGraphBall:
 
     @cached_property
     def edges(self) -> list:
-        """The edge rows as `ConjEdge`s between elements, for API callers."""
-        elem = {self.encodings[v.payload]: v for v in self.dist}
-        return [ConjEdge(elem[src], label, elem[dst])
-                for src, label, dst in self.edge_rows()]
+        """The edge rows, as a list."""
+        return list(self.edge_rows())
 
 
-def conj_neighbors(model: GroupModel, h: GroupElement):
-    """All conjugation neighbors of h: one entry per generator and inverse,
-    self-loops included."""
-    model._check(h)
-    return [(label, model.element(model.conj_step(h.payload, x, xi)))
-            for label, x, xi in model.gen_triples]
+def conj_neighbors(model: GroupModel, hp):
+    """(label, x h x^-1) for every generator or inverse x, h of payload
+    `hp`, self-loops included."""
+    return [(label, model.conj_step(hp, x, xi)) for label, x, xi in model.gen_triples]
 
 
 def explore_component(
@@ -107,26 +87,16 @@ def explore_component(
     return ConjGraphBall(model, u0, radius, search.dist, search.cut is None, search.exhausted)
 
 
-def conj_distance(
-    model: GroupModel,
-    h1: GroupElement,
-    h2: GroupElement,
-    budget: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-):
-    """Shortest-path distance in the conjugation graph; AtLeast(budget)
-    when none is <= budget, AtLeast(shortest length not ruled out) when
-    the node budget runs out (`GroupModel.search` with a goal).
+def conj_distance(model: GroupModel, p1, p2, budget: int,
+                  node_budget: int = DEFAULT_NODE_BUDGET):
+    """Shortest-path distance in the conjugation graph between the payloads
+    p1 and p2; AtLeast(budget) when none is <= budget, AtLeast(shortest
+    length not ruled out) when the node budget runs out (`GroupModel.search`
+    with a goal).
 
     Elements with different abelian images are not conjugate.  When a
     search to depth `budget` cannot run out of nodes either, it could only
     return AtLeast(budget), so that is returned without one."""
-    model._check(h1, h2)
-    return _payload_distance(model, h1.payload, h2.payload, budget, node_budget)
-
-
-def _payload_distance(model: GroupModel, p1, p2, budget: int, node_budget: int):
-    """`conj_distance` on payloads."""
     if (model.abelian_image(p1) != model.abelian_image(p2)
             and _levels_fit(len(model.gen_triples), budget, node_budget)):
         return AtLeast(budget)
@@ -173,7 +143,7 @@ def _max_distance(dists):
 
 def _set_diameter(model, payloads, budget, node_budget):
     """Max pairwise conjugation distance; AtLeast propagates."""
-    return _max_distance([0] + [_payload_distance(model, u, v, budget, node_budget)
+    return _max_distance([0] + [conj_distance(model, u, v, budget, node_budget)
                                 for u, v in combinations(payloads, 2)])
 
 
@@ -195,7 +165,7 @@ def bc_probe(
     if not K:
         raise UsageError("bc_probe needs a nonempty finite set K")
     by_radius = {}
-    for g, r in model.cayley_depths(max_cayley_radius, node_budget).items():
+    for g, r in model.cayley_ball(max_cayley_radius, node_budget).items():
         by_radius.setdefault(r, []).append(g)
     conj_all, inv = model.conj_all, model.inv_payload
     memo = {}

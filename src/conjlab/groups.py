@@ -1,10 +1,11 @@
 """Exact word arithmetic and canonical forms for the concrete group models.
 
 Every element is a payload: a unique canonical form, so equality and
-hashing are structural and the text encoding is injective.  `GroupElement`
-wraps a payload with its model at the API boundary only.  All integer
-payloads are plain Python ints (arbitrary precision), so nothing overflows
-when conjugation stretches the central coordinate.
+hashing are structural and the text encoding is injective.  Text becomes
+a payload at the API boundary only, through `decode_payload` and
+`parse_word`.  All integer payloads are plain Python ints (arbitrary
+precision), so nothing overflows when conjugation stretches the central
+coordinate.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
-from .errors import ModelMismatchError, ResourceBudgetError, UsageError
+from .errors import ResourceBudgetError, UsageError
 
 DEFAULT_NODE_BUDGET = 10**6
 MAX_FREE_RANK = 2**16  # past this, listing the generators exhausts time or memory
@@ -49,33 +50,6 @@ class Search:
     length: int | AtLeast
     cut: int | None = None
     exhausted: bool = False
-
-
-class GroupElement:
-    """An element of a concrete model in canonical form."""
-
-    __slots__ = ("model", "payload", "_hash")
-
-    def __init__(self, model: "GroupModel", payload):
-        self.model = model
-        self.payload = payload
-        self._hash = hash((model.name, payload))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupElement)
-            and self.model.name == other.model.name
-            and self.payload == other.payload
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def encode(self) -> str:
-        return self.model.encode_payload(self.payload)
-
-    def __repr__(self):
-        return f"<{self.model.name}:{self.encode()}>"
 
 
 class GroupModel(ABC):
@@ -121,10 +95,7 @@ class GroupModel(ABC):
         """Whether the conjugacy class of p, its conjugation-graph
         component, is finite."""
 
-    # -- element-level interface -------------------------------------------
-
-    def element(self, payload) -> GroupElement:
-        return GroupElement(self, payload)
+    # -- generators, steps and products ------------------------------------
 
     @cached_property
     def gen_triples(self) -> list:
@@ -135,13 +106,6 @@ class GroupModel(ABC):
             xi = self.inv_payload(x)
             out += [(gid, x, xi), (gid + "^-1", xi, x)]
         return out
-
-    def _check(self, *elems):
-        for e in elems:
-            if e.model.name != self.name:
-                raise ModelMismatchError(
-                    f"element of model {e.model.name} used with model {self.name}"
-                )
 
     def conj_step(self, p, x, xi):
         """Conjugation-graph step along generator x: x p x^-1."""
@@ -165,17 +129,14 @@ class GroupModel(ABC):
         mul = self.mul_payload
         return [mul(gp, mul(s, gi)) for s in payloads]
 
-    def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        self._check(a, b)
-        return self.element(self.mul_payload(a.payload, b.payload))
+    # the single-product names `bench/tracer.py` times; no command calls them
 
-    def conjugate(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        """g * h * g^-1 in canonical form."""
-        self._check(g, h)
-        return self.element(self.conj_step(h.payload, g.payload, self.inv_payload(g.payload)))
+    def multiply(self, p1, p2):
+        return self.mul_payload(p1, p2)
 
-    def decode(self, text: str) -> GroupElement:
-        return self.element(self.decode_payload(text))
+    def conjugate(self, gp, hp):
+        """g h g^-1, g and h of payloads `gp` and `hp`."""
+        return self.conj_step(hp, gp, self.inv_payload(gp))
 
     # -- budgeted search ---------------------------------------------------
 
@@ -217,7 +178,7 @@ class GroupModel(ABC):
             fronts[i] = nxt
         return Search(seen[0], AtLeast(radius))
 
-    def cayley_depths(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
+    def cayley_ball(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
         """Map payload -> word length, for every element of length <= radius;
         raises ResourceBudgetError when the node budget runs out."""
         ball = self.search(self.identity_payload(), self.right_step, radius, node_budget)
@@ -225,10 +186,6 @@ class GroupModel(ABC):
             raise ResourceBudgetError(f"cayley_ball node budget {node_budget} exceeded",
                                       partial_count=ball.cut)
         return ball.dist
-
-    def cayley_ball(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
-        """`cayley_depths` keyed by element."""
-        return {self.element(p): d for p, d in self.cayley_depths(radius, node_budget).items()}
 
 
 # ---------------------------------------------------------------------------

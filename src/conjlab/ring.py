@@ -1,7 +1,7 @@
 """Finitely supported group-ring vectors with exact rational coefficients,
 stored as {payload: Fraction}, and the norms on them.
 
-Arithmetic stays exact and runs on payloads; group elements appear only at
+Arithmetic stays exact and runs on payloads; encodings appear only at
 the API boundary.  Only the final p-norm values leave exact land (float),
 with `lq_pow_exact` when the q-th power of the norm is itself rational.
 """
@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import ModelMismatchError, UsageError
-from .groups import GroupElement, GroupModel
+from .groups import GroupModel
 
 _ZERO = Fraction(0)
 _ratio = operator.attrgetter("numerator", "denominator")
@@ -144,14 +144,14 @@ class GroupRingVector:
         v += other
         return v
 
-    def mul_elem_right(self, g: GroupElement) -> "GroupRingVector":
-        self.model._check(g)
-        keys = self.model.mul_all(self.terms, g.payload)
+    def mul_elem_right(self, gp) -> "GroupRingVector":
+        """The vector v g, g of payload `gp`."""
+        keys = self.model.mul_all(self.terms, gp)
         return GroupRingVector(self.model, dict(zip(keys, self.terms.values())))
 
-    def mul_elem_left(self, g: GroupElement) -> "GroupRingVector":
-        self.model._check(g)
-        keys = self.model.mul_all(self.terms, g.payload, left=True)
+    def mul_elem_left(self, gp) -> "GroupRingVector":
+        """The vector g v, g of payload `gp`."""
+        keys = self.model.mul_all(self.terms, gp, left=True)
         return GroupRingVector(self.model, dict(zip(keys, self.terms.values())))
 
     def __mul__(self, other) -> "GroupRingVector":

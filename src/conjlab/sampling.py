@@ -1,12 +1,10 @@
-"""Seeded random generation of payloads, loops, and potentials, used by
-the property-check commands and the test suite."""
+"""Seeded random generation of payloads and loops, used by the
+property-check commands and the test suite."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from random import Random
 
-from .derivations import Potential
 from .groups import GroupModel
 
 
@@ -33,14 +31,3 @@ def _power(model: GroupModel, p, n: int):
     for _ in range(abs(n)):
         out = model.mul_payload(out, base)
     return out
-
-
-def random_potential(model: GroupModel, rng: Random, size: int = 5,
-                     max_len: int = 5) -> Potential:
-    table = {}
-    for _ in range(size):
-        g = random_payload(model, rng, max_len)
-        num = rng.choice([n for n in range(-5, 6) if n != 0])
-        den = rng.randint(1, 5)
-        table[g] = Fraction(num, den)
-    return Potential(model, table)

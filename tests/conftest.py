@@ -5,13 +5,13 @@ import tracemalloc
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from random import Random
 
 import pytest
 
 from conjlab import (
     AtLeast,
     BCReport,
-    ConjEdge,
     DihedralInf,
     DihedralSemidirect,
     DirectProduct,
@@ -19,6 +19,7 @@ from conjlab import (
     GroupRingVector,
     Heisenberg,
     HeisenbergSemidirect,
+    Potential,
     UsageError,
     conj_distance,
     conj_neighbors,
@@ -102,9 +103,9 @@ def mat_inv(m):
 
 
 # ---------------------------------------------------------------------------
-# Element-level oracles of the `graph` and `bc` commands: every edge from
-# `conj_neighbors` as a `ConjEdge`, sorted by `.encode()`, and the BC shells
-# from `conjugate` and `conj_distance`, rendered as the CLI prints them.
+# Oracles of the `graph` and `bc` commands: every edge from `conj_neighbors`
+# as an (encoding, label, encoding) row, sorted, and the BC shells from
+# `conjugate` and `conj_distance`, rendered as the CLI prints them.
 
 
 def _cli_json(data) -> str:
@@ -112,32 +113,30 @@ def _cli_json(data) -> str:
 
 
 def oracle_edges(model, ball):
-    edges = []
-    for v in ball.dist:
-        for label, w in conj_neighbors(model, v):
-            if w in ball.dist:
-                edges.append(ConjEdge(v, label, w))
-    edges.sort(key=lambda e: (e.src.encode(), e.label, e.dst.encode()))
-    return edges
+    """(src, label, dst) rows of every edge between ball vertices, sorted."""
+    enc = model.encode_payload
+    return sorted((enc(v), label, enc(w))
+                  for v in ball.depths for label, w in conj_neighbors(model, v)
+                  if w in ball.depths)
 
 
 def oracle_graph_stdout(model, base, radius, fmt, suppress_loops, node_budget):
-    ball = explore_component(model, base.payload, radius, node_budget)
-    edges = [e for e in oracle_edges(model, ball) if not (suppress_loops and e.is_loop())]
-    vertices = sorted(v.encode() for v in ball.vertices)
+    ball = explore_component(model, base, radius, node_budget)
+    edges = [e for e in oracle_edges(model, ball) if not (suppress_loops and e[0] == e[2])]
+    enc = model.encode_payload
+    vertices = sorted(enc(v) for v in ball.vertices)
     if fmt == "dot":
-        lines = ["digraph conj {"] + [f'  "{enc}";' for enc in vertices]
-        lines += [f'  "{e.src.encode()}" -> "{e.dst.encode()}" [label="{e.label}"];'
-                  for e in edges]
+        lines = ["digraph conj {"] + [f'  "{v}";' for v in vertices]
+        lines += [f'  "{src}" -> "{dst}" [label="{label}"];' for src, label, dst in edges]
         return "\n".join(lines + ["}"]) + "\n"
     return _cli_json({
-        "base": base.encode(),
+        "base": enc(base),
         "radius": radius,
         "complete": ball.complete,
         "closed": ball.closed,
         "vertices": vertices,
-        "edges": [[e.src.encode(), e.label, e.dst.encode()] for e in edges],
-        "dist": {v.encode(): d for v, d in ball.dist.items()},
+        "edges": [list(e) for e in edges],
+        "dist": {enc(v): d for v, d in ball.depths.items()},
     })
 
 
@@ -147,7 +146,7 @@ def _oracle_max(dists):
 
 
 def oracle_bc_stdout(model, K, radius, diam_budget, node_budget):
-    K = sorted(set(K), key=lambda k: k.encode())
+    K = sorted(set(K), key=model.encode_payload)
     ball = model.cayley_ball(radius, node_budget)
     memo, shells, running = {}, [], 0
     for r in range(radius + 1):
@@ -161,7 +160,7 @@ def oracle_bc_stdout(model, K, radius, diam_budget, node_budget):
             dists.append(memo[images])
         running = _oracle_max(dists)
         shells.append((r, running))
-    report = BCReport([k.encode() for k in K], shells, _bc_verdict(shells, radius))
+    report = BCReport(list(map(model.encode_payload, K)), shells, _bc_verdict(shells, radius))
     return _cli_json(report.to_json())
 
 
@@ -171,9 +170,9 @@ def oracle_stdout(argv, node_budget=DEFAULT_NODE_BUDGET):
     args = parse(argv, node_budget)
     model = get_model(args.model)
     if args.command == "graph":
-        return oracle_graph_stdout(model, model.decode(args.base), args.radius,
+        return oracle_graph_stdout(model, model.decode_payload(args.base), args.radius,
                                    args.format, args.suppress_loops, args.budget_nodes)
-    return oracle_bc_stdout(model, [model.decode(k) for k in args.k],
+    return oracle_bc_stdout(model, [model.decode_payload(k) for k in args.k],
                             args.cayley_radius, args.diam_budget, args.budget_nodes)
 
 
@@ -314,8 +313,7 @@ def character_from_potential(phi, mor: Morphism) -> Fraction:
     """chi(h, g) = phi(h g^-1) - phi(g^-1 h), through `Potential.value`."""
     m, h = mor.model, mor.u
     ginv = m.inv_payload(mor.v)
-    return (phi.value(m.element(m.mul_payload(h, ginv)))
-            - phi.value(m.element(m.mul_payload(ginv, h))))
+    return phi.value(m.mul_payload(h, ginv)) - phi.value(m.mul_payload(ginv, h))
 
 
 def character_from_derivation(d, mor: Morphism) -> Fraction:
@@ -344,3 +342,15 @@ def closed_form_coefficient(m: int, n: int) -> Fraction:
     window sum of Ax powers: sum over window exponents k != 0 from
     max(-n+1, -m) to m of 1/(k+n)."""
     return sum((Fraction(1, k + n) for k in range(max(-n + 1, -m), m + 1) if k), Fraction(0))
+
+
+def random_potential(model, rng: Random, size: int = 5, max_len: int = 5) -> Potential:
+    """A potential of at most `size` random entries, words of at most
+    `max_len` generators with nonzero values n/d, |n| <= 5 and d <= 5."""
+    table = {}
+    for _ in range(size):
+        g = random_payload(model, rng, max_len)
+        num = rng.choice([n for n in range(-5, 6) if n != 0])
+        den = rng.randint(1, 5)
+        table[g] = Fraction(num, den)
+    return Potential(model, table)

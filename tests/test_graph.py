@@ -19,7 +19,7 @@ from conjlab import (
     parse_word,
 )
 from conjlab.cli import main
-from conjlab.groups import GroupElement, SwapExtension
+from conjlab.groups import SwapExtension
 from conjlab.sampling import random_payload
 
 from conftest import oracle_stdout, traced_peak
@@ -27,42 +27,42 @@ from conftest import oracle_stdout, traced_peak
 
 class TestNeighbors:
     def test_h3_ap_neighbors(self, h3):
-        Ap = h3.element((1, 0, 0))
+        Ap = (1, 0, 0)
         nbrs = dict(conj_neighbors(h3, Ap))
-        assert nbrs["Ax"] == h3.element((1, 0, -1))
-        assert nbrs["Ax^-1"] == h3.element((1, 0, 1))
+        assert nbrs["Ax"] == (1, 0, -1)
+        assert nbrs["Ax^-1"] == (1, 0, 1)
         assert nbrs["Ap"] == Ap and nbrs["A1"] == Ap  # loops
 
     def test_identity_all_loops(self, model):
-        e = model.element(model.identity_payload())
+        e = model.identity_payload()
         assert all(w == e for _, w in conj_neighbors(model, e))
 
     def test_dinf_chain(self):
         d = DihedralInf()
-        nbrs = dict(conj_neighbors(d, d.decode("a")))
-        assert nbrs["b"] == d.decode("bab")
+        nbrs = dict(conj_neighbors(d, d.decode_payload("a")))
+        assert nbrs["b"] == d.decode_payload("bab")
 
 
 class TestExplore:
     def test_central_path_ball(self, h3):
         ball = explore_component(h3, (1, 0, 0), radius=3)
-        assert ball.vertices == {h3.element((1, 0, k)) for k in range(-3, 4)}
+        assert ball.vertices == {(1, 0, k) for k in range(-3, 4)}
         assert ball.complete and not ball.closed
         for k in range(-3, 4):
-            assert ball.dist[h3.element((1, 0, k))] == abs(k)
+            assert ball.depths[(1, 0, k)] == abs(k)
 
     def test_identity_component(self, model):
         ball = explore_component(model, model.identity_payload(), radius=4)
-        assert ball.vertices == {model.element(model.identity_payload())}
+        assert ball.vertices == {model.identity_payload()}
         assert ball.closed
-        assert all(e.is_loop() for e in ball.edges)
+        assert all(src == dst for src, _, dst in ball.edges)
 
     def test_dsemi_c_component(self):
         m = get_model("dsemi")
         ball = explore_component(m, m.decode_payload("c"), radius=2)
-        d1 = {v.encode() for v, d in ball.dist.items() if d == 1}
+        d1 = {m.encode_payload(v) for v, d in ball.depths.items() if d == 1}
         assert d1 == {"ab;c", "ba;c"}
-        assert {v.encode() for v, d in ball.dist.items() if d == 2} == {
+        assert {m.encode_payload(v) for v, d in ball.depths.items() if d == 2} == {
             "abab;c",
             "baba;c",
         }
@@ -71,13 +71,13 @@ class TestExplore:
         d = DihedralInf()
         ball = explore_component(d, d.decode_payload("ababab"), radius=10)
         assert ball.closed
-        assert {v.encode() for v in ball.vertices} == {"ababab", "bababa"}
+        assert set(map(d.encode_payload, ball.vertices)) == {"ababab", "bababa"}
 
     def test_edge_symmetry(self, model):
         rng = Random(11)
         base = random_payload(model, rng, max_len=3)
         ball = explore_component(model, base, radius=3)
-        keys = {(e.src, e.label, e.dst) for e in ball.edges}
+        keys = set(ball.edges)
         for src, label, dst in keys:
             inverse = label.removesuffix("^-1") if label.endswith("^-1") else label + "^-1"
             assert (dst, inverse, src) in keys
@@ -86,20 +86,20 @@ class TestExplore:
         rng = Random(12)
         base = random_payload(model, rng, max_len=3)
         ball = explore_component(model, base, radius=3)
-        for v, dv in ball.dist.items():
-            assert conj_distance(model, model.element(base), v, budget=8) == dv
+        for v, dv in ball.depths.items():
+            assert conj_distance(model, base, v, budget=8) == dv
 
     def test_budget_flagged(self, h3):
         ball = explore_component(h3, (1, 0, 0), radius=50, node_budget=5)
         assert not ball.complete and not ball.closed
         # the node that crossed the budget is kept
-        assert len(ball.dist) == 6
+        assert len(ball.depths) == 6
 
     def test_radius_zero(self, model):
         ball = explore_component(model, model.identity_payload(), radius=0)
-        assert ball.dist == {model.element(model.identity_payload()): 0}
+        assert ball.depths == {model.identity_payload(): 0}
         assert ball.complete and not ball.closed
-        assert [e.is_loop() for e in ball.edges] == [True] * len(model.gen_triples)
+        assert [src == dst for src, _, dst in ball.edges] == [True] * len(model.gen_triples)
 
     def test_closed_only_when_frontier_empties_within_radius(self):
         # the class {ababab, bababa}: the frontier empties at depth 2
@@ -117,29 +117,29 @@ class TestExplore:
             a, b, _ = base
             ball = explore_component(h3, base, radius=3)
             for v in ball.vertices:
-                assert v.payload[0] == a and v.payload[1] == b
+                assert v[0] == a and v[1] == b
 
 
 class TestDistance:
     def test_reflexive(self, model):
-        g = model.element(random_payload(model, Random(14)))
+        g = random_payload(model, Random(14))
         assert conj_distance(model, g, g, budget=4) == 0
 
     def test_dinf_adjacent(self):
         d = DihedralInf()
-        assert conj_distance(d, d.decode("a"), d.decode("bab"), budget=4) == 1
+        assert conj_distance(d, d.decode_payload("a"), d.decode_payload("bab"), budget=4) == 1
 
     def test_free_group_stretch(self):
         f2 = FreeGroup(2)
-        x = f2.decode("x1")
+        x = f2.decode_payload("x1")
         # x^3 (y x y^-1) x^-3 is 4 conjugation steps from x
-        far = f2.element(parse_word(f2, "x1.x1.x1.x2.x1.x2^-1.x1^-1.x1^-1.x1^-1"))
-        assert conj_distance(f2, f2.decode("x2.x1.x2^-1"), x, budget=8) == 1
+        far = parse_word(f2, "x1.x1.x1.x2.x1.x2^-1.x1^-1.x1^-1.x1^-1")
+        assert conj_distance(f2, f2.decode_payload("x2.x1.x2^-1"), x, budget=8) == 1
         assert conj_distance(f2, x, far, budget=8) == 4
 
     def test_disconnected_sentinel(self, h3):
         # distinct (a, b) coordinates are in different components
-        d = conj_distance(h3, h3.element((1, 0, 0)), h3.element((0, 1, 0)), budget=5)
+        d = conj_distance(h3, (1, 0, 0), (0, 1, 0), budget=5)
         assert d == AtLeast(5)
 
     def test_node_budget_gives_depth_reached(self, h3):
@@ -149,23 +149,23 @@ class TestDistance:
         # is not counted) rule out every length <= 2, and the start's first
         # depth-2 node, (1, 0, -2), is the 6th and crosses a node budget of
         # 5, so the shortest length not ruled out is 3
-        base = h3.element((1, 0, 0))
-        far = conj_distance(h3, base, h3.element((1, 0, 10)), budget=20, node_budget=5)
+        base = (1, 0, 0)
+        far = conj_distance(h3, base, (1, 0, 10), budget=20, node_budget=5)
         assert far == AtLeast(3)
-        assert conj_distance(h3, base, h3.element((1, 0, 3)), 20, 5) == AtLeast(3)
+        assert conj_distance(h3, base, (1, 0, 3), 20, 5) == AtLeast(3)
         # a meet is checked before the budget: from (1, 0, -3) the target's
         # side holds (1, 0, -2), the start's first depth-2 node, so 2 + 1
-        assert conj_distance(h3, base, h3.element((1, 0, -3)), 20, 5) == 3
+        assert conj_distance(h3, base, (1, 0, -3), 20, 5) == 3
 
     @pytest.mark.parametrize("a", range(-2, 3))
     @pytest.mark.parametrize("b", range(-2, 3))
     def test_h3_closed_form(self, h3, a, b):
         budget = 5
-        base = h3.element((a, b, 1))
+        base = (a, b, 1)
         for delta in range(-6, 7):
             other = (a, b, 1 + delta)
-            want = h3_oracle_distance(base.payload, other, budget)
-            assert conj_distance(h3, base, h3.element(other), budget) == want, delta
+            want = h3_oracle_distance(base, other, budget)
+            assert conj_distance(h3, base, other, budget) == want, delta
 
     @pytest.mark.parametrize("words", [
         ["a", "bab", "ababa", "bababab", "ab" * 6 + "a", "ba" * 7 + "b"],
@@ -207,13 +207,13 @@ class TestDistance:
             return AtLeast(budget)
 
         for u, v in product([w.replace("e", "") for w in words], repeat=2):
-            got = conj_distance(d, d.decode(u or "e"), d.decode(v or "e"), budget)
+            got = conj_distance(d, d.decode_payload(u or "e"), d.decode_payload(v or "e"), budget)
             assert got == brute(u, v) == closed(u, v), (u, v)
 
     def test_symmetry_and_triangle(self):
         d = DihedralInf()
         ball = explore_component(d, d.decode_payload("a"), radius=5)
-        verts = sorted(ball.vertices, key=GroupElement.encode)
+        verts = sorted(ball.vertices, key=d.encode_payload)
         dist = {
             (u, v): conj_distance(d, u, v, budget=12)
             for u in verts
@@ -282,8 +282,8 @@ def h3_oracle_distance(p, q, budget):
 
 def _pairwise_shells(model, K, radius, diam_budget, node_budget):
     """bc_probe's shells recomputed from pairwise conj_distance calls on the
-    elements of the payloads K."""
-    K = [model.element(k) for k in sorted(set(K), key=model.encode_payload)]
+    conjugates of the payloads K."""
+    K = sorted(set(K), key=model.encode_payload)
     ball = model.cayley_ball(radius, node_budget)
     dists = []
     shells = []
@@ -317,7 +317,7 @@ class TestBCOracle:
         dists = [0]
         want = []
         for r in range(radius + 1):
-            for g, rg in h3.cayley_depths(radius).items():
+            for g, rg in h3.cayley_ball(radius).items():
                 x, y, _ = g
                 images = [(a, b, c + x * b - y * a) for a, b, c in K]
                 if rg == r:
@@ -389,7 +389,7 @@ class TestDot:
 
 
 # ---------------------------------------------------------------------------
-# The CLI against the element-level oracles, byte for byte
+# The CLI against the conftest oracles, byte for byte
 
 
 ORACLE_MODELS = ["h3", "free2", "dinf", "dsemi", "h3semi", "h3*dinf", "h3*dinf*free2"]
@@ -467,20 +467,12 @@ def test_graph_encodes_each_vertex_once(capsys, monkeypatch):
     assert len(calls) == len(json.loads(out)["vertices"])
 
 
-def test_bc_wraps_no_conjugate(capsys, monkeypatch):
-    # no K element, ball element, conjugate or pair builds an element
-    init = GroupElement.__init__
-    calls = []
-
-    def counted(self, model, payload):
-        calls.append(payload)
-        init(self, model, payload)
-
-    monkeypatch.setattr(GroupElement, "__init__", counted)
+def test_bc_wraps_no_conjugate(capsys):
+    # K, the ball, the conjugates and the pairs are payloads throughout;
+    # there is no element type left to wrap them in
     K = ["x1", "x2.x1.x2^-1", "x1.x2"]
     cli_stdout(capsys, ["bc", "--model", "free2", *(a for k in K for a in ("--k", k)),
                         "--cayley-radius", "3", "--diam-budget", "4"])
-    assert calls == []
 
 
 @pytest.mark.parametrize("fmt, bound", [("json", 4e6), ("dot", 3e6)])

@@ -13,7 +13,6 @@ from conjlab import (
     DirectProduct,
     FreeGroup,
     Heisenberg,
-    ModelMismatchError,
     ResourceBudgetError,
     UsageError,
     get_model,
@@ -50,7 +49,7 @@ class TestHeisenberg:
             p2 = tuple(rng.randint(-3, 3) for _ in range(3))
             want = triple_of(mat_mul(mat_of(p1), mat_of(p2)))
             assert h3.mul_payload(p1, p2) == want
-            assert h3.multiply(h3.element(p1), h3.element(p2)).payload == want
+            assert h3.multiply(p1, p2) == want
             assert h3.inv_payload(p1) == triple_of(mat_inv(mat_of(p1)))
 
     def test_conjugate_matches_matrices(self, h3):
@@ -58,7 +57,7 @@ class TestHeisenberg:
         for _ in range(200):
             pg = tuple(rng.randint(-3, 3) for _ in range(3))
             ph = tuple(rng.randint(-3, 3) for _ in range(3))
-            got = h3.conjugate(h3.element(pg), h3.element(ph)).payload
+            got = h3.conjugate(pg, ph)
             want = triple_of(
                 mat_mul(mat_mul(mat_of(pg), mat_of(ph)), mat_inv(mat_of(pg)))
             )
@@ -66,9 +65,9 @@ class TestHeisenberg:
 
     def test_central_shift_conjugation_rule(self, h3):
         # Ax (Ap A1^k) Ax^-1 = Ap A1^(k-1)
-        Ax = h3.element((0, 1, 0))
+        Ax = (0, 1, 0)
         for k in range(-4, 5):
-            assert h3.conjugate(Ax, h3.element((1, 0, k))) == h3.element((1, 0, k - 1))
+            assert h3.conjugate(Ax, (1, 0, k)) == (1, 0, k - 1)
 
     def test_word_length_of_central_generator(self, h3):
         # A1 is itself a generator here, so its geodesic length is 1
@@ -92,7 +91,7 @@ class TestHeisenberg:
         assert word_search(h3, far, 5, node_budget=10).cut == 11
         # a meet is checked before the budget: the target (0, 1, 1) reaches
         # A1, on the identity's side, with its 2nd neighbour (0, 0, 1)
-        eleventh = list(h3.cayley_depths(2))[10]
+        eleventh = list(h3.cayley_ball(2))[10]
         found = word_search(h3, eleventh, 5, node_budget=10)
         assert (found.length, found.cut) == (2, None)
 
@@ -131,12 +130,12 @@ class TestFree:
     def test_rejects_unreduced_encoding(self):
         f2 = FreeGroup(2)
         with pytest.raises(UsageError):
-            f2.decode("x1.x1^-1")
+            f2.decode_payload("x1.x1^-1")
 
     @pytest.mark.parametrize("text", ["x1.x1^-1", "x2.x1^-1.x1.x2", "x1^-1.x2.x2^-1"])
     def test_unreduced_encoding_message(self, text):
         with pytest.raises(UsageError) as exc:
-            FreeGroup(2).decode(text)
+            FreeGroup(2).decode_payload(text)
         assert str(exc.value) == f"encoding {text!r} is not a reduced word"
 
     @settings(max_examples=300, derandomize=True, deadline=None)
@@ -153,10 +152,10 @@ class TestFree:
         f3 = FreeGroup(3)
         text = ".".join(f"x{i + 1}" + ("^-1" if s < 0 else "") for i, s in word)
         if reduce_letters(word) == tuple(word):
-            assert f3.decode(text).payload == tuple(word)
+            assert f3.decode_payload(text) == tuple(word)
         else:
             with pytest.raises(UsageError, match="is not a reduced word"):
-                f3.decode(text)
+                f3.decode_payload(text)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +195,7 @@ class TestDihedral:
     def test_ball_radius_two(self):
         d = DihedralInf()
         ball = d.cayley_ball(2)
-        assert {g.encode() for g in ball} == {"e", "a", "b", "ab", "ba"}
+        assert set(map(d.encode_payload, ball)) == {"e", "a", "b", "ab", "ba"}
 
     def test_semidirect_relations(self):
         ds = get_model("dsemi")
@@ -207,10 +206,10 @@ class TestDihedral:
 
     def test_semidirect_encoding(self):
         ds = get_model("dsemi")
-        c = ds.decode("c")
-        assert c.encode() == "e;c"
-        assert ds.decode("e;c") == c
-        assert ds.decode("bac").encode() == "ba;c"
+        c = ds.decode_payload("c")
+        assert ds.encode_payload(c) == "e;c"
+        assert ds.decode_payload("e;c") == c
+        assert ds.encode_payload(ds.decode_payload("bac")) == "ba;c"
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(st.text("ab", max_size=12), st.text("ab", max_size=12),
@@ -234,9 +233,9 @@ class TestDihedral:
                 == (reduce(w1 + swapped), (e1 + e2) % 2))
         if raw1 != w1:
             with pytest.raises(UsageError, match="not an alternating word"):
-                DihedralInf().decode(raw1)
+                DihedralInf().decode_payload(raw1)
             with pytest.raises(UsageError, match="not an alternating word"):
-                get_model("dsemi").decode(raw1 + ";c")
+                get_model("dsemi").decode_payload(raw1 + ";c")
 
 
 class TestHeisenbergSemidirect:
@@ -254,7 +253,8 @@ class TestHeisenbergSemidirect:
 
     def test_conjugate_example(self):
         m = get_model("h3semi")
-        assert m.conjugate(m.decode("c"), m.decode("H3(0,1,0)")) == m.decode("H3(1,0,0)")
+        c, Ax = m.decode_payload("c"), m.decode_payload("H3(0,1,0)")
+        assert m.conjugate(c, Ax) == m.decode_payload("H3(1,0,0)")
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +325,11 @@ def test_swap_extension_codec_is_pinned(name):
     for text, want in SWAP_CODEC[name].items():
         if isinstance(want, str):
             with pytest.raises(UsageError, match="^" + re.escape(want) + "$"):
-                m.decode(text)
+                m.decode_payload(text)
         else:
-            g = m.decode(text)
-            assert (g.payload, g.encode()) == want, text
-            assert m.decode(g.encode()) == g
+            g = m.decode_payload(text)
+            assert (g, m.encode_payload(g)) == want, text
+            assert m.decode_payload(m.encode_payload(g)) == g
 
 
 def test_swap_extension_generator_tables_are_pinned():
@@ -349,7 +349,7 @@ def test_c_conjugation_is_the_swap(name):
     sigma = {"dsemi": _swap_ab, "h3semi": _swap_h3}
     factors = name.split("*")
     c = m.decode_payload("c" if len(factors) == 1 else "(c|c)")
-    for x in m.cayley_depths(2):
+    for x in m.cayley_ball(2):
         parts = [x] if len(factors) == 1 else x
         want = tuple((sigma[f](t), e) for f, (t, e) in zip(factors, parts))
         assert m.mul_payload(m.mul_payload(c, x), c) == (want[0] if len(factors) == 1 else want)
@@ -414,10 +414,9 @@ def test_inverse_laws(model):
 def test_conjugation_inverts(model):
     rng = Random(6)
     for _ in range(200):
-        g = model.element(random_payload(model, rng))
-        h = model.element(random_payload(model, rng))
-        gi = model.element(model.inv_payload(g.payload))
-        assert model.conjugate(g, model.conjugate(gi, h)) == h
+        g = random_payload(model, rng)
+        h = random_payload(model, rng)
+        assert model.conjugate(g, model.conjugate(model.inv_payload(g), h)) == h
 
 
 def test_normal_form_idempotent(model):
@@ -434,10 +433,10 @@ def test_normal_form_idempotent(model):
 
 def test_encoding_injective(model):
     ball = model.cayley_ball(3, node_budget=20000)
-    encs = [g.encode() for g in ball]
+    encs = [model.encode_payload(g) for g in ball]
     assert len(set(encs)) == len(encs)
-    for g in ball:
-        assert model.decode(g.encode()) == g
+    for g, enc in zip(ball, encs):
+        assert model.decode_payload(enc) == g
 
 
 MODELS = all_models()
@@ -513,12 +512,6 @@ def test_random_element_draws_are_pinned(name):
     encodings, next_draw = PINNED_DRAWS[name]
     assert [model.encode_payload(random_payload(model, rng)) for _ in range(3)] == encodings
     assert rng.randrange(10**6) == next_draw
-
-
-def test_model_mismatch_rejected(h3):
-    f2 = FreeGroup(2)
-    with pytest.raises(ModelMismatchError):
-        h3.multiply(h3.element(h3.identity_payload()), f2.element(f2.identity_payload()))
 
 
 def test_unknown_generator_rejected(h3):

@@ -19,7 +19,6 @@ from conjlab import (
     get_model,
 )
 from conjlab.cli import main
-from conjlab.groups import GroupElement
 from conjlab.graph import _levels_fit
 
 from conftest import all_models
@@ -31,20 +30,20 @@ IDS = [m.name for m in MODELS]
 def component_is_finite(model, g, node_budget=4096) -> bool:
     """The BFS oracle: whether the conjugation component of g is complete
     and closed within `node_budget` nodes."""
-    ball = explore_component(model, g.payload, radius=node_budget, node_budget=node_budget)
+    ball = explore_component(model, g, radius=node_budget, node_budget=node_budget)
     return ball.complete and ball.closed
 
 
 def ball(model):
-    return sorted(model.cayley_ball(2), key=GroupElement.encode)
+    return sorted(model.cayley_ball(2), key=model.encode_payload)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=IDS)
 def test_abelian_image_is_constant_along_conjugation_edges(model):
     for g in ball(model):
-        image = model.abelian_image(g.payload)
+        image = model.abelian_image(g)
         for _, h in conj_neighbors(model, g):
-            assert model.abelian_image(h.payload) == image, (g, h)
+            assert model.abelian_image(h) == image, (g, h)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=IDS)
@@ -52,7 +51,7 @@ def test_class_is_finite_matches_the_bfs_oracle(model):
     # the finite classes met here have at most 4 elements, far inside
     # the oracle's budget; a smaller budget keeps the infinite ones cheap
     for g in ball(model):
-        assert model.class_is_finite(g.payload) == component_is_finite(model, g, 256), g
+        assert model.class_is_finite(g) == component_is_finite(model, g, 256), g
 
 
 @pytest.mark.parametrize("model", MODELS, ids=IDS)
@@ -63,12 +62,11 @@ def test_non_conjugate_distance_is_the_search_answer(model):
     cut = False
     for u in elems:
         for v in elems:
-            if model.abelian_image(u.payload) == model.abelian_image(v.payload):
+            if model.abelian_image(u) == model.abelian_image(v):
                 continue
             for budget in (0, 1, 2, 3):
                 for node_budget in (1, 5, 40, 10**6):
-                    want = model.search(u.payload, model.conj_step, budget,
-                                        node_budget, v.payload).length
+                    want = model.search(u, model.conj_step, budget, node_budget, v).length
                     assert conj_distance(model, u, v, budget, node_budget) == want
                     cut |= want != AtLeast(budget)
     # in the abelian free1 every class is a point: a search ends at once
@@ -76,7 +74,7 @@ def test_non_conjugate_distance_is_the_search_answer(model):
 
 
 def test_shortcut_runs_no_search(h3, monkeypatch):
-    u, v = h3.element((1, 0, 0)), h3.element((0, 1, 0))
+    u, v = (1, 0, 0), (0, 1, 0)
     # each class is a line, and each side of a search adds 2 nodes a level:
     # depths 1 + 1 read 5 nodes, and the next level is cut at depths 2 + 1
     assert conj_distance(h3, u, v, budget=2, node_budget=5) == AtLeast(2)
@@ -91,7 +89,7 @@ def test_shortcut_runs_no_search(h3, monkeypatch):
     with pytest.raises(AssertionError):
         conj_distance(h3, u, v, budget=3, node_budget=258)
     with pytest.raises(AssertionError):  # conjugate pairs are searched
-        conj_distance(h3, u, h3.element((1, 0, 1)), budget=3)
+        conj_distance(h3, u, (1, 0, 1), budget=3)
 
 
 @pytest.mark.parametrize("n, depth, node_budget, fits", [
@@ -109,12 +107,12 @@ def test_limit_refuses_a_finite_class_of_8192_elements(tmp_path, capsys):
     # (ab) in each of 13 dinf factors: a class of 2^13 elements, which a
     # 4096-node search took for infinite
     model = get_model("*".join(["dinf"] * 13))
-    g = model.decode("(ab|" * 12 + "ab" + ")" * 12)
-    assert model.class_is_finite(g.payload)
+    enc = "(ab|" * 12 + "ab" + ")" * 12
+    assert model.class_is_finite(model.decode_payload(enc))
     path = tmp_path / "phi.json"
-    path.write_text(json.dumps({"model": model.name, "table": [[g.encode(), "1"]]}))
+    path.write_text(json.dumps({"model": model.name, "table": [[enc, "1"]]}))
     code = main(["limit", "--potential", str(path), "--conjugator", "e"])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    assert err == (f"error: potential support element {g.encode()} lies in a finite "
+    assert err == (f"error: potential support element {enc} lies in a finite "
                    "conjugation component\n")

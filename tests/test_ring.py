@@ -203,8 +203,8 @@ class TestVectorAlgebra:
         rng = Random(23)
         v = _random_vector(h3, rng)
         g = random_payload(h3, rng)
-        assert v.mul_elem_left(h3.element(g)) == delta(h3, g) * v
-        assert v.mul_elem_right(h3.element(g)) == v * delta(h3, g)
+        assert v.mul_elem_left(g) == delta(h3, g) * v
+        assert v.mul_elem_right(g) == v * delta(h3, g)
 
     def test_iadd_in_place_drops_cancelled_terms(self, h3):
         e, ax = (0, 0, 0), (0, 1, 0)

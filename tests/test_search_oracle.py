@@ -1,7 +1,7 @@
 """The two-way distance search against a plain one-way BFS oracle.
 
-The oracle walks elements with the public element operations (`conjugate`,
-`multiply`) and knows nothing of payloads, frontiers or budgets, so it checks
+The oracle walks payloads one product at a time (`conjugate`, `multiply`)
+and knows nothing of frontiers or budgets, so it checks
 `conj_distance` and word length (the goal search from the identity along
 `right_step`) independently on all six models.
 `GroupModel.search` is also pinned to the two kernels it replaced.
@@ -34,7 +34,7 @@ def one_way(start, step, gens, radius):
 
 @lru_cache(maxsize=None)
 def generators(model):
-    return [model.element(x) for _, x, _ in model.gen_triples]
+    return [x for _, x, _ in model.gen_triples]
 
 
 def conj_oracle(model, u, v, radius):
@@ -45,13 +45,12 @@ def conj_oracle(model, u, v, radius):
 @lru_cache(maxsize=None)
 def cayley_lengths(model):
     """Word length of every element of length <= RADIUS."""
-    e = model.element(model.identity_payload())
-    return one_way(e, model.multiply, generators(model), RADIUS)
+    return one_way(model.identity_payload(), model.multiply, generators(model), RADIUS)
 
 
 def word(model, indices):
     gens = generators(model)
-    out = model.element(model.identity_payload())
+    out = model.identity_payload()
     for i in indices:
         out = model.multiply(out, gens[i % len(gens)])
     return out
@@ -91,7 +90,7 @@ def test_conj_distance_matches_one_way(case):
 def test_word_length_matches_one_way(case):
     model, u, _, radius = case
     want = expected(cayley_lengths(model).get(u), radius)
-    assert word_search(model, u.payload, radius).length == want
+    assert word_search(model, u, radius).length == want
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -114,7 +113,7 @@ def test_node_budget_gives_a_lower_bound(case, node_budget):
 def test_word_length_raises_or_is_exact(case, node_budget):
     model, u, _, radius = case
     want = expected(cayley_lengths(model).get(u), radius)
-    found = word_search(model, u.payload, radius, node_budget)
+    found = word_search(model, u, radius, node_budget)
     if found.cut is not None:
         assert found.cut == node_budget + 1
     else:
@@ -133,8 +132,8 @@ def searches(draw):
     models and a 3-factor product."""
     model = draw(st.sampled_from(MODELS + [get_model("dsemi*h3semi*free2")]))
     step = draw(st.sampled_from([model.conj_step, model.right_step]))
-    start = word(model, draw(letters)).payload
-    goal = draw(st.none() | letters.map(lambda w: word(model, w).payload))
+    start = word(model, draw(letters))
+    goal = draw(st.none() | letters.map(lambda w: word(model, w)))
     node_budget = draw(st.integers(1, 40) | st.just(10**6))
     return model, step, start, goal, draw(st.integers(0, RADIUS)), node_budget
 

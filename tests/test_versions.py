@@ -2,15 +2,17 @@
 
 A fixed list of commands runs under each of python3.10 to python3.13 found
 on PATH, importing conjlab from this checkout's `src/`, and must give the
-exit codes and stdout of the interpreter running the tests.  An interpreter
-that cannot start is skipped.  The commands lean on what changed between
-these versions: `sum` over floats (compensated from 3.12 on), float
-formatting, exact rationals, the int/str digit limit and the Unicode digits
-that the hand-written decoders accept.
+exit codes and stdout of the interpreter running the tests.  Where a pyenv
+shim does not select an installed release, PYENV_VERSION selects it; an
+interpreter that still cannot start is skipped.  The commands lean on what
+changed between these versions: `sum` over floats (compensated from 3.12
+on), float formatting, exact rationals, the int/str digit limit and the
+Unicode digits that the hand-written decoders accept.
 """
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -71,23 +73,47 @@ ARGV = [
 ]
 
 
-def run_commands(python, cases):
-    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+def run_commands(python, cases, env=None):
+    env = dict(env or os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([python, "-c", RUNNER], input=json.dumps(cases), env=env,
                           capture_output=True, text=True, encoding="utf-8", timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
+def starts(python, env) -> bool:
+    try:
+        return subprocess.run([python, "-c", "pass"], capture_output=True, env=env,
+                              timeout=60).returncode == 0
+    except (OSError, subprocess.TimeoutExpired):
+        return False
+
+
+def interpreter_env(python, version):
+    """An environment in which `python` starts, or None: this process's, or
+    one whose PYENV_VERSION selects an installed `version`.* release, for a
+    pyenv shim that exits 127 when no selected version provides it."""
+    if starts(python, os.environ):
+        return dict(os.environ)
+    if shutil.which("pyenv") is None:
+        return None
+    try:
+        installed = subprocess.run(["pyenv", "versions", "--bare"], capture_output=True,
+                                   text=True, timeout=60).stdout.split()
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    for release in installed:
+        env = dict(os.environ, PYENV_VERSION=release)
+        if release.startswith(version + ".") and starts(python, env):
+            return env
+    return None
+
+
 @pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
 def test_same_bytes_on_every_python(tmp_path, version):
     python = f"python{version}"
-    try:
-        started = subprocess.run([python, "-c", "pass"], capture_output=True,
-                                 timeout=60).returncode == 0
-    except (OSError, subprocess.TimeoutExpired):
-        started = False
-    if not started:
+    env = interpreter_env(python, version)
+    if env is None:
         pytest.skip(f"{python} cannot start")
     paths = {}
     for name, data in POTENTIALS.items():
@@ -96,6 +122,6 @@ def test_same_bytes_on_every_python(tmp_path, version):
     cases = [[paths.get(a, a) for a in argv] for argv in ARGV]
     want = run_commands(sys.executable, cases)
     assert [code for code, _ in want] == [0] * 3 + [3] + [0] * 14 + [2, 2, 0]
-    got = run_commands(python, cases)
+    got = run_commands(python, cases, env)
     for argv, (code, out), expected in zip(ARGV, got, want):
         assert [code, out.encode()] == [expected[0], expected[1].encode()], argv
