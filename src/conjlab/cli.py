@@ -384,42 +384,72 @@ def _commands(node_budget: int) -> dict:
     }
 
 
-def _command_parser(parser, fn, arguments) -> argparse.ArgumentParser:
-    """`parser` with a command's handler and arguments added."""
-    parser.set_defaults(fn=fn)
-    for flags, kwargs in arguments:
-        parser.add_argument(*flags, **kwargs)
-    return parser
-
-
 def build_parser(node_budget: int) -> argparse.ArgumentParser:
     """The full conjlab parser: every subcommand under one top level."""
     parser = argparse.ArgumentParser(prog="conjlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (fn, help_text, arguments) in _commands(node_budget).items():
-        _command_parser(sub.add_parser(name, help=help_text), fn, arguments)
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(fn=fn)
+        for flags, kwargs in arguments:
+            command.add_argument(*flags, **kwargs)
     return parser
+
+
+def _read(argv, commands):
+    """The namespace `build_parser` reads from a well-formed command line,
+    or None.  Well-formed: each token after the command is one of its
+    option strings in full, and each value is the next token, does not
+    start with "-", converts by its `type` and lies in its `choices`.  The
+    attributes are set in argparse's order, so the repr is argparse's."""
+    if not argv or argv[0] not in commands:
+        return None
+    fn, _, arguments = commands[argv[0]]
+    args, options, missing = argparse.Namespace(command=argv[0]), {}, set()
+    for flags, kw in arguments:
+        dest = next((f for f in flags if f.startswith("--")), flags[0])
+        dest = dest.lstrip("-").replace("-", "_")
+        store_true = kw.get("action") == "store_true"
+        setattr(args, dest, kw.get("default", False if store_true else None))
+        options.update(dict.fromkeys(flags, (dest, kw, store_true)))
+        if kw.get("required"):
+            missing.add(dest)
+    args.fn = fn
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in options:
+            return None
+        dest, kw, store_true = options[token]
+        missing.discard(dest)
+        if store_true:
+            setattr(args, dest, True)
+            continue
+        text = next(tokens, "-")  # a missing value declines as "-" does
+        if text.startswith("-"):
+            return None
+        try:
+            value = kw.get("type", str)(text)
+        except Exception:  # argparse converts it again, and reports or raises
+            return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        if kw.get("action") == "append":
+            value = [*(getattr(args, dest) or ()), value]
+        setattr(args, dest, value)
+    return None if missing else args
 
 
 def parse(argv, node_budget: int) -> argparse.Namespace:
     """The namespace of `argv`, as `build_parser` reads it.
 
-    A named command is parsed by its own parser alone, built as its
-    subparser would be: argparse formats help inside every `add_argument`,
-    so the full tree costs a short command more than its own work.  Any
-    other argv, or an argument the command leaves over, goes to the full
-    tree, so top-level help and errors list every command.
+    A well-formed command line is read straight from the command table:
+    argparse formats help inside every `add_argument`, so building even
+    one parser costs a short command more than its own work.  Anything
+    else (help, errors, `--`, `--opt=value`, abbreviations, values that
+    start with "-") goes to the full tree, so it prints what it always did.
     """
-    commands = _commands(node_budget)
-    if argv and argv[0] in commands:
-        fn, _, arguments = commands[argv[0]]
-        parser = argparse.ArgumentParser(prog=f"conjlab {argv[0]}")
-        # `command` comes first in the namespace, as in the full tree's
-        args, rest = _command_parser(parser, fn, arguments).parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0]))
-        if not rest:
-            return args
-    return build_parser(node_budget).parse_args(argv)
+    args = _read(argv, _commands(node_budget))
+    return build_parser(node_budget).parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -1052,6 +1052,12 @@ def full_parse(argv):
     return cli.build_parser(BUDGET).parse_args(argv)
 
 
+def required_argv(name):
+    """`name` with each of its required options set to "1"."""
+    required = [flags[0] for flags, kw in COMMANDS[name][2] if kw.get("required")]
+    return [name] + [tok for flag in required for tok in (flag, "1")]
+
+
 def parser_cases():
     """Help and error argv for every subcommand, from its argument table."""
     for name, (_, _, arguments) in COMMANDS.items():
@@ -1105,17 +1111,20 @@ class TestParser:
 
     FULL_TREE = ["conjlab"] + [f"conjlab {name}" for name in COMMANDS]
 
-    # a named command builds one parser, its own, standing alone where its
-    # subparser would be; the full tree only when it leaves an argument over
+    # a well-formed command is read from the command table and builds no
+    # parser; its help builds the full tree alone
     @pytest.mark.parametrize("name", list(COMMANDS))
-    def test_a_command_builds_one_subparser(self, capsys, built, name):
+    def test_a_command_builds_one_subparser(self, capsys, monkeypatch, built, name):
+        monkeypatch.setattr(cli, COMMANDS[name][0].__name__, lambda args: [args.command])
+        assert main(required_argv(name)) == 0
+        assert capsys.readouterr().out == name and built == []
         with pytest.raises(SystemExit):
             main([name, "-h"])
-        assert built == [f"conjlab {name}"]
+        assert built == self.FULL_TREE
 
     def test_a_run_builds_one_subparser(self, capsys, built):
         assert main(["appendix", "--m-max", "2"]) == 0
-        assert built == ["conjlab appendix"]
+        assert built == []
 
     def test_top_level_help_builds_every_subparser(self, capsys, built):
         with pytest.raises(SystemExit):
@@ -1125,7 +1134,22 @@ class TestParser:
     def test_a_leftover_argument_builds_the_full_tree(self, capsys, built):
         with pytest.raises(SystemExit):
             main(["appendix", "--m-max", "2", "--bogus"])
-        assert built == ["conjlab appendix"] + self.FULL_TREE
+        assert built == self.FULL_TREE
+
+    @pytest.mark.parametrize("argv", [
+        ["appendix", "--m-max", "x"], ["appendix", "--format", "nope"],
+        ["appendix", "--m-max"], ["derive", "--element", "e"], ["graph", "extra"],
+    ])
+    def test_an_error_builds_only_the_full_tree(self, capsys, built, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert built == self.FULL_TREE
+
+    def test_no_string_default_is_converted(self):
+        # argparse converts a string default by its `type`; the reader does not
+        for name, (_, _, arguments) in COMMANDS.items():
+            for flags, kw in arguments:
+                assert not (isinstance(kw.get("default"), str) and "type" in kw), flags
 
 
 @st.composite
@@ -1153,6 +1177,85 @@ def test_fuzzed_argv_parses_as_with_the_full_parser(argv):
     ours = parse_outcome(lambda argv: cli.parse(argv, BUDGET), argv)
     assert ours == parse_outcome(full_parse, argv)
     assert isinstance(ours[0], str) or ours[0] in (0, 2)
+
+
+VALUES = ["0", "7", "1_000", "1.5", "inf", "nan", "1e3", "", "x1^-1", "1,2"]
+
+
+def converts(kw, text) -> bool:
+    """Whether argparse takes `text` as the value of the option `kw`."""
+    try:
+        value = kw.get("type", str)(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        return False
+    return value in kw.get("choices", [value])
+
+
+@st.composite
+def table_argv(draw):
+    """A command and its own option strings in full, in any order, repeats
+    included, the required ones mostly present; each value is one of
+    `VALUES` or a choice, and seldom one that fails its type."""
+    name = draw(st.sampled_from(list(COMMANDS)))
+    arguments = COMMANDS[name][2]
+    required = [arg for arg in arguments if arg[1].get("required")]
+    if draw(st.integers(0, 9)) == 0:
+        required = required[1:]
+    picked = draw(st.permutations(
+        required + draw(st.lists(st.sampled_from(arguments), max_size=5))))
+    argv = [name]
+    for flags, kw in picked:
+        argv.append(draw(st.sampled_from(flags)))
+        if kw.get("action") != "store_true":
+            values = VALUES + kw.get("choices", [])
+            good = [text for text in values if converts(kw, text)]
+            junk = [text for text in values if text not in good]
+            bad = junk and draw(st.integers(0, 19)) == 0
+            argv.append(draw(st.sampled_from(junk if bad else good)))
+    return argv
+
+
+def test_table_argv_parse_as_with_the_full_parser():
+    fallbacks = []
+
+    def ours(argv):
+        with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as built:
+            try:
+                return cli.parse(argv, BUDGET)
+            finally:
+                fallbacks.append(built.call_count)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(table_argv())
+    def check(argv):
+        outcome = parse_outcome(ours, argv)
+        assert outcome == parse_outcome(full_parse, argv)
+        assert isinstance(outcome[0], str) or outcome[0] == 2
+
+    check()
+    # the reader, not the full tree, parsed most of them
+    assert sum(fallbacks) < len(fallbacks) / 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["appendix", "-h"],
+    ["appendix", "--m-max", "2", "--"],
+    ["appendix", "--", "--m-max", "2"],
+    ["appendix", "--m-max=2"],
+    ["derive", "--potential", "phi.json", "--element", "e", "-p2"],
+    ["derive", "--pot", "phi.json", "--element", "e"],
+    ["leibniz", "--potential", "phi.json", "--seed", "-5"],
+    ["limit", "--potential", "phi.json", "--conjugator", "a", "--q", "-1"],
+    ["inverse-seq", "--model", "free2", "--u", "-", "--conjugator", "x2"],
+    ["appendix", "--m-max", "2", "extra"],
+    ["appendix", "--bogus", "2"],
+], ids=["help", "dashes-after", "dashes-before", "equals", "attached", "abbreviated",
+        "negative-seed", "negative-q", "dash-value", "positional", "unknown"])
+def test_declined_forms_reach_the_full_tree(argv):
+    with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as built:
+        outcome = parse_outcome(lambda argv: cli.parse(argv, BUDGET), argv)
+    assert built.call_count == 1
+    assert outcome == parse_outcome(full_parse, argv)
 
 
 def source_env():

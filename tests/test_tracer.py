@@ -78,3 +78,13 @@ def test_uninstall_restores_every_name(capsys):
     traced(capsys, ["bc", "--model", "h3", "--k", "H3(1,0,0)", "--cayley-radius", "1"])
     assert (conjlab.graph.conj_distance, conjlab.groups.GroupModel.cayley_ball,
             conjlab.derivations.Potential.value, cli.cmd_bc) == originals
+
+
+@pytest.mark.parametrize("argv", [
+    ["bc", "--model", "h3", "--k", "H3(1,0,0)", "--cayley-radius", "1"],
+    ["derive", "--potential", None, "--element", "H3(0,1,0)"],
+], ids=lambda argv: argv[0])
+def test_a_run_counts_one_call_of_its_handler(capsys, two_point, argv):
+    # the command table reads each handler from the module, where the tracer wraps it
+    summary = traced(capsys, [two_point if arg is None else arg for arg in argv])
+    assert summary["calls"].get(f"cli.{argv[0]}") == 1

@@ -2,7 +2,10 @@
 
 A fixed list of commands runs under each of python3.10 to python3.13 found
 on PATH, importing conjlab from this checkout's `src/`, and must give the
-exit codes and stdout of the interpreter running the tests.  Where a pyenv
+exit codes and stdout of the interpreter running the tests.  Under each of
+them too, `cli.parse` must read every argument list as the full argparse
+tree does, since argparse's edge cases (`--`, values that start with "-")
+change between releases.  Where a pyenv
 shim does not select an installed release, PYENV_VERSION selects it; an
 interpreter that still cannot start is skipped.  The commands lean on what
 changed between these versions: `sum` over floats (compensated from 3.12
@@ -19,6 +22,8 @@ from pathlib import Path
 
 import pytest
 
+from test_cli import parser_cases
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # runs each argv of a JSON list on stdin through `main`; prints the JSON
@@ -32,6 +37,27 @@ for argv in json.load(sys.stdin):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     results.append([code, out.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+# parses each argv of a JSON list on stdin with `cli.parse` and with the
+# full tree; prints the JSON list of their [outcome, stdout, stderr] pairs,
+# an outcome being the namespace's repr or the exit code
+PARSE_RUNNER = """
+import contextlib, io, json, sys
+from conjlab import cli
+def outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            got = repr(parse(argv))
+        except SystemExit as exc:
+            got = exc.code
+    return [got, out.getvalue(), err.getvalue()]
+results = []
+for argv in json.load(sys.stdin):
+    results.append([outcome(lambda argv: cli.parse(argv, 10**6), argv),
+                    outcome(lambda argv: cli.build_parser(10**6).parse_args(argv), argv)])
 json.dump(results, sys.stdout)
 """
 
@@ -73,9 +99,52 @@ ARGV = [
 ]
 
 
-def run_commands(python, cases, env=None):
+# command lines the command table reads, then ones it leaves to argparse
+ACCEPTED = [
+    ["graph", "--model", "h3", "--base", "e", "--radius", "2"],
+    ["graph", "--radius", "1_000", "--suppress-loops", "--model", "h3", "--suppress-loops",
+     "--base", "x", "--format", "json", "--format", "dot"],
+    ["bc", "--model", "free2", "--k", "x1^-1", "--k", "", "--k", "x1", "--diam-budget", "0"],
+    ["derive", "--potential", "p.json", "--element", "e", "-p", "inf"],
+    ["derive", "--element", "1,2", "-p", "nan", "--potential", "p", "-p", "1e3"],
+    ["leibniz", "--potential", "p", "--samples", "7", "--seed", "1_000"],
+    ["character", "--potential", "p", "--u", "", "--v", "x1^-1"],
+    ["quasi-inner", "--potential", "p", "--seed", "0", "--samples", "0"],
+    ["stabilise", "--potential", "p", "--base", "e", "--radius", "3", "--radii", "0,1,2"],
+    ["bound-probe", "--potential", "p", "--radius", "0", "-p", "1.5", "--budget-nodes", "7"],
+    ["appendix"],
+    ["appendix", "--m-max", "3", "--n-max", "2", "--format", "json"],
+    ["appendix", "--m-max", "\u0663"],
+    ["limit", "--potential", "p", "--conjugator", "Ax.Ap", "--q", "inf", "--k-max", "0"],
+    ["inverse-seq", "--model", "free2", "--u", "x1", "--conjugator", "x2", "--tail", "x1",
+     "--budget", "4", "--budget-nodes", "9"],
+]
+DECLINED = [
+    ["appendix", "--m-max", "-3"],
+    ["appendix", "--n-max=2"],
+    ["appendix", "--m", "2"],
+    ["appendix", "--", "--m-max", "2"],
+    ["appendix", "--m-max", "2", "--"],
+    ["appendix", "--m-max", "1" * 5000],
+    ["appendix", "--format", "json", "extra"],
+    ["appendix", "--help"],
+    ["derive", "--potential", "p", "--element", "-e"],
+    ["derive", "--potential", "p", "--element", "e", "-p-1"],
+    ["derive", "--potential", "p", "--element", "e", "-p", "-inf"],
+    ["leibniz", "--potential", "p", "--seed", "-5"],
+    ["limit", "--potential", "p", "--conjugator", "a", "--q", "-1"],
+    ["bc", "--model", "h3", "--k", "-"],
+    ["bc", "--model", "h3"],
+    ["stabilise", "--potential", "p", "--base", "e", "--radius", "1", "--radii", "1,-1"],
+    ["graph", "--model", "h3", "--base", "e", "--radius", "x"],
+    ["graph", "--model", "h3", "--base", "e", "--radius", "1", "--format", "svg"],
+    ["inverse-seq", "--model", "free2", "--u", "x1", "--conjugator", "x2", "--tail"],
+]
+
+
+def run_commands(python, cases, env=None, runner=RUNNER):
     env = dict(env or os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([python, "-c", RUNNER], input=json.dumps(cases), env=env,
+    proc = subprocess.run([python, "-c", runner], input=json.dumps(cases), env=env,
                           capture_output=True, text=True, encoding="utf-8", timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -109,12 +178,18 @@ def interpreter_env(python, version):
     return None
 
 
-@pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
-def test_same_bytes_on_every_python(tmp_path, version):
+def started(version):
+    """python`version` and an environment in which it starts, or a skip."""
     python = f"python{version}"
     env = interpreter_env(python, version)
     if env is None:
         pytest.skip(f"{python} cannot start")
+    return python, env
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
+def test_same_bytes_on_every_python(tmp_path, version):
+    python, env = started(version)
     paths = {}
     for name, data in POTENTIALS.items():
         paths[name] = str(tmp_path / f"{name.lower()}.json")
@@ -125,3 +200,13 @@ def test_same_bytes_on_every_python(tmp_path, version):
     got = run_commands(python, cases, env)
     for argv, (code, out), expected in zip(ARGV, got, want):
         assert [code, out.encode()] == [expected[0], expected[1].encode()], argv
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
+def test_parse_reads_as_the_full_tree_on_every_python(version):
+    python, env = started(version)
+    cases = ACCEPTED + DECLINED + [argv for _, argv in parser_cases()]
+    got = run_commands(python, cases, env, PARSE_RUNNER)
+    for argv, (ours, full) in zip(cases, got):
+        assert ours == full, argv
+    assert all(isinstance(ours[0], str) for ours, _ in got[:len(ACCEPTED)])
