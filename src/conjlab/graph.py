@@ -94,12 +94,15 @@ def conj_distance(model: GroupModel, p1, p2, budget: int,
     length not ruled out) when the node budget runs out (`GroupModel.search`
     with a goal).
 
-    Elements with different abelian images are not conjugate.  When a
-    search to depth `budget` cannot run out of nodes either, it could only
-    return AtLeast(budget), so that is returned without one."""
-    if (model.abelian_image(p1) != model.abelian_image(p2)
-            and _levels_fit(len(model.gen_triples), budget, node_budget)):
-        return AtLeast(budget)
+    Where a search to depth `budget` cannot run out of nodes, it answers
+    the distance rho, or AtLeast(budget) when rho > max(budget, 0), so
+    that is returned without a search when rho is known: infinite for
+    elements with different abelian images, and otherwise the model's
+    `conjugator_length`."""
+    rho = (math.inf if model.abelian_image(p1) != model.abelian_image(p2)
+           else model.conjugator_length(p1, p2))
+    if rho is not None and _levels_fit(len(model.gen_triples), budget, node_budget):
+        return rho if rho <= max(budget, 0) else AtLeast(budget)
     return model.search(p1, model.conj_step, budget, node_budget, p2).length
 
 

@@ -10,6 +10,7 @@ coordinate.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -94,6 +95,12 @@ class GroupModel(ABC):
     def class_is_finite(self, p) -> bool:
         """Whether the conjugacy class of p, its conjugation-graph
         component, is finite."""
+
+    def conjugator_length(self, u, v):
+        """The least word length of a g with g u g^-1 = v, the conjugation
+        distance; math.inf when u and v are not conjugate, and None where
+        the model has no formula for it."""
+        return None
 
     # -- generators, steps and products ------------------------------------
 
@@ -311,6 +318,43 @@ class FreeGroup(GroupModel):
         # free1 is abelian; in a free group of rank >= 2 only e is central
         return not p or self.rank == 1
 
+    def conjugator_length(self, u, v):
+        """Write u = w u' w^-1 and v = z v' z^-1, u' and v' cyclically
+        reduced.  They are conjugate exactly when v' is a rotation
+        u'[i:] u'[:i] = a^-1 u' a, a = u'[:i]; the conjugators are then
+        L r^m R, m in Z, L = z a^-1, R = w^-1 and r the root of u' (Lyndon
+        and Schupp, I.2).  |L r^m R| is the distance from L^-1 to r^m R in
+        the Cayley tree, where r shifts its axis ...r^-1.r r... by |r|.
+        R leaves the axis at e, as w u' w^-1 is reduced, and L^-1 = a z^-1
+        leaves it after its common prefix t with r r..., as z v' z^-1 is
+        reduced.  So the distance is the two heights off the axis plus
+        |t - m |r||, or at most the heights at the one m where the exits
+        meet, and the best m is the floor or the ceiling of t / |r|."""
+        (w, uc), (z, vc) = self._cyclic_split(u), self._cyclic_split(v)
+        if not (uc and vc):
+            return 0 if uc == vc else math.inf
+        # one character a letter, so rotations and the root come from str.find
+        su, sv = ("".join([chr(2 * i + (e > 0)) for i, e in p]) for p in (uc, vc))
+        i = (su + su).find(sv) if len(su) == len(sv) else -1
+        if i < 0:
+            return math.inf
+        r = uc[: (su + su).find(su, 1)]
+        inv, mul = self.inv_payload, self.mul_payload
+        left, right = mul(z, inv(uc[:i])), inv(w)
+        x, t = inv(left), 0
+        while t < len(x) and x[t] == r[t % len(r)]:
+            t += 1
+        m = t // len(r)
+        return min(len(mul(mul(left, r * k), right)) for k in (m, m + 1))
+
+    def _cyclic_split(self, p):
+        """(w, p') with p = w p' w^-1 and p' cyclically reduced: w is the
+        longest common prefix of p and p^-1 = w p'^-1 w^-1."""
+        q, k = self.inv_payload(p), 0
+        while k < len(p) and p[k] == q[k]:
+            k += 1
+        return p[:k], p[k : len(p) - k]
+
 
 # ---------------------------------------------------------------------------
 # Infinite dihedral group D_inf = <a, b | a^2, b^2>
@@ -521,6 +565,12 @@ class DirectProduct(GroupModel):
 
     def class_is_finite(self, p) -> bool:
         return self.left.class_is_finite(p[0]) and self.right.class_is_finite(p[1])
+
+    def conjugator_length(self, u, v):
+        # a generator conjugates one factor, so the distances add
+        left = self.left.conjugator_length(u[0], v[0])
+        right = None if left is None else self.right.conjugator_length(u[1], v[1])
+        return None if right is None else left + right
 
 
 # ---------------------------------------------------------------------------

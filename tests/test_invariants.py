@@ -3,8 +3,9 @@
 `abelian_image` must be constant along every conjugation edge, and
 `class_is_finite` must agree with a budgeted BFS oracle, on Cayley balls of
 all six models and of a 3-factor product.  `conj_distance` answers pairs
-with different images without a search only where the search could answer
-nothing else.
+with different images, and pairs of a model with a `conjugator_length`
+formula, without a search only where the search could answer nothing
+else.
 """
 
 import json
@@ -20,6 +21,7 @@ from conjlab import (
 )
 from conjlab.cli import main
 from conjlab.graph import _levels_fit
+from conjlab.groups import FreeGroup, GroupModel
 
 from conftest import all_models
 
@@ -73,15 +75,16 @@ def test_non_conjugate_distance_is_the_search_answer(model):
     assert cut or model.name == "free1"
 
 
+def no_search(*args):
+    raise AssertionError("searched")
+
+
 def test_shortcut_runs_no_search(h3, monkeypatch):
     u, v = (1, 0, 0), (0, 1, 0)
     # each class is a line, and each side of a search adds 2 nodes a level:
     # depths 1 + 1 read 5 nodes, and the next level is cut at depths 2 + 1
     assert conj_distance(h3, u, v, budget=2, node_budget=5) == AtLeast(2)
     assert conj_distance(h3, u, v, budget=4, node_budget=5) == AtLeast(3)
-
-    def no_search(*args):
-        raise AssertionError("searched")
 
     monkeypatch.setattr(h3, "search", no_search)
     # 1 + 6 + 36 + 216 <= 10^6 nodes
@@ -90,6 +93,108 @@ def test_shortcut_runs_no_search(h3, monkeypatch):
         conj_distance(h3, u, v, budget=3, node_budget=258)
     with pytest.raises(AssertionError):  # conjugate pairs are searched
         conj_distance(h3, u, (1, 0, 1), budget=3)
+
+
+@pytest.mark.parametrize("name", ["free2", "free2*free1"])
+def test_formula_runs_no_search(name, monkeypatch):
+    model = get_model(name)
+    elems = ball(model)[:12]
+    conjugators = sorted(model.cayley_ball(4), key=model.encode_payload)[::7]
+    pairs = [(u, model.conjugate(g, u)) for u in elems for g in conjugators] + [
+        (u, v) for u in elems for v in elems]
+    want = {(u, v, b): model.search(u, model.conj_step, b, 10**6, v).length
+            for u, v in pairs for b in (0, 1, 3, 4)}
+    assert {d for d in want.values() if isinstance(d, int)} == {0, 1, 2, 3, 4}
+    monkeypatch.setattr(model, "search", no_search)
+    for (u, v, b), d in want.items():  # 1 + 6 + ... + 6^4 <= 10^6 nodes
+        assert conj_distance(model, u, v, b) == d
+
+
+@pytest.mark.parametrize("name", ["free2", "free2*free1"])
+def test_formula_past_the_gate_is_the_search_answer(name, monkeypatch):
+    model = get_model(name)
+    elems = ball(model)[:10]
+    pairs = [(u, model.conjugate(g, u)) for u in elems for g in elems] + [
+        (u, v) for u in elems for v in elems]
+    cut = False
+    for u, v in pairs:
+        for b, node_budget in ((2, 5), (4, 5), (10, 10**6)):  # 4^10 > 10^6
+            assert not _levels_fit(len(model.gen_triples), b, node_budget)
+            want = model.search(u, model.conj_step, b, node_budget, v).length
+            assert conj_distance(model, u, v, b, node_budget) == want
+            cut |= isinstance(want, AtLeast) and want.bound < b
+    assert cut  # some answers are partial: AtLeast(b) below the budget
+    monkeypatch.setattr(model, "search", no_search)
+    u = model.decode_payload("x1" if name == "free2" else "(x1|e)")
+    with pytest.raises(AssertionError):
+        conj_distance(model, u, u, 10)
+    with pytest.raises(AssertionError):
+        conj_distance(model, u, u, 4, node_budget=5)
+
+
+@pytest.mark.parametrize("name, u, g", [
+    ("h3", "H3(1,0,0)", "H3(0,1,0)"),
+    ("dinf", "a", "b"),
+    ("h3*dinf", "(H3(1,0,0)|a)", "(H3(0,1,0)|e)"),
+    ("dinf*free2", "(a|x1)", "(e|x2)"),
+])
+def test_models_without_a_formula_search_conjugate_pairs(name, u, g, monkeypatch):
+    model = get_model(name)
+    u, g = model.decode_payload(u), model.decode_payload(g)
+    v = model.conjugate(g, u)
+    assert conj_distance(model, u, v, 3) == 1
+    monkeypatch.setattr(model, "search", no_search)
+    with pytest.raises(AssertionError):
+        conj_distance(model, u, v, 3)
+
+
+def test_formula_answers_as_a_search_at_a_negative_budget():
+    model = get_model("free2")
+    u, v = model.decode_payload("x1"), model.decode_payload("x2.x1.x2^-1")
+    for p, q in ((u, u), (u, v)):
+        assert conj_distance(model, p, q, -1) == model.search(
+            p, model.conj_step, -1, 10**6, q).length
+    assert conj_distance(model, u, u, -1) == 0
+
+
+def _bc(model, k1, k2, radius, budget, *rest):
+    return ["bc", "--model", model, "--k", k1, "--k", k2, "--cayley-radius", str(radius),
+            "--diam-budget", str(budget), *rest]
+
+
+def _inverse_seq(model, u, a, tail, fmt, *rest):
+    return ["inverse-seq", "--model", model, "--u", u, "--conjugator", a, "--tail", tail,
+            "--format", fmt, *rest]
+
+
+BYTE_ARGV = [
+    _bc("free2", "x1", "x2.x1.x2^-1", 4, 6),  # the ROADMAP runs
+    _bc("free2", "x1", "x2.x1.x2^-1", 5, 8),
+    _bc("free1", "x1", "x1^-1.x1^-1", 3, 4),
+    _bc("free3", "x1.x2.x3", "x3.x2.x1", 2, 5),
+    _bc("free2", "x1.x2.x1.x2", "x2.x1.x2.x1", 3, 3, "--budget-nodes", "60"),  # searches
+    _bc("free2*free2", "(x1|x2)", "(x2.x1.x2^-1|x1.x2.x1^-1)", 2, 4),
+] + [_inverse_seq(*case, fmt, *rest) for fmt in ("json", "table") for case, rest in [
+    (("free2", "x1", "x2", "x1"), ("--k-max", "4", "--budget", "6")),
+    (("free2", "x1.x2.x1^-1", "x2.x1", "e"), ("--k-max", "5", "--budget", "8")),
+    (("free1", "x1", "x1", "x1^-1"), ("--k-max", "3", "--budget", "2")),
+    (("free3", "x1.x3", "x2", "x3"), ("--k-max", "3", "--budget", "5")),
+    (("free2*free2", "(x1|x2)", "l.x2.r.x1", "e"), ("--k-max", "3", "--budget", "4")),
+]]
+
+
+@pytest.mark.parametrize("argv", BYTE_ARGV, ids=" ".join)
+def test_formula_keeps_the_search_bytes(argv, monkeypatch, capsys):
+    # the same exit code, stdout and stderr with the formula and without it
+    calls = []
+    formula = FreeGroup.conjugator_length
+    monkeypatch.setattr(FreeGroup, "conjugator_length",
+                        lambda *args: calls.append(args) or formula(*args))
+    with_formula = main(argv), capsys.readouterr()
+    # free1 elements with equal abelian images are equal, and bc's K is a set
+    assert calls or argv[:3] == ["bc", "--model", "free1"]
+    monkeypatch.setattr(FreeGroup, "conjugator_length", GroupModel.conjugator_length)
+    assert (main(argv), capsys.readouterr()) == with_formula
 
 
 @pytest.mark.parametrize("n, depth, node_budget, fits", [

@@ -4,9 +4,14 @@ The oracle walks payloads one product at a time (`conjugate`, `multiply`)
 and knows nothing of frontiers or budgets, so it checks
 `conj_distance` and word length (the goal search from the identity along
 `right_step`) independently on all six models.
-`GroupModel.search` is also pinned to the two kernels it replaced.
+`GroupModel.search` is also pinned to the two kernels it replaced.  The
+free-group conjugator length, which `conj_distance` answers without a
+search, is checked against both searches, and past any budget against
+a conjugator rebuilt from it.
 """
 
+import math
+import random
 from functools import lru_cache
 
 import pytest
@@ -14,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conjlab import AtLeast, conj_distance, get_model
+from conjlab.groups import DirectProduct
 
 from conftest import all_models, reference_bfs, reference_distance, word_search
 
@@ -151,3 +157,116 @@ def test_search_matches_the_kernels_it_replaced(case):
     else:
         assert (found.length, found.cut) == reference_distance(
             model, start, goal, step, radius, node_budget)
+
+
+# -- the free-group conjugator length ---------------------------------------
+
+FREE = [get_model(name) for name in ("free1", "free2", "free3", "free2*free1")]
+
+
+def power(model, p, k):
+    out = model.identity_payload()
+    for _ in range(k):
+        out = model.mul_payload(out, p)
+    return out
+
+
+@st.composite
+def free_pairs(draw):
+    """(model, u, v, budget): u the identity, a short word or a conjugate
+    of a proper power; v a conjugate of u by a word of up to 5 letters, or
+    an unrelated word."""
+    model = draw(st.sampled_from(FREE))
+    u = power(model, word(model, draw(letters)), draw(st.integers(1, 3)))
+    u = model.conjugate(word(model, draw(st.lists(st.integers(0, 63), max_size=4))), u)
+    g = word(model, draw(st.lists(st.integers(0, 63), max_size=5)))
+    v = model.conjugate(g, u) if draw(st.booleans()) else word(model, draw(letters))
+    return model, u, v, draw(st.integers(0, 8))
+
+
+def free_conjugators(model, u, v):
+    """Every conjugator g with g u g^-1 = v and |m| <= 2 (|L| + |R|) / |r| + 1
+    in g = L r^m R (`FreeGroup.conjugator_length`), by rotating u's
+    cyclically reduced core in every way that gives v's."""
+    inv, mul = model.inv_payload, model.mul_payload
+
+    def split(p):
+        w = ()
+        while len(p) > 1 and p[0] == inv(p[-1:])[0]:
+            w, p = w + p[:1], p[1:-1]
+        return w, p
+
+    (w, uc), (z, vc) = split(u), split(v)
+    if not (uc and vc):
+        return [z] if uc == vc else []
+    n = len(uc)
+    root = uc[:next(k for k in range(1, n + 1) if n % k == 0 and uc[k:] + uc[:k] == uc)]
+    out = []
+    for i in (i for i in range(n) if len(vc) == n and uc[i:] + uc[:i] == vc):
+        left, right = mul(z, inv(uc[:i])), inv(w)
+        bound = 2 * (len(left) + len(right)) // len(root) + 1
+        out += [mul(mul(left, power(model, root if m > 0 else inv(root), abs(m))), right)
+                for m in range(-bound, bound + 1)]
+    return out
+
+
+def certified(model, u, v):
+    """The least length of a `free_conjugators` conjugator, each checked to
+    conjugate u to v, math.inf when there is none; on a product, the sum
+    over the factors."""
+    if isinstance(model, DirectProduct):
+        return certified(model.left, u[0], v[0]) + certified(model.right, u[1], v[1])
+    best = math.inf
+    for g in free_conjugators(model, u, v):
+        assert model.conjugate(g, u) == v
+        best = min(best, len(g))
+    return best
+
+
+def reduced_word(model, rng, length):
+    """A random reduced word of `length` letters in each free factor."""
+    if isinstance(model, DirectProduct):
+        return (reduced_word(model.left, rng, length), reduced_word(model.right, rng, length))
+    out = ()
+    while len(out) < length:
+        letter = (rng.randrange(model.rank), rng.choice((1, -1)))
+        if not out or out[-1] != (letter[0], -letter[1]):
+            out += (letter,)
+    return out
+
+
+@pytest.mark.parametrize("model", FREE, ids=lambda m: m.name)
+def test_free_conjugator_length_is_certified_past_any_budget(model):
+    # conjugators of 8-14 letters put most distances past any search budget;
+    # one pair in four conjugates a different power of the same root
+    rng = random.Random(model.name)
+    past = 0
+    for _ in range(150):
+        root = reduced_word(model, rng, rng.randint(1, 4))
+        h = reduced_word(model, rng, rng.randint(0, 6))
+        u = model.conjugate(h, power(model, root, rng.randint(1, 3)))
+        other = u if rng.random() < 0.75 else power(model, root, rng.randint(1, 3))
+        v = model.conjugate(reduced_word(model, rng, rng.randint(8, 14)), other)
+        rho = model.conjugator_length(u, v)
+        assert rho == certified(model, u, v) == model.conjugator_length(v, u)
+        past += 8 < rho < math.inf
+    assert past >= (0 if model.name == "free1" else 60)
+
+
+@pytest.mark.parametrize("text, other, rho", [
+    ("e", "e", 0),
+    ("e", "x1", math.inf),
+    ("x1.x2.x1.x2.x1.x2", "x2.x1.x2.x1.x2.x1", 1),  # (x1.x2)^3 and (x2.x1)^3
+    ("x1.x2.x1.x2.x1.x2", "x1.x2", math.inf),  # a power of it
+    ("x1.x2.x1.x2.x1.x2", "x1^-1.x2^-1.x1^-1.x2^-1.x1^-1.x2^-1", math.inf),
+    ("x1.x2.x1^-1.x2^-1", "x2.x1.x2^-1.x1^-1", math.inf),  # [x1,x2] and its inverse
+    ("x1.x2.x1^-1.x2^-1", "x2^-1.x1.x2.x1^-1", 1),
+    ("x1.x2.x1^-1.x2^-1", "x1^-1.x2^-1.x1.x2", 2),
+    ("x3.x1.x1.x3^-1", "x2^-1.x1.x1.x2", 2),  # across the root x1
+    ("x3^-1.x1.x3^-1.x1.x3", "x2.x1.x2^-1.x1^-1.x3^-1.x1.x3^-1.x1.x3.x1.x2.x1^-1.x2^-1", 4),
+])
+def test_free_conjugator_length_examples(text, other, rho):
+    model = get_model("free3")
+    u, v = model.decode_payload(text), model.decode_payload(other)
+    assert model.conjugator_length(u, v) == rho == certified(model, u, v)
+    assert model.conjugator_length(v, u) == rho

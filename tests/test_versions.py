@@ -93,6 +93,10 @@ ARGV = [
     ["limit", "--potential", "HUGE", "--conjugator", "Ax", "--k-max", "3"],
     ["inverse-seq", "--model", "free2", "--u", "x1", "--conjugator", "x2", "--tail", "x1",
      "--k-max", "4", "--budget", "6"],
+    ["inverse-seq", "--model", "free2", "--u", "x1.x2^-1", "--conjugator", "x2.x1",
+     "--k-max", "4", "--budget", "5", "--format", "json"],
+    ["bc", "--model", "free2", "--k", "x1", "--k", "x2.x1.x2^-1", "--cayley-radius", "4",
+     "--diam-budget", "6"],
     ["derive", "--potential", "TWO_POINT", "--element", "H3(1,2"],
     ["derive", "--potential", "DINF", "--element", "ab\n"],
     ["derive", "--potential", "TWO_POINT", "--element", "H3(\u0661,0,0)"],
@@ -196,7 +200,7 @@ def test_same_bytes_on_every_python(tmp_path, version):
         Path(paths[name]).write_text(json.dumps(data))
     cases = [[paths.get(a, a) for a in argv] for argv in ARGV]
     want = run_commands(sys.executable, cases)
-    assert [code for code, _ in want] == [0] * 3 + [3] + [0] * 14 + [2, 2, 0]
+    assert [code for code, _ in want] == [0] * 3 + [3] + [0] * 16 + [2, 2, 0]
     got = run_commands(python, cases, env)
     for argv, (code, out), expected in zip(ARGV, got, want):
         assert [code, out.encode()] == [expected[0], expected[1].encode()], argv
