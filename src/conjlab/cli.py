@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 usage/parse error, 3 resource budget exceeded,
 
 from __future__ import annotations
 
-import argparse
 import gc
 import math
 import os
@@ -18,7 +17,7 @@ import sys
 from collections.abc import Iterator
 from itertools import chain, islice
 from json.encoder import encode_basestring as _quote
-from random import Random
+from types import SimpleNamespace
 
 from . import derivations as dv
 from . import experiments as ex
@@ -32,6 +31,7 @@ def _count(text: str) -> int:
     """argparse type of counts (radii, budgets, samples): an integer >= 0."""
     value = int(text)
     if value < 0:
+        import argparse
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
@@ -39,9 +39,12 @@ def _count(text: str) -> int:
 def _default_node_budget() -> int:
     raw = os.environ.get("CONJLAB_DEFAULT_BUDGET")
     try:
-        return _count(raw) if raw else DEFAULT_NODE_BUDGET
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise UsageError(f"bad CONJLAB_DEFAULT_BUDGET: {raw!r}") from exc
+        budget = int(raw) if raw else DEFAULT_NODE_BUDGET
+    except ValueError:
+        budget = -1  # refused below, as a negative count is
+    if budget < 0:
+        raise UsageError(f"bad CONJLAB_DEFAULT_BUDGET: {raw!r}")
+    return budget
 
 
 _CHUNK = 1024  # text pieces per write
@@ -182,9 +185,11 @@ def cmd_derive(args):
 
 
 def cmd_leibniz(args):
+    from random import Random
+    from .sampling import random_payload
+
     phi = _load_potential(args.potential)
     rng = Random(args.seed)
-    from .sampling import random_payload
 
     violations = 0
     worst = 0.0
@@ -221,9 +226,11 @@ def cmd_character(args):
 
 
 def cmd_quasi_inner(args):
+    from random import Random
+    from .sampling import random_loop
+
     phi = _load_potential(args.potential)
     rng = Random(args.seed)
-    from .sampling import random_loop
 
     loops = [random_loop(phi.model, rng) for _ in range(args.samples)]
     ok, witness = dv.quasi_inner_check(phi, loops)
@@ -384,8 +391,9 @@ def _commands(node_budget: int) -> dict:
     }
 
 
-def build_parser(node_budget: int) -> argparse.ArgumentParser:
-    """The full conjlab parser: every subcommand under one top level."""
+def build_parser(node_budget: int):
+    """The full argparse tree: every subcommand under one top level."""
+    import argparse  # here, so that only help and errors load it
     parser = argparse.ArgumentParser(prog="conjlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (fn, help_text, arguments) in _commands(node_budget).items():
@@ -394,6 +402,10 @@ def build_parser(node_budget: int) -> argparse.ArgumentParser:
         for flags, kwargs in arguments:
             command.add_argument(*flags, **kwargs)
     return parser
+
+
+class Namespace(SimpleNamespace):
+    """What `_read` returns: attributes, and a repr, as argparse.Namespace's."""
 
 
 def _read(argv, commands):
@@ -405,7 +417,7 @@ def _read(argv, commands):
     if not argv or argv[0] not in commands:
         return None
     fn, _, arguments = commands[argv[0]]
-    args, options, missing = argparse.Namespace(command=argv[0]), {}, set()
+    args, options, missing = Namespace(command=argv[0]), {}, set()
     for flags, kw in arguments:
         dest = next((f for f in flags if f.startswith("--")), flags[0])
         dest = dest.lstrip("-").replace("-", "_")
@@ -439,7 +451,7 @@ def _read(argv, commands):
     return None if missing else args
 
 
-def parse(argv, node_budget: int) -> argparse.Namespace:
+def parse(argv, node_budget: int):
     """The namespace of `argv`, as `build_parser` reads it.
 
     A well-formed command line is read straight from the command table:

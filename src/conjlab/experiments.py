@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -40,19 +39,18 @@ def format_table(headers, rows) -> str:
 # Unbounded inner derivation on H3
 
 
-@dataclass
 class AppendixRow:
-    m: int
-    coeff_table: list  # (n, Fraction)
-    norm_lower_bound: float  # sqrt(m) * sum_{j=2}^m 1/j
-    ratio_lower_bound: float  # norm_lower_bound / sqrt(2m+1)
+    def __init__(self, m: int, coeff_table: list, norm_lower_bound: float,
+                 ratio_lower_bound: float):
+        self.m = m
+        self.coeff_table = coeff_table  # (n, Fraction)
+        self.norm_lower_bound = norm_lower_bound  # sqrt(m) * sum_{j=2}^m 1/j
+        self.ratio_lower_bound = ratio_lower_bound  # norm_lower_bound / sqrt(2m+1)
 
 
-@dataclass
 class AppendixReport:
-    m_values: list
-    n_max: int
-    rows: list
+    def __init__(self, m_values: list, n_max: int, rows: list):
+        self.m_values, self.n_max, self.rows = m_values, n_max, rows
 
     def to_json(self) -> dict:
         return {
@@ -146,12 +144,12 @@ def _harmonic_denominator_digits(n: int) -> float:
 # Norm limit under a diverging conjugation sequence
 
 
-@dataclass
 class LimitReport:
-    q: float
-    potential_norm: float
-    samples: list  # (k, norm: float, exact_pow: Fraction | None)
-    separation_index: int | None
+    def __init__(self, q: float, potential_norm: float, samples: list,
+                 separation_index: int | None):
+        self.q, self.potential_norm = q, potential_norm
+        self.samples = samples  # (k, norm: float, exact_pow: Fraction | None)
+        self.separation_index = separation_index
 
     def to_json(self) -> dict:
         return {
@@ -223,9 +221,9 @@ def run_limit_experiment(phi: Potential, a, q, k_max: int) -> LimitReport:
 # Forward vs backward conjugation distances
 
 
-@dataclass
 class InverseSequenceReport:
-    rows: list  # (k, forward, backward) with int | AtLeast entries
+    def __init__(self, rows: list):
+        self.rows = rows  # (k, forward, backward) with int | AtLeast entries
 
     def to_json(self) -> dict:
         def cell(d):

@@ -9,7 +9,6 @@ an explicit AtLeast / incompleteness flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
@@ -17,7 +16,6 @@ from .errors import UsageError
 from .groups import AtLeast, DEFAULT_NODE_BUDGET, GroupModel
 
 
-@dataclass
 class ConjGraphBall:
     """A BFS ball of the conjugation graph of `model` around the payload `base`.
 
@@ -26,12 +24,10 @@ class ConjGraphBall:
     `closed` is True when the whole (finite) component fits in the ball.
     """
 
-    model: GroupModel
-    base: object
-    radius: int
-    depths: dict = field(default_factory=dict)
-    complete: bool = True
-    closed: bool = False
+    def __init__(self, model: GroupModel, base, radius: int, depths: dict,
+                 complete: bool = True, closed: bool = False):
+        self.model, self.base, self.radius = model, base, radius
+        self.depths, self.complete, self.closed = depths, complete, closed
 
     @property
     def vertices(self):
@@ -120,13 +116,14 @@ def _levels_fit(n: int, depth: int, node_budget: int) -> bool:
     return total <= node_budget
 
 
-@dataclass
 class BCReport:
-    """Evidence for/against the bounded-conjugation condition on a set K."""
+    """Evidence for/against the bounded-conjugation condition on a set K:
+    `shells` holds (cayley_radius, max_diam: int | AtLeast) pairs, and
+    `verdict` is "Plateau(C)", "Growing" or "Inconclusive"."""
 
-    base_set_encoding: list
-    shells: list  # (cayley_radius, max_diam: int | AtLeast)
-    verdict: str  # "Plateau(C)" | "Growing" | "Inconclusive"
+    def __init__(self, base_set_encoding: list, shells: list, verdict: str):
+        self.base_set_encoding = base_set_encoding
+        self.shells, self.verdict = shells, verdict
 
     def to_json(self) -> dict:
         return {

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from functools import cached_property, reduce
 
 from .errors import ResourceBudgetError, UsageError
@@ -30,27 +29,34 @@ def _read_int(digits: str) -> int:
         raise UsageError(f"integer literal too long: {len(digits)} characters") from exc
 
 
-@dataclass(frozen=True)
 class AtLeast:
     """Sentinel for a quantity only known to be >= `bound`."""
 
-    bound: int
+    def __init__(self, bound: int):
+        self.bound = bound
+
+    def __eq__(self, other):
+        return self.bound == other.bound if type(other) is AtLeast else NotImplemented
+
+    def __hash__(self):
+        return hash((self.bound,))
+
+    def __repr__(self):
+        return f"AtLeast(bound={self.bound!r})"
 
     def __str__(self):
         return f"≥{self.bound}"
 
 
-@dataclass  # not frozen: a frozen __init__ costs a sixth of a short search
 class Search:
     """What `GroupModel.search` found: each payload the start side visited,
     with its depth, in visiting order; the goal's distance, or AtLeast the
     shortest length not ruled out; the number of nodes visited when the
     node budget ran out, if it did; whether a frontier emptied."""
 
-    dist: dict
-    length: int | AtLeast
-    cut: int | None = None
-    exhausted: bool = False
+    def __init__(self, dist: dict, length: int | AtLeast, cut: int | None = None,
+                 exhausted: bool = False):
+        self.dist, self.length, self.cut, self.exhausted = dist, length, cut, exhausted
 
 
 class GroupModel(ABC):

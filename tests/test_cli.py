@@ -877,6 +877,45 @@ class TestPlumbing:
         assert code == 2
         assert "CONJLAB_DEFAULT_BUDGET" in err
 
+    # the stderr of the refusals that import argparse only once they happen,
+    # byte for byte, at an 80-column terminal; python3.13 wraps usage lines
+    # at option boundaries
+    GRAPH_USAGE = ("usage: conjlab graph [-h] --model MODEL --base BASE --radius RADIUS\n"
+                   "                     [--suppress-loops] [--format {dot,json}]\n"
+                   "                     [--budget-nodes BUDGET_NODES]\n")
+    STABILISE_USAGE = (
+        "usage: conjlab stabilise [-h] --potential POTENTIAL --base BASE\n"
+        "                         --radius RADIUS --radii RADII\n"
+        "                         [--budget-nodes BUDGET_NODES]\n"
+        if sys.version_info >= (3, 13) else
+        "usage: conjlab stabilise [-h] --potential POTENTIAL --base BASE --radius\n"
+        "                         RADIUS --radii RADII [--budget-nodes BUDGET_NODES]\n")
+
+    @pytest.mark.parametrize("env, argv, err", [
+        ("-1", ["graph", "--model", "h3", "--base", "e", "--radius", "1"],
+         "error: bad CONJLAB_DEFAULT_BUDGET: '-1'\n"),
+        ("abc", ["graph", "--model", "h3", "--base", "e", "--radius", "1"],
+         "error: bad CONJLAB_DEFAULT_BUDGET: 'abc'\n"),
+        (None, ["graph", "--model", "h3", "--base", "e", "--radius", "-1"],
+         GRAPH_USAGE + "conjlab graph: error: argument --radius: must be >= 0, got -1\n"),
+        (None, ["stabilise", "--potential", "p.json", "--base", "e", "--radius", "1",
+                "--radii", "1,-1"],
+         STABILISE_USAGE
+         + "conjlab stabilise: error: argument --radii: must be >= 0, got -1\n"),
+    ], ids=["budget-env-negative", "budget-env-text", "radius-negative", "radii-negative"])
+    def test_refusals_print_pinned_bytes(self, capsys, monkeypatch, env, argv, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        if env is None:
+            monkeypatch.delenv("CONJLAB_DEFAULT_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("CONJLAB_DEFAULT_BUDGET", env)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (2, "", err)
+
     @pytest.mark.parametrize("argv", [
         ["graph", "--model", "h3", "--base", "e", "--radius", "1"],
         ["bc", "--model", "h3", "--k", "e"],

@@ -601,3 +601,21 @@ def test_text_is_refused(name, text, message):
 @pytest.mark.parametrize("name, text, want", ACCEPTED_TEXTS)
 def test_text_is_accepted(name, text, want):
     assert _read(name, text) == want
+
+
+def test_at_least_is_a_value_of_its_own():
+    """AtLeast compares, hashes and prints as the frozen dataclass it was:
+    equal only to an AtLeast of the same bound, never to an int."""
+    three = AtLeast(3)
+    assert three == AtLeast(3) and not three != AtLeast(3)
+    assert three != AtLeast(4) and not three == AtLeast(4)
+    assert hash(three) == hash(AtLeast(3))
+    assert AtLeast(3) in {three} and AtLeast(4) not in {three}
+    assert len({three, AtLeast(3), AtLeast(4)}) == 2
+    assert {three: "x"}[AtLeast(3)] == "x"
+    assert str(three) == "≥3" and repr(three) == "AtLeast(bound=3)"
+    assert f"{three}" == "≥3" and repr([three]) == "[AtLeast(bound=3)]"
+    assert three != 3 and not three == 3 and 3 != three
+    assert three.__eq__(3) is NotImplemented
+    assert not isinstance(three, int)
+    assert three not in {3} and 3 not in {three}

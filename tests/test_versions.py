@@ -214,3 +214,49 @@ def test_parse_reads_as_the_full_tree_on_every_python(version):
     for argv, (ours, full) in zip(cases, got):
         assert ours == full, argv
     assert all(isinstance(ours[0], str) for ours, _ in got[:len(ACCEPTED)])
+
+
+# imports conjlab.cli in a fresh interpreter, then runs well-formed
+# commands, help and a usage error through `main`; prints a JSON object of
+# the start-up modules it loaded, whether argparse is loaded after each
+# run, and what help and the usage error printed through `main` and
+# through the full tree
+STARTUP_RUNNER = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from conjlab import cli
+report = {"loaded": sorted({"dataclasses", "inspect", "argparse"}
+                           & (set(sys.modules) - before))}
+def run(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return [code, out.getvalue(), err.getvalue(), "argparse" in sys.modules]
+well_formed = [["appendix", "--m-max", "2", "--format", "json"],
+               ["bc", "--model", "h3", "--k", "H3(1,0,0)", "--cayley-radius", "2"]]
+report["well_formed"] = [run(cli.main, argv) for argv in well_formed]
+refused = [["bc", "--help"], ["appendix", "--m-max", "x"]]
+report["main"] = [run(cli.main, argv) for argv in refused]
+full = cli.build_parser(10**6).parse_args
+report["full_tree"] = [run(full, argv) for argv in refused]
+json.dump(report, sys.stdout)
+"""
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
+def test_start_up_loads_neither_dataclasses_nor_argparse(version):
+    python, env = started(version)
+    env = dict(env, PYTHONPATH=str(SRC), COLUMNS="80")
+    proc = subprocess.run([python, "-c", STARTUP_RUNNER], env=env, capture_output=True,
+                          text=True, encoding="utf-8", timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["loaded"] == []
+    for code, out, err, argparse_loaded in report["well_formed"]:
+        assert (code, err, argparse_loaded) == (0, "", False) and out
+    assert [run[0] for run in report["main"]] == [0, 2]
+    assert all(run[3] for run in report["main"])
+    assert report["main"] == report["full_tree"]
