@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -107,17 +108,6 @@ class Potential:
         den = math.lcm(*[v.denominator for v in values])
         return den, (payloads, tuple([v.numerator * (den // v.denominator) for v in values]))
 
-    @cached_property
-    def _negated(self) -> tuple:
-        """-phi, term for term with `_columns`: built on first use, by the
-        kernels that add -phi terms only."""
-        return _negate(self._columns[1])
-
-    @cached_property
-    def _scaled_negated(self) -> tuple:
-        """-D phi, term for term with `_scaled_columns`, as `_negated`."""
-        return _negate(self._scaled_columns[1][1])
-
     def support(self) -> tuple:
         """The (truncated) support's payloads sorted by encoding, built once."""
         return self._columns[0]
@@ -127,13 +117,10 @@ class Potential:
         `gp`, into `acc` ({payload: Fraction}), dropping terms that cancel.
         With `scaled`, add D d(g) in ints instead, D = `_scaled_columns[0]`:
         integer adds need no gcd, so callers divide by D once at the end."""
-        if scaled:
-            (payloads, pos), neg = self._scaled_columns[1], self._scaled_negated
-        else:
-            (payloads, pos), neg = self._columns, self._negated
+        payloads, values = self._scaled_columns[1] if scaled else self._columns
         mul_all = self.model.mul_all
-        add_terms(acc, zip(mul_all(payloads, gp), pos))
-        add_terms(acc, zip(mul_all(payloads, gp, left=True), neg))
+        add_terms(acc, zip(mul_all(payloads, gp), values))
+        add_terms(acc, zip(mul_all(payloads, gp, left=True), map(operator.neg, values)))
 
     def lq_pow(self, q: int) -> Fraction:
         return sum((abs(v) ** q for v in self._columns[1]), _ZERO)
@@ -178,10 +165,6 @@ class Potential:
     def load(cls, path) -> "Potential":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
-
-
-def _negate(values) -> tuple:
-    return tuple([-v for v in values])
 
 
 def _rational(text: str) -> Fraction:
@@ -230,13 +213,13 @@ def leibniz_residual(phi: Potential, gp, hp):
     # (s g) h and g (s h), +D phi(s) at (g s) h and g (h s)
     model = phi.model
     den, (payloads, pos) = phi._scaled_columns
-    neg = phi._scaled_negated
+    minus = [-n for n in pos]
     mul_all = model.mul_all
     acc = {}
     phi.add_derivation(model.mul_payload(gp, hp), acc, scaled=True)
-    for keys, coeffs in ((mul_all(mul_all(payloads, gp), hp), neg),
+    for keys, coeffs in ((mul_all(mul_all(payloads, gp), hp), minus),
                          (mul_all(mul_all(payloads, gp, left=True), hp), pos),
-                         (mul_all(mul_all(payloads, hp), gp, left=True), neg),
+                         (mul_all(mul_all(payloads, hp), gp, left=True), minus),
                          (mul_all(mul_all(payloads, hp, left=True), gp, left=True), pos)):
         add_terms(acc, zip(keys, coeffs))
     return GroupRingVector(model, {u: Fraction(n, den) for u, n in acc.items()})

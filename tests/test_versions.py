@@ -2,12 +2,14 @@
 
 A fixed list of commands runs under each of python3.10 to python3.13 found
 on PATH, importing conjlab from this checkout's `src/`, and must give the
-exit codes and stdout of the interpreter running the tests.  Under each of
-them too, `cli.parse` must read every argument list as the full argparse
-tree does, since argparse's edge cases (`--`, values that start with "-")
-change between releases.  Where a pyenv
-shim does not select an installed release, PYENV_VERSION selects it; an
-interpreter that still cannot start is skipped.  The commands lean on what
+exit codes and stdout of the interpreter running the tests.  The golden
+corpus of `tests/test_corpus.py` must give its committed exit codes and
+digests under each of them.  Under each of them too, `cli.parse` must
+read every argument list as the full argparse tree does, since
+argparse's edge cases (`--`, values that start with "-") change between
+releases.  Where a pyenv shim does not select an installed release,
+PYENV_VERSION selects it; an interpreter that still cannot start is
+skipped.  The commands lean on what
 changed between these versions: `sum` over floats (compensated from 3.12
 on), float formatting, exact rationals, the int/str digit limit and the
 Unicode digits that the hand-written decoders accept.
@@ -23,8 +25,10 @@ from pathlib import Path
 import pytest
 
 from test_cli import parser_cases
+from test_corpus import load_corpus, moved, write_potentials
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 # runs each argv of a JSON list on stdin through `main`; prints the JSON
 # list of [exit code, stdout]
@@ -59,6 +63,16 @@ for argv in json.load(sys.stdin):
     results.append([outcome(lambda argv: cli.parse(argv, 10**6), argv),
                     outcome(lambda argv: cli.build_parser(10**6).parse_args(argv), argv)])
 json.dump(results, sys.stdout)
+"""
+
+# runs each argv of a JSON list on stdin through `main`, in the current
+# directory; prints the JSON list of [exit code, sha256 of stdout, sha256
+# of stderr]
+DIGEST_RUNNER = f"""
+import json, sys
+sys.path.insert(0, {str(TESTS)!r})
+from test_corpus import run_in_process
+json.dump([run_in_process(argv) for argv in json.load(sys.stdin)], sys.stdout)
 """
 
 POTENTIALS = {
@@ -146,9 +160,9 @@ DECLINED = [
 ]
 
 
-def run_commands(python, cases, env=None, runner=RUNNER):
+def run_commands(python, cases, env=None, runner=RUNNER, cwd=None):
     env = dict(env or os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([python, "-c", runner], input=json.dumps(cases), env=env,
+    proc = subprocess.run([python, "-c", runner], input=json.dumps(cases), env=env, cwd=cwd,
                           capture_output=True, text=True, encoding="utf-8", timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -204,6 +218,18 @@ def test_same_bytes_on_every_python(tmp_path, version):
     got = run_commands(python, cases, env)
     for argv, (code, out), expected in zip(ARGV, got, want):
         assert [code, out.encode()] == [expected[0], expected[1].encode()], argv
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
+def test_corpus_digests_on_every_python(tmp_path, version):
+    # the committed digests, not this interpreter's output
+    python, env = started(version)
+    env.pop("CONJLAB_DEFAULT_BUDGET", None)
+    corpus = load_corpus()
+    write_potentials(corpus["potentials"], tmp_path)
+    got = run_commands(python, [case["argv"] for case in corpus["cases"]], env,
+                       DIGEST_RUNNER, cwd=tmp_path)
+    assert moved(corpus, got) == []
 
 
 @pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
