@@ -210,13 +210,14 @@ def cmd_character(args):
     up, vp = model.decode_payload(args.u), model.decode_payload(args.v)
     val = dv.character(phi, up, vp)
     # the coefficient of d(v) at u read termwise, with no d(v) built: the
-    # sum of phi(s)([s v = u] - [v s = u]) over the support
-    payloads, values = phi._columns
+    # sum of phi(s)([s v = u] - [v s = u]) over the support, phi read at
+    # the hits only
+    support = phi.support()
     cross = 0
     for left, sign in ((False, 1), (True, -1)):
-        images = model.mul_all(payloads, vp, left=left)
+        images = model.mul_all(support, vp, left=left)
         if up in images:  # for one s at most: a translation is one to one
-            cross += sign * values[images.index(up)]
+            cross += sign * phi.value(support[images.index(up)])
     if cross != val:
         raise InternalConsistencyError(
             f"character mismatch at ({args.u},{args.v}): "

@@ -15,20 +15,20 @@ import math
 import operator
 import re
 import sys
+from bisect import insort
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import ModelMismatchError, UsageError
 from .groups import DEFAULT_NODE_BUDGET, GroupModel, get_model
-from .ring import _ZERO, GroupRingVector, add_terms, exact_str, float_norm, left_sum
+from .ring import _ZERO, GroupRingVector, _ratio, add_terms, exact_str, float_norm, left_sum
 
 DEFAULT_TRUNCATION = 10**4
 
 
 # ---------------------------------------------------------------------------
 # The one closed-form rule, "appendix_harmonic" on h3: value(payload, cutoff
-# K), the support with its values and the discarded q-th-power mass, all
-# truncated at K
+# K), the support and the discarded q-th-power mass, all truncated at K
 
 def _harmonic_value(payload, trunc_k) -> Fraction:
     # supported on Ap*Ax^-k = Ax^-k Ap A1^-k, triple (1, -k, -k), value 1/k
@@ -38,8 +38,9 @@ def _harmonic_value(payload, trunc_k) -> Fraction:
     return _ZERO
 
 
-def _harmonic_terms(trunc_k) -> dict:
-    return {(1, -k, -k): Fraction(1, k) for k in range(1, trunc_k + 1)}
+def _harmonic_support(trunc_k) -> list:
+    # in encoding order: H3(1,-k,-k) sorts as str(k) does, "," before digits
+    return [(1, -k, -k) for k in sorted(range(1, trunc_k + 1), key=str)]
 
 
 def _harmonic_tail_pow(trunc_k: int, q: int) -> Fraction:
@@ -90,15 +91,23 @@ class Potential:
         return self.table.get(p) or self._rule(p, self.trunc_k)
 
     @cached_property
+    def _support(self) -> tuple:
+        encode = self.model.encode_payload
+        payloads = sorted(self.table, key=encode)
+        if self.closed_form is not None:
+            rule = _harmonic_support(self.trunc_k)  # disjoint from the table
+            for p in payloads:
+                insort(rule, p, key=encode)
+            payloads = rule
+        return tuple(payloads)
+
+    @cached_property
     def _columns(self) -> tuple:
         """The (truncated) support as parallel columns (payloads, phi),
-        sorted by encoding and without zero values; built once, from the
-        table and the rule's terms, with no lookup per element."""
-        terms = dict(self.table)  # no zero, and disjoint from the rule's support
-        if self.closed_form is not None:
-            terms.update(_harmonic_terms(self.trunc_k))
-        payloads = sorted(terms, key=self.model.encode_payload)
-        return tuple(payloads), tuple(map(terms.__getitem__, payloads))
+        sorted by encoding and without zero values; built once, the rule's
+        values read at the rule's own support."""
+        payloads, table, rule, k = self._support, self.table, self._rule, self.trunc_k
+        return payloads, tuple([table.get(p) or rule(p, k) for p in payloads])
 
     @cached_property
     def _scaled_columns(self) -> tuple:
@@ -109,8 +118,9 @@ class Potential:
         return den, (payloads, tuple([v.numerator * (den // v.denominator) for v in values]))
 
     def support(self) -> tuple:
-        """The (truncated) support's payloads sorted by encoding, built once."""
-        return self._columns[0]
+        """The (truncated) support's payloads sorted by encoding, built once
+        and with no value read: `_columns[0]`."""
+        return self._support
 
     def add_derivation(self, gp, acc: dict, scaled: bool = False) -> None:
         """Add d(g) = sum of phi(s)(s g - g s) over the support, g of payload
@@ -253,11 +263,12 @@ def g_boundedness_probe(
     """Max of ||d(g)||_p over the Cayley ball, d phi's derivation, with argmax.
 
     ||d(g)||_p depends only on the inner automorphism x -> g x g^-1, which
-    the images of the generators fix: those key the memo, and the support
-    is conjugated once per key.
+    the images of the generators fix, and through it only on the pairs of
+    support elements s, t with g t g^-1 = s: the norms are memoised by both,
+    and the model's hit finder lists the pairs once per automorphism.
     """
     if not p >= 1:
-        raise UsageError(f"g_boundedness_probe needs p >= 1, got {p}")
+        raise UsageError(f"p must be >= 1, got {p}")
     model = phi.model
     ball = model.cayley_ball(radius, node_budget)
     encode = model.encode_payload
@@ -269,12 +280,15 @@ def g_boundedness_probe(
     # phi(s), which adds nothing to a norm.
     payloads, values = phi._columns
     n = len(payloads)
-    index = {s: i for i, s in enumerate(payloads)}
-    powers = [_float_pow(v, p) for v in values]
+    try:  # float(Fraction(n, d)) is n / d, on Python 3.10-3.13
+        powers = [abs(num / den) ** p for num, den in map(_ratio, values)]
+    except OverflowError:
+        powers = [_float_pow(v, p) for v in values]
     base_coeffs, base_pows = list(values) * 2, powers * 2
-    gens = [x for _, x, _ in model.gen_triples]
-    conj_all, inv = model.conj_all, model.inv_payload
+    gens = list(model.generator_payloads().values())
+    conj_all, inv, hits_of = model.conj_all, model.inv_payload, model.conj_hits(payloads)
     memo = {tuple(gens): 0.0}  # e fixes every generator, and d(e) = 0
+    by_hits = {}
     best = -1.0
     argmax = None
     for gp in sorted(ball, key=lambda p: (ball[p], encode(p))):
@@ -282,18 +296,19 @@ def g_boundedness_probe(
         key = tuple(conj_all(gens, gp, gi))
         norm = memo.get(key)
         if norm is None:
-            images = conj_all(payloads, gp, gi)
-            coeffs, pows = base_coeffs.copy(), base_pows.copy()
-            for i, j in enumerate(map(index.get, images)):
-                if j is None:
-                    continue
-                if i == j:  # t commutes with g
-                    coeffs[i], pows[i] = _ZERO, 0.0
-                else:
-                    c = coeffs[i] = values[j] - values[i]
-                    pows[i] = _float_pow(c, p)
-                coeffs[n + j], pows[n + j] = _ZERO, 0.0
-            norm = memo[key] = float_norm(coeffs, p, lambda: left_sum(pows))
+            hits = frozenset(hits_of(gp, gi))
+            norm = by_hits.get(hits)
+            if norm is None:
+                coeffs, pows = base_coeffs.copy(), base_pows.copy()
+                for i, j in hits:
+                    if i == j:  # t commutes with g
+                        coeffs[i], pows[i] = _ZERO, 0.0
+                    else:
+                        c = coeffs[i] = values[j] - values[i]
+                        pows[i] = _float_pow(c, p)
+                    coeffs[n + j], pows[n + j] = _ZERO, 0.0
+                norm = by_hits[hits] = float_norm(coeffs, p, lambda: left_sum(pows))
+            memo[key] = norm
         if norm > best:
             best = norm
             argmax = gp

@@ -88,7 +88,7 @@ def run_appendix(m_max: int, n_max: int) -> AppendixReport:
     character identity d(g)[u] = phi(u g^-1) - phi(g^-1 u) and re-derived
     from the closed harmonic formula; the two routes must agree exactly."""
     if m_max < 1 or n_max < 1:
-        raise UsageError("run_appendix needs m_max, n_max >= 1")
+        raise UsageError(f"m_max and n_max must be >= 1, got {m_max} and {n_max}")
     limit = sys.get_int_max_str_digits()  # 0: no limit
     if limit and _harmonic_denominator_digits(m_max + 1) > limit:
         raise UsageError("a rational value is too large to print")  # as exact_str
@@ -179,11 +179,11 @@ def run_limit_experiment(phi: Potential, a, q, k_max: int) -> LimitReport:
     disjoint through k_max.
     """
     if not phi.is_exact():
-        raise UsageError("run_limit_experiment needs a finite-support potential")
+        raise UsageError("a closed-form potential is not finitely supported")
     if k_max < 1:
-        raise UsageError("run_limit_experiment needs k_max >= 1")
+        raise UsageError(f"k_max must be >= 1, got {k_max}")
     if not q >= 1:  # NaN too; checked here, as an empty support takes no norm
-        raise UsageError(f"lp_norm needs p >= 1, got {float(q)}")
+        raise UsageError(f"q must be >= 1, got {float(q)}")
     model = phi.model
     payloads, values = phi._columns
     q_int = int(q) if float(q).is_integer() else None

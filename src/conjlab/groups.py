@@ -142,6 +142,18 @@ class GroupModel(ABC):
         mul = self.mul_payload
         return [mul(gp, mul(s, gi)) for s in payloads]
 
+    def conj_hits(self, payloads):
+        """The hit finder of a column of distinct payloads s: a function of
+        g and g^-1 (payloads) that lists the pairs (i, j) with
+        g s_i g^-1 = s_j.  Here it conjugates every s and looks it up."""
+        index = {s: i for i, s in enumerate(payloads)}
+        conj_all = self.conj_all
+
+        def hits(gp, gi):
+            return [(i, j) for i, j in enumerate(map(index.get, conj_all(payloads, gp, gi)))
+                    if j is not None]
+        return hits
+
     # the single-product names `bench/tracer.py` times; no command calls them
 
     def multiply(self, p1, p2):
@@ -210,6 +222,13 @@ class GroupModel(ABC):
 # The closed-form product below is the matrix product of two such matrices.
 
 
+def _direction(a: int, b: int) -> tuple:
+    """The primitive vector of the line through 0 and (a, b) != 0, its
+    first nonzero entry positive."""
+    g = math.gcd(a, b)
+    return (a // g, b // g) if a > 0 or a == 0 < b else (-a // g, -b // g)
+
+
 class Heisenberg(GroupModel):
     name = "h3"
 
@@ -236,6 +255,34 @@ class Heisenberg(GroupModel):
         # g s g^-1 = (a, b, c + x b - y a) for g = (x, y, .): no list is built
         x, y, _ = gp
         return ((a, b, c + x * b - y * a) for a, b, c in payloads)
+
+    def conj_hits(self, payloads):
+        # g = (x, y, .) keeps each (a, b) fibre and shifts its c by
+        # x b - y a, which is 0 on the central fibre and on the fibres whose
+        # (a, b) lies on the line of (x, y): those are fixed whole.  Any
+        # other hit moves c to c + lam within a fibre of two or more cells.
+        fibres = {}
+        for i, (a, b, c) in enumerate(payloads):
+            fibres.setdefault((a, b), {})[c] = i
+        central = [(i, i) for i in fibres.pop((0, 0), {}).values()]
+        lines = {}  # the primitive direction of (a, b) -> the fibres on its line
+        for (a, b), cells in fibres.items():
+            lines.setdefault(_direction(a, b), []).append(cells)
+        crowded = [(a, b, cells) for (a, b), cells in fibres.items() if len(cells) > 1]
+
+        def hits(gp, gi):
+            x, y, _ = gp
+            if not (x or y):  # a central g fixes everything
+                return [(i, i) for i in range(len(payloads))]
+            out = central + [(i, i) for cells in lines.get(_direction(x, y), ())
+                             for i in cells.values()]
+            for a, b, cells in crowded:
+                lam = x * b - y * a
+                if lam:
+                    get = cells.get
+                    out += [(i, j) for c, i in cells.items() if (j := get(c + lam)) is not None]
+            return out
+        return hits
 
     def encode_payload(self, p) -> str:
         try:

@@ -167,7 +167,7 @@ class GroupRingVector:
 
     def lp_norm(self, p: float) -> float:
         if not p >= 1:
-            raise UsageError(f"lp_norm needs p >= 1, got {p}")
+            raise UsageError(f"p must be >= 1, got {p}")
         if p == math.inf:
             return self.sup_norm()
         half = p / 2.0
@@ -188,7 +188,7 @@ class GroupRingVector:
     def lq_pow_exact(self, q: int) -> Fraction:
         """Exact sum of |coefficient|^q for integral q >= 1, if it can be printed."""
         if q < 1:
-            raise UsageError(f"lq_pow_exact needs q >= 1, got {q}")
+            raise UsageError(f"q must be >= 1, got {q}")
         if exact_pow_fits(self.terms.values(), q):
             total = sum((abs(c) ** q for c in self.terms.values()), _ZERO)
             with contextlib.suppress(ValueError):

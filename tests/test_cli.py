@@ -212,7 +212,7 @@ class TestDerive:
         def out_of_memory(trunc_k):
             raise MemoryError
 
-        monkeypatch.setattr(dv, "_harmonic_terms", out_of_memory)
+        monkeypatch.setattr(dv, "_harmonic_support", out_of_memory)
         code, out, err = run(
             capsys,
             ["derive", "--potential", harmonic_potential, "--element", "H3(1,0,0)"],
@@ -272,9 +272,38 @@ class TestCharacter:
         assert code == 0
         assert json.loads(out)["value"] == "0"
 
+    def test_out_of_memory_exits_3(self, capsys, monkeypatch, harmonic_potential):
+        # the cross-check lists the closed-form support, as derive does
+        def out_of_memory(trunc_k):
+            raise MemoryError
+
+        monkeypatch.setattr(dv, "_harmonic_support", out_of_memory)
+        assert run(capsys, ["character", "--potential", harmonic_potential,
+                            "--u", "H3(1,-3,-3)", "--v", "H3(0,1,0)"]) == (
+            3, "", "resource budget exceeded: out of memory\n")
+
+    @pytest.mark.parametrize("u, v, hits", [
+        ("H3(1,-3,-3)", "H3(0,1,0)", [(1, -4, -4)]),  # s v = u only
+        ("H3(1,-3,-4)", "H3(0,1,0)", [(1, -4, -4)]),  # v s = u only
+        ("H3(1,-3,2)", "H3(0,0,5)", [(1, -3, -3)] * 2),  # both: v is central
+        ("H3(1,-30,-30)", "H3(0,1,0)", []),  # past the cutoff
+    ])
+    def test_cross_check_reads_phi_at_its_hits_only(self, capsys, monkeypatch,
+                                                    harmonic_potential, u, v, hits):
+        # the support is listed without a value: no phi column is built, and
+        # phi is read twice by the lookup route and then once per hit
+        reads, value = [], dv.Potential.value
+        monkeypatch.setattr(dv.Potential, "value",
+                            lambda phi, p: reads.append(p) or value(phi, p))
+        monkeypatch.setattr(dv.Potential, "_columns",
+                            property(lambda phi: pytest.fail("phi column built")))
+        code, _, _ = run(capsys, ["character", "--potential", harmonic_potential,
+                                  "--u", u, "--v", v])
+        assert code == 0 and reads[2:] == hits
+
     def test_mismatch_exits_4(self, capsys, monkeypatch, two_point_potential):
         # a fault planted in the lookup route alone: the termwise cross-check
-        # over the support columns still reads d(v)[u] = 1
+        # over the support still reads d(v)[u] = 1
         character = dv.character
         monkeypatch.setattr(dv, "character", lambda phi, up, vp: character(phi, up, vp) + 1)
         assert run(capsys, ["character", "--potential", two_point_potential,
@@ -703,7 +732,7 @@ class TestLimit:
         code, out, err = run(capsys, ["limit", "--potential", str(path), "--conjugator",
                                       "Ax", "--q", q, "--format", "json"])
         assert (code, out) == (2, "")
-        assert err == f"error: lp_norm needs p >= 1, got {float(q)}\n"
+        assert err == f"error: q must be >= 1, got {float(q)}\n"
 
     def test_json(self, capsys, two_point_potential):
         code, out, _ = run(

@@ -38,6 +38,23 @@ EXPONENTS = ["1", "1.5", "2", "3", "inf"]
 TRUNCATIONS = [1, 37, 1000]
 # a value just past a 12-digit boundary, whose norm prints one unit low
 MISPRINTED = {"model": "dinf", "table": [["a", "0.12345678901325000000000000001"]]}
+# (a, b, c) cells of h3 tables; conjugation by (x, y, .) keeps (a, b) and
+# adds x b - y a to c
+FIBRES = {
+    "h3_crowded": [(1, 0, c) for c in (-3, 0, 1, 2, 5)] + [(2, 1, c) for c in (0, 1, 4)]
+                  + [(0, 0, 1), (0, 0, -2), (0, 1, 3)],
+    "h3_collinear": [(1, 1, 0), (2, 2, 1), (-1, -1, 3), (3, 3, -2), (2, 2, 5),
+                     (1, -2, 0), (2, -4, 1), (-1, 2, 2), (0, 0, 4), (0, 0, 0)],
+    "h3_box": [(a, b, c) for a in (-1, 0, 2) for b in (-2, 0, 1) for c in (-1, 3)
+               if (a + 2 * b + c) % 3],
+}
+CHARACTER_10000 = [
+    ("H3(1,-2,-2)", "H3(0,1,0)"), ("H3(1,-3,-3)", "H3(0,1,0)"),
+    ("H3(1,-9999,-9999)", "H3(0,1,0)"), ("H3(1,-9999,-10000)", "H3(0,1,0)"),
+    ("H3(1,-10000,-10000)", "H3(0,0,5)"), ("H3(1,-10001,-10001)", "H3(0,0,5)"),
+    ("H3(2,1,0)", "H3(1,2,3)"), ("H3(3,3,3)", "H3(1,4,5)"), ("H3(1,-5,-5)", "e"),
+    ("H3(1,2", "e"),
+]
 
 
 def _value(rng):
@@ -128,6 +145,23 @@ def generate():
     potentials["free2_harmonic"] = {"model": "free2", "table": [],
                                     "closed_form": "appendix_harmonic"}
     argv.append(["derive", "--potential", "free2_harmonic.json", "--element", "x1"])
+    # h3 tables by (a, b) fibre, the key of bound-probe's hit finder: crowded
+    # fibres, the central one, and several fibres on one line through 0
+    for key, cells in FIBRES.items():
+        potentials[key] = {"model": "h3", "table": [
+            [f"H3({a},{b},{c})", _value(rng)] for a, b, c in cells]}
+        for radius in ("3", "4"):
+            argv += [["bound-probe", "--potential", f"{key}.json", "--radius", radius, "-p", p]
+                     for p in EXPONENTS]
+    for k in (37, 1000):
+        argv.append(["bound-probe", "--potential", f"harmonic_{k}.json", "--radius", "4",
+                     "-p", rng.choice(EXPONENTS)])
+    # character at the default truncation: hits on either side, at the cutoff
+    # and past it, on the table entry, and none
+    potentials["harmonic_10000"] = {"model": "h3", "table": [["H3(2,1,0)", "-3/7"]],
+                                    "closed_form": "appendix_harmonic", "truncation": 10**4}
+    for u, v in CHARACTER_10000:
+        argv.append(["character", "--potential", "harmonic_10000.json", "--u", u, "--v", v])
     return potentials, argv
 
 

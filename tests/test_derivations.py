@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 from random import Random
@@ -22,6 +23,8 @@ from conjlab import (
     quasi_inner_check,
     stabilisation_probe,
 )
+from conjlab.cli import main
+from conjlab.groups import GroupModel, Heisenberg
 from conjlab.ring import float_norm
 
 from conjlab.sampling import random_loop, random_payload
@@ -40,6 +43,7 @@ from conftest import (
     random_potential,
     scaled,
 )
+from test_corpus import FIBRES
 
 # the six models and a three-factor product
 CHARACTER_MODELS = all_models() + [get_model("dsemi*h3semi*free2")]
@@ -495,6 +499,92 @@ def test_probe_builds_no_fraction_off_the_support_or_on_a_fixed_point(h3, monkey
     assert g_boundedness_probe(phi, 2, 2) == want
 
 
+# ---------------------------------------------------------------------------
+# The h3 hit finder: the pairs (i, j) with g s_i g^-1 = s_j, found by (a, b)
+# fibre, against the base class's conjugate-and-look-up
+
+
+def h3_fibre_support(rng):
+    """Distinct h3 payloads: central cells, fibres on one line through 0,
+    other fibres, and c values that crowd a fibre, some around a huge c."""
+    line = rng.choice([(1, 0), (0, 1), (1, 1), (1, -2), (2, 3), (3, -1)])
+    centre = rng.choice([0, 0, 10**30, -(7**40)])
+    cells = set()
+    for _ in range(rng.randint(1, 14)):
+        kind = rng.random()
+        if kind < 0.2:
+            a, b = 0, 0
+        elif kind < 0.6:
+            t = rng.choice([-3, -2, -1, 1, 2, 3])
+            a, b = t * line[0], t * line[1]
+        else:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        cells.add((a, b, centre + rng.randint(-6, 6)))
+    return sorted(cells)
+
+
+def test_h3_hit_finder_matches_the_base_class():
+    h3 = get_model("h3")
+    ball = h3.cayley_ball(3)
+    rng = Random(34)
+    for _ in range(150):
+        support = h3_fibre_support(rng)
+        fast, slow = h3.conj_hits(support), GroupModel.conj_hits(h3, support)
+        for gp in ball:
+            gi = h3.inv_payload(gp)
+            got = fast(gp, gi)
+            assert len(got) == len(set(got))
+            assert sorted(got) == slow(gp, gi), (support, gp)
+
+
+def test_h3_hit_finder_examples(h3):
+    support = [(0, 0, 5), (1, 0, 0), (1, 0, 2), (2, 0, 7), (1, 1, 0), (0, 1, 3)]
+    hits = h3.conj_hits(support)
+    # (x, y) = (1, 0) shifts c by b: fixes the central cell and the line b = 0
+    assert sorted(hits((1, 0, 9), None)) == [(0, 0), (1, 1), (2, 2), (3, 3)]
+    # (x, y) = (0, -2) shifts c by 2 a: (1, 0, 0) -> (1, 0, 2), and fixes (0, 1, 3)
+    assert sorted(hits((0, -2, 0), None)) == [(0, 0), (1, 2), (5, 5)]
+    assert sorted(hits((0, 0, 4), None)) == [(i, i) for i in range(6)]
+    assert h3.conj_hits([])((1, 2, 3), None) == []
+
+
+HIT_FINDER_TABLES = [
+    {"model": "h3", "table": [[f"H3({a},{b},{c})", "1/3" if (a + c) % 2 else "-2"]
+                              for a, b, c in cells]}
+    for cells in [*FIBRES.values(), *(h3_fibre_support(Random(seed)) for seed in range(3))]
+] + [{"model": "h3", "table": [["H3(2,1,0)", "-3/7"], ["H3(1,-3,-2)", "5"]],
+      "closed_form": "appendix_harmonic", "truncation": k} for k in (37, 200)]
+
+
+@pytest.mark.parametrize("index", range(len(HIT_FINDER_TABLES)))
+def test_hit_finder_keeps_the_probe_bytes(index, tmp_path, monkeypatch, capsys):
+    # the same exit code, stdout and stderr with h3's hit finder and with
+    # the base class's
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(HIT_FINDER_TABLES[index]), encoding="utf-8")
+    finder = Heisenberg.conj_hits
+    for radius in ("2", "3", "4"):
+        for p in ("1", "1.5", "2", "3", "inf"):
+            argv = ["bound-probe", "--potential", str(path), "--radius", radius, "-p", p]
+            calls = []
+            monkeypatch.setattr(Heisenberg, "conj_hits",
+                                lambda *args: calls.append(args) or finder(*args))
+            fast = main(argv), capsys.readouterr()
+            assert calls and fast[0] == 0
+            monkeypatch.setattr(Heisenberg, "conj_hits", GroupModel.conj_hits)
+            assert (main(argv), capsys.readouterr()) == fast, argv
+
+
+def test_probe_sums_once_per_hit_set(h3, monkeypatch):
+    # g = (x, y, .) fixes H3(1,0,0) when y = 0 and moves it off the support
+    # otherwise: many automorphisms, two hit sets, two power sums
+    sums = []
+    monkeypatch.setattr(dv, "left_sum", lambda pows: sums.append(pows) or math.fsum(pows))
+    phi = Potential(h3, {(1, 0, 0): 1})
+    assert g_boundedness_probe(phi, 4, 2) == (2 ** 0.5, (0, -1, 0))
+    assert len(sums) == 2
+
+
 class TestStabilisation:
     def test_finite_table_stabilises(self, h3):
         base = (1, 0, 0)
@@ -537,12 +627,12 @@ class TestPotential:
         assert phi.value((1, -5, -5)) == Fraction(1, 5)
         assert phi.table == {(1, 0, 0): 2}
 
-    @pytest.mark.parametrize("trunc", [1, 2, 37, 1000])
+    @pytest.mark.parametrize("trunc", [1, 2, 37, 1000, 10**4])
     @pytest.mark.parametrize("rows", [{}, {(2, 0, 0): "-7/12", (1, 3, 3): "5/9",
                                            (0, 0, -1): "4"}])
     def test_columns_agree_with_the_rule(self, h3, trunc, rows):
-        # the columns are built from the rule's terms, not its lookups: they
-        # pair the encoding-sorted support with value, with no zero value
+        # the columns pair the encoding-sorted support with value, with no
+        # zero value
         phi = Potential(h3, {p: Fraction(v) for p, v in rows.items()},
                         closed_form="appendix_harmonic", trunc_k=trunc)
         support = sorted([*rows, *[(1, -k, -k) for k in range(1, trunc + 1)]],
@@ -571,7 +661,7 @@ class TestPotential:
         def refuse(trunc_k):
             raise AssertionError("closed-form support enumerated")
 
-        monkeypatch.setattr(dv, "_harmonic_terms", refuse)
+        monkeypatch.setattr(dv, "_harmonic_support", refuse)
         phi = Potential(h3, {(1, 0, 0): 2}, closed_form="appendix_harmonic")
         K = phi.trunc_k
         assert K == 10**4

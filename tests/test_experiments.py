@@ -101,11 +101,11 @@ class TestAppendix:
 
     def test_engine_mismatch_raises(self, monkeypatch):
         # a harmonic rule truncated one term early changes the coefficient
-        # at m = m_max, n = n_max, and only there; the engine's columns are
-        # built from the rule's terms, so the fault is planted there too
-        value, terms = dv._harmonic_value, dv._harmonic_terms
+        # at m = m_max, n = n_max, and only there; the engine's columns list
+        # the rule's support, so the fault is planted there too
+        value, support = dv._harmonic_value, dv._harmonic_support
         monkeypatch.setattr(dv, "_harmonic_value", lambda p, k: value(p, k - 1))
-        monkeypatch.setattr(dv, "_harmonic_terms", lambda k: terms(k - 1))
+        monkeypatch.setattr(dv, "_harmonic_support", lambda k: support(k - 1))
         with pytest.raises(InternalConsistencyError, match="m=5, n=3"):
             run_appendix(5, 3)
 
