@@ -15,13 +15,12 @@ import math
 import operator
 import re
 import sys
-from bisect import insort
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import ModelMismatchError, UsageError
 from .groups import DEFAULT_NODE_BUDGET, GroupModel, get_model
-from .ring import _ZERO, GroupRingVector, _ratio, add_terms, exact_str, float_norm, left_sum
+from .ring import _ZERO, GroupRingVector, add_terms, exact_str, float_norm, left_sum
 
 DEFAULT_TRUNCATION = 10**4
 
@@ -39,8 +38,7 @@ def _harmonic_value(payload, trunc_k) -> Fraction:
 
 
 def _harmonic_support(trunc_k) -> list:
-    # in encoding order: H3(1,-k,-k) sorts as str(k) does, "," before digits
-    return [(1, -k, -k) for k in sorted(range(1, trunc_k + 1), key=str)]
+    return [(1, -k, -k) for k in range(1, trunc_k + 1)]
 
 
 def _harmonic_tail_pow(trunc_k: int, q: int) -> Fraction:
@@ -92,14 +90,9 @@ class Potential:
 
     @cached_property
     def _support(self) -> tuple:
-        encode = self.model.encode_payload
-        payloads = sorted(self.table, key=encode)
-        if self.closed_form is not None:
-            rule = _harmonic_support(self.trunc_k)  # disjoint from the table
-            for p in payloads:
-                insort(rule, p, key=encode)
-            payloads = rule
-        return tuple(payloads)
+        rule = _harmonic_support(self.trunc_k) if self.closed_form is not None else ()
+        # the table is disjoint from the rule's support
+        return tuple(sorted([*self.table, *rule], key=self.model.encode_payload))
 
     @cached_property
     def _columns(self) -> tuple:
@@ -280,10 +273,7 @@ def g_boundedness_probe(
     # phi(s), which adds nothing to a norm.
     payloads, values = phi._columns
     n = len(payloads)
-    try:  # float(Fraction(n, d)) is n / d, on Python 3.10-3.13
-        powers = [abs(num / den) ** p for num, den in map(_ratio, values)]
-    except OverflowError:
-        powers = [_float_pow(v, p) for v in values]
+    powers = [_float_pow(v, p) for v in values]
     base_coeffs, base_pows = list(values) * 2, powers * 2
     gens = list(model.generator_payloads().values())
     conj_all, inv, hits_of = model.conj_all, model.inv_payload, model.conj_hits(payloads)

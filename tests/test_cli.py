@@ -481,11 +481,16 @@ class TestBoundProbe:
         assert (data["max_norm"], data["argmax"]) == ("4.30116263352", "H3(0,-2,0)")
 
     def test_harmonic_conjugates_by_the_closed_form(self, capsys, monkeypatch, tmp_path):
-        # h3's conj_all conjugates the support without a translate
-        def no_translate(*args, **kwargs):
-            raise AssertionError("mul_all ran")
+        # h3 finds the probe's hits from its (a, b) fibres: neither a
+        # translate of the support nor the base class's conjugate-and-look-up
+        # hit finder runs
+        def refuse(name):
+            def run_refused(*args, **kwargs):
+                raise AssertionError(f"{name} ran")
+            return run_refused
 
-        monkeypatch.setattr(conjlab.Heisenberg, "mul_all", no_translate)
+        monkeypatch.setattr(conjlab.Heisenberg, "mul_all", refuse("mul_all"))
+        monkeypatch.setattr(conjlab.GroupModel, "conj_hits", refuse("GroupModel.conj_hits"))
         path = tmp_path / "harmonic.json"
         path.write_text(json.dumps({"model": "h3", "table": [],
                                     "closed_form": "appendix_harmonic", "truncation": 200}))

@@ -627,7 +627,7 @@ class TestPotential:
         assert phi.value((1, -5, -5)) == Fraction(1, 5)
         assert phi.table == {(1, 0, 0): 2}
 
-    @pytest.mark.parametrize("trunc", [1, 2, 37, 1000, 10**4])
+    @pytest.mark.parametrize("trunc", [1, 2, 37, 1000])
     @pytest.mark.parametrize("rows", [{}, {(2, 0, 0): "-7/12", (1, 3, 3): "5/9",
                                            (0, 0, -1): "4"}])
     def test_columns_agree_with_the_rule(self, h3, trunc, rows):
