@@ -1,16 +1,19 @@
-"""The golden byte corpus of the potential commands.
+"""The golden byte corpora of every command.
 
 `tests/data/potential_corpus.json` maps each argv of `derive`, `limit`,
 `leibniz`, `character`, `quasi-inner`, `bound-probe` and `stabilise` to its
-exit code and the sha256 of its stdout and stderr.  The argv and the
-potential tables come from `generate`, a seeded generator, and are stored
-as text so that a reader can see what runs.  Each table is written to
+exit code and the sha256 of its stdout and stderr;
+`tests/data/command_corpus.json` does the same for `graph`, `bc`,
+`appendix` and `inverse-seq`.  The argv and the potential tables come from
+`generate` and `generate_commands`, seeded generators, and are stored as
+text so that a reader can see what runs.  Each table is written to
 `<name>.json` in a scratch directory, and the argv name it relatively, so
-no path reaches the output.
+no path reaches the output.  A case that names a `fault` runs with that
+fault planted (`FAULTS`), so that the corpus holds exit 4 too.
 
-The digests were taken from the program as it stood when the corpus was
-made.  A change that alters an output byte on purpose rewrites the file
-in the same commit, so its diff lists every argv whose output moved:
+The digests were taken from the program as it stood when each corpus was
+made.  A change that alters an output byte on purpose rewrites the files
+in the same commit, so their diff lists every argv whose output moved:
 
     PYTHONPATH=src python tests/test_corpus.py
 """
@@ -24,12 +27,14 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 from random import Random
+from unittest import mock
 
+from conjlab import derivations as dv
 from conjlab.cli import main
 from conjlab.groups import get_model
 from conjlab.sampling import random_payload
 
-CORPUS = Path(__file__).resolve().parent / "data" / "potential_corpus.json"
+DATA = Path(__file__).resolve().parent / "data"
 
 SEED = 18
 ROUNDS = 3  # sampled argv per command, exponent and table: this many times over
@@ -162,7 +167,102 @@ def generate():
                                     "closed_form": "appendix_harmonic", "truncation": 10**4}
     for u, v in CHARACTER_10000:
         argv.append(["character", "--potential", "harmonic_10000.json", "--u", u, "--v", v])
-    return potentials, argv
+    return potentials, [{"argv": a} for a in argv]
+
+
+COMMAND_SEED = 19
+COMMAND_ROUNDS = 5
+
+
+def _planted_short_rule():
+    """The harmonic rule and its support truncated one term early: the
+    appendix engine's coefficient then disagrees with the formula's at
+    m = m_max and the largest n computed."""
+    value, support = dv._harmonic_value, dv._harmonic_support
+    stack = contextlib.ExitStack()
+    stack.enter_context(mock.patch.object(dv, "_harmonic_value", lambda p, k: value(p, k - 1)))
+    stack.enter_context(mock.patch.object(dv, "_harmonic_support", lambda k: support(k - 1)))
+    return stack
+
+
+FAULTS = {"short_rule": _planted_short_rule}
+
+
+def _command_cases(rng, name, model):
+    """The argv of `graph`, `bc` and `inverse-seq` on `model`."""
+    on = ["--model", name]
+
+    def elem(max_len=4):
+        return model.encode_payload(random_payload(model, rng, max_len))
+
+    def k_set():
+        return [a for _ in range(rng.randint(1, 3)) for a in ("--k", elem(3))]
+
+    out = []
+    for _ in range(COMMAND_ROUNDS):
+        for fmt in ("dot", "json"):
+            for loops in ([], ["--suppress-loops"]):
+                out.append(["graph", *on, "--base", elem(), "--radius", str(rng.randint(0, 3)),
+                            "--format", fmt, *loops])
+                # a node budget the ball spends: `complete` is false
+                out.append(["graph", *on, "--base", elem(), "--radius", "4", "--format", fmt,
+                            *loops, "--budget-nodes", str(rng.randint(0, 6))])
+        out.append(["bc", *on, *k_set(), "--cayley-radius", str(rng.randint(0, 3)),
+                    "--diam-budget", str(rng.randint(0, 6))])
+        # distance searches that may spend the node budget: AtLeast diameters
+        out.append(["bc", *on, *k_set(), "--cayley-radius", str(rng.randint(1, 2)),
+                    "--diam-budget", "6", "--budget-nodes", str(rng.randint(20, 60))])
+        for fmt in ("table", "json"):
+            out.append(["inverse-seq", *on, "--u", elem(), "--conjugator", _word(model, rng),
+                        "--tail", rng.choice(["e", _word(model, rng)]),
+                        "--k-max", str(rng.randint(0, 5)), "--budget", str(rng.randint(0, 6)),
+                        "--format", fmt])
+        out.append(["inverse-seq", *on, "--u", elem(), "--conjugator", _word(model, rng),
+                    "--k-max", "3", "--budget", "6", "--budget-nodes", str(rng.randint(1, 30))])
+    # usage errors: bad encodings and an unknown generator
+    out.append(["graph", *on, "--base", "(", "--radius", "1"])
+    out.append(["bc", *on, "--k", elem(), "--k", "H3(1,2"])
+    out.append(["inverse-seq", *on, "--u", elem(), "--conjugator", "z"])
+    out.append(["inverse-seq", *on, "--u", "x0", "--conjugator", _word(model, rng)])
+    # budgets: the Cayley ball of radius 3 has more than 6 nodes in every model
+    out.append(["bc", *on, *k_set(), "--cayley-radius", "3",
+                "--budget-nodes", str(rng.randint(0, 6))])
+    return out
+
+
+def generate_commands():
+    """(potentials, cases) of the command corpus: no potentials, and the
+    argv of `graph`, `bc`, `appendix` and `inverse-seq`."""
+    rng = Random(COMMAND_SEED)
+    argv = []
+    for name in MODELS:
+        argv += _command_cases(rng, name, get_model(name))
+    # h3's conjugation graph is a line through each vertex: long paths
+    h3 = get_model("h3")
+    for radius in ("12", "40"):
+        for fmt in ("dot", "json"):
+            base = h3.encode_payload(random_payload(h3, rng, 6))
+            argv.append(["graph", "--model", "h3", "--base", base, "--radius", radius,
+                         "--format", fmt])
+    for _ in range(ROUNDS):
+        for fmt in ("table", "json"):
+            argv.append(["appendix", "--m-max", str(rng.randint(1, 64)),
+                         "--n-max", str(rng.randint(1, 4)), "--format", fmt])
+    argv.append(["appendix"])  # m_max 64, n_max 1, table
+    # usage errors: counts below 1, and a model that does not parse
+    argv += [["appendix", "--m-max", "0"], ["appendix", "--n-max", "0", "--format", "json"],
+             ["appendix", "--m-max", "-2"], ["graph", "--model", "h4", "--base", "e",
+                                             "--radius", "1"],
+             ["bc", "--model", "free0", "--k", "e"]]
+    cases = [{"argv": a} for a in argv]
+    # exit 4: the engine and the formula disagree
+    cases += [{"argv": ["appendix", "--m-max", m, "--n-max", n, "--format", fmt],
+               "fault": "short_rule"} for m, n, fmt in (("5", "3", "json"), ("9", "4", "table"))]
+    return {}, cases
+
+
+CORPORA = {"potential": (DATA / "potential_corpus.json", generate),
+           "command": (DATA / "command_corpus.json", generate_commands)}
 
 
 def write_potentials(potentials, directory):
@@ -182,8 +282,14 @@ def run_in_process(argv) -> list:
     return [code, _sha(out.getvalue()), _sha(err.getvalue())]
 
 
-def load_corpus():
-    return json.loads(CORPUS.read_text(encoding="utf-8"))
+def run_case(case) -> list:
+    """`run_in_process` of the case's argv, with its fault planted, if any."""
+    with FAULTS[case["fault"]]() if "fault" in case else contextlib.nullcontext():
+        return run_in_process(case["argv"])
+
+
+def load_corpus(name="potential"):
+    return json.loads(CORPORA[name][0].read_text(encoding="utf-8"))
 
 
 def moved(corpus, got) -> list:
@@ -193,11 +299,24 @@ def moved(corpus, got) -> list:
             if have != [case["exit"], case["stdout"], case["stderr"]]]
 
 
-def test_the_generator_makes_the_stored_argv():
-    corpus = load_corpus()
-    potentials, argv = generate()
+def _unrun(case) -> dict:
+    """A stored case without its outcome: what the generator makes."""
+    return {k: v for k, v in case.items() if k not in ("exit", "stdout", "stderr")}
+
+
+def check_the_generator(name):
+    corpus = load_corpus(name)
+    potentials, cases = CORPORA[name][1]()
     assert corpus["potentials"] == potentials
-    assert [case["argv"] for case in corpus["cases"]] == argv
+    assert list(map(_unrun, corpus["cases"])) == cases
+
+
+def test_the_generator_makes_the_stored_argv():
+    check_the_generator("potential")
+
+
+def test_the_generator_makes_the_stored_command_argv():
+    check_the_generator("command")
 
 
 def test_the_corpus_covers_every_potential_command():
@@ -211,13 +330,41 @@ def test_the_corpus_covers_every_potential_command():
         assert exponents == set(EXPONENTS), flag
 
 
-def test_every_output_matches_its_digest(tmp_path, monkeypatch):
-    corpus = load_corpus()
-    write_potentials(corpus["potentials"], tmp_path)
-    monkeypatch.chdir(tmp_path)
+def test_the_command_corpus_covers_every_other_command():
+    cases = load_corpus("command")["cases"]
+    assert {case["exit"] for case in cases} == {0, 2, 3, 4}
+    runs = {}
+    for case in cases:
+        argv = case["argv"]
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else None
+        runs.setdefault(argv[0], set()).add((case["exit"], fmt))
+    assert set(runs) == {"graph", "bc", "appendix", "inverse-seq"}
+    assert {("dot", 0), ("json", 0)} <= {(fmt, code) for code, fmt in runs["graph"]}
+    for command in ("appendix", "inverse-seq"):
+        assert {(0, "table"), (0, "json")} <= runs[command]
+    assert {code for code, _ in runs["bc"]} == {0, 2, 3}
+    models = {case["argv"][2] for case in cases if case["exit"] == 0 and "--model" in case["argv"]}
+    assert models == set(MODELS)
+    # a ball cut by its node budget
+    assert any(case["argv"][0] == "graph" and case["exit"] == 0 and "--budget-nodes" in case["argv"]
+               for case in cases)
+
+
+def check_the_digests(name, directory, monkeypatch):
+    corpus = load_corpus(name)
+    write_potentials(corpus["potentials"], directory)
+    monkeypatch.chdir(directory)
     monkeypatch.delenv("CONJLAB_DEFAULT_BUDGET", raising=False)
-    got = [run_in_process(case["argv"]) for case in corpus["cases"]]
+    got = [run_case(case) for case in corpus["cases"]]
     assert moved(corpus, got) == []
+
+
+def test_every_output_matches_its_digest(tmp_path, monkeypatch):
+    check_the_digests("potential", tmp_path, monkeypatch)
+
+
+def test_every_command_output_matches_its_digest(tmp_path, monkeypatch):
+    check_the_digests("command", tmp_path, monkeypatch)
 
 
 def _dump(potentials, cases) -> str:
@@ -226,18 +373,20 @@ def _dump(potentials, cases) -> str:
         return ",\n".join("    " + line for line in lines)
 
     pots = block(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in potentials.items())
+    pots = f"{{\n{pots}\n  }}" if potentials else "{}"
     rows = block(json.dumps(case) for case in cases)
-    return f'{{\n  "potentials": {{\n{pots}\n  }},\n  "cases": [\n{rows}\n  ]\n}}\n'
+    return f'{{\n  "potentials": {pots},\n  "cases": [\n{rows}\n  ]\n}}\n'
 
 
 def rewrite():
-    """Run every generated argv in the current directory and write the
-    corpus file from what it printed."""
-    potentials, argv = generate()
-    write_potentials(potentials, ".")
-    cases = [dict(zip(["argv", "exit", "stdout", "stderr"], [a, *run_in_process(a)]))
-             for a in argv]
-    CORPUS.write_text(_dump(potentials, cases), encoding="utf-8")
+    """Run every generated case in the current directory and write the
+    corpus files from what it printed."""
+    for path, make in CORPORA.values():
+        potentials, cases = make()
+        write_potentials(potentials, ".")
+        done = [{**case, **dict(zip(["exit", "stdout", "stderr"], run_case(case)))}
+                for case in cases]
+        path.write_text(_dump(potentials, done), encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -65,14 +65,14 @@ for argv in json.load(sys.stdin):
 json.dump(results, sys.stdout)
 """
 
-# runs each argv of a JSON list on stdin through `main`, in the current
-# directory; prints the JSON list of [exit code, sha256 of stdout, sha256
-# of stderr]
+# runs each corpus case of a JSON list on stdin through `main`, in the
+# current directory and with its fault planted; prints the JSON list of
+# [exit code, sha256 of stdout, sha256 of stderr]
 DIGEST_RUNNER = f"""
 import json, sys
 sys.path.insert(0, {str(TESTS)!r})
-from test_corpus import run_in_process
-json.dump([run_in_process(argv) for argv in json.load(sys.stdin)], sys.stdout)
+from test_corpus import run_case
+json.dump([run_case(case) for case in json.load(sys.stdin)], sys.stdout)
 """
 
 POTENTIALS = {
@@ -225,16 +225,23 @@ def test_same_bytes_on_every_python(tmp_path, version):
         assert [code, out.encode()] == [expected[0], expected[1].encode()], argv
 
 
+def check_corpus_digests(python, env, name, directory):
+    # the committed digests, not this interpreter's output
+    env.pop("CONJLAB_DEFAULT_BUDGET", None)
+    corpus = load_corpus(name)
+    write_potentials(corpus["potentials"], directory)
+    got = run_commands(python, corpus["cases"], env, DIGEST_RUNNER, cwd=directory)
+    assert moved(corpus, got) == []
+
+
 @pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
 def test_corpus_digests_on_every_python(tmp_path, version):
-    # the committed digests, not this interpreter's output
-    python, env = started(version)
-    env.pop("CONJLAB_DEFAULT_BUDGET", None)
-    corpus = load_corpus()
-    write_potentials(corpus["potentials"], tmp_path)
-    got = run_commands(python, [case["argv"] for case in corpus["cases"]], env,
-                       DIGEST_RUNNER, cwd=tmp_path)
-    assert moved(corpus, got) == []
+    check_corpus_digests(*started(version), "potential", tmp_path)
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
+def test_command_corpus_digests_on_every_python(tmp_path, version):
+    check_corpus_digests(*started(version), "command", tmp_path)
 
 
 @pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
