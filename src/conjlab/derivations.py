@@ -276,14 +276,14 @@ def g_boundedness_probe(
     powers = [_float_pow(v, p) for v in values]
     base_coeffs, base_pows = list(values) * 2, powers * 2
     gens = list(model.generator_payloads().values())
-    conj_all, inv, hits_of = model.conj_all, model.inv_payload, model.conj_hits(payloads)
+    step, inv, hits_of = model.conj_step, model.inv_payload, model.conj_hits(payloads)
     memo = {tuple(gens): 0.0}  # e fixes every generator, and d(e) = 0
     by_hits = {}
     best = -1.0
     argmax = None
     for gp in sorted(ball, key=lambda p: (ball[p], encode(p))):
         gi = inv(gp)
-        key = tuple(conj_all(gens, gp, gi))
+        key = tuple([step(x, gp, gi) for x in gens])
         norm = memo.get(key)
         if norm is None:
             hits = frozenset(hits_of(gp, gi))
@@ -316,15 +316,9 @@ def _float_pow(c: Fraction, p: float) -> float:
 
 def stabilisation_probe(phi: Potential, ball, radii):
     """For each radius r: sup |phi| over ball vertices at distance > r
-    (the stabilised-at-0 convention), read off the ball's payloads."""
+    (the stabilised-at-0 convention), |phi| read once per vertex."""
     if ball.model.name != phi.model.name:
         raise ModelMismatchError(f"ball of {ball.model.name} used with model {phi.model.name}")
-    out = []
-    for r in radii:
-        sup = Fraction(0)
-        for p, dp in ball.depths.items():
-            if dp > r:
-                sup = max(sup, abs(phi.value(p)))
-        out.append((r, sup))
-    return out
+    sizes = [(dp, abs(phi.value(p))) for p, dp in ball.depths.items()]
+    return [(r, max((v for dp, v in sizes if dp > r), default=_ZERO)) for r in radii]
 

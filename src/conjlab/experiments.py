@@ -200,15 +200,15 @@ def run_limit_experiment(phi: Potential, a, q, k_max: int) -> LimitReport:
     samples = []
     separation_index = None
     a_k = model.identity_payload()
-    supp_set = set(payloads)
+    hits_of = model.conj_hits(payloads)
     for k in range(1, k_max + 1):
         a_k = model.mul_payload(a_k, a)
         image = d.apply(a_k)
         norm = image.lp_norm(float(q))
         exact = image.lq_pow_exact(q_int) if q_int is not None else None
         samples.append((k, norm, exact))
-        pulled = model.conj_all(payloads, model.inv_payload(a_k), a_k)
-        separation_index = (separation_index or k) if supp_set.isdisjoint(pulled) else None
+        separated = not hits_of(model.inv_payload(a_k), a_k)
+        separation_index = (separation_index or k) if separated else None
     power_sum = None
     if q_int is not None and exact_pow_fits(values, q_int):
         def power_sum():

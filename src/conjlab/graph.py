@@ -167,7 +167,7 @@ def bc_probe(
     by_radius = {}
     for g, r in model.cayley_ball(max_cayley_radius, node_budget).items():
         by_radius.setdefault(r, []).append(g)
-    conj_all, inv = model.conj_all, model.inv_payload
+    step, inv = model.conj_step, model.inv_payload
     memo = {}
     shells = []
     running = 0
@@ -175,7 +175,7 @@ def bc_probe(
         dists = [running]
         for g in by_radius.get(r, ()):
             gi = inv(g)
-            images = tuple(conj_all(K, g, gi))
+            images = tuple([step(k, g, gi) for k in K])
             if images not in memo:
                 memo[images] = _set_diameter(model, images, diam_budget, node_budget)
             dists.append(memo[images])

@@ -121,7 +121,8 @@ class GroupModel(ABC):
         return out
 
     def conj_step(self, p, x, xi):
-        """Conjugation-graph step along generator x: x p x^-1."""
+        """x p x^-1, x^-1 of payload `xi`: the conjugation-graph step along
+        a generator x, and the one conjugation of a payload by any x."""
         return self.mul_payload(x, self.mul_payload(p, xi))
 
     def right_step(self, p, x, xi):
@@ -136,22 +137,16 @@ class GroupModel(ABC):
             return [mul(gp, s) for s in payloads]
         return [mul(s, gp) for s in payloads]
 
-    def conj_all(self, payloads, gp, gi):
-        """g s g^-1 for each s in payloads, g of payload `gp` and g^-1 of
-        `gi`, as an iterable read once: the batch form of `conj_step`."""
-        mul = self.mul_payload
-        return [mul(gp, mul(s, gi)) for s in payloads]
-
     def conj_hits(self, payloads):
         """The hit finder of a column of distinct payloads s: a function of
         g and g^-1 (payloads) that lists the pairs (i, j) with
         g s_i g^-1 = s_j.  Here it conjugates every s and looks it up."""
         index = {s: i for i, s in enumerate(payloads)}
-        conj_all = self.conj_all
+        mul = self.mul_payload
 
         def hits(gp, gi):
-            return [(i, j) for i, j in enumerate(map(index.get, conj_all(payloads, gp, gi)))
-                    if j is not None]
+            return [(i, j) for i, s in enumerate(payloads)
+                    if (j := index.get(mul(gp, mul(s, gi)))) is not None]
         return hits
 
     # the single-product names `bench/tracer.py` times; no command calls them
@@ -251,10 +246,10 @@ class Heisenberg(GroupModel):
             return [(a + a2, b + b2, c + c2 + a * b2) for a2, b2, c2 in payloads]
         return [(a1 + a, b1 + b, c1 + c + a1 * b) for a1, b1, c1 in payloads]
 
-    def conj_all(self, payloads, gp, gi):
-        # g s g^-1 = (a, b, c + x b - y a) for g = (x, y, .): no list is built
-        x, y, _ = gp
-        return ((a, b, c + x * b - y * a) for a, b, c in payloads)
+    def conj_step(self, p, x, xi):
+        # x p x^-1 = (a, b, c + u b - v a) for p = (a, b, c) and x = (u, v, .)
+        a, b, c = p
+        return (a, b, c + x[0] * b - x[1] * a)
 
     def conj_hits(self, payloads):
         # g = (x, y, .) keeps each (a, b) fibre and shifts its c by
@@ -280,7 +275,9 @@ class Heisenberg(GroupModel):
                 lam = x * b - y * a
                 if lam:
                     get = cells.get
-                    out += [(i, j) for c, i in cells.items() if (j := get(c + lam)) is not None]
+                    for c, i in cells.items():  # a loop: a comprehension costs a call
+                        if (j := get(c + lam)) is not None:
+                            out.append((i, j))
             return out
         return hits
 

@@ -3,6 +3,7 @@ import math
 import sys
 import tracemalloc
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -16,13 +17,17 @@ from conjlab import (
     Potential,
     UsageError,
     fmt_float,
+    get_model,
     parse_word,
     run_appendix,
     run_inverse_sequence_check,
     run_limit_experiment,
 )
 
+from conjlab.sampling import random_payload
+
 from conftest import closed_form_coefficient
+from test_corpus import MODELS as CORPUS_MODELS
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +222,17 @@ def two_point_potential(h3):
     )
 
 
+def brute_separation(model, table, a, k_max):
+    """The first k from which the support and its conjugate by a^-k stay
+    disjoint through k_max, from a^-k s a^k by the group law; or None."""
+    mul, index, a_k = model.mul_payload, None, model.identity_payload()
+    for k in range(1, k_max + 1):
+        a_k = mul(a_k, a)
+        pulled = {mul(mul(model.inv_payload(a_k), s), a_k) for s in table}
+        index = (index or k) if pulled.isdisjoint(table) else None
+    return index
+
+
 class TestLimit:
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_two_point_limit(self, h3, q):
@@ -267,6 +283,38 @@ class TestLimit:
         # integral q only
         report = run_limit_experiment(Potential(h3, {}), parse_word(h3, "Ax"), 2.5, 2)
         assert report.samples == [(1, 0.0, None), (2, 0.0, None)]
+
+    @pytest.mark.parametrize("name", CORPUS_MODELS)
+    def test_separation_index_matches_brute_force(self, name):
+        # the support and {a^-k s a^k} by the group law, against the hit
+        # finder that `run_limit_experiment` asks
+        model, rng = get_model(name), Random(name)
+        for _ in range(12):
+            table = {}
+            while len(table) < rng.randint(1, 6):
+                s = random_payload(model, rng, 4)
+                if not model.class_is_finite(s):
+                    table[s] = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            a = random_payload(model, rng, 3)
+            k_max = rng.randint(1, 6)
+            report = run_limit_experiment(Potential(model, table), a, 2, k_max)
+            assert report.separation_index == brute_separation(model, table, a, k_max)
+
+    @pytest.mark.parametrize("table, word, index", [
+        # A1 is central: every (i, i) is a hit, so the two never separate
+        ({(1, 0, 0): 1, (0, 1, 2): 3}, "A1", None),
+        # Ap.Ax lies on the line of the fibre (1, 1): it is fixed whole
+        ({(1, 1, 0): 1, (2, 2, 5): 2, (1, 0, 0): 1}, "Ap.Ax", None),
+        # Ax^k moves (1, 0, c) to (1, 0, c + k): a hit at k = 2 only
+        ({(1, 0, 0): 1, (1, 0, 2): 1}, "Ax", 3),
+        # hits at k = 1, 2 and 3, none from k = 4 on
+        ({(1, 0, 0): 1, (1, 0, 1): 1, (1, 0, 3): 1, (2, 1, 9): 1}, "Ax", 4),
+    ])
+    def test_h3_separation_by_fibre(self, h3, table, word, index):
+        a = parse_word(h3, word)
+        phi = Potential(h3, table)
+        assert run_limit_experiment(phi, a, 2, 6).separation_index == index
+        assert brute_separation(h3, table, a, 6) == index
 
     def test_non_integer_q(self, h3):
         phi = two_point_potential(h3)

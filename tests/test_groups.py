@@ -4,7 +4,7 @@ from functools import reduce
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conjlab import (
@@ -12,6 +12,7 @@ from conjlab import (
     DihedralInf,
     DirectProduct,
     FreeGroup,
+    GroupModel,
     Heisenberg,
     ResourceBudgetError,
     UsageError,
@@ -474,24 +475,17 @@ def test_h3_mul_all_matches_the_matrix_oracle(payloads, gp):
         triple_of(mat_mul(g, mat_of(s))) for s in payloads]
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(translates(MODELS + [get_model("dsemi*h3semi*free2")]))
-def test_conj_all_is_conj_step_term_for_term(case):
-    model, payloads, gp = case
-    gi = model.inv_payload(gp)
-    assert list(model.conj_all(payloads, gp, gi)) == [
-        model.conj_step(s, gp, gi) for s in payloads]
-
-
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(st.lists(triples, max_size=6), triples)
-def test_h3_conj_all_matches_the_matrix_oracle(payloads, gp):
+@given(triples, triples)
+@example((3, -7, 10**30 + 1), (-2, 5, -(10**30) + 3))
+@example((10**30, -(10**30), 10**30 - 1), (1, 1, 10**30))
+def test_h3_conj_step_matches_the_matrix_oracle(p, gp):
+    # an arbitrary conjugator: the closed form's c + x b - y a, against
+    # g m(p) m(g)^-1 in integer matrices and the base class's two products
     h3 = Heisenberg()
-    g = mat_of(gp)
-    images = h3.conj_all(payloads, gp, h3.inv_payload(gp))
-    assert iter(images) is images  # the closed form builds no list
-    assert list(images) == [
-        triple_of(mat_mul(mat_mul(g, mat_of(s)), mat_inv(g))) for s in payloads]
+    g, gi = mat_of(gp), h3.inv_payload(gp)
+    want = triple_of(mat_mul(mat_mul(g, mat_of(p)), mat_inv(g)))
+    assert h3.conj_step(p, gp, gi) == want == GroupModel.conj_step(h3, p, gp, gi)
 
 
 # three draws from Random(7) per model, then the generator's next draw
