@@ -481,9 +481,10 @@ class TestBoundProbe:
         assert (data["max_norm"], data["argmax"]) == ("4.30116263352", "H3(0,-2,0)")
 
     def test_harmonic_conjugates_by_the_closed_form(self, capsys, monkeypatch, tmp_path):
-        # h3 finds the probe's hits from its (a, b) fibres: neither a
-        # translate of the support nor the base class's conjugate-and-look-up
-        # hit finder runs
+        # h3 finds the probe's hits from its (a, b) fibres and conjugates
+        # the generators by its closed form: no translate of the support,
+        # nor the base class's conjugate-and-look-up hit finder or two-product
+        # conjugation, runs
         def refuse(name):
             def run_refused(*args, **kwargs):
                 raise AssertionError(f"{name} ran")
@@ -491,6 +492,7 @@ class TestBoundProbe:
 
         monkeypatch.setattr(conjlab.Heisenberg, "mul_all", refuse("mul_all"))
         monkeypatch.setattr(conjlab.GroupModel, "conj_hits", refuse("GroupModel.conj_hits"))
+        monkeypatch.setattr(conjlab.GroupModel, "conj_step", refuse("GroupModel.conj_step"))
         path = tmp_path / "harmonic.json"
         path.write_text(json.dumps({"model": "h3", "table": [],
                                     "closed_form": "appendix_harmonic", "truncation": 200}))
