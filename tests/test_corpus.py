@@ -167,6 +167,27 @@ def generate():
                                     "closed_form": "appendix_harmonic", "truncation": 10**4}
     for u, v in CHARACTER_10000:
         argv.append(["character", "--potential", "harmonic_10000.json", "--u", u, "--v", v])
+    # limit where a^k moves support cells onto other cells (Ax^k adds -k a to
+    # c, Ap^k adds k b): the fibre tables off the central fibre, which limit
+    # refuses, and a table with two equal values on a hit, so that a
+    # coefficient of d(a^k) cancels; then values around and past the float
+    # range, where the norm takes float_norm's fallback or exceeds the range
+    for key in FIBRES:
+        potentials[f"{key}_off_centre"] = {"model": "h3", "table": [
+            row for row in potentials[key]["table"] if not row[0].startswith("H3(0,0,")]}
+    potentials["h3_cancelling"] = {"model": "h3", "table": [
+        ["H3(1,0,0)", "1"], ["H3(1,0,-1)", "1"], ["H3(1,0,-2)", "1/2"]]}
+    potentials["h3_huge"] = {"model": "h3", "table": [
+        ["H3(1,0,0)", "1e308"], ["H3(1,0,-1)", "-5e307"], ["H3(1,0,-2)", "3e200"],
+        ["H3(2,1,0)", "1e-330"], ["H3(2,1,1)", "-7e-200"], ["H3(0,1,3)", "5/3"]]}
+    potentials["h3_past_float"] = {"model": "h3", "table": [
+        ["H3(1,0,0)", "1e400"], ["H3(1,0,-1)", "2"]]}
+    for key in [f"{key}_off_centre" for key in FIBRES] + [
+            "h3_cancelling", "h3_huge", "h3_past_float"]:
+        for conjugator in ("Ax", "Ap"):
+            argv += [["limit", "--potential", f"{key}.json", "--conjugator", conjugator,
+                      "--q", q, "--k-max", "6", "--format", rng.choice(["json", "table"])]
+                     for q in EXPONENTS]
     return potentials, [{"argv": a} for a in argv]
 
 
