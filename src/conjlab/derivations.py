@@ -265,16 +265,9 @@ def g_boundedness_probe(
     model = phi.model
     ball = model.cayley_ball(radius, node_budget)
     encode = model.encode_payload
-    # d(g) has phi(g t g^-1) - phi(t) at g t for each t in the support,
-    # then phi(s) at s g for each s that is no image g t g^-1, powers
-    # added in this order.  The norm reads only |c|, so each coefficient
-    # is kept up to its sign: off the support an image leaves phi(t);
-    # where it lands on s, phi(s) - phi(t) replaces it and a 0 replaces
-    # phi(s), which adds nothing to a norm.
     payloads, values = phi._columns
     n = len(payloads)
-    powers = [_float_pow(v, p) for v in values]
-    base_coeffs, base_pows = list(values) * 2, powers * 2
+    base_pows = [_float_pow(v, p) for v in values] * 2
     gens = list(model.generator_payloads().values())
     step, inv, hits_of = model.conj_step, model.inv_payload, model.conj_hits(payloads)
     memo = {tuple(gens): 0.0}  # e fixes every generator, and d(e) = 0
@@ -289,20 +282,30 @@ def g_boundedness_probe(
             hits = frozenset(hits_of(gp, gi))
             norm = by_hits.get(hits)
             if norm is None:
-                coeffs, pows = base_coeffs.copy(), base_pows.copy()
-                for i, j in hits:
-                    if i == j:  # t commutes with g
-                        coeffs[i], pows[i] = _ZERO, 0.0
-                    else:
-                        c = coeffs[i] = values[j] - values[i]
-                        pows[i] = _float_pow(c, p)
-                    coeffs[n + j], pows[n + j] = _ZERO, 0.0
+                coeffs, pows = hit_column(values, hits), base_pows.copy()
+                for i, j in hits:  # powers added in support order
+                    pows[i] = 0.0 if i == j else _float_pow(coeffs[i], p)
+                    pows[n + j] = 0.0
                 norm = by_hits[hits] = float_norm(coeffs, p, lambda: left_sum(pows))
             memo[key] = norm
         if norm > best:
             best = norm
             argmax = gp
     return best, argmax
+
+
+def hit_column(values, hits) -> list:
+    """d(g)'s coefficients up to sign, from phi's column `values` and g's
+    hits (i, j), g s_i g^-1 = s_j: phi(s_i) at g s_i (index i) and phi(s_j)
+    at s_j g (n + j), except that a hit's g s_i = s_j g holds
+    phi(s_j) - phi(s_i) at i and 0 at n + j, and a fixed point (i == j) 0s
+    both, with no Fraction built.  A 0 adds nothing to a norm."""
+    n = len(values)
+    coeffs = [*values, *values]
+    for i, j in hits:
+        coeffs[i] = _ZERO if i == j else values[j] - values[i]
+        coeffs[n + j] = _ZERO
+    return coeffs
 
 
 def _float_pow(c: Fraction, p: float) -> float:

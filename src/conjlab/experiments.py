@@ -13,11 +13,11 @@ import sys
 from fractions import Fraction
 from itertools import accumulate
 
-from .derivations import Derivation, Potential
+from .derivations import Potential, hit_column
 from .errors import InternalConsistencyError, UsageError
 from .graph import conj_distance
 from .groups import DEFAULT_NODE_BUDGET, GroupModel, Heisenberg
-from .ring import exact_pow_fits, exact_str, float_norm
+from .ring import exact_pow_fits, exact_str, float_norm, lp_norm, lq_pow_exact
 
 
 def fmt_float(x: float) -> str:
@@ -182,33 +182,33 @@ def run_limit_experiment(phi: Potential, a, q, k_max: int) -> LimitReport:
         raise UsageError("a closed-form potential is not finitely supported")
     if k_max < 1:
         raise UsageError(f"k_max must be >= 1, got {k_max}")
-    if not q >= 1:  # NaN too; checked here, as an empty support takes no norm
+    if not q >= 1:  # NaN too
         raise UsageError(f"q must be >= 1, got {float(q)}")
     model = phi.model
     payloads, values = phi._columns
     q_int = int(q) if float(q).is_integer() else None
-    if not payloads:
-        exact = None if q_int is None else Fraction(0)
-        return LimitReport(q, 0.0, [(k, 0.0, exact) for k in range(1, k_max + 1)], 1)
     for p in payloads:
         if model.class_is_finite(p):
             raise UsageError(
                 f"potential support element {model.encode_payload(p)} lies in a finite "
                 "conjugation component"
             )
-    d = Derivation(phi)
+    by_hits = {}  # the samples by hit set; a_k^-1's hits are a_k's, transposed
     samples = []
     separation_index = None
     a_k = model.identity_payload()
     hits_of = model.conj_hits(payloads)
     for k in range(1, k_max + 1):
         a_k = model.mul_payload(a_k, a)
-        image = d.apply(a_k)
-        norm = image.lp_norm(float(q))
-        exact = image.lq_pow_exact(q_int) if q_int is not None else None
-        samples.append((k, norm, exact))
-        separated = not hits_of(model.inv_payload(a_k), a_k)
-        separation_index = (separation_index or k) if separated else None
+        hits = frozenset(hits_of(a_k, model.inv_payload(a_k)))
+        sample = by_hits.get(hits)
+        if sample is None:
+            column = [c for c in hit_column(values, hits) if c]
+            sample = by_hits[hits] = (
+                lp_norm(column, float(q)),
+                None if q_int is None else lq_pow_exact(column, q_int))
+        samples.append((k, *sample))
+        separation_index = (separation_index or k) if not hits else None
     power_sum = None
     if q_int is not None and exact_pow_fits(values, q_int):
         def power_sum():

@@ -104,6 +104,40 @@ def exact_pow_fits(values, q: int) -> bool:
     return digits < 2 * (sys.get_int_max_str_digits() or math.inf)  # 0: no limit
 
 
+def lp_norm(values, p: float) -> float:
+    """The p-norm (p >= 1) of the column `values` of exact rationals, as a
+    float that does not depend on their order."""
+    if not p >= 1:
+        raise UsageError(f"p must be >= 1, got {p}")
+    if p == math.inf:
+        return _sqrt(max((c * c for c in values), default=_ZERO))
+    half = p / 2.0
+
+    def power_sum():
+        # n^2 / d^2 is float(c * c) without the product's gcds
+        floats = [n * n / (d * d) for n, d in map(_ratio, values)]
+        low = min(floats, default=0.0)
+        # a square or power below the normal range has lost digits
+        if low >= _TINY and low ** half >= _TINY:
+            # exactly rounded, so independent of the term order
+            return math.fsum(f ** half for f in floats)
+        return 0.0
+
+    return float_norm(values, p, power_sum)
+
+
+def lq_pow_exact(values, q: int) -> Fraction:
+    """Exact sum of |c|^q over `values` for integral q >= 1, if it can be printed."""
+    if q < 1:
+        raise UsageError(f"q must be >= 1, got {q}")
+    if exact_pow_fits(values, q):
+        total = sum((abs(c) ** q for c in values), _ZERO)
+        with contextlib.suppress(ValueError):
+            str(total)  # a ValueError beyond sys.get_int_max_str_digits()
+            return total
+    raise UsageError(f"q = {q} is too large to print the exact q-th powers")
+
+
 class GroupRingVector:
     """A formal sum of group elements with rational coefficients: the vector
     over `terms` ({payload: Fraction}, no zero coefficients), without a copy."""
@@ -163,41 +197,8 @@ class GroupRingVector:
                                [cg * ch for ch in other.terms.values()]))
         return GroupRingVector(self.model, acc)
 
-    # -- norms --------------------------------------------------------------
-
     def lp_norm(self, p: float) -> float:
-        if not p >= 1:
-            raise UsageError(f"p must be >= 1, got {p}")
-        if p == math.inf:
-            return self.sup_norm()
-        half = p / 2.0
-
-        def power_sum():
-            # n^2 / d^2 is float(c * c) without the product's gcds
-            floats = [n * n / (d * d) for n, d in map(_ratio, self.terms.values())]
-            low = min(floats, default=0.0)
-            # a square or power below the normal range has lost digits
-            if low >= _TINY and low ** half >= _TINY:
-                # exactly rounded, so independent of the (hash-dependent)
-                # term order
-                return math.fsum(f ** half for f in floats)
-            return 0.0
-
-        return float_norm(self.terms.values(), p, power_sum)
-
-    def lq_pow_exact(self, q: int) -> Fraction:
-        """Exact sum of |coefficient|^q for integral q >= 1, if it can be printed."""
-        if q < 1:
-            raise UsageError(f"q must be >= 1, got {q}")
-        if exact_pow_fits(self.terms.values(), q):
-            total = sum((abs(c) ** q for c in self.terms.values()), _ZERO)
-            with contextlib.suppress(ValueError):
-                str(total)  # a ValueError beyond sys.get_int_max_str_digits()
-                return total
-        raise UsageError(f"q = {q} is too large to print the exact q-th powers")
-
-    def sup_norm(self) -> float:
-        return _sqrt(max((c * c for c in self.terms.values()), default=_ZERO))
+        return lp_norm(self.terms.values(), p)
 
     # -- wire format --------------------------------------------------------
 

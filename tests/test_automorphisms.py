@@ -23,6 +23,7 @@ import pytest
 from conjlab import derivations as dv
 from conjlab.cli import main
 from conjlab.groups import get_model, parse_word
+from conjlab.ring import lq_pow_exact
 from conjlab.sampling import random_payload
 
 H3 = get_model("h3")
@@ -68,7 +69,7 @@ def exact_norm(table, gp, p):
     image = dv.Derivation(dv.Potential(H3, table)).apply(gp)
     if p == "inf":
         return max(map(abs, image.terms.values()), default=0)
-    return image.lq_pow_exact(int(p))
+    return lq_pow_exact(image.terms.values(), int(p))
 
 
 CASES = [(seed, auto) for seed in range(6) for auto in AUTOMORPHISMS]

@@ -826,9 +826,9 @@ class TestLimit:
         assert "finite" in err
 
     def test_builds_one_element_per_power(self, capsys, two_point_potential):
-        # a^k steps, the support is conjugated and Derivation.apply runs on
-        # payloads, and the table entries are decoded to payloads, for any
-        # number of powers
+        # a^k steps and the hit finder conjugates the support on payloads,
+        # and the table entries are decoded to payloads, for any number of
+        # powers; no d(a^k) is built
         code, out, _ = run(capsys, ["limit", "--potential", two_point_potential,
                                     "--conjugator", "Ax.Ap", "--k-max", "12",
                                     "--format", "json"])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conjlab import derivations as dv
+from conjlab import experiments as ex
 from conjlab import (
     Derivation,
     DihedralInf,
@@ -24,8 +25,8 @@ from conjlab import (
     stabilisation_probe,
 )
 from conjlab.cli import main
-from conjlab.groups import GroupModel, Heisenberg
-from conjlab.ring import float_norm
+from conjlab.groups import GroupModel, Heisenberg, parse_word
+from conjlab.ring import float_norm, lq_pow_exact
 
 from conjlab.sampling import random_loop, random_payload
 
@@ -44,6 +45,7 @@ from conftest import (
     scaled,
 )
 from test_corpus import FIBRES
+from test_corpus import MODELS as CORPUS_MODELS
 
 # the six models and a three-factor product
 CHARACTER_MODELS = all_models() + [get_model("dsemi*h3semi*free2")]
@@ -411,8 +413,8 @@ class TestBoundednessProbe:
         phi = Potential(h3, {(1, 0, 0): 3, (1, 0, 1): Fraction(1, 2)})
         d = Derivation(phi)
         max_norm, argmax = g_boundedness_probe(phi, radius=2, p=math.inf)
-        assert max_norm == max(d.apply(g).sup_norm() for g in h3.cayley_ball(2)) == 3.0
-        assert d.apply(argmax).sup_norm() == max_norm
+        assert max_norm == max(d.apply(g).lp_norm(math.inf) for g in h3.cayley_ball(2)) == 3.0
+        assert d.apply(argmax).lp_norm(math.inf) == max_norm
 
     def test_p_nan_rejected(self, h3):
         with pytest.raises(UsageError):
@@ -632,6 +634,75 @@ def test_probe_sums_once_per_hit_set(h3, monkeypatch):
     phi = Potential(h3, {(1, 0, 0): 1})
     assert g_boundedness_probe(phi, 4, 2) == (2 ** 0.5, (0, -1, 0))
     assert len(sums) == 2
+
+
+def seeded_table(model, rng, size=4):
+    """A table on elements of infinite conjugacy classes, some entries
+    conjugates of others, some of those with equal values."""
+    table = {}
+    while len(table) < size:
+        s = random_payload(model, rng, max_len=3)
+        g = random_payload(model, rng, max_len=2)
+        t = model.conj_step(s, g, model.inv_payload(g))
+        if not model.class_is_finite(s):
+            table[s] = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+            if t not in table and rng.random() < 0.6:
+                table[t] = rng.choice([table[s], Fraction(1, 2)])
+    return table
+
+
+@pytest.mark.parametrize("name", CORPUS_MODELS)
+def test_hit_column_is_the_derivation_up_to_sign(name):
+    # the nonzero entries of the hit column, as a multiset of |c|, are the
+    # coefficients of d(g), with hits from the model's finder and from the
+    # base class's conjugate-and-look-up
+    model, rng = get_model(name), Random(38)
+    ball = model.cayley_ball(3)
+    moved = 0
+    for _ in range(4):
+        phi = Potential(model, seeded_table(model, rng))
+        payloads, values = phi._columns
+        d = Derivation(phi)
+        for hits_of in (model.conj_hits(payloads), GroupModel.conj_hits(model, payloads)):
+            for gp in ball:
+                hits = hits_of(gp, model.inv_payload(gp))
+                moved += any(i != j for i, j in hits)
+                column = dv.hit_column(values, hits)
+                want = sorted(map(abs, d.apply(gp).terms.values()))
+                assert sorted(abs(c) for c in column if c) == want, (phi.table, gp)
+    assert moved
+
+
+@pytest.mark.parametrize("name", CORPUS_MODELS)
+@pytest.mark.parametrize("q", [1, 1.5, 2, 3, math.inf])
+def test_limit_reads_its_norms_from_hit_columns(name, q, monkeypatch):
+    # the samples of d(a^k) built in full, and limit's from one hit column
+    # per distinct hit set, with no d(a^k), mul_all or GroupRingVector
+    model, rng = get_model(name), Random(39)
+    phi = Potential(model, seeded_table(model, rng))
+    labels = [label for label, _, _ in model.gen_triples]
+    a = parse_word(model, ".".join(rng.choice(labels) for _ in range(2)))
+    d, hits_of, a_k = Derivation(phi), model.conj_hits(phi._columns[0]), a
+    want, hit_sets = [], set()
+    for k in range(1, 9):
+        image = d.apply(a_k)
+        want.append((k, image.lp_norm(q),
+                     lq_pow_exact(image.terms.values(), q) if q in (1, 2, 3) else None))
+        hit_sets.add(frozenset(hits_of(a_k, model.inv_payload(a_k))))
+        a_k = model.mul_payload(a_k, a)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("limit built d(a^k)")
+
+    monkeypatch.setattr(dv.Potential, "add_derivation", refuse)
+    monkeypatch.setattr(GroupModel, "mul_all", refuse)
+    monkeypatch.setattr(Heisenberg, "mul_all", refuse)
+    monkeypatch.setattr(GroupRingVector, "__init__", refuse)
+    columns = []
+    monkeypatch.setattr(ex, "hit_column", lambda *args: columns.append(args) or
+                        dv.hit_column(*args))
+    assert ex.run_limit_experiment(phi, a, q, 8).samples == want
+    assert len(columns) == len(hit_sets)
 
 
 class TestStabilisation:
