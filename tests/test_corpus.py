@@ -53,6 +53,34 @@ FIBRES = {
     "h3_box": [(a, b, c) for a in (-1, 0, 2) for b in (-2, 0, 1) for c in (-1, 3)
                if (a + 2 * b + c) % 3],
 }
+# more h3 supports for the hit finder: seeded ones, one around c = 1 - 7^40,
+# and one far from c = 0, on a crowded fibre and on lines through 0
+MORE_FIBRES = {
+    "h3_seeded_0": [(2, -4, -6366805760909027985741435139224000)],
+    "h3_seeded_1": [(-3, 0, -6), (-3, 2, 1), (0, 0, 3), (0, 0, 6), (0, 3, 0)],
+    "h3_seeded_2": [(-2, 0, 5), (3, -1, -2)],
+    "h3_far": [(1, 0, c) for c in (300, 301, 303, 350)] + [(2, 1, c) for c in (-420, -418, -400)]
+              + [(0, 0, 500), (1, 1, 999), (3, 3, -1500)],
+}
+# command argv, one a line: the free groups' conjugator length on free1,
+# in both factors of a product, in a Growing verdict and for cyclic words
+# that are not rotations; then h3 far from c = 0
+MORE_COMMANDS = """\
+bc --model free2 --k x1 --k x2.x1.x2^-1 --cayley-radius 4 --diam-budget 6
+bc --model free2 --k x1 --k x2.x1.x2^-1 --cayley-radius 5 --diam-budget 8
+bc --model free1 --k x1 --k x1^-1.x1^-1 --cayley-radius 3 --diam-budget 4
+bc --model free3 --k x1.x2.x3 --k x3.x2.x1 --cayley-radius 2 --diam-budget 5
+bc --model free2 --k x1.x2.x1.x2 --k x2.x1.x2.x1 --cayley-radius 3 --diam-budget 3 --budget-nodes 60
+bc --model free2*free2 --k (x1|x2) --k (x2.x1.x2^-1|x1.x2.x1^-1) --cayley-radius 2 --diam-budget 4
+bc --model free2 --k x1 --k x2.x1.x2^-1 --cayley-radius 3 --diam-budget 8
+bc --model free2 --k x1.x1.x2.x2 --k x1.x2.x1.x2 --cayley-radius 1 --diam-budget 4
+graph --model h3 --base H3(2,3,400) --radius 6 --format json
+graph --model h3 --base H3(-1,4,-2500) --radius 4 --format dot
+bc --model h3 --k H3(0,1,150) --k H3(0,1,153) --cayley-radius 2 --diam-budget 6
+bc --model h3 --k H3(1,2,300) --k H3(1,2,306) --k H3(1,2,-2000) --cayley-radius 1 --diam-budget 5
+inverse-seq --model h3 --u H3(2,1,150) --conjugator Ax.Ap --k-max 6
+inverse-seq --model h3 --u H3(-3,2,-2200) --conjugator Ap --tail Ax --k-max 4 --format json
+""".splitlines()
 CHARACTER_10000 = [
     ("H3(1,-2,-2)", "H3(0,1,0)"), ("H3(1,-3,-3)", "H3(0,1,0)"),
     ("H3(1,-9999,-9999)", "H3(0,1,0)"), ("H3(1,-9999,-10000)", "H3(0,1,0)"),
@@ -188,6 +216,23 @@ def generate():
             argv += [["limit", "--potential", f"{key}.json", "--conjugator", conjugator,
                       "--q", q, "--k-max", "6", "--format", rng.choice(["json", "table"])]
                      for q in EXPONENTS]
+    # bound-probe on more hit-finder tables, and the harmonic rule with a
+    # table entry that it does not cover
+    for key, cells in MORE_FIBRES.items():
+        potentials[key] = {"model": "h3", "table": [
+            [f"H3({a},{b},{c})", _value(rng)] for a, b, c in cells]}
+    for k in (37, 200):
+        potentials[f"harmonic_{k}_table"] = {
+            "model": "h3", "table": [["H3(2,1,0)", "-3/7"], ["H3(1,-3,-2)", "5"]],
+            "closed_form": "appendix_harmonic", "truncation": k}
+    for key in [*MORE_FIBRES, "harmonic_37_table", "harmonic_200_table"]:
+        argv += [["bound-probe", "--potential", f"{key}.json", "--radius", radius, "-p", p]
+                 for radius in ("2", "3", "4") for p in EXPONENTS]
+    # c in the hundreds and thousands: conjugation still shifts c by x b - y a
+    for base, radius, radii in (("H3(1,0,300)", "5", "0,1,3"), ("H3(2,1,-410)", "6", "0,2,4"),
+                                ("H3(1,1,995)", "5", "0,1,3"), ("H3(3,3,-1497)", "3", "0,1,2")):
+        argv.append(["stabilise", "--potential", "h3_far.json", "--base", base,
+                     "--radius", radius, "--radii", radii])
     return potentials, [{"argv": a} for a in argv]
 
 
@@ -279,6 +324,16 @@ def generate_commands():
     # exit 4: the engine and the formula disagree
     cases += [{"argv": ["appendix", "--m-max", m, "--n-max", n, "--format", fmt],
                "fault": "short_rule"} for m, n, fmt in (("5", "3", "json"), ("9", "4", "table"))]
+    # free groups and their products, where the conjugator length answers
+    # without a search, and h3 with c in the hundreds and thousands
+    cases += [{"argv": line.split()} for line in MORE_COMMANDS + [
+        f"inverse-seq --model {case} --format {fmt} {rest}" for fmt in ("json", "table")
+        for case, rest in [
+            ("free2 --u x1 --conjugator x2 --tail x1", "--k-max 4 --budget 6"),
+            ("free2 --u x1.x2.x1^-1 --conjugator x2.x1 --tail e", "--k-max 5 --budget 8"),
+            ("free1 --u x1 --conjugator x1 --tail x1^-1", "--k-max 3 --budget 2"),
+            ("free3 --u x1.x3 --conjugator x2 --tail x3", "--k-max 3 --budget 5"),
+            ("free2*free2 --u (x1|x2) --conjugator l.x2.r.x1 --tail e", "--k-max 3 --budget 4")]]]
     return {}, cases
 
 
@@ -365,7 +420,7 @@ def test_the_command_corpus_covers_every_other_command():
         assert {(0, "table"), (0, "json")} <= runs[command]
     assert {code for code, _ in runs["bc"]} == {0, 2, 3}
     models = {case["argv"][2] for case in cases if case["exit"] == 0 and "--model" in case["argv"]}
-    assert models == set(MODELS)
+    assert models == {*MODELS, "free1", "free2*free2"}
     # a ball cut by its node budget
     assert any(case["argv"][0] == "graph" and case["exit"] == 0 and "--budget-nodes" in case["argv"]
                for case in cases)
