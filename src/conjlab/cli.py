@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 usage/parse error, 3 resource budget exceeded,
 from __future__ import annotations
 
 import gc
-import math
 import os
 import sys
 from collections.abc import Iterator
@@ -61,11 +60,13 @@ def _emit(obj) -> None:
     """Write json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2)
     and a newline, without building the document as one string.  A list
     may also be given as an iterator, and an object as `_Members`; each is
-    read once while writing."""
+    read once while writing.  The leaves are str, int, bool and None, and a
+    key is a str or an int: any other type, a float too, raises TypeError,
+    since each command formats its floats as text."""
     _write(chain(_json_pieces(obj, "\n"), ["\n"]))
 
 
-_LEAVES = (str, int, float, type(None))  # bool is an int
+_LEAVES = (str, int, type(None))  # bool is an int
 
 
 class _Members:
@@ -77,7 +78,7 @@ class _Members:
 
 
 def _scalar(obj) -> str:
-    """The JSON text of a string, number, bool or None, as json writes it."""
+    """The JSON text of a string, int, bool or None, as json writes it."""
     if isinstance(obj, str):
         return _quote(obj)
     if obj is None:
@@ -86,12 +87,6 @@ def _scalar(obj) -> str:
         return "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    if isinstance(obj, float):
-        if obj != obj:
-            return "NaN"
-        if obj in (math.inf, -math.inf):
-            return "Infinity" if obj > 0 else "-Infinity"
-        return float.__repr__(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 

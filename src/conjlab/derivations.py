@@ -4,8 +4,7 @@ A potential is a rational-valued function on the group given by a finite
 table plus an optional named closed-form rule.  Closed-form supports are
 truncated at a cutoff index K; evaluation is then the exact derivation of
 the truncated potential, so algebraic identities (Leibniz, character
-additivity) hold exactly, while `tail_bound_pow` bounds what the cutoff
-discards in q-norm.
+additivity) hold exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ DEFAULT_TRUNCATION = 10**4
 
 # ---------------------------------------------------------------------------
 # The one closed-form rule, "appendix_harmonic" on h3: value(payload, cutoff
-# K), the support and the discarded q-th-power mass, all truncated at K
+# K) and the support, both truncated at K
 
 def _harmonic_value(payload, trunc_k) -> Fraction:
     # supported on Ap*Ax^-k = Ax^-k Ap A1^-k, triple (1, -k, -k), value 1/k
@@ -39,13 +38,6 @@ def _harmonic_value(payload, trunc_k) -> Fraction:
 
 def _harmonic_support(trunc_k) -> list:
     return [(1, -k, -k) for k in range(1, trunc_k + 1)]
-
-
-def _harmonic_tail_pow(trunc_k: int, q: int) -> Fraction:
-    # sum_{k>K} (1/k)^q <= 1/((q-1) K^(q-1)); divergent for q = 1
-    if q <= 1:
-        raise UsageError("harmonic closed form has no finite l1 tail bound")
-    return Fraction(1, (q - 1) * trunc_k ** (q - 1))
 
 
 class Potential:
@@ -127,12 +119,6 @@ class Potential:
 
     def lq_pow(self, q: int) -> Fraction:
         return sum((abs(v) ** q for v in self._columns[1]), _ZERO)
-
-    def tail_bound_pow(self, q: int) -> Fraction:
-        """Upper bound on the q-th-power mass the truncation discards."""
-        if self.closed_form is None:
-            return Fraction(0)
-        return _harmonic_tail_pow(self.trunc_k, q)
 
     # -- wire format --------------------------------------------------------
 

@@ -246,7 +246,7 @@ def test_acceptance_10_bounded_but_not_norm_bounded(h3):
     trunc = 400
     phi = Potential(h3, {}, closed_form="appendix_harmonic", trunc_k=trunc)
     max_norm, argmax = g_boundedness_probe(phi, radius=6, p=2)
-    bound = 2.0 * float(phi.lq_pow(2) + phi.tail_bound_pow(2)) ** 0.5
+    bound = 2.0 * float(phi.lq_pow(2) + Fraction(1, phi.trunc_k)) ** 0.5  # sum_{k>K} 1/k^2 <= 1/K
     assert max_norm <= bound + 1e-9
 
     appendix = run_appendix(64, 1)

@@ -1558,8 +1558,7 @@ def written(obj, chunk=cli._CHUNK) -> str:
 
 
 TEXT = st.text() | st.text(alphabet='"\\/\x00\x07\x1f\x7f\u00e9\u2028\u2603\U0001d11e ab')
-SCALARS = (st.none() | st.booleans() | st.integers(-10**40, 10**40)
-           | st.floats() | TEXT)
+SCALARS = st.none() | st.booleans() | st.integers(-10**40, 10**40) | TEXT
 ROWS = st.integers(1, 4).flatmap(
     lambda width: st.lists(st.tuples(*[TEXT] * width) | st.lists(TEXT, min_size=width,
                                                                  max_size=width),
@@ -1584,6 +1583,12 @@ def test_writer_matches_json_dumps(obj, chunk):
 def test_writer_reads_an_iterator_as_its_list(rows, chunk):
     assert written({"rows": iter(rows), "n": len(rows)}, chunk) == _cli_json(
         {"rows": rows, "n": len(rows)})
+
+
+@pytest.mark.parametrize("obj", [{"norm": 1.5}, [0.0], {2.5: "x"}])
+def test_writer_refuses_a_float(obj):
+    with pytest.raises(TypeError):
+        written(obj)
 
 
 def test_writer_writes_in_chunks():

@@ -11,6 +11,9 @@ text so that a reader can see what runs.  Each table is written to
 no path reaches the output.  A case that names a `fault` runs with that
 fault planted (`FAULTS`), so that the corpus holds exit 4 too.
 
+`REFERENCES` runs them again with each fast path replaced by the path it
+stands in for, and no digest may move; a new fast path adds a row there.
+
 The digests were taken from the program as it stood when each corpus was
 made.  A change that alters an output byte on purpose rewrites the files
 in the same commit, so their diff lists every argv whose output moved:
@@ -30,8 +33,9 @@ from random import Random
 from unittest import mock
 
 from conjlab import derivations as dv
+from conjlab import graph
 from conjlab.cli import main
-from conjlab.groups import get_model
+from conjlab.groups import DirectProduct, FreeGroup, GroupModel, Heisenberg, get_model
 from conjlab.sampling import random_payload
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -441,6 +445,64 @@ def test_every_output_matches_its_digest(tmp_path, monkeypatch):
 
 def test_every_command_output_matches_its_digest(tmp_path, monkeypatch):
     check_the_digests("command", tmp_path, monkeypatch)
+
+
+# name: (owner, fast path, reference, applies(command, model)); a reference is
+# the base class's path, or for the gate a search every time
+REFERENCES = {
+    "h3-mul_all": (Heisenberg, "mul_all", GroupModel.mul_all, lambda c, m: m == "h3"),
+    "h3-conj_step": (Heisenberg, "conj_step", GroupModel.conj_step, lambda c, m: m == "h3"),
+    "h3-conj_hits": (Heisenberg, "conj_hits", GroupModel.conj_hits, lambda c, m: m == "h3"),
+    "free-conjugator_length": (FreeGroup, "conjugator_length", GroupModel.conjugator_length,
+                               lambda c, m: "free" in m),
+    "product-conjugator_length": (DirectProduct, "conjugator_length",
+                                  GroupModel.conjugator_length, lambda c, m: "*" in m),
+    "levels_fit": (graph, "_levels_fit", lambda *args: False,
+                   lambda c, m: c in ("bc", "inverse-seq")),
+}
+
+
+def _model(potentials, argv) -> str:
+    """The model an argv runs on: its `--model`, its potential's, or h3."""
+    if "--model" in argv:
+        return argv[argv.index("--model") + 1]
+    if "--potential" in argv:
+        return potentials[argv[argv.index("--potential") + 1].removesuffix(".json")]["model"]
+    return "h3"
+
+
+def pytest_generate_tests(metafunc):
+    # one case a row, without importing pytest, which other Pythons lack
+    if "row" in metafunc.fixturenames:
+        metafunc.parametrize("row", REFERENCES)
+
+
+def test_every_fast_path_gives_its_references_bytes(row, tmp_path, monkeypatch):
+    owner, name, reference, applies = REFERENCES[row]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CONJLAB_DEFAULT_BUDGET", raising=False)
+    cases = []
+    for corpus in map(load_corpus, CORPORA):
+        write_potentials(corpus["potentials"], tmp_path)
+        cases += [case for case in corpus["cases"]
+                  if applies(case["argv"][0], _model(corpus["potentials"], case["argv"]))]
+    # the plain run reaches the fast path, and it answers neither None nor False
+    fast, reached = getattr(owner, name), False
+
+    def spy(*args, **kwargs):
+        nonlocal reached
+        answer = fast(*args, **kwargs)
+        reached |= answer is not None and answer is not False
+        return answer
+
+    monkeypatch.setattr(owner, name, spy)
+    for case in cases:
+        run_case(case)
+        if reached:
+            break
+    assert reached, row
+    monkeypatch.setattr(owner, name, reference)
+    assert moved({"cases": cases}, list(map(run_case, cases))) == []
 
 
 def _dump(potentials, cases) -> str:

@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 from random import Random
@@ -24,7 +23,6 @@ from conjlab import (
     quasi_inner_check,
     stabilisation_probe,
 )
-from conjlab.cli import main
 from conjlab.groups import GroupModel, Heisenberg, parse_word
 from conjlab.ring import float_norm, lq_pow_exact
 
@@ -44,7 +42,6 @@ from conftest import (
     random_potential,
     scaled,
 )
-from test_corpus import FIBRES
 from test_corpus import MODELS as CORPUS_MODELS
 
 # the six models and a three-factor product
@@ -550,82 +547,6 @@ def test_h3_hit_finder_examples(h3):
     assert h3.conj_hits([])((1, 2, 3), None) == []
 
 
-HIT_FINDER_TABLES = [
-    {"model": "h3", "table": [[f"H3({a},{b},{c})", "1/3" if (a + c) % 2 else "-2"]
-                              for a, b, c in cells]}
-    for cells in [*FIBRES.values(), *(h3_fibre_support(Random(seed)) for seed in range(3))]
-] + [{"model": "h3", "table": [["H3(2,1,0)", "-3/7"], ["H3(1,-3,-2)", "5"]],
-      "closed_form": "appendix_harmonic", "truncation": k} for k in (37, 200)]
-
-
-@pytest.mark.parametrize("index", range(len(HIT_FINDER_TABLES)))
-def test_hit_finder_keeps_the_probe_bytes(index, tmp_path, monkeypatch, capsys):
-    # the same exit code, stdout and stderr with h3's hit finder and with
-    # the base class's
-    path = tmp_path / "phi.json"
-    path.write_text(json.dumps(HIT_FINDER_TABLES[index]), encoding="utf-8")
-    finder = Heisenberg.conj_hits
-    for radius in ("2", "3", "4"):
-        for p in ("1", "1.5", "2", "3", "inf"):
-            argv = ["bound-probe", "--potential", str(path), "--radius", radius, "-p", p]
-            calls = []
-            monkeypatch.setattr(Heisenberg, "conj_hits",
-                                lambda *args: calls.append(args) or finder(*args))
-            fast = main(argv), capsys.readouterr()
-            assert calls and fast[0] == 0
-            monkeypatch.setattr(Heisenberg, "conj_hits", GroupModel.conj_hits)
-            assert (main(argv), capsys.readouterr()) == fast, argv
-
-
-def h3_conj_step_argv(rng, potential):
-    """Seeded h3 argv of the commands that conjugate by `conj_step`:
-    graph, bc, inverse-seq, stabilise and bound-probe on `potential`."""
-    h3 = get_model("h3")
-    labels = [label for label, _, _ in h3.gen_triples]
-
-    def elem(max_len=5):
-        return h3.encode_payload(random_payload(h3, rng, max_len))
-
-    def word():
-        return ".".join(rng.choice(labels) for _ in range(rng.randint(1, 3)))
-
-    out = []
-    for _ in range(4):
-        out.append(["graph", "--model", "h3", "--base", elem(), "--radius",
-                    str(rng.randint(0, 12)), "--format", rng.choice(["dot", "json"]),
-                    *rng.choice([[], ["--suppress-loops"], ["--budget-nodes", "5"]])])
-        out.append(["bc", "--model", "h3", *[a for _ in range(rng.randint(1, 3))
-                                              for a in ("--k", elem(3))],
-                    "--cayley-radius", str(rng.randint(0, 3)),
-                    "--diam-budget", str(rng.randint(0, 6))])
-        out.append(["inverse-seq", "--model", "h3", "--u", elem(), "--conjugator", word(),
-                    "--tail", rng.choice(["e", word()]), "--k-max", str(rng.randint(1, 5)),
-                    "--budget", str(rng.randint(0, 6)),
-                    "--format", rng.choice(["table", "json"])])
-        out.append(["stabilise", "--potential", potential, "--base", elem(),
-                    "--radius", str(rng.randint(1, 6)), "--radii", "0,1,3"])
-        out.append(["bound-probe", "--potential", potential, "--radius",
-                    str(rng.randint(0, 3)), "-p", rng.choice(["1", "2", "inf"])])
-    return out
-
-
-@pytest.mark.parametrize("index", range(len(HIT_FINDER_TABLES)))
-def test_h3_conj_step_keeps_the_bytes(index, tmp_path, monkeypatch, capsys):
-    # the same exit code, stdout and stderr with h3's closed-form step and
-    # with the base class's two products
-    path = tmp_path / "phi.json"
-    path.write_text(json.dumps(HIT_FINDER_TABLES[index]), encoding="utf-8")
-    step = Heisenberg.conj_step
-    for argv in h3_conj_step_argv(Random(index), str(path)):
-        calls = []
-        monkeypatch.setattr(Heisenberg, "conj_step",
-                            lambda *args: calls.append(args) or step(*args))
-        fast = main(argv), capsys.readouterr()
-        assert fast[0] == 0 and calls, argv
-        monkeypatch.setattr(Heisenberg, "conj_step", GroupModel.conj_step)
-        assert (main(argv), capsys.readouterr()) == fast, argv
-
-
 def test_probe_sums_once_per_hit_set(h3, monkeypatch):
     # g = (x, y, .) fixes H3(1,0,0) when y = 0 and moves it off the support
     # otherwise: many automorphisms, two hit sets, two power sums
@@ -826,9 +747,6 @@ class TestPotential:
     def test_lq_norm_of_harmonic(self, h3):
         phi = Potential(h3, {}, closed_form="appendix_harmonic", trunc_k=100)
         assert phi.lq_pow(2) == sum(Fraction(1, k * k) for k in range(1, 101))
-        assert phi.tail_bound_pow(2) == Fraction(1, 100)
-        with pytest.raises(UsageError):
-            phi.tail_bound_pow(1)
 
     def test_json_roundtrip(self, h3):
         phi = Potential(

@@ -21,7 +21,6 @@ from conjlab import (
 )
 from conjlab.cli import main
 from conjlab.graph import _levels_fit
-from conjlab.groups import FreeGroup, GroupModel
 
 from conftest import all_models
 
@@ -155,46 +154,6 @@ def test_formula_answers_as_a_search_at_a_negative_budget():
         assert conj_distance(model, p, q, -1) == model.search(
             p, model.conj_step, -1, 10**6, q).length
     assert conj_distance(model, u, u, -1) == 0
-
-
-def _bc(model, k1, k2, radius, budget, *rest):
-    return ["bc", "--model", model, "--k", k1, "--k", k2, "--cayley-radius", str(radius),
-            "--diam-budget", str(budget), *rest]
-
-
-def _inverse_seq(model, u, a, tail, fmt, *rest):
-    return ["inverse-seq", "--model", model, "--u", u, "--conjugator", a, "--tail", tail,
-            "--format", fmt, *rest]
-
-
-BYTE_ARGV = [
-    _bc("free2", "x1", "x2.x1.x2^-1", 4, 6),  # the ROADMAP runs
-    _bc("free2", "x1", "x2.x1.x2^-1", 5, 8),
-    _bc("free1", "x1", "x1^-1.x1^-1", 3, 4),
-    _bc("free3", "x1.x2.x3", "x3.x2.x1", 2, 5),
-    _bc("free2", "x1.x2.x1.x2", "x2.x1.x2.x1", 3, 3, "--budget-nodes", "60"),  # searches
-    _bc("free2*free2", "(x1|x2)", "(x2.x1.x2^-1|x1.x2.x1^-1)", 2, 4),
-] + [_inverse_seq(*case, fmt, *rest) for fmt in ("json", "table") for case, rest in [
-    (("free2", "x1", "x2", "x1"), ("--k-max", "4", "--budget", "6")),
-    (("free2", "x1.x2.x1^-1", "x2.x1", "e"), ("--k-max", "5", "--budget", "8")),
-    (("free1", "x1", "x1", "x1^-1"), ("--k-max", "3", "--budget", "2")),
-    (("free3", "x1.x3", "x2", "x3"), ("--k-max", "3", "--budget", "5")),
-    (("free2*free2", "(x1|x2)", "l.x2.r.x1", "e"), ("--k-max", "3", "--budget", "4")),
-]]
-
-
-@pytest.mark.parametrize("argv", BYTE_ARGV, ids=" ".join)
-def test_formula_keeps_the_search_bytes(argv, monkeypatch, capsys):
-    # the same exit code, stdout and stderr with the formula and without it
-    calls = []
-    formula = FreeGroup.conjugator_length
-    monkeypatch.setattr(FreeGroup, "conjugator_length",
-                        lambda *args: calls.append(args) or formula(*args))
-    with_formula = main(argv), capsys.readouterr()
-    # free1 elements with equal abelian images are equal, and bc's K is a set
-    assert calls or argv[:3] == ["bc", "--model", "free1"]
-    monkeypatch.setattr(FreeGroup, "conjugator_length", GroupModel.conjugator_length)
-    assert (main(argv), capsys.readouterr()) == with_formula
 
 
 @pytest.mark.parametrize("n, depth, node_budget, fits", [
