@@ -85,6 +85,61 @@ bc --model h3 --k H3(1,2,300) --k H3(1,2,306) --k H3(1,2,-2000) --cayley-radius 
 inverse-seq --model h3 --u H3(2,1,150) --conjugator Ax.Ap --k-max 6
 inverse-seq --model h3 --u H3(-3,2,-2200) --conjugator Ap --tail Ax --k-max 4 --format json
 """.splitlines()
+# the tables and argv of older byte checks, written out: a runner that
+# compared each of python3.10 to 3.13 with the running one, then smoke runs
+# of every command on a two-point table and a harmonic one truncated at 20
+PINNED_POTENTIALS = {
+    "two_point": {"model": "h3", "table": [["H3(1,0,0)", "1"], ["H3(1,0,-1)", "1/2"]]},
+    "harmonic_60": {"model": "h3", "table": [["H3(2,1,0)", "-3/7"]],
+                    "closed_form": "appendix_harmonic", "truncation": 60},
+    "dinf_four": {"model": "dinf", "table": [["ab", "1/2"], ["b", "1"], ["a", "-1"],
+                                             ["e", "2/3"]]},
+    "h3_extremes": {"model": "h3", "table": [["H3(1,0,0)", "1e300"], ["H3(0,1,0)", "-1e-300"]]},
+    "harmonic_20": {"model": "h3", "table": [], "closed_form": "appendix_harmonic",
+                    "truncation": 20},
+}
+PINNED_ARGV = [line.split() for line in """\
+derive --potential harmonic_60.json --element H3(0,2,0) -p 2.5
+derive --potential h3_extremes.json --element H3(0,1,0) -p 1.5
+leibniz --potential two_point.json --samples 30 --seed 3
+character --potential harmonic_60.json --u H3(1,-2,-2) --v H3(0,1,0)
+quasi-inner --potential dinf_four.json --samples 30 --seed 5
+stabilise --potential two_point.json --base H3(1,0,0) --radius 4 --radii 0,1,2
+bound-probe --potential dinf_four.json --radius 2 -p 1.5
+bound-probe --potential harmonic_60.json --radius 2 -p 3
+bound-probe --potential h3_extremes.json --radius 1 -p 2
+limit --potential two_point.json --conjugator Ax.Ap --q 2.5 --k-max 5 --format json
+limit --potential h3_extremes.json --conjugator Ax --k-max 3
+derive --potential two_point.json --element H3(1,2
+derive --potential two_point.json --element H3(\u0661,0,0)
+derive --potential harmonic_20.json --element H3(0,2,0)
+leibniz --potential two_point.json --samples 20
+character --potential harmonic_20.json --u H3(1,-2,-2) --v H3(0,1,0)
+quasi-inner --potential two_point.json --samples 20
+stabilise --potential two_point.json --base H3(1,0,0) --radius 3 --radii 0,1
+bound-probe --potential harmonic_20.json --radius 2
+limit --potential two_point.json --conjugator Ax --k-max 4
+character --potential two_point.json --u H3(1,2,2) --v H3(0,2,0)
+quasi-inner --potential two_point.json --samples 100
+leibniz --potential two_point.json --samples 100
+""".splitlines()] + [["derive", "--potential", "dinf_four.json", "--element", "ab\n"]]
+# the same for the other commands, and a path in h3's conjugation graph
+PINNED_COMMANDS = """\
+graph --model h3semi --base H3(1,0,0);c --radius 2
+graph --model free2 --base x1.x2 --radius 2 --format json --suppress-loops
+bc --model dsemi --k a --k babab --cayley-radius 3 --diam-budget 6
+bc --model h3 --k H3(1,0,0) --cayley-radius 3 --budget-nodes 2
+appendix --m-max 12 --n-max 3
+appendix --m-max 5 --n-max 2 --format json
+inverse-seq --model free2 --u x1 --conjugator x2 --tail x1 --k-max 4 --budget 6
+inverse-seq --model free2 --u x1.x2^-1 --conjugator x2.x1 --k-max 4 --budget 5 --format json
+graph --model h3semi --base H3(1,0,0);c --radius 2 --format json
+bc --model free2 --k x1 --k x2.x1.x2^-1 --cayley-radius 2 --diam-budget 4
+appendix --m-max 8 --n-max 2
+inverse-seq --model free2 --u x1 --conjugator x2 --k-max 3
+inverse-seq --model free2 --u x1 --conjugator x1 --tail x2
+graph --model h3 --base H3(1,0,0) --radius 5
+""".splitlines()
 CHARACTER_10000 = [
     ("H3(1,-2,-2)", "H3(0,1,0)"), ("H3(1,-3,-3)", "H3(0,1,0)"),
     ("H3(1,-9999,-9999)", "H3(0,1,0)"), ("H3(1,-9999,-10000)", "H3(0,1,0)"),
@@ -237,6 +292,8 @@ def generate():
                                 ("H3(1,1,995)", "5", "0,1,3"), ("H3(3,3,-1497)", "3", "0,1,2")):
         argv.append(["stabilise", "--potential", "h3_far.json", "--base", base,
                      "--radius", radius, "--radii", radii])
+    potentials.update(PINNED_POTENTIALS)
+    argv += PINNED_ARGV
     return potentials, [{"argv": a} for a in argv]
 
 
@@ -338,6 +395,7 @@ def generate_commands():
             ("free1 --u x1 --conjugator x1 --tail x1^-1", "--k-max 3 --budget 2"),
             ("free3 --u x1.x3 --conjugator x2 --tail x3", "--k-max 3 --budget 5"),
             ("free2*free2 --u (x1|x2) --conjugator l.x2.r.x1 --tail e", "--k-max 3 --budget 4")]]]
+    cases += [{"argv": line.split()} for line in PINNED_COMMANDS]
     return {}, cases
 
 
@@ -407,7 +465,7 @@ def test_the_corpus_covers_every_potential_command():
     for flag in ("-p", "--q"):
         exponents = {case["argv"][case["argv"].index(flag) + 1] for case in cases
                      if flag in case["argv"] and case["exit"] == 0}
-        assert exponents == set(EXPONENTS), flag
+        assert set(EXPONENTS) <= exponents, flag
 
 
 def test_the_command_corpus_covers_every_other_command():
