@@ -107,18 +107,13 @@ class Potential:
         and with no value read: `_columns[0]`."""
         return self._support
 
-    def add_derivation(self, gp, acc: dict, scaled: bool = False) -> None:
+    def add_derivation(self, gp, acc: dict) -> None:
         """Add d(g) = sum of phi(s)(s g - g s) over the support, g of payload
-        `gp`, into `acc` ({payload: Fraction}), dropping terms that cancel.
-        With `scaled`, add D d(g) in ints instead, D = `_scaled_columns[0]`:
-        integer adds need no gcd, so callers divide by D once at the end."""
-        payloads, values = self._scaled_columns[1] if scaled else self._columns
+        `gp`, into `acc` ({payload: Fraction}), dropping terms that cancel."""
+        payloads, values = self._columns
         mul_all = self.model.mul_all
         add_terms(acc, zip(mul_all(payloads, gp), values))
         add_terms(acc, zip(mul_all(payloads, gp, left=True), map(operator.neg, values)))
-
-    def lq_pow(self, q: int) -> Fraction:
-        return sum((abs(v) ** q for v in self._columns[1]), _ZERO)
 
     # -- wire format --------------------------------------------------------
 
@@ -198,15 +193,17 @@ def character(phi: Potential, up, vp) -> Fraction:
 def leibniz_residual(phi: Potential, gp, hp):
     """The vector d(gh) - d(g) h - g d(h) of phi's derivation d, g and h of
     payloads `gp` and `hp`, exactly; zero for every derivation."""
-    # termwise into one dict of D phi ints: D d(gh), then -D phi(s) at
-    # (s g) h and g (s h), +D phi(s) at (g s) h and g (h s)
+    # termwise into one dict of D phi ints, whose adds need no gcd: D d(gh)
+    # (+D phi(s) at s (gh), -D phi(s) at (gh) s), then -D phi(s) at (s g) h
+    # and g (s h), +D phi(s) at (g s) h and g (h s)
     model = phi.model
     den, (payloads, pos) = phi._scaled_columns
     minus = [-n for n in pos]
     mul_all = model.mul_all
+    gh = model.mul_payload(gp, hp)
     acc = {}
-    phi.add_derivation(model.mul_payload(gp, hp), acc, scaled=True)
-    for keys, coeffs in ((mul_all(mul_all(payloads, gp), hp), minus),
+    for keys, coeffs in ((mul_all(payloads, gh), pos), (mul_all(payloads, gh, left=True), minus),
+                         (mul_all(mul_all(payloads, gp), hp), minus),
                          (mul_all(mul_all(payloads, gp, left=True), hp), pos),
                          (mul_all(mul_all(payloads, hp), gp, left=True), minus),
                          (mul_all(mul_all(payloads, hp, left=True), gp, left=True), pos)):

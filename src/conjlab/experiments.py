@@ -212,7 +212,7 @@ def run_limit_experiment(phi: Potential, a, q, k_max: int) -> LimitReport:
     power_sum = None
     if q_int is not None and exact_pow_fits(values, q_int):
         def power_sum():
-            return float(phi.lq_pow(q_int))
+            return float(sum((abs(v) ** q_int for v in values), Fraction(0)))
     potential_norm = float_norm(values, float(q), power_sum)
     return LimitReport(float(q), potential_norm, samples, separation_index)
 

@@ -1,6 +1,6 @@
 """Automorphism invariance of `bound-probe` and `character` on h3, of
-`derive` and `character` on the other five models, and of `limit` on free2
-and dinf.
+`derive` and `character` on the other five models, and of `limit` on all
+six.
 
 An automorphism sigma of h3 that permutes the symmetric generating set maps
 the Cayley ball onto itself, and d_psi(sigma g) = sigma(d_phi(g)) for the
@@ -10,7 +10,8 @@ chi_psi(sigma u, sigma v) = chi_phi(u, v).  `bound-probe` keeps each
 coefficient only up to its sign; these checks would see a sign that
 reached a norm.  `derive` on psi at sigma g prints phi's image at g with
 each element relabelled by sigma, and the same `norm_p`.  `limit` with
-each letter of the conjugator relabelled prints the same samples.
+each letter of the conjugator relabelled prints the same samples, and at
+q = 1 and 2, where it comes from an exact sum, the same `potential_norm`.
 """
 
 import json
@@ -130,6 +131,8 @@ def model_automorphisms(name) -> list:
     symmetric generating set, as a map on payloads."""
     dinf = [dinf_automorphism(swap) for swap in (False, True)]
     h3 = [h3_automorphism(*auto) for auto in AUTOMORPHISMS]
+    if name == "h3":
+        return h3
     if name == "free2":  # x_i -> x_perm(i)^(+-1)
         return [lambda p, perm=perm, signs=signs: tuple((perm[i], s * signs[i]) for i, s in p)
                 for perm in ((0, 1), (1, 0)) for signs in product((1, -1), repeat=2)]
@@ -202,7 +205,7 @@ def test_character_is_invariant_off_h3(capsys, tmp_path, name, index):
         assert got["value"] == want["value"]
 
 
-LIMIT_CASES = [(name, i) for name in ("free2", "dinf")
+LIMIT_CASES = [(name, i) for name in ("h3", "free2", "dinf", "dsemi", "h3semi", "h3*dinf")
                for i in range(len(model_automorphisms(name)))]
 
 
@@ -229,3 +232,6 @@ def test_limit_is_invariant(capsys, tmp_path, name, index):
             got = stdout(capsys, argv + [psi, "--conjugator", ".".join(moved)])
             assert got["samples"] == want["samples"]
             assert got["separation_index"] == want["separation_index"]
+            # at q = 2.5 the norm is a float sum in the support's encoding order
+            if q != "2.5":
+                assert got["potential_norm"] == want["potential_norm"]

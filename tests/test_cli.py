@@ -337,50 +337,6 @@ class TestQuasiInner:
             "u": h3.encode_payload(up), "v": h3.encode_payload(vp), "value": "1/3"}}
 
 
-@pytest.mark.parametrize("argv", [
-    ["character", "--u", "H3(1,2,2)", "--v", "H3(0,2,0)"],
-    ["quasi-inner", "--samples", "100"],
-    ["leibniz", "--samples", "100"],
-    ["inverse-seq", "--model", "free2", "--u", "x1", "--conjugator", "x1", "--tail", "x2"],
-], ids=lambda argv: argv[0])
-def test_payload_commands_build_only_the_table_elements(capsys, two_point_potential, argv):
-    # these commands run on payloads, and the potential file's table rows
-    # are decoded to payloads too
-    if argv[0] != "inverse-seq":
-        argv = argv[:1] + ["--potential", two_point_potential] + argv[1:]
-    code, _, err = run(capsys, argv)
-    assert (code, err) == (0, "")
-
-
-NO_ELEMENT_ARGV = [
-    ["graph", "--model", "h3semi", "--base", "H3(1,0,0);c", "--radius", "2"],
-    ["graph", "--model", "h3semi", "--base", "H3(1,0,0);c", "--radius", "2",
-     "--format", "json"],
-    ["bc", "--model", "free2", "--k", "x1", "--k", "x2.x1.x2^-1", "--cayley-radius", "2",
-     "--diam-budget", "4"],
-    ["derive", "--potential", "HARMONIC", "--element", "H3(0,2,0)"],
-    ["leibniz", "--potential", "TWO_POINT", "--samples", "20"],
-    ["character", "--potential", "HARMONIC", "--u", "H3(1,-2,-2)", "--v", "H3(0,1,0)"],
-    ["quasi-inner", "--potential", "TWO_POINT", "--samples", "20"],
-    ["stabilise", "--potential", "TWO_POINT", "--base", "H3(1,0,0)", "--radius", "3",
-     "--radii", "0,1"],
-    ["bound-probe", "--potential", "HARMONIC", "--radius", "2"],
-    ["appendix", "--m-max", "8", "--n-max", "2"],
-    ["limit", "--potential", "TWO_POINT", "--conjugator", "Ax", "--k-max", "4"],
-    ["inverse-seq", "--model", "free2", "--u", "x1", "--conjugator", "x2", "--k-max", "3"],
-]
-
-
-def test_no_command_builds_an_element(capsys, two_point_potential, harmonic_potential):
-    # every subcommand once, `graph` in both formats and the closed form in
-    # three: each runs on payloads alone and prints its output
-    assert {argv[0] for argv in NO_ELEMENT_ARGV} == set(cli._commands(DEFAULT_NODE_BUDGET))
-    paths = {"TWO_POINT": two_point_potential, "HARMONIC": harmonic_potential}
-    cases = [[paths.get(a, a) for a in argv] for argv in NO_ELEMENT_ARGV]
-    got = [run(capsys, argv) for argv in cases]
-    assert all(code == 0 and out and not err for code, out, err in got)
-
-
 class TestStabilise:
     def test_rows(self, capsys, two_point_potential):
         code, out, _ = run(

@@ -34,8 +34,9 @@ from unittest import mock
 
 from conjlab import derivations as dv
 from conjlab import graph
-from conjlab.cli import main
-from conjlab.groups import DirectProduct, FreeGroup, GroupModel, Heisenberg, get_model
+from conjlab.cli import _commands, main
+from conjlab.groups import (DEFAULT_NODE_BUDGET, DirectProduct, FreeGroup, GroupModel,
+                            Heisenberg, get_model)
 from conjlab.sampling import random_payload
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -85,9 +86,10 @@ bc --model h3 --k H3(1,2,300) --k H3(1,2,306) --k H3(1,2,-2000) --cayley-radius 
 inverse-seq --model h3 --u H3(2,1,150) --conjugator Ax.Ap --k-max 6
 inverse-seq --model h3 --u H3(-3,2,-2200) --conjugator Ap --tail Ax --k-max 4 --format json
 """.splitlines()
-# the tables and argv of older byte checks, written out: a runner that
-# compared each of python3.10 to 3.13 with the running one, then smoke runs
-# of every command on a two-point table and a harmonic one truncated at 20
+# tables and argv that lean on what changed between Python releases (float
+# sums and formatting, values near the float range, Unicode digits, a
+# newline in an element), then runs of every command on a two-point table
+# and a harmonic one truncated at 20
 PINNED_POTENTIALS = {
     "two_point": {"model": "h3", "table": [["H3(1,0,0)", "1"], ["H3(1,0,-1)", "1/2"]]},
     "harmonic_60": {"model": "h3", "table": [["H3(2,1,0)", "-3/7"]],
@@ -123,7 +125,8 @@ character --potential two_point.json --u H3(1,2,2) --v H3(0,2,0)
 quasi-inner --potential two_point.json --samples 100
 leibniz --potential two_point.json --samples 100
 """.splitlines()] + [["derive", "--potential", "dinf_four.json", "--element", "ab\n"]]
-# the same for the other commands, and a path in h3's conjugation graph
+# the same for the other commands, and the path of radius 5 through
+# H3(1,0,0) in h3's conjugation graph
 PINNED_COMMANDS = """\
 graph --model h3semi --base H3(1,0,0);c --radius 2
 graph --model free2 --base x1.x2 --radius 2 --format json --suppress-loops
@@ -442,19 +445,11 @@ def _unrun(case) -> dict:
     return {k: v for k, v in case.items() if k not in ("exit", "stdout", "stderr")}
 
 
-def check_the_generator(name):
+def test_the_generator_makes_the_stored_argv(name):
     corpus = load_corpus(name)
     potentials, cases = CORPORA[name][1]()
     assert corpus["potentials"] == potentials
     assert list(map(_unrun, corpus["cases"])) == cases
-
-
-def test_the_generator_makes_the_stored_argv():
-    check_the_generator("potential")
-
-
-def test_the_generator_makes_the_stored_command_argv():
-    check_the_generator("command")
 
 
 def test_the_corpus_covers_every_potential_command():
@@ -486,23 +481,24 @@ def test_the_command_corpus_covers_every_other_command():
     # a ball cut by its node budget
     assert any(case["argv"][0] == "graph" and case["exit"] == 0 and "--budget-nodes" in case["argv"]
                for case in cases)
+    # with the potential corpus, every command of the command table runs to exit 0
+    ran = {case["argv"][0] for name in CORPORA for case in load_corpus(name)["cases"]
+           if case["exit"] == 0}
+    assert ran == set(_commands(DEFAULT_NODE_BUDGET))
 
 
-def check_the_digests(name, directory, monkeypatch):
+def digests_moved(name) -> list:
+    """The argv of corpus `name` whose outcome, run in the current
+    directory, differs from the stored one."""
     corpus = load_corpus(name)
-    write_potentials(corpus["potentials"], directory)
-    monkeypatch.chdir(directory)
+    write_potentials(corpus["potentials"], ".")
+    return moved(corpus, [run_case(case) for case in corpus["cases"]])
+
+
+def test_every_output_matches_its_digest(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("CONJLAB_DEFAULT_BUDGET", raising=False)
-    got = [run_case(case) for case in corpus["cases"]]
-    assert moved(corpus, got) == []
-
-
-def test_every_output_matches_its_digest(tmp_path, monkeypatch):
-    check_the_digests("potential", tmp_path, monkeypatch)
-
-
-def test_every_command_output_matches_its_digest(tmp_path, monkeypatch):
-    check_the_digests("command", tmp_path, monkeypatch)
+    assert digests_moved(name) == []
 
 
 # name: (owner, fast path, reference, applies(command, model)); a reference is
@@ -531,8 +527,9 @@ def _model(potentials, argv) -> str:
 
 def pytest_generate_tests(metafunc):
     # one case a row, without importing pytest, which other Pythons lack
-    if "row" in metafunc.fixturenames:
-        metafunc.parametrize("row", REFERENCES)
+    for arg, values in (("row", REFERENCES), ("name", CORPORA)):
+        if arg in metafunc.fixturenames:
+            metafunc.parametrize(arg, values)
 
 
 def test_every_fast_path_gives_its_references_bytes(row, tmp_path, monkeypatch):

@@ -88,21 +88,16 @@ class TestAppendix:
 
     def test_lookups_equal_the_derivation_kernel(self, h3):
         # the coefficients read by character lookup are the running sums of
-        # the termwise kernel over Ax^k, |k| <= m, at the targets, in both
-        # the Fraction and the scaled-int accumulator
+        # the termwise kernel over Ax^k, |k| <= m, at the targets
         m_max, n_max = 64, 4
         report = run_appendix(m_max, n_max)
         phi = Potential(h3, {}, closed_form="appendix_harmonic", trunc_k=m_max + n_max)
-        den = phi._scaled_columns[0]
-        acc, scaled = {}, {}
+        acc = {}
         for row in report.rows:
             for gp in ((0, row.m, 0), (0, -row.m, 0)):
                 phi.add_derivation(gp, acc)
-                phi.add_derivation(gp, scaled, scaled=True)
             for n, coeff in row.coeff_table:
-                target = (1, -n, -n)
-                assert acc.get(target, 0) == coeff
-                assert Fraction(scaled.get(target, 0), den) == coeff
+                assert acc.get((1, -n, -n), 0) == coeff
 
     def test_engine_mismatch_raises(self, monkeypatch):
         # a harmonic rule truncated one term early changes the coefficient

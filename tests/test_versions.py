@@ -1,48 +1,33 @@
 """The same bytes on every Python.
 
-A fixed list of commands runs under each of python3.10 to python3.13 found
-on PATH, importing conjlab from this checkout's `src/`, and must give the
-exit codes and stdout of the interpreter running the tests.  The golden
-corpus of `tests/test_corpus.py` must give its committed exit codes and
-digests under each of them.  Under each of them too, `cli.parse` must
-read every argument list as the full argparse tree does, since
-argparse's edge cases (`--`, values that start with "-") change between
-releases.  Where a pyenv shim does not select an installed release,
-PYENV_VERSION selects it; an interpreter that still cannot start is
-skipped.  The commands lean on what
-changed between these versions: `sum` over floats (compensated from 3.12
-on), float formatting, exact rationals, the int/str digit limit and the
-Unicode digits that the hand-written decoders accept.
+Under each of python3.10 to python3.13 found on PATH, importing conjlab
+from this checkout's `src/`, both golden corpora of `tests/test_corpus.py`
+must give their committed exit codes and digests, run in one child
+process per interpreter.  The corpora are the one byte check: the digests
+were taken from the program as it stood, so an interpreter that prints
+other bytes, by `sum` over floats (compensated from 3.12 on), float
+formatting, exact rationals, the int/str digit limit or the Unicode digits
+that the hand-written decoders accept, moves a digest.  Under each of them
+too, `cli.parse` must read every argument list as the full argparse tree
+does, since argparse's edge cases (`--`, values that start with "-")
+change between releases, and importing `conjlab.cli` must load neither
+`dataclasses` nor `argparse`.  Where a pyenv shim does not select an
+installed release, PYENV_VERSION selects it; an interpreter that still
+cannot start is skipped.
 """
 
 import json
 import os
 import shutil
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 from test_cli import parser_cases
-from test_corpus import load_corpus, moved, write_potentials
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
-
-# runs each argv of a JSON list on stdin through `main`; prints the JSON
-# list of [exit code, stdout]
-RUNNER = """
-import contextlib, io, json, sys
-from conjlab.cli import main
-results = []
-for argv in json.load(sys.stdin):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    results.append([code, out.getvalue()])
-json.dump(results, sys.stdout)
-"""
 
 # parses each argv of a JSON list on stdin with `cli.parse` and with the
 # full tree; prints the JSON list of their [outcome, stdout, stderr] pairs,
@@ -65,61 +50,14 @@ for argv in json.load(sys.stdin):
 json.dump(results, sys.stdout)
 """
 
-# runs each corpus case of a JSON list on stdin through `main`, in the
-# current directory and with its fault planted; prints the JSON list of
-# [exit code, sha256 of stdout, sha256 of stderr]
+# runs both golden corpora through `main` in the current directory; prints
+# the JSON list of the argv whose exit code or digests moved
 DIGEST_RUNNER = f"""
 import json, sys
 sys.path.insert(0, {str(TESTS)!r})
-from test_corpus import run_case
-json.dump([run_case(case) for case in json.load(sys.stdin)], sys.stdout)
+from test_corpus import CORPORA, digests_moved
+json.dump([argv for name in CORPORA for argv in digests_moved(name)], sys.stdout)
 """
-
-POTENTIALS = {
-    "TWO_POINT": {"model": "h3", "table": [["H3(1,0,0)", "1"], ["H3(1,0,-1)", "1/2"]]},
-    "HARMONIC": {"model": "h3", "table": [["H3(2,1,0)", "-3/7"]],
-                 "closed_form": "appendix_harmonic", "truncation": 60},
-    "DINF": {"model": "dinf", "table": [["ab", "1/2"], ["b", "1"], ["a", "-1"], ["e", "2/3"]]},
-    "HUGE": {"model": "h3", "table": [["H3(1,0,0)", "1e300"], ["H3(0,1,0)", "-1e-300"]]},
-    "HARMONIC_10000": {"model": "h3", "table": [["H3(2,1,0)", "-3/7"]],
-                       "closed_form": "appendix_harmonic", "truncation": 10**4},
-}
-
-ARGV = [
-    ["graph", "--model", "h3semi", "--base", "H3(1,0,0);c", "--radius", "2"],
-    ["graph", "--model", "free2", "--base", "x1.x2", "--radius", "2", "--format", "json",
-     "--suppress-loops"],
-    ["bc", "--model", "dsemi", "--k", "a", "--k", "babab", "--cayley-radius", "3",
-     "--diam-budget", "6"],
-    ["bc", "--model", "h3", "--k", "H3(1,0,0)", "--cayley-radius", "3", "--budget-nodes", "2"],
-    ["derive", "--potential", "HARMONIC", "--element", "H3(0,2,0)", "-p", "2.5"],
-    ["derive", "--potential", "HUGE", "--element", "H3(0,1,0)", "-p", "1.5"],
-    ["leibniz", "--potential", "TWO_POINT", "--samples", "30", "--seed", "3"],
-    ["character", "--potential", "HARMONIC", "--u", "H3(1,-2,-2)", "--v", "H3(0,1,0)"],
-    ["quasi-inner", "--potential", "DINF", "--samples", "30", "--seed", "5"],
-    ["stabilise", "--potential", "TWO_POINT", "--base", "H3(1,0,0)", "--radius", "4",
-     "--radii", "0,1,2"],
-    ["bound-probe", "--potential", "DINF", "--radius", "2", "-p", "1.5"],
-    ["bound-probe", "--potential", "HARMONIC", "--radius", "2", "-p", "3"],
-    ["bound-probe", "--potential", "HUGE", "--radius", "1", "-p", "2"],
-    ["appendix", "--m-max", "12", "--n-max", "3"],
-    ["appendix", "--m-max", "5", "--n-max", "2", "--format", "json"],
-    ["limit", "--potential", "TWO_POINT", "--conjugator", "Ax.Ap", "--q", "2.5",
-     "--k-max", "5", "--format", "json"],
-    ["limit", "--potential", "HUGE", "--conjugator", "Ax", "--k-max", "3"],
-    ["inverse-seq", "--model", "free2", "--u", "x1", "--conjugator", "x2", "--tail", "x1",
-     "--k-max", "4", "--budget", "6"],
-    ["inverse-seq", "--model", "free2", "--u", "x1.x2^-1", "--conjugator", "x2.x1",
-     "--k-max", "4", "--budget", "5", "--format", "json"],
-    ["bc", "--model", "free2", "--k", "x1", "--k", "x2.x1.x2^-1", "--cayley-radius", "4",
-     "--diam-budget", "6"],
-    ["derive", "--potential", "TWO_POINT", "--element", "H3(1,2"],
-    ["derive", "--potential", "DINF", "--element", "ab\n"],
-    ["derive", "--potential", "TWO_POINT", "--element", "H3(\u0661,0,0)"],
-    # character lists the closed-form support without its values
-    ["character", "--potential", "HARMONIC_10000", "--u", "H3(1,-9999,-10000)",
-     "--v", "H3(0,1,0)"],
-]
 
 
 # command lines the command table reads, then ones it leaves to argparse
@@ -165,8 +103,8 @@ DECLINED = [
 ]
 
 
-def run_commands(python, cases, env=None, runner=RUNNER, cwd=None):
-    env = dict(env or os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+def run_child(python, env, runner, cases=(), cwd=None):
+    env = dict(env, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([python, "-c", runner], input=json.dumps(cases), env=env, cwd=cwd,
                           capture_output=True, text=True, encoding="utf-8", timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -211,44 +149,18 @@ def started(version):
 
 
 @pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
-def test_same_bytes_on_every_python(tmp_path, version):
-    python, env = started(version)
-    paths = {}
-    for name, data in POTENTIALS.items():
-        paths[name] = str(tmp_path / f"{name.lower()}.json")
-        Path(paths[name]).write_text(json.dumps(data))
-    cases = [[paths.get(a, a) for a in argv] for argv in ARGV]
-    want = run_commands(sys.executable, cases)
-    assert [code for code, _ in want] == [0] * 3 + [3] + [0] * 16 + [2, 2, 0, 0]
-    got = run_commands(python, cases, env)
-    for argv, (code, out), expected in zip(ARGV, got, want):
-        assert [code, out.encode()] == [expected[0], expected[1].encode()], argv
-
-
-def check_corpus_digests(python, env, name, directory):
-    # the committed digests, not this interpreter's output
-    env.pop("CONJLAB_DEFAULT_BUDGET", None)
-    corpus = load_corpus(name)
-    write_potentials(corpus["potentials"], directory)
-    got = run_commands(python, corpus["cases"], env, DIGEST_RUNNER, cwd=directory)
-    assert moved(corpus, got) == []
-
-
-@pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
 def test_corpus_digests_on_every_python(tmp_path, version):
-    check_corpus_digests(*started(version), "potential", tmp_path)
-
-
-@pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
-def test_command_corpus_digests_on_every_python(tmp_path, version):
-    check_corpus_digests(*started(version), "command", tmp_path)
+    # the committed digests, not this interpreter's output
+    python, env = started(version)
+    env.pop("CONJLAB_DEFAULT_BUDGET", None)
+    assert run_child(python, env, DIGEST_RUNNER, cwd=tmp_path) == []
 
 
 @pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
 def test_parse_reads_as_the_full_tree_on_every_python(version):
     python, env = started(version)
     cases = ACCEPTED + DECLINED + [argv for _, argv in parser_cases()]
-    got = run_commands(python, cases, env, PARSE_RUNNER)
+    got = run_child(python, env, PARSE_RUNNER, cases)
     for argv, (ours, full) in zip(cases, got):
         assert ours == full, argv
     assert all(isinstance(ours[0], str) for ours, _ in got[:len(ACCEPTED)])
