@@ -1,9 +1,9 @@
 """The same bytes on every Python.
 
 Under each of python3.10 to python3.13 found on PATH, importing conjlab
-from this checkout's `src/`, both golden corpora of `tests/test_corpus.py`
-must give their committed exit codes and digests, run in one child
-process per interpreter.  The corpora are the one byte check: the digests
+from this checkout's `src/`, each golden corpus of `tests/test_corpus.py`
+must give its committed exit codes and digests, run in one child process
+per corpus and interpreter.  The corpora are the one byte check: the digests
 were taken from the program as it stood, so an interpreter that prints
 other bytes, by `sum` over floats (compensated from 3.12 on), float
 formatting, exact rationals, the int/str digit limit or the Unicode digits
@@ -50,13 +50,13 @@ for argv in json.load(sys.stdin):
 json.dump(results, sys.stdout)
 """
 
-# runs both golden corpora through `main` in the current directory; prints
-# the JSON list of the argv whose exit code or digests moved
+# runs the golden corpus named on stdin through `main` in the current
+# directory; prints the JSON list of the argv whose exit code or digests moved
 DIGEST_RUNNER = f"""
 import json, sys
 sys.path.insert(0, {str(TESTS)!r})
-from test_corpus import CORPORA, digests_moved
-json.dump([argv for name in CORPORA for argv in digests_moved(name)], sys.stdout)
+from test_corpus import digests_moved
+json.dump(digests_moved(json.load(sys.stdin)), sys.stdout)
 """
 
 
@@ -148,12 +148,20 @@ def started(version):
     return python, env
 
 
+def check_corpus_digests(python, env, name, directory):
+    # the committed digests, not this interpreter's output
+    env.pop("CONJLAB_DEFAULT_BUDGET", None)
+    assert run_child(python, env, DIGEST_RUNNER, name, cwd=directory) == []
+
+
 @pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
 def test_corpus_digests_on_every_python(tmp_path, version):
-    # the committed digests, not this interpreter's output
-    python, env = started(version)
-    env.pop("CONJLAB_DEFAULT_BUDGET", None)
-    assert run_child(python, env, DIGEST_RUNNER, cwd=tmp_path) == []
+    check_corpus_digests(*started(version), "potential", tmp_path)
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
+def test_command_corpus_digests_on_every_python(tmp_path, version):
+    check_corpus_digests(*started(version), "command", tmp_path)
 
 
 @pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
