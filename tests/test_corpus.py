@@ -143,6 +143,25 @@ inverse-seq --model free2 --u x1 --conjugator x2 --k-max 3
 inverse-seq --model free2 --u x1 --conjugator x1 --tail x2
 graph --model h3 --base H3(1,0,0) --radius 5
 """.splitlines()
+# derive where g moves support cells onto other cells: on crowded fibres,
+# on lines through 0, far from c = 0, and where two equal values meet, so
+# that a coefficient of d(g) cancels
+HIT_DERIVES = [line.split() for line in """\
+derive --potential h3_crowded.json --element H3(3,3,0) -p 1
+derive --potential h3_crowded.json --element H3(2,-1,5) -p 2
+derive --potential h3_crowded.json --element H3(1,1,-2) -p inf
+derive --potential h3_collinear.json --element H3(3,1,0) -p 1.5
+derive --potential h3_collinear.json --element H3(0,2,1) -p 3
+derive --potential h3_box.json --element H3(2,-2,0) -p 2
+derive --potential h3_box.json --element H3(-2,-2,3) -p 1
+derive --potential h3_far.json --element H3(2,2,0) -p 2
+derive --potential h3_far.json --element H3(0,-1,7) -p inf
+derive --potential h3_cancelling.json --element H3(1,1,0) -p 2
+derive --potential h3_cancelling.json --element H3(0,1,0) -p 1
+""".splitlines()]
+# a graph ball whose only edge is a suppressed loop: an empty edge list
+EMPTY_EDGES = ["graph", "--model", "free2", "--base", "x1", "--radius", "0", "--format", "json",
+               "--suppress-loops"]
 CHARACTER_10000 = [
     ("H3(1,-2,-2)", "H3(0,1,0)"), ("H3(1,-3,-3)", "H3(0,1,0)"),
     ("H3(1,-9999,-9999)", "H3(0,1,0)"), ("H3(1,-9999,-10000)", "H3(0,1,0)"),
@@ -296,7 +315,7 @@ def generate():
         argv.append(["stabilise", "--potential", "h3_far.json", "--base", base,
                      "--radius", radius, "--radii", radii])
     potentials.update(PINNED_POTENTIALS)
-    argv += PINNED_ARGV
+    argv += PINNED_ARGV + HIT_DERIVES
     return potentials, [{"argv": a} for a in argv]
 
 
@@ -398,7 +417,7 @@ def generate_commands():
             ("free1 --u x1 --conjugator x1 --tail x1^-1", "--k-max 3 --budget 2"),
             ("free3 --u x1.x3 --conjugator x2 --tail x3", "--k-max 3 --budget 5"),
             ("free2*free2 --u (x1|x2) --conjugator l.x2.r.x1 --tail e", "--k-max 3 --budget 4")]]]
-    cases += [{"argv": line.split()} for line in PINNED_COMMANDS]
+    cases += [{"argv": line.split()} for line in PINNED_COMMANDS] + [{"argv": EMPTY_EDGES}]
     return {}, cases
 
 
