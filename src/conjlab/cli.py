@@ -14,7 +14,7 @@ import gc
 import os
 import sys
 from collections.abc import Iterator
-from itertools import chain, islice
+from itertools import chain, islice, starmap
 from json.encoder import encode_basestring as _quote
 from types import SimpleNamespace
 
@@ -23,7 +23,7 @@ from . import experiments as ex
 from . import graph as cg
 from .errors import InternalConsistencyError, ResourceBudgetError, UsageError
 from .groups import DEFAULT_NODE_BUDGET, get_model, parse_word
-from .ring import exact_str
+from .ring import exact_str, lp_norm
 
 
 def _count(text: str) -> int:
@@ -59,10 +59,10 @@ def _write(pieces) -> None:
 def _emit(obj) -> None:
     """Write json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2)
     and a newline, without building the document as one string.  A list
-    may also be given as an iterator, and an object as `_Members`; each is
-    read once while writing.  The leaves are str, int, bool and None, and a
-    key is a str or an int: any other type, a float too, raises TypeError,
-    since each command formats its floats as text."""
+    may also be given as an iterator or `_Rows`, and an object as `_Members`;
+    each is read once while writing.  The leaves are str, int, bool and
+    None, and a key is a str or an int: any other type, a float too, raises
+    TypeError, since each command formats its floats as text."""
     _write(chain(_json_pieces(obj, "\n"), ["\n"]))
 
 
@@ -75,6 +75,25 @@ class _Members:
 
     def __init__(self, pairs):
         self.pairs = pairs
+
+
+class _Rows:
+    """A JSON list of rows of `width` strings, read once; it iterates them."""
+
+    def __init__(self, width: int, rows):
+        self.width, self.rows = width, rows
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def pieces(self, nl: str):
+        """The list's pieces in `_emit`'s layout, one a row, by C iterators alone."""
+        inner = nl + "  "
+        template = f",{inner}[{inner}  " + f",{inner}  ".join(["{}"] * self.width) + f"{inner}]"
+        cells = [map(_quote, chain.from_iterable(self.rows))] * self.width
+        rows = starmap(template.format, zip(*cells))
+        first = next(rows, None)
+        return ["[]"] if first is None else chain(["[" + first[1:]], rows, [nl + "]"])
 
 
 def _scalar(obj) -> str:
@@ -93,9 +112,11 @@ def _scalar(obj) -> str:
 def _json_pieces(obj, nl: str):
     """The pieces of `obj`'s JSON text in `_emit`'s layout; `nl` is a
     newline and the indent of the line `obj` starts on.  A scalar member is
-    one piece with its key or separator."""
+    one piece with its key or separator; `_Rows` make their own pieces."""
     inner = nl + "  "
-    if isinstance(obj, (dict, _Members)):
+    if isinstance(obj, _Rows):
+        yield from obj.pieces(nl)
+    elif isinstance(obj, (dict, _Members)):
         sep = "{"
         for key, value in obj.pairs if isinstance(obj, _Members) else sorted(obj.items()):
             head = f"{sep}{inner}{_quote(key if isinstance(key, str) else _scalar(key))}: "
@@ -151,7 +172,7 @@ def cmd_graph(args):
         "closed": ball.closed,
         "vertices": [enc[p] for p in ball.by_encoding],
         # these two are read once, while written
-        "edges": ball.edge_rows(args.suppress_loops),
+        "edges": _Rows(3, ball.edge_rows(args.suppress_loops)),
         "dist": _Members((enc[p], depths[p]) for p in ball.by_encoding),
     }
 
@@ -168,11 +189,11 @@ def cmd_bc(args):
 def cmd_derive(args):
     phi = _load_potential(args.potential)
     gp = phi.model.decode_payload(args.element)
-    image = dv.Derivation(phi).apply(gp)
+    rows, column = phi.image(gp)
     return {
         "element": phi.model.encode_payload(gp),
-        "image": image.to_json(),
-        "norm_p": ex.fmt_float(image.lp_norm(args.p)),
+        "image": _Rows(3, rows),
+        "norm_p": ex.fmt_float(lp_norm(column, args.p)),
         "p": ex.fmt_float(args.p),
         "exact": phi.is_exact(),
         "truncation": None if phi.is_exact() else phi.trunc_k,

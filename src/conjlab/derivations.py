@@ -16,6 +16,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, repeat
 
 from .errors import ModelMismatchError, UsageError
 from .groups import DEFAULT_NODE_BUDGET, GroupModel, get_model
@@ -114,6 +115,24 @@ class Potential:
         mul_all = self.model.mul_all
         add_terms(acc, zip(mul_all(payloads, gp), values))
         add_terms(acc, zip(mul_all(payloads, gp, left=True), map(operator.neg, values)))
+
+    def image(self, gp) -> tuple:
+        """d(g) from the hits of g (payload `gp`): its rows (encoding, exact
+        value, "0") by encoding, and `hit_column` without 0s.  d(g) is -phi(s_i)
+        at g s_i and phi(s_j) at s_j g, but phi(s_j) - phi(s_i) at a hit's g s_i."""
+        model, (payloads, values) = self.model, self._columns
+        n, hits = len(values), model.conj_hits(payloads)(gp, model.inv_payload(gp))
+        coeffs, live = hit_column(values, hits), [True] * (2 * n)  # the terms of d(g)
+        for i, j in hits:
+            live[i] = live[n + j] = False
+        # each value that a term shows, printed once
+        texts = [exact_str(v) if a or b else "" for v, a, b in zip(values, live, live[n:])]
+        texts[:0] = [t[1:] if t[:1] == "-" else "-" + t for t in texts]
+        for i in [i for i, _ in hits if coeffs[i]]:  # phi(s_j) - phi(s_i), at g s_i
+            live[i], texts[i] = True, exact_str(coeffs[i])
+        keys = [*model.mul_all(payloads, gp, left=True), *model.mul_all(payloads, gp)]
+        return sorted(zip(map(model.encode_payload, compress(keys, live)), compress(texts, live),
+                          repeat("0"))), list(compress(coeffs, live))
 
     # -- wire format --------------------------------------------------------
 

@@ -14,7 +14,7 @@ from random import Random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conjlab
@@ -1520,18 +1520,66 @@ ROWS = st.integers(1, 4).flatmap(
                                                                  max_size=width),
                            max_size=6))
 MIXED_ROWS = st.lists(st.lists(SCALARS, max_size=4) | st.tuples(TEXT, SCALARS), max_size=6)
+
+
+class RowsInput:
+    """A `cli._Rows` of `width` cells a row, its rows given as a generator
+    where `lazy`; `writer_inputs` builds it."""
+
+    def __init__(self, width, rows, lazy):
+        self.width, self.rows, self.lazy = width, rows, lazy
+
+    def __repr__(self):
+        return f"RowsInput({self.width}, {self.rows!r}, {self.lazy})"
+
+
+TEXT_ROWS = st.integers(1, 4).flatmap(lambda width: st.builds(
+    RowsInput, st.just(width), st.lists(st.tuples(*[TEXT] * width), max_size=6), st.booleans()))
 JSON_VALUES = st.recursive(
-    SCALARS | ROWS | MIXED_ROWS,
+    SCALARS | ROWS | MIXED_ROWS | TEXT_ROWS,
     lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
                   | st.dictionaries(TEXT, kids, max_size=4)
                   | st.dictionaries(st.integers(-3, 3), kids, max_size=3)),
     max_leaves=30)
 
 
+def writer_inputs(obj):
+    """(what `_emit` is given, what json.dumps is given) for `obj`: each
+    `RowsInput` is a `cli._Rows` for the one and its rows as lists for the
+    other, where a cell that is not a str is an object json.dumps refuses."""
+    if isinstance(obj, RowsInput):
+        rows = (row for row in obj.rows) if obj.lazy else obj.rows
+        return cli._Rows(obj.width, rows), [
+            [c if isinstance(c, str) else object() for c in row] for row in obj.rows]
+    if isinstance(obj, dict):
+        pairs = [(k, writer_inputs(v)) for k, v in obj.items()]
+        return {k: v[0] for k, v in pairs}, {k: v[1] for k, v in pairs}
+    if isinstance(obj, (list, tuple)):
+        pairs = [writer_inputs(v) for v in obj]
+        return type(obj)(v[0] for v in pairs), type(obj)(v[1] for v in pairs)
+    return obj, obj
+
+
+def text_or_type_error(write, obj) -> str:
+    try:
+        return write(obj)
+    except TypeError:
+        return "TypeError"
+
+
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(JSON_VALUES, st.sampled_from([1, 2, 5, cli._CHUNK]))
+@example(RowsInput(1, [("a",), ('"\\\x00\u00e9\U0001d11e',)], lazy=True), 1)
+@example({"image": RowsInput(3, [("H3(1,0,0)", "-1/2", "0")] * 3, lazy=False)}, 2)
+@example([RowsInput(3, [], lazy=True), {"e": RowsInput(1, [], lazy=False)}], 1)
+@example({"rows": RowsInput(2, [("a", "b"), ("c", 1)], lazy=True)}, cli._CHUNK)
 def test_writer_matches_json_dumps(obj, chunk):
-    assert written(obj, chunk) == _cli_json(obj)
+    # _Rows: width 1 and 3, no rows, a generator read once, quotes,
+    # backslashes, control characters and non-ASCII text, and a cell that
+    # is not a str, which both refuse with TypeError
+    fast, plain = writer_inputs(obj)
+    assert text_or_type_error(lambda obj: written(obj, chunk), fast) == text_or_type_error(
+        _cli_json, plain)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

@@ -32,6 +32,7 @@ from pathlib import Path
 from random import Random
 from unittest import mock
 
+from conjlab import cli
 from conjlab import derivations as dv
 from conjlab import graph
 from conjlab.cli import _commands, main
@@ -520,8 +521,21 @@ def test_every_output_matches_its_digest(name, tmp_path, monkeypatch):
     assert digests_moved(name) == []
 
 
+def _image_by_apply(phi, gp):
+    """`Potential.image` by `Derivation.apply`: d(g) added term by term into
+    a dict, then its rows and its coefficients."""
+    image = dv.Derivation(phi).apply(gp)
+    return image.to_json(), list(image.terms.values())
+
+
+def _rows_as_lists(rows, nl):
+    """`_Rows.pieces` by the writer's generic path, over the rows as lists."""
+    return cli._json_pieces([list(row) for row in rows], nl)
+
+
 # name: (owner, fast path, reference, applies(command, model)); a reference is
-# the base class's path, or for the gate a search every time
+# the base class's path, for the gate a search every time, for derive's image
+# the dict of terms, and for the row writer the generic list path
 REFERENCES = {
     "h3-mul_all": (Heisenberg, "mul_all", GroupModel.mul_all, lambda c, m: m == "h3"),
     "h3-conj_step": (Heisenberg, "conj_step", GroupModel.conj_step, lambda c, m: m == "h3"),
@@ -532,6 +546,8 @@ REFERENCES = {
                                   GroupModel.conjugator_length, lambda c, m: "*" in m),
     "levels_fit": (graph, "_levels_fit", lambda *args: False,
                    lambda c, m: c in ("bc", "inverse-seq")),
+    "derive-hit_column": (dv.Potential, "image", _image_by_apply, lambda c, m: c == "derive"),
+    "rows-writer": (cli._Rows, "pieces", _rows_as_lists, lambda c, m: c in ("derive", "graph")),
 }
 
 
