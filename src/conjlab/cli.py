@@ -213,8 +213,8 @@ def cmd_leibniz(args):
         gp = random_payload(phi.model, rng)
         hp = random_payload(phi.model, rng)
         res = dv.leibniz_residual(phi, gp, hp)
-        worst = max(worst, res.lp_norm(1))
         if not res.is_zero():
+            worst = max(worst, res.lp_norm(1))
             violations += 1
     return [f"{violations} violations in {args.samples} samples "
             f"(max residual {ex.fmt_float(worst)})\n"]
