@@ -78,7 +78,7 @@ class _Members:
 
 
 class _Rows:
-    """A JSON list of rows of `width` strings, read once; it iterates them."""
+    """A JSON list of rows of `width` strings, read once; iterating gives the rows."""
 
     def __init__(self, width: int, rows):
         self.width, self.rows = width, rows

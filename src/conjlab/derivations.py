@@ -125,7 +125,7 @@ class Potential:
         coeffs, live = hit_column(values, hits), [True] * (2 * n)  # the terms of d(g)
         for i, j in hits:
             live[i] = live[n + j] = False
-        # each value that a term shows, printed once
+        # -phi(s) for g s, then phi(s) for s g: each value a term shows, printed once
         texts = [exact_str(v) if a or b else "" for v, a, b in zip(values, live, live[n:])]
         texts[:0] = [t[1:] if t[:1] == "-" else "-" + t for t in texts]
         for i in [i for i, _ in hits if coeffs[i]]:  # phi(s_j) - phi(s_i), at g s_i
