@@ -212,22 +212,22 @@ def character(phi: Potential, up, vp) -> Fraction:
 def leibniz_residual(phi: Potential, gp, hp):
     """The vector d(gh) - d(g) h - g d(h) of phi's derivation d, g and h of
     payloads `gp` and `hp`, exactly; zero for every derivation."""
-    # termwise into one dict of D phi ints, whose adds need no gcd: D d(gh)
-    # (+D phi(s) at s (gh), -D phi(s) at (gh) s), then -D phi(s) at (s g) h
-    # and g (s h), +D phi(s) at (g s) h and g (h s)
+    # phi(s)([s(gh)] - [(sg)h] + [(gs)h] - [g(sh)] + [g(hs)] - [(gh)s]) over the support:
+    # three associativity brackets, each adding +-phi(s) only at the s whose two keys differ
     model = phi.model
-    den, (payloads, pos) = phi._scaled_columns
-    minus = [-n for n in pos]
+    payloads, values = phi._columns
     mul_all = model.mul_all
     gh = model.mul_payload(gp, hp)
     acc = {}
-    for keys, coeffs in ((mul_all(payloads, gh), pos), (mul_all(payloads, gh, left=True), minus),
-                         (mul_all(mul_all(payloads, gp), hp), minus),
-                         (mul_all(mul_all(payloads, gp, left=True), hp), pos),
-                         (mul_all(mul_all(payloads, hp), gp, left=True), minus),
-                         (mul_all(mul_all(payloads, hp, left=True), gp, left=True), pos)):
-        add_terms(acc, zip(keys, coeffs))
-    return GroupRingVector(model, {u: Fraction(n, den) for u, n in acc.items()})
+    for plus, minus in ((mul_all(payloads, gh), mul_all(mul_all(payloads, gp), hp)),
+                        (mul_all(mul_all(payloads, gp, left=True), hp),
+                         mul_all(mul_all(payloads, hp), gp, left=True)),
+                        (mul_all(mul_all(payloads, hp, left=True), gp, left=True),
+                         mul_all(payloads, gh, left=True))):
+        if plus != minus:
+            add_terms(acc, [t for u, v, c in zip(plus, minus, values) if u != v
+                            for t in ((u, c), (v, -c))])
+    return GroupRingVector(model, acc)
 
 
 def quasi_inner_check(phi: Potential, loops):

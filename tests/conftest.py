@@ -28,7 +28,8 @@ from conjlab import (
 )
 from conjlab.cli import main, parse
 from conjlab.graph import _bc_verdict
-from conjlab.groups import DEFAULT_NODE_BUDGET
+from conjlab.groups import DEFAULT_NODE_BUDGET, GroupModel
+from conjlab.ring import add_terms
 from conjlab.sampling import random_payload
 
 
@@ -342,6 +343,55 @@ def closed_form_coefficient(m: int, n: int) -> Fraction:
     window sum of Ax powers: sum over window exponents k != 0 from
     max(-n+1, -m) to m of 1/(k+n)."""
     return sum((Fraction(1, k + n) for k in range(max(-n + 1, -m), m + 1) if k), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# Two deliberately non-associative products, so that d(gh) - d(g)h - g d(h)
+# is not zero, and the six termwise sums of that residual, the reference of
+# `leibniz_residual` where it has something to compute.
+
+
+class SkewDihedral(DihedralInf):
+    """dinf whose product is e for a two-letter word times a letter that
+    does not cancel (ab a = e): wrong on that one length pattern."""
+
+    name = "dinf_skew"
+
+    def mul_payload(self, p1, p2):
+        if len(p1) == 2 and len(p2) == 1 and p1[-1] != p2:
+            return ""
+        return super().mul_payload(p1, p2)
+
+
+class SkewHeisenberg(Heisenberg):
+    """h3 with the cocycle a1 b2^2 in place of a1 b2, and the base class's
+    `mul_all`, one `mul_payload` per term."""
+
+    name = "h3_skew"
+    mul_all = GroupModel.mul_all
+
+    def mul_payload(self, p1, p2):
+        (a1, b1, c1), (a2, b2, c2) = p1, p2
+        return (a1 + a2, b1 + b2, c1 + c2 + a1 * b2 * b2)
+
+
+def six_sum_residual(phi, gp, hp):
+    """d(gh) - d(g)h - g d(h) as six termwise sums into one dict of the ints
+    D phi (D the lcm of the support's denominators), divided by D at the end:
+    every term added, none compared first."""
+    model = phi.model
+    den, (payloads, pos) = phi._scaled_columns
+    minus = [-n for n in pos]
+    mul_all = model.mul_all
+    gh = model.mul_payload(gp, hp)
+    acc = {}
+    for keys, coeffs in ((mul_all(payloads, gh), pos), (mul_all(payloads, gh, left=True), minus),
+                         (mul_all(mul_all(payloads, gp), hp), minus),
+                         (mul_all(mul_all(payloads, gp, left=True), hp), pos),
+                         (mul_all(mul_all(payloads, hp), gp, left=True), minus),
+                         (mul_all(mul_all(payloads, hp, left=True), gp, left=True), pos)):
+        add_terms(acc, zip(keys, coeffs))
+    return GroupRingVector(model, {u: Fraction(n, den) for u, n in acc.items()})
 
 
 def random_potential(model, rng: Random, size: int = 5, max_len: int = 5) -> Potential:

@@ -30,6 +30,8 @@ from conjlab.sampling import random_loop, random_payload
 
 from conftest import (
     Morphism,
+    SkewDihedral,
+    SkewHeisenberg,
     all_models,
     character_from_derivation,
     character_from_potential,
@@ -41,6 +43,7 @@ from conftest import (
     random_composable_pair,
     random_potential,
     scaled,
+    six_sum_residual,
 )
 from test_corpus import MODELS as CORPUS_MODELS
 
@@ -336,6 +339,42 @@ class TestLeibniz:
             h = random_payload(h3, rng, max_len=4)
             assert leibniz_residual(phi, g, h).is_zero()
 
+    def test_a_residual_by_hand_on_a_skew_product(self):
+        # dinf_skew sends ab a to e.  For phi = -[b] - [ba] and g = h = a, only
+        # the bracket (g s) h - g (s h) at s = b splits: (ab) a = e, a (ba) = aba
+        model = SkewDihedral()
+        phi = Potential(model, {"b": -1, "ba": -1})
+        assert leibniz_residual(phi, "a", "a").terms == {"": -1, "aba": 1}
+
+
+# two non-associative products, and payload draws for each: alternating
+# words of length <= 4, and h3 triples in [-3, 3]^3
+SKEW_MODELS = [SkewDihedral(), SkewHeisenberg()]
+SKEW_PAYLOADS = [st.builds(lambda n, i: "ababa"[i:i + n], st.integers(0, 4), st.integers(0, 1)),
+                 st.tuples(*[st.integers(-3, 3)] * 3)]
+SKEW_VALUES = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 5]), st.integers(1, 4))
+
+
+def test_leibniz_residual_is_the_six_sums_on_skew_products():
+    # a residual computed, not patched in: at least a quarter of the draws
+    # have one, and each equals the six termwise sums, with no term compared
+    nonzero = []
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def check(data):
+        index = data.draw(st.sampled_from(range(len(SKEW_MODELS))))
+        model, payload = SKEW_MODELS[index], SKEW_PAYLOADS[index]
+        table = data.draw(st.dictionaries(payload, SKEW_VALUES, min_size=1, max_size=4))
+        phi = Potential(model, table)
+        g, h = data.draw(payload), data.draw(payload)
+        got = leibniz_residual(phi, g, h)
+        assert got.model is model and got == six_sum_residual(phi, g, h)
+        nonzero.append(not got.is_zero())
+
+    check()
+    assert 4 * sum(nonzero) >= len(nonzero), (sum(nonzero), len(nonzero))
+
 
 # ---------------------------------------------------------------------------
 # Quasi-innerness
@@ -466,7 +505,9 @@ def test_probe_matches_the_support_keyed_probe(index, seed, p, scale):
 
 def vector_residual(d, g, h):
     """d(gh) - d(g) h - g d(h), g and h payloads, through vector arithmetic:
-    the reference for the payload kernel of `leibniz_residual`."""
+    the reference for the payload kernel of `leibniz_residual` on a group.
+    `mul_elem_right` and `mul_elem_left` take translations to be one to one,
+    so the skew products above are checked against `six_sum_residual`."""
     m = d.model
     return d.apply(m.mul_payload(g, h)) + scaled(d.apply(g).mul_elem_right(h)
                                                  + d.apply(h).mul_elem_left(g), -1)
@@ -489,13 +530,35 @@ def test_probe_builds_no_fraction_off_the_support_or_on_a_fixed_point(h3, monkey
     phi = Potential(h3, {(0, 0, 1): 3, (1, 0, 0): Fraction(1, 2)})
     want = g_boundedness_probe(phi, 2, 2)  # this also caches phi's columns
 
+    refuse_fractions(monkeypatch, "the probe built a Fraction")
+    assert g_boundedness_probe(phi, 2, 2) == want
+
+
+@pytest.mark.parametrize("name", CORPUS_MODELS)
+def test_leibniz_adds_no_term_and_builds_no_fraction(name, monkeypatch):
+    # on an associative model each bracket's two key columns are equal, so a
+    # sample adds nothing and, once phi's columns are cached, builds no Fraction
+    model, rng = get_model(name), Random(44)
+    phi = Potential(model, seeded_table(model, rng))
+    pairs = [(random_payload(model, rng), random_payload(model, rng)) for _ in range(20)]
+    assert phi._columns  # cached here, before Fraction is refused
+
     def refuse(*args, **kwargs):
-        raise AssertionError("the probe built a Fraction")
+        raise AssertionError("leibniz_residual added a term")
+
+    monkeypatch.setattr(dv, "add_terms", refuse)
+    refuse_fractions(monkeypatch, "leibniz_residual built a Fraction")
+    assert all(leibniz_residual(phi, g, h).is_zero() for g, h in pairs)
+
+
+def refuse_fractions(monkeypatch, message):
+    """Make every Fraction construction and arithmetic operation fail with `message`."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(message)
 
     for name in ("__new__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
                  "__rmul__", "__truediv__", "__rtruediv__", "__neg__", "__abs__", "__pow__"):
         monkeypatch.setattr(Fraction, name, refuse)
-    assert g_boundedness_probe(phi, 2, 2) == want
 
 
 # ---------------------------------------------------------------------------
