@@ -163,6 +163,22 @@ derive --potential h3_cancelling.json --element H3(0,1,0) -p 1
 # a graph ball whose only edge is a suppressed loop: an empty edge list
 EMPTY_EDGES = ["graph", "--model", "free2", "--base", "x1", "--radius", "0", "--format", "json",
                "--suppress-loops"]
+# bc on K with a pair in different abelian images: Cayley balls that spend
+# the node budget where a search of depth --diam-budget could not, then
+# distance searches that do spend it, below --diam-budget
+APART_COMMANDS = """\
+bc --model h3 --k H3(1,0,0) --k H3(0,1,0) --cayley-radius 2 --diam-budget 0 --budget-nodes 5
+bc --model h3 --k H3(1,0,0) --k H3(1,0,5) --k H3(2,1,0) --cayley-radius 3 --diam-budget 1 --budget-nodes 20
+bc --model dsemi --k a --k ab --cayley-radius 3 --diam-budget 1 --budget-nodes 7
+bc --model dsemi --k a --k a;c --cayley-radius 2 --diam-budget 0 --budget-nodes 3
+bc --model h3*dinf --k (H3(1,0,0)|a) --k (H3(1,0,0)|b) --cayley-radius 2 --diam-budget 1 --budget-nodes 11
+bc --model h3*dinf --k (H3(0,1,0)|ab) --k (H3(0,1,3)|e) --cayley-radius 3 --diam-budget 2 --budget-nodes 120
+bc --model h3 --k H3(1,0,0) --k H3(0,1,0) --cayley-radius 1 --diam-budget 6 --budget-nodes 8
+bc --model h3 --k H3(1,0,0) --k H3(1,0,3) --k H3(0,1,0) --cayley-radius 1 --diam-budget 6 --budget-nodes 8
+bc --model h3*dinf --k (H3(1,0,0)|a) --k (H3(0,1,0)|a) --cayley-radius 1 --diam-budget 4 --budget-nodes 12
+bc --model free2 --k x1 --k x2 --cayley-radius 1 --diam-budget 5 --budget-nodes 10
+bc --model h3semi --k H3(1,0,0) --k H3(1,0,0);c --cayley-radius 1 --diam-budget 5 --budget-nodes 12
+""".splitlines()
 CHARACTER_10000 = [
     ("H3(1,-2,-2)", "H3(0,1,0)"), ("H3(1,-3,-3)", "H3(0,1,0)"),
     ("H3(1,-9999,-9999)", "H3(0,1,0)"), ("H3(1,-9999,-10000)", "H3(0,1,0)"),
@@ -419,6 +435,7 @@ def generate_commands():
             ("free3 --u x1.x3 --conjugator x2 --tail x3", "--k-max 3 --budget 5"),
             ("free2*free2 --u (x1|x2) --conjugator l.x2.r.x1 --tail e", "--k-max 3 --budget 4")]]]
     cases += [{"argv": line.split()} for line in PINNED_COMMANDS] + [{"argv": EMPTY_EDGES}]
+    cases += [{"argv": line.split()} for line in APART_COMMANDS]
     return {}, cases
 
 
