@@ -147,6 +147,11 @@ def _set_diameter(model, payloads, budget, node_budget):
                                 for u, v in combinations(payloads, 2)])
 
 
+def _apart(model, K) -> bool:
+    """Whether two payloads of K have different abelian images."""
+    return len({model.abelian_image(k) for k in K}) > 1
+
+
 def bc_probe(
     model: GroupModel,
     K,
@@ -158,29 +163,35 @@ def bc_probe(
     conjugators g of length <= r, K a collection of payloads.
 
     Conjugators acting identically on K are expanded once (memo on the
-    tuple of image payloads).  The verdict is a fixed-window heuristic over
-    the shell data; the raw shells are always reported.
+    tuple of image payloads).  Where no distance search can run out of
+    nodes, a K with two elements in different abelian images is settled
+    once, after the Cayley ball: every g K g^-1 keeps the pair apart, so
+    `conj_distance` would make every shell AtLeast(diam_budget).  The
+    verdict is a fixed-window heuristic over the shell data; the raw
+    shells are always reported.
     """
     K = sorted(set(K), key=model.encode_payload)
     if not K:
         raise UsageError("bc_probe needs a nonempty finite set K")
-    by_radius = {}
-    for g, r in model.cayley_ball(max_cayley_radius, node_budget).items():
-        by_radius.setdefault(r, []).append(g)
-    step, inv = model.conj_step, model.inv_payload
-    memo = {}
-    shells = []
-    running = 0
-    for r in range(max_cayley_radius + 1):
-        dists = [running]
-        for g in by_radius.get(r, ()):
-            gi = inv(g)
-            images = tuple([step(k, g, gi) for k in K])
-            if images not in memo:
-                memo[images] = _set_diameter(model, images, diam_budget, node_budget)
-            dists.append(memo[images])
-        running = _max_distance(dists)
-        shells.append((r, running))
+    ball = model.cayley_ball(max_cayley_radius, node_budget)  # its exit 3 comes first
+    if _levels_fit(len(model.gen_triples), diam_budget, node_budget) and _apart(model, K):
+        shells = [(r, AtLeast(max(diam_budget, 0))) for r in range(max_cayley_radius + 1)]
+    else:
+        by_radius = {}
+        for g, r in ball.items():
+            by_radius.setdefault(r, []).append(g)
+        step, inv = model.conj_step, model.inv_payload
+        memo, shells, running = {}, [], 0
+        for r in range(max_cayley_radius + 1):
+            dists = [running]
+            for g in by_radius.get(r, ()):
+                gi = inv(g)
+                images = tuple([step(k, g, gi) for k in K])
+                if images not in memo:
+                    memo[images] = _set_diameter(model, images, diam_budget, node_budget)
+                dists.append(memo[images])
+            running = _max_distance(dists)
+            shells.append((r, running))
     verdict = _bc_verdict(shells, max_cayley_radius)
     return BCReport(list(map(model.encode_payload, K)), shells, verdict)
 

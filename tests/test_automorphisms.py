@@ -1,6 +1,6 @@
 """Automorphism invariance of `bound-probe` and `character` on h3, of
-`derive` and `character` on the other five models, and of `limit` on all
-six.
+`derive` and `character` on the other five models, and of `limit` and
+`bc` on all six.
 
 An automorphism sigma of h3 that permutes the symmetric generating set maps
 the Cayley ball onto itself, and d_psi(sigma g) = sigma(d_phi(g)) for the
@@ -12,6 +12,7 @@ reached a norm.  `derive` on psi at sigma g prints phi's image at g with
 each element relabelled by sigma, and the same `norm_p`.  `limit` with
 each letter of the conjugator relabelled prints the same samples, and at
 q = 1 and 2, where it comes from an exact sum, the same `potential_norm`.
+`bc` on sigma K prints the same shells and verdict.
 """
 
 import json
@@ -22,8 +23,9 @@ from random import Random
 import pytest
 
 from conjlab import derivations as dv
+from conjlab import graph
 from conjlab.cli import main
-from conjlab.groups import get_model, parse_word
+from conjlab.groups import DEFAULT_NODE_BUDGET, get_model, parse_word
 from conjlab.ring import lq_pow_exact
 from conjlab.sampling import random_payload
 
@@ -235,3 +237,38 @@ def test_limit_is_invariant(capsys, tmp_path, name, index):
             # at q = 2.5 the norm is a float sum in the support's encoding order
             if q != "2.5":
                 assert got["potential_norm"] == want["potential_norm"]
+
+
+
+# ---------------------------------------------------------------------------
+# `bc` on all six
+
+
+def bc_sets(model, rng):
+    """Two K: k and one or two conjugates of it, all in one abelian image,
+    then the same with the last one times a generator, in another."""
+    k = random_payload(model, rng, 4)
+    K = [k]
+    for _ in range(rng.randint(1, 2)):
+        g = random_payload(model, rng, 2)
+        K.append(model.conj_step(k, g, model.inv_payload(g)))
+    return K, K[:-1] + [model.mul_payload(K[-1], model.gen_triples[0][1])]
+
+
+@pytest.mark.parametrize("name, index", LIMIT_CASES, ids=lambda c: str(c))
+def test_bc_is_invariant(capsys, name, index):
+    # sigma keeps word length and maps conjugation edges onto conjugation
+    # edges; no distance search can run out of nodes at these budgets, so
+    # bc on sigma K prints the same shells, by the search loop for a K in
+    # one abelian image and by the settled route for one with an apart pair
+    model = get_model(name)
+    sigma = model_automorphisms(name)[index]
+    enc = model.encode_payload
+    argv = ["bc", "--model", name, "--cayley-radius", "2", "--diam-budget", "4"]
+    assert graph._levels_fit(len(model.gen_triples), 4, DEFAULT_NODE_BUDGET)
+    for seed in range(2):
+        for K, apart in zip(bc_sets(model, Random(4000 + 10 * index + seed)), (False, True)):
+            assert graph._apart(model, K) is apart
+            want = stdout(capsys, argv + [a for k in K for a in ("--k", enc(k))])
+            got = stdout(capsys, argv + [a for k in K for a in ("--k", enc(sigma(k)))])
+            assert (got["shells"], got["verdict"]) == (want["shells"], want["verdict"])

@@ -551,7 +551,8 @@ def _rows_as_lists(rows, nl):
 
 
 # name: (owner, fast path, reference, applies(command, model)); a reference is
-# the base class's path, for the gate a search every time, for derive's image
+# the base class's path, for the gate a search every time, for bc's apart K
+# a search of every conjugate, for derive's image
 # the dict of terms, and for the row writer the generic list path
 REFERENCES = {
     "h3-mul_all": (Heisenberg, "mul_all", GroupModel.mul_all, lambda c, m: m == "h3"),
@@ -563,6 +564,7 @@ REFERENCES = {
                                   GroupModel.conjugator_length, lambda c, m: "*" in m),
     "levels_fit": (graph, "_levels_fit", lambda *args: False,
                    lambda c, m: c in ("bc", "inverse-seq")),
+    "bc-apart": (graph, "_apart", lambda *args: False, lambda c, m: c == "bc"),
     "derive-hit_column": (dv.Potential, "image", _image_by_apply, lambda c, m: c == "derive"),
     "rows-writer": (cli._Rows, "pieces", _rows_as_lists, lambda c, m: c in ("derive", "graph")),
 }

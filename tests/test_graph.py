@@ -1,8 +1,11 @@
 import json
 from itertools import combinations, product
 from random import Random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conjlab import (
     AtLeast,
@@ -18,11 +21,13 @@ from conjlab import (
     get_model,
     parse_word,
 )
+from conjlab import graph
 from conjlab.cli import main
 from conjlab.groups import SwapExtension
 from conjlab.sampling import random_payload
 
 from conftest import oracle_stdout, traced_peak
+from test_corpus import MODELS as CORPUS_MODELS
 
 
 class TestNeighbors:
@@ -357,6 +362,66 @@ class TestBCBudget:
         assert report.shells == _pairwise_shells(m, K, 2, 8, node_budget)
         if node_budget == 8:
             assert report.shells[-1][1] == AtLeast(4)
+
+
+def apart_k(model, rng):
+    """Three payloads, two of them in different abelian images: k and k x,
+    x the first generator, whose image is not 0 in any of the models."""
+    k = random_payload(model, rng, 4)
+    K = [k, model.mul_payload(k, model.gen_triples[0][1]), random_payload(model, rng, 4)]
+    assert graph._apart(model, K)
+    return K
+
+
+def refuse(*args):
+    raise AssertionError("an apart K is settled without a conjugate or a search")
+
+
+class TestBCApart:
+    @pytest.mark.parametrize("name", CORPUS_MODELS)
+    def test_an_apart_k_takes_no_conjugate(self, name, monkeypatch):
+        model = get_model(name)
+        K = apart_k(model, Random(45))
+        monkeypatch.setattr(graph, "conj_distance", refuse)
+        monkeypatch.setattr(model, "conj_step", refuse)
+        for radius, budget in ((0, 0), (1, 4), (3, 2)):
+            report = bc_probe(model, K, radius, budget)
+            assert report.shells == [(r, AtLeast(budget)) for r in range(radius + 1)]
+            assert report.verdict == "Inconclusive"
+
+
+@st.composite
+def bc_inputs(draw):
+    """(model, K, Cayley radius, diameter budget, node budget): K of one to
+    four payloads, with duplicates, conjugates (the same abelian image) and
+    products by a generator (another image, unless the generator's is 0);
+    node budgets on both sides of the distance searches' bound."""
+    model = get_model(draw(st.sampled_from(CORPUS_MODELS)))
+    rng = Random(draw(st.integers(0, 2**32)))
+    K = [random_payload(model, rng, 3)]
+    for _ in range(draw(st.integers(0, 3))):
+        k = rng.choice(K)
+        _, x, xi = rng.choice(model.gen_triples)
+        K.append(draw(st.sampled_from([k, random_payload(model, rng, 3),
+                                       model.conj_step(k, x, xi), model.mul_payload(k, x)])))
+    node_budget = draw(st.one_of(st.integers(1, 200), st.integers(1, 10**6)))
+    return model, K, draw(st.integers(0, 3)), draw(st.integers(0, 4)), node_budget
+
+
+def bc_outcome(model, K, radius, diam_budget, node_budget):
+    try:
+        report = bc_probe(model, K, radius, diam_budget, node_budget)
+    except ResourceBudgetError as exc:
+        return str(exc), exc.partial_count
+    return report.base_set_encoding, report.shells, report.verdict
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(bc_inputs())
+def test_an_apart_k_prints_what_every_conjugate_would(case):
+    got = bc_outcome(*case)
+    with mock.patch.object(graph, "_apart", lambda *args: False):
+        assert got == bc_outcome(*case)
 
 
 class TestDot:
