@@ -239,7 +239,6 @@ def test_limit_is_invariant(capsys, tmp_path, name, index):
                 assert got["potential_norm"] == want["potential_norm"]
 
 
-
 # ---------------------------------------------------------------------------
 # `bc` on all six
 

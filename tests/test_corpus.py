@@ -552,7 +552,7 @@ def _rows_as_lists(rows, nl):
 
 # name: (owner, fast path, reference, applies(command, model)); a reference is
 # the base class's path, for the gate a search every time, for bc's apart K
-# a search of every conjugate, for derive's image
+# the per-image loop, for derive's image
 # the dict of terms, and for the row writer the generic list path
 REFERENCES = {
     "h3-mul_all": (Heisenberg, "mul_all", GroupModel.mul_all, lambda c, m: m == "h3"),
