@@ -179,6 +179,12 @@ bc --model h3*dinf --k (H3(1,0,0)|a) --k (H3(0,1,0)|a) --cayley-radius 1 --diam-
 bc --model free2 --k x1 --k x2 --cayley-radius 1 --diam-budget 5 --budget-nodes 10
 bc --model h3semi --k H3(1,0,0) --k H3(1,0,0);c --cayley-radius 1 --diam-budget 5 --budget-nodes 12
 """.splitlines()
+# bc whose shells hold no AtLeast, end on no plateau and do not rise
+# strictly over the last three radii: the verdict's last "Inconclusive"
+INCONCLUSIVE_COMMANDS = """\
+bc --model h3semi --k H3(1,0,0);c --k H3(0,1,0);c --cayley-radius 4 --diam-budget 8
+bc --model h3semi --k H3(0,-1,1);c --k H3(1,-2,1);c --cayley-radius 3 --diam-budget 8
+""".splitlines()
 CHARACTER_10000 = [
     ("H3(1,-2,-2)", "H3(0,1,0)"), ("H3(1,-3,-3)", "H3(0,1,0)"),
     ("H3(1,-9999,-9999)", "H3(0,1,0)"), ("H3(1,-9999,-10000)", "H3(0,1,0)"),
@@ -435,7 +441,7 @@ def generate_commands():
             ("free3 --u x1.x3 --conjugator x2 --tail x3", "--k-max 3 --budget 5"),
             ("free2*free2 --u (x1|x2) --conjugator l.x2.r.x1 --tail e", "--k-max 3 --budget 4")]]]
     cases += [{"argv": line.split()} for line in PINNED_COMMANDS] + [{"argv": EMPTY_EDGES}]
-    cases += [{"argv": line.split()} for line in APART_COMMANDS]
+    cases += [{"argv": line.split()} for line in APART_COMMANDS + INCONCLUSIVE_COMMANDS]
     return {}, cases
 
 
