@@ -22,7 +22,7 @@ from . import derivations as dv
 from . import experiments as ex
 from . import graph as cg
 from .errors import InternalConsistencyError, ResourceBudgetError, UsageError
-from .groups import DEFAULT_NODE_BUDGET, get_model, parse_word
+from .groups import DEFAULT_NODE_BUDGET, get_model, parse_word, random_loop, random_payload
 from .ring import exact_str, lp_norm
 
 
@@ -78,13 +78,10 @@ class _Members:
 
 
 class _Rows:
-    """A JSON list of rows of `width` strings, read once; iterating gives the rows."""
+    """A JSON list of `rows`, each of `width` strings, read once while written."""
 
     def __init__(self, width: int, rows):
         self.width, self.rows = width, rows
-
-    def __iter__(self):
-        return iter(self.rows)
 
     def pieces(self, nl: str):
         """The list's pieces in `_emit`'s layout, one a row, by C iterators alone."""
@@ -202,7 +199,6 @@ def cmd_derive(args):
 
 def cmd_leibniz(args):
     from random import Random
-    from .sampling import random_payload
 
     phi = _load_potential(args.potential)
     rng = Random(args.seed)
@@ -213,8 +209,8 @@ def cmd_leibniz(args):
         gp = random_payload(phi.model, rng)
         hp = random_payload(phi.model, rng)
         res = dv.leibniz_residual(phi, gp, hp)
-        if not res.is_zero():
-            worst = max(worst, res.lp_norm(1))
+        if res:
+            worst = max(worst, lp_norm(res.values(), 1))
             violations += 1
     return [f"{violations} violations in {args.samples} samples "
             f"(max residual {ex.fmt_float(worst)})\n"]
@@ -244,7 +240,6 @@ def cmd_character(args):
 
 def cmd_quasi_inner(args):
     from random import Random
-    from .sampling import random_loop
 
     phi = _load_potential(args.potential)
     rng = Random(args.seed)

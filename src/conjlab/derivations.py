@@ -136,15 +136,6 @@ class Potential:
 
     # -- wire format --------------------------------------------------------
 
-    def to_json(self) -> dict:
-        encode = self.model.encode_payload
-        return {
-            "model": self.model.name,
-            "table": sorted([encode(p), exact_str(v)] for p, v in self.table.items()),
-            "closed_form": self.closed_form,
-            "truncation": self.trunc_k,
-        }
-
     @classmethod
     def from_json(cls, data) -> "Potential":
         rows = data.get("table", []) if isinstance(data, dict) else None
@@ -209,9 +200,9 @@ def character(phi: Potential, up, vp) -> Fraction:
     return phi.value(model.mul_payload(up, vi)) - phi.value(model.mul_payload(vi, up))
 
 
-def leibniz_residual(phi: Potential, gp, hp):
-    """The vector d(gh) - d(g) h - g d(h) of phi's derivation d, g and h of
-    payloads `gp` and `hp`, exactly; zero for every derivation."""
+def leibniz_residual(phi: Potential, gp, hp) -> dict:
+    """d(gh) - d(g) h - g d(h) of phi's derivation d, g and h of payloads `gp`
+    and `hp`, as exact terms {payload: Fraction}; empty for every derivation."""
     # phi(s)([s(gh)] - [(sg)h] + [(gs)h] - [g(sh)] + [g(hs)] - [(gh)s]) over the support:
     # three associativity brackets, each adding +-phi(s) only at the s whose two keys differ
     model = phi.model
@@ -227,7 +218,7 @@ def leibniz_residual(phi: Potential, gp, hp):
         if plus != minus:
             add_terms(acc, [t for u, v, c in zip(plus, minus, values) if u != v
                             for t in ((u, c), (v, -c))])
-    return GroupRingVector(model, acc)
+    return acc
 
 
 def quasi_inner_check(phi: Potential, loops):

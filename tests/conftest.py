@@ -30,7 +30,7 @@ from conjlab.cli import main, parse
 from conjlab.graph import _bc_verdict
 from conjlab.groups import DEFAULT_NODE_BUDGET, GroupModel
 from conjlab.ring import add_terms
-from conjlab.sampling import random_payload
+from conjlab.groups import random_payload
 
 
 def all_models():
@@ -376,9 +376,9 @@ class SkewHeisenberg(Heisenberg):
 
 
 def six_sum_residual(phi, gp, hp):
-    """d(gh) - d(g)h - g d(h) as six termwise sums into one dict of the ints
-    D phi (D the lcm of the support's denominators), divided by D at the end:
-    every term added, none compared first."""
+    """The terms of d(gh) - d(g)h - g d(h), by six termwise sums into one dict
+    of the ints D phi (D the lcm of the support's denominators), divided by D
+    at the end: every term added, none compared first."""
     model = phi.model
     den, (payloads, pos) = phi._scaled_columns
     minus = [-n for n in pos]
@@ -391,7 +391,7 @@ def six_sum_residual(phi, gp, hp):
                          (mul_all(mul_all(payloads, hp), gp, left=True), minus),
                          (mul_all(mul_all(payloads, hp, left=True), gp, left=True), pos)):
         add_terms(acc, zip(keys, coeffs))
-    return GroupRingVector(model, {u: Fraction(n, den) for u, n in acc.items()})
+    return {u: Fraction(n, den) for u, n in acc.items()}
 
 
 def random_potential(model, rng: Random, size: int = 5, max_len: int = 5) -> Potential:

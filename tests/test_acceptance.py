@@ -26,7 +26,7 @@ from conjlab import (
 )
 from conjlab.ring import GroupRingVector
 from conjlab.derivations import g_boundedness_probe
-from conjlab.sampling import random_payload
+from conjlab.groups import random_payload
 
 from conftest import (all_models, character_from_potential, compose_morphisms, delta,
                       inner_derivation_apply, mat_inv, mat_mul, mat_of, random_composable_pair,
@@ -143,7 +143,7 @@ def test_acceptance_07_leibniz_and_inner_identification():
             for _ in range(50):
                 g = random_payload(model, rng, max_len=4)
                 h = random_payload(model, rng, max_len=4)
-                assert leibniz_residual(phi, g, h).is_zero()
+                assert leibniz_residual(phi, g, h) == {}
         table = {
             random_payload(model, rng, max_len=3): Fraction(
                 rng.randint(-4, 4), rng.randint(1, 4)

@@ -27,7 +27,7 @@ from conjlab import graph
 from conjlab.cli import main
 from conjlab.groups import DEFAULT_NODE_BUDGET, get_model, parse_word
 from conjlab.ring import lq_pow_exact
-from conjlab.sampling import random_payload
+from conjlab.groups import random_payload
 
 H3 = get_model("h3")
 

@@ -38,7 +38,7 @@ from conjlab import graph
 from conjlab.cli import _commands, main
 from conjlab.groups import (DEFAULT_NODE_BUDGET, DirectProduct, FreeGroup, GroupModel,
                             Heisenberg, get_model)
-from conjlab.sampling import random_payload
+from conjlab.groups import random_payload
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -551,9 +551,9 @@ def _image_by_apply(phi, gp):
     return image.to_json(), list(image.terms.values())
 
 
-def _rows_as_lists(rows, nl):
+def _rows_as_lists(self, nl):
     """`_Rows.pieces` by the writer's generic path, over the rows as lists."""
-    return cli._json_pieces([list(row) for row in rows], nl)
+    return cli._json_pieces([list(row) for row in self.rows], nl)
 
 
 # name: (owner, fast path, reference, applies(command, model)); a reference is

@@ -26,7 +26,7 @@ from conjlab import (
 from conjlab.groups import GroupModel, Heisenberg, parse_word
 from conjlab.ring import float_norm, lq_pow_exact
 
-from conjlab.sampling import random_loop, random_payload
+from conjlab.groups import random_loop, random_payload
 
 from conftest import (
     Morphism,
@@ -319,7 +319,7 @@ class TestLeibniz:
         for _ in range(30):
             g = random_payload(model, rng)
             h = random_payload(model, rng)
-            assert leibniz_residual(phi, g, h).is_zero()
+            assert leibniz_residual(phi, g, h) == {}
 
     def test_finite_potential_exact(self, model):
         rng = Random(43)
@@ -327,7 +327,7 @@ class TestLeibniz:
         for _ in range(30):
             g = random_payload(model, rng)
             h = random_payload(model, rng)
-            assert leibniz_residual(phi, g, h).is_zero()
+            assert leibniz_residual(phi, g, h) == {}
 
     def test_truncated_harmonic_still_exact(self, h3):
         # truncation replaces phi by a finite table, so the Leibniz identity
@@ -337,14 +337,14 @@ class TestLeibniz:
         for _ in range(10):
             g = random_payload(h3, rng, max_len=4)
             h = random_payload(h3, rng, max_len=4)
-            assert leibniz_residual(phi, g, h).is_zero()
+            assert leibniz_residual(phi, g, h) == {}
 
     def test_a_residual_by_hand_on_a_skew_product(self):
         # dinf_skew sends ab a to e.  For phi = -[b] - [ba] and g = h = a, only
         # the bracket (g s) h - g (s h) at s = b splits: (ab) a = e, a (ba) = aba
         model = SkewDihedral()
         phi = Potential(model, {"b": -1, "ba": -1})
-        assert leibniz_residual(phi, "a", "a").terms == {"": -1, "aba": 1}
+        assert leibniz_residual(phi, "a", "a") == {"": -1, "aba": 1}
 
 
 # two non-associative products, and payload draws for each: alternating
@@ -369,8 +369,8 @@ def test_leibniz_residual_is_the_six_sums_on_skew_products():
         phi = Potential(model, table)
         g, h = data.draw(payload), data.draw(payload)
         got = leibniz_residual(phi, g, h)
-        assert got.model is model and got == six_sum_residual(phi, g, h)
-        nonzero.append(not got.is_zero())
+        assert type(got) is dict and got == six_sum_residual(phi, g, h)
+        nonzero.append(got != {})
 
     check()
     assert 4 * sum(nonzero) >= len(nonzero), (sum(nonzero), len(nonzero))
@@ -521,7 +521,7 @@ def test_payload_leibniz_matches_the_vector_formula(index, seed):
     for _ in range(4):
         g, h = random_payload(model, rng, 4), random_payload(model, rng, 4)
         got = leibniz_residual(phi, g, h)
-        assert got.model is model and got == vector_residual(Derivation(phi), g, h)
+        assert type(got) is dict and got == vector_residual(Derivation(phi), g, h).terms
 
 
 def test_probe_builds_no_fraction_off_the_support_or_on_a_fixed_point(h3, monkeypatch):
@@ -548,7 +548,7 @@ def test_leibniz_adds_no_term_and_builds_no_fraction(name, monkeypatch):
 
     monkeypatch.setattr(dv, "add_terms", refuse)
     refuse_fractions(monkeypatch, "leibniz_residual built a Fraction")
-    assert all(leibniz_residual(phi, g, h).is_zero() for g, h in pairs)
+    assert all(leibniz_residual(phi, g, h) == {} for g, h in pairs)
 
 
 def refuse_fractions(monkeypatch, message):
@@ -816,7 +816,8 @@ class TestPotential:
             h3,
             {(1, 0, 0): 1, (1, 0, -1): Fraction(1, 2)},
         )
-        again = Potential.from_json(phi.to_json())
+        again = Potential.from_json({"model": "h3", "table": [["H3(1,0,0)", "1"],
+                                                             ["H3(1,0,-1)", "1/2"]]})
         assert again.model.name == "h3"
         model = again.model
         assert again.table == {

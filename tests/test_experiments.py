@@ -24,7 +24,7 @@ from conjlab import (
     run_limit_experiment,
 )
 
-from conjlab.sampling import random_payload
+from conjlab.groups import random_payload
 
 from conftest import closed_form_coefficient
 from test_corpus import MODELS as CORPUS_MODELS

@@ -24,7 +24,7 @@ from conjlab import (
 from conjlab import graph
 from conjlab.cli import main
 from conjlab.groups import SwapExtension
-from conjlab.sampling import random_payload
+from conjlab.groups import random_payload
 
 from conftest import oracle_stdout, traced_peak
 from test_corpus import MODELS as CORPUS_MODELS

@@ -19,7 +19,7 @@ from conjlab import (
     get_model,
     parse_word,
 )
-from conjlab.sampling import random_payload
+from conjlab.groups import random_payload
 
 from conftest import all_models, mat_inv, mat_mul, mat_of, triple_of, word_search
 

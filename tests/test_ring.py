@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conjlab import GroupRingVector, Heisenberg, UsageError
 from conjlab.ring import _TINY, _sqrt, exact_str, float_norm, lq_pow_exact
-from conjlab.sampling import random_payload
+from conjlab.groups import random_payload
 
 from conftest import delta, scaled
 
