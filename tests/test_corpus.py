@@ -185,6 +185,43 @@ INCONCLUSIVE_COMMANDS = """\
 bc --model h3semi --k H3(1,0,0);c --k H3(0,1,0);c --cayley-radius 4 --diam-budget 8
 bc --model h3semi --k H3(0,-1,1);c --k H3(1,-2,1);c --cayley-radius 3 --diam-budget 8
 """.splitlines()
+# refusals that no other argv reaches: an exponent below 1 in derive's norm
+# and in limit, no sample to take, and seven malformed potential files
+MALFORMED_POTENTIALS = {
+    "unknown_rule": {"model": "h3", "table": [], "closed_form": "riemann"},
+    "cell_on_the_rule": {"model": "h3", "table": [["H3(1,-2,-2)", "1"]],
+                         "closed_form": "appendix_harmonic"},
+    "truncation_0": {"model": "h3", "table": [], "closed_form": "appendix_harmonic",
+                     "truncation": 0},
+    "named_twice": {"model": "h3", "table": [["H3(1,0,0)", "1"], ["H3(1,0,00)", "2"]]},
+    "zero_denominator": {"model": "h3", "table": [["H3(1,0,0)", "1/0"]]},
+    "huge_exponent": {"model": "h3", "table": [["H3(1,0,0)", "1e99999"]]},
+    "int_cell": {"model": "h3", "table": [["H3(1,0,0)", 1]]},
+}
+REFUSED_ARGV = [line.split() for line in """\
+derive --potential two_point.json --element H3(0,1,0) -p 0.5
+limit --potential two_point.json --conjugator Ax --k-max 0
+limit --potential two_point.json --conjugator Ax --q 0.5
+""".splitlines()] + [["derive", "--potential", f"{name}.json", "--element", "e"]
+                     for name in MALFORMED_POTENTIALS]
+# the same for the other commands: appendix's digit bound before any sum,
+# a word that is not reduced, one that does not alternate, a product without
+# its bar, models too large to build, a coordinate past the int/str digit
+# limit and a product id prefix left at the end of a word; then the swap
+# extensions' aliases "c" and "bac", which exit 0
+REFUSED_COMMANDS = [line.split() for line in """\
+appendix --m-max 1000000
+graph --model free2 --base x1.x1^-1 --radius 1
+graph --model dinf --base aab --radius 1
+graph --model h3*dinf --base (H3(0,0,0)a) --radius 1
+graph --model free70000 --base e --radius 1
+inverse-seq --model h3*dinf --u (e|e) --conjugator l
+""".splitlines()] + [
+    ["graph", "--model", "*".join(["dinf"] * 65), "--base", "e", "--radius", "1"],
+    ["graph", "--model", "h3", "--base", f"H3(1,0,{'1' * 5000})", "--radius", "1"],
+    ["graph", "--model", "h3semi", "--base", "c", "--radius", "2"],
+    ["graph", "--model", "dsemi", "--base", "bac", "--radius", "2"],
+]
 CHARACTER_10000 = [
     ("H3(1,-2,-2)", "H3(0,1,0)"), ("H3(1,-3,-3)", "H3(0,1,0)"),
     ("H3(1,-9999,-9999)", "H3(0,1,0)"), ("H3(1,-9999,-10000)", "H3(0,1,0)"),
@@ -339,6 +376,8 @@ def generate():
                      "--radius", radius, "--radii", radii])
     potentials.update(PINNED_POTENTIALS)
     argv += PINNED_ARGV + HIT_DERIVES
+    potentials.update(MALFORMED_POTENTIALS)
+    argv += REFUSED_ARGV
     return potentials, [{"argv": a} for a in argv]
 
 
@@ -442,6 +481,7 @@ def generate_commands():
             ("free2*free2 --u (x1|x2) --conjugator l.x2.r.x1 --tail e", "--k-max 3 --budget 4")]]]
     cases += [{"argv": line.split()} for line in PINNED_COMMANDS] + [{"argv": EMPTY_EDGES}]
     cases += [{"argv": line.split()} for line in APART_COMMANDS + INCONCLUSIVE_COMMANDS]
+    cases += [{"argv": a} for a in REFUSED_COMMANDS]
     return {}, cases
 
 
