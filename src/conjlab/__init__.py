@@ -20,7 +20,6 @@ from .groups import (
     parse_word,
 )
 from .graph import (
-    BCReport,
     ConjGraphBall,
     bc_probe,
     conj_distance,
@@ -39,12 +38,6 @@ from .derivations import (
     stabilisation_probe,
 )
 from .experiments import (
-    AppendixReport,
-    AppendixRow,
-    InverseSequenceReport,
-    LimitReport,
-    fmt_float,
-    format_table,
     run_appendix,
     run_inverse_sequence_check,
     run_limit_experiment,

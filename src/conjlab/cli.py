@@ -138,9 +138,25 @@ def _json_pieces(obj, nl: str):
         yield _scalar(obj)
 
 
-def _report(report, fmt):
-    """A report's output as `--format` asks: its table, or its JSON."""
-    return [report.to_table()] if fmt == "table" else report.to_json()
+def fmt_float(x: float) -> str:
+    return f"{x:.12g}"
+
+
+def format_table(headers, rows) -> str:
+    """The rows under their headers, each column right-aligned."""
+    cells = [list(map(str, headers))] + [list(map(str, r)) for r in rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
+    lines = []
+    for idx, row in enumerate(cells):
+        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
+        if idx == 0:
+            lines.append("  ".join("-" * w for w in widths))
+    return "\n".join(lines) + "\n"
+
+
+def _distance(d):
+    """A distance as JSON writes it: an int, or an AtLeast as its text."""
+    return d if isinstance(d, int) else str(d)
 
 
 def _load_potential(path) -> dv.Potential:
@@ -177,10 +193,14 @@ def cmd_graph(args):
 def cmd_bc(args):
     model = get_model(args.model)
     K = [model.decode_payload(enc) for enc in args.k]
-    report = cg.bc_probe(
+    shells, verdict = cg.bc_probe(
         model, K, args.cayley_radius, args.diam_budget, args.budget_nodes
     )
-    return report.to_json()
+    return {
+        "K": sorted(set(map(model.encode_payload, K))),  # encodings are one to one
+        "shells": [[r, _distance(d)] for r, d in shells],
+        "verdict": verdict,
+    }
 
 
 def cmd_derive(args):
@@ -190,8 +210,8 @@ def cmd_derive(args):
     return {
         "element": phi.model.encode_payload(gp),
         "image": _Rows(3, rows),
-        "norm_p": ex.fmt_float(lp_norm(column, args.p)),
-        "p": ex.fmt_float(args.p),
+        "norm_p": fmt_float(lp_norm(column, args.p)),
+        "p": fmt_float(args.p),
         "exact": phi.is_exact(),
         "truncation": None if phi.is_exact() else phi.trunc_k,
     }
@@ -213,7 +233,7 @@ def cmd_leibniz(args):
             worst = max(worst, lp_norm(res.values(), 1))
             violations += 1
     return [f"{violations} violations in {args.samples} samples "
-            f"(max residual {ex.fmt_float(worst)})\n"]
+            f"(max residual {fmt_float(worst)})\n"]
 
 
 def cmd_character(args):
@@ -278,8 +298,8 @@ def cmd_bound_probe(args):
     max_norm, argmax = dv.g_boundedness_probe(phi, args.radius, args.p, args.budget_nodes)
     return {
         "radius": args.radius,
-        "p": ex.fmt_float(args.p),
-        "max_norm": ex.fmt_float(max_norm),
+        "p": fmt_float(args.p),
+        "max_norm": fmt_float(max_norm),
         "argmax": phi.model.encode_payload(argmax),
     }
 
@@ -287,14 +307,34 @@ def cmd_bound_probe(args):
 def cmd_appendix(args):
     # the table prints only the n = 1 coefficient, so it computes no other
     n_max = min(args.n_max, 1) if args.format == "table" else args.n_max
-    return _report(ex.run_appendix(args.m_max, n_max), args.format)
+    rows = ex.run_appendix(args.m_max, n_max)
+    if args.format == "table":
+        return [format_table(["m", "coeff(n=1)", "norm_lower_bound", "ratio_lower_bound"], [
+            (m, exact_str(coeffs[0][1]), fmt_float(lower), fmt_float(ratio))
+            for m, coeffs, lower, ratio in rows])]
+    return {
+        "m_values": [m for m, *_ in rows],
+        "n_max": n_max,
+        "rows": [{"m": m, "coeffs": [[n, exact_str(v)] for n, v in coeffs],
+                  "norm_lower_bound": fmt_float(lower), "ratio_lower_bound": fmt_float(ratio)}
+                 for m, coeffs, lower, ratio in rows],
+    }
 
 
 def cmd_limit(args):
     phi = _load_potential(args.potential)
     a = parse_word(phi.model, args.conjugator)
-    report = ex.run_limit_experiment(phi, a, args.q, args.k_max)
-    return _report(report, args.format)
+    norm, samples, separation_index = ex.run_limit_experiment(phi, a, args.q, args.k_max)
+    if args.format == "table":
+        return [format_table(["k", "norm", "norm^q (exact)"], [
+            (k, fmt_float(nk), "-" if pw is None else exact_str(pw)) for k, nk, pw in samples])]
+    return {
+        "q": fmt_float(args.q),
+        "potential_norm": fmt_float(norm),
+        "samples": [[k, fmt_float(nk), None if pw is None else exact_str(pw)]
+                    for k, nk, pw in samples],
+        "separation_index": separation_index,
+    }
 
 
 def cmd_inverse_seq(args):
@@ -302,11 +342,13 @@ def cmd_inverse_seq(args):
     up = model.decode_payload(args.u)
     a = parse_word(model, args.conjugator)
     tail = parse_word(model, args.tail)
-    report = ex.run_inverse_sequence_check(
+    rows = ex.run_inverse_sequence_check(
         model, up, a, args.k_max, args.budget, tail=tail,
         node_budget=args.budget_nodes,
     )
-    return _report(report, args.format)
+    if args.format == "table":
+        return [format_table(["k", "rho(u, a^k u a^-k)", "rho(u, a^-k u a^k)"], rows)]
+    return {"rows": [[k, _distance(f), _distance(b)] for k, f, b in rows]}
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 derivation on the Heisenberg group, the 2^(1/q) norm-limit behaviour, and
 the forward/backward conjugation-distance tables.
 
-Every report computes its numbers along two independent routes where one
-exists, and hard-fails on disagreement.
+Every experiment computes its numbers along two independent routes where
+one exists, and hard-fails on disagreement; each returns plain values,
+which the command formats.
 """
 
 from __future__ import annotations
@@ -20,73 +21,18 @@ from .groups import DEFAULT_NODE_BUDGET, GroupModel, Heisenberg
 from .ring import exact_pow_fits, exact_str, float_norm, lp_norm, lq_pow_exact
 
 
-def fmt_float(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def format_table(headers, rows) -> str:
-    cells = [list(map(str, headers))] + [list(map(str, r)) for r in rows]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
-    lines = []
-    for idx, row in enumerate(cells):
-        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-        if idx == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Unbounded inner derivation on H3
 
 
-class AppendixRow:
-    def __init__(self, m: int, coeff_table: list, norm_lower_bound: float,
-                 ratio_lower_bound: float):
-        self.m = m
-        self.coeff_table = coeff_table  # (n, Fraction)
-        self.norm_lower_bound = norm_lower_bound  # sqrt(m) * sum_{j=2}^m 1/j
-        self.ratio_lower_bound = ratio_lower_bound  # norm_lower_bound / sqrt(2m+1)
-
-
-class AppendixReport:
-    def __init__(self, m_values: list, n_max: int, rows: list):
-        self.m_values, self.n_max, self.rows = m_values, n_max, rows
-
-    def to_json(self) -> dict:
-        return {
-            "m_values": self.m_values,
-            "n_max": self.n_max,
-            "rows": [
-                {
-                    "m": row.m,
-                    "coeffs": [[n, exact_str(v)] for n, v in row.coeff_table],
-                    "norm_lower_bound": fmt_float(row.norm_lower_bound),
-                    "ratio_lower_bound": fmt_float(row.ratio_lower_bound),
-                }
-                for row in self.rows
-            ],
-        }
-
-    def to_table(self) -> str:
-        rows = [
-            (
-                row.m,
-                exact_str(row.coeff_table[0][1]) if row.coeff_table else "-",
-                fmt_float(row.norm_lower_bound),
-                fmt_float(row.ratio_lower_bound),
-            )
-            for row in self.rows
-        ]
-        return format_table(
-            ["m", "coeff(n=1)", "norm_lower_bound", "ratio_lower_bound"], rows
-        )
-
-
-def run_appendix(m_max: int, n_max: int) -> AppendixReport:
+def run_appendix(m_max: int, n_max: int) -> list:
     """Coefficients of d(a_m), a_m = sum of Ax^k for |k| <= m, at the
     targets Ax^-n Ap A1^-n, read from the potential's table through the
     character identity d(g)[u] = phi(u g^-1) - phi(g^-1 u) and re-derived
-    from the closed harmonic formula; the two routes must agree exactly."""
+    from the closed harmonic formula; the two routes must agree exactly.
+    One row (m, [(n, coefficient)], norm_lower_bound, ratio_lower_bound)
+    for each m <= m_max: the bound sqrt(m) * (1/2 + ... + 1/m) on the norm,
+    and that bound over sqrt(2m + 1)."""
     if m_max < 1 or n_max < 1:
         raise UsageError(f"m_max and n_max must be >= 1, got {m_max} and {n_max}")
     limit = sys.get_int_max_str_digits()  # 0: no limit
@@ -123,10 +69,8 @@ def run_appendix(m_max: int, n_max: int) -> AppendixReport:
                 )
             coeff_table.append((n, direct))
         lower = math.sqrt(m) * float(harm[m] - 1)
-        rows.append(
-            AppendixRow(m, coeff_table, lower, lower / math.sqrt(2 * m + 1))
-        )
-    return AppendixReport(list(range(1, m_max + 1)), n_max, rows)
+        rows.append((m, coeff_table, lower, lower / math.sqrt(2 * m + 1)))
+    return rows
 
 
 def _harmonic_denominator_digits(n: int) -> float:
@@ -144,34 +88,10 @@ def _harmonic_denominator_digits(n: int) -> float:
 # Norm limit under a diverging conjugation sequence
 
 
-class LimitReport:
-    def __init__(self, q: float, potential_norm: float, samples: list,
-                 separation_index: int | None):
-        self.q, self.potential_norm = q, potential_norm
-        self.samples = samples  # (k, norm: float, exact_pow: Fraction | None)
-        self.separation_index = separation_index
-
-    def to_json(self) -> dict:
-        return {
-            "q": fmt_float(float(self.q)),
-            "potential_norm": fmt_float(self.potential_norm),
-            "samples": [
-                [k, fmt_float(norm), None if pw is None else exact_str(pw)]
-                for k, norm, pw in self.samples
-            ],
-            "separation_index": self.separation_index,
-        }
-
-    def to_table(self) -> str:
-        rows = [
-            (k, fmt_float(norm), "-" if pw is None else exact_str(pw))
-            for k, norm, pw in self.samples
-        ]
-        return format_table(["k", "norm", "norm^q (exact)"], rows)
-
-
-def run_limit_experiment(phi: Potential, a, q, k_max: int) -> LimitReport:
-    """Evaluate ||d(a_k)||_q for a_k = a^k, the conjugator `a` a payload.
+def run_limit_experiment(phi: Potential, a, q, k_max: int) -> tuple:
+    """Evaluate ||d(a_k)||_q for a_k = a^k, the conjugator `a` a payload:
+    (||phi||_q, samples, separation_index), a sample being (k, norm, its
+    q-th power as a Fraction where q is an integer, else None).
 
     For finite-support potentials on infinite components, the samples
     become exactly 2^(1/q) ||phi||_q once the support and its conjugate
@@ -213,28 +133,11 @@ def run_limit_experiment(phi: Potential, a, q, k_max: int) -> LimitReport:
     if q_int is not None and exact_pow_fits(values, q_int):
         def power_sum():
             return float(sum((abs(v) ** q_int for v in values), Fraction(0)))
-    potential_norm = float_norm(values, float(q), power_sum)
-    return LimitReport(float(q), potential_norm, samples, separation_index)
+    return float_norm(values, float(q), power_sum), samples, separation_index
 
 
 # ---------------------------------------------------------------------------
 # Forward vs backward conjugation distances
-
-
-class InverseSequenceReport:
-    def __init__(self, rows: list):
-        self.rows = rows  # (k, forward, backward) with int | AtLeast entries
-
-    def to_json(self) -> dict:
-        def cell(d):
-            return d if isinstance(d, int) else str(d)
-
-        return {"rows": [[k, cell(f), cell(b)] for k, f, b in self.rows]}
-
-    def to_table(self) -> str:
-        return format_table(
-            ["k", "rho(u, a^k u a^-k)", "rho(u, a^-k u a^k)"], self.rows
-        )
 
 
 def run_inverse_sequence_check(
@@ -245,11 +148,11 @@ def run_inverse_sequence_check(
     budget: int,
     tail=None,
     node_budget: int = DEFAULT_NODE_BUDGET,
-) -> InverseSequenceReport:
-    """Budgeted rho(u, a_k u a_k^-1) and rho(u, a_k^-1 u a_k) for
-    a_k = a^k * tail, with u, a and tail (by default e) payloads; the tail
-    lets sequences like x^k y be probed.  Each distance gets its own
-    `node_budget`."""
+) -> list:
+    """Rows (k, rho(u, a_k u a_k^-1), rho(u, a_k^-1 u a_k)) of budgeted
+    distances, each an int or AtLeast, for a_k = a^k * tail, with u, a and
+    tail (by default e) payloads; the tail lets sequences like x^k y be
+    probed.  Each distance gets its own `node_budget`."""
     if tail is None:
         tail = model.identity_payload()
     mul, step = model.mul_payload, model.conj_step
@@ -262,4 +165,4 @@ def run_inverse_sequence_check(
         fwd = conj_distance(model, up, step(up, a_k, a_ki), budget, node_budget)
         bwd = conj_distance(model, up, step(up, a_ki, a_k), budget, node_budget)
         rows.append((k, fwd, bwd))
-    return InverseSequenceReport(rows)
+    return rows

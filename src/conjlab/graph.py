@@ -116,25 +116,6 @@ def _levels_fit(n: int, depth: int, node_budget: int) -> bool:
     return total <= node_budget
 
 
-class BCReport:
-    """Evidence for/against the bounded-conjugation condition on a set K:
-    `shells` holds (cayley_radius, max_diam: int | AtLeast) pairs, and
-    `verdict` is "Plateau(C)", "Growing" or "Inconclusive"."""
-
-    def __init__(self, base_set_encoding: list, shells: list, verdict: str):
-        self.base_set_encoding = base_set_encoding
-        self.shells, self.verdict = shells, verdict
-
-    def to_json(self) -> dict:
-        return {
-            "K": list(self.base_set_encoding),
-            "shells": [
-                [r, d if isinstance(d, int) else str(d)] for r, d in self.shells
-            ],
-            "verdict": self.verdict,
-        }
-
-
 def _max_distance(dists):
     """Max of distances; AtLeast when any of them is one."""
     best = max(d.bound if isinstance(d, AtLeast) else d for d in dists)
@@ -158,9 +139,11 @@ def bc_probe(
     max_cayley_radius: int,
     diam_budget: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
-) -> BCReport:
-    """For each Cayley radius r, the worst diameter of g K g^-1 over all
-    conjugators g of length <= r, K a collection of payloads.
+) -> tuple:
+    """(shells, verdict) of the bounded-conjugation condition on K, a
+    collection of payloads: for each Cayley radius r, (r, the worst diameter
+    of g K g^-1 over all conjugators g of length <= r, an int or AtLeast),
+    and "Plateau(C)", "Growing" or "Inconclusive".
 
     Conjugators acting identically on K are expanded once (memo on the
     tuple of image payloads).  Where no distance search can run out of
@@ -168,7 +151,7 @@ def bc_probe(
     once, after the Cayley ball: every g K g^-1 keeps the pair apart, so
     `conj_distance` would make every shell AtLeast(diam_budget).  The
     verdict is a fixed-window heuristic over the shell data; the raw
-    shells are always reported.
+    shells are always returned.  K is searched in encoding order.
     """
     K = sorted(set(K), key=model.encode_payload)
     if not K:
@@ -192,8 +175,7 @@ def bc_probe(
                 dists.append(memo[images])
             running = _max_distance(dists)
             shells.append((r, running))
-    verdict = _bc_verdict(shells, max_cayley_radius)
-    return BCReport(list(map(model.encode_payload, K)), shells, verdict)
+    return shells, _bc_verdict(shells, max_cayley_radius)
 
 
 def _bc_verdict(shells, max_cayley_radius) -> str:

@@ -11,7 +11,6 @@ import pytest
 
 from conjlab import (
     AtLeast,
-    BCReport,
     DihedralInf,
     DihedralSemidirect,
     DirectProduct,
@@ -161,8 +160,11 @@ def oracle_bc_stdout(model, K, radius, diam_budget, node_budget):
             dists.append(memo[images])
         running = _oracle_max(dists)
         shells.append((r, running))
-    report = BCReport(list(map(model.encode_payload, K)), shells, _bc_verdict(shells, radius))
-    return _cli_json(report.to_json())
+    return _cli_json({
+        "K": list(map(model.encode_payload, K)),
+        "shells": [[r, d if isinstance(d, int) else str(d)] for r, d in shells],
+        "verdict": _bc_verdict(shells, radius),
+    })
 
 
 def oracle_stdout(argv, node_budget=DEFAULT_NODE_BUDGET):

@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 import conjlab
 from conjlab import cli
 from conjlab import derivations as dv
-from conjlab.cli import main
-from conjlab.experiments import fmt_float
+from conjlab.cli import fmt_float, main
 from conjlab.groups import DEFAULT_NODE_BUDGET
 from conjlab.ring import GroupRingVector
 from conjlab.groups import random_loop, random_payload

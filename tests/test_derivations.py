@@ -685,7 +685,7 @@ def test_limit_reads_its_norms_from_hit_columns(name, q, monkeypatch):
     columns = []
     monkeypatch.setattr(ex, "hit_column", lambda *args: columns.append(args) or
                         dv.hit_column(*args))
-    assert ex.run_limit_experiment(phi, a, q, 8).samples == want
+    assert ex.run_limit_experiment(phi, a, q, 8)[1] == want
     assert len(columns) == len(hit_sets)
 
 

@@ -16,19 +16,23 @@ from conjlab import (
     InternalConsistencyError,
     Potential,
     UsageError,
-    fmt_float,
     get_model,
     parse_word,
     run_appendix,
     run_inverse_sequence_check,
     run_limit_experiment,
 )
-
+from conjlab.cli import fmt_float, main
 from conjlab.groups import random_payload
 
 from conftest import closed_form_coefficient
 from test_corpus import MODELS as CORPUS_MODELS
 
+
+def stdout_of(capsys, argv) -> str:
+    """What `main(argv)` prints, after it exits 0."""
+    assert main(argv) == 0
+    return capsys.readouterr().out
 
 # ---------------------------------------------------------------------------
 # Window-sum coefficient table
@@ -54,49 +58,47 @@ class TestAppendix:
                 assert closed_form_coefficient(m, n) == want
 
     def test_report_rows(self):
-        report = run_appendix(4, 3)
-        assert report.m_values == [1, 2, 3, 4]
-        row2 = report.rows[1]
-        assert row2.m == 2
-        assert dict(row2.coeff_table)[1] == Fraction(5, 6)
+        rows = run_appendix(4, 3)
+        assert [m for m, _, _, _ in rows] == [1, 2, 3, 4]
+        m, coeff_table, norm_lower_bound, ratio_lower_bound = rows[1]
+        assert m == 2
+        assert dict(coeff_table)[1] == Fraction(5, 6)
         # norm lower bound sqrt(m) * (H_m - 1)
-        assert row2.norm_lower_bound == pytest.approx(
+        assert norm_lower_bound == pytest.approx(
             math.sqrt(2) * 0.5, rel=1e-12
         )
-        assert row2.ratio_lower_bound == pytest.approx(
+        assert ratio_lower_bound == pytest.approx(
             math.sqrt(2) * 0.5 / math.sqrt(5), rel=1e-12
         )
 
     def test_degenerate_first_row(self):
-        report = run_appendix(1, 1)
-        assert report.rows[0].norm_lower_bound == 0.0
-        assert report.rows[0].ratio_lower_bound == 0.0
+        (_, _, norm_lower_bound, ratio_lower_bound), = run_appendix(1, 1)
+        assert norm_lower_bound == 0.0
+        assert ratio_lower_bound == 0.0
 
     def test_ratio_strictly_increasing(self):
-        report = run_appendix(16, 2)
-        ratios = [r.ratio_lower_bound for r in report.rows]
+        ratios = [ratio for _, _, _, ratio in run_appendix(16, 2)]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
     def test_prefix_sums_match_the_closed_form(self):
         # every coefficient is checked against H[m+n] - H[max(1,n-m)-1] - 1/n
         # and reported; it equals the O(m) window sum
-        report = run_appendix(40, 40)
-        for row in report.rows:
-            assert row.coeff_table == [
-                (n, closed_form_coefficient(row.m, n)) for n in range(1, 41)
+        for m, coeff_table, _, _ in run_appendix(40, 40):
+            assert coeff_table == [
+                (n, closed_form_coefficient(m, n)) for n in range(1, 41)
             ]
 
     def test_lookups_equal_the_derivation_kernel(self, h3):
         # the coefficients read by character lookup are the running sums of
         # the termwise kernel over Ax^k, |k| <= m, at the targets
         m_max, n_max = 64, 4
-        report = run_appendix(m_max, n_max)
+        rows = run_appendix(m_max, n_max)
         phi = Potential(h3, {}, closed_form="appendix_harmonic", trunc_k=m_max + n_max)
         acc = {}
-        for row in report.rows:
-            for gp in ((0, row.m, 0), (0, -row.m, 0)):
+        for m, coeff_table, _, _ in rows:
+            for gp in ((0, m, 0), (0, -m, 0)):
                 phi.add_derivation(gp, acc)
-            for n, coeff in row.coeff_table:
+            for n, coeff in coeff_table:
                 assert acc.get((1, -n, -n), 0) == coeff
 
     def test_engine_mismatch_raises(self, monkeypatch):
@@ -181,7 +183,7 @@ class TestAppendix:
                 with pytest.raises(UsageError, match="^a rational value is too large to print$"):
                     run_appendix(3, 2)
             else:
-                assert run_appendix(3, 2).rows[1].coeff_table[0] == (1, Fraction(5, 6))
+                assert run_appendix(3, 2)[1][1][0] == (1, Fraction(5, 6))
         finally:
             sys.set_int_max_str_digits(digits)
 
@@ -191,15 +193,14 @@ class TestAppendix:
         with pytest.raises(UsageError):
             run_appendix(2, 0)
 
-    def test_json_serialisable(self):
-        report = run_appendix(3, 2)
-        data = report.to_json()
-        json.dumps(data)
+    def test_json_serialisable(self, capsys):
+        data = json.loads(stdout_of(capsys, ["appendix", "--m-max", "3", "--n-max", "2",
+                                             "--format", "json"]))
         assert data["rows"][2]["m"] == 3
         assert data["rows"][1]["coeffs"][0] == [1, "5/6"]
 
-    def test_table_render(self):
-        text = run_appendix(2, 1).to_table()
+    def test_table_render(self, capsys):
+        text = stdout_of(capsys, ["appendix", "--m-max", "2", "--n-max", "1"])
         lines = text.splitlines()
         assert lines[0].split() == ["m", "coeff(n=1)", "norm_lower_bound", "ratio_lower_bound"]
         assert "5/6" in lines[3]
@@ -232,28 +233,30 @@ class TestLimit:
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_two_point_limit(self, h3, q):
         phi = two_point_potential(h3)
-        report = run_limit_experiment(phi, parse_word(h3, "Ax"), q, k_max=6)
-        assert report.separation_index == 2
+        potential_norm, samples, separation_index = run_limit_experiment(
+            phi, parse_word(h3, "Ax"), q, k_max=6)
+        assert separation_index == 2
         # once separated, norm^q = 2 * (1 + 2^-q) exactly
         want_pow = Fraction(2) * (1 + Fraction(1, 2**q))
-        for k, norm, exact in report.samples:
+        for k, norm, exact in samples:
             if k >= 2:
                 assert exact == want_pow
                 assert norm == pytest.approx(float(want_pow) ** (1 / q), rel=1e-12)
-        assert report.potential_norm == pytest.approx(
+        assert potential_norm == pytest.approx(
             float(1 + Fraction(1, 2**q)) ** (1 / q), rel=1e-12
         )
         # the limit factors as 2^(1/q) * ||phi||_q
-        assert report.samples[-1][1] == pytest.approx(
-            2 ** (1 / q) * report.potential_norm, rel=1e-12
+        assert samples[-1][1] == pytest.approx(
+            2 ** (1 / q) * potential_norm, rel=1e-12
         )
 
     def test_delta_potential(self, h3):
         phi = Potential(h3, {(1, 0, 0): 1})
-        report = run_limit_experiment(phi, parse_word(h3, "Ax"), 2, k_max=4)
-        assert report.separation_index == 1
-        assert report.potential_norm == 1.0
-        for _, norm, exact in report.samples:
+        potential_norm, samples, separation_index = run_limit_experiment(
+            phi, parse_word(h3, "Ax"), 2, k_max=4)
+        assert separation_index == 1
+        assert potential_norm == 1.0
+        for _, norm, exact in samples:
             assert exact == 2
             assert norm == pytest.approx(math.sqrt(2), rel=1e-12)
 
@@ -269,15 +272,16 @@ class TestLimit:
             run_limit_experiment(phi, parse_word(h3, "Ax"), 2, k_max=3)
 
     def test_empty_potential(self, h3):
-        report = run_limit_experiment(Potential(h3, {}), parse_word(h3, "Ax"), 2, 3)
-        assert report.potential_norm == 0.0
-        assert report.samples == [(k, 0.0, 0) for k in (1, 2, 3)]
+        potential_norm, samples, _ = run_limit_experiment(
+            Potential(h3, {}), parse_word(h3, "Ax"), 2, 3)
+        assert potential_norm == 0.0
+        assert samples == [(k, 0.0, 0) for k in (1, 2, 3)]
 
     def test_empty_potential_non_integer_q(self, h3):
         # as for any other potential, the exact column is printed for
         # integral q only
-        report = run_limit_experiment(Potential(h3, {}), parse_word(h3, "Ax"), 2.5, 2)
-        assert report.samples == [(1, 0.0, None), (2, 0.0, None)]
+        _, samples, _ = run_limit_experiment(Potential(h3, {}), parse_word(h3, "Ax"), 2.5, 2)
+        assert samples == [(1, 0.0, None), (2, 0.0, None)]
 
     @pytest.mark.parametrize("name", CORPUS_MODELS)
     def test_separation_index_matches_brute_force(self, name):
@@ -292,8 +296,8 @@ class TestLimit:
                     table[s] = Fraction(rng.randint(1, 9), rng.randint(1, 4))
             a = random_payload(model, rng, 3)
             k_max = rng.randint(1, 6)
-            report = run_limit_experiment(Potential(model, table), a, 2, k_max)
-            assert report.separation_index == brute_separation(model, table, a, k_max)
+            _, _, separation_index = run_limit_experiment(Potential(model, table), a, 2, k_max)
+            assert separation_index == brute_separation(model, table, a, k_max)
 
     @pytest.mark.parametrize("table, word, index", [
         # A1 is central: every (i, i) is a hit, so the two never separate
@@ -308,13 +312,13 @@ class TestLimit:
     def test_h3_separation_by_fibre(self, h3, table, word, index):
         a = parse_word(h3, word)
         phi = Potential(h3, table)
-        assert run_limit_experiment(phi, a, 2, 6).separation_index == index
+        assert run_limit_experiment(phi, a, 2, 6)[2] == index
         assert brute_separation(h3, table, a, 6) == index
 
     def test_non_integer_q(self, h3):
         phi = two_point_potential(h3)
-        report = run_limit_experiment(phi, parse_word(h3, "Ax"), 2.5, k_max=3)
-        k, norm, exact = report.samples[-1]
+        _, samples, _ = run_limit_experiment(phi, parse_word(h3, "Ax"), 2.5, k_max=3)
+        k, norm, exact = samples[-1]
         assert exact is None
         want = (2 * (1 + 2**-2.5)) ** (1 / 2.5)
         assert norm == pytest.approx(want, rel=1e-12)
@@ -327,22 +331,22 @@ class TestLimit:
 class TestInverseSequence:
     def test_h3_symmetric(self, h3):
         # conjugating Ap by Ax^k moves it k steps either way
-        report = run_inverse_sequence_check(
+        rows = run_inverse_sequence_check(
             h3, (1, 0, 0), parse_word(h3, "Ax"), k_max=5, budget=12
         )
-        for k, fwd, bwd in report.rows:
+        for k, fwd, bwd in rows:
             assert fwd == k and bwd == k
 
     def test_fixed_point(self, h3):
-        report = run_inverse_sequence_check(
+        rows = run_inverse_sequence_check(
             h3, h3.identity_payload(), parse_word(h3, "Ax"), k_max=3, budget=6
         )
-        assert all(f == 0 and b == 0 for _, f, b in report.rows)
+        assert all(f == 0 and b == 0 for _, f, b in rows)
 
     def test_free_group_asymmetry(self):
         # a_k = x^k y conjugating u = x: forward distance k+1, backward 1
         f2 = FreeGroup(2)
-        report = run_inverse_sequence_check(
+        rows = run_inverse_sequence_check(
             f2,
             f2.decode_payload("x1"),
             parse_word(f2, "x1"),
@@ -350,22 +354,20 @@ class TestInverseSequence:
             budget=10,
             tail=parse_word(f2, "x2"),
         )
-        for k, fwd, bwd in report.rows:
+        for k, fwd, bwd in rows:
             assert fwd == k + 1
             assert bwd == 1
 
     def test_budget_sentinel(self, h3):
-        report = run_inverse_sequence_check(
+        rows = run_inverse_sequence_check(
             h3, (1, 0, 0), parse_word(h3, "Ax"), k_max=5, budget=3
         )
-        assert report.rows[4][1] == AtLeast(3)
+        assert rows[4][1] == AtLeast(3)
 
-    def test_json_cells(self, h3):
-        report = run_inverse_sequence_check(
-            h3, (1, 0, 0), parse_word(h3, "Ax"), k_max=4, budget=3
-        )
-        data = report.to_json()
-        json.dumps(data)
+    def test_json_cells(self, capsys):
+        data = json.loads(stdout_of(capsys, [
+            "inverse-seq", "--model", "h3", "--u", "H3(1,0,0)", "--conjugator", "Ax",
+            "--k-max", "4", "--budget", "3", "--format", "json"]))
         assert data["rows"][0] == [1, 1, 1]
         assert data["rows"][3] == [4, "≥3", "≥3"]
 

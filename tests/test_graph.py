@@ -235,37 +235,37 @@ class TestDistance:
 class TestBCProbe:
     def test_h3_plateau(self, h3):
         K = [(1, 0, 0), (1, 0, 1)]
-        report = bc_probe(h3, K, max_cayley_radius=4, diam_budget=16)
-        assert all(d == 1 for _, d in report.shells)
-        assert report.verdict == "Plateau(1)"
+        shells, verdict = bc_probe(h3, K, max_cayley_radius=4, diam_budget=16)
+        assert all(d == 1 for _, d in shells)
+        assert verdict == "Plateau(1)"
 
     def test_singleton_plateau_zero(self, model):
         g = random_payload(model, Random(15), max_len=3)
-        report = bc_probe(model, [g], max_cayley_radius=3, diam_budget=8)
-        assert report.verdict == "Plateau(0)"
+        _, verdict = bc_probe(model, [g], max_cayley_radius=3, diam_budget=8)
+        assert verdict == "Plateau(0)"
 
     def test_h3semi_growing(self):
         m = get_model("h3semi")
         K = [m.decode_payload("H3(0,1,0)"), m.decode_payload("H3(1,0,0)")]
-        report = bc_probe(m, K, max_cayley_radius=4, diam_budget=16)
-        assert report.verdict == "Growing"
-        vals = [d for _, d in report.shells]
+        shells, verdict = bc_probe(m, K, max_cayley_radius=4, diam_budget=16)
+        assert verdict == "Growing"
+        vals = [d for _, d in shells]
         assert vals == sorted(vals)
 
     def test_shells_monotone(self):
         d = DihedralInf()
         K = [d.decode_payload("a"), d.decode_payload("bab")]
-        report = bc_probe(d, K, max_cayley_radius=5, diam_budget=16)
-        vals = [x for _, x in report.shells]
+        shells, _ = bc_probe(d, K, max_cayley_radius=5, diam_budget=16)
+        vals = [x for _, x in shells]
         assert vals == sorted(vals)
 
     def test_empty_k_rejected(self, h3):
         with pytest.raises(UsageError):
             bc_probe(h3, [], 3, 8)
 
-    def test_json_schema(self, h3):
-        report = bc_probe(h3, [(1, 0, 0)], 2, 8)
-        data = report.to_json()
+    def test_json_schema(self, capsys):
+        data = json.loads(cli_stdout(capsys, ["bc", "--model", "h3", "--k", "H3(1,0,0)",
+                                              "--cayley-radius", "2", "--diam-budget", "8"]))
         assert set(data) == {"K", "shells", "verdict"}
         assert data["shells"] == [[0, 0], [1, 0], [2, 0]]
 
@@ -317,7 +317,7 @@ class TestBCOracle:
         # the shells recomputed from the closed-form conjugation action and
         # the closed-form distance, without any search
         radius, budget = 3, 6
-        report = bc_probe(h3, K, radius, budget)
+        shells, _ = bc_probe(h3, K, radius, budget)
         K = sorted(set(K), key=h3.encode_payload)
         dists = [0]
         want = []
@@ -331,7 +331,7 @@ class TestBCOracle:
             bounds = [d.bound if isinstance(d, AtLeast) else d for d in dists]
             lower = any(isinstance(d, AtLeast) for d in dists)
             want.append((r, AtLeast(max(bounds)) if lower else max(bounds)))
-        assert report.shells == want
+        assert shells == want
 
 
 class TestBCBudget:
@@ -349,19 +349,19 @@ class TestBCBudget:
     def test_free2_matches_pairwise(self, node_budget):
         f2 = FreeGroup(2)
         K = [f2.decode_payload(w) for w in ("x1", "x2.x1.x2^-1", "x1.x2.x1.x2^-1.x1^-1")]
-        report = bc_probe(f2, K, 1, 6, node_budget)
-        assert report.shells == _pairwise_shells(f2, K, 1, 6, node_budget)
+        shells, _ = bc_probe(f2, K, 1, 6, node_budget)
+        assert shells == _pairwise_shells(f2, K, 1, 6, node_budget)
         if node_budget == 5:
-            assert report.shells[-1][1] == AtLeast(2)
+            assert shells[-1][1] == AtLeast(2)
 
     @pytest.mark.parametrize("node_budget", [8, 12, 16, 1000])
     def test_dsemi_matches_pairwise(self, node_budget):
         m = get_model("dsemi")
         K = [m.decode_payload(w) for w in ("a", "b", "babab", "abababa")]
-        report = bc_probe(m, K, 2, 8, node_budget)
-        assert report.shells == _pairwise_shells(m, K, 2, 8, node_budget)
+        shells, _ = bc_probe(m, K, 2, 8, node_budget)
+        assert shells == _pairwise_shells(m, K, 2, 8, node_budget)
         if node_budget == 8:
-            assert report.shells[-1][1] == AtLeast(4)
+            assert shells[-1][1] == AtLeast(4)
 
 
 def apart_k(model, rng):
@@ -385,9 +385,9 @@ class TestBCApart:
         monkeypatch.setattr(graph, "conj_distance", refuse)
         monkeypatch.setattr(model, "conj_step", refuse)
         for radius, budget in ((0, 0), (1, 4), (3, 2)):
-            report = bc_probe(model, K, radius, budget)
-            assert report.shells == [(r, AtLeast(budget)) for r in range(radius + 1)]
-            assert report.verdict == "Inconclusive"
+            shells, verdict = bc_probe(model, K, radius, budget)
+            assert shells == [(r, AtLeast(budget)) for r in range(radius + 1)]
+            assert verdict == "Inconclusive"
 
 
 @st.composite
@@ -410,10 +410,9 @@ def bc_inputs(draw):
 
 def bc_outcome(model, K, radius, diam_budget, node_budget):
     try:
-        report = bc_probe(model, K, radius, diam_budget, node_budget)
+        return bc_probe(model, K, radius, diam_budget, node_budget)
     except ResourceBudgetError as exc:
         return str(exc), exc.partial_count
-    return report.base_set_encoding, report.shells, report.verdict
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
