@@ -578,10 +578,10 @@ def digests_moved(name) -> list:
     return moved(corpus, [run_case(case) for case in corpus["cases"]])
 
 
-def test_every_output_matches_its_digest(name, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("CONJLAB_DEFAULT_BUDGET", raising=False)
-    assert digests_moved(name) == []
+def test_every_output_matches_its_digest(name):
+    # read from the reach gate's pass, which runs each corpus once per session
+    from test_reach import trace  # here: test_reach imports this module
+    assert trace()[1][name] == []
 
 
 def _image_by_apply(phi, gp):

@@ -2,7 +2,8 @@
 named in `UNREACHED`, with its reason.
 
 Both golden corpora of `tests/test_corpus.py` run once, in process, under
-`sys.setprofile` (call events only), and every digest must hold.  The code
+`sys.setprofile` (call events only), and every digest must hold; the
+corpus's own digest test reads its outcome from this one pass.  The code
 objects that started to run under `src/conjlab` are then matched with
 every `def` there, read from the AST, so the names are the same on every
 Python: `module.qualname`, a nested function under `<locals>`.  Not
@@ -108,8 +109,9 @@ def defs() -> list:
 @functools.cache
 def trace() -> tuple:
     """(reached, moved): the (path, first line) of every code object under
-    the package that was called while both corpora ran, and the argv whose
-    exit code or digests moved.  Runs once, in a scratch directory."""
+    the package that was called while both corpora ran, and for each corpus
+    the argv whose exit code or digests moved.  Runs once, in a scratch
+    directory."""
     codes = set()
 
     def profile(frame, event, arg):
@@ -121,7 +123,7 @@ def trace() -> tuple:
         os.chdir(scratch)
         sys.setprofile(profile)
         try:
-            moved = [argv for name in CORPORA for argv in digests_moved(name)]
+            moved = {name: digests_moved(name) for name in CORPORA}
         finally:
             sys.setprofile(None)
             os.chdir(cwd)
@@ -159,7 +161,7 @@ def problems(found, reached, table) -> list:
 
 
 def test_the_traced_corpora_keep_every_digest():
-    assert trace()[1] == []
+    assert trace()[1] == dict.fromkeys(CORPORA, [])
 
 
 def test_every_entry_gives_a_reason_from_the_closed_set():
