@@ -324,15 +324,17 @@ def cmd_appendix(args):
 def cmd_limit(args):
     phi = _load_potential(args.potential)
     a = parse_word(phi.model, args.conjugator)
-    norm, samples, separation_index = ex.run_limit_experiment(phi, a, args.q, args.k_max)
+    potential_norm, samples, separation_index = ex.run_limit_experiment(
+        phi, a, args.q, args.k_max)
     if args.format == "table":
         return [format_table(["k", "norm", "norm^q (exact)"], [
-            (k, fmt_float(nk), "-" if pw is None else exact_str(pw)) for k, nk, pw in samples])]
+            (k, fmt_float(norm), "-" if pw is None else exact_str(pw))
+            for k, norm, pw in samples])]
     return {
         "q": fmt_float(args.q),
-        "potential_norm": fmt_float(norm),
-        "samples": [[k, fmt_float(nk), None if pw is None else exact_str(pw)]
-                    for k, nk, pw in samples],
+        "potential_norm": fmt_float(potential_norm),
+        "samples": [[k, fmt_float(norm), None if pw is None else exact_str(pw)]
+                    for k, norm, pw in samples],
         "separation_index": separation_index,
     }
 
