@@ -222,6 +222,17 @@ inverse-seq --model h3*dinf --u (e|e) --conjugator l
     ["graph", "--model", "h3semi", "--base", "c", "--radius", "2"],
     ["graph", "--model", "dsemi", "--base", "bac", "--radius", "2"],
 ]
+# bc on K with two non-conjugate elements in one abelian image, under the
+# gate, on free groups and products with a free factor; the last one past
+# it, where the distance searches are cut below --diam-budget
+ONE_IMAGE_COMMANDS = """\
+bc --model free2 --k x1.x2.x1^-1.x2^-1 --k x2.x1.x2^-1.x1^-1 --cayley-radius 2 --diam-budget 4
+bc --model free2 --k e --k x1.x2.x1^-1.x2^-1 --cayley-radius 3 --diam-budget 3
+bc --model free3 --k x1.x2.x3 --k x1.x3.x2 --k x2.x3.x1 --cayley-radius 2 --diam-budget 4
+bc --model dinf*free2 --k (ab|x1.x2.x1^-1.x2^-1) --k (ab|e) --cayley-radius 2 --diam-budget 4
+bc --model h3*free2 --k (H3(1,0,0)|x1.x1.x2.x2) --k (H3(1,0,1)|x1.x2.x1.x2) --cayley-radius 1 --diam-budget 3
+bc --model free3 --k x1.x2.x3 --k x1.x3.x2 --k x2.x3.x1 --cayley-radius 2 --diam-budget 4 --budget-nodes 40
+""".splitlines()
 CHARACTER_10000 = [
     ("H3(1,-2,-2)", "H3(0,1,0)"), ("H3(1,-3,-3)", "H3(0,1,0)"),
     ("H3(1,-9999,-9999)", "H3(0,1,0)"), ("H3(1,-9999,-10000)", "H3(0,1,0)"),
@@ -482,6 +493,7 @@ def generate_commands():
     cases += [{"argv": line.split()} for line in PINNED_COMMANDS] + [{"argv": EMPTY_EDGES}]
     cases += [{"argv": line.split()} for line in APART_COMMANDS + INCONCLUSIVE_COMMANDS]
     cases += [{"argv": a} for a in REFUSED_COMMANDS]
+    cases += [{"argv": line.split()} for line in ONE_IMAGE_COMMANDS]
     return {}, cases
 
 
@@ -560,7 +572,7 @@ def test_the_command_corpus_covers_every_other_command():
         assert {(0, "table"), (0, "json")} <= runs[command]
     assert {code for code, _ in runs["bc"]} == {0, 2, 3}
     models = {case["argv"][2] for case in cases if case["exit"] == 0 and "--model" in case["argv"]}
-    assert models == {*MODELS, "free1", "free2*free2"}
+    assert models == {*MODELS, "free1", "free2*free2", "h3*free2"}
     # a ball cut by its node budget
     assert any(case["argv"][0] == "graph" and case["exit"] == 0 and "--budget-nodes" in case["argv"]
                for case in cases)
