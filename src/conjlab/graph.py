@@ -92,11 +92,9 @@ def conj_distance(model: GroupModel, p1, p2, budget: int,
 
     Where a search to depth `budget` cannot run out of nodes, it answers
     the distance rho, or AtLeast(budget) when rho > max(budget, 0), so
-    that is returned without a search when rho is known: infinite for
-    elements with different abelian images, and otherwise the model's
-    `conjugator_length`."""
-    rho = (math.inf if model.abelian_image(p1) != model.abelian_image(p2)
-           else model.conjugator_length(p1, p2))
+    that is returned without a search when the model's `conjugator_length`
+    knows rho."""
+    rho = model.conjugator_length(p1, p2)
     if rho is not None and _levels_fit(len(model.gen_triples), budget, node_budget):
         return rho if rho <= max(budget, 0) else AtLeast(budget)
     return model.search(p1, model.conj_step, budget, node_budget, p2).length
@@ -129,8 +127,8 @@ def _set_diameter(model, payloads, budget, node_budget):
 
 
 def _apart(model, K) -> bool:
-    """Whether two payloads of K have different abelian images."""
-    return len({model.abelian_image(k) for k in K}) > 1
+    """Whether K holds a pair that `conjugator_length` finds not conjugate."""
+    return any(model.conjugator_length(u, v) == math.inf for u, v in combinations(K, 2))
 
 
 def bc_probe(
@@ -147,10 +145,10 @@ def bc_probe(
 
     Conjugators acting identically on K are expanded once (memo on the
     tuple of image payloads).  Where no distance search can run out of
-    nodes, a K with two elements in different abelian images is settled
-    once, after the Cayley ball: every g K g^-1 keeps the pair apart, so
-    `conj_distance` would make every shell AtLeast(diam_budget).  The
-    verdict is a fixed-window heuristic over the shell data; the raw
+    nodes, a K with a pair that `conjugator_length` finds not conjugate
+    is settled once, after the Cayley ball: every g K g^-1 keeps the pair
+    apart, so `conj_distance` would make every shell AtLeast(diam_budget).
+    The verdict is a fixed-window heuristic over the shell data; the raw
     shells are always returned.  K is searched in encoding order.
     """
     K = sorted(set(K), key=model.encode_payload)

@@ -93,11 +93,6 @@ class GroupModel(ABC):
     # -- conjugacy-class invariants ------------------------------------------
 
     @abstractmethod
-    def abelian_image(self, p):
-        """The image of p in an abelian quotient: equal on conjugate
-        elements, so elements with different images are not conjugate."""
-
-    @abstractmethod
     def class_is_finite(self, p) -> bool:
         """Whether the conjugacy class of p, its conjugation-graph
         component, is finite."""
@@ -105,8 +100,11 @@ class GroupModel(ABC):
     def conjugator_length(self, u, v):
         """The least word length of a g with g u g^-1 = v, the conjugation
         distance; math.inf when u and v are not conjugate, and None where
-        the model has no formula for it."""
-        return None
+        the model has no formula for it.  This default has none: it answers
+        math.inf where `abelian_image`, the image in an abelian quotient,
+        differs, since conjugates have equal images.  Only the models that
+        keep the default define `abelian_image`."""
+        return math.inf if self.abelian_image(u) != self.abelian_image(v) else None
 
     # -- generators, steps and products ------------------------------------
 
@@ -358,12 +356,6 @@ class FreeGroup(GroupModel):
     def generator_payloads(self) -> dict:
         return {f"x{i + 1}": ((i, 1),) for i in range(self.rank)}
 
-    def abelian_image(self, p):
-        sums = [0] * self.rank
-        for i, s in p:
-            sums[i] += s
-        return tuple(sums)
-
     def class_is_finite(self, p) -> bool:
         # free1 is abelian; in a free group of rank >= 2 only e is central
         return not p or self.rank == 1
@@ -610,17 +602,16 @@ class DirectProduct(GroupModel):
             out[f"r.{gid}"] = (el, p)
         return out
 
-    def abelian_image(self, p):
-        return (self.left.abelian_image(p[0]), self.right.abelian_image(p[1]))
-
     def class_is_finite(self, p) -> bool:
         return self.left.class_is_finite(p[0]) and self.right.class_is_finite(p[1])
 
     def conjugator_length(self, u, v):
         # a generator conjugates one factor, so the distances add
-        left = self.left.conjugator_length(u[0], v[0])
-        right = None if left is None else self.right.conjugator_length(u[1], v[1])
-        return None if right is None else left + right
+        pair = (self.left.conjugator_length(u[0], v[0]),
+                self.right.conjugator_length(u[1], v[1]))
+        if math.inf in pair:
+            return math.inf
+        return None if None in pair else sum(pair)
 
 
 # ---------------------------------------------------------------------------

@@ -609,17 +609,17 @@ def _rows_as_lists(self, nl):
 
 
 # name: (owner, fast path, reference, applies(command, model)); a reference is
-# the base class's path, for the gate a search every time, for bc's apart K
-# the per-image loop, for derive's image
+# the base class's path, for the conjugator_length formulas and the gate a
+# search every time, for bc's apart K the per-image loop, for derive's image
 # the dict of terms, and for the row writer the generic list path
 REFERENCES = {
     "h3-mul_all": (Heisenberg, "mul_all", GroupModel.mul_all, lambda c, m: m == "h3"),
     "h3-conj_step": (Heisenberg, "conj_step", GroupModel.conj_step, lambda c, m: m == "h3"),
     "h3-conj_hits": (Heisenberg, "conj_hits", GroupModel.conj_hits, lambda c, m: m == "h3"),
-    "free-conjugator_length": (FreeGroup, "conjugator_length", GroupModel.conjugator_length,
+    "free-conjugator_length": (FreeGroup, "conjugator_length", lambda *args: None,
                                lambda c, m: "free" in m),
-    "product-conjugator_length": (DirectProduct, "conjugator_length",
-                                  GroupModel.conjugator_length, lambda c, m: "*" in m),
+    "product-conjugator_length": (DirectProduct, "conjugator_length", lambda *args: None,
+                                  lambda c, m: "*" in m),
     "levels_fit": (graph, "_levels_fit", lambda *args: False,
                    lambda c, m: c in ("bc", "inverse-seq")),
     "bc-apart": (graph, "_apart", lambda *args: False, lambda c, m: c == "bc"),

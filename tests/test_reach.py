@@ -49,7 +49,6 @@ UNREACHED = {
     "groups.GroupModel.encode_payload": "abstract",
     "groups.GroupModel.decode_payload": "abstract",
     "groups.GroupModel.generator_payloads": "abstract",
-    "groups.GroupModel.abelian_image": "abstract",
     "groups.GroupModel.class_is_finite": "abstract",
     "groups.SwapExtension.sigma": "abstract",
     "groups.GroupModel.multiply": "tracer-held",
