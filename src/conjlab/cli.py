@@ -13,7 +13,6 @@ from __future__ import annotations
 import gc
 import os
 import sys
-from collections.abc import Iterator
 from itertools import chain, islice, starmap
 from json.encoder import encode_basestring as _quote
 from types import SimpleNamespace
@@ -59,10 +58,10 @@ def _write(pieces) -> None:
 def _emit(obj) -> None:
     """Write json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2)
     and a newline, without building the document as one string.  A list
-    may also be given as an iterator or `_Rows`, and an object as `_Members`;
-    each is read once while writing.  The leaves are str, int, bool and
-    None, and a key is a str or an int: any other type, a float too, raises
-    TypeError, since each command formats its floats as text."""
+    may also be given as `_Rows`, and an object as `_Members`; each is read
+    once while writing.  The leaves are str, int, bool and None, and a key
+    is a str or an int: any other type, a float too, raises TypeError,
+    since each command formats its floats as text."""
     _write(chain(_json_pieces(obj, "\n"), ["\n"]))
 
 
@@ -124,7 +123,7 @@ def _json_pieces(obj, nl: str):
                 yield from _json_pieces(value, inner)
             sep = ","
         yield nl + "}" if sep == "," else "{}"
-    elif isinstance(obj, (list, tuple, Iterator)):
+    elif isinstance(obj, (list, tuple)):
         sep = "["
         for item in obj:
             if isinstance(item, _LEAVES):
