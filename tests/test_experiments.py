@@ -193,6 +193,18 @@ class TestAppendix:
         with pytest.raises(UsageError):
             run_appendix(2, 0)
 
+    def test_json_serialisable(self, capsys):
+        data = json.loads(stdout_of(capsys, ["appendix", "--m-max", "3", "--n-max", "2",
+                                             "--format", "json"]))
+        assert data["rows"][2]["m"] == 3
+        assert data["rows"][1]["coeffs"][0] == [1, "5/6"]
+
+    def test_table_render(self, capsys):
+        text = stdout_of(capsys, ["appendix", "--m-max", "2", "--n-max", "1"])
+        lines = text.splitlines()
+        assert lines[0].split() == ["m", "coeff(n=1)", "norm_lower_bound", "ratio_lower_bound"]
+        assert "5/6" in lines[3]
+
 
 # ---------------------------------------------------------------------------
 # Norm limit under a diverging conjugator
