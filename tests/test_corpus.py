@@ -233,6 +233,23 @@ bc --model dinf*free2 --k (ab|x1.x2.x1^-1.x2^-1) --k (ab|e) --cayley-radius 2 --
 bc --model h3*free2 --k (H3(1,0,0)|x1.x1.x2.x2) --k (H3(1,0,1)|x1.x2.x1.x2) --cayley-radius 1 --diam-budget 3
 bc --model free3 --k x1.x2.x3 --k x1.x3.x2 --k x2.x3.x1 --cayley-radius 2 --diam-budget 4 --budget-nodes 40
 """.splitlines()
+# argv that the support's order could reach: g and g^-1 of one norm in
+# the ball (d(a) and d(b) on dinf_four), two central cells on either side
+# of an infinite-class one, then the q-th powers and a coefficient of d(g)
+# that pass the digit bounds and still cannot be printed (A = 10^2199 + 7)
+_A = 10**2199 + 7
+ORDER_POTENTIALS = {
+    "h3_central_around": {"model": "h3", "table": [["H3(0,0,5)", "1"], ["H3(1,0,0)", "2"],
+                                                   ["H3(0,0,-2)", "-1/3"]]},
+    "h3_wide_denominators": {"model": "h3", "table": [["H3(1,0,0)", f"1/{_A}"],
+                                                      ["H3(1,0,1)", f"1/{_A + 1}"]]},
+}
+ORDER_ARGV = [line.split() for line in """\
+bound-probe --potential dinf_four.json --radius 1 -p 1.5
+limit --potential h3_central_around.json --conjugator Ax
+limit --potential two_point.json --conjugator Ax --q 20000 --k-max 2
+derive --potential h3_wide_denominators.json --element H3(0,-1,0)
+""".splitlines()]
 CHARACTER_10000 = [
     ("H3(1,-2,-2)", "H3(0,1,0)"), ("H3(1,-3,-3)", "H3(0,1,0)"),
     ("H3(1,-9999,-9999)", "H3(0,1,0)"), ("H3(1,-9999,-10000)", "H3(0,1,0)"),
@@ -389,6 +406,8 @@ def generate():
     argv += PINNED_ARGV + HIT_DERIVES
     potentials.update(MALFORMED_POTENTIALS)
     argv += REFUSED_ARGV
+    potentials.update(ORDER_POTENTIALS)
+    argv += ORDER_ARGV
     return potentials, [{"argv": a} for a in argv]
 
 
