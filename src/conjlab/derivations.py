@@ -20,7 +20,7 @@ from itertools import compress, repeat
 
 from .errors import ModelMismatchError, UsageError
 from .groups import DEFAULT_NODE_BUDGET, GroupModel, get_model
-from .ring import _ZERO, GroupRingVector, add_terms, exact_str, float_norm, left_sum
+from .ring import _ZERO, GroupRingVector, add_terms, exact_str, float_norm
 
 DEFAULT_TRUNCATION = 10**4
 
@@ -84,14 +84,13 @@ class Potential:
     @cached_property
     def _support(self) -> tuple:
         rule = _harmonic_support(self.trunc_k) if self.closed_form is not None else ()
-        # the table is disjoint from the rule's support
-        return tuple(sorted([*self.table, *rule], key=self.model.encode_payload))
+        return (*self.table, *rule)  # disjoint: the table holds no cell of the rule
 
     @cached_property
     def _columns(self) -> tuple:
-        """The (truncated) support as parallel columns (payloads, phi),
-        sorted by encoding and without zero values; built once, the rule's
-        values read at the rule's own support."""
+        """The (truncated) support as parallel columns (payloads, phi), the
+        table's rows in file order, then the rule's support, without zero
+        values; built once, the rule's values read at the rule's own support."""
         payloads, table, rule, k = self._support, self.table, self._rule, self.trunc_k
         return payloads, tuple([table.get(p) or rule(p, k) for p in payloads])
 
@@ -104,8 +103,8 @@ class Potential:
         return den, (payloads, tuple([v.numerator * (den // v.denominator) for v in values]))
 
     def support(self) -> tuple:
-        """The (truncated) support's payloads sorted by encoding, built once
-        and with no value read: `_columns[0]`."""
+        """The (truncated) support's payloads, the table's in file order, then
+        the rule's, built once and with no value read: `_columns[0]`."""
         return self._support
 
     def add_derivation(self, gp, acc: dict) -> None:
@@ -276,10 +275,10 @@ def g_boundedness_probe(
             norm = by_hits.get(hits)
             if norm is None:
                 coeffs, pows = hit_column(values, hits), base_pows.copy()
-                for i, j in hits:  # powers added in support order
+                for i, j in hits:  # math.fsum: the same sum in any order
                     pows[i] = 0.0 if i == j else _float_pow(coeffs[i], p)
                     pows[n + j] = 0.0
-                norm = by_hits[hits] = float_norm(coeffs, p, lambda: left_sum(pows))
+                norm = by_hits[hits] = float_norm(coeffs, p, lambda: math.fsum(pows))
             memo[key] = norm
         if norm > best:
             best = norm

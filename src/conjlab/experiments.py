@@ -107,12 +107,10 @@ def run_limit_experiment(phi: Potential, a, q, k_max: int) -> tuple:
     model = phi.model
     payloads, values = phi._columns
     q_int = int(q) if float(q).is_integer() else None
-    for p in payloads:
-        if model.class_is_finite(p):
-            raise UsageError(
-                f"potential support element {model.encode_payload(p)} lies in a finite "
-                "conjugation component"
-            )
+    finite = [model.encode_payload(p) for p in payloads if model.class_is_finite(p)]
+    if finite:
+        raise UsageError(
+            f"potential support element {min(finite)} lies in a finite conjugation component")
     by_hits = {}  # the samples by hit set; a_k^-1's hits are a_k's, transposed
     samples = []
     separation_index = None

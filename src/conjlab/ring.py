@@ -13,7 +13,6 @@ import math
 import operator
 import sys
 from fractions import Fraction
-from functools import reduce
 
 from .errors import ModelMismatchError, UsageError
 from .groups import GroupModel
@@ -53,23 +52,17 @@ def add_terms(acc: dict, terms) -> None:
             del acc[u]
 
 
-def left_sum(floats) -> float:
-    """The floats added one by one, left to right.  `sum` compensates its
-    rounding from Python 3.12 on; this gives the same bits on every version."""
-    return reduce(operator.add, floats, 0.0)
-
-
 def float_norm(values, p: float, power_sum=None) -> float:
     """The p-norm (p >= 1) of the exact rationals `values` as a float: the p-th
-    root of `power_sum()` (default: the `left_sum` of float(|c|) ** p) while
-    that sum is a normal float, float(max |c|) for p = inf.  Out of float range,
-    each square is divided by the largest, so every power lies in [0, 1]; `_sqrt`
-    scales back.  A value whose bit lengths show |c| > 2^1025 is refused first,
-    without a square: the norm is at least |c|, which no float holds."""
+    root of `power_sum()` (default: `math.fsum` of float(|c|) ** p, exactly rounded
+    in any term order) while that sum is normal, float(max |c|) for p = inf.  Out
+    of float range, each square is divided by the largest, so every power lies in
+    [0, 1]; `_sqrt` scales back.  A value whose bit lengths show |c| > 2^1025 is
+    refused first, without a square: the norm is at least |c|, which no float holds."""
     try:
         if p == math.inf:
             return float(max(map(abs, values), default=0))
-        total = power_sum() if power_sum else left_sum(float(abs(c)) ** p for c in values)
+        total = power_sum() if power_sum else math.fsum(float(abs(c)) ** p for c in values)
         if _TINY <= total < math.inf:
             return total ** (1.0 / p)
     except OverflowError:

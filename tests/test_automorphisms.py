@@ -1,6 +1,6 @@
 """Automorphism invariance of `bound-probe` and `character` on h3, of
-`derive` and `character` on the other five models, and of `limit` and
-`bc` on all six.
+`derive`, `bound-probe` and `character` on the other five models, and of
+`limit` and `bc` on all six.
 
 An automorphism sigma of h3 that permutes the symmetric generating set maps
 the Cayley ball onto itself, and d_psi(sigma g) = sigma(d_phi(g)) for the
@@ -8,10 +8,11 @@ relabelled potential psi = phi o sigma^-1.  So `bound-probe` prints the
 same `max_norm` on psi, at an argmax that maps onto phi's up to ties, and
 chi_psi(sigma u, sigma v) = chi_phi(u, v).  `bound-probe` keeps each
 coefficient only up to its sign; these checks would see a sign that
-reached a norm.  `derive` on psi at sigma g prints phi's image at g with
-each element relabelled by sigma, and the same `norm_p`.  `limit` with
-each letter of the conjugator relabelled prints the same samples, and at
-q = 1 and 2, where it comes from an exact sum, the same `potential_norm`.
+reached a norm; the float norms are exactly rounded sums, which the
+order of the relabelled support does not move.  `derive` on psi at
+sigma g prints phi's image at g with each element relabelled by sigma,
+and the same `norm_p`.  `limit` with each letter of the conjugator
+relabelled prints the same samples and the same `potential_norm`.
 `bc` on sigma K prints the same shells and verdict.
 """
 
@@ -66,10 +67,10 @@ def stdout(capsys, argv) -> dict:
     return json.loads(capsys.readouterr().out)
 
 
-def exact_norm(table, gp, p):
-    """||d(g)||_p of the potential `table`, as an exact key: the sum of
-    |c|^p, or max |c| for p = inf."""
-    image = dv.Derivation(dv.Potential(H3, table)).apply(gp)
+def exact_norm(table, gp, p, model=H3):
+    """||d(g)||_p of the potential `table` on `model`, as an exact key: the
+    sum of |c|^p, or max |c| for p = inf."""
+    image = dv.Derivation(dv.Potential(model, table)).apply(gp)
     if p == "inf":
         return max(map(abs, image.terms.values()), default=0)
     return lq_pow_exact(image.terms.values(), int(p))
@@ -188,6 +189,27 @@ def test_derive_is_invariant(capsys, tmp_path, name, index):
 
 
 @pytest.mark.parametrize("name, index", OFF_H3_CASES, ids=lambda c: str(c))
+def test_bound_probe_is_invariant_off_h3(capsys, tmp_path, name, index):
+    model = get_model(name)
+    sigma = model_automorphisms(name)[index]
+    enc, dec = model.encode_payload, model.decode_payload
+    for seed in range(2):
+        table = model_table(model, Random(5000 + 10 * index + seed))
+        moved = {sigma(p): v for p, v in table.items()}
+        phi = write_potential(tmp_path / "phi.json", table, model)
+        psi = write_potential(tmp_path / "psi.json", moved, model)
+        for p in ("1", "2", "3", "inf"):
+            argv = ["bound-probe", "--radius", "2", "-p", p, "--potential"]
+            want = stdout(capsys, argv + [phi])
+            got = stdout(capsys, argv + [psi])
+            assert got["max_norm"] == want["max_norm"]
+            image, argmax = sigma(dec(want["argmax"])), dec(got["argmax"])
+            if argmax != image:  # a tie, broken by encoding
+                assert enc(argmax) < enc(image)
+                assert exact_norm(moved, argmax, p, model) == exact_norm(moved, image, p, model)
+
+
+@pytest.mark.parametrize("name, index", OFF_H3_CASES, ids=lambda c: str(c))
 def test_character_is_invariant_off_h3(capsys, tmp_path, name, index):
     model = get_model(name)
     sigma = model_automorphisms(name)[index]
@@ -234,9 +256,7 @@ def test_limit_is_invariant(capsys, tmp_path, name, index):
             got = stdout(capsys, argv + [psi, "--conjugator", ".".join(moved)])
             assert got["samples"] == want["samples"]
             assert got["separation_index"] == want["separation_index"]
-            # at q = 2.5 the norm is a float sum in the support's encoding order
-            if q != "2.5":
-                assert got["potential_norm"] == want["potential_norm"]
+            assert got["potential_norm"] == want["potential_norm"]
 
 
 # ---------------------------------------------------------------------------

@@ -612,15 +612,16 @@ class TestNormRange:
         assert err == "error: a rational value is too large to print\n"
 
     def test_bound_probe_adds_powers_left_to_right(self, capsys, tmp_path):
-        # two norms tie up to rounding; `sum` from Python 3.12 on rounds
-        # them otherwise and would print argmax "a"
+        # ||d(a)|| and ||d(b)|| tie exactly (|c| in {1/2, 1/2, 1, 1}); math.fsum
+        # gives both the same bits, so the first in (depth, encoding) order
+        # wins, where a sum left to right in support order printed "b"
         path = tmp_path / "phi.json"
         path.write_text(json.dumps({"model": "dinf", "table": [
             ["ab", "1/2"], ["b", "1"], ["a", "-1"], ["e", "2/3"]]}))
         code, out, _ = run(capsys, ["bound-probe", "--potential", str(path),
                                     "--radius", "1", "-p", "1.5"])
         assert code == 0
-        assert json.loads(out) == {"argmax": "b", "max_norm": "1.9423921959",
+        assert json.loads(out) == {"argmax": "a", "max_norm": "1.9423921959",
                                    "p": "1.5", "radius": 1}
 
     @pytest.mark.parametrize("value, q, potential_norm, sample", [

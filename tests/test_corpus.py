@@ -615,6 +615,18 @@ def test_every_output_matches_its_digest(name):
     assert trace()[1][name] == []
 
 
+def test_reversed_tables_print_the_same_stdout(tmp_path, monkeypatch):
+    # no output of a potential command hangs on the order of a table's rows:
+    # on every table reversed, each argv gives its stored exit code and stdout
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CONJLAB_DEFAULT_BUDGET", raising=False)
+    corpus = load_corpus()
+    write_potentials({name: {**data, "table": data["table"][::-1]}
+                      for name, data in corpus["potentials"].items()}, tmp_path)
+    assert [case["argv"] for case in corpus["cases"]
+            if run_case(case)[:2] != [case["exit"], case["stdout"]]] == []
+
+
 def _image_by_apply(phi, gp):
     """`Potential.image` by `Derivation.apply`: d(g) added term by term into
     a dict, then its rows and its coefficients."""

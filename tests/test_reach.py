@@ -19,6 +19,11 @@ fast path adds none (the path it stands in for is its reference, in
 or it moves to the tests).  To list today's unreached `def`s:
 
     PYTHONPATH=src python tests/test_reach.py
+
+The same pass under `sys.settrace` lists each statement inside a `def`
+that no argv runs, docstrings excluded; it is slower, and no test reads it:
+
+    PYTHONPATH=src python tests/test_reach.py --lines
 """
 
 import ast
@@ -26,6 +31,7 @@ import functools
 import os
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import conjlab
@@ -82,19 +88,20 @@ UNREACHED = {
 }
 
 
-def defs() -> list:
-    """(name, path, line of the `def`, first line of its code) of every
-    `def` in the package's modules but `__main__.py`; a decorated
-    function's code starts at its first decorator."""
+_DEF = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _def_nodes() -> list:
+    """(name, path, node) of every `def` in the package's modules but
+    `__main__.py`."""
     found = []
 
     def walk(node, path, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 walk(child, path, f"{prefix}{child.name}.")
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([d.lineno for d in child.decorator_list], default=child.lineno)
-                found.append((prefix + child.name, path, child.lineno, first))
+            elif isinstance(child, _DEF):
+                found.append((prefix + child.name, path, child))
                 walk(child, path, f"{prefix}{child.name}.<locals>.")
             else:
                 walk(child, path, prefix)
@@ -105,33 +112,89 @@ def defs() -> list:
     return found
 
 
+def defs() -> list:
+    """(name, path, line of the `def`, first line of its code) of every
+    `def` in the package's modules but `__main__.py`; a decorated
+    function's code starts at its first decorator."""
+    return [(name, path, node.lineno,
+             min([d.lineno for d in node.decorator_list], default=node.lineno))
+            for name, path, node in _def_nodes()]
+
+
 @functools.cache
-def trace() -> tuple:
-    """(reached, moved): the (path, first line) of every code object under
-    the package that was called while both corpora ran, and for each corpus
-    the argv whose exit code or digests moved.  Runs once, in a scratch
-    directory."""
-    codes = set()
+def trace(lines=False) -> tuple:
+    """(reached, moved, ran): the (path, first line) of every code object
+    under the package that was called while both corpora ran, for each
+    corpus the argv whose exit code or digests moved, and with `lines` the
+    (path, line) of every line that ran there.  Runs once, in a scratch
+    directory, under `sys.setprofile`, or `sys.settrace` with `lines`."""
+    codes, ran = set(), set()
+    resolve = functools.cache(lambda name: Path(name).resolve())
 
     def profile(frame, event, arg):
         if event == "call":
             codes.add(frame.f_code)
 
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def call(frame, event, arg):  # the global trace function sees calls only
+        codes.add(frame.f_code)
+        return local if resolve(frame.f_code.co_filename).parent == SRC else None
+
+    install, hook = (sys.settrace, call) if lines else (sys.setprofile, profile)
     budget, cwd = os.environ.pop("CONJLAB_DEFAULT_BUDGET", None), os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
-        sys.setprofile(profile)
+        install(hook)
         try:
             moved = {name: digests_moved(name) for name in CORPORA}
         finally:
-            sys.setprofile(None)
+            install(None)
             os.chdir(cwd)
             if budget is not None:
                 os.environ["CONJLAB_DEFAULT_BUDGET"] = budget
-    paths = {name: Path(name).resolve() for name in {code.co_filename for code in codes}}
-    reached = {(paths[code.co_filename], code.co_firstlineno) for code in codes
-               if paths[code.co_filename].parent == SRC}
-    return reached, moved
+    reached = {(resolve(code.co_filename), code.co_firstlineno) for code in codes
+               if resolve(code.co_filename).parent == SRC}
+    return reached, moved, {(resolve(name), line) for name, line in ran}
+
+
+def _code_lines(code) -> set:
+    """The lines that hold bytecode in `code` and the code nested in it."""
+    lines = {line for _, _, line in code.co_lines() if line is not None}
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            lines |= _code_lines(const)
+    return lines
+
+
+def unrun_lines(ran) -> list:
+    """`path:line: def: statement` for each statement inside a `def` of
+    which no line is in `ran`, docstrings excluded.  A statement's lines
+    are its header for a compound one or an `except` clause, all of it for
+    a simple one; a statement with no bytecode there (`global`, say) has
+    none to run.  A nested `def` is listed as a `def` of its own."""
+    out, code_lines = [], {}
+    for name, path, node in _def_nodes():
+        if path not in code_lines:
+            text = path.read_text(encoding="utf-8")
+            code_lines[path] = (_code_lines(compile(text, str(path), "exec")), text.splitlines())
+        has_code, source = code_lines[path]
+        todo = node.body[1:] if ast.get_docstring(node, clean=False) else list(node.body)
+        while todo:
+            stmt = todo.pop(0)
+            if isinstance(stmt, (*_DEF, ast.ClassDef)):
+                continue
+            inner = [child for field in ("body", "handlers", "orelse", "finalbody")
+                     for child in getattr(stmt, field, [])]
+            todo[:0] = inner
+            last = inner[0].lineno - 1 if inner else stmt.end_lineno
+            own = set(range(stmt.lineno, max(last, stmt.lineno) + 1)) & has_code
+            if own and not any((path, line) in ran for line in own):
+                out.append(f"{_at(path, stmt.lineno)}: {name}: {source[stmt.lineno - 1].strip()}")
+    return out
 
 
 def _at(path, line) -> str:
@@ -190,7 +253,10 @@ def test_the_gate_names_each_planted_fault():
                                                "remove its entry")
 
 
-if __name__ == "__main__":
+if __name__ == "__main__" and sys.argv[1:] == ["--lines"]:
+    for line in unrun_lines(trace(lines=True)[2]):
+        print(line)
+elif __name__ == "__main__":
     reached = trace()[0]
     for name, path, line, first in defs():
         if (path, first) not in reached:

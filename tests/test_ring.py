@@ -1,6 +1,7 @@
 import math
 import sys
 from fractions import Fraction
+from itertools import permutations
 from random import Random
 
 import pytest
@@ -92,9 +93,10 @@ class TestNorms:
             lq_pow_exact(v.terms.values(), 0)
 
     def test_float_norm_adds_left_to_right(self):
-        # 1 + 2^-53 rounds to 1, twice; a compensated sum (`sum` from
-        # Python 3.12 on) gives 1 + 2^-52
-        assert float_norm([1, 2**-53, 2**-53], 1) == 1.0
+        # added left to right, 1 + 2^-53 rounds to 1, twice; math.fsum rounds
+        # the exact sum once, to 1 + 2^-52, in every order of the terms
+        for values in permutations([1, 2**-53, 2**-53]):
+            assert float_norm(values, 1) == 1 + 2**-52
 
     def test_exact_str_refuses_what_python_cannot_print(self):
         assert exact_str(frac(-10**4299, 3)) == f"-{10**4299}/3"
