@@ -250,6 +250,11 @@ limit --potential h3_central_around.json --conjugator Ax
 limit --potential two_point.json --conjugator Ax --q 20000 --k-max 2
 derive --potential h3_wide_denominators.json --element H3(0,-1,0)
 """.splitlines()]
+# X = 10^4299, the longest literal `_read_int` decodes (4300 digits): s g
+# for s = H3(X,0,0) and g = H3(0,X,0) has c = X^2, which cannot be printed
+_X = "1" + "0" * 4299
+WIDE_POTENTIALS = {"h3_long_coordinate": {"model": "h3", "table": [[f"H3({_X},0,0)", "1"]]}}
+WIDE_ARGV = [["derive", "--potential", "h3_long_coordinate.json", "--element", f"H3(0,{_X},0)"]]
 CHARACTER_10000 = [
     ("H3(1,-2,-2)", "H3(0,1,0)"), ("H3(1,-3,-3)", "H3(0,1,0)"),
     ("H3(1,-9999,-9999)", "H3(0,1,0)"), ("H3(1,-9999,-10000)", "H3(0,1,0)"),
@@ -408,6 +413,8 @@ def generate():
     argv += REFUSED_ARGV
     potentials.update(ORDER_POTENTIALS)
     argv += ORDER_ARGV
+    potentials.update(WIDE_POTENTIALS)
+    argv += WIDE_ARGV
     return potentials, [{"argv": a} for a in argv]
 
 
