@@ -3,7 +3,6 @@ for concrete finitely generated groups."""
 
 from .errors import (
     InternalConsistencyError,
-    ModelMismatchError,
     ResourceBudgetError,
     UsageError,
 )

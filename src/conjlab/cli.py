@@ -179,7 +179,7 @@ def cmd_graph(args):
     enc, depths = ball.encodings, ball.depths
     return {
         "base": enc[base],
-        "radius": ball.radius,
+        "radius": args.radius,
         "complete": ball.complete,
         "closed": ball.closed,
         "vertices": [enc[p] for p in ball.by_encoding],

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
 
-from .errors import ModelMismatchError, UsageError
+from .errors import UsageError
 from .groups import DEFAULT_NODE_BUDGET, GroupModel, get_model
 from .ring import _ZERO, GroupRingVector, add_terms, exact_str, float_norm
 
@@ -313,7 +313,7 @@ def stabilisation_probe(phi: Potential, ball, radii):
     """For each radius r: sup |phi| over ball vertices at distance > r
     (the stabilised-at-0 convention), |phi| read once per vertex."""
     if ball.model.name != phi.model.name:
-        raise ModelMismatchError(f"ball of {ball.model.name} used with model {phi.model.name}")
+        raise UsageError(f"ball of {ball.model.name} used with model {phi.model.name}")
     sizes = [(dp, abs(phi.value(p))) for p, dp in ball.depths.items()]
     return [(r, max((v for dp, v in sizes if dp > r), default=_ZERO)) for r in radii]
 

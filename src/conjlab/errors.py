@@ -5,10 +5,6 @@ class UsageError(ValueError):
     """Caller violated a precondition (bad encoding, model mismatch, ...)."""
 
 
-class ModelMismatchError(UsageError):
-    """Operands belong to different group models."""
-
-
 class ResourceBudgetError(RuntimeError):
     """A search exceeded its node budget.
 

@@ -144,15 +144,13 @@ def run_inverse_sequence_check(
     a,
     k_max: int,
     budget: int,
-    tail=None,
+    tail,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list:
     """Rows (k, rho(u, a_k u a_k^-1), rho(u, a_k^-1 u a_k)) of budgeted
     distances, each an int or AtLeast, for a_k = a^k * tail, with u, a and
-    tail (by default e) payloads; the tail lets sequences like x^k y be
-    probed.  Each distance gets its own `node_budget`."""
-    if tail is None:
-        tail = model.identity_payload()
+    tail payloads; the tail lets sequences like x^k y be probed.  Each
+    distance gets its own `node_budget`."""
     mul, step = model.mul_payload, model.conj_step
     rows = []
     power = model.identity_payload()

@@ -17,17 +17,16 @@ from .groups import AtLeast, DEFAULT_NODE_BUDGET, GroupModel
 
 
 class ConjGraphBall:
-    """A BFS ball of the conjugation graph of `model` around the payload `base`.
+    """A BFS ball of the conjugation graph of `model`.
 
-    `depths` maps each vertex payload to its depth, in visiting order.
-    `complete` is False when the node budget stopped the exploration early;
-    `closed` is True when the whole (finite) component fits in the ball.
+    `depths` maps each vertex payload to its depth, in visiting order, the
+    centre first at depth 0.  `complete` is False when the node budget
+    stopped the exploration early; `closed` is True when the whole (finite)
+    component fits in the ball.
     """
 
-    def __init__(self, model: GroupModel, base, radius: int, depths: dict,
-                 complete: bool = True, closed: bool = False):
-        self.model, self.base, self.radius = model, base, radius
-        self.depths, self.complete, self.closed = depths, complete, closed
+    def __init__(self, model: GroupModel, depths: dict, complete: bool, closed: bool):
+        self.model, self.depths, self.complete, self.closed = model, depths, complete, closed
 
     @property
     def vertices(self):
@@ -80,7 +79,7 @@ def explore_component(
 ) -> ConjGraphBall:
     """The conjugation-graph ball of the given radius around the payload `u0`."""
     search = model.search(u0, model.conj_step, radius, node_budget)
-    return ConjGraphBall(model, u0, radius, search.dist, search.cut is None, search.exhausted)
+    return ConjGraphBall(model, search.dist, search.cut is None, search.exhausted)
 
 
 def conj_distance(model: GroupModel, p1, p2, budget: int,
@@ -158,20 +157,17 @@ def bc_probe(
     if _levels_fit(len(model.gen_triples), diam_budget, node_budget) and _apart(model, K):
         shells = [(r, AtLeast(max(diam_budget, 0))) for r in range(max_cayley_radius + 1)]
     else:
-        by_radius = {}
-        for g, r in ball.items():
-            by_radius.setdefault(r, []).append(g)
         step, inv = model.conj_step, model.inv_payload
-        memo, shells, running = {}, [], 0
-        for r in range(max_cayley_radius + 1):
-            dists = [running]
-            for g in by_radius.get(r, ()):
-                gi = inv(g)
-                images = tuple([step(k, g, gi) for k in K])
-                if images not in memo:
-                    memo[images] = _set_diameter(model, images, diam_budget, node_budget)
-                dists.append(memo[images])
-            running = _max_distance(dists)
+        memo, at_radius = {}, [[] for _ in range(max_cayley_radius + 1)]
+        for g, r in ball.items():
+            gi = inv(g)
+            images = tuple([step(k, g, gi) for k in K])
+            if images not in memo:
+                memo[images] = _set_diameter(model, images, diam_budget, node_budget)
+            at_radius[r].append(memo[images])
+        shells, running = [], 0
+        for r, dists in enumerate(at_radius):
+            running = _max_distance([running, *dists])
             shells.append((r, running))
     return shells, _bc_verdict(shells, max_cayley_radius)
 

@@ -14,7 +14,7 @@ import operator
 import sys
 from fractions import Fraction
 
-from .errors import ModelMismatchError, UsageError
+from .errors import UsageError
 from .groups import GroupModel
 
 _ZERO = Fraction(0)
@@ -121,8 +121,6 @@ def lp_norm(values, p: float) -> float:
 
 def lq_pow_exact(values, q: int) -> Fraction:
     """Exact sum of |c|^q over `values` for integral q >= 1, if it can be printed."""
-    if q < 1:
-        raise UsageError(f"q must be >= 1, got {q}")
     if exact_pow_fits(values, q):
         total = sum((abs(c) ** q for c in values), _ZERO)
         with contextlib.suppress(ValueError):
@@ -143,7 +141,7 @@ class GroupRingVector:
 
     def _check_model(self, other):
         if self.model.name != other.model.name:
-            raise ModelMismatchError(
+            raise UsageError(
                 f"vectors over {self.model.name} and {other.model.name}"
             )
 

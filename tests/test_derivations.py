@@ -12,7 +12,6 @@ from conjlab import (
     Derivation,
     DihedralInf,
     GroupRingVector,
-    ModelMismatchError,
     Potential,
     UsageError,
     character,
@@ -714,7 +713,7 @@ class TestStabilisation:
 
     def test_ball_of_another_model_rejected(self, h3):
         ball = explore_component(get_model("h3semi"), ((1, 0, 0), 0), radius=1)
-        with pytest.raises(ModelMismatchError, match="^ball of h3semi used with model h3$"):
+        with pytest.raises(UsageError, match="^ball of h3semi used with model h3$"):
             stabilisation_probe(Potential(h3, {}), ball, [0])
 
 

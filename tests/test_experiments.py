@@ -332,14 +332,15 @@ class TestInverseSequence:
     def test_h3_symmetric(self, h3):
         # conjugating Ap by Ax^k moves it k steps either way
         rows = run_inverse_sequence_check(
-            h3, (1, 0, 0), parse_word(h3, "Ax"), k_max=5, budget=12
+            h3, (1, 0, 0), parse_word(h3, "Ax"), k_max=5, budget=12, tail=h3.identity_payload()
         )
         for k, fwd, bwd in rows:
             assert fwd == k and bwd == k
 
     def test_fixed_point(self, h3):
         rows = run_inverse_sequence_check(
-            h3, h3.identity_payload(), parse_word(h3, "Ax"), k_max=3, budget=6
+            h3, h3.identity_payload(), parse_word(h3, "Ax"), k_max=3, budget=6,
+            tail=h3.identity_payload(),
         )
         assert all(f == 0 and b == 0 for _, f, b in rows)
 
@@ -360,7 +361,7 @@ class TestInverseSequence:
 
     def test_budget_sentinel(self, h3):
         rows = run_inverse_sequence_check(
-            h3, (1, 0, 0), parse_word(h3, "Ax"), k_max=5, budget=3
+            h3, (1, 0, 0), parse_word(h3, "Ax"), k_max=5, budget=3, tail=h3.identity_payload()
         )
         assert rows[4][1] == AtLeast(3)
 

@@ -390,6 +390,21 @@ class TestBCApart:
             assert verdict == "Inconclusive"
 
 
+@pytest.mark.parametrize("name", ["h3", "free2", "dinf", "dsemi", "h3semi", "h3*dinf"])
+def test_the_shells_read_each_radius_from_the_ball(name, monkeypatch):
+    # the first generator and two of its conjugates: one abelian image, never apart
+    model = get_model(name)
+    x = model.gen_triples[0][1]
+    conjugates = dict.fromkeys(model.conj_step(x, g, gi) for _, g, gi in model.gen_triples)
+    K = [x, *[c for c in conjugates if c != x][:2]]
+    assert graph._levels_fit(len(model.gen_triples), 3, graph.DEFAULT_NODE_BUDGET)
+    assert not graph._apart(model, K)
+    want = bc_probe(model, K, 3, 3)
+    ball = model.cayley_ball
+    monkeypatch.setattr(model, "cayley_ball", lambda *args: dict(reversed(ball(*args).items())))
+    assert bc_probe(model, K, 3, 3) == want
+
+
 @st.composite
 def bc_inputs(draw):
     """(model, K, Cayley radius, diameter budget, node budget): K of one to

@@ -20,8 +20,9 @@ or it moves to the tests).  To list today's unreached `def`s:
 
     PYTHONPATH=src python tests/test_reach.py
 
-The same pass under `sys.settrace` lists each statement inside a `def`
-that no argv runs, docstrings excluded; it is slower, and no test reads it:
+The same pass under `sys.settrace` lists each statement inside a reached
+`def` that no argv runs, docstrings excluded; it is slower, and no test
+reads it:
 
     PYTHONPATH=src python tests/test_reach.py --lines
 """
@@ -172,12 +173,16 @@ def _code_lines(code) -> set:
 
 def unrun_lines(ran) -> list:
     """`path:line: def: statement` for each statement inside a `def` of
-    which no line is in `ran`, docstrings excluded.  A statement's lines
-    are its header for a compound one or an `except` clause, all of it for
-    a simple one; a statement with no bytecode there (`global`, say) has
-    none to run.  A nested `def` is listed as a `def` of its own."""
+    which no line is in `ran`, docstrings excluded, and the `def`s of
+    `UNREACHED` left out, since their reason covers every line.  A
+    statement's lines are its header for a compound one or an `except`
+    clause, all of it for a simple one; a statement with no bytecode there
+    (`global`, say) has none to run.  A nested `def` is listed as a `def`
+    of its own."""
     out, code_lines = [], {}
     for name, path, node in _def_nodes():
+        if name in UNREACHED:
+            continue
         if path not in code_lines:
             text = path.read_text(encoding="utf-8")
             code_lines[path] = (_code_lines(compile(text, str(path), "exec")), text.splitlines())

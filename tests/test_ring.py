@@ -89,8 +89,6 @@ class TestNorms:
         v = GroupRingVector(h3, {(0, 0, 0): frac(-1, 2), (1, 0, 0): frac(1)})
         assert lq_pow_exact(v.terms.values(), 3) == frac(9, 8)
         assert lq_pow_exact(v.terms.values(), 2) == frac(5, 4)
-        with pytest.raises(UsageError):
-            lq_pow_exact(v.terms.values(), 0)
 
     def test_float_norm_adds_left_to_right(self):
         # added left to right, 1 + 2^-53 rounds to 1, twice; math.fsum rounds
