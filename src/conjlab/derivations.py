@@ -224,11 +224,7 @@ def quasi_inner_check(phi: Potential, loops):
     """Check that phi's character vanishes on the loops, (u, v) payload
     pairs with u v = v u, read once in order; returns (ok, witness), the
     witness the first (u, v, value) with a nonzero value, if any."""
-    model = phi.model
     for up, vp in loops:
-        if model.mul_payload(up, vp) != model.mul_payload(vp, up):
-            enc = model.encode_payload
-            raise UsageError(f"({enc(up)}, {enc(vp)}) is not a loop")
         val = character(phi, up, vp)
         if val != 0:
             return False, (up, vp, val)
@@ -312,8 +308,6 @@ def _float_pow(c: Fraction, p: float) -> float:
 def stabilisation_probe(phi: Potential, ball, radii):
     """For each radius r: sup |phi| over ball vertices at distance > r
     (the stabilised-at-0 convention), |phi| read once per vertex."""
-    if ball.model.name != phi.model.name:
-        raise UsageError(f"ball of {ball.model.name} used with model {phi.model.name}")
     sizes = [(dp, abs(phi.value(p))) for p, dp in ball.depths.items()]
     return [(r, max((v for dp, v in sizes if dp > r), default=_ZERO)) for r in radii]
 

@@ -12,7 +12,6 @@ import math
 from functools import cached_property
 from itertools import combinations
 
-from .errors import UsageError
 from .groups import AtLeast, DEFAULT_NODE_BUDGET, GroupModel
 
 
@@ -148,11 +147,10 @@ def bc_probe(
     is settled once, after the Cayley ball: every g K g^-1 keeps the pair
     apart, so `conj_distance` would make every shell AtLeast(diam_budget).
     The verdict is a fixed-window heuristic over the shell data; the raw
-    shells are always returned.  K is searched in encoding order.
+    shells are always returned.  K is searched in encoding order; an
+    empty K has diameter 0 at every radius, so its verdict is Plateau(0).
     """
     K = sorted(set(K), key=model.encode_payload)
-    if not K:
-        raise UsageError("bc_probe needs a nonempty finite set K")
     ball = model.cayley_ball(max_cayley_radius, node_budget)  # its exit 3 comes first
     if _levels_fit(len(model.gen_triples), diam_budget, node_budget) and _apart(model, K):
         shells = [(r, AtLeast(max(diam_budget, 0))) for r in range(max_cayley_radius + 1)]

@@ -1,6 +1,6 @@
 """Automorphism invariance of `bound-probe` and `character` on h3, of
-`derive`, `bound-probe` and `character` on the other five models, and of
-`limit` and `bc` on all six.
+`bound-probe` and `character` on the other five models, and of `derive`,
+`stabilise`, `limit` and `bc` on all six.
 
 An automorphism sigma of h3 that permutes the symmetric generating set maps
 the Cayley ball onto itself, and d_psi(sigma g) = sigma(d_phi(g)) for the
@@ -13,7 +13,10 @@ order of the relabelled support does not move.  `derive` on psi at
 sigma g prints phi's image at g with each element relabelled by sigma,
 and the same `norm_p`.  `limit` with each letter of the conjugator
 relabelled prints the same samples and the same `potential_norm`.
-`bc` on sigma K prints the same shells and verdict.
+`bc` on sigma K prints the same shells and verdict.  sigma maps the
+conjugation-graph component of b onto that of sigma b, keeping each
+vertex's distance from the base, so `stabilise` on psi at sigma b prints
+phi's exact rows and `complete` at b.
 """
 
 import json
@@ -118,7 +121,7 @@ def test_character_is_invariant(capsys, tmp_path, seed, auto):
 
 
 # ---------------------------------------------------------------------------
-# `derive` off h3
+# The automorphisms of all six models
 
 
 _SWAP_AB = str.maketrans("ab", "ba")
@@ -162,9 +165,11 @@ def model_table(model, rng, keep=lambda p: True) -> dict:
 
 OFF_H3_CASES = [(name, i) for name in ("free2", "dinf", "dsemi", "h3semi", "h3*dinf")
                 for i in range(len(model_automorphisms(name)))]
+MODEL_CASES = [(name, i) for name in ("h3", "free2", "dinf", "dsemi", "h3semi", "h3*dinf")
+               for i in range(len(model_automorphisms(name)))]
 
 
-@pytest.mark.parametrize("name, index", OFF_H3_CASES, ids=lambda c: str(c))
+@pytest.mark.parametrize("name, index", MODEL_CASES, ids=lambda c: str(c))
 def test_derive_is_invariant(capsys, tmp_path, name, index):
     model = get_model(name)
     sigma = model_automorphisms(name)[index]
@@ -229,11 +234,7 @@ def test_character_is_invariant_off_h3(capsys, tmp_path, name, index):
         assert got["value"] == want["value"]
 
 
-LIMIT_CASES = [(name, i) for name in ("h3", "free2", "dinf", "dsemi", "h3semi", "h3*dinf")
-               for i in range(len(model_automorphisms(name)))]
-
-
-@pytest.mark.parametrize("name, index", LIMIT_CASES, ids=lambda c: str(c))
+@pytest.mark.parametrize("name, index", MODEL_CASES, ids=lambda c: str(c))
 def test_limit_is_invariant(capsys, tmp_path, name, index):
     model = get_model(name)
     sigma = model_automorphisms(name)[index]
@@ -259,6 +260,30 @@ def test_limit_is_invariant(capsys, tmp_path, name, index):
             assert got["potential_norm"] == want["potential_norm"]
 
 
+@pytest.mark.parametrize("name, index", MODEL_CASES, ids=lambda c: str(c))
+def test_stabilise_is_invariant(capsys, tmp_path, name, index):
+    model = get_model(name)
+    sigma = model_automorphisms(name)[index]
+    enc = model.encode_payload
+    for seed in range(2):
+        rng = Random(6000 + 10 * index + seed)
+        b = random_payload(model, rng, 4)
+        # a random table plus up to three entries on b's ball, so that
+        # rows past radius 0 can be nonzero
+        ball = sorted(graph.explore_component(model, b, 3).depths, key=enc)
+        table = model_table(model, rng)
+        for p in rng.sample(ball, min(3, len(ball))):
+            table[p] = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+        phi = write_potential(tmp_path / "phi.json", table, model)
+        psi = write_potential(tmp_path / "psi.json",
+                              {sigma(p): v for p, v in table.items()}, model)
+        argv = ["stabilise", "--radius", "3", "--radii", "0,1,2", "--potential"]
+        want = stdout(capsys, argv + [phi, "--base", enc(b)])
+        got = stdout(capsys, argv + [psi, "--base", enc(sigma(b))])
+        assert got["base"] == enc(sigma(b))
+        assert (got["rows"], got["complete"]) == (want["rows"], want["complete"])
+
+
 # ---------------------------------------------------------------------------
 # `bc` on all six
 
@@ -274,7 +299,7 @@ def bc_sets(model, rng):
     return K, K[:-1] + [model.mul_payload(K[-1], model.gen_triples[0][1])]
 
 
-@pytest.mark.parametrize("name, index", LIMIT_CASES, ids=lambda c: str(c))
+@pytest.mark.parametrize("name, index", MODEL_CASES, ids=lambda c: str(c))
 def test_bc_is_invariant(capsys, name, index):
     # sigma keeps word length and maps conjugation edges onto conjugation
     # edges; no distance search can run out of nodes at these budgets, so

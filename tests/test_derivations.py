@@ -411,12 +411,6 @@ class TestQuasiInner:
         assert witness == (*loops[0], 1)
         assert quasi_inner_check(phi, (loop for loop in loops)) == (ok, witness)
 
-    def test_non_loop_rejected(self, h3):
-        mor = Morphism(h3, (1, 0, 0), (0, 1, 0))
-        assert not mor.is_loop()
-        with pytest.raises(UsageError, match=r"^\(H3\(1,0,0\), H3\(0,1,0\)\) is not a loop$"):
-            quasi_inner_check(Potential(h3, {}), iter([(mor.u, mor.v)]))
-
 
 # ---------------------------------------------------------------------------
 # Probes
@@ -710,11 +704,6 @@ class TestStabilisation:
         phi = Potential(h3, {p: 1 for p in ball.depths})
         probe = stabilisation_probe(phi, ball, [0, 1, 2])
         assert [s for _, s in probe] == [1, 1, 1]
-
-    def test_ball_of_another_model_rejected(self, h3):
-        ball = explore_component(get_model("h3semi"), ((1, 0, 0), 0), radius=1)
-        with pytest.raises(UsageError, match="^ball of h3semi used with model h3$"):
-            stabilisation_probe(Potential(h3, {}), ball, [0])
 
 
 # ---------------------------------------------------------------------------

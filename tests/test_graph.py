@@ -12,7 +12,6 @@ from conjlab import (
     DihedralInf,
     FreeGroup,
     ResourceBudgetError,
-    UsageError,
     bc_probe,
     conj_distance,
     conj_neighbors,
@@ -259,9 +258,9 @@ class TestBCProbe:
         vals = [x for _, x in shells]
         assert vals == sorted(vals)
 
-    def test_empty_k_rejected(self, h3):
-        with pytest.raises(UsageError):
-            bc_probe(h3, [], 3, 8)
+    def test_empty_k_has_diameter_zero(self, h3):
+        # no pair to measure: _set_diameter's 0 at every radius
+        assert bc_probe(h3, [], 2, 4) == ([(0, 0), (1, 0), (2, 0)], "Plateau(0)")
 
     def test_json_schema(self, capsys):
         data = json.loads(cli_stdout(capsys, ["bc", "--model", "h3", "--k", "H3(1,0,0)",
