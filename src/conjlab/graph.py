@@ -141,18 +141,21 @@ def bc_probe(
     of g K g^-1 over all conjugators g of length <= r, an int or AtLeast),
     and "Plateau(C)", "Growing" or "Inconclusive".
 
-    Conjugators acting identically on K are expanded once (memo on the
-    tuple of image payloads).  Where no distance search can run out of
-    nodes, a K with a pair that `conjugator_length` finds not conjugate
-    is settled once, after the Cayley ball: every g K g^-1 keeps the pair
-    apart, so `conj_distance` would make every shell AtLeast(diam_budget).
-    The verdict is a fixed-window heuristic over the shell data; the raw
-    shells are always returned.  K is searched in encoding order; an
-    empty K has diameter 0 at every radius, so its verdict is Plateau(0).
+    Where no distance search can run out of nodes, a K with a pair that
+    `conjugator_length` finds not conjugate is settled with no conjugate:
+    every g K g^-1 keeps the pair apart, so each shell is AtLeast(diam_budget).
+    The Cayley ball is built only when the per-image loop reads it or its
+    node budget could run out, so that its exit 3 still comes first.  The
+    loop expands conjugators acting identically on K once (memo on the tuple
+    of image payloads).  The verdict is a fixed-window heuristic over the
+    shell data; the raw shells are always returned.  K is searched in
+    encoding order; an empty K has diameter 0 at every radius: Plateau(0).
     """
-    K = sorted(set(K), key=model.encode_payload)
-    ball = model.cayley_ball(max_cayley_radius, node_budget)  # its exit 3 comes first
-    if _levels_fit(len(model.gen_triples), diam_budget, node_budget) and _apart(model, K):
+    K, n = sorted(set(K), key=model.encode_payload), len(model.gen_triples)
+    apart = _levels_fit(n, diam_budget, node_budget) and _apart(model, K)
+    if not (apart and _levels_fit(n, max_cayley_radius, node_budget)):
+        ball = model.cayley_ball(max_cayley_radius, node_budget)  # its exit 3 comes first
+    if apart:
         shells = [(r, AtLeast(max(diam_budget, 0))) for r in range(max_cayley_radius + 1)]
     else:
         step, inv = model.conj_step, model.inv_payload

@@ -335,14 +335,19 @@ class TestBCOracle:
 
 class TestBCBudget:
     def test_spent_cayley_budget_raises_as_cayley_ball_does(self, h3, capsys):
-        K = [h3.decode_payload("H3(1,0,0)")]
-        with pytest.raises(ResourceBudgetError, match="^cayley_ball node budget 10 exceeded$") as exc:
-            bc_probe(h3, K, 3, 4, node_budget=10)
-        assert exc.value.partial_count == 11
-        assert main(["bc", "--model", "h3", "--k", "H3(1,0,0)", "--cayley-radius", "3",
-                     "--budget-nodes", "10"]) == 3
-        assert capsys.readouterr().err == ("resource budget exceeded: cayley_ball node budget"
-                                           " 10 exceeded (partial count 11)\n")
+        # the second K is apart and its distance searches fit 10 nodes, but
+        # 1 + 6 + 36 + 216 > 10, so the ball is built and spends its budget
+        for words, diam_budget in ((["H3(1,0,0)"], 4), (["H3(1,0,0)", "H3(0,1,0)"], 0)):
+            K = [h3.decode_payload(w) for w in words]
+            with pytest.raises(ResourceBudgetError,
+                               match="^cayley_ball node budget 10 exceeded$") as exc:
+                bc_probe(h3, K, 3, diam_budget, node_budget=10)
+            assert exc.value.partial_count == 11
+            argv = [a for w in words for a in ("--k", w)]
+            assert main(["bc", "--model", "h3", *argv, "--cayley-radius", "3",
+                         "--diam-budget", str(diam_budget), "--budget-nodes", "10"]) == 3
+            assert capsys.readouterr().err == ("resource budget exceeded: cayley_ball node"
+                                               " budget 10 exceeded (partial count 11)\n")
 
     @pytest.mark.parametrize("node_budget", [5, 10, 40, 1000])
     def test_free2_matches_pairwise(self, node_budget):
@@ -373,16 +378,18 @@ def apart_k(model, rng):
 
 
 def refuse(*args):
-    raise AssertionError("an apart K is settled without a conjugate or a search")
+    raise AssertionError("an apart K is settled without a conjugate, a search or a Cayley ball")
 
 
 class TestBCApart:
     @pytest.mark.parametrize("name", CORPUS_MODELS)
     def test_an_apart_k_takes_no_conjugate(self, name, monkeypatch):
+        # every radius and diameter budget here fits the default node budget
         model = get_model(name)
         K = apart_k(model, Random(45))
         monkeypatch.setattr(graph, "conj_distance", refuse)
         monkeypatch.setattr(model, "conj_step", refuse)
+        monkeypatch.setattr(model, "cayley_ball", refuse)
         for radius, budget in ((0, 0), (1, 4), (3, 2)):
             shells, verdict = bc_probe(model, K, radius, budget)
             assert shells == [(r, AtLeast(budget)) for r in range(radius + 1)]

@@ -5,11 +5,13 @@ and `class_is_finite` must agree with a budgeted BFS oracle, on Cayley
 balls of all six models and of a 3-factor product.  `conj_distance`
 answers pairs that `conjugator_length` knows, non-conjugate ones
 included, without a search only where the search could answer nothing
-else.
+else.  On h3 every inner automorphism keeps the conjugation graph, labels
+included, so distances and balls do not change under it.
 """
 
 import json
 import math
+from random import Random
 
 import pytest
 
@@ -22,6 +24,7 @@ from conjlab import (
 )
 from conjlab.cli import main
 from conjlab.graph import _levels_fit
+from conjlab.groups import random_payload
 
 from conftest import all_models
 
@@ -178,6 +181,56 @@ def test_formula_answers_as_a_search_at_a_negative_budget():
 ])
 def test_levels_fit(n, depth, node_budget, fits):
     assert _levels_fit(n, depth, node_budget) is fits
+
+
+def inner(model, g):
+    """Ad_g, the payload map p -> g p g^-1."""
+    gi = model.inv_payload(g)
+    return lambda p: model.conj_step(p, g, gi)
+
+
+# g x g^-1 = x z, z central, for every g and generator x of h3, so each
+# Ad_g maps the conjugation graph onto itself and keeps every label
+
+
+def test_inner_automorphisms_keep_h3_conjugation_distances(h3):
+    # with 6 steps a node, 2 and 5 nodes fit depth 0, 40 depth 1 and 10^6
+    # depth 4, so each budget has answers from the formula and the search;
+    # a class is a line, and 2 or 5 nodes cut some searches below it
+    rng = Random(29)
+    pairs = []
+    for _ in range(12):
+        u = random_payload(h3, rng, 4)
+        v = rng.choice([inner(h3, random_payload(h3, rng, 3))(u),
+                        h3.mul_payload(u, (0, 0, rng.randint(-3, 3))),
+                        random_payload(h3, rng, 4)])
+        pairs.append((u, v))
+    answers = set()
+    for g in h3.cayley_ball(2):
+        ad = inner(h3, g)
+        for u, v in pairs:
+            for budget in range(5):
+                for node_budget in (2, 5, 40, 10**6):
+                    want = conj_distance(h3, u, v, budget, node_budget)
+                    assert conj_distance(h3, ad(u), ad(v), budget, node_budget) == want
+                    answers.add((type(want), isinstance(want, AtLeast) and want.bound < budget))
+    assert answers == {(int, False), (AtLeast, False), (AtLeast, True)}
+
+
+def test_inner_automorphisms_map_h3_conjugation_balls(h3):
+    rng = Random(29)
+    centres = [random_payload(h3, rng, 4) for _ in range(6)] + [(0, 0, 2)]
+    flags = set()
+    for g in h3.cayley_ball(2):
+        ad = inner(h3, g)
+        for u in centres:
+            for radius, node_budget in ((0, 5), (2, 5), (3, 5), (3, 40)):
+                ball = explore_component(h3, u, radius, node_budget)
+                image = explore_component(h3, ad(u), radius, node_budget)
+                assert list(image.depths.items()) == [(ad(p), d) for p, d in ball.depths.items()]
+                assert (image.complete, image.closed) == (ball.complete, ball.closed)
+                flags.add((ball.complete, ball.closed))
+    assert flags == {(True, False), (False, False), (True, True)}
 
 
 def test_limit_refuses_a_finite_class_of_8192_elements(tmp_path, capsys):
